@@ -9,7 +9,6 @@
 // Byzantine tolerance.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -71,20 +70,9 @@ RunResult run(core::SystemOptions opts, Behavior b1 = Behavior::kHonest,
 int main(int argc, char** argv) {
   // --metrics: additionally dump the instrumented run's full registry in
   // Prometheus text format (after the obs-overhead section).
-  // --pool-size N / --warm: contribution-pool capacity and prefill for the
-  // pipelined-throughput section (the cold-vs-warm comparison section always
-  // runs both arms so the BENCHJSON gate rows are emitted unconditionally).
   bool dump_metrics = false;
-  std::size_t pool_size = 8;
-  bool warm = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--metrics") == 0) {
-      dump_metrics = true;
-    } else if (std::strcmp(argv[i], "--warm") == 0) {
-      warm = true;
-    } else if (std::strcmp(argv[i], "--pool-size") == 0 && i + 1 < argc) {
-      pool_size = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-    }
+    if (std::strcmp(argv[i], "--metrics") == 0) dump_metrics = true;
   }
   std::puts("FIG4 — complete re-encryption protocol (async simulator, delays U[0.5ms, 20ms])");
   std::puts("");
@@ -355,36 +343,6 @@ int main(int argc, char** argv) {
   }
 
   std::puts("");
-  std::puts("End-to-end mont-muls, honest run, batch_verify off vs on (same seed):");
-  {
-    bench::Table et({"n", "f", "serial_muls", "batch_muls", "ratio"});
-    for (std::size_t f : {1u, 2u}) {
-      std::size_t n = 3 * f + 1;
-      std::uint64_t muls[2] = {0, 0};
-      for (int batch = 0; batch < 2; ++batch) {
-        core::SystemOptions o;
-        o.a = {n, f};
-        o.b = {n, f};
-        o.seed = 400 + f;
-        o.protocol.batch_verify = batch == 1;
-        core::System sys(std::move(o));
-        sys.add_transfer(sys.config().params.encode_message(Bigint(55)));
-        std::uint64_t before = sys.config().params.mont_mul_count();
-        sys.run_to_completion();
-        muls[batch] = sys.config().params.mont_mul_count() - before;
-      }
-      et.row({std::to_string(n), std::to_string(f), bench::fmt_u(muls[0]), bench::fmt_u(muls[1]),
-              bench::fmt(static_cast<double>(muls[0]) / static_cast<double>(muls[1]), 2) + "x"});
-      std::printf(
-          "BENCHJSON {\"section\": \"e2e\", \"f\": %zu, \"serial_mont_muls\": %llu, "
-          "\"batch_mont_muls\": %llu}\n",
-          f, static_cast<unsigned long long>(muls[0]),
-          static_cast<unsigned long long>(muls[1]));
-    }
-    et.print();
-  }
-
-  std::puts("");
   std::puts("Observability overhead (PR 4) — same honest fixed-seed run, plain vs fully");
   std::puts("instrumented (JSONL trace + metrics registry). The recorder hooks must be");
   std::puts("pure observers: identical mont-mul counts and message totals, or the");
@@ -458,40 +416,34 @@ int main(int argc, char** argv) {
   }
 
   std::puts("");
-  std::puts("Offline/online split (PR 5) — contribution pool, cold vs warm (same seed):");
+  std::puts("Offline/online split — precompute_contributions off vs on (same seed):");
   std::puts("(online = mont-muls a contributor spends inside the init/reveal handlers,");
-  std::puts(" the latency-critical path; the warm pool moves bundle construction — dual");
-  std::puts(" encryption + VDE announcements — into the offline refill timer. Results");
-  std::puts(" must be bit-identical across modes: the pool changes WHEN the work runs,");
-  std::puts(" never WHAT randomness it consumes.)");
+  std::puts(" the latency-critical path; precomputation moves bundle construction — dual");
+  std::puts(" encryption + VDE announcements — into on_start. Results must be");
+  std::puts(" bit-identical across modes: the keyed per-instance stream means");
+  std::puts(" precomputation changes WHEN the work runs, never WHAT randomness it consumes.)");
   {
-    struct PoolRun {
+    struct SplitRun {
       std::uint64_t online = 0;
       std::uint64_t offline = 0;
-      std::uint64_t drains = 0;
-      std::uint64_t fallbacks = 0;
-      std::uint64_t refills = 0;
-      double latency_ms = 0;
       std::vector<std::optional<elgamal::Ciphertext>> results;
     };
-    constexpr int kPoolTransfers = 6;
-    auto run_pool = [&](std::size_t cap, bool prefill) {
+    constexpr int kSplitTransfers = 6;
+    auto run_split = [&](bool precompute) {
       obs::MetricsRegistry reg;
       core::SystemOptions o;
       o.a = {4, 1};
       o.b = {4, 1};
       o.seed = 600;
-      o.protocol.contribution_pool = cap;
-      o.protocol.pool_prefill = prefill;
+      o.protocol.precompute_contributions = precompute;
       o.protocol.metrics = &reg;
       core::System sys(std::move(o));
       std::vector<core::TransferId> ts;
-      for (int i = 0; i < kPoolTransfers; ++i) {
+      for (int i = 0; i < kSplitTransfers; ++i) {
         ts.push_back(sys.add_transfer(sys.config().params.encode_message(Bigint(9000 + i))));
       }
-      PoolRun r;
-      if (!sys.run_to_completion()) std::puts("BUG: pool bench run did not complete");
-      r.latency_ms = sys.sim().stats().end_time / 1000.0;
+      SplitRun r;
+      if (!sys.run_to_completion()) std::puts("BUG: precompute bench run did not complete");
       for (core::TransferId t : ts) {
         for (core::ServerRank rank = 1; rank <= 4; ++rank) r.results.push_back(sys.result(t, rank));
       }
@@ -503,44 +455,30 @@ int main(int argc, char** argv) {
         r.offline += reg.counter("dblind_contrib_mont_muls_total",
                                  {{"node", node}, {"path", "offline"}})
                          .value();
-        r.drains +=
-            reg.counter("dblind_pool_events_total", {{"node", node}, {"event", "drain"}}).value();
-        r.fallbacks +=
-            reg.counter("dblind_pool_events_total", {{"node", node}, {"event", "fallback"}})
-                .value();
-        r.refills +=
-            reg.counter("dblind_pool_events_total", {{"node", node}, {"event", "refill"}}).value();
       }
       return r;
     };
-    PoolRun cold = run_pool(0, false);
-    PoolRun warmed = run_pool(pool_size, true);
-    const bool identical = cold.results == warmed.results;
+    SplitRun inline_run = run_split(false);
+    SplitRun pre = run_split(true);
+    const bool identical = inline_run.results == pre.results;
 
-    bench::Table pt({"mode", "online_muls", "offline_muls", "online/transfer", "drains",
-                     "fallbacks", "identical"});
+    bench::Table pt({"mode", "online_muls", "offline_muls", "online/transfer", "identical"});
     auto per_transfer = [](std::uint64_t v) {
-      return bench::fmt(static_cast<double>(v) / kPoolTransfers, 1);
+      return bench::fmt(static_cast<double>(v) / kSplitTransfers, 1);
     };
-    pt.row({"cold (no pool)", bench::fmt_u(cold.online), bench::fmt_u(cold.offline),
-            per_transfer(cold.online), "-", "-", "-"});
-    pt.row({"warm (pool=" + std::to_string(pool_size) + ")", bench::fmt_u(warmed.online),
-            bench::fmt_u(warmed.offline), per_transfer(warmed.online),
-            bench::fmt_u(warmed.drains), bench::fmt_u(warmed.fallbacks),
-            identical ? "yes" : "NO"});
+    pt.row({"inline (precompute off)", bench::fmt_u(inline_run.online),
+            bench::fmt_u(inline_run.offline), per_transfer(inline_run.online), "-"});
+    pt.row({"precompute on", bench::fmt_u(pre.online), bench::fmt_u(pre.offline),
+            per_transfer(pre.online), identical ? "yes" : "NO"});
     pt.print();
-    if (!identical) std::puts("BUG: warm-pool run diverged from the cold run");
+    if (!identical) std::puts("BUG: precomputed run diverged from the inline run");
     std::printf(
-        "BENCHJSON {\"section\": \"pool\", \"transfers\": %d, \"cold_online_mont_muls\": %llu, "
-        "\"warm_online_mont_muls\": %llu, \"warm_offline_mont_muls\": %llu, "
-        "\"warm_drains\": %llu, \"warm_fallbacks\": %llu, \"warm_refills\": %llu, "
-        "\"identical_results\": %d}\n",
-        kPoolTransfers, static_cast<unsigned long long>(cold.online),
-        static_cast<unsigned long long>(warmed.online),
-        static_cast<unsigned long long>(warmed.offline),
-        static_cast<unsigned long long>(warmed.drains),
-        static_cast<unsigned long long>(warmed.fallbacks),
-        static_cast<unsigned long long>(warmed.refills), identical ? 1 : 0);
+        "BENCHJSON {\"section\": \"precompute\", \"transfers\": %d, "
+        "\"inline_online_mont_muls\": %llu, \"precompute_online_mont_muls\": %llu, "
+        "\"precompute_offline_mont_muls\": %llu, \"identical_results\": %d}\n",
+        kSplitTransfers, static_cast<unsigned long long>(inline_run.online),
+        static_cast<unsigned long long>(pre.online),
+        static_cast<unsigned long long>(pre.offline), identical ? 1 : 0);
   }
 
   std::puts("");
@@ -590,16 +528,12 @@ int main(int argc, char** argv) {
   }
 
   std::puts("");
-  std::printf("Pipelined throughput — 12 transfers in flight (pool=%zu, %s; override with"
-              " --pool-size N --warm):\n",
-              pool_size, warm ? "warm" : "cold");
+  std::puts("Pipelined throughput — 12 transfers in flight:");
   {
     core::SystemOptions o;
     o.a = {4, 1};
     o.b = {4, 1};
     o.seed = 700;
-    o.protocol.contribution_pool = pool_size;
-    o.protocol.pool_prefill = warm;
     core::System sys(std::move(o));
     constexpr int kN = 12;
     std::vector<core::TransferId> ts;
@@ -624,10 +558,9 @@ int main(int argc, char** argv) {
             ok ? "yes" : "NO"});
     tt.print();
     std::printf(
-        "BENCHJSON {\"section\": \"throughput\", \"transfers\": %d, \"pool_size\": %zu, "
-        "\"warm\": %d, \"wall_ms\": %.2f, \"virtual_ms\": %.2f, \"transfers_per_sec\": %.2f, "
-        "\"integrity\": %d}\n",
-        kN, pool_size, warm ? 1 : 0, wall_ms, virt_ms, tps, ok ? 1 : 0);
+        "BENCHJSON {\"section\": \"throughput\", \"transfers\": %d, \"wall_ms\": %.2f, "
+        "\"virtual_ms\": %.2f, \"transfers_per_sec\": %.2f, \"integrity\": %d}\n",
+        kN, wall_ms, virt_ms, tps, ok ? 1 : 0);
   }
 
   std::puts("");
@@ -639,8 +572,7 @@ int main(int argc, char** argv) {
   std::puts(" post-install window is the full protocol under the new configuration.");
   std::puts(" Gate: post-rotation steady-state mont-muls/transfer within 5% of the");
   std::puts(" baseline — the install's invalidation cascade (pinned comb tables,");
-  std::puts(" contribution pool, offline prng) must re-arm fully, not leak cost into");
-  std::puts(" the new epoch.)");
+  std::puts(" contributor state) must re-arm fully, not leak cost into the new epoch.)");
   {
     constexpr int kWave = 4;
     constexpr net::Time kRotateAt = 30'000;  // lands well inside the first round-trips

@@ -14,12 +14,12 @@
 //   load_saturation  saturated throughput of the concurrent engine (unlimited
 //                    admission + cross-transfer batch drain + verify workers)
 //                    vs the strictly sequential baseline
-//                    (max_inflight_transfers = 1, serial inline verification)
+//                    (max_inflight_transfers = 1, inline verification)
 //                    on the SAME arrival schedule. The gate compares
 //                    virtual-time throughput: virtual time is a pure function
 //                    of the seed (machine-independent, like mont-mul counts),
 //                    wall-clock is recorded as provenance;
-//   load_equivalence identical_results: with per-transfer keyed contribution
+//   load_equivalence identical_results: with per-instance keyed contribution
 //                    streams both schedules must produce byte-identical
 //                    per-transfer ciphertexts (the concurrent engine changes
 //                    WHEN work runs, never WHAT it computes).
@@ -63,7 +63,6 @@ struct LoadConfig {
   int transfers = 16;
   int clients = 4;             // distinct message sources (many-clients mix)
   std::size_t max_inflight = 0;  // admission cap (0 = unlimited)
-  bool batch_verify = true;
   unsigned verify_workers = 2;
   dblind::net::Time mean_interarrival_us = 2'000;
   // When set, dump this run's JSONL span trace to `trace_out` and a
@@ -111,9 +110,7 @@ LoadResult run_load(const LoadConfig& lc) {
   o.seed = 9'000'000 + lc.seed;
   o.delay_min = 2'000;  // fixed delay: schedule-independent quorums
   o.delay_max = 2'000;
-  o.protocol.per_transfer_rng = true;
   o.protocol.max_inflight_transfers = lc.max_inflight;
-  o.protocol.batch_verify = lc.batch_verify;
   o.protocol.verify_workers = lc.verify_workers;
   o.protocol.trace = &trace;
   if (!lc.trace_out.empty()) o.protocol.metrics = &metrics;
@@ -269,8 +266,7 @@ int main(int argc, char** argv) {
   LoadConfig seq = base;
   seq.trace_out.clear();
   seq.mean_interarrival_us = 2'000;
-  seq.max_inflight = 1;  // strictly sequential
-  seq.batch_verify = false;
+  seq.max_inflight = 1;  // strictly sequential, inline verification
   seq.verify_workers = 0;
   LoadResult baseline = run_load(seq);
 

@@ -83,8 +83,13 @@ struct ProtocolOptions {
   net::Time signing_retry_delay = 600'000;
   // Number of coordinators that may ever start (paper: f+1 suffices).
   std::size_t max_coordinators = 0;  // 0 = f+1
-  // If true, servers pre-generate their blinding contribution before the
-  // init message arrives (step-flexibility / pre-computation claim §1).
+  // If true, B servers build their blinding contribution (ρ, both
+  // encryptions, the VDE announcements) for the designated coordinator's
+  // instance of every registered transfer during on_start, before the init
+  // arrives (step-flexibility / pre-computation claim §1). Contribution
+  // randomness comes from a per-instance keyed stream, so the precomputed
+  // bundle is exactly the one the instance would derive on demand: results
+  // are byte-identical either way, only WHEN the work runs moves.
   bool precompute_contributions = false;
 
   // --- chaos-layer retransmission (liveness only) ----------------------------
@@ -104,18 +109,16 @@ struct ProtocolOptions {
   // service-signed done message from their peers.
   net::Time result_pull_delay = 800'000;
 
-  // --- verification fast path (safety-equivalent, see docs/PROTOCOL.md) -----
-  // Check quorum evidence (contribute VDEs, envelope signatures, decryption
-  // shares) with random-linear-combination batch verification instead of
-  // proof-at-a-time checks. Accept/reject behavior is identical up to the
-  // 2^-128 batch soundness error; on batch failure the serial path re-runs to
-  // identify culprits, so no valid message is ever rejected.
-  bool batch_verify = false;
+  // --- verification (see docs/PROTOCOL.md) ----------------------------------
+  // Quorum evidence (contribute VDEs, envelope signatures, decryption shares)
+  // is always checked by random-linear-combination batch verification.
   // Off-handler verification worker pool for contribute messages: >0 spawns
-  // that many worker threads which verify queued contributions concurrently;
-  // results are applied in arrival order, so handler-visible state evolves
-  // exactly as in the inline path. Leave 0 under the deterministic Simulator;
-  // intended for net::ThreadedBus deployments.
+  // that many worker threads which run the structural + signature checks of
+  // queued contributions concurrently; a drain folds every surviving VDE
+  // proof, across transfers, into one combined pass and applies verdicts in
+  // arrival order, so handler-visible state evolves exactly as in the inline
+  // path. Leave 0 under the deterministic Simulator; intended for
+  // net::ThreadedBus deployments.
   std::size_t verify_workers = 0;
 
   // --- concurrent multi-transfer engine (core/transfer_engine.hpp) ----------
@@ -132,32 +135,6 @@ struct ProtocolOptions {
   // Shard count for the engine's per-transfer state map (lock striping under
   // net::ThreadedBus; irrelevant to results).
   std::size_t engine_shards = 8;
-  // Draw per-instance contribution randomness from a keyed prng stream
-  // derived as SHA256(root ‖ transfer ‖ coordinator ‖ epoch) instead of the
-  // shared offline fork. Makes each transfer's wire bytes independent of
-  // which other transfers are interleaved with it (the concurrent-vs-
-  // sequential equivalence panel relies on this). Default off: the seed
-  // engine's draw order — and therefore its exact bytes — is preserved.
-  // The contribution pool is bypassed in this mode (bundles in the pool are
-  // not attributable to a specific instance ahead of time).
-  bool per_transfer_rng = false;
-
-  // --- offline/online contribution pool (perf only; wire-identical) ---------
-  // Bounded pool of precomputed blinding-contribution bundles on each B
-  // server (core/contribution_pool.hpp): ρ, both encryptions and the VDE
-  // announcements are computed off the critical path, so serving an
-  // init/reveal costs zero group exponentiations while a bundle is
-  // available. 0 (the default) disables pooling; either way contribution
-  // randomness comes from the server's dedicated offline prng fork, so
-  // pool-on and pool-off runs with the same seed emit byte-identical wire
-  // messages (asserted by tests/integration/pool_protocol_test.cpp).
-  std::size_t contribution_pool = 0;
-  // Fill the pool to capacity during on_start (the "warm" bench mode).
-  bool pool_prefill = false;
-  // Idle-time refill cadence: one bundle per timer tick while below
-  // capacity; the timer disarms at capacity so the simulator's event queue
-  // always drains.
-  net::Time pool_refill_delay = 50'000;
 
   // --- observability (no protocol effect; see docs/OBSERVABILITY.md) --------
   // Structured per-phase trace events (epoch starts, commit/reveal/

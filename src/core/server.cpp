@@ -88,8 +88,6 @@ ProtocolServer::ProtocolServer(SystemConfig cfg, ServerSecrets secrets, Protocol
   initial_max_coordinators_ = opts_.max_coordinators;
   if (opts_.max_coordinators == 0) opts_.max_coordinators = cfg_.b.cfg.f + 1;
   if (opts_.verify_workers > 0) verify_pool_ = std::make_unique<VerifyPool>(opts_.verify_workers);
-  if (opts_.contribution_pool > 0 && is_b())
-    pool_ = std::make_unique<ContributionPool>(opts_.contribution_pool);
   // Pin the protocol bases for this key epoch: every exponentiation in
   // encryption and VDE proving targets g (combed by pow_g), y_A, y_B or
   // y_A·y_B (Pr3's base). One table build per modulus, shared const across
@@ -287,34 +285,11 @@ void ProtocolServer::on_start(net::Context& ctx) {
     arm_resend(ctx, std::move(r), opts_.result_pull_delay, 5);
   }
   if (is_b()) {
-    // Dedicated prng for contribution bundles (offline/online split). Forked
-    // at a fixed point of every incarnation, in pool-on and pool-off modes
-    // alike, so the bundle stream — and therefore every wire message built
-    // from it — is identical across modes for a given seed. Refill timers
-    // draw ONLY from this fork, never from ctx.rng().
-    offline_prng_.emplace(ctx.rng().fork("offline-contrib"));
-    if (opts_.per_transfer_rng) {
-      // Root key for per-instance contribution streams. One fork per
-      // incarnation, exactly like the offline prng, so a restarted server
-      // never replays the ρ of an instance it may already have committed to.
-      mpz::Prng root = ctx.rng().fork("transfer-rng-root");
-      hash::Digest key{};
-      root.fill(key);
-      instance_rng_root_ = key;
-    }
-    if (pool_ != nullptr && opts_.pool_prefill) {
-      obs::ScopedCounterDelta off(cfg_.params.mont_mul_cell(),
-                                  metrics_.contrib_mont_muls_offline);
-      while (!pool_->full()) {
-        ContributionBundle b = make_contribution_bundle(cfg_, next_bundle_id_++, *offline_prng_);
-        metrics_.pool_refills.inc();
-        emit_trace(ctx, obs::EventKind::kPoolRefill, nullptr,
-                   {.peer = b.id, .count = pool_->size() + 1});
-        pool_->push(std::move(b));
-      }
-      metrics_.pool_depth.set(pool_->size());
-    }
-    arm_pool_refill(ctx);
+    // Root key for per-instance contribution streams. One fork per
+    // incarnation, so a restarted server never replays the ρ of an instance
+    // it may already have committed to.
+    mpz::Prng root = ctx.rng().fork("transfer-rng-root");
+    root.fill(instance_rng_root_);
     // Coordinator scheduling (§4.1): rank 1 is the designated coordinator;
     // ranks 2..f+1 are delayed backups. After a restart, completed transfers
     // (restored from the durable done messages) are skipped, and the epoch
@@ -339,11 +314,15 @@ void ProtocolServer::on_start(net::Context& ctx) {
       }
       arm_watchdog_timer(ctx);
     }
-    // Step flexibility: pre-compute the contribution (and its VDE proof) for
-    // the designated coordinator's expected instance before any init arrives.
+    // Step flexibility: pre-compute the contribution bundle (encryptions and
+    // VDE announcements) for the designated coordinator's first instance
+    // before any init arrives. The keyed stream makes it exactly the bundle
+    // that instance would derive on demand.
     if (active() && opts_.precompute_contributions) {
+      obs::ScopedCounterDelta offline(cfg_.params.mont_mul_cell(),
+                                      metrics_.contrib_mont_muls_offline);
       for (TransferId t : transfers_) {
-        (void)contributor_state(ctx, InstanceId{t, 1, 0});
+        if (!results_.contains(t)) (void)contributor_state(InstanceId{t, 1, 0});
       }
     }
   }
@@ -399,8 +378,6 @@ void ProtocolServer::on_timer(net::Context& ctx, std::uint64_t token) {
     }
   } else if (kind == kTimerVerifyDrain) {
     drain_verifies(ctx);
-  } else if (kind == kTimerPoolRefill) {
-    pool_refill_tick(ctx);
   } else if (kind == kTimerWatchdog) {
     watchdog_tick(ctx);
   }
@@ -507,108 +484,56 @@ void ProtocolServer::on_message(net::Context& ctx, net::NodeId from,
 
 // --- contributor role (B) --------------------------------------------------------
 
-// Hands out the next contribution bundle in FIFO order. Pool hit: drain the
-// precomputed bundle (zero group exponentiations on this path). Pool empty or
-// pooling disabled: fall back to computing a bundle inline from the same
-// dedicated offline prng — consumption order is identical either way, so the
-// k-th bundle a server ever uses has the same randomness regardless of pool
-// configuration (the byte-identity invariant the pool tests assert).
-ContributionBundle ProtocolServer::obtain_bundle(net::Context& ctx, const InstanceId& id) {
-  if (opts_.per_transfer_rng && instance_rng_root_.has_value()) {
-    // Per-instance keyed stream: the bundle depends only on the incarnation
-    // root and this instance's public coordinates, never on how many other
-    // transfers were served first. This is what makes a transfer's wire bytes
-    // interleaving-independent (the concurrent-vs-sequential equivalence
-    // panel). The pool is bypassed — a pooled bundle cannot be attributed to
-    // an instance before the instance exists.
-    hash::Sha256 h;
-    h.update(std::span<const std::uint8_t>(instance_rng_root_->data(),
-                                           instance_rng_root_->size()));
-    std::array<std::uint8_t, 20> coords{};
-    for (int i = 0; i < 8; ++i) coords[i] = static_cast<std::uint8_t>(id.transfer >> (8 * i));
-    for (int i = 0; i < 4; ++i)
-      coords[8 + i] = static_cast<std::uint8_t>(id.coordinator >> (8 * i));
-    for (int i = 0; i < 4; ++i) coords[12 + i] = static_cast<std::uint8_t>(id.epoch >> (8 * i));
-    for (int i = 0; i < 4; ++i) coords[16 + i] = static_cast<std::uint8_t>(cfg_epoch_ >> (8 * i));
-    h.update(std::span<const std::uint8_t>(coords.data(), coords.size()));
-    mpz::Prng instance_prng(h.finish());
-    return make_contribution_bundle(cfg_, next_bundle_id_++, instance_prng);
-  }
-  if (pool_ != nullptr) {
-    if (auto b = pool_->take()) {
-      metrics_.pool_drains.inc();
-      metrics_.pool_depth.set(pool_->size());
-      emit_trace(ctx, obs::EventKind::kPoolDrain, &id, {.peer = b->id, .count = pool_->size()});
-      arm_pool_refill(ctx);
-      return std::move(*b);
-    }
-    metrics_.pool_fallbacks.inc();
-    arm_pool_refill(ctx);
-  }
-  ContributionBundle b = make_contribution_bundle(cfg_, next_bundle_id_++, *offline_prng_);
-  if (pool_ != nullptr) {
-    // Pool configured but dry: record the fallback drain so the single-use
-    // checker still sees every consumed bundle id exactly once.
-    emit_trace(ctx, obs::EventKind::kPoolDrain, &id, {.peer = b.id, .subject = 1, .count = 0});
-  }
-  return b;
-}
-
-void ProtocolServer::arm_pool_refill(net::Context& ctx) {
-  if (pool_ == nullptr || pool_timer_armed_ || pool_->full()) return;
-  pool_timer_armed_ = true;
-  ctx.set_timer(opts_.pool_refill_delay, kTimerPoolRefill);
-}
-
-void ProtocolServer::pool_refill_tick(net::Context& ctx) {
-  pool_timer_armed_ = false;
-  if (pool_ == nullptr || pool_->full() || !offline_prng_.has_value()) return;
-  obs::ScopedCounterDelta off(cfg_.params.mont_mul_cell(), metrics_.contrib_mont_muls_offline);
-  ContributionBundle b = make_contribution_bundle(cfg_, next_bundle_id_++, *offline_prng_);
-  metrics_.pool_refills.inc();
-  emit_trace(ctx, obs::EventKind::kPoolRefill, nullptr, {.peer = b.id, .count = pool_->size() + 1});
-  pool_->push(std::move(b));
-  metrics_.pool_depth.set(pool_->size());
-  arm_pool_refill(ctx);
-}
-
-ProtocolServer::ContributorState& ProtocolServer::contributor_state(net::Context& ctx,
-                                                                    const InstanceId& id) {
+ProtocolServer::ContributorState& ProtocolServer::contributor_state(const InstanceId& id) {
   auto it = contributor_.find(id);
   if (it != contributor_.end()) return it->second;
 
+  // The instance's keyed stream: its bundle depends only on the incarnation
+  // root and the instance's public coordinates, never on how many other
+  // transfers were served first. This makes a transfer's wire bytes
+  // interleaving-independent (the concurrent-vs-sequential equivalence
+  // panel) and lets on_start precompute the exact bundle an instance will
+  // use (the precompute on/off equivalence panel).
+  hash::Sha256 h;
+  h.update(std::span<const std::uint8_t>(instance_rng_root_.data(), instance_rng_root_.size()));
+  std::array<std::uint8_t, 20> coords{};
+  for (int i = 0; i < 8; ++i) coords[i] = static_cast<std::uint8_t>(id.transfer >> (8 * i));
+  for (int i = 0; i < 4; ++i) coords[8 + i] = static_cast<std::uint8_t>(id.coordinator >> (8 * i));
+  for (int i = 0; i < 4; ++i) coords[12 + i] = static_cast<std::uint8_t>(id.epoch >> (8 * i));
+  for (int i = 0; i < 4; ++i) coords[16 + i] = static_cast<std::uint8_t>(cfg_epoch_ >> (8 * i));
+  h.update(std::span<const std::uint8_t>(coords.data(), coords.size()));
+  mpz::Prng instance_prng(h.finish());
+
   ContributorState st;
   const group::GroupParams& gp = cfg_.params;
-  ContributionBundle b = obtain_bundle(ctx, id);
-  st.bundle = b.id;
-  st.rho = std::move(b.rho);
-  st.r1 = std::move(b.r1);
-  st.r2 = std::move(b.r2);
-  st.contribution.ea = std::move(b.ea);
-  st.eb_good = std::move(b.eb);
-  st.vde_offline = std::move(b.vde);
+  st.bundle = make_contribution_bundle(cfg_, instance_prng);
+  st.contribution.ea = st.bundle.ea;
   if (behavior_ == Behavior::kInconsistentContribution) {
     // §4.2.2 attack: E_B encrypts a different plaintext (ρ' != ρ). No valid
     // VDE proof exists for the pair; handle_reveal attaches a proof computed
     // for the consistent shadow pair, so the mismatch is only detectable
     // through VDE verification, not through message shape.
-    mpz::Bigint rho_bad = gp.mul(st.rho, gp.g());
-    st.contribution.eb = cfg_.b.encryption_key.encrypt_with_nonce(rho_bad, st.r2);
+    mpz::Bigint rho_bad = gp.mul(st.bundle.rho, gp.g());
+    st.contribution.eb = cfg_.b.encryption_key.encrypt_with_nonce(rho_bad, st.bundle.r2);
   } else {
-    st.contribution.eb = st.eb_good;
+    st.contribution.eb = st.bundle.eb;
   }
-  contributor_[id] = std::move(st);
-  return contributor_[id];
+  return contributor_.emplace(id, std::move(st)).first->second;
 }
 
 void ProtocolServer::handle_init(net::Context& ctx, const SignedMessage& env) {
   if (!is_b() || !active()) return;
+  // check_init demands signer == coordinator, and honest servers never
+  // coordinate above max_coordinators (schedule_coordinator). A higher
+  // signer rank is Byzantine: drop it before the signature check and before
+  // any bundle derivation or contributor state.
+  if (env.signer > opts_.max_coordinators) return;
   auto init = check_init(cfg_, env);
   if (!init) return;
   // Mont-muls spent while serving the request are the "online" cost; with a
-  // warm pool the bundle here is precomputed and this stays near zero.
+  // precomputed bundle this stays near zero.
   obs::ScopedCounterDelta online(cfg_.params.mont_mul_cell(), metrics_.contrib_mont_muls_online);
-  ContributorState& st = contributor_state(ctx, init->id);
+  ContributorState& st = contributor_state(init->id);
   if (st.committed) {
     // Duplicate init (retransmission or network duplication): answer with the
     // exact bytes we committed to the first time.
@@ -667,12 +592,13 @@ void ProtocolServer::handle_reveal(net::Context& ctx, const SignedMessage& env) 
   msg.reveal = env;
   msg.contribution = st.contribution;
   // Online phase of the Fiat-Shamir split: the announcements (and, for the
-  // kInconsistentContribution attack, the consistent shadow pair eb_good the
-  // proof is honestly generated over) were fixed when the bundle was built;
-  // here we only bind the challenge to the transcript and compute responses —
-  // cheap modular arithmetic, zero group exponentiations.
-  msg.vde = zkp::vde_prove_online(cfg_.a.encryption_key, st.contribution.ea, st.r1,
-                                  cfg_.b.encryption_key, st.eb_good, st.r2, st.vde_offline,
+  // kInconsistentContribution attack, the consistent shadow pair bundle.eb
+  // the proof is honestly generated over) were fixed when the bundle was
+  // built; here we only bind the challenge to the transcript and compute
+  // responses — cheap modular arithmetic, zero group exponentiations.
+  const ContributionBundle& bundle = st.bundle;
+  msg.vde = zkp::vde_prove_online(cfg_.a.encryption_key, bundle.ea, bundle.r1,
+                                  cfg_.b.encryption_key, bundle.eb, bundle.r2, bundle.vde,
                                   vde_context(msg.id, msg.server));
   st.contribute_frame = signed_frame(ctx, encode_body(MsgType::kContribute, msg));
   ctx.send(cfg_.b.node_of(reveal->id.coordinator), st.contribute_frame);
@@ -765,38 +691,23 @@ void ProtocolServer::handle_commit(net::Context& ctx, const SignedMessage& env) 
 void ProtocolServer::handle_contribute(net::Context& ctx, const SignedMessage& env) {
   if (!is_b()) return;
   if (verify_pool_) {
-    // Off-handler verification: queue the message, let a worker check it, and
-    // apply results in arrival order at the drain timer. The PRNG for batch
-    // randomizers is forked here, on the handler thread, so workers never
-    // share the node's rng.
+    // Off-handler verification: a worker runs only the structural +
+    // signature phase (which needs no randomizers, so workers never share the
+    // node's rng); every surviving VDE proof is folded into ONE combined RLC
+    // pass at the drain, across however many transfers are pending.
     pending_verifies_.push_back({env, std::nullopt, {}});
     PendingVerify& pv = pending_verifies_.back();
-    std::shared_ptr<std::packaged_task<void()>> task;
-    if (opts_.batch_verify) {
-      // Cross-transfer mode: the worker runs only the structural + signature
-      // phase (which needs no randomizers); every surviving VDE proof is
-      // folded into ONE combined RLC pass at the drain, across however many
-      // transfers are pending (drain_verifies_cross).
-      task = std::make_shared<std::packaged_task<void()>>(
-          [this, &pv] { pv.result = precheck_contribute_batch(cfg_, pv.env); });
-    } else {
-      task = std::make_shared<std::packaged_task<void()>>(
-          [this, &pv] { pv.result = check_contribute(cfg_, pv.env); });
-    }
+    auto task = std::make_shared<std::packaged_task<void()>>(
+        [this, &pv] { pv.result = precheck_contribute_batch(cfg_, pv.env); });
     pv.done = task->get_future();
     verify_pool_->submit([task] { (*task)(); });
     metrics_.verify_queue_depth.observe(pending_verifies_.size());
     ctx.set_timer(0, kTimerVerifyDrain);
     return;
   }
-  auto contribute = opts_.batch_verify ? check_contribute_batch(cfg_, env, ctx.rng())
-                                       : check_contribute(cfg_, env);
-  if (!contribute) {
-    record_contribute_verdict(ctx, env, nullptr);
-    return;
-  }
-  record_contribute_verdict(ctx, env, &*contribute);
-  apply_contribute(ctx, env, *contribute);
+  auto contribute = check_contribute_batch(cfg_, env, ctx.rng());
+  record_contribute_verdict(ctx, env, contribute ? &*contribute : nullptr);
+  if (contribute) apply_contribute(ctx, env, *contribute);
 }
 
 // Verify-outcome bookkeeping for a contribute message (shared by the inline
@@ -812,10 +723,10 @@ void ProtocolServer::record_contribute_verdict(net::Context& ctx, const SignedMe
                 .subject = static_cast<std::uint32_t>(MsgType::kContribute)});
   } else {
     metrics_.verify_fail.inc();
-    if (opts_.batch_verify) metrics_.batch_fallbacks.inc();
-    // With a decoded-but-rejected message in hand (cross-transfer drain), the
+    metrics_.batch_fallbacks.inc();
+    // With a decoded-but-rejected message in hand (worker-pool drain), the
     // failure is attributed to the exact (transfer, rank) it came from; the
-    // legacy paths never decoded a rejected message and keep transfer = 0.
+    // inline path never decodes a rejected message and keeps transfer = 0.
     emit_trace(ctx, obs::EventKind::kVerifyFail, nullptr,
                {.transfer = rejected != nullptr ? rejected->id.transfer : 0,
                 .peer = env.signer,
@@ -837,23 +748,6 @@ void ProtocolServer::apply_contribute(net::Context& ctx, const SignedMessage& en
 }
 
 void ProtocolServer::drain_verifies(net::Context& ctx) {
-  if (opts_.batch_verify) {
-    drain_verifies_cross(ctx);
-    return;
-  }
-  std::uint64_t drained = 0;
-  while (!pending_verifies_.empty()) {
-    PendingVerify& pv = pending_verifies_.front();
-    pv.done.wait();  // blocks only until THIS message's verdict is in
-    ++drained;
-    record_contribute_verdict(ctx, pv.env, pv.result ? &*pv.result : nullptr);
-    if (pv.result) apply_contribute(ctx, pv.env, *pv.result);
-    pending_verifies_.pop_front();
-  }
-  if (drained != 0) metrics_.verify_drain_batch.observe(drained);
-}
-
-void ProtocolServer::drain_verifies_cross(net::Context& ctx) {
   if (pending_verifies_.empty()) return;
   // Wait for every queued precheck: the combined pass needs the whole drain's
   // survivors, and the zero-delay drain timer fires once per enqueue burst.
@@ -885,7 +779,6 @@ void ProtocolServer::drain_verifies_cross(net::Context& ctx) {
              {.peer = batch.equations(), .count = pending_verifies_.size()});
   // Apply verdicts in strict message-arrival order — handler-visible state
   // evolves exactly as if each message had been verified inline.
-  metrics_.verify_drain_batch.observe(pending_verifies_.size());
   for (std::size_t i = 0; i < pending_verifies_.size(); ++i) {
     PendingVerify& pv = pending_verifies_[i];
     if (pv.result && !bad.contains(i)) {
@@ -1324,12 +1217,9 @@ void ProtocolServer::handle_sign_request(net::Context& ctx, const SignedMessage&
   auto purpose = static_cast<SignPurpose>(msg.purpose);
   if (purpose == SignPurpose::kBlind) {
     if (!is_b()) return;
-    bool ok = opts_.batch_verify
-                  ? check_blind_sign_request_batch(cfg_, msg.payload, msg.evidence, ctx.rng())
-                  : check_blind_sign_request(cfg_, msg.payload, msg.evidence);
-    if (!ok) {
+    if (!check_blind_sign_request_batch(cfg_, msg.payload, msg.evidence, ctx.rng())) {
       metrics_.verify_fail.inc();
-      if (opts_.batch_verify) metrics_.batch_fallbacks.inc();
+      metrics_.batch_fallbacks.inc();
       emit_trace(ctx, obs::EventKind::kVerifyFail, nullptr,
                  {.peer = env.signer, .subject = static_cast<std::uint32_t>(MsgType::kBlind)});
       return;
@@ -1347,13 +1237,10 @@ void ProtocolServer::handle_sign_request(net::Context& ctx, const SignedMessage&
     }
     auto sit = stored_.find(payload.id.transfer);
     if (sit == stored_.end()) return;
-    bool ok = opts_.batch_verify ? check_done_sign_request_batch(cfg_, msg.payload, msg.evidence,
-                                                                 sit->second, ctx.rng())
-                                 : check_done_sign_request(cfg_, msg.payload, msg.evidence,
-                                                           sit->second);
-    if (!ok) {
+    if (!check_done_sign_request_batch(cfg_, msg.payload, msg.evidence, sit->second,
+                                       ctx.rng())) {
       metrics_.verify_fail.inc();
-      if (opts_.batch_verify) metrics_.batch_fallbacks.inc();
+      metrics_.batch_fallbacks.inc();
       emit_trace(ctx, obs::EventKind::kVerifyFail, &payload.id,
                  {.peer = env.signer, .subject = static_cast<std::uint32_t>(MsgType::kDone)});
       return;
@@ -2141,19 +2028,13 @@ void ProtocolServer::install_config(net::Context& ctx, const SignedMessage& appl
   }
 
   // 6. The invalidation cascade restore() models (PR 5), now at an epoch
-  //    boundary: pinned fixed-base tables, pooled bundles, and the offline
-  //    prng all die with the configuration that created them.
+  //    boundary: pinned fixed-base tables die with the configuration that
+  //    created them. Contribution streams need no re-keying: cfg_epoch_ is
+  //    part of every instance's stream key.
   cfg_.params.reset_base_caches();
   cfg_.params.pin_base(cfg_.a.encryption_key.y());
   cfg_.params.pin_base(cfg_.b.encryption_key.y());
   cfg_.params.pin_base(cfg_.params.mul(cfg_.a.encryption_key.y(), cfg_.b.encryption_key.y()));
-  if (pool_ != nullptr) {
-    pool_->clear();
-    metrics_.pool_depth.set(0);
-  }
-  if (is_b()) {
-    offline_prng_.emplace(ctx.rng().fork("offline-contrib/e" + std::to_string(cfg_epoch_)));
-  }
   if (initial_max_coordinators_ == 0) opts_.max_coordinators = cfg_.b.cfg.f + 1;
 
   // 7. Record the certificate; laggards pull it one epoch at a time.
@@ -2412,20 +2293,13 @@ void ProtocolServer::restore(std::span<const std::uint8_t> snap) {
   client_decrypt_cache_.clear();
   responder_timer_ids_.clear();
   results_count_.store(0, std::memory_order_release);
-  // Pooled bundles hold secrets (ρ and proof nonces) that were never durable:
-  // drop them all. on_start re-forks the offline prng and refills. Bundle ids
-  // keep counting up across incarnations so no id is ever consumed twice.
-  if (pool_ != nullptr) pool_->clear();
-  metrics_.pool_depth.set(0);
-  pool_timer_armed_ = false;
-  offline_prng_.reset();
   // Admission scheduling is volatile; on_start re-feeds it from the restored
-  // transfer set. The per-instance rng root dies with the incarnation so a
-  // recovered server never replays an instance stream it may have used.
+  // transfer set. The per-instance rng root dies with the incarnation:
+  // on_start draws a fresh one, so a recovered server never replays an
+  // instance stream it may have used.
   engine_.reset();
   metrics_.engine_inflight.set(0);
   metrics_.engine_queued.set(0);
-  instance_rng_root_.reset();
   // Watchdog entries (and a possibly-pending sweep timer) die with the
   // incarnation; on_start re-arms from the restored transfer set. A stall
   // observed pre-crash therefore resolves via the transfer's eventual
@@ -2632,8 +2506,6 @@ void ProtocolServer::resolve_metrics(net::Context& ctx) {
   metrics_.batch_fallbacks = reg.counter("dblind_batch_verify_fallbacks_total", by_node);
   metrics_.verify_queue_depth =
       reg.histogram("dblind_verify_queue_depth", by_node, {0, 1, 2, 4, 8, 16, 32});
-  metrics_.verify_drain_batch =
-      reg.histogram("dblind_verify_drain_batch", by_node, {1, 2, 4, 8, 16, 32});
   // Pre-existing counters migrate onto the registry as attached (read-only)
   // series: the registry samples the live cells, the owners keep updating
   // them exactly as before.
@@ -2656,13 +2528,6 @@ void ProtocolServer::resolve_metrics(net::Context& ctx) {
     verify_pool_->set_metrics(reg.counter("dblind_verify_pool_jobs_total", by_node),
                               reg.gauge("dblind_verify_pool_depth", by_node));
   }
-  metrics_.pool_depth = reg.gauge("dblind_pool_depth", by_node);
-  metrics_.pool_refills =
-      reg.counter("dblind_pool_events_total", {{"node", node}, {"event", "refill"}});
-  metrics_.pool_drains =
-      reg.counter("dblind_pool_events_total", {{"node", node}, {"event", "drain"}});
-  metrics_.pool_fallbacks =
-      reg.counter("dblind_pool_events_total", {{"node", node}, {"event", "fallback"}});
   metrics_.contrib_mont_muls_online =
       reg.counter("dblind_contrib_mont_muls_total", {{"node", node}, {"path", "online"}});
   metrics_.contrib_mont_muls_offline =

@@ -36,7 +36,7 @@
 #include <future>
 
 #include "core/config.hpp"
-#include "core/contribution_pool.hpp"
+#include "core/contribution_bundle.hpp"
 #include "core/messages.hpp"
 #include "core/reconfig.hpp"
 #include "core/transfer_engine.hpp"
@@ -139,6 +139,9 @@ class ProtocolServer final : public net::Node {
   [[nodiscard]] bool share_pending() const { return share_pending_; }
   // This server's current view of the system configuration.
   [[nodiscard]] const SystemConfig& config() const { return cfg_; }
+  // Open contributor instances: one per coordinator init this server
+  // committed to (or precomputed a contribution for).
+  [[nodiscard]] std::size_t contributor_instances() const { return contributor_.size(); }
 
   // --- observability types ----------------------------------------------------
   // Optional fields of a trace event; which ones an event uses depends on
@@ -169,18 +172,12 @@ class ProtocolServer final : public net::Node {
     obs::Histogram phase_done_sign_us;   // done-sign begin -> service signature
     obs::Counter verify_pass;
     obs::Counter verify_fail;
-    obs::Counter batch_fallbacks;        // batch-mode checks that came back false
+    obs::Counter batch_fallbacks;        // batch checks that came back false
     obs::Histogram verify_queue_depth;   // pool queue depth at each enqueue
-    obs::Histogram verify_drain_batch;   // verdicts applied per drain timer
-    // Contribution-pool health (ISSUE 5): depth after each refill/drain,
-    // event counts, and offline-vs-online mont-mul attribution. "online" is
-    // everything spent inside the contributor's init/reveal handlers (the
-    // critical path a coordinator waits on); "offline" is bundle creation
-    // from prefill/refill timers.
-    obs::Gauge pool_depth;
-    obs::Counter pool_refills;
-    obs::Counter pool_drains;
-    obs::Counter pool_fallbacks;         // drain requests served on demand
+    // Offline-vs-online contributor mont-mul attribution. "online"
+    // is everything spent inside the contributor's init/reveal handlers (the
+    // critical path a coordinator waits on); "offline" is bundle creation by
+    // the on_start precompute loop (ProtocolOptions::precompute_contributions).
     obs::Counter contrib_mont_muls_online;
     obs::Counter contrib_mont_muls_offline;
     // Epochal reconfiguration (PR 7): installed epoch + lifecycle counts.
@@ -254,17 +251,15 @@ class ProtocolServer final : public net::Node {
   [[nodiscard]] std::uint32_t next_epoch_of(TransferId transfer) const;
 
   // ---- contributor role (B) --------------------------------------------------
+  // Move-only: it owns the instance's single-use bundle secrets.
   struct ContributorState {
-    Contribution contribution;
-    mpz::Bigint r1, r2;  // encryption nonces (VDE witnesses)
-    mpz::Bigint rho;
-    // The consistent E_B(ρ, r2) the VDE proof is computed over. Equal to
-    // contribution.eb for honest servers; kInconsistentContribution
+    Contribution contribution;  // the advertised (ea, eb)
+    // ρ, the nonces, the announcements (finished in handle_reveal) and the
+    // consistent pair (ea, eb) the VDE proof is computed over. bundle.eb
+    // equals contribution.eb for honest servers; kInconsistentContribution
     // advertises a different eb but must still attach a proof for the
     // consistent shadow pair.
-    elgamal::Ciphertext eb_good;
-    zkp::VdeOffline vde_offline;  // announcements, finished in handle_reveal
-    std::uint64_t bundle = 0;     // id of the consumed bundle (tracing)
+    ContributionBundle bundle;
     bool committed = false;
     bool contributed = false;  // responded to (at most) one reveal
     // Cached signed frames, re-sent verbatim on duplicate init/reveal.
@@ -274,12 +269,9 @@ class ProtocolServer final : public net::Node {
   };
   void handle_init(net::Context& ctx, const SignedMessage& env);
   void handle_reveal(net::Context& ctx, const SignedMessage& env);
-  ContributorState& contributor_state(net::Context& ctx, const InstanceId& id);
-  // Pool drain with transparent on-demand fallback; also the pool-off path.
-  [[nodiscard]] ContributionBundle obtain_bundle(net::Context& ctx, const InstanceId& id);
-  // One bundle per tick while below capacity (kTimerPoolRefill).
-  void pool_refill_tick(net::Context& ctx);
-  void arm_pool_refill(net::Context& ctx);
+  // Finds or creates the state for `id`, deriving its contribution bundle
+  // from the instance's keyed prng stream.
+  ContributorState& contributor_state(const InstanceId& id);
 
   // ---- coordinator role (B) --------------------------------------------------
   struct CoordinatorState {
@@ -307,14 +299,11 @@ class ProtocolServer final : public net::Node {
   // identically.
   void apply_contribute(net::Context& ctx, const SignedMessage& env,
                         const ContributeMsg& contribute);
-  // Applies completed worker-pool verifications in message-arrival order.
+  // Worker-pool drain: waits for every queued structural precheck, folds ALL
+  // surviving VDE proofs — across transfers and coordinators — into one
+  // combined RLC pass, then applies verdicts in strict arrival order with
+  // per-(transfer, rank) culprit attribution on failure.
   void drain_verifies(net::Context& ctx);
-  // Cross-transfer variant (batch_verify + verify_workers): waits for every
-  // queued structural precheck, folds ALL surviving VDE proofs — across
-  // transfers and coordinators — into one combined RLC pass, then applies
-  // verdicts in strict arrival order with per-(transfer, rank) culprit
-  // attribution on failure.
-  void drain_verifies_cross(net::Context& ctx);
   void coordinator_try_finish(net::Context& ctx, CoordinatorState& st);
 
   // ---- concurrent multi-transfer engine (core/transfer_engine.hpp) -----------
@@ -580,7 +569,7 @@ class ProtocolServer final : public net::Node {
       client_decrypt_cache_;  // (request body, reply frame)
 
   // Verification worker pool (opts_.verify_workers > 0): contribute messages
-  // are checked off-handler; results apply in arrival order at the drain
+  // are prechecked off-handler; results apply in arrival order at the drain
   // timer. The deque gives reference-stable slots for in-flight jobs; entries
   // are volatile (dropped on restore(), like all round state). Declared
   // before verify_pool_ so the pool (whose destructor joins the workers)
@@ -593,18 +582,6 @@ class ProtocolServer final : public net::Node {
   std::deque<PendingVerify> pending_verifies_;
   std::unique_ptr<VerifyPool> verify_pool_;
 
-  // Offline/online contribution split (B contributors). The dedicated prng is
-  // forked once per incarnation in on_start and is the ONLY source of
-  // contribution randomness, in both pool-on and pool-off modes — that is
-  // what keeps the two modes byte-identical on the wire for a given seed.
-  // The pool itself is volatile: restore() drops it (bundles hold secret ρ
-  // values that must never be serialized) and bundle ids keep counting up so
-  // no id is ever consumed twice per node.
-  std::optional<mpz::Prng> offline_prng_;
-  std::unique_ptr<ContributionPool> pool_;
-  std::uint64_t next_bundle_id_ = 1;
-  bool pool_timer_armed_ = false;
-
   // Concurrent multi-transfer engine: per-transfer lifecycle records sharded
   // by id plus the FIFO admission scheduler gating self-coordination (see
   // core/transfer_engine.hpp). Scheduling state is volatile — restore() resets
@@ -615,13 +592,12 @@ class ProtocolServer final : public net::Node {
   // durable transfer set. Touched only from this node's handler thread.
   obs::Watchdog watchdog_;
   bool watchdog_timer_armed_ = false;
-  // Root key for per-instance contribution prngs (opts_.per_transfer_rng):
-  // drawn once per incarnation in on_start; each instance's stream is
+  // Root key for per-instance contribution prngs (B servers): drawn once per
+  // incarnation in on_start; each instance's stream is
   // SHA256(root ‖ transfer ‖ coordinator ‖ epoch ‖ cfg_epoch), so a
   // transfer's wire bytes are independent of interleaving with other
-  // transfers. Unset when the knob is off — no extra rng draws happen, and
-  // the seed engine's byte-exact draw order is preserved.
-  std::optional<hash::Digest> instance_rng_root_;
+  // transfers and a bundle can be derived before its init arrives.
+  hash::Digest instance_rng_root_{};
   // Open-loop arrivals: (virtual time, transfer) pairs armed in on_start.
   std::vector<std::pair<net::Time, TransferId>> scheduled_arrivals_;
 
@@ -632,7 +608,6 @@ class ProtocolServer final : public net::Node {
   static constexpr std::uint64_t kTimerStoreSecret = 4ull << 56;   // | transfer
   static constexpr std::uint64_t kTimerResend = 5ull << 56;        // | resend key
   static constexpr std::uint64_t kTimerVerifyDrain = 6ull << 56;   // (no payload)
-  static constexpr std::uint64_t kTimerPoolRefill = 7ull << 56;    // (no payload)
   static constexpr std::uint64_t kTimerReconfig = 8ull << 56;      // | schedule index
   static constexpr std::uint64_t kTimerTransferArrival = 9ull << 56;  // | arrival index
   static constexpr std::uint64_t kTimerWatchdog = 10ull << 56;        // (no payload)

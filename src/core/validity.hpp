@@ -88,8 +88,12 @@ namespace dblind::core {
                                            std::span<const std::uint8_t> evidence,
                                            const elgamal::Ciphertext& stored_ea_m);
 
-// --- batch-verification fast path (ProtocolOptions::batch_verify) -----------
+// --- batch verification (the only production path) --------------------------
 //
+// ProtocolServer checks contribute messages and signing requests only through
+// the *_batch functions below; the serial check_contribute,
+// check_blind_sign_request and check_done_sign_request above stay as the
+// Fig. 5 reference that tests and bench_fig5_validation compare against.
 // Each *_batch function checks exactly the predicates of its serial
 // counterpart, but verifies all envelope/commit signatures in one Schnorr
 // batch equation and all Chaum-Pedersen/VDE/decryption-share proofs in one

@@ -27,8 +27,6 @@ const char* kind_name(EventKind k) {
     case EventKind::kDoneSignBegin: return "done_sign_begin";
     case EventKind::kDoneRecorded: return "done_recorded";
     case EventKind::kRetransmit: return "retransmit";
-    case EventKind::kPoolRefill: return "pool_refill";
-    case EventKind::kPoolDrain: return "pool_drain";
     case EventKind::kEpochInstall: return "epoch_install";
     case EventKind::kEpochAbort: return "epoch_abort";
     case EventKind::kEngineAdmit: return "engine_admit";
@@ -108,15 +106,6 @@ std::string to_jsonl(const TraceEvent& e) {
       field(out, "frames", e.count);
       field(out, "attempt", e.attempt);
       field(out, "cap", e.cap);
-      break;
-    case EventKind::kPoolRefill:
-      field(out, "bundle", e.peer);
-      field(out, "depth", e.count);
-      break;
-    case EventKind::kPoolDrain:
-      field(out, "bundle", e.peer);
-      field(out, "depth", e.count);
-      field(out, "fallback", e.subject);
       break;
     case EventKind::kEpochInstall:
       field(out, "cfg_epoch", e.cfg_epoch);

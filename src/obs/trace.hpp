@@ -51,10 +51,6 @@ enum class EventKind : std::uint8_t {
   kDoneSignBegin,   // responder started the done signing session
   kDoneRecorded,    // a B server validated and stored the done message
   kRetransmit,      // backoff timer re-sent cached frames
-  // Offline/online contribution pool (PR 5). Fields carry only the public
-  // bundle id and pool depth — never ρ, nonces, or announcements.
-  kPoolRefill,      // refill timer added a precomputed bundle (peer = bundle id)
-  kPoolDrain,       // a bundle was consumed for an instance (subject = fallback)
   // Epochal reconfiguration (PR 7). cfg_epoch carries the config epoch.
   kEpochInstall,    // node installed a configuration (count = new n, peer = new rank)
   kEpochAbort,      // a live instance was aborted at an epoch boundary

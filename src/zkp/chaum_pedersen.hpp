@@ -35,7 +35,7 @@ struct DlogEqProof {
 // Commit-phase output of the prover, produced before the Fiat-Shamir
 // challenge exists. Everything in here depends only on the statement bases
 // and the witness — never on the instance context — which is what makes the
-// offline/online split of VDE proving (zkp/vde.hpp, core/contribution_pool)
+// offline/online split of VDE proving (zkp/vde.hpp, core/contribution_bundle)
 // possible: announcements are computed ahead of time, the challenge is bound
 // to the transfer transcript later, exactly as in the one-shot prover.
 // `w` is secret until the proof is finished; an announcement must be used for

@@ -1,7 +1,7 @@
-// Focused unit tests of check_done_sign_request — the deepest evidence
-// chain in the protocol (blind message ⊃ service signature; decryption
-// shares ⊃ Chaum-Pedersen proofs; payload consistency with the stored
-// ciphertext).
+// Focused unit tests of check_done_sign_request and its batch twin — the
+// deepest evidence chain in the protocol (blind message ⊃ service signature;
+// decryption shares ⊃ Chaum-Pedersen proofs; payload consistency with the
+// stored ciphertext).
 #include <gtest/gtest.h>
 
 #include "core/validity.hpp"
@@ -74,23 +74,32 @@ struct DoneFixture {
     ev.encode(w);
     return w.take();
   }
+
+  // Verdict of the Fig. 5 reference check; the batch check the A servers
+  // run must agree with it on every case.
+  bool done_ok(std::span<const std::uint8_t> p, std::span<const std::uint8_t> ev,
+               const elgamal::Ciphertext& stored_ea_m) {
+    const bool serial = check_done_sign_request(ts.cfg, p, ev, stored_ea_m);
+    EXPECT_EQ(check_done_sign_request_batch(ts.cfg, p, ev, stored_ea_m, prng), serial);
+    return serial;
+  }
 };
 
 TEST(DoneEvidenceCheck, HonestEvidenceAccepted) {
   DoneFixture fx;
-  EXPECT_TRUE(check_done_sign_request(fx.ts.cfg, fx.payload, fx.evidence, fx.stored));
+  EXPECT_TRUE(fx.done_ok(fx.payload, fx.evidence, fx.stored));
 }
 
 TEST(DoneEvidenceCheck, WrongStoredCiphertextRejected) {
   DoneFixture fx;
   elgamal::Ciphertext other = fx.ts.cfg.a.encryption_key.encrypt(fx.m, fx.prng);
-  EXPECT_FALSE(check_done_sign_request(fx.ts.cfg, fx.payload, fx.evidence, other));
+  EXPECT_FALSE(fx.done_ok(fx.payload, fx.evidence, other));
 }
 
 TEST(DoneEvidenceCheck, TamperedMRhoRejected) {
   DoneFixture fx;
   DoneEvidence ev{fx.blind_env, fx.ts.params.mul(fx.m_rho, fx.ts.params.g()), fx.shares};
-  EXPECT_FALSE(check_done_sign_request(fx.ts.cfg, fx.payload, fx.encode_evidence(ev), fx.stored));
+  EXPECT_FALSE(fx.done_ok(fx.payload, fx.encode_evidence(ev), fx.stored));
 }
 
 TEST(DoneEvidenceCheck, ForgedBlindSignatureRejected) {
@@ -98,7 +107,7 @@ TEST(DoneEvidenceCheck, ForgedBlindSignatureRejected) {
   ServiceSignedMsg forged = fx.blind_env;
   forged.body.back() ^= 1;
   DoneEvidence ev{forged, fx.m_rho, fx.shares};
-  EXPECT_FALSE(check_done_sign_request(fx.ts.cfg, fx.payload, fx.encode_evidence(ev), fx.stored));
+  EXPECT_FALSE(fx.done_ok(fx.payload, fx.encode_evidence(ev), fx.stored));
 }
 
 TEST(DoneEvidenceCheck, BadDecryptionShareRejected) {
@@ -106,14 +115,14 @@ TEST(DoneEvidenceCheck, BadDecryptionShareRejected) {
   auto bad_shares = fx.shares;
   bad_shares[0].d = fx.ts.params.mul(bad_shares[0].d, fx.ts.params.g());
   DoneEvidence ev{fx.blind_env, fx.m_rho, bad_shares};
-  EXPECT_FALSE(check_done_sign_request(fx.ts.cfg, fx.payload, fx.encode_evidence(ev), fx.stored));
+  EXPECT_FALSE(fx.done_ok(fx.payload, fx.encode_evidence(ev), fx.stored));
 }
 
 TEST(DoneEvidenceCheck, DuplicateShareIndicesRejected) {
   DoneFixture fx;
   std::vector<threshold::DecryptionShare> dup = {fx.shares[0], fx.shares[0]};
   DoneEvidence ev{fx.blind_env, fx.m_rho, dup};
-  EXPECT_FALSE(check_done_sign_request(fx.ts.cfg, fx.payload, fx.encode_evidence(ev), fx.stored));
+  EXPECT_FALSE(fx.done_ok(fx.payload, fx.encode_evidence(ev), fx.stored));
 }
 
 TEST(DoneEvidenceCheck, WrongShareCountRejected) {
@@ -123,7 +132,7 @@ TEST(DoneEvidenceCheck, WrongShareCountRejected) {
                                                    fx.ts.a_secrets[2].enc_share,
                                                    decrypt_context(fx.id), fx.prng));
   DoneEvidence ev{fx.blind_env, fx.m_rho, extra};  // f+2 shares: not exactly a quorum
-  EXPECT_FALSE(check_done_sign_request(fx.ts.cfg, fx.payload, fx.encode_evidence(ev), fx.stored));
+  EXPECT_FALSE(fx.done_ok(fx.payload, fx.encode_evidence(ev), fx.stored));
 }
 
 TEST(DoneEvidenceCheck, TamperedPayloadRejected) {
@@ -131,13 +140,11 @@ TEST(DoneEvidenceCheck, TamperedPayloadRejected) {
   // E_B(m) swapped for a ciphertext of something else.
   DonePayload wrong = fx.done;
   wrong.eb_m = fx.ts.cfg.b.encryption_key.encrypt(fx.ts.params.random_element(fx.prng), fx.prng);
-  EXPECT_FALSE(check_done_sign_request(fx.ts.cfg, encode_body(MsgType::kDone, wrong),
-                                       fx.evidence, fx.stored));
+  EXPECT_FALSE(fx.done_ok(encode_body(MsgType::kDone, wrong), fx.evidence, fx.stored));
   // Instance id mismatch between payload and blind message.
   DonePayload other_id = fx.done;
   other_id.id.transfer = 999;
-  EXPECT_FALSE(check_done_sign_request(fx.ts.cfg, encode_body(MsgType::kDone, other_id),
-                                       fx.evidence, fx.stored));
+  EXPECT_FALSE(fx.done_ok(encode_body(MsgType::kDone, other_id), fx.evidence, fx.stored));
 }
 
 TEST(DoneEvidenceCheck, SharesForWrongContextRejected) {
@@ -150,7 +157,7 @@ TEST(DoneEvidenceCheck, SharesForWrongContextRejected) {
         decrypt_context(InstanceId{2, 1, 0}), fx.prng));
   }
   DoneEvidence ev{fx.blind_env, fx.m_rho, wrong_ctx};
-  EXPECT_FALSE(check_done_sign_request(fx.ts.cfg, fx.payload, fx.encode_evidence(ev), fx.stored));
+  EXPECT_FALSE(fx.done_ok(fx.payload, fx.encode_evidence(ev), fx.stored));
 }
 
 }  // namespace

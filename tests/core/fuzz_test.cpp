@@ -113,8 +113,11 @@ TEST(ValidityFuzz, MutatedValidMessagesNeverValidateOrCrash) {
   SignedMessage env = make_envelope(ts.cfg, ts.b_secrets[1],
                                     encode_body(MsgType::kContribute, cm), 0, prng);
   ASSERT_TRUE(check_contribute(ts.cfg, env).has_value());
+  ASSERT_TRUE(check_contribute_batch(ts.cfg, env, prng).has_value());
 
-  // Serialize the envelope, mutate one byte at a stride, re-parse, validate.
+  // Serialize the envelope, mutate one byte at a stride, re-parse, validate
+  // with the Fig. 5 reference and with the batch check the servers run: the
+  // two must agree on every mutation.
   Writer w;
   env.encode(w);
   std::vector<std::uint8_t> wire = w.take();
@@ -126,7 +129,9 @@ TEST(ValidityFuzz, MutatedValidMessagesNeverValidateOrCrash) {
       Reader r(mutated);
       SignedMessage m2 = SignedMessage::decode(r);
       r.expect_done();
-      if (check_contribute(ts.cfg, m2).has_value()) ++accepted;
+      const bool serial = check_contribute(ts.cfg, m2).has_value();
+      EXPECT_EQ(check_contribute_batch(ts.cfg, m2, prng).has_value(), serial) << "pos=" << pos;
+      if (serial) ++accepted;
     });
   }
   // A mutation that still validates must be a mutation that decodes to the
@@ -168,21 +173,6 @@ TEST(NodeFuzz, GarbageTrafficDoesNotDisturbProtocol) {
   EXPECT_EQ(sys.oracle_decrypt_b(*res), sys.plaintext_of(t));
 }
 
-// Minimal Context for driving node handlers outside any transport: sends and
-// timers vanish, randomness is deterministic.
-class NullContext final : public net::Context {
- public:
-  explicit NullContext(std::uint64_t seed) : prng_(seed) {}
-  void send(net::NodeId, std::vector<std::uint8_t>) override {}
-  void set_timer(net::Time, std::uint64_t) override {}
-  [[nodiscard]] net::Time now() const override { return 0; }
-  [[nodiscard]] net::NodeId self() const override { return 99; }
-  [[nodiscard]] mpz::Prng& rng() override { return prng_; }
-
- private:
-  mpz::Prng prng_;
-};
-
 TEST(ClientFuzz, MutatedRepliesNeverCrashClient) {
   // ClientNode::on_message must survive random bytes AND structurally valid
   // client frames whose payloads are mutated/fabricated. None of it may make
@@ -190,7 +180,7 @@ TEST(ClientFuzz, MutatedRepliesNeverCrashClient) {
   auto ts = testing::TestSystem::make(42);
   Prng prng(6);
   ClientNode client(ts.cfg, /*transfer=*/9, ts.params.encode_message(mpz::Bigint(1234)));
-  NullContext ctx(7);
+  testing::NullContext ctx(7);
   client.on_start(ctx);
 
   for (int iter = 0; iter < 300; ++iter) {

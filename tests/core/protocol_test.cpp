@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "core/system.hpp"
+#include "core/validity.hpp"
+#include "tests/core/test_util.hpp"
 
 namespace dblind::core {
 namespace {
@@ -246,6 +248,42 @@ TEST(Protocol, PrecomputedContributionsComplete) {
   System sys(std::move(o));
   TransferId t = sys.add_transfer(sys.config().params.encode_message(Bigint(53)));
   expect_success(sys, t);
+}
+
+// Honest servers never coordinate above max_coordinators (f+1 by default),
+// so an init from a higher rank is Byzantine: a correct contributor drops it
+// before any group work — no signature check, no bundle, no state, no
+// commit. A rank-1 init is the control: same path, accepted.
+TEST(Protocol, InitAboveMaxCoordinatorsCostsNothing) {
+  auto ts = testing::TestSystem::make(21);
+  mpz::Prng prng(4);
+  ProtocolServer server(ts.cfg, ts.b_secrets[1], ProtocolOptions{});
+  testing::NullContext ctx(3);
+  server.on_start(ctx);
+  const group::GroupParams& gp = server.config().params;
+  auto frame_init = [&](ServerRank coordinator) {
+    SignedMessage env =
+        make_envelope(ts.cfg, ts.b_secrets[coordinator - 1],
+                      encode_body(MsgType::kInit, InitMsg{InstanceId{1, coordinator, 0}}), 0, prng);
+    Writer w;
+    w.u8(static_cast<std::uint8_t>(WireKind::kServerSigned));
+    env.encode(w);
+    return w.take();
+  };
+
+  const ServerRank above = static_cast<ServerRank>(ts.cfg.b.cfg.f + 2);
+  const std::vector<std::uint8_t> rogue = frame_init(above);
+  const std::uint64_t ops = gp.group_op_count();
+  server.on_message(ctx, ts.cfg.b.node_of(above), rogue);
+  EXPECT_EQ(gp.group_op_count(), ops);
+  EXPECT_EQ(ctx.sent, 0);
+  EXPECT_EQ(server.contributor_instances(), 0u);
+
+  const std::vector<std::uint8_t> honest = frame_init(1);
+  server.on_message(ctx, ts.cfg.b.node_of(1), honest);
+  EXPECT_GT(gp.group_op_count(), ops);
+  EXPECT_EQ(ctx.sent, 1);  // the commit
+  EXPECT_EQ(server.contributor_instances(), 1u);
 }
 
 TEST(Protocol, BlindingRunsBeforeSecretExists) {

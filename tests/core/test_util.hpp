@@ -3,13 +3,31 @@
 // tested without running a network.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/config.hpp"
+#include "net/sim.hpp"
 #include "threshold/keygen.hpp"
 #include "threshold/shamir.hpp"
 
 namespace dblind::core::testing {
+
+// Minimal Context for driving node handlers outside any transport: sends are
+// only counted, timers vanish, randomness is deterministic.
+class NullContext final : public net::Context {
+ public:
+  explicit NullContext(std::uint64_t seed) : prng_(seed) {}
+  void send(net::NodeId, std::vector<std::uint8_t>) override { ++sent; }
+  void set_timer(net::Time, std::uint64_t) override {}
+  [[nodiscard]] net::Time now() const override { return 0; }
+  [[nodiscard]] net::NodeId self() const override { return 99; }
+  [[nodiscard]] mpz::Prng& rng() override { return prng_; }
+  int sent = 0;
+
+ private:
+  mpz::Prng prng_;
+};
 
 struct TestService {
   ServicePublic pub;

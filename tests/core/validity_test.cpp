@@ -69,6 +69,20 @@ struct Fixture {
                            vde_context(id, server), prng);
     return make_envelope(cfg(), b(server), encode_body(MsgType::kContribute, m), 0, prng);
   }
+
+  // Verdict of the Fig. 5 reference check; the batch check the servers run
+  // must agree with it on every case.
+  bool contribute_ok(const SignedMessage& env) {
+    const bool serial = check_contribute(cfg(), env).has_value();
+    EXPECT_EQ(check_contribute_batch(cfg(), env, prng).has_value(), serial);
+    return serial;
+  }
+  bool blind_request_ok(std::span<const std::uint8_t> payload,
+                        std::span<const std::uint8_t> evidence) {
+    const bool serial = check_blind_sign_request(cfg(), payload, evidence);
+    EXPECT_EQ(check_blind_sign_request_batch(cfg(), payload, evidence, prng), serial);
+    return serial;
+  }
 };
 
 TEST(Validity, InitAcceptsCoordinatorSignature) {
@@ -172,7 +186,7 @@ TEST(Validity, ContributeFullyValid) {
   }
   auto reveal = fx.signed_reveal(commits);
   auto env = fx.signed_contribute(2, contribs[1], reveal);
-  EXPECT_TRUE(check_contribute(fx.cfg(), env).has_value());
+  EXPECT_TRUE(fx.contribute_ok(env));
 }
 
 TEST(Validity, ContributeRejectsCommitmentMismatch) {
@@ -187,7 +201,7 @@ TEST(Validity, ContributeRejectsCommitmentMismatch) {
   auto reveal = fx.signed_reveal(commits);
   auto different = fx.make_contrib();  // never committed
   auto env = fx.signed_contribute(2, different, reveal);
-  EXPECT_FALSE(check_contribute(fx.cfg(), env).has_value());
+  EXPECT_FALSE(fx.contribute_ok(env));
 }
 
 TEST(Validity, ContributeRejectsServerNotInReveal) {
@@ -201,7 +215,7 @@ TEST(Validity, ContributeRejectsServerNotInReveal) {
   auto reveal = fx.signed_reveal(commits);
   auto outsider = fx.make_contrib();
   auto env = fx.signed_contribute(4, outsider, reveal);  // server 4 not in M
-  EXPECT_FALSE(check_contribute(fx.cfg(), env).has_value());
+  EXPECT_FALSE(fx.contribute_ok(env));
 }
 
 TEST(Validity, ContributeRejectsInconsistentVde) {
@@ -228,7 +242,7 @@ TEST(Validity, ContributeRejectsInconsistentVde) {
                          fx.cfg().b.encryption_key, honest.contribution.eb, honest.r2,
                          vde_context(fx.id, 1), fx.prng);
   auto env = make_envelope(fx.cfg(), fx.b(1), encode_body(MsgType::kContribute, m), 0, fx.prng);
-  EXPECT_FALSE(check_contribute(fx.cfg(), env).has_value());
+  EXPECT_FALSE(fx.contribute_ok(env));
 }
 
 TEST(Validity, BlindSignRequestAcceptsHonestEvidence) {
@@ -254,13 +268,29 @@ TEST(Validity, BlindSignRequestAcceptsHonestEvidence) {
 
   Writer w;
   ev.encode(w);
-  EXPECT_TRUE(check_blind_sign_request(fx.cfg(), encode_body(MsgType::kBlind, payload), w.view()));
+  EXPECT_TRUE(fx.blind_request_ok(encode_body(MsgType::kBlind, payload), w.view()));
 
   // A payload that is NOT the product of the evidence is rejected.
   BlindPayload wrong = payload;
   wrong.blinded.ea.b = fx.ts.params.mul(wrong.blinded.ea.b, fx.ts.params.g());
-  EXPECT_FALSE(
-      check_blind_sign_request(fx.cfg(), encode_body(MsgType::kBlind, wrong), w.view()));
+  EXPECT_FALSE(fx.blind_request_ok(encode_body(MsgType::kBlind, wrong), w.view()));
+
+  // Evidence whose second contribute carries a VDE proof bound to another
+  // server's context is rejected, though signatures and commitments check out.
+  ContributeMsg m;
+  m.id = fx.id;
+  m.server = 2;
+  m.reveal = reveal;
+  m.contribution = contribs[1].contribution;
+  m.vde = zkp::vde_prove(fx.cfg().a.encryption_key, m.contribution.ea, contribs[1].r1,
+                         fx.cfg().b.encryption_key, m.contribution.eb, contribs[1].r2,
+                         vde_context(fx.id, 3), fx.prng);
+  BlindEvidence bad_vde = ev;
+  bad_vde.contributes[1] =
+      make_envelope(fx.cfg(), fx.b(2), encode_body(MsgType::kContribute, m), 0, fx.prng);
+  Writer wb;
+  bad_vde.encode(wb);
+  EXPECT_FALSE(fx.blind_request_ok(encode_body(MsgType::kBlind, payload), wb.view()));
 }
 
 TEST(Validity, BlindSignRequestRejectsMixedReveals) {
@@ -289,8 +319,7 @@ TEST(Validity, BlindSignRequestRejectsMixedReveals) {
       std::vector<elgamal::Ciphertext>{contribs[0].contribution.eb, contribs[1].contribution.eb});
   Writer w;
   ev.encode(w);
-  EXPECT_FALSE(
-      check_blind_sign_request(fx.cfg(), encode_body(MsgType::kBlind, payload), w.view()));
+  EXPECT_FALSE(fx.blind_request_ok(encode_body(MsgType::kBlind, payload), w.view()));
 }
 
 TEST(Validity, BlindSignRequestRejectsDuplicateServers) {
@@ -316,8 +345,7 @@ TEST(Validity, BlindSignRequestRejectsDuplicateServers) {
   payload.blinded.eb = *sq2;
   Writer w;
   ev.encode(w);
-  EXPECT_FALSE(
-      check_blind_sign_request(fx.cfg(), encode_body(MsgType::kBlind, payload), w.view()));
+  EXPECT_FALSE(fx.blind_request_ok(encode_body(MsgType::kBlind, payload), w.view()));
 }
 
 TEST(Validity, ServiceSignedBlindRoundTrip) {

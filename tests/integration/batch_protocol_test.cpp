@@ -1,13 +1,16 @@
-// Batch-on vs batch-off protocol equivalence (PR 3 acceptance criterion).
+// Worker-pool vs inline verification equivalence.
 //
-// The verification fast path (ProtocolOptions::batch_verify, verify_workers)
-// must be *observationally* equivalent to serial verification: across a seed
-// sweep and a panel of Byzantine behaviors, the same runs complete, the same
-// (transfer, rank) pairs end up holding results, every held result decrypts
-// to the published plaintext, and no attack succeeds in either mode. Result
-// ciphertexts themselves may differ bit-for-bit (batch verification draws
-// randomizers from the server Prng, shifting later nonce values) — what must
-// match is every accept/reject decision.
+// Contribute messages are verified either inline, serially one message at a
+// time as each arrives (verify_workers = 0), or by the off-handler worker
+// pool whose drain folds every pending VDE proof into one combined batch
+// (ProtocolOptions::verify_workers > 0). The two must be *observationally*
+// equivalent: across a seed sweep and a panel of Byzantine behaviors, the
+// same runs complete, the same (transfer, rank) pairs end up holding
+// results, every held result decrypts to the published plaintext, and no
+// attack succeeds in either mode. Result ciphertexts themselves may differ
+// bit-for-bit (the drain draws its randomizers from a fork of the server
+// Prng, shifting later nonce values) — what must match is every
+// accept/reject decision.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -43,13 +46,11 @@ constexpr Scenario kScenarios[] = {
     {.name = "adaptive_cancel", .b1 = Behavior::kAdaptiveCancelCoordinator},
 };
 
-RunOutcome run_once(const Scenario& sc, std::uint64_t seed, bool batch,
-                    std::size_t workers) {
+RunOutcome run_once(const Scenario& sc, std::uint64_t seed, std::size_t workers) {
   SystemOptions o;
   o.seed = 31000 + seed;
   o.a = {4, 1};
   o.b = {4, 1};
-  o.protocol.batch_verify = batch;
   o.protocol.verify_workers = workers;
   o.b_behaviors.assign(4, Behavior::kHonest);
   o.b_behaviors[0] = sc.b1;
@@ -70,7 +71,7 @@ RunOutcome run_once(const Scenario& sc, std::uint64_t seed, bool batch,
       if (res) {
         // Anything accepted must still be the right plaintext.
         EXPECT_EQ(sys.oracle_decrypt_b(*res), sys.plaintext_of(t))
-            << sc.name << " seed=" << seed << " batch=" << batch << " rank=" << r;
+            << sc.name << " seed=" << seed << " workers=" << workers << " rank=" << r;
       }
     }
     out.holds.push_back(std::move(row));
@@ -89,16 +90,12 @@ TEST_P(BatchEquivalence, SameAcceptRejectDecisionsAsSerial) {
   const auto [scenario_index, seed] = GetParam();
   const Scenario& sc = kScenarios[scenario_index];
 
-  RunOutcome serial = run_once(sc, seed, /*batch=*/false, /*workers=*/0);
-  RunOutcome batched = run_once(sc, seed, /*batch=*/true, /*workers=*/0);
-  RunOutcome pooled = run_once(sc, seed, /*batch=*/true, /*workers=*/2);
+  RunOutcome serial = run_once(sc, seed, /*workers=*/0);
+  RunOutcome pooled = run_once(sc, seed, /*workers=*/2);
 
   EXPECT_EQ(serial.attack_successes, 0) << sc.name;
-  EXPECT_EQ(batched.attack_successes, 0) << sc.name;
   EXPECT_EQ(pooled.attack_successes, 0) << sc.name;
 
-  EXPECT_EQ(batched.completed, serial.completed) << sc.name << " seed=" << seed;
-  EXPECT_EQ(batched.holds, serial.holds) << sc.name << " seed=" << seed;
   EXPECT_EQ(pooled.completed, serial.completed) << sc.name << " seed=" << seed;
   EXPECT_EQ(pooled.holds, serial.holds) << sc.name << " seed=" << seed;
 }

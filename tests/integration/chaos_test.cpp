@@ -51,10 +51,8 @@ struct Mix {
   bool crash_restart_b1 = false;    // crash the designated coordinator, restart later
   bool crash_a4 = false;            // permanently crash one A server (within f)
   bool byzantine_b1 = false;        // adaptive-cancel coordinator at B rank 1
-  bool batch_verify = false;        // RLC batch verification (PR 3 fast path)
   unsigned verify_workers = 0;      // off-handler verification pool size
-  unsigned contribution_pool = 0;   // precomputed-bundle pool capacity (PR 5)
-  bool pool_prefill = false;        // fill the pool during on_start
+  bool precompute = false;          // contributions precomputed in on_start
   bool liveness_expected = true;    // mix stays within the f-bound
   // --- epochal churn (PR 7) -------------------------------------------------
   // kJoin: (4,1)->(5,1) adopting a standby. kLeave: (5,1)->(4,1) retiring
@@ -72,7 +70,6 @@ struct Mix {
   // transfers), so many instances are in flight when faults strike.
   unsigned concurrent_transfers = 0;
   std::size_t max_inflight = 0;   // admission cap (0 = unlimited)
-  bool per_transfer_rng = false;  // per-instance keyed contribution streams
 };
 
 constexpr Mix kMixes[] = {
@@ -95,30 +92,27 @@ constexpr Mix kMixes[] = {
     // A Byzantine coordinator under loss: retransmission must not help the
     // attacker (it only ever re-sends already-validated bytes).
     {.name = "byzantine-lossy", .drop_percent = 10, .byzantine_b1 = true},
-    // The verification fast path under fire: batch verification plus the
-    // worker pool, with loss, corruption, a healing partition AND a Byzantine
-    // coordinator. Batched verification must reject exactly what serial
-    // verification rejects, and deferred application must not reorder the
-    // state machine — same S1–S3 invariants, same liveness bound.
+    // The verification worker pool under fire, with loss, corruption, a
+    // healing partition AND a Byzantine coordinator. The worker-pool drain
+    // must reject exactly what inline verification rejects, and deferred
+    // application must not reorder the state machine — same S1–S3
+    // invariants, same liveness bound.
     {.name = "batch-workers",
      .drop_percent = 10,
      .corrupt_percent = 3,
      .duplication_percent = 15,
      .partition_b_backup = true,
      .byzantine_b1 = true,
-     .batch_verify = true,
      .verify_workers = 2},
-    // The offline/online contribution pool under crash-recovery and loss:
-    // restores must drop the pooled secrets and regenerate (a bundle id must
-    // never be consumed twice, T5), fallback must cover pool exhaustion, and
-    // the Byzantine coordinator gains nothing from precomputation.
-    {.name = "pool-chaos",
+    // Precomputed contributions under crash-recovery and loss: a restored
+    // server derives fresh bundles under a new incarnation root, and the
+    // Byzantine coordinator gains nothing from precomputation.
+    {.name = "precompute-chaos",
      .drop_percent = 10,
      .duplication_percent = 15,
      .crash_restart_b1 = true,
      .byzantine_b1 = true,
-     .contribution_pool = 2,
-     .pool_prefill = true},
+     .precompute = true},
     // Membership churn under loss: a standby joins mid-run ((4,1)->(5,1)).
     // Transfers never mix contributions across config epochs (I6/T6) and the
     // joiner converges on results for work it never participated in.
@@ -157,10 +151,8 @@ constexpr Mix kMixes[] = {
      .drop_percent = 10,
      .duplication_percent = 15,
      .crash_restart_b1 = true,
-     .batch_verify = true,
      .verify_workers = 2,
-     .concurrent_transfers = 10,
-     .per_transfer_rng = true},
+     .concurrent_transfers = 10},
     // Concurrency composed with epochal churn (PR 7 x PR 8): a capped engine
     // holds a queue across the install boundary — actives abort, re-admit at
     // queue head under the new epoch, and everything still completes with
@@ -171,8 +163,7 @@ constexpr Mix kMixes[] = {
      .churn = Mix::Churn::kJoin,
      .churn_at = 250'000,
      .concurrent_transfers = 8,
-     .max_inflight = 4,
-     .per_transfer_rng = true},
+     .max_inflight = 4},
 };
 
 constexpr int kMixCount = static_cast<int>(std::size(kMixes));
@@ -187,9 +178,6 @@ constexpr int kMixCount = static_cast<int>(std::size(kMixes));
 //   T3 epochs opened per (node, transfer) are strictly increasing;
 //   T4 retransmit attempts stay below their cap, increase per (node, timer
 //      key), and no cap exceeds the configured maximum;
-//   T5 pool_drain bundle ids are single-use per node — even across a crash
-//      and restore, no precomputed contribution bundle (whose VDE
-//      announcement fixes the proof nonce) is ever consumed twice;
 //   T6 (invariant I6) a done's evidence never mixes config epochs: all
 //      verify_pass(contribute) events for one instance carry ONE cfg_epoch —
 //      an instance aborted by an install re-runs as a fresh instance;
@@ -217,7 +205,6 @@ void check_trace_invariants(const obs::MemoryTraceRecorder& trace, const char* m
   std::map<std::pair<std::uint64_t, Instance>, std::set<std::uint64_t>> commits;
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint32_t> last_epoch;
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint32_t> last_attempt;
-  std::map<std::uint64_t, std::set<std::uint64_t>> drained_bundles;
   std::map<Instance, std::set<std::uint32_t>> contribute_cfg_epochs;
   std::map<std::uint64_t, std::uint32_t> installed_epoch;
   std::map<Instance, std::set<std::uint64_t>> foreign_cites;
@@ -312,10 +299,6 @@ void check_trace_invariants(const obs::MemoryTraceRecorder& trace, const char* m
         }
         break;
       }
-      case obs::EventKind::kPoolDrain:
-        EXPECT_TRUE(drained_bundles[e.node].insert(e.peer).second)
-            << "T5 " << at << ": node " << e.node << " consumed bundle " << e.peer << " twice";
-        break;
       default:
         break;
     }
@@ -344,12 +327,9 @@ bool run_chaos(const Mix& mix, std::uint64_t seed, bool retransmit = true) {
   // (100ms–500ms), so an isolated backup reliably trips a stall that then
   // resolves after the heal — and long enough that healthy runs stay quiet.
   o.protocol.watchdog_deadline = 300'000;
-  o.protocol.batch_verify = mix.batch_verify;
   o.protocol.verify_workers = mix.verify_workers;
-  o.protocol.contribution_pool = mix.contribution_pool;
-  o.protocol.pool_prefill = mix.pool_prefill;
+  o.protocol.precompute_contributions = mix.precompute;
   o.protocol.max_inflight_transfers = mix.max_inflight;
-  o.protocol.per_transfer_rng = mix.per_transfer_rng;
   if (mix.byzantine_b1) {
     o.b_behaviors.assign(4, Behavior::kHonest);
     o.b_behaviors[0] = Behavior::kAdaptiveCancelCoordinator;

@@ -1,12 +1,12 @@
 // Concurrent multi-transfer equivalence panel (PR 8 acceptance criterion).
 //
-// With per-transfer keyed contribution streams (per_transfer_rng) and a
-// fixed-delay network, the bytes of every transfer's result are a pure
-// function of (seed, transfer id, contributor quorum): they must not depend
-// on HOW MANY transfers were in flight around it, nor on which verification
-// mode checked the proofs. The panel runs N open-loop transfers through the
-// concurrent engine (unlimited slots, cross-transfer batch drain) and through
-// a strictly sequential baseline (max_inflight_transfers = 1, serial inline
+// With per-instance keyed contribution streams and a fixed-delay network,
+// the bytes of every transfer's result are a pure function of (seed,
+// transfer id, contributor quorum): they must not depend on HOW MANY
+// transfers were in flight around it, nor on where the proofs were checked.
+// The panel runs N open-loop transfers through the concurrent engine
+// (unlimited slots, worker pool + cross-transfer batch drain) and through a
+// strictly sequential baseline (max_inflight_transfers = 1, inline batch
 // verification) and demands byte-identical per-transfer ciphertexts on every
 // honest B server — across >= 4 seeds and with a Byzantine contributor whose
 // inconsistent contribution must be rejected identically in both schedules.
@@ -46,7 +46,7 @@ struct RunOutcome {
 };
 
 RunOutcome run_once(std::uint64_t seed, bool byzantine, std::size_t max_inflight,
-                    bool batch, std::size_t workers) {
+                    std::size_t workers) {
   obs::MemoryTraceRecorder trace;
   SystemOptions o;
   o.seed = 47000 + seed;
@@ -56,9 +56,7 @@ RunOutcome run_once(std::uint64_t seed, bool byzantine, std::size_t max_inflight
   // quorum of each instance is interleaving-independent (FIFO simulator).
   o.delay_min = 2'000;
   o.delay_max = 2'000;
-  o.protocol.per_transfer_rng = true;
   o.protocol.max_inflight_transfers = max_inflight;
-  o.protocol.batch_verify = batch;
   o.protocol.verify_workers = workers;
   o.protocol.trace = &trace;
   if (byzantine) {
@@ -109,11 +107,9 @@ TEST_P(ConcurrentEquivalence, InterleavedMatchesSequentialByteForByte) {
   const auto [seed, byzantine] = GetParam();
 
   // Concurrent: unlimited admission, worker pool + cross-transfer batch drain.
-  RunOutcome conc = run_once(seed, byzantine, /*max_inflight=*/0, /*batch=*/true,
-                             /*workers=*/2);
-  // Sequential baseline: one transfer at a time, serial inline verification.
-  RunOutcome seq = run_once(seed, byzantine, /*max_inflight=*/1, /*batch=*/false,
-                            /*workers=*/0);
+  RunOutcome conc = run_once(seed, byzantine, /*max_inflight=*/0, /*workers=*/2);
+  // Sequential baseline: one transfer at a time, inline batch verification.
+  RunOutcome seq = run_once(seed, byzantine, /*max_inflight=*/1, /*workers=*/0);
 
   ASSERT_TRUE(conc.completed) << "seed=" << seed;
   ASSERT_TRUE(seq.completed) << "seed=" << seed;
@@ -144,12 +140,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Intermediate concurrency levels agree too: a capped engine (2 slots) with
-// inline batch verification lands on the same bytes as both extremes.
+// inline verification lands on the same bytes as the sequential baseline.
 TEST(ConcurrentEquivalence, CappedEngineAgreesWithExtremes) {
-  RunOutcome capped = run_once(11, /*byzantine=*/false, /*max_inflight=*/2,
-                               /*batch=*/true, /*workers=*/0);
-  RunOutcome seq = run_once(11, /*byzantine=*/false, /*max_inflight=*/1,
-                            /*batch=*/false, /*workers=*/0);
+  RunOutcome capped = run_once(11, /*byzantine=*/false, /*max_inflight=*/2, /*workers=*/0);
+  RunOutcome seq = run_once(11, /*byzantine=*/false, /*max_inflight=*/1, /*workers=*/0);
   ASSERT_TRUE(capped.completed);
   ASSERT_TRUE(seq.completed);
   EXPECT_EQ(capped.max_inflight_seen, 2u);

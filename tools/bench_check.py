@@ -2,10 +2,14 @@
 """Bench regression gate for the verification fast path (PR 3).
 
 Runs the deterministic verification benchmarks (bench_fig4_full's
-"blind-verify" and "e2e" BENCHJSON rows, plus the multi-exp microbenchmarks
-from bench_primitives), records everything in BENCH_pr3.json at the repo
-root, and FAILS (exit 1) when batched verification stops beating serial
-verification.
+"blind-verify" BENCHJSON rows, plus the multi-exp microbenchmarks from
+bench_primitives), records everything in BENCH_pr3.json, and FAILS (exit 1)
+when batched verification stops beating the serial Fig. 5 reference.
+
+Reports go to the build directory (--build-dir) unless --output names
+another path for BENCH_pr3.json; the other reports are written next to it.
+The BENCH_pr*.json files committed at the repo root change only when someone
+regenerates them on purpose with --output.
 
 The primary gate is Montgomery-multiplication counts, not wall-clock:
 mont-muls are identical across machines for a deterministic run, so the gate
@@ -15,9 +19,7 @@ cannot flake on a loaded CI box. Gates enforced:
      (batch must never be slower on the verification-dominated column);
   2. at least one blind-verify row reaches >= 2.0x fewer mont-muls
      (the PR 3 acceptance bar);
-  3. every e2e row: batch_mont_muls <= serial_mont_muls
-     (the fast path must not regress the whole protocol);
-  4. the obs-overhead row (PR 4): an instrumented run (JSONL trace +
+  3. the obs-overhead row: an instrumented run (JSONL trace +
      metrics registry) must report mont-mul and message counts identical
      to the plain run — the observability layer is a pure observer.
 
@@ -27,50 +29,51 @@ BENCH_pr4.json next to BENCH_pr3.json.
 
 PR 5 gates (offline/online split), written to BENCH_pr5.json:
 
-  5. pool: warm-pool online mont-muls must be >= 3.0x lower than the cold
-     (no-pool) run for the same seed and transfer count — the offline phase
-     genuinely moved the dual encryption + VDE announcements off the
-     latency-critical path;
-  6. pool: identical_results == 1 — pool-on and pool-off runs produce
-     bit-identical result ciphertexts (the pool may change WHEN work runs,
-     never WHAT randomness it consumes);
-  7. fixed-base: comb-table exponentiation uses >= 2.0x fewer mont-muls
+  4. precompute: with precompute_contributions on, online contributor
+     mont-muls must be >= 3.0x lower than with it off, for the same seed
+     and transfer count — the offline phase genuinely moved the dual
+     encryption + VDE announcements off the latency-critical path;
+  5. precompute: identical_results == 1 — precompute-on and -off runs
+     produce bit-identical result ciphertexts (the keyed per-instance
+     stream means precomputation changes WHEN work runs, never WHAT
+     randomness it consumes);
+  6. fixed-base: comb-table exponentiation uses >= 2.0x fewer mont-muls
      than the generic square-and-multiply path for a pinned base;
-  8. throughput: the pipelined run completes with integrity == 1
+  7. throughput: the pipelined run completes with integrity == 1
      (transfers/sec is recorded for context, wall-clock, never gated).
 
 PR 7 gates (epochal reconfiguration), written to BENCH_pr7.json:
 
-  9.  reconfig: the rotation run installs epoch 1 (installed == 1) and every
+  8.  reconfig: the rotation run installs epoch 1 (installed == 1) and every
       transfer — including those aborted at the epoch boundary and re-run —
       decrypts to its original plaintext (integrity == 1);
-  10. reconfig: post-rotation steady-state mont-muls/transfer within 5% of
+  9.  reconfig: post-rotation steady-state mont-muls/transfer within 5% of
       the no-rotation baseline for the same seed — the install's cache
-      invalidation cascade (pinned comb tables, contribution pool, offline
-      prng) must re-arm completely rather than leak per-transfer cost into
-      the new epoch. The rotation window itself (re-share round + discarded
+      invalidation cascade (pinned comb tables, contributor state) must
+      re-arm completely rather than leak per-transfer cost into the new
+      epoch. The rotation window itself (re-share round + discarded
       in-flight work) is recorded for context, never gated.
 
 PR 8 gates (concurrent multi-transfer engine), written to BENCH_pr8.json
 from bench_load's open-loop workload:
 
-  11. load_saturation: saturated virtual-time throughput of the concurrent
+  10. load_saturation: saturated virtual-time throughput of the concurrent
       engine (unlimited admission + cross-transfer batch drain + verify
       workers) must be >= 5.0x the sequential baseline
-      (max_inflight_transfers == 1, serial verification) at f=1/sec512,
+      (max_inflight_transfers == 1, inline verification) at f=1/sec512,
       with integrity == 1 on both arms. Virtual time is deterministic per
       seed, so the gate cannot flake on a loaded box; wall-clock and
       mont-mul counts are recorded as provenance;
-  12. load_latency: every offered-load point completes all transfers with
+  11. load_latency: every offered-load point completes all transfers with
       p50 <= p95 <= p99 (the percentile extraction is ordered and total);
-  13. load_equivalence: identical_results == 1 — the concurrent and
+  12. load_equivalence: identical_results == 1 — the concurrent and
       sequential schedules produce byte-identical per-transfer ciphertexts.
 
 PR 9 gates (causal span tracing), written to BENCH_pr9.json together with
 a re-statement of the PR 4 obs-overhead result (the span upgrade must keep
 tracing-off runs byte-identical to plain runs):
 
-  14. critpath: bench_load --trace-out's span trace, fed through
+  13. critpath: bench_load --trace-out's span trace, fed through
       tools/trace_critpath.py --budget 0.95, must attribute >= 95% of every
       completed transfer's virtual-time latency to named budget categories
       (network / queueing / verify / retransmit-backoff / crypto), with the
@@ -80,7 +83,7 @@ PR 10 gates (elliptic-curve group backend), written to BENCH_pr10.json
 together with another re-statement of the PR 4 obs-overhead result (the
 backend carve must keep the default mod-p build byte-identical to PR 9):
 
-  15. backend-compare: the same honest Fig. 4 run (n=4, f=1, same seed) on
+  14. backend-compare: the same honest Fig. 4 run (n=4, f=1, same seed) on
       ristretto255 must cost >= 5.0x fewer normalized word-multiplications
       than mod-p at matched ~128-bit security (kSec2048). Group-op counts
       are deterministic per seed; each backend's ops are weighted by its
@@ -89,14 +92,14 @@ backend carve must keep the default mod-p build byte-identical to PR 9):
       machine-independent arithmetic cost, never wall-clock. Both runs must
       decrypt the original plaintext at every server (integrity == 1) and
       EC element encodings must be <= 32 bytes;
-  16. backend-equivalence: the cross-backend panel (3 seeds x {honest,
+  15. backend-equivalence: the cross-backend panel (3 seeds x {honest,
       Byzantine inconsistent-contribution} on mod-p and ec255) must report
       identical_results == 1 — the observable protocol outcome is backend
       independent even though element values differ by construction.
 
 Wall-clock numbers from bench_primitives are recorded for context only.
 
-Usage: bench_check.py --build-dir <dir> [--output BENCH_pr3.json]
+Usage: bench_check.py --build-dir <dir> [--output <path>/BENCH_pr3.json]
        (registered as ctest label `bench`; see tools/CMakeLists.txt)
 """
 
@@ -231,7 +234,8 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--build-dir", required=True)
     ap.add_argument("--output", default=None,
-                    help="where to write the report (default <repo>/BENCH_pr3.json)")
+                    help="where to write BENCH_pr3.json; the other reports go next "
+                         "to it (default <build-dir>/BENCH_pr3.json)")
     ap.add_argument("--skip-primitives", action="store_true",
                     help="skip the wall-clock microbenchmarks (faster CI)")
     args = ap.parse_args()
@@ -240,10 +244,9 @@ def main():
     trace_path = os.path.join(args.build_dir, "load_trace.jsonl")
     rows += run_load(args.build_dir, trace_path)
     blind = [r for r in rows if r.get("section") == "blind-verify"]
-    e2e = [r for r in rows if r.get("section") == "e2e"]
     obs = [r for r in rows if r.get("section") == "obs-overhead"]
     phases = [r for r in rows if r.get("section") == "phases"]
-    pool = [r for r in rows if r.get("section") == "pool"]
+    precompute = [r for r in rows if r.get("section") == "precompute"]
     fixed_base = [r for r in rows if r.get("section") == "fixed-base"]
     throughput = [r for r in rows if r.get("section") == "throughput"]
     reconfig = [r for r in rows if r.get("section") == "reconfig"]
@@ -268,11 +271,6 @@ def main():
     elif best_ratio < 2.0:
         failures.append(
             f"best blind-verify mont-mul ratio {best_ratio:.2f}x < 2.0x acceptance bar")
-    for r in e2e:
-        r["mul_ratio"] = round(r["serial_mont_muls"] / r["batch_mont_muls"], 3)
-        if r["batch_mont_muls"] > r["serial_mont_muls"]:
-            failures.append(
-                f"e2e f={r['f']}: batch mode costs more mont-muls than serial")
 
     if not obs:
         failures.append("no obs-overhead row emitted")
@@ -293,23 +291,20 @@ def main():
     if not phases:
         failures.append("no per-phase latency rows emitted")
 
-    pool_ratio = 0.0
-    if not pool:
-        failures.append("no pool row emitted")
-    for r in pool:
-        pool_ratio = r["cold_online_mont_muls"] / max(r["warm_online_mont_muls"], 1)
-        r["online_mul_ratio"] = round(pool_ratio, 3)
-        if pool_ratio < 3.0:
+    if not precompute:
+        failures.append("no precompute row emitted")
+    for r in precompute:
+        ratio = r["inline_online_mont_muls"] / max(r["precompute_online_mont_muls"], 1)
+        r["online_mul_ratio"] = round(ratio, 3)
+        if ratio < 3.0:
             failures.append(
-                f"pool: warm online mont-muls only {pool_ratio:.2f}x lower than cold "
-                f"({r['cold_online_mont_muls']} -> {r['warm_online_mont_muls']}), "
+                f"precompute: online mont-muls only {ratio:.2f}x lower than inline "
+                f"({r['inline_online_mont_muls']} -> {r['precompute_online_mont_muls']}), "
                 f"< 3.0x acceptance bar")
         if r["identical_results"] != 1:
             failures.append(
-                "pool: warm-pool run results diverged from the cold run — the pool "
-                "must be byte-transparent")
-        if r["warm_drains"] == 0:
-            failures.append("pool: warm run never drained a precomputed bundle")
+                "precompute: precomputed run results diverged from the inline run — "
+                "precomputation must be byte-transparent")
     if not fixed_base:
         failures.append("no fixed-base row emitted")
     for r in fixed_base:
@@ -406,8 +401,7 @@ def main():
 
     prims = None if args.skip_primitives else run_primitives(args.build_dir)
 
-    repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    out_path = args.output or os.path.join(repo_root, "BENCH_pr3.json")
+    out_path = args.output or os.path.join(args.build_dir, "BENCH_pr3.json")
     environment = read_environment(args.build_dir)
     report = {
         "gate": "verification-fast-path",
@@ -415,7 +409,6 @@ def main():
         "environment": environment,
         "failures": failures,
         "blind_verify": blind,
-        "e2e": e2e,
         "primitives_wall_clock": prims,
     }
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -434,20 +427,19 @@ def main():
         json.dump(obs_report, fh, indent=2)
         fh.write("\n")
 
-    pool_path = os.path.join(os.path.dirname(out_path), "BENCH_pr5.json")
-    pool_fail_keys = ("pool", "fixed-base", "throughput")
-    pool_report = {
+    split_path = os.path.join(os.path.dirname(out_path), "BENCH_pr5.json")
+    split_fail_keys = ("precompute", "fixed-base", "throughput", "no precompute",
+                       "no fixed-base", "no throughput")
+    split_report = {
         "gate": "offline-online-split",
-        "pass": not any(f.startswith(pool_fail_keys) or f.startswith("no pool")
-                        or f.startswith("no fixed-base") or f.startswith("no throughput")
-                        for f in failures),
+        "pass": not any(f.startswith(split_fail_keys) for f in failures),
         "environment": environment,
-        "pool": pool,
+        "precompute": precompute,
         "fixed_base": fixed_base,
         "throughput": throughput,
     }
-    with open(pool_path, "w", encoding="utf-8") as fh:
-        json.dump(pool_report, fh, indent=2)
+    with open(split_path, "w", encoding="utf-8") as fh:
+        json.dump(split_report, fh, indent=2)
         fh.write("\n")
 
     reconfig_path = os.path.join(os.path.dirname(out_path), "BENCH_pr7.json")
@@ -511,16 +503,13 @@ def main():
     for r in blind:
         print(f"blind-verify f={r['f']}: {r['serial_mont_muls']} -> "
               f"{r['batch_mont_muls']} mont-muls ({r['mul_ratio']}x)")
-    for r in e2e:
-        print(f"e2e          f={r['f']}: {r['serial_mont_muls']} -> "
-              f"{r['batch_mont_muls']} mont-muls ({r['mul_ratio']}x)")
     for r in obs:
         print(f"obs-overhead: {r['plain_mont_muls']} plain vs "
               f"{r['instrumented_mont_muls']} instrumented mont-muls, "
               f"{r['trace_events']} trace events")
-    for r in pool:
-        print(f"pool: {r['cold_online_mont_muls']} cold -> "
-              f"{r['warm_online_mont_muls']} warm online mont-muls "
+    for r in precompute:
+        print(f"precompute: {r['inline_online_mont_muls']} inline -> "
+              f"{r['precompute_online_mont_muls']} precomputed online mont-muls "
               f"({r['online_mul_ratio']}x), identical_results={r['identical_results']}")
     for r in fixed_base:
         print(f"fixed-base: {r['generic_mont_muls']} generic -> "
@@ -557,7 +546,7 @@ def main():
               f"{critpath['attributed_overall']:.1%} latency attributed "
               f"(worst {critpath['attributed_min']:.1%}), budget "
               f"{critpath['budget_us']}")
-    print(f"report: {out_path} + {obs_path} + {pool_path} + {reconfig_path} + "
+    print(f"report: {out_path} + {obs_path} + {split_path} + {reconfig_path} + "
           f"{load_path} + {critpath_path} + {backend_path}")
     if failures:
         for f in failures:

@@ -73,16 +73,17 @@ about, run over the token/line surface of ``src/``:
       are public vocabulary and deliberately not matched.
 
   pool-reuse
-      The precomputed contribution pool (src/core/contribution_pool.hpp)
-      holds single-use secret randomness: rho, encryption nonces, and the
-      VDE announcement exponents. Three sub-checks keep it safe: (1) the
+      A contribution bundle (src/core/contribution_bundle.hpp), whether
+      derived on demand or precomputed ahead of its init, holds single-use
+      secret randomness: rho, encryption nonces, and the VDE announcement
+      exponents. Three sub-checks keep it safe: (1) the
       ``ContributionBundle`` type must stay move-only (deleted copy
       constructor) so a bundle cannot be silently duplicated and proved
       over twice — two Fiat-Shamir challenges on one announcement leak the
-      witness; (2) no ``snapshot()`` body may mention the pool or bundles —
-      precomputed rho values are secrets and must never be serialized to
-      durable state; (3) every rho/r1/r2 assignment inside
-      ``make_contribution_bundle`` must draw from an ``mpz::Prng`` — pool
+      witness; (2) no ``snapshot()`` body may mention bundles or a bundle
+      store — precomputed rho values are secrets and must never be
+      serialized to durable state; (3) every rho/r1/r2 assignment inside
+      ``make_contribution_bundle`` must draw from an ``mpz::Prng`` — bundle
       randomness is never derived from constants or recycled values.
 
 Waivers: append ``// crypto-lint: allow(<rule>) <reason>`` to the
@@ -109,7 +110,7 @@ from lintlib import (Finding, split_call_args, strip_comments_and_strings,
 
 # Identifiers that carry secret material somewhere in the protocol stack.
 # Matched case-insensitively as a word prefix (so `rho_i`, `shares_`,
-# `blinding_factor` all hit). Tuned to src/: ContributorState{rho, r1, r2},
+# `blinding_factor` all hit). Tuned to src/: ContributionBundle{rho, r1, r2},
 # DecryptionShare, ServerSecrets, SigningMember nonces, VDE witnesses.
 SECRET_IDENT = re.compile(
     r"\b(rho|share|shares|secret|secrets|sk|priv|private_key|witness|nonce|"
@@ -241,8 +242,8 @@ BUNDLE_COPY_DELETED = re.compile(
 # A column-0 definition of a snapshot() member (durable-state serializer).
 SNAPSHOT_FN_DEF = re.compile(r"::snapshot\s*\(")
 
-# Pool state showing up inside a snapshot body: pooled bundles hold secret
-# randomness and must never be serialized.
+# Bundle state (or a store of bundles) showing up inside a snapshot body:
+# bundles hold secret randomness and must never be serialized.
 POOL_IN_SNAPSHOT = re.compile(r"\b(pool_?\w*|bundle\w*)\b", re.IGNORECASE)
 
 # A column-0 definition of the bundle factory.
@@ -398,7 +399,7 @@ def lint_text(rel_path: str, text: str) -> List[Finding]:
         # --- pool-reuse (2, 3) ----------------------------------------------
         # Region tracking as above: a column-0 ::snapshot( definition (or
         # make_contribution_bundle definition) opens a region, a column-0 `}`
-        # closes it. Snapshot bodies must never touch pool/bundle state; the
+        # closes it. Snapshot bodies must never touch bundle state; the
         # bundle factory must bind its secret fields from the prng argument.
         if in_snapshot_fn and raw.startswith("}"):
             in_snapshot_fn = False
@@ -418,7 +419,7 @@ def lint_text(rel_path: str, text: str) -> List[Finding]:
                         rel_path,
                         line_no,
                         "pool-reuse",
-                        f"'{m.group(0)}' inside a snapshot() body: pooled "
+                        f"'{m.group(0)}' inside a snapshot() body: "
                         "contribution bundles hold single-use secret "
                         "randomness and must never reach durable state",
                     )
@@ -446,7 +447,7 @@ def lint_text(rel_path: str, text: str) -> List[Finding]:
                         line_no,
                         "pool-reuse",
                         f"bundle secret '{m.group(1)}' is not drawn from the "
-                        "mpz::Prng argument; pool randomness must be "
+                        "mpz::Prng argument; bundle randomness must be "
                         "seed-replayable and never constant or recycled",
                     )
                 )
@@ -752,7 +753,7 @@ SELF_TEST_CASES = [
         "  mpz::Bigint rho;\n"
         "};",
     ),
-    # ...pool state serialized by a snapshot body:
+    # ...bundle state serialized by a snapshot body:
     (
         "pool-reuse",
         "std::vector<std::uint8_t> ProtocolServer::snapshot() const {\n"
@@ -769,14 +770,14 @@ SELF_TEST_CASES = [
     (
         "pool-reuse",
         "ContributionBundle make_contribution_bundle(const SystemConfig& cfg,\n"
-        "                                            std::uint64_t id, mpz::Prng& prng) {\n"
+        "                                            mpz::Prng& prng) {\n"
         "  b.rho = mpz::Bigint(7);\n"
         "}",
     ),
     (
         "pool-reuse",
         "ContributionBundle make_contribution_bundle(const SystemConfig& cfg,\n"
-        "                                            std::uint64_t id, mpz::Prng& prng) {\n"
+        "                                            mpz::Prng& prng) {\n"
         "  b.r1 = last_bundle.r1;\n"
         "}",
     ),
@@ -798,7 +799,7 @@ SELF_TEST_CASES = [
     (
         None,
         "ContributionBundle make_contribution_bundle(const SystemConfig& cfg,\n"
-        "                                            std::uint64_t id, mpz::Prng& prng) {\n"
+        "                                            mpz::Prng& prng) {\n"
         "  b.rho = gp.random_element(prng);\n"
         "  b.r1 = gp.random_exponent(prng);\n"
         "  b.r2 = gp.random_exponent(prng);\n"

@@ -15,10 +15,6 @@ for every run, Byzantine or not:
       a restarted coordinator never reuses an epoch.
   I4  `retransmit` attempts are < cap, strictly increasing per (node, timer
       key), and cap never exceeds the run's configured retransmit cap.
-  I5  `pool_drain` bundle ids are single-use per node — no precomputed
-      blinding bundle (its VDE announcement fixes the proof nonce) is ever
-      consumed for two instances, which would let two Fiat-Shamir challenges
-      share one announcement and leak the witness.
   I6  cross-epoch isolation (PR 7): every contribute `verify_pass` backing a
       single instance carries the same config epoch — a transfer completes
       entirely within its birth configuration or aborts and re-runs; evidence
@@ -79,8 +75,6 @@ class Checker:
         self.last_epoch = {}
         # I4: (node, key) -> last attempt.
         self.last_attempt = {}
-        # I5: node -> set of drained bundle ids.
-        self.drained_bundles = {}
         # I6: instance -> set of config epochs on its contribute verify_passes.
         self.contribute_cfg_epochs = {}
         # I7: node -> highest installed config epoch since its last restart.
@@ -228,16 +222,6 @@ class Checker:
                 return
             if inst[0] is not None and cited != inst[0]:
                 self.foreign_cites.setdefault(inst, set()).add(cited)
-        elif kind == "pool_drain":
-            bundle = ev.get("bundle")
-            if bundle is None:
-                self.err(lineno, "I5: pool_drain without bundle id")
-                return
-            seen = self.drained_bundles.setdefault(node, set())
-            if bundle in seen:
-                self.err(lineno, f"I5: node {node} consumed bundle {bundle} "
-                                 f"twice (announcement reuse)")
-            seen.add(bundle)
 
     def finish(self):
         for transfer, t_done in self._done.items():
@@ -355,24 +339,6 @@ SELF_TESTS = [
         META,
         '{"ts":0,"node":4,"kind":"retransmit","transfer":1,"key":3,"frames":4,"attempt":1,"cap":99}',
     ]), False, "I4"),
-    ("pool-single-use-ok", "\n".join([
-        META,
-        '{"ts":0,"node":5,"kind":"pool_refill","bundle":1,"depth":1}',
-        '{"ts":1,"node":5,"kind":"pool_refill","bundle":2,"depth":2}',
-        '{"ts":2,"node":5,"kind":"pool_drain","transfer":1,"coord":1,"epoch":0,"bundle":1,"depth":1,"fallback":0}',
-        '{"ts":3,"node":5,"kind":"pool_drain","transfer":2,"coord":1,"epoch":0,"bundle":2,"depth":0,"fallback":0}',
-        '{"ts":4,"node":6,"kind":"pool_drain","transfer":1,"coord":1,"epoch":0,"bundle":1,"depth":0,"fallback":1}',
-    ]), True, None),
-    ("pool-bundle-reused", "\n".join([
-        META,
-        '{"ts":0,"node":5,"kind":"pool_refill","bundle":1,"depth":1}',
-        '{"ts":1,"node":5,"kind":"pool_drain","transfer":1,"coord":1,"epoch":0,"bundle":1,"depth":0,"fallback":0}',
-        '{"ts":2,"node":5,"kind":"pool_drain","transfer":2,"coord":1,"epoch":0,"bundle":1,"depth":0,"fallback":0}',
-    ]), False, "I5"),
-    ("pool-drain-missing-bundle", "\n".join([
-        META,
-        '{"ts":0,"node":5,"kind":"pool_drain","transfer":1,"coord":1,"epoch":0,"depth":0,"fallback":0}',
-    ]), False, "I5"),
     ("churn-clean-rotation", "\n".join([
         META,
         '{"ts":100,"node":4,"kind":"epoch_install","cfg_epoch":1,"rank":1,"n":5}',

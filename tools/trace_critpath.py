@@ -34,9 +34,10 @@ latency-budget category:
                       attribute to ristretto255 field muls instead of being
                       mislabelled as mod-p Montgomery muls — the report's
                       `backends` table normalizes both to word-muls
-  other               any gap the model cannot name (pool refill timers,
-                      result-pull polling). The acceptance bar is that this
-                      stays under 5% of every transfer's latency.
+  other               any gap the model cannot name (backup-coordinator
+                      delay timers, result-pull polling). The acceptance
+                      bar is that this stays under 5% of every transfer's
+                      latency.
 
 A transfer's total latency is first-own-event -> first done_recorded, the
 same span bench_load's load_latency section measures from the arrival
@@ -411,8 +412,7 @@ UNATTRIBUTED = "\n".join([
     _ev(1000, 4, "epoch_start", 1, transfer=1),
     _ev(1000, 4, "msg_send", 2, parent=1),
     _ev(3000, 5, "msg_recv", 3, parent=2),
-    _ev(6000, 5, "pool_drain", 4, parent=3, transfer=1,
-        extra=',"bundle":1,"depth":0,"fallback":0'),
+    _ev(6000, 5, "commit_sent", 4, parent=3, transfer=1),
     _ev(6000, 5, "done_recorded", 5, parent=4, transfer=1),
 ])
 

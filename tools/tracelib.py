@@ -36,7 +36,7 @@ KNOWN_KINDS = {
     "epoch_start", "commit_sent", "commit_accepted", "reveal_sent",
     "contribute_sent", "verify_pass", "verify_fail", "blind_sign_begin",
     "sign_done", "decrypt_begin", "decrypt_done", "done_sign_begin",
-    "done_recorded", "retransmit", "pool_refill", "pool_drain",
+    "done_recorded", "retransmit",
     "epoch_install", "epoch_abort",
     "engine_admit", "engine_defer", "batch_drain", "contribute_cited",
     "stall", "stall_resolved",
