@@ -32,6 +32,8 @@
 //   --smoke      kToy64 parameters and a smaller batch (tools/ci.sh `load`
 //                job; DBLIND_SOAK_TRANSFERS=<n> widens it for the TSan soak)
 //   default      kSec512 at (4,1)x(4,1), the gated configuration
+// DBLIND_BACKEND=ec runs either on ristretto255 instead
+// (GroupParams::named_or_env); the tables and BENCHJSON rows name the group.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -104,7 +106,7 @@ LoadResult run_load(const LoadConfig& lc) {
   dblind::obs::MemoryTraceRecorder trace;
   dblind::obs::MetricsRegistry metrics;
   SystemOptions o;
-  o.params = dblind::group::GroupParams::named(lc.params);
+  o.params = dblind::group::GroupParams::named_or_env(lc.params);
   o.a = {4, 1};
   o.b = {4, 1};
   o.seed = 9'000'000 + lc.seed;
@@ -215,10 +217,14 @@ int main(int argc, char** argv) {
       if (n > 0) base.transfers = n;
     }
   }
-  const char* param_name = smoke ? "toy64" : "sec512";
+  // mod-p rows keep their parameter-set name; another backend prints its own.
+  const dblind::group::GroupParams group = dblind::group::GroupParams::named_or_env(base.params);
+  const std::string param_name = group.backend_kind() == dblind::group::Kind::kModP
+                                     ? (smoke ? "toy64" : "sec512")
+                                     : std::string(group.backend_name());
 
   std::printf("Open-loop load harness — %d transfers, %d clients, %s, (4,1)x(4,1)\n\n",
-              base.transfers, base.clients, param_name);
+              base.transfers, base.clients, param_name.c_str());
 
   // --- latency under an offered-load sweep (capped engine, 4 slots) ----------
   // Open-loop property: below saturation the p50 tracks the bare pipeline
@@ -246,7 +252,7 @@ int main(int argc, char** argv) {
         "\"clients\": %d, \"mean_interarrival_us\": %llu, \"max_inflight\": 4, "
         "\"completed\": %zu, \"p50_us\": %.0f, \"p95_us\": %.0f, \"p99_us\": %.0f, "
         "\"integrity\": %d}\n",
-        param_name, lc.transfers, lc.clients,
+        param_name.c_str(), lc.transfers, lc.clients,
         static_cast<unsigned long long>(gap), res.latency_us.size(), p50, p95, p99,
         res.integrity && res.completed ? 1 : 0);
   }
@@ -297,7 +303,7 @@ int main(int argc, char** argv) {
       "\"speedup\": %.3f, \"p50_us\": %.0f, \"p95_us\": %.0f, \"p99_us\": %.0f, "
       "\"baseline_wall_ms\": %.2f, \"saturated_wall_ms\": %.2f, "
       "\"baseline_mont_muls\": %llu, \"saturated_mont_muls\": %llu, \"integrity\": %d}\n",
-      param_name, base.transfers, base.clients, baseline.makespan_virtual_ms,
+      param_name.c_str(), base.transfers, base.clients, baseline.makespan_virtual_ms,
       saturated.makespan_virtual_ms, base_tps, sat_tps, speedup, sat_p50, sat_p95, sat_p99,
       baseline.wall_ms, saturated.wall_ms,
       static_cast<unsigned long long>(baseline.mont_muls),
@@ -319,7 +325,7 @@ int main(int argc, char** argv) {
   std::printf(
       "BENCHJSON {\"section\": \"load_equivalence\", \"params\": \"%s\", \"transfers\": %d, "
       "\"identical_results\": %d}\n",
-      param_name, base.transfers, identical);
+      param_name.c_str(), base.transfers, identical);
 
   return integrity && identical ? 0 : 1;
 }

@@ -70,7 +70,6 @@ class Group {
 
   [[nodiscard]] virtual Bigint pow_g(const Bigint& e) const = 0;
   [[nodiscard]] virtual Bigint pow(const Bigint& b, const Bigint& e) const = 0;
-  [[nodiscard]] virtual Bigint pow_cached(const Bigint& b, const Bigint& e) const = 0;
   virtual void pin_base(const Bigint& b) const = 0;
   [[nodiscard]] virtual Bigint pow_fixed(const Bigint& b, const Bigint& e) const = 0;
   [[nodiscard]] virtual Bigint mul(const Bigint& a, const Bigint& b) const = 0;
@@ -82,7 +81,6 @@ class Group {
   [[nodiscard]] virtual Bigint inv(const Bigint& a) const = 0;
 
   virtual void reset_base_caches() const = 0;
-  [[nodiscard]] virtual std::size_t cached_table_count() const = 0;
   [[nodiscard]] virtual std::size_t pinned_table_count() const = 0;
 
   [[nodiscard]] virtual Bigint hash_to_group(std::string_view label) const = 0;

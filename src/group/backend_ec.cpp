@@ -81,24 +81,6 @@ Bigint Ec::pow(const Bigint& b, const Bigint& e) const {
   return box(ec::encode(ec::scalar_mul(unbox(b), to_scalar(e))));
 }
 
-Bigint Ec::pow_cached(const Bigint& b, const Bigint& e) const {
-  OpScope scope(*this);
-  ec::Point base = unbox(b);
-  std::shared_ptr<const ec::CombTable> table;
-  {
-    MutexLock lock(cache_.mu);
-    auto it = cache_.tables.find(b);
-    if (it != cache_.tables.end()) {
-      table = it->second;
-    } else if (cache_.tables.size() < TableCache::kMaxEntries) {
-      table = std::make_shared<const ec::CombTable>(base, TableCache::kWindowBits);
-      cache_.tables.emplace(b, table);
-    }
-  }
-  if (!table) return box(ec::encode(ec::scalar_mul(base, to_scalar(e))));  // cache full
-  return box(ec::encode(table->mul(to_scalar(e))));
-}
-
 void Ec::pin_base(const Bigint& b) const {
   if (b == g_) return;  // pow_g's comb table already covers g
   OpScope scope(*this);
@@ -154,13 +136,7 @@ Bigint Ec::inv(const Bigint& a) const {
 
 void Ec::reset_base_caches() const {
   MutexLock lock(cache_.mu);
-  cache_.tables.clear();
   cache_.pinned.clear();  // g's call_once comb is separate and stays
-}
-
-std::size_t Ec::cached_table_count() const {
-  MutexLock lock(cache_.mu);
-  return cache_.tables.size();
 }
 
 std::size_t Ec::pinned_table_count() const {

@@ -41,7 +41,6 @@ class Ec final : public Group {
 
   [[nodiscard]] Bigint pow_g(const Bigint& e) const override;
   [[nodiscard]] Bigint pow(const Bigint& b, const Bigint& e) const override;
-  [[nodiscard]] Bigint pow_cached(const Bigint& b, const Bigint& e) const override;
   void pin_base(const Bigint& b) const override;
   [[nodiscard]] Bigint pow_fixed(const Bigint& b, const Bigint& e) const override;
   [[nodiscard]] Bigint mul(const Bigint& a, const Bigint& b) const override;
@@ -52,7 +51,6 @@ class Ec final : public Group {
   [[nodiscard]] Bigint inv(const Bigint& a) const override;
 
   void reset_base_caches() const override;
-  [[nodiscard]] std::size_t cached_table_count() const override;
   [[nodiscard]] std::size_t pinned_table_count() const override;
 
   [[nodiscard]] Bigint hash_to_group(std::string_view label) const override;
@@ -100,11 +98,9 @@ class Ec final : public Group {
   struct TableCache {
     std::once_flag once;
     std::unique_ptr<const ec::CombTable> g_comb;
-    static constexpr std::size_t kMaxEntries = 64;
     static constexpr unsigned kWindowBits = 4;
     static constexpr unsigned kPinnedWindowBits = 5;
     mutable Mutex mu;
-    mutable std::map<Bigint, std::shared_ptr<const ec::CombTable>> tables GUARDED_BY(mu);
     mutable std::map<Bigint, std::shared_ptr<const ec::CombTable>> pinned GUARDED_BY(mu);
   };
   mutable TableCache cache_;

@@ -31,23 +31,6 @@ Bigint ModP::pow(const Bigint& b, const Bigint& e) const {
   return mont_.pow(mpz::mod(b, p_), mpz::mod(e, q_));
 }
 
-Bigint ModP::pow_cached(const Bigint& b, const Bigint& e) const {
-  Bigint base = mpz::mod(b, p_);
-  std::shared_ptr<const mpz::FixedBasePow> table;
-  {
-    MutexLock lock(cache_.mu);
-    auto it = cache_.tables.find(base);
-    if (it != cache_.tables.end()) {
-      table = it->second;
-    } else if (cache_.tables.size() < FixedBaseCache::kMaxEntries) {
-      table = std::make_shared<const mpz::FixedBasePow>(mont_, base, q_.bit_length());
-      cache_.tables.emplace(base, table);
-    }
-  }
-  if (!table) return mont_.pow(base, mpz::mod(e, q_));  // cache full
-  return table->pow(mpz::mod(e, q_));
-}
-
 void ModP::pin_base(const Bigint& b) const {
   Bigint base = mpz::mod(b, p_);
   if (base == g_) return;  // pow_g's comb table already covers g
@@ -73,13 +56,7 @@ Bigint ModP::pow_fixed(const Bigint& b, const Bigint& e) const {
 
 void ModP::reset_base_caches() const {
   MutexLock lock(cache_.mu);
-  cache_.tables.clear();
   cache_.pinned.clear();  // g's call_once comb is separate and stays
-}
-
-std::size_t ModP::cached_table_count() const {
-  MutexLock lock(cache_.mu);
-  return cache_.tables.size();
 }
 
 std::size_t ModP::pinned_table_count() const {

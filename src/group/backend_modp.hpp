@@ -33,7 +33,6 @@ class ModP final : public Group {
 
   [[nodiscard]] Bigint pow_g(const Bigint& e) const override;
   [[nodiscard]] Bigint pow(const Bigint& b, const Bigint& e) const override;
-  [[nodiscard]] Bigint pow_cached(const Bigint& b, const Bigint& e) const override;
   void pin_base(const Bigint& b) const override;
   [[nodiscard]] Bigint pow_fixed(const Bigint& b, const Bigint& e) const override;
   [[nodiscard]] Bigint mul(const Bigint& a, const Bigint& b) const override;
@@ -44,7 +43,6 @@ class ModP final : public Group {
   [[nodiscard]] Bigint inv(const Bigint& a) const override;
 
   void reset_base_caches() const override;
-  [[nodiscard]] std::size_t cached_table_count() const override;
   [[nodiscard]] std::size_t pinned_table_count() const override;
 
   [[nodiscard]] Bigint hash_to_group(std::string_view label) const override;
@@ -70,14 +68,12 @@ class ModP final : public Group {
  private:
   Bigint p_, q_, g_;
   mpz::MontgomeryCtx mont_;
-  // Lazily-built fixed-base tables (see GroupParams docs; semantics are
-  // unchanged from the pre-backend FixedBaseCache).
+  // Fixed-base tables: g's, built on first use, and the pinned bases' (see
+  // GroupParams docs).
   struct FixedBaseCache {
     std::once_flag once;
     std::unique_ptr<const mpz::FixedBasePow> g_pow;
-    static constexpr std::size_t kMaxEntries = 64;
     mutable Mutex mu;
-    mutable std::map<Bigint, std::shared_ptr<const mpz::FixedBasePow>> tables GUARDED_BY(mu);
     static constexpr std::size_t kPinnedWindowBits = 5;
     mutable std::map<Bigint, std::shared_ptr<const mpz::FixedBasePow>> pinned GUARDED_BY(mu);
   };

@@ -98,21 +98,12 @@ class GroupParams {
   [[nodiscard]] Bigint pow(const Bigint& b, const Bigint& e) const {
     return impl_->pow(b, e);
   }
-  // b^e through a per-base fixed-base table, built on first use and shared
-  // across all copies of this GroupParams (and threads). Meant for long-lived
-  // bases — service public keys, encryption commitments — that each see many
-  // verification exponentiations. The cache is capped; overflow falls back to
-  // pow(). Semantically identical to pow().
-  [[nodiscard]] Bigint pow_cached(const Bigint& b, const Bigint& e) const {
-    return impl_->pow_cached(b, e);
-  }
   // Pins `b` as a protocol base: builds a wide (5-bit window) comb table for
   // it once per key epoch, shared const thereafter across all copies of this
-  // GroupParams (and threads). Unlike pow_cached's capped on-demand map, the
-  // pinned set grows only through explicit pins — a hostile peer spraying
-  // fresh bases cannot touch it. Idempotent; pinning g itself is a no-op
-  // (pow_g already combs it). Called by ProtocolServer for y_A, y_B and
-  // y_A·y_B, and by PedersenParams for h.
+  // GroupParams (and threads). The pinned set grows only through explicit
+  // pins — a hostile peer spraying fresh bases cannot touch it. Idempotent;
+  // pinning g itself is a no-op (pow_g already combs it). Called by
+  // ProtocolServer for y_A, y_B and y_A·y_B, and by PedersenParams for h.
   void pin_base(const Bigint& b) const { impl_->pin_base(b); }
   // b^e through the pinned comb table when `b` was pinned (or is g);
   // otherwise a plain pow() — never inserts into any cache, so it is safe on
@@ -130,8 +121,8 @@ class GroupParams {
                             const Bigint& eb) const {
     return impl_->pow2(a, ea, b, eb);
   }
-  // Π bases[i]^{exps[i]} (interleaved multi-exponentiation / Pippenger).
-  // Exponents must already be in [0, q).
+  // Π bases[i]^{exps[i]} (mod-p: Shamir/Pippenger; ec255: signed-window
+  // Straus). Exponents must already be in [0, q).
   [[nodiscard]] Bigint multi_pow(std::span<const Bigint> bases,
                                  std::span<const Bigint> exps) const {
     return impl_->multi_pow(bases, exps);
@@ -139,18 +130,15 @@ class GroupParams {
   // Group inverse a^{-1}.
   [[nodiscard]] Bigint inv(const Bigint& a) const { return impl_->inv(a); }
 
-  // Epoch-boundary invalidation (core/reconfig): drops every on-demand
-  // pow_cached table AND every pinned comb except g's own. Bases tied to a
-  // retired configuration (old commitment points, per-epoch aggregates) must
-  // not survive an epoch install; callers re-pin the protocol bases that are
-  // still live afterwards. Shared across all copies of this GroupParams, so
-  // one server's install clears the process-wide cache — semantically a
-  // no-op (pow_cached/pow_fixed degrade to pow()), never a safety issue.
+  // Epoch-boundary invalidation (core/reconfig): drops every pinned comb
+  // except g's own. Bases tied to a retired configuration (old commitment
+  // points, per-epoch aggregates) must not survive an epoch install; callers
+  // re-pin the protocol bases that are still live afterwards. Shared across
+  // all copies of this GroupParams, so one server's install clears the
+  // process-wide cache — semantically a no-op (pow_fixed degrades to pow()),
+  // never a safety issue.
   void reset_base_caches() const { impl_->reset_base_caches(); }
-  // Table counts (tests/observability): on-demand and pinned respectively.
-  [[nodiscard]] std::size_t cached_table_count() const {
-    return impl_->cached_table_count();
-  }
+  // Pinned table count (tests/observability).
   [[nodiscard]] std::size_t pinned_table_count() const {
     return impl_->pinned_table_count();
   }

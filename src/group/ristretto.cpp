@@ -1,5 +1,8 @@
 #include "group/ristretto.hpp"
 
+#include <algorithm>
+#include <cstdlib>
+
 #include "mpz/fe25519.hpp"
 
 namespace dblind::group::ec {
@@ -46,7 +49,7 @@ constexpr Fe25519 kBaseY{{0x6666666666658, 0x4cccccccccccc, 0x1999999999999,
 constexpr Fe25519 kBaseT{{0x68ab3a5b7dda3, 0xeea2a5eadbb, 0x2af8df483c27e,
                           0x332b375274732, 0x67875f0fd78b7}};
 
-// Nibble/bit-window digit of a little-endian scalar: bits [w*i, w*i + w).
+// Bit-window digit of a little-endian scalar: bits [w*i, w*i + w) (comb).
 unsigned digit_of(const ScalarBytes& s, unsigned w, unsigned i) {
   const unsigned bit = w * i;
   const unsigned byte = bit / 8;
@@ -54,6 +57,52 @@ unsigned digit_of(const ScalarBytes& s, unsigned w, unsigned i) {
   unsigned v = s[byte] >> (bit % 8);
   if (bit % 8 + w > 8 && byte + 1 < 32) v |= unsigned{s[byte + 1]} << (8 - bit % 8);
   return v & ((1U << w) - 1U);
+}
+
+// Completed point (ref10's p1p1): X = E*F, Y = G*H, Z = F*G, T = E*H. Both
+// the doubling and the addition end here, and the last three or four
+// products are taken only when the next step is known: a doubling never
+// reads T, so a step that feeds a doubling skips it.
+struct Completed {
+  Fe25519 E, F, G, H;
+};
+
+Point finish(const Completed& c, bool with_t) {
+  return Point{fe_mul(c.E, c.F), fe_mul(c.G, c.H), fe_mul(c.F, c.G),
+               with_t ? fe_mul(c.E, c.H) : Fe25519::zero()};
+}
+
+// Addend in cached form (Y+X, Y-X, 2Z, 2dT): adding it costs 4M before
+// finish(), and negating it costs no multiplication.
+struct Cached {
+  Fe25519 YplusX, YminusX, Z2, T2d;
+};
+
+Cached to_cached(const Point& p) {
+  return Cached{fe_add(p.Y, p.X), fe_sub(p.Y, p.X), fe_add(p.Z, p.Z), fe_mul(p.T, k2D)};
+}
+
+Cached neg_cached(const Cached& c) { return Cached{c.YminusX, c.YplusX, c.Z2, fe_neg(c.T2d)}; }
+
+// Unified extended-coordinate addition (add-2008-hwcd-3, a = -1). Complete
+// for ed25519 (a square, d non-square), so identity and doubling inputs need
+// no special cases.
+Completed add_completed(const Point& a, const Cached& b) {
+  Fe25519 A = fe_mul(fe_sub(a.Y, a.X), b.YminusX);
+  Fe25519 B = fe_mul(fe_add(a.Y, a.X), b.YplusX);
+  Fe25519 C = fe_mul(a.T, b.T2d);
+  Fe25519 D = fe_mul(a.Z, b.Z2);
+  return Completed{fe_sub(B, A), fe_sub(D, C), fe_add(D, C), fe_add(B, A)};
+}
+
+// dbl-2008-hwcd (a = -1) up to the completed point: 4S, reading X, Y, Z only.
+Completed dbl_completed(const Point& a) {
+  Fe25519 A = fe_sq(a.X);
+  Fe25519 B = fe_sq(a.Y);
+  Fe25519 ZZ = fe_sq(a.Z);
+  Fe25519 E = fe_sub(fe_sub(fe_sq(fe_add(a.X, a.Y)), A), B);
+  Fe25519 G = fe_sub(B, A);
+  return Completed{E, fe_sub(G, fe_add(ZZ, ZZ)), G, fe_neg(fe_add(A, B))};
 }
 
 }  // namespace
@@ -75,33 +124,9 @@ const Point& base_point() {
   return base;
 }
 
-// Unified extended-coordinate addition (add-2008-hwcd-3, a = -1). Complete
-// for ed25519 (a square, d non-square), so identity and doubling inputs need
-// no special cases.
-Point add(const Point& a, const Point& b) {
-  Fe25519 A = fe_mul(fe_sub(a.Y, a.X), fe_sub(b.Y, b.X));
-  Fe25519 B = fe_mul(fe_add(a.Y, a.X), fe_add(b.Y, b.X));
-  Fe25519 C = fe_mul(fe_mul(a.T, k2D), b.T);
-  Fe25519 D = fe_mul(fe_add(a.Z, a.Z), b.Z);
-  Fe25519 E = fe_sub(B, A);
-  Fe25519 F = fe_sub(D, C);
-  Fe25519 G = fe_add(D, C);
-  Fe25519 H = fe_add(B, A);
-  return Point{fe_mul(E, F), fe_mul(G, H), fe_mul(F, G), fe_mul(E, H)};
-}
+Point add(const Point& a, const Point& b) { return finish(add_completed(a, to_cached(b)), true); }
 
-// dbl-2008-hwcd (a = -1): 4M + 4S, cheaper than add(a, a).
-Point dbl(const Point& a) {
-  Fe25519 A = fe_sq(a.X);
-  Fe25519 B = fe_sq(a.Y);
-  Fe25519 C = fe_add(fe_sq(a.Z), fe_sq(a.Z));
-  Fe25519 D = fe_neg(A);
-  Fe25519 E = fe_sub(fe_sub(fe_sq(fe_add(a.X, a.Y)), A), B);
-  Fe25519 G = fe_add(D, B);
-  Fe25519 F = fe_sub(G, C);
-  Fe25519 H = fe_sub(D, B);
-  return Point{fe_mul(E, F), fe_mul(G, H), fe_mul(F, G), fe_mul(E, H)};
-}
+Point dbl(const Point& a) { return finish(dbl_completed(a), true); }
 
 Point neg(const Point& a) { return Point{fe_neg(a.X), a.Y, a.Z, fe_neg(a.T)}; }
 
@@ -172,19 +197,8 @@ std::optional<Point> decode(std::span<const std::uint8_t, 32> in) {
 }
 
 Point scalar_mul(const Point& base, const ScalarBytes& scalar) {
-  // 4-bit fixed window, top-down.
-  std::array<Point, 16> table;
-  table[0] = identity();
-  table[1] = base;
-  for (std::size_t j = 2; j < 16; ++j) table[j] = add(table[j - 1], base);
-  Point acc = identity();
-  for (int i = 63; i >= 0; --i) {
-    if (i != 63)
-      acc = dbl(dbl(dbl(dbl(acc))));
-    const unsigned d = digit_of(scalar, 4, static_cast<unsigned>(i));
-    if (d != 0) acc = add(acc, table[d]);
-  }
-  return acc;
+  return multi_scalar_mul(std::span<const Point>(&base, 1),
+                          std::span<const ScalarBytes>(&scalar, 1));
 }
 
 namespace {
@@ -243,57 +257,92 @@ Point CombTable::mul(const ScalarBytes& scalar) const {
 
 namespace {
 
-Point straus_mul(std::span<const Point> bases, std::span<const ScalarBytes> scalars) {
-  // Interleaved 4-bit windows (Shamir's trick generalized).
-  const std::size_t n = bases.size();
-  std::vector<std::array<Point, 16>> tables(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    tables[k][0] = identity();
-    tables[k][1] = bases[k];
-    for (std::size_t j = 2; j < 16; ++j) tables[k][j] = add(tables[k][j - 1], bases[k]);
-  }
-  Point acc = identity();
-  for (int i = 63; i >= 0; --i) {
-    if (i != 63) acc = dbl(dbl(dbl(dbl(acc))));
-    for (std::size_t k = 0; k < n; ++k) {
-      const unsigned d = digit_of(scalars[k], 4, static_cast<unsigned>(i));
-      if (d != 0) acc = add(acc, tables[k][d]);
-    }
-  }
-  return acc;
-}
+// Width-5 signed sliding window (wNAF): scalar = sum digits[i] * 2^i with
+// every digit 0 or odd in [-15, 15], and any two nonzero digits at least five
+// positions apart. A 256-bit input may carry one digit into position 256.
+constexpr unsigned kWindow = 5;
+constexpr std::size_t kDigits = 257;
+using Digits = std::array<std::int8_t, kDigits>;
 
-Point pippenger_mul(std::span<const Point> bases, std::span<const ScalarBytes> scalars) {
-  constexpr unsigned c = 6;  // bucket window
-  constexpr unsigned kWindows = (256 + c - 1) / c;
-  const std::size_t n_buckets = (std::size_t{1} << c) - 1;
-  Point acc = identity();
-  std::vector<Point> buckets(n_buckets);
-  for (int w = static_cast<int>(kWindows) - 1; w >= 0; --w) {
-    if (w != static_cast<int>(kWindows) - 1)
-      for (unsigned b = 0; b < c; ++b) acc = dbl(acc);
-    for (auto& b : buckets) b = identity();
-    for (std::size_t k = 0; k < bases.size(); ++k) {
-      const unsigned d = digit_of(scalars[k], c, static_cast<unsigned>(w));
-      if (d != 0) buckets[d - 1] = add(buckets[d - 1], bases[k]);
+// Returns one past the highest nonzero digit (0 for a zero scalar).
+std::size_t recode_wnaf(const ScalarBytes& s, Digits& digits) {
+  std::array<std::uint64_t, 5> word{};  // word[4] stays 0: reads past bit 255
+  for (std::size_t i = 0; i < 32; ++i) word[i / 8] |= std::uint64_t{s[i]} << (8 * (i % 8));
+  constexpr unsigned kMask = (1U << kWindow) - 1;
+  digits.fill(0);
+  std::size_t top = 0;
+  unsigned carry = 0;
+  for (unsigned pos = 0; pos < kDigits;) {
+    const unsigned w = pos / 64, bit = pos % 64;
+    std::uint64_t bits = word[w] >> bit;
+    if (bit + kWindow > 64 && w + 1 < word.size()) bits |= word[w + 1] << (64 - bit);
+    const unsigned window = carry + static_cast<unsigned>(bits & kMask);
+    if ((window & 1) == 0) {
+      ++pos;
+      continue;
     }
-    Point running = identity();
-    Point sum = identity();
-    for (std::size_t j = n_buckets; j-- > 0;) {
-      running = add(running, buckets[j]);
-      sum = add(sum, running);
-    }
-    acc = add(acc, sum);
+    // window is odd in [1, 31]: keep it below 16, else take window - 32 and
+    // carry 1 into the next window.
+    carry = window >> (kWindow - 1);
+    const int digit = static_cast<int>(window) - static_cast<int>(carry << kWindow);
+    digits[pos] = static_cast<std::int8_t>(digit);
+    top = pos + 1;
+    pos += kWindow;
   }
-  return acc;
+  return top;
 }
 
 }  // namespace
 
+// Straus: every base gets a table of its odd multiples P, 3P, ..., 15P, and
+// all bases share one doubling chain that starts at the highest nonzero digit
+// across all scalars, so the chain follows the longest scalar. Negative
+// digits add the negated table entry. Each step's completed point is
+// finished only once the next step is known, so T is computed only ahead of
+// an addition and for the result.
 Point multi_scalar_mul(std::span<const Point> bases, std::span<const ScalarBytes> scalars) {
-  if (bases.empty()) return identity();
-  if (bases.size() <= kStrausMaxBases) return straus_mul(bases, scalars);
-  return pippenger_mul(bases, scalars);
+  constexpr std::size_t kTable = std::size_t{1} << (kWindow - 2);  // odd multiples 1..15
+  const std::size_t n = bases.size();
+  std::vector<Digits> digits(n);
+  std::vector<std::array<Cached, kTable>> tables(n);
+  std::size_t top = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t len = recode_wnaf(scalars[k], digits[k]);
+    if (len == 0) continue;  // zero scalar: its table is never read
+    top = std::max(top, len);
+    const Cached twice = to_cached(dbl(bases[k]));
+    Point odd = bases[k];
+    tables[k][0] = to_cached(odd);
+    for (std::size_t j = 1; j < kTable; ++j) {
+      odd = finish(add_completed(odd, twice), true);
+      tables[k][j] = to_cached(odd);
+    }
+  }
+
+  Point acc = identity();
+  Completed step{};
+  bool pending = false;  // `step` holds acc's next value, not yet finished
+  auto settle = [&](bool with_t) {
+    if (pending) acc = finish(step, with_t);
+    pending = false;
+  };
+  for (std::size_t i = top; i-- > 0;) {
+    if (i + 1 != top) {
+      settle(false);
+      step = dbl_completed(acc);
+      pending = true;
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      const int d = digits[k][i];
+      if (d == 0) continue;
+      settle(true);
+      const Cached& entry = tables[k][static_cast<std::size_t>(std::abs(d)) / 2];
+      step = add_completed(acc, d > 0 ? entry : neg_cached(entry));
+      pending = true;
+    }
+  }
+  settle(true);
+  return acc;
 }
 
 }  // namespace dblind::group::ec

@@ -10,10 +10,11 @@
 // off-curve / wrong-coset values). That canonicality is what lets the group
 // backend box encodings in Bigint and hash them into transcripts directly.
 //
-// Scalar multiplication uses 4-bit fixed windows; fixed bases get comb tables
-// mirroring mpz::FixedBasePow; multi-scalar-mul interleaves Straus windows
-// for small batches and switches to Pippenger buckets for wide ones —
-// the same shape as the mod-p machinery in mpz/montgomery.hpp.
+// Every variable-base multiplication, one base or many, runs one Straus
+// kernel over width-5 signed sliding windows (odd multiples P..15P per base,
+// one shared doubling chain sized by the longest scalar); fixed bases get
+// comb tables mirroring mpz::FixedBasePow. The kernels branch on scalar
+// digits and make no constant-time claim.
 #pragma once
 
 #include <array>
@@ -28,7 +29,8 @@ namespace dblind::group::ec {
 
 using mpz::Fe25519;
 
-// 32-byte little-endian scalar, already reduced below the group order.
+// 32-byte little-endian scalar. The group backend reduces it below the group
+// order; the kernels accept any 256-bit value.
 using ScalarBytes = std::array<std::uint8_t, 32>;
 // Canonical 32-byte ristretto255 element encoding.
 using EncodedPoint = std::array<std::uint8_t, 32>;
@@ -43,6 +45,8 @@ const ScalarBytes& group_order_le();
 [[nodiscard]] Point identity();
 [[nodiscard]] const Point& base_point();
 
+// Unified addition (9M) and doubling (4S+4M; 4S+3M inside the Straus chain
+// when the next step is another doubling).
 [[nodiscard]] Point add(const Point& a, const Point& b);
 [[nodiscard]] Point dbl(const Point& a);
 [[nodiscard]] Point neg(const Point& a);
@@ -55,7 +59,7 @@ const ScalarBytes& group_order_le();
 // Rejects non-canonical / invalid encodings with nullopt.
 [[nodiscard]] std::optional<Point> decode(std::span<const std::uint8_t, 32> in);
 
-// scalar * P, 4-bit windowed double-and-add (top-down).
+// scalar * P: the one-base call of multi_scalar_mul.
 [[nodiscard]] Point scalar_mul(const Point& base, const ScalarBytes& scalar);
 
 // One-way map: 64 uniform bytes -> group element (RFC 9496 §4.3.4, two
@@ -75,10 +79,9 @@ class CombTable {
   std::vector<std::vector<Point>> table_;  // [digit position][digit value]
 };
 
-// sum scalars[i] * bases[i]. Straus interleaving for <= kStrausMaxBases
-// bases, Pippenger buckets beyond (same crossover policy as
-// MontgomeryCtx::multi_pow).
-inline constexpr std::size_t kStrausMaxBases = 8;
+// sum scalars[i] * bases[i] (bases and scalars have equal length). The chain
+// starts at the highest nonzero digit across all scalars, so short scalars
+// get short chains, as in MontgomeryCtx::pow/multi_pow.
 [[nodiscard]] Point multi_scalar_mul(std::span<const Point> bases,
                                      std::span<const ScalarBytes> scalars);
 

@@ -115,8 +115,6 @@ Fe25519 fe_mul(const Fe25519& a, const Fe25519& b) {
 
 Fe25519 fe_sq(const Fe25519& a) { return fe_mul(a, a); }
 
-Fe25519 fe_sq2(const Fe25519& a) { return fe_add(fe_sq(a), fe_sq(a)); }
-
 Fe25519 fe_mul_small(const Fe25519& a, std::uint64_t k) {
   Fe25519 r;
   u128 t;

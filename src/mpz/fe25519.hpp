@@ -43,8 +43,6 @@ Fe25519 fe_neg(const Fe25519& a);
 Fe25519 fe_mul(const Fe25519& a, const Fe25519& b);
 // r = a^2.
 Fe25519 fe_sq(const Fe25519& a);
-// r = 2 * a^2.
-Fe25519 fe_sq2(const Fe25519& a);
 // r = a * k for small k.
 Fe25519 fe_mul_small(const Fe25519& a, std::uint64_t k);
 // r = a^-1 (a^(p-2) by Fermat; a must be nonzero — returns 0 for 0).

@@ -1,12 +1,14 @@
 // ristretto255 unit tests: RFC 9496 known-answer vectors, group laws, the
 // canonical-encoding contract (decode rejects everything that is not an
-// encoding), the ported comb / multi-scalar-mul machinery, and a property
+// encoding), the Straus and comb kernels against an independent double-and-add
+// reference, their deterministic field-mul costs, and a property
 // fuzz of the underlying GF(2^255-19) arithmetic against the Bigint oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -194,38 +196,119 @@ TEST(RistrettoMap, MapToPointIsDeterministicAndValid) {
   EXPECT_FALSE(eq(map_to_point(uniform), p));
 }
 
+// Independent reference for the kernels: MSB-first binary double-and-add over
+// all 256 bits. It shares only the group law (add/dbl, pinned by the KATs
+// above) with the code under test — no recoding, tables or deferred T.
+Point reference_mul(const Point& base, const ScalarBytes& s) {
+  Point acc = identity();
+  for (int bit = 255; bit >= 0; --bit) {
+    acc = dbl(acc);
+    if (((s[static_cast<std::size_t>(bit) / 8] >> (bit % 8)) & 1) != 0) acc = add(acc, base);
+  }
+  return acc;
+}
+
+// Scalars that exercise the signed-window recoding's edges, then random ones.
+std::vector<ScalarBytes> edge_scalars(mpz::Prng& prng) {
+  ScalarBytes ell_minus_1 = group_order_le();
+  ell_minus_1[0] -= 1;
+  // 2^253 - 1: every digit window is odd and >= 16, so the recoding carries
+  // into bit 253 (unreduced, as the kernels accept any 256-bit value).
+  ScalarBytes carry_253{};
+  std::fill(carry_253.begin(), carry_253.begin() + 31, 0xff);
+  carry_253[31] = 0x1f;
+  ScalarBytes all_ones;
+  all_ones.fill(0xff);  // carries into bit 256
+  std::vector<ScalarBytes> out = {ScalarBytes{},       scalar_from_u64(1),
+                                  scalar_from_u64(3),  scalar_from_u64(0xbeef),
+                                  ell_minus_1,         group_order_le(),
+                                  carry_253,           all_ones};
+  for (int i = 0; i < 4; ++i) out.push_back(random_scalar(prng));
+  return out;
+}
+
+std::uint64_t field_muls_of(const std::function<void()>& f) {
+  const std::uint64_t before = mpz::fe_mul_count();
+  f();
+  return mpz::fe_mul_count() - before;
+}
+
+TEST(RistrettoScalarMul, MatchesDoubleAndAddReference) {
+  mpz::Prng prng(17);
+  const Point other = scalar_mul(base_point(), random_scalar(prng));
+  for (const ScalarBytes& s : edge_scalars(prng)) {
+    for (const Point& base : {base_point(), other}) {
+      EXPECT_TRUE(eq(scalar_mul(base, s), reference_mul(base, s))) << to_hex(s);
+    }
+  }
+}
+
 TEST(RistrettoComb, MatchesScalarMulForBothWindowWidths) {
   mpz::Prng prng(11);
   CombTable w4(base_point(), 4);
   CombTable w5(base_point(), 5);
-  for (int i = 0; i < 8; ++i) {
-    ScalarBytes s = random_scalar(prng);
-    Point ref = scalar_mul(base_point(), s);
-    EXPECT_TRUE(eq(w4.mul(s), ref)) << "w=4 i=" << i;
-    EXPECT_TRUE(eq(w5.mul(s), ref)) << "w=5 i=" << i;
+  for (const ScalarBytes& s : edge_scalars(prng)) {
+    Point ref = reference_mul(base_point(), s);
+    EXPECT_TRUE(eq(scalar_mul(base_point(), s), ref)) << to_hex(s);
+    EXPECT_TRUE(eq(w4.mul(s), ref)) << "w=4 " << to_hex(s);
+    EXPECT_TRUE(eq(w5.mul(s), ref)) << "w=5 " << to_hex(s);
   }
   EXPECT_TRUE(is_identity(w4.mul(ScalarBytes{})));
   EXPECT_TRUE(is_identity(w4.mul(group_order_le())));
 }
 
-TEST(RistrettoMultiExp, MatchesNaiveAcrossStrausPippengerCrossover) {
+TEST(RistrettoMultiExp, MatchesDoubleAndAddReference) {
   mpz::Prng prng(13);
-  // n = 2 and 8 take the Straus path, 9 and 24 the Pippenger path.
-  for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{8},
-                        std::size_t{9}, std::size_t{24}}) {
+  const std::vector<ScalarBytes> edges = edge_scalars(prng);
+  for (std::size_t n : {0, 1, 2, 8, 9, 15, 24, 40}) {
     std::vector<Point> bases;
     std::vector<ScalarBytes> scalars;
-    Point naive = identity();
+    Point ref = identity();
     for (std::size_t i = 0; i < n; ++i) {
-      ScalarBytes b = random_scalar(prng);
-      ScalarBytes s = random_scalar(prng);
-      bases.push_back(scalar_mul(base_point(), b));
-      scalars.push_back(s);
-      naive = add(naive, scalar_mul(bases.back(), s));
+      bases.push_back(scalar_mul(base_point(), random_scalar(prng)));
+      // Cycle the edge scalars through every slot, random ones past the end.
+      scalars.push_back(i < edges.size() ? edges[(i + n) % edges.size()] : random_scalar(prng));
+      ref = add(ref, reference_mul(bases.back(), scalars.back()));
     }
-    EXPECT_TRUE(eq(multi_scalar_mul(bases, scalars), naive)) << "n=" << n;
+    EXPECT_TRUE(eq(multi_scalar_mul(bases, scalars), ref)) << "n=" << n;
   }
-  EXPECT_TRUE(is_identity(multi_scalar_mul({}, {})));
+  // Short scalars only: the shared chain starts at their highest digit.
+  const std::array<Point, 2> two = {base_point(), dbl(base_point())};
+  const std::array<ScalarBytes, 2> small = {scalar_from_u64(300), scalar_from_u64(0xbeef)};
+  EXPECT_TRUE(eq(multi_scalar_mul(two, small),
+                 add(reference_mul(two[0], small[0]), reference_mul(two[1], small[1]))));
+}
+
+// Deterministic kernel costs (field muls, squarings included — the Ec
+// backend's op counter). One shared chain must beat separate calls at every
+// batch size the protocol's combined checks produce, and a short scalar
+// (a Feldman share index) must get a short chain.
+TEST(RistrettoKernelCost, SharedChainAndShortScalarsStayCheap) {
+  mpz::Prng prng(19);
+  for (std::size_t n : {2, 8, 9, 15, 24, 40}) {
+    std::vector<Point> bases;
+    std::vector<ScalarBytes> scalars;
+    for (std::size_t i = 0; i < n; ++i) {
+      bases.push_back(scalar_mul(base_point(), random_scalar(prng)));
+      scalars.push_back(random_scalar(prng));
+    }
+    const std::uint64_t joint = field_muls_of([&] { (void)multi_scalar_mul(bases, scalars); });
+    const std::uint64_t separate = field_muls_of([&] {
+      for (std::size_t i = 0; i < n; ++i) (void)scalar_mul(bases[i], scalars[i]);
+    });
+    EXPECT_LT(joint, separate) << "n=" << n;
+  }
+  const Point base = scalar_mul(base_point(), random_scalar(prng));
+  const ScalarBytes full = random_scalar(prng);
+  const std::uint64_t full_cost = field_muls_of([&] { (void)scalar_mul(base, full); });
+  for (std::uint64_t k : {std::uint64_t{0x1ff}, std::uint64_t{0xbeef}}) {
+    const ScalarBytes s = scalar_from_u64(k);
+    const std::uint64_t cost = field_muls_of([&] { (void)scalar_mul(base, s); });
+    EXPECT_LT(4 * cost, full_cost) << "k=" << k;
+  }
+  // The group law itself: a standalone doubling is 4S+4M, an addition 9M.
+  EXPECT_EQ(field_muls_of([&] { (void)dbl(base); }), 8U);
+  EXPECT_EQ(field_muls_of([&] { (void)add(base, base); }), 9U);
 }
 
 // ---- GF(2^255-19) property fuzz against the Bigint oracle ------------------

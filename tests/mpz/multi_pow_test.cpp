@@ -180,35 +180,6 @@ TEST(GroupMultiPow, ReducesBasesAndMatchesPow) {
   EXPECT_EQ(params.multi_pow(bases, exps), expect);
 }
 
-TEST(PowCached, HotPathMatchesColdPath) {
-  GroupParams params = GroupParams::named(ParamId::kTest128);
-  Prng prng(6);
-  Bigint base = params.random_element(prng);
-  for (int i = 0; i < 5; ++i) {
-    Bigint e = params.random_exponent(prng);
-    // First call builds the table (cold), the rest hit it (hot); all must
-    // equal the plain exponentiation.
-    EXPECT_EQ(params.pow_cached(base, e), params.pow(base, e)) << i;
-  }
-  // Unreduced exponent and base: pow_cached reduces e mod q and base mod p.
-  Bigint e = params.random_exponent(prng);
-  EXPECT_EQ(params.pow_cached(base + params.p(), e + params.q()), params.pow(base, e));
-}
-
-TEST(PowCached, SharedAcrossCopiesAndOverflowFallsBack) {
-  GroupParams params = GroupParams::named(ParamId::kToy64);
-  GroupParams copy = params;  // shares the cache
-  Prng prng(8);
-  // Blow well past kMaxEntries (64) distinct bases; every answer must still
-  // be correct, cached or not.
-  for (int i = 0; i < 80; ++i) {
-    Bigint b = params.random_element(prng);
-    Bigint e = params.random_exponent(prng);
-    EXPECT_EQ(params.pow_cached(b, e), copy.pow(b, e)) << i;
-    EXPECT_EQ(copy.pow_cached(b, e), params.pow(b, e)) << i;
-  }
-}
-
 TEST(GroupMontMulCount, SharedAcrossCopies) {
   GroupParams params = GroupParams::named(ParamId::kToy64);
   GroupParams copy = params;

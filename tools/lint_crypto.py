@@ -37,8 +37,8 @@ about, run over the token/line surface of ``src/``:
       witness, clamped key) must go through the ``GroupParams`` facade
       (``pow``/``pow_fixed``/``multi_pow``), never call the raw
       ``ec::scalar_mul``/``multi_scalar_mul``/``comb_mul`` primitives
-      directly: the facade dispatches to the backend's uniform-window
-      ladder and keeps the group-op accounting honest, while ad-hoc
+      directly: the facade dispatches to the backend's windowed kernels
+      and keeps the group-op accounting honest, while ad-hoc
       callers of the primitives are one refactor away from a
       double-and-add whose branch profile follows the secret scalar.
       The backend implementation itself (src/group/) is exempt.

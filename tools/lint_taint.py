@@ -37,7 +37,7 @@ clears it (flow sensitivity); name-based taint cannot be cleared.
 Laundering (approved one-way/enciphering transforms whose output is public
 by design): ``encrypt*``, ``commit*``, ``hash*``/``sha256*``/``digest*``,
 transcript ``absorb*``/``challenge*``, group exponentiation (``pow``,
-``pow_g``, ``pow_fixed``, ``pow_cached``, ``pow2``, ``multi_pow`` — DL-hard),
+``pow_g``, ``pow_fixed``, ``pow2``, ``multi_pow`` — DL-hard),
 and the wire-framing path ``make_envelope``/``frame_bytes`` (its output is a
 signed protocol message, public by definition). Length/size projections
 (``bit_length()``, ``size()``) are deliberately NOT laundering — consistent
@@ -122,7 +122,7 @@ DECL_NAME = re.compile(r"([A-Za-z_]\w*)\s*(?:;|=|\{|\()")
 
 LAUNDER_CALL = re.compile(
     r"\b(?:encrypt\w*|commit\w*|hash\w*|sha256\w*|digest\w*|absorb\w*|"
-    r"challenge\w*|pow_g|pow_fixed|pow_cached|pow2|multi_pow|pow|"
+    r"challenge\w*|pow_g|pow_fixed|pow2|multi_pow|pow|"
     r"make_envelope|frame_bytes|signed_frame|frame_service|"
     r"check_\w+|verify\w*)\s*\("
 )
