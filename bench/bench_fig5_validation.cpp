@@ -33,7 +33,7 @@ struct Fixture {
   explicit Fixture(std::size_t f)
       : ts(TestSystem::make(13, {3 * f + 1, f}, {3 * f + 1, f})) {
     const core::SystemConfig& cfg = ts.cfg;
-    init_env = core::make_envelope(cfg, ts.b_secrets[0],
+    init_env = core::make_envelope(ts.b_secrets[0],
                                    core::encode_body(core::MsgType::kInit, core::InitMsg{id}),
                                    0, prng);
 
@@ -56,13 +56,13 @@ struct Fixture {
       commit.server = r;
       commit.commitment = contribs.back().c.commitment_digest();
       commits.push_back(core::make_envelope(
-          cfg, ts.b_secrets[r - 1], core::encode_body(core::MsgType::kCommit, commit), 0, prng));
+          ts.b_secrets[r - 1], core::encode_body(core::MsgType::kCommit, commit), 0, prng));
     }
 
     core::RevealMsg reveal;
     reveal.id = id;
     reveal.commits = commits;
-    reveal_env = core::make_envelope(cfg, ts.b_secrets[0],
+    reveal_env = core::make_envelope(ts.b_secrets[0],
                                      core::encode_body(core::MsgType::kReveal, reveal), 0, prng);
 
     core::BlindEvidence evidence;
@@ -76,7 +76,7 @@ struct Fixture {
       m.vde = zkp::vde_prove(cfg.a.encryption_key, m.contribution.ea, contribs[r - 1].r1,
                              cfg.b.encryption_key, m.contribution.eb, contribs[r - 1].r2,
                              core::vde_context(id, r), prng);
-      auto env = core::make_envelope(cfg, ts.b_secrets[r - 1],
+      auto env = core::make_envelope(ts.b_secrets[r - 1],
                                      core::encode_body(core::MsgType::kContribute, m), 0, prng);
       if (r == 1) contribute_env = env;
       evidence.contributes.push_back(env);

@@ -22,7 +22,7 @@ std::string dec_context(std::string_view context) {
 }  // namespace
 
 JakobssonPartial jakobsson_partial(const group::GroupParams& params, const elgamal::Ciphertext& c,
-                                   const threshold::Share& a_share, const Bigint& y_b,
+                                   const threshold::Share& a_share, const group::Element& y_b,
                                    std::string_view context, mpz::Prng& prng) {
   JakobssonPartial out;
   out.index = a_share.index;
@@ -37,7 +37,7 @@ JakobssonPartial jakobsson_partial(const group::GroupParams& params, const elgam
 
 bool jakobsson_verify_partial(const group::GroupParams& params,
                               const threshold::FeldmanCommitments& a_commitments,
-                              const elgamal::Ciphertext& c, const Bigint& y_b,
+                              const elgamal::Ciphertext& c, const group::Element& y_b,
                               const JakobssonPartial& partial, std::string_view context) {
   if (partial.index == 0 || partial.index != partial.dec.index) return false;
   zkp::DlogStatement stmt{params.g(), partial.enc_g, y_b, partial.enc_y};
@@ -58,7 +58,8 @@ elgamal::Ciphertext jakobsson_combine(const group::GroupParams& params,
     indices.push_back(p.index);
   }
   // a' = Π g^{r'_i},  y' = Π y_B^{r'_i},  a^{k_A} = Π d_i^{λ_i}.
-  Bigint a_prime = params.identity(), y_prime = params.identity(), a_ka = params.identity();
+  group::Element a_prime = params.identity(), y_prime = params.identity(),
+                 a_ka = params.identity();
   for (const JakobssonPartial& p : partials) {
     a_prime = params.mul(a_prime, p.enc_g);
     y_prime = params.mul(y_prime, p.enc_y);
@@ -66,7 +67,7 @@ elgamal::Ciphertext jakobsson_combine(const group::GroupParams& params,
     a_ka = params.mul(a_ka, params.pow(p.dec.d, lambda));
   }
   // E_B(m) = (a', b · y' / a^{k_A}) = (g^{r'}, m·y_B^{r'}).
-  Bigint b_out = params.mul(c.b, params.mul(y_prime, params.inv(a_ka)));
+  group::Element b_out = params.mul(c.b, params.mul(y_prime, params.inv(a_ka)));
   return {std::move(a_prime), std::move(b_out)};
 }
 

@@ -31,8 +31,8 @@ using mpz::Bigint;
 
 struct JakobssonPartial {
   std::uint32_t index = 0;
-  Bigint enc_g;  // g^{r'_i}
-  Bigint enc_y;  // y_B^{r'_i}
+  group::Element enc_g;  // g^{r'_i}
+  group::Element enc_y;  // y_B^{r'_i}
   zkp::DlogEqProof enc_proof;        // DLOG(r'_i, g, g^{r'_i}, y_B, y_B^{r'_i})
   threshold::DecryptionShare dec;    // d_i = a^{x_i} with proof
 
@@ -43,13 +43,13 @@ struct JakobssonPartial {
 [[nodiscard]] JakobssonPartial jakobsson_partial(const group::GroupParams& params,
                                                  const elgamal::Ciphertext& c,
                                                  const threshold::Share& a_share,
-                                                 const Bigint& y_b, std::string_view context,
-                                                 mpz::Prng& prng);
+                                                 const group::Element& y_b,
+                                                 std::string_view context, mpz::Prng& prng);
 
 // Verifies both halves of a partial against A's Feldman commitments.
 [[nodiscard]] bool jakobsson_verify_partial(const group::GroupParams& params,
                                             const threshold::FeldmanCommitments& a_commitments,
-                                            const elgamal::Ciphertext& c, const Bigint& y_b,
+                                            const elgamal::Ciphertext& c, const group::Element& y_b,
                                             const JakobssonPartial& partial,
                                             std::string_view context);
 

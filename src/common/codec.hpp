@@ -6,6 +6,8 @@
 // length-prefixed byte strings; Bigints carry a sign byte plus big-endian
 // magnitude. Reader performs strict bounds checking and decode functions
 // reject trailing garbage, so a byte string has at most one valid parse.
+// A Reader may carry the group its elements belong to; group::read_element
+// (group/params.hpp) then decodes and validates each element as it is read.
 #pragma once
 
 #include <algorithm>
@@ -18,6 +20,10 @@
 #include <vector>
 
 #include "mpz/bigint.hpp"
+
+namespace dblind::group {
+class GroupParams;
+}  // namespace dblind::group
 
 namespace dblind::common {
 
@@ -58,7 +64,13 @@ class Writer {
 
 class Reader {
  public:
-  explicit Reader(std::span<const std::uint8_t> data) : data_(data) {}
+  explicit Reader(std::span<const std::uint8_t> data,
+                  const group::GroupParams* group = nullptr)
+      : data_(data), group_(group) {}
+
+  // The group element reads validate against; null for a group-less parse,
+  // whose elements stay bare.
+  [[nodiscard]] const group::GroupParams* group() const { return group_; }
 
   std::uint8_t u8() {
     need(1);
@@ -137,6 +149,7 @@ class Reader {
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
+  const group::GroupParams* group_ = nullptr;
 };
 
 }  // namespace dblind::common

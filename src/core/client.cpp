@@ -70,14 +70,14 @@ void ClientNode::on_message(net::Context& ctx, net::NodeId from,
                             std::span<const std::uint8_t> bytes) {
   (void)from;  // every reply is verified by content, not by sender
   try {
-    Reader r(bytes);
+    Reader r(bytes, &cfg_.params);
     if (static_cast<WireKind>(r.u8()) != WireKind::kClient) return;
     std::vector<std::uint8_t> body = r.bytes();
     r.expect_done();
     switch (peek_type(body)) {
       case MsgType::kResultReply: {
         if (chosen_) return;
-        auto msg = decode_as<ResultReplyMsg>(MsgType::kResultReply, body);
+        auto msg = decode_as<ResultReplyMsg>(MsgType::kResultReply, body, cfg_.params);
         auto done = check_done(cfg_, msg.done);  // K_B-verifiable
         if (!done || done->id.transfer != transfer_) return;
         chosen_ = done->eb_m;
@@ -90,7 +90,8 @@ void ClientNode::on_message(net::Context& ctx, net::NodeId from,
       }
       case MsgType::kClientDecryptReply: {
         if (!chosen_ || plaintext_) return;
-        auto msg = decode_as<ClientDecryptReplyMsg>(MsgType::kClientDecryptReply, body);
+        auto msg = decode_as<ClientDecryptReplyMsg>(MsgType::kClientDecryptReply, body,
+                                                           cfg_.params);
         if (msg.transfer != transfer_) return;
         if (!threshold::verify_decryption_share(cfg_.params, cfg_.b.enc_commitments, *chosen_,
                                                 msg.share, client_decrypt_context(transfer_)))

@@ -67,7 +67,7 @@ struct ServerSecrets {
   ServerRank rank = 0;
   threshold::Share enc_share;           // share of the service ElGamal key
   threshold::Share sign_share;          // share of the service signing key
-  mpz::Bigint server_sign_secret;       // this server's message-signing key
+  zkp::SchnorrSigningKey server_sign_key;  // taint:secret — this server's message-signing key
 };
 
 // Tunable protocol behavior (liveness knobs only; safety never depends on

@@ -30,7 +30,7 @@ namespace dblind::core {
 // nonces (the VDE witnesses) and the offline half of the VDE proof.
 // Move-only: a bundle holds single-use secret randomness.
 struct ContributionBundle {
-  mpz::Bigint rho;
+  group::Element rho;
   mpz::Bigint r1, r2;        // encryption nonces (VDE witnesses)
   elgamal::Ciphertext ea;    // E_A(rho, r1)
   elgamal::Ciphertext eb;    // E_B(rho, r2)

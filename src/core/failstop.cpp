@@ -47,7 +47,7 @@ class FailstopBlindingSystem::ServerNode final : public net::Node {
 
   void on_message(net::Context& ctx, net::NodeId from, std::span<const std::uint8_t> bytes) override {
     try {
-      Reader r(bytes);
+      Reader r(bytes, &sys_.opts_.params);
       auto type = static_cast<FsType>(r.u8());
       if (type == FsType::kInit) {
         std::uint32_t coordinator = r.u32();
@@ -80,7 +80,7 @@ class FailstopBlindingSystem::ServerNode final : public net::Node {
     if (contributed_.contains(coordinator)) return;
     contributed_.insert(coordinator);
     const group::GroupParams& gp = sys_.opts_.params;
-    mpz::Bigint rho = gp.random_element(ctx.rng());
+    group::Element rho = gp.random_element(ctx.rng());
     Contribution c;
     c.ea = sys_.ka_->public_key().encrypt(rho, ctx.rng());
     c.eb = sys_.kb_->public_key().encrypt(rho, ctx.rng());
@@ -118,7 +118,7 @@ class FailstopBlindingSystem::ServerNode final : public net::Node {
   // is nothing to stop it: no commitments, no VDE, no evidence.
   void attack(net::Context& ctx) {
     const group::GroupParams& gp = sys_.opts_.params;
-    mpz::Bigint rho_hat = gp.random_element(ctx.rng());
+    group::Element rho_hat = gp.random_element(ctx.rng());
     sys_.attacker_rho_ = rho_hat;
     elgamal::Ciphertext ea = sys_.ka_->public_key().encrypt(rho_hat, ctx.rng());
     elgamal::Ciphertext eb = sys_.kb_->public_key().encrypt(rho_hat, ctx.rng());

@@ -13,8 +13,8 @@ void put_ciphertext(Writer& w, const elgamal::Ciphertext& c) {
 
 elgamal::Ciphertext get_ciphertext(Reader& r) {
   elgamal::Ciphertext c;
-  c.a = r.bigint();
-  c.b = r.bigint();
+  c.a = group::read_element(r);
+  c.b = group::read_element(r);
   return c;
 }
 
@@ -25,7 +25,7 @@ void put_schnorr_sig(Writer& w, const zkp::SchnorrSignature& s) {
 
 zkp::SchnorrSignature get_schnorr_sig(Reader& r) {
   zkp::SchnorrSignature s;
-  s.r = r.bigint();
+  s.r = group::read_element(r);
   s.s = r.bigint();
   return s;
 }
@@ -38,8 +38,8 @@ void put_dlog_proof(Writer& w, const zkp::DlogEqProof& p) {
 
 zkp::DlogEqProof get_dlog_proof(Reader& r) {
   zkp::DlogEqProof p;
-  p.t1 = r.bigint();
-  p.t2 = r.bigint();
+  p.t1 = group::read_element(r);
+  p.t2 = group::read_element(r);
   p.s = r.bigint();
   return p;
 }
@@ -54,8 +54,8 @@ void put_vde_proof(Writer& w, const zkp::VdeProof& p) {
 
 zkp::VdeProof get_vde_proof(Reader& r) {
   zkp::VdeProof p;
-  p.g12 = r.bigint();
-  p.g21 = r.bigint();
+  p.g12 = group::read_element(r);
+  p.g21 = group::read_element(r);
   p.pr1 = get_dlog_proof(r);
   p.pr2 = get_dlog_proof(r);
   p.pr3 = get_dlog_proof(r);
@@ -71,21 +71,21 @@ void put_decryption_share(Writer& w, const threshold::DecryptionShare& s) {
 threshold::DecryptionShare get_decryption_share(Reader& r) {
   threshold::DecryptionShare s;
   s.index = r.u32();
-  s.d = r.bigint();
+  s.d = group::read_element(r);
   s.proof = get_dlog_proof(r);
   return s;
 }
 
 void put_feldman(Writer& w, const threshold::FeldmanCommitments& c) {
   w.u32(static_cast<std::uint32_t>(c.coefficients.size()));
-  for (const mpz::Bigint& x : c.coefficients) w.bigint(x);
+  for (const group::Element& x : c.coefficients) w.bigint(x);
 }
 
 threshold::FeldmanCommitments get_feldman(Reader& r) {
   threshold::FeldmanCommitments c;
   std::uint32_t n = r.count();
   c.coefficients.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) c.coefficients.push_back(r.bigint());
+  for (std::uint32_t i = 0; i < n; ++i) c.coefficients.push_back(group::read_element(r));
   return c;
 }
 
@@ -247,7 +247,7 @@ void DoneEvidence::encode(Writer& w) const {
 DoneEvidence DoneEvidence::decode(Reader& r) {
   DoneEvidence e;
   e.blind = ServiceSignedMsg::decode(r);
-  e.m_rho = r.bigint();
+  e.m_rho = group::read_element(r);
   std::uint32_t n = r.count();
   e.shares.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) e.shares.push_back(get_decryption_share(r));
@@ -317,7 +317,7 @@ SignRevealReplyMsg SignRevealReplyMsg::decode(Reader& r) {
   SignRevealReplyMsg m;
   m.session = r.u64();
   m.reveal.index = r.u32();
-  m.reveal.t = r.bigint();
+  m.reveal.t = group::read_element(r);
   return m;
 }
 
@@ -338,7 +338,7 @@ SignRevealSetMsg SignRevealSetMsg::decode(Reader& r) {
   for (std::uint32_t i = 0; i < n; ++i) {
     threshold::NonceReveal rv;
     rv.index = r.u32();
-    rv.t = r.bigint();
+    rv.t = group::read_element(r);
     m.reveals.push_back(std::move(rv));
   }
   return m;
@@ -452,7 +452,7 @@ void RosterEntry::encode(Writer& w) const {
 RosterEntry RosterEntry::decode(Reader& r) {
   RosterEntry e;
   e.node = r.u32();
-  e.sign_key = r.bigint();
+  e.sign_key = group::read_element(r);
   return e;
 }
 

@@ -10,6 +10,13 @@
 // Bodies carry their MsgType tag as the first byte so that a signature binds
 // the message kind, and evidence (nested SignedMessages) can be re-verified
 // recursively per the validity rules of Figure 5.
+//
+// Element fields (ciphertext components, proof commitments, signature
+// commitments, decryption shares, Feldman coefficients, nonce reveals) are
+// read with group::read_element: a Reader that carries the group decodes and
+// validates each one as it parses, so protocol code parses with the group
+// (decode_as with params) and a non-element is a CodecError before any
+// exponentiation; a group-less parse leaves them bare.
 #pragma once
 
 #include <cstdint>
@@ -210,7 +217,7 @@ struct BlindEvidence {
 // proving mρ is the correct decryption of E_A(mρ).
 struct DoneEvidence {
   ServiceSignedMsg blind;
-  mpz::Bigint m_rho;
+  group::Element m_rho;
   std::vector<threshold::DecryptionShare> shares;
 
   void encode(Writer& w) const;
@@ -333,7 +340,7 @@ struct ClientDecryptReplyMsg {
 // here — they are re-shared, and the public keys never change.
 struct RosterEntry {
   std::uint32_t node = 0;  // net::NodeId of the server holding this rank
-  mpz::Bigint sign_key;    // Schnorr verify-key group element
+  group::Element sign_key;  // Schnorr verify-key group element
 
   void encode(Writer& w) const;
   static RosterEntry decode(Reader& r);
@@ -467,16 +474,32 @@ std::vector<std::uint8_t> encode_body(MsgType type, const T& msg) {
 // Reads the MsgType tag without consuming the message.
 [[nodiscard]] MsgType peek_type(std::span<const std::uint8_t> body);
 
-// Decodes a body expecting the given tag; throws CodecError on mismatch or
+// Decodes a tagged body from `r`; throws CodecError on a tag mismatch or
 // trailing bytes.
 template <typename T>
-T decode_as(MsgType expect, std::span<const std::uint8_t> body) {
-  Reader r(body);
+T decode_tagged(MsgType expect, Reader& r) {
   auto tag = static_cast<MsgType>(r.u8());
   if (tag != expect) throw CodecError("decode_as: unexpected message type");
   T msg = T::decode(r);
   r.expect_done();
   return msg;
+}
+
+// Decodes a body expecting the given tag, decoding every element field in
+// `group` once; throws CodecError on mismatch, trailing bytes, or an element
+// field that is not a canonical group element.
+template <typename T>
+T decode_as(MsgType expect, std::span<const std::uint8_t> body,
+            const group::GroupParams& group) {
+  Reader r(body, &group);
+  return decode_tagged<T>(expect, r);
+}
+
+// Group-less parse: the same bytes, element fields left bare.
+template <typename T>
+T decode_as(MsgType expect, std::span<const std::uint8_t> body) {
+  Reader r(body);
+  return decode_tagged<T>(expect, r);
 }
 
 }  // namespace dblind::core

@@ -35,7 +35,7 @@ std::optional<ReshareDealMsg> check_reshare_deal(const SystemConfig& cfg, Config
   if (!envelope_signature_ok(cfg, env)) return std::nullopt;
   ReshareDealMsg msg;
   try {
-    msg = decode_as<ReshareDealMsg>(MsgType::kReshareDeal, env.body);
+    msg = decode_as<ReshareDealMsg>(MsgType::kReshareDeal, env.body, cfg.params);
   } catch (const CodecError&) {
     return std::nullopt;
   }
@@ -60,7 +60,7 @@ std::optional<ReconfigApplyMsg> check_reconfig_apply(const SystemConfig& cfg, Co
   if (!envelope_signature_ok(cfg, env)) return std::nullopt;
   ReconfigApplyMsg msg;
   try {
-    msg = decode_as<ReconfigApplyMsg>(MsgType::kReconfigApply, env.body);
+    msg = decode_as<ReconfigApplyMsg>(MsgType::kReconfigApply, env.body, cfg.params);
   } catch (const CodecError&) {
     return std::nullopt;
   }
@@ -91,7 +91,7 @@ std::optional<ReconfigApplyMsg> check_install_record(const SystemConfig& cfg, Co
     if (!envelope_signature_ok(cfg, env)) continue;
     ReconfigEchoMsg echo;
     try {
-      echo = decode_as<ReconfigEchoMsg>(MsgType::kReconfigEcho, env.body);
+      echo = decode_as<ReconfigEchoMsg>(MsgType::kReconfigEcho, env.body, cfg.params);
     } catch (const CodecError&) {
       continue;
     }

@@ -21,7 +21,7 @@ enum class RfType : std::uint8_t {
 void put_refresh_deal(Writer& w, const threshold::RefreshDeal& deal) {
   w.u32(deal.dealer);
   w.u32(static_cast<std::uint32_t>(deal.commitments.coefficients.size()));
-  for (const mpz::Bigint& c : deal.commitments.coefficients) w.bigint(c);
+  for (const group::Element& c : deal.commitments.coefficients) w.bigint(c);
   w.u32(static_cast<std::uint32_t>(deal.subshares.size()));
   for (const threshold::Share& s : deal.subshares) {
     w.u32(s.index);
@@ -33,7 +33,8 @@ threshold::RefreshDeal get_refresh_deal(Reader& r) {
   threshold::RefreshDeal deal;
   deal.dealer = r.u32();
   std::uint32_t nc = r.count();
-  for (std::uint32_t i = 0; i < nc; ++i) deal.commitments.coefficients.push_back(r.bigint());
+  for (std::uint32_t i = 0; i < nc; ++i)
+    deal.commitments.coefficients.push_back(group::read_element(r));
   std::uint32_t ns = r.count();
   for (std::uint32_t i = 0; i < ns; ++i) {
     threshold::Share s;
@@ -127,12 +128,12 @@ class RefreshSystem::ServerNode final : public net::Node {
                   std::span<const std::uint8_t> bytes) override {
     (void)from;
     try {
-      Reader r(bytes);
+      Reader r(bytes, &sys_.opts_.params);
       RfEnvelope env = RfEnvelope::decode(r);
       r.expect_done();
       if (env.signer == 0 || env.signer > sys_.opts_.cfg.n) return;
       if (!sys_.server_vkeys_[env.signer - 1].verify(env.body, env.sig)) return;
-      Reader br(env.body);
+      Reader br(env.body, &sys_.opts_.params);
       auto type = static_cast<RfType>(br.u8());
       switch (type) {
         case RfType::kInit: {

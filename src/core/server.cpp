@@ -123,14 +123,14 @@ std::optional<elgamal::Ciphertext> ProtocolServer::result(TransferId transfer) c
 void ProtocolServer::send_signed(net::Context& ctx, net::NodeId to, MsgType type,
                                  const std::vector<std::uint8_t>& body) {
   (void)type;  // body already carries the tag; kept for call-site clarity
-  SignedMessage env = make_envelope(cfg_, secrets_, body, cfg_epoch_, ctx.rng());
+  SignedMessage env = make_envelope(secrets_, body, cfg_epoch_, ctx.rng());
   ctx.send(to, frame_signed(env));
 }
 
 void ProtocolServer::broadcast_signed(net::Context& ctx, ServiceRole svc, MsgType type,
                                       const std::vector<std::uint8_t>& body) {
   (void)type;
-  SignedMessage env = make_envelope(cfg_, secrets_, body, cfg_epoch_, ctx.rng());
+  SignedMessage env = make_envelope(secrets_, body, cfg_epoch_, ctx.rng());
   std::vector<std::uint8_t> framed = frame_signed(env);
   const ServicePublic& s = cfg_.service(svc);
   for (ServerRank r = 1; r <= s.cfg.n; ++r) ctx.send(s.node_of(r), framed);
@@ -143,7 +143,7 @@ void ProtocolServer::send_service_signed(net::Context& ctx, net::NodeId to,
 
 std::vector<std::uint8_t> ProtocolServer::signed_frame(net::Context& ctx,
                                                        const std::vector<std::uint8_t>& body) {
-  return frame_signed(make_envelope(cfg_, secrets_, body, cfg_epoch_, ctx.rng()));
+  return frame_signed(make_envelope(secrets_, body, cfg_epoch_, ctx.rng()));
 }
 
 // --- retransmission (chaos layer) ---------------------------------------------
@@ -236,7 +236,7 @@ void ProtocolServer::handle_result_reply(net::Context& ctx, std::span<const std:
   if (!is_b()) return;
   ResultReplyMsg msg;
   try {
-    msg = decode_as<ResultReplyMsg>(MsgType::kResultReply, body);
+    msg = decode_as<ResultReplyMsg>(MsgType::kResultReply, body, cfg_.params);
   } catch (const CodecError&) {
     return;
   }
@@ -390,7 +390,7 @@ void ProtocolServer::on_message(net::Context& ctx, net::NodeId from,
   auto t0 = std::chrono::steady_clock::now();
   MsgType rx_type{};
   try {
-    Reader r(bytes);
+    Reader r(bytes, &cfg_.params);
     auto kind = static_cast<WireKind>(r.u8());
     if (kind == WireKind::kServerSigned) {
       SignedMessage env = SignedMessage::decode(r);
@@ -513,7 +513,7 @@ ProtocolServer::ContributorState& ProtocolServer::contributor_state(const Instan
     // VDE proof exists for the pair; handle_reveal attaches a proof computed
     // for the consistent shadow pair, so the mismatch is only detectable
     // through VDE verification, not through message shape.
-    mpz::Bigint rho_bad = gp.mul(st.bundle.rho, gp.g());
+    group::Element rho_bad = gp.mul(st.bundle.rho, gp.g());
     st.contribution.eb = cfg_.b.encryption_key.encrypt_with_nonce(rho_bad, st.bundle.r2);
   } else {
     st.contribution.eb = st.bundle.eb;
@@ -572,7 +572,7 @@ void ProtocolServer::handle_reveal(net::Context& ctx, const SignedMessage& env) 
   bool mine = false;
   for (const SignedMessage& commit_env : reveal->commits) {
     try {
-      CommitMsg c = decode_as<CommitMsg>(MsgType::kCommit, commit_env.body);
+      CommitMsg c = decode_as<CommitMsg>(MsgType::kCommit, commit_env.body, cfg_.params);
       if (c.server == secrets_.rank &&
           c.commitment == st.contribution.commitment_digest()) {
         mine = true;
@@ -624,7 +624,7 @@ void ProtocolServer::start_coordinator(net::Context& ctx, TransferId transfer,
   if (behavior_ == Behavior::kBogusBlindCoordinator) {
     // §4.2.3 attack: skip the protocol and try to get B to sign a fabricated
     // blinding pair for an adversary-known ρ̂.
-    mpz::Bigint rho_hat = cfg_.params.random_element(ctx.rng());
+    group::Element rho_hat = cfg_.params.random_element(ctx.rng());
     BlindPayload payload;
     payload.id = id;
     payload.blinded.ea = cfg_.a.encryption_key.encrypt(rho_hat, ctx.rng());
@@ -674,7 +674,7 @@ void ProtocolServer::handle_commit(net::Context& ctx, const SignedMessage& env) 
     reveal.commits.push_back(commit_env);
   }
   std::vector<std::uint8_t> body = encode_body(MsgType::kReveal, reveal);
-  SignedMessage reveal_env = make_envelope(cfg_, secrets_, body, cfg_epoch_, ctx.rng());
+  SignedMessage reveal_env = make_envelope(secrets_, body, cfg_epoch_, ctx.rng());
   st.reveal_env = reveal_env;
   std::vector<std::uint8_t> framed = frame_signed(reveal_env);
   cancel_resend(st.init_resend);  // commit round complete
@@ -806,7 +806,7 @@ void ProtocolServer::coordinator_try_finish(net::Context& ctx, CoordinatorState&
   for (const auto& [rank, env] : st.contributes) {
     if (evidence.contributes.size() == quorum) break;
     evidence.contributes.push_back(env);
-    ContributeMsg c = decode_as<ContributeMsg>(MsgType::kContribute, env.body);
+    ContributeMsg c = decode_as<ContributeMsg>(MsgType::kContribute, env.body, cfg_.params);
     // Transfer-isolation audit record (invariant I8/T8): every contribution
     // cited by this instance's evidence names the transfer it was produced
     // for. With the per-transfer state machines this matches st.id.transfer
@@ -861,13 +861,13 @@ void ProtocolServer::attack_coordinator_step(net::Context& ctx, CoordinatorState
   for (const auto& [rank, env] : st.contributes) {
     if (evidence.contributes.size() == quorum - 1) break;
     evidence.contributes.push_back(env);
-    ContributeMsg c = decode_as<ContributeMsg>(MsgType::kContribute, env.body);
+    ContributeMsg c = decode_as<ContributeMsg>(MsgType::kContribute, env.body, cfg_.params);
     eas.push_back(c.contribution.ea);
     ebs.push_back(c.contribution.eb);
   }
 
   // Craft the canceling contribution: E(ρ̂) × Π E(ρ_i)^{-1}.
-  mpz::Bigint rho_hat = gp.random_element(ctx.rng());
+  group::Element rho_hat = gp.random_element(ctx.rng());
   elgamal::Ciphertext cancel_ea = cfg_.a.encryption_key.encrypt(rho_hat, ctx.rng());
   elgamal::Ciphertext cancel_eb = cfg_.b.encryption_key.encrypt(rho_hat, ctx.rng());
   for (std::size_t i = 0; i < eas.size(); ++i) {
@@ -886,7 +886,7 @@ void ProtocolServer::attack_coordinator_step(net::Context& ctx, CoordinatorState
   my_commit.id = st.id;
   my_commit.server = secrets_.rank;
   my_commit.commitment = cancel.commitment_digest();
-  SignedMessage my_commit_env = make_envelope(cfg_, secrets_, encode_body(MsgType::kCommit, my_commit),
+  SignedMessage my_commit_env = make_envelope(secrets_, encode_body(MsgType::kCommit, my_commit),
                                               cfg_epoch_, ctx.rng());
 
   RevealMsg r2;
@@ -898,7 +898,7 @@ void ProtocolServer::attack_coordinator_step(net::Context& ctx, CoordinatorState
     r2.commits.push_back(commit_env);
   }
   SignedMessage r2_env =
-      make_envelope(cfg_, secrets_, encode_body(MsgType::kReveal, r2), cfg_epoch_, ctx.rng());
+      make_envelope(secrets_, encode_body(MsgType::kReveal, r2), cfg_epoch_, ctx.rng());
 
   ContributeMsg mine;
   mine.id = st.id;
@@ -908,12 +908,12 @@ void ProtocolServer::attack_coordinator_step(net::Context& ctx, CoordinatorState
   // Bogus VDE: a proof for an unrelated honest pair.
   mpz::Bigint dummy_r1 = gp.random_exponent(ctx.rng());
   mpz::Bigint dummy_r2 = gp.random_exponent(ctx.rng());
-  mpz::Bigint dummy_rho = gp.random_element(ctx.rng());
+  group::Element dummy_rho = gp.random_element(ctx.rng());
   elgamal::Ciphertext da = cfg_.a.encryption_key.encrypt_with_nonce(dummy_rho, dummy_r1);
   elgamal::Ciphertext db = cfg_.b.encryption_key.encrypt_with_nonce(dummy_rho, dummy_r2);
   mine.vde = zkp::vde_prove(cfg_.a.encryption_key, da, dummy_r1, cfg_.b.encryption_key, db,
                             dummy_r2, vde_context(st.id, secrets_.rank), ctx.rng());
-  SignedMessage mine_env = make_envelope(cfg_, secrets_, encode_body(MsgType::kContribute, mine),
+  SignedMessage mine_env = make_envelope(secrets_, encode_body(MsgType::kContribute, mine),
                                          cfg_epoch_, ctx.rng());
   evidence.contributes.push_back(mine_env);
 
@@ -956,9 +956,9 @@ std::uint64_t ProtocolServer::start_sign_session(net::Context& ctx, SignPurpose 
   // records results_, so its done sessions rely on the attempt cap).
   try {
     if (purpose == SignPurpose::kBlind) {
-      ss.transfer = decode_as<BlindPayload>(MsgType::kBlind, payload).id.transfer;
+      ss.transfer = decode_as<BlindPayload>(MsgType::kBlind, payload, cfg_.params).id.transfer;
     } else {
-      ss.transfer = decode_as<DonePayload>(MsgType::kDone, payload).id.transfer;
+      ss.transfer = decode_as<DonePayload>(MsgType::kDone, payload, cfg_.params).id.transfer;
     }
   } catch (const CodecError&) {
   }
@@ -1017,7 +1017,7 @@ void ProtocolServer::handle_sign_commit_reply(net::Context& ctx, const SignedMes
   if (env.service != static_cast<std::uint8_t>(secrets_.role)) return;
   SignCommitReplyMsg msg;
   try {
-    msg = decode_as<SignCommitReplyMsg>(MsgType::kSignCommitReply, env.body);
+    msg = decode_as<SignCommitReplyMsg>(MsgType::kSignCommitReply, env.body, cfg_.params);
   } catch (const CodecError&) {
     return;
   }
@@ -1058,7 +1058,7 @@ void ProtocolServer::handle_sign_reveal_reply(net::Context& ctx, const SignedMes
   if (env.service != static_cast<std::uint8_t>(secrets_.role)) return;
   SignRevealReplyMsg msg;
   try {
-    msg = decode_as<SignRevealReplyMsg>(MsgType::kSignRevealReply, env.body);
+    msg = decode_as<SignRevealReplyMsg>(MsgType::kSignRevealReply, env.body, cfg_.params);
   } catch (const CodecError&) {
     return;
   }
@@ -1098,7 +1098,7 @@ void ProtocolServer::handle_sign_partial_reply(net::Context& ctx, const SignedMe
   if (env.service != static_cast<std::uint8_t>(secrets_.role)) return;
   SignPartialReplyMsg msg;
   try {
-    msg = decode_as<SignPartialReplyMsg>(MsgType::kSignPartialReply, env.body);
+    msg = decode_as<SignPartialReplyMsg>(MsgType::kSignPartialReply, env.body, cfg_.params);
   } catch (const CodecError&) {
     return;
   }
@@ -1112,7 +1112,7 @@ void ProtocolServer::handle_sign_partial_reply(net::Context& ctx, const SignedMe
 
   std::vector<threshold::NonceReveal> reveals;
   for (const auto& [rank, reveal] : ss.reveals) reveals.push_back(reveal);
-  mpz::Bigint r_joint = threshold::combine_nonce(cfg_.params, reveals);
+  group::Element r_joint = threshold::combine_nonce(cfg_.params, reveals);
   mpz::Bigint e = zkp::schnorr_challenge(cfg_.params, r_joint, my_service().signing_key.point(),
                                     ss.payload);
   const threshold::FeldmanCommitments& commits = my_service().sign_commitments;
@@ -1161,7 +1161,7 @@ void ProtocolServer::sign_session_finished(net::Context& ctx, SignSession& ss,
     r.cancel_on_result = ss.cancel_on_result;
     arm_resend(ctx, std::move(r));
     try {
-      BlindPayload bp = decode_as<BlindPayload>(MsgType::kBlind, ss.payload);
+      BlindPayload bp = decode_as<BlindPayload>(MsgType::kBlind, ss.payload, cfg_.params);
       emit_trace(ctx, obs::EventKind::kSignDone, &bp.id,
                  {.subject = static_cast<std::uint32_t>(SignPurpose::kBlind)});
       auto cit = coordinator_.find(bp.id);
@@ -1181,7 +1181,7 @@ void ProtocolServer::sign_session_finished(net::Context& ctx, SignSession& ss,
     }
     arm_resend(ctx, std::move(r), 0, std::min(opts_.retransmit_max_attempts, 5));
     try {
-      DonePayload done = decode_as<DonePayload>(MsgType::kDone, ss.payload);
+      DonePayload done = decode_as<DonePayload>(MsgType::kDone, ss.payload, cfg_.params);
       emit_trace(ctx, obs::EventKind::kSignDone, &done.id,
                  {.subject = static_cast<std::uint32_t>(SignPurpose::kDone)});
       auto rit = responder_.find(done.id);
@@ -1207,7 +1207,7 @@ void ProtocolServer::handle_sign_request(net::Context& ctx, const SignedMessage&
   if (env.service != static_cast<std::uint8_t>(secrets_.role)) return;
   SignRequestMsg msg;
   try {
-    msg = decode_as<SignRequestMsg>(MsgType::kSignRequest, env.body);
+    msg = decode_as<SignRequestMsg>(MsgType::kSignRequest, env.body, cfg_.params);
   } catch (const CodecError&) {
     return;
   }
@@ -1231,7 +1231,7 @@ void ProtocolServer::handle_sign_request(net::Context& ctx, const SignedMessage&
     if (is_b()) return;
     DonePayload payload;
     try {
-      payload = decode_as<DonePayload>(MsgType::kDone, msg.payload);
+      payload = decode_as<DonePayload>(MsgType::kDone, msg.payload, cfg_.params);
     } catch (const CodecError&) {
       return;
     }
@@ -1278,7 +1278,7 @@ void ProtocolServer::handle_sign_quorum(net::Context& ctx, const SignedMessage& 
   if (env.service != static_cast<std::uint8_t>(secrets_.role)) return;
   SignQuorumMsg msg;
   try {
-    msg = decode_as<SignQuorumMsg>(MsgType::kSignQuorum, env.body);
+    msg = decode_as<SignQuorumMsg>(MsgType::kSignQuorum, env.body, cfg_.params);
   } catch (const CodecError&) {
     return;
   }
@@ -1308,7 +1308,7 @@ void ProtocolServer::handle_sign_reveal_set(net::Context& ctx, const SignedMessa
   if (env.service != static_cast<std::uint8_t>(secrets_.role)) return;
   SignRevealSetMsg msg;
   try {
-    msg = decode_as<SignRevealSetMsg>(MsgType::kSignRevealSet, env.body);
+    msg = decode_as<SignRevealSetMsg>(MsgType::kSignRevealSet, env.body, cfg_.params);
   } catch (const CodecError&) {
     return;
   }
@@ -1410,7 +1410,7 @@ void ProtocolServer::handle_decrypt_request(net::Context& ctx, const SignedMessa
   if (env.service != static_cast<std::uint8_t>(ServiceRole::kServiceA)) return;
   DecryptRequestMsg msg;
   try {
-    msg = decode_as<DecryptRequestMsg>(MsgType::kDecryptRequest, env.body);
+    msg = decode_as<DecryptRequestMsg>(MsgType::kDecryptRequest, env.body, cfg_.params);
   } catch (const CodecError&) {
     return;
   }
@@ -1447,7 +1447,7 @@ void ProtocolServer::handle_decrypt_share_reply(net::Context& ctx, const SignedM
   if (env.service != static_cast<std::uint8_t>(ServiceRole::kServiceA)) return;
   DecryptShareReplyMsg msg;
   try {
-    msg = decode_as<DecryptShareReplyMsg>(MsgType::kDecryptShareReply, env.body);
+    msg = decode_as<DecryptShareReplyMsg>(MsgType::kDecryptShareReply, env.body, cfg_.params);
   } catch (const CodecError&) {
     return;
   }
@@ -1481,7 +1481,7 @@ void ProtocolServer::handle_decrypt_share_reply(net::Context& ctx, const SignedM
     if (shares.size() == cfg_.a.cfg.quorum()) break;
     shares.push_back(share);
   }
-  mpz::Bigint m_rho = threshold::combine_decryption(cfg_.params, st.ea_m_rho, shares);
+  group::Element m_rho = threshold::combine_decryption(cfg_.params, st.ea_m_rho, shares);
 
   // Step 6(c): E_B(m) := (mρ) · E_B(ρ)^{-1}.
   elgamal::Ciphertext eb_m =
@@ -1586,7 +1586,7 @@ void ProtocolServer::handle_transfer_request(net::Context& ctx, net::NodeId from
   (void)from;
   TransferRequestMsg msg;
   try {
-    msg = decode_as<TransferRequestMsg>(MsgType::kTransferRequest, body);
+    msg = decode_as<TransferRequestMsg>(MsgType::kTransferRequest, body, cfg_.params);
   } catch (const CodecError&) {
     return;
   }
@@ -1607,7 +1607,7 @@ void ProtocolServer::handle_result_request(net::Context& ctx, net::NodeId from,
   if (!is_b()) return;
   ResultRequestMsg msg;
   try {
-    msg = decode_as<ResultRequestMsg>(MsgType::kResultRequest, body);
+    msg = decode_as<ResultRequestMsg>(MsgType::kResultRequest, body, cfg_.params);
   } catch (const CodecError&) {
     return;
   }
@@ -1627,7 +1627,7 @@ void ProtocolServer::handle_client_decrypt_request(net::Context& ctx, net::NodeI
   if (!is_b() || !active() || share_pending_) return;
   ClientDecryptRequestMsg msg;
   try {
-    msg = decode_as<ClientDecryptRequestMsg>(MsgType::kClientDecryptRequest, body);
+    msg = decode_as<ClientDecryptRequestMsg>(MsgType::kClientDecryptRequest, body, cfg_.params);
   } catch (const CodecError&) {
     return;
   }
@@ -1731,7 +1731,7 @@ void ProtocolServer::handle_reconfig_start(net::Context& ctx, const SignedMessag
   if (!envelope_signature_ok(cfg_, env)) return;
   ReconfigStartMsg msg;
   try {
-    msg = decode_as<ReconfigStartMsg>(MsgType::kReconfigStart, env.body);
+    msg = decode_as<ReconfigStartMsg>(MsgType::kReconfigStart, env.body, cfg_.params);
   } catch (const CodecError&) {
     return;
   }
@@ -1795,9 +1795,10 @@ void ProtocolServer::reshare_for(net::Context& ctx, const ReconfigSpec& spec) {
     if (to == ctx.self()) {
       // Our own sub-share: absorb directly instead of round-tripping.
       try {
-        Reader rd(de.frames[j]);
+        Reader rd(de.frames[j], &cfg_.params);
         (void)rd.u8();  // WireKind
-        absorb_subshare(ctx, decode_as<ReshareSubshareMsg>(MsgType::kReshareSubshare, rd.bytes()));
+        absorb_subshare(ctx, decode_as<ReshareSubshareMsg>(MsgType::kReshareSubshare,
+                                                           rd.bytes(), cfg_.params));
       } catch (const CodecError&) {
       }
       continue;
@@ -1814,7 +1815,7 @@ void ProtocolServer::reshare_for(net::Context& ctx, const ReconfigSpec& spec) {
   // A proposing dealer processes its own deal like anyone else's.
   if (reconfig_round_ && reconfig_round_->coordinating) {
     try {
-      Reader rd(de.frames[0]);
+      Reader rd(de.frames[0], &cfg_.params);
       (void)rd.u8();  // WireKind
       SignedMessage env = SignedMessage::decode(rd);
       handle_reshare_deal(ctx, env);
@@ -1857,7 +1858,7 @@ void ProtocolServer::handle_reshare_deal(net::Context& ctx, const SignedMessage&
   rr.apply_resend = arm_resend(ctx, std::move(r));
   // Process our own apply (echo it, count our echo, maybe install).
   try {
-    Reader rd(framed);
+    Reader rd(framed, &cfg_.params);
     (void)rd.u8();
     SignedMessage apply_env = SignedMessage::decode(rd);
     handle_reconfig_apply(ctx, apply_env);
@@ -1896,7 +1897,7 @@ void ProtocolServer::handle_reconfig_apply(net::Context& ctx, const SignedMessag
       rr.echo_resend = arm_resend(ctx, std::move(r));
       // Count our own echo.
       try {
-        Reader rd(framed);
+        Reader rd(framed, &cfg_.params);
         (void)rd.u8();
         SignedMessage echo_env = SignedMessage::decode(rd);
         echoes_by_digest_[digest].emplace(echo_env.signer, echo_env);
@@ -1911,7 +1912,7 @@ void ProtocolServer::handle_reconfig_echo(net::Context& ctx, const SignedMessage
   if (!envelope_signature_ok(cfg_, env)) return;
   ReconfigEchoMsg msg;
   try {
-    msg = decode_as<ReconfigEchoMsg>(MsgType::kReconfigEcho, env.body);
+    msg = decode_as<ReconfigEchoMsg>(MsgType::kReconfigEcho, env.body, cfg_.params);
   } catch (const CodecError&) {
     return;
   }
@@ -1988,7 +1989,7 @@ void ProtocolServer::install_config(net::Context& ctx, const SignedMessage& appl
   std::vector<net::NodeId> dealer_nodes;
   const ServicePublic& old_svc = cfg_.service(static_cast<ServiceRole>(spec.service));
   for (const SignedMessage& deal_env : apply.deals) {
-    ReshareDealMsg d = decode_as<ReshareDealMsg>(MsgType::kReshareDeal, deal_env.body);
+    ReshareDealMsg d = decode_as<ReshareDealMsg>(MsgType::kReshareDeal, deal_env.body, cfg_.params);
     dealer_nodes.push_back(old_svc.node_of(d.dealer));
     deals.push_back(std::move(d));
   }
@@ -2094,7 +2095,7 @@ void ProtocolServer::handle_reshare_subshare(net::Context& ctx,
                                              std::span<const std::uint8_t> body) {
   ReshareSubshareMsg msg;
   try {
-    msg = decode_as<ReshareSubshareMsg>(MsgType::kReshareSubshare, body);
+    msg = decode_as<ReshareSubshareMsg>(MsgType::kReshareSubshare, body, cfg_.params);
   } catch (const CodecError&) {
     return;
   }
@@ -2118,7 +2119,8 @@ void ProtocolServer::maybe_complete_share(net::Context& ctx) {
   if (lit == install_log_.end()) return;
   ReconfigApplyMsg apply;
   try {
-    apply = decode_as<ReconfigApplyMsg>(MsgType::kReconfigApply, lit->second.apply.body);
+    apply = decode_as<ReconfigApplyMsg>(MsgType::kReconfigApply, lit->second.apply.body,
+                                        cfg_.params);
   } catch (const CodecError&) {
     return;
   }
@@ -2127,7 +2129,7 @@ void ProtocolServer::maybe_complete_share(net::Context& ctx) {
   for (const SignedMessage& deal_env : apply.deals) {
     ReshareDealMsg deal;
     try {
-      deal = decode_as<ReshareDealMsg>(MsgType::kReshareDeal, deal_env.body);
+      deal = decode_as<ReshareDealMsg>(MsgType::kReshareDeal, deal_env.body, cfg_.params);
     } catch (const CodecError&) {
       return;
     }
@@ -2167,7 +2169,7 @@ void ProtocolServer::handle_wrong_epoch(net::Context& ctx, net::NodeId from,
                                         std::span<const std::uint8_t> body) {
   WrongEpochMsg msg;
   try {
-    msg = decode_as<WrongEpochMsg>(MsgType::kWrongEpoch, body);
+    msg = decode_as<WrongEpochMsg>(MsgType::kWrongEpoch, body, cfg_.params);
   } catch (const CodecError&) {
     return;
   }
@@ -2180,7 +2182,7 @@ void ProtocolServer::handle_reconfig_pull(net::Context& ctx, net::NodeId from,
                                           std::span<const std::uint8_t> body) {
   ReconfigPullMsg msg;
   try {
-    msg = decode_as<ReconfigPullMsg>(MsgType::kReconfigPull, body);
+    msg = decode_as<ReconfigPullMsg>(MsgType::kReconfigPull, body, cfg_.params);
   } catch (const CodecError&) {
     return;
   }
@@ -2198,7 +2200,7 @@ void ProtocolServer::handle_reconfig_state(net::Context& ctx, net::NodeId from,
                                            std::span<const std::uint8_t> body) {
   ReconfigStateMsg msg;
   try {
-    msg = decode_as<ReconfigStateMsg>(MsgType::kReconfigState, body);
+    msg = decode_as<ReconfigStateMsg>(MsgType::kReconfigState, body, cfg_.params);
   } catch (const CodecError&) {
     return;
   }
@@ -2215,7 +2217,7 @@ void ProtocolServer::handle_subshare_pull(net::Context& ctx, net::NodeId from,
                                           std::span<const std::uint8_t> body) {
   SubsharePullMsg msg;
   try {
-    msg = decode_as<SubsharePullMsg>(MsgType::kSubsharePull, body);
+    msg = decode_as<SubsharePullMsg>(MsgType::kSubsharePull, body, cfg_.params);
   } catch (const CodecError&) {
     return;
   }
@@ -2336,7 +2338,7 @@ void ProtocolServer::restore(std::span<const std::uint8_t> snap) {
   // Parse into locals and commit only on full success: a corrupt snapshot
   // recovers with EMPTY durable state, never a partial one (and never throws).
   try {
-    Reader r(snap);
+    Reader r(snap, &cfg_.params);
     if (r.u8() != kSnapshotVersion) return;
     std::map<TransferId, elgamal::Ciphertext> stored;
     for (std::uint32_t i = 0, n = r.count(8); i < n; ++i) {

@@ -42,8 +42,8 @@ ServiceSetup make_service(const group::GroupParams& params, const threshold::Ser
   for (ServerRank r = 1; r <= cfg.n; ++r) {
     zkp::SchnorrSigningKey server_key = zkp::SchnorrSigningKey::generate(params, prng);
     out.pub.server_sign_keys.push_back(server_key.verify_key());
-    out.secrets.push_back(ServerSecrets{role, r, enc.share_of(r), sig.share_of(r),
-                                        server_key.secret()});
+    out.secrets.push_back(
+        ServerSecrets{role, r, enc.share_of(r), sig.share_of(r), std::move(server_key)});
   }
 
   // Test oracle: reconstruct the encryption private key from a quorum.
@@ -106,7 +106,7 @@ System::System(SystemOptions opts)
                                                                           setup_rng_);
     sign_point_[b_standby_node(i)] = standby_key.verify_key().point();
     auto node = std::make_unique<ProtocolServer>(
-        *cfg_, ServerSecrets{ServiceRole::kServiceB, 0, {}, {}, standby_key.secret()},
+        *cfg_, ServerSecrets{ServiceRole::kServiceB, 0, {}, {}, standby_key},
         opts_.protocol, ProtocolServer::Behavior::kHonest);
     b_standby_servers_.push_back(node.get());
     sim_->add_node(std::move(node));
@@ -148,15 +148,20 @@ TransferId System::add_transfer(const mpz::Bigint& m) {
   return add_transfer_at(m, 0);
 }
 
-TransferId System::add_transfer_at(const mpz::Bigint& m, net::Time when) {
+elgamal::Ciphertext System::encrypt_plaintext(const mpz::Bigint& m) {
   // Identity is rejected explicitly: ElGamal over it degenerates (the blind
   // m·rho collapses to rho). On mod-p the 0 encoding is simply not in the
   // group; on ristretto255 the all-zero string IS the identity's canonical
   // encoding, so in_group alone would admit it.
-  if (!cfg_->params.in_group(m) || cfg_->params.is_identity(m))
+  std::optional<group::Element> pt = cfg_->params.decode(m);
+  if (!pt || cfg_->params.is_identity(*pt))
     throw std::invalid_argument("add_transfer: plaintext must be a group element");
+  return cfg_->a.encryption_key.encrypt(*pt, setup_rng_);
+}
+
+TransferId System::add_transfer_at(const mpz::Bigint& m, net::Time when) {
+  elgamal::Ciphertext ea_m = encrypt_plaintext(m);
   TransferId t = next_transfer_++;
-  elgamal::Ciphertext ea_m = cfg_->a.encryption_key.encrypt(m, setup_rng_);
   for (ProtocolServer* s : a_servers_) {
     if (when == 0) {
       s->store_secret(t, ea_m);
@@ -175,10 +180,8 @@ TransferId System::add_transfer_at(const mpz::Bigint& m, net::Time when) {
 
 TransferId System::add_transfer_arriving(const mpz::Bigint& m, net::Time when) {
   if (when == 0) return add_transfer(m);
-  if (!cfg_->params.in_group(m) || cfg_->params.is_identity(m))
-    throw std::invalid_argument("add_transfer: plaintext must be a group element");
+  elgamal::Ciphertext ea_m = encrypt_plaintext(m);
   TransferId t = next_transfer_++;
-  elgamal::Ciphertext ea_m = cfg_->a.encryption_key.encrypt(m, setup_rng_);
   for (ProtocolServer* s : a_servers_) s->store_secret_at(t, ea_m, when);
   // B servers learn of the transfer only when its arrival timer fires, so the
   // admission engine sees a true open-loop arrival process rather than a

@@ -109,6 +109,10 @@ class System {
   }
 
  private:
+  // E_A(m) for a new transfer; throws std::invalid_argument unless m is a
+  // non-identity group element.
+  elgamal::Ciphertext encrypt_plaintext(const mpz::Bigint& m);
+
   SystemOptions opts_;
   // optional<> because SystemConfig carries key material that only exists
   // after service setup runs in the constructor body.
@@ -128,7 +132,7 @@ class System {
   };
   std::vector<BFamilyEntry> b_family_;
   // Message-signing verify-key points by node, for building ReconfigSpecs.
-  std::map<net::NodeId, mpz::Bigint> sign_point_;
+  std::map<net::NodeId, group::Element> sign_point_;
   std::vector<TransferId> transfers_;
   std::map<TransferId, mpz::Bigint> plaintexts_;
   TransferId next_transfer_ = 1;

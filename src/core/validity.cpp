@@ -7,11 +7,13 @@ namespace dblind::core {
 
 namespace {
 
-// Decodes an envelope body as T (with tag `type`); nullopt on any codec error.
+// Decodes an envelope body as T (with tag `type`, elements decoded in the
+// configured group); nullopt on any codec error.
 template <typename T>
-std::optional<T> try_decode(MsgType type, std::span<const std::uint8_t> body) {
+std::optional<T> try_decode(const SystemConfig& cfg, MsgType type,
+                            std::span<const std::uint8_t> body) {
   try {
-    return decode_as<T>(type, body);
+    return decode_as<T>(type, body, cfg.params);
   } catch (const CodecError&) {
     return std::nullopt;
   } catch (const std::invalid_argument&) {
@@ -40,23 +42,20 @@ bool envelope_signature_ok(const SystemConfig& cfg, const SignedMessage& env) {
   return svc.server_key(env.signer).verify(epoch_signed_bytes(env.cfg_epoch, env.body), env.sig);
 }
 
-SignedMessage make_envelope(const SystemConfig& cfg, const ServerSecrets& me,
-                            std::vector<std::uint8_t> body, ConfigEpoch cfg_epoch,
-                            mpz::Prng& prng) {
-  zkp::SchnorrSigningKey key =
-      zkp::SchnorrSigningKey::from_private(cfg.params, me.server_sign_secret);
+SignedMessage make_envelope(const ServerSecrets& me, std::vector<std::uint8_t> body,
+                            ConfigEpoch cfg_epoch, mpz::Prng& prng) {
   SignedMessage env;
   env.service = static_cast<std::uint8_t>(me.role);
   env.signer = me.rank;
   env.cfg_epoch = cfg_epoch;
-  env.sig = key.sign(epoch_signed_bytes(cfg_epoch, body), prng);
+  env.sig = me.server_sign_key.sign(epoch_signed_bytes(cfg_epoch, body), prng);
   env.body = std::move(body);
   return env;
 }
 
 std::optional<InitMsg> check_init(const SystemConfig& cfg, const SignedMessage& env) {
   if (!envelope_signature_ok(cfg, env)) return std::nullopt;
-  auto msg = try_decode<InitMsg>(MsgType::kInit, env.body);
+  auto msg = try_decode<InitMsg>(cfg, MsgType::kInit, env.body);
   if (!msg) return std::nullopt;
   // The init message is the coordinator announcing its own instance.
   if (env.service != static_cast<std::uint8_t>(ServiceRole::kServiceB)) return std::nullopt;
@@ -66,7 +65,7 @@ std::optional<InitMsg> check_init(const SystemConfig& cfg, const SignedMessage& 
 
 std::optional<CommitMsg> check_commit(const SystemConfig& cfg, const SignedMessage& env) {
   if (!envelope_signature_ok(cfg, env)) return std::nullopt;
-  auto msg = try_decode<CommitMsg>(MsgType::kCommit, env.body);
+  auto msg = try_decode<CommitMsg>(cfg, MsgType::kCommit, env.body);
   if (!msg) return std::nullopt;
   if (env.service != static_cast<std::uint8_t>(ServiceRole::kServiceB)) return std::nullopt;
   if (env.signer != msg->server) return std::nullopt;
@@ -75,7 +74,7 @@ std::optional<CommitMsg> check_commit(const SystemConfig& cfg, const SignedMessa
 
 std::optional<RevealMsg> check_reveal(const SystemConfig& cfg, const SignedMessage& env) {
   if (!envelope_signature_ok(cfg, env)) return std::nullopt;
-  auto msg = try_decode<RevealMsg>(MsgType::kReveal, env.body);
+  auto msg = try_decode<RevealMsg>(cfg, MsgType::kReveal, env.body);
   if (!msg) return std::nullopt;
   if (env.service != static_cast<std::uint8_t>(ServiceRole::kServiceB)) return std::nullopt;
   if (env.signer != msg->id.coordinator) return std::nullopt;
@@ -97,7 +96,7 @@ std::optional<RevealMsg> check_reveal(const SystemConfig& cfg, const SignedMessa
 
 std::optional<ContributeMsg> check_contribute(const SystemConfig& cfg, const SignedMessage& env) {
   if (!envelope_signature_ok(cfg, env)) return std::nullopt;
-  auto msg = try_decode<ContributeMsg>(MsgType::kContribute, env.body);
+  auto msg = try_decode<ContributeMsg>(cfg, MsgType::kContribute, env.body);
   if (!msg) return std::nullopt;
   if (env.service != static_cast<std::uint8_t>(ServiceRole::kServiceB)) return std::nullopt;
   if (env.signer != msg->server) return std::nullopt;
@@ -111,7 +110,7 @@ std::optional<ContributeMsg> check_contribute(const SystemConfig& cfg, const Sig
   if (!reveal || reveal->id != msg->id) return std::nullopt;
   bool committed = false;
   for (const SignedMessage& commit_env : reveal->commits) {
-    auto commit = try_decode<CommitMsg>(MsgType::kCommit, commit_env.body);
+    auto commit = try_decode<CommitMsg>(cfg, MsgType::kCommit, commit_env.body);
     if (commit && commit->server == msg->server) {
       committed = commit->commitment == msg->contribution.commitment_digest();
       break;
@@ -129,24 +128,24 @@ std::optional<ContributeMsg> check_contribute(const SystemConfig& cfg, const Sig
 std::optional<BlindPayload> check_blind(const SystemConfig& cfg, const ServiceSignedMsg& msg) {
   if (msg.service != static_cast<std::uint8_t>(ServiceRole::kServiceB)) return std::nullopt;
   if (!cfg.b.signing_key.verify(msg.body, msg.sig)) return std::nullopt;
-  return try_decode<BlindPayload>(MsgType::kBlind, msg.body);
+  return try_decode<BlindPayload>(cfg, MsgType::kBlind, msg.body);
 }
 
 std::optional<DonePayload> check_done(const SystemConfig& cfg, const ServiceSignedMsg& msg) {
   if (msg.service != static_cast<std::uint8_t>(ServiceRole::kServiceA)) return std::nullopt;
   if (!cfg.a.signing_key.verify(msg.body, msg.sig)) return std::nullopt;
-  return try_decode<DonePayload>(MsgType::kDone, msg.body);
+  return try_decode<DonePayload>(cfg, MsgType::kDone, msg.body);
 }
 
 bool check_blind_sign_request(const SystemConfig& cfg, std::span<const std::uint8_t> payload,
                               std::span<const std::uint8_t> evidence) {
   auto blind = [&]() -> std::optional<BlindPayload> {
-    return try_decode<BlindPayload>(MsgType::kBlind, payload);
+    return try_decode<BlindPayload>(cfg, MsgType::kBlind, payload);
   }();
   if (!blind) return false;
   BlindEvidence ev;
   try {
-    Reader r(evidence);
+    Reader r(evidence, &cfg.params);
     ev = BlindEvidence::decode(r);
     r.expect_done();
   } catch (const CodecError&) {
@@ -174,10 +173,10 @@ bool check_blind_sign_request(const SystemConfig& cfg, std::span<const std::uint
   // Same-reveal rule (see header comment): compare the embedded reveal of
   // every contribute message for byte-for-byte equality.
   std::optional<ContributeMsg> first =
-      try_decode<ContributeMsg>(MsgType::kContribute, ev.contributes.front().body);
+      try_decode<ContributeMsg>(cfg, MsgType::kContribute, ev.contributes.front().body);
   if (!first) return false;
   for (const SignedMessage& env : ev.contributes) {
-    auto c = try_decode<ContributeMsg>(MsgType::kContribute, env.body);
+    auto c = try_decode<ContributeMsg>(cfg, MsgType::kContribute, env.body);
     if (!c || !(c->reveal == first->reveal)) return false;
   }
 
@@ -212,7 +211,7 @@ std::optional<CommitMsg> collect_commit(const SystemConfig& cfg, const SignedMes
   if (env.service != static_cast<std::uint8_t>(ServiceRole::kServiceB)) return std::nullopt;
   if (env.signer == 0 || env.signer > cfg.b.cfg.n) return std::nullopt;
   if (env.cfg_epoch != expect_epoch) return std::nullopt;  // I6
-  auto msg = try_decode<CommitMsg>(MsgType::kCommit, env.body);
+  auto msg = try_decode<CommitMsg>(cfg, MsgType::kCommit, env.body);
   if (!msg) return std::nullopt;
   if (env.signer != msg->server) return std::nullopt;
   sigs.push_back({&cfg.b.server_key(env.signer), arena_signed_bytes(arena, env), &env.sig});
@@ -227,7 +226,7 @@ std::optional<RevealMsg> collect_reveal(const SystemConfig& cfg, const SignedMes
   if (env.service != static_cast<std::uint8_t>(ServiceRole::kServiceB)) return std::nullopt;
   if (env.signer == 0 || env.signer > cfg.b.cfg.n) return std::nullopt;
   if (env.cfg_epoch != expect_epoch) return std::nullopt;  // I6
-  auto msg = try_decode<RevealMsg>(MsgType::kReveal, env.body);
+  auto msg = try_decode<RevealMsg>(cfg, MsgType::kReveal, env.body);
   if (!msg) return std::nullopt;
   if (env.signer != msg->id.coordinator) return std::nullopt;
   sigs.push_back({&cfg.b.server_key(env.signer), arena_signed_bytes(arena, env), &env.sig});
@@ -245,9 +244,10 @@ std::optional<RevealMsg> collect_reveal(const SystemConfig& cfg, const SignedMes
 
 // The commitment-match clause of check_contribute: `server` committed, in the
 // (already structurally valid) reveal, to this contribution.
-bool commitment_matches(const RevealMsg& reveal, ServerRank server, const ContributeMsg& msg) {
+bool commitment_matches(const SystemConfig& cfg, const RevealMsg& reveal, ServerRank server,
+                        const ContributeMsg& msg) {
   for (const SignedMessage& commit_env : reveal.commits) {
-    auto commit = try_decode<CommitMsg>(MsgType::kCommit, commit_env.body);
+    auto commit = try_decode<CommitMsg>(cfg, MsgType::kCommit, commit_env.body);
     if (commit && commit->server == server)
       return commit->commitment == msg.contribution.commitment_digest();
   }
@@ -260,7 +260,7 @@ std::optional<ContributeMsg> precheck_contribute_batch(const SystemConfig& cfg,
                                                        const SignedMessage& env) {
   if (env.service != static_cast<std::uint8_t>(ServiceRole::kServiceB)) return std::nullopt;
   if (env.signer == 0 || env.signer > cfg.b.cfg.n) return std::nullopt;
-  auto msg = try_decode<ContributeMsg>(MsgType::kContribute, env.body);
+  auto msg = try_decode<ContributeMsg>(cfg, MsgType::kContribute, env.body);
   if (!msg) return std::nullopt;
   if (env.signer != msg->server) return std::nullopt;
 
@@ -269,7 +269,7 @@ std::optional<ContributeMsg> precheck_contribute_batch(const SystemConfig& cfg,
   sigs.push_back({&cfg.b.server_key(env.signer), arena_signed_bytes(arena, env), &env.sig});
   auto reveal = collect_reveal(cfg, msg->reveal, env.cfg_epoch, sigs, arena);
   if (!reveal || reveal->id != msg->id) return std::nullopt;
-  if (!commitment_matches(*reveal, msg->server, *msg)) return std::nullopt;
+  if (!commitment_matches(cfg, *reveal, msg->server, *msg)) return std::nullopt;
   if (!zkp::schnorr_batch_verify(cfg.params, sigs)) return std::nullopt;
   return msg;
 }
@@ -292,11 +292,11 @@ std::optional<ContributeMsg> check_contribute_batch(const SystemConfig& cfg,
 
 bool check_blind_sign_request_batch(const SystemConfig& cfg, std::span<const std::uint8_t> payload,
                                     std::span<const std::uint8_t> evidence, mpz::Prng& prng) {
-  auto blind = try_decode<BlindPayload>(MsgType::kBlind, payload);
+  auto blind = try_decode<BlindPayload>(cfg, MsgType::kBlind, payload);
   if (!blind) return false;
   BlindEvidence ev;
   try {
-    Reader r(evidence);
+    Reader r(evidence, &cfg.params);
     ev = BlindEvidence::decode(r);
     r.expect_done();
   } catch (const CodecError&) {
@@ -314,7 +314,7 @@ bool check_blind_sign_request_batch(const SystemConfig& cfg, std::span<const std
     if (env.service != static_cast<std::uint8_t>(ServiceRole::kServiceB)) return false;
     if (env.signer == 0 || env.signer > cfg.b.cfg.n) return false;
     if (env.cfg_epoch != epoch) return false;  // I6: one config epoch per quorum
-    auto c = try_decode<ContributeMsg>(MsgType::kContribute, env.body);
+    auto c = try_decode<ContributeMsg>(cfg, MsgType::kContribute, env.body);
     if (!c) return false;
     if (env.signer != c->server) return false;
     if (c->id != blind->id) return false;
@@ -333,7 +333,7 @@ bool check_blind_sign_request_batch(const SystemConfig& cfg, std::span<const std
   auto reveal = collect_reveal(cfg, first.reveal, epoch, sigs, arena);
   if (!reveal || reveal->id != blind->id) return false;
   for (const ContributeMsg& c : msgs) {
-    if (!commitment_matches(*reveal, c.server, c)) return false;
+    if (!commitment_matches(cfg, *reveal, c.server, c)) return false;
   }
   if (!zkp::schnorr_batch_verify(cfg.params, sigs)) return false;
 
@@ -359,11 +359,11 @@ bool check_blind_sign_request_batch(const SystemConfig& cfg, std::span<const std
 bool check_done_sign_request_batch(const SystemConfig& cfg, std::span<const std::uint8_t> payload,
                                    std::span<const std::uint8_t> evidence,
                                    const elgamal::Ciphertext& stored_ea_m, mpz::Prng& prng) {
-  auto done = try_decode<DonePayload>(MsgType::kDone, payload);
+  auto done = try_decode<DonePayload>(cfg, MsgType::kDone, payload);
   if (!done) return false;
   DoneEvidence ev;
   try {
-    Reader r(evidence);
+    Reader r(evidence, &cfg.params);
     ev = DoneEvidence::decode(r);
     r.expect_done();
   } catch (const CodecError&) {
@@ -384,7 +384,7 @@ bool check_done_sign_request_batch(const SystemConfig& cfg, std::span<const std:
   if (!threshold::batch_verify_decryption_shares(cfg.params, cfg.a.enc_commitments, *ea_m_rho,
                                                  ev.shares, decrypt_context(done->id), prng))
     return false;
-  mpz::Bigint m_rho = threshold::combine_decryption(cfg.params, *ea_m_rho, ev.shares);
+  group::Element m_rho = threshold::combine_decryption(cfg.params, *ea_m_rho, ev.shares);
   if (m_rho != ev.m_rho) return false;
   if (!cfg.params.in_zp_star(m_rho)) return false;
 
@@ -397,11 +397,11 @@ bool check_done_sign_request_batch(const SystemConfig& cfg, std::span<const std:
 bool check_done_sign_request(const SystemConfig& cfg, std::span<const std::uint8_t> payload,
                              std::span<const std::uint8_t> evidence,
                              const elgamal::Ciphertext& stored_ea_m) {
-  auto done = try_decode<DonePayload>(MsgType::kDone, payload);
+  auto done = try_decode<DonePayload>(cfg, MsgType::kDone, payload);
   if (!done) return false;
   DoneEvidence ev;
   try {
-    Reader r(evidence);
+    Reader r(evidence, &cfg.params);
     ev = DoneEvidence::decode(r);
     r.expect_done();
   } catch (const CodecError&) {
@@ -424,7 +424,7 @@ bool check_done_sign_request(const SystemConfig& cfg, std::span<const std::uint8
                                             decrypt_context(done->id)))
       return false;
   }
-  mpz::Bigint m_rho = threshold::combine_decryption(cfg.params, *ea_m_rho, ev.shares);
+  group::Element m_rho = threshold::combine_decryption(cfg.params, *ea_m_rho, ev.shares);
   if (m_rho != ev.m_rho) return false;
   if (!cfg.params.in_zp_star(m_rho)) return false;
 

@@ -44,9 +44,8 @@ namespace dblind::core {
 
 // Signs `body` with this server's key, producing the ⟨m⟩_i envelope stamped
 // with (and signature-bound to) `cfg_epoch`.
-[[nodiscard]] SignedMessage make_envelope(const SystemConfig& cfg, const ServerSecrets& me,
-                                          std::vector<std::uint8_t> body, ConfigEpoch cfg_epoch,
-                                          mpz::Prng& prng);
+[[nodiscard]] SignedMessage make_envelope(const ServerSecrets& me, std::vector<std::uint8_t> body,
+                                          ConfigEpoch cfg_epoch, mpz::Prng& prng);
 
 // Fig. 5 row "init": returns the decoded message iff valid.
 [[nodiscard]] std::optional<InitMsg> check_init(const SystemConfig& cfg, const SignedMessage& env);

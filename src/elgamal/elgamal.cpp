@@ -4,16 +4,24 @@
 
 namespace dblind::elgamal {
 
-PublicKey::PublicKey(GroupParams params, Bigint y) : params_(std::move(params)), y_(std::move(y)) {
-  if (!params_.in_group(y_))
-    throw std::invalid_argument("PublicKey: y is not a group element");
+namespace {
+
+Element decoded_key(const GroupParams& params, const Element& y) {
+  std::optional<Element> key = params.decode(y);
+  if (!key) throw std::invalid_argument("PublicKey: y is not a group element");
+  return *std::move(key);
 }
 
-Ciphertext PublicKey::encrypt(const Bigint& m, mpz::Prng& prng) const {
+}  // namespace
+
+PublicKey::PublicKey(GroupParams params, const Element& y)
+    : params_(std::move(params)), y_(decoded_key(params_, y)) {}
+
+Ciphertext PublicKey::encrypt(const Element& m, mpz::Prng& prng) const {
   return encrypt_with_nonce(m, params_.random_exponent(prng));
 }
 
-Ciphertext PublicKey::encrypt_with_nonce(const Bigint& m, const Bigint& r) const {
+Ciphertext PublicKey::encrypt_with_nonce(const Element& m, const Bigint& r) const {
   if (!params_.in_group(m))
     throw std::invalid_argument("encrypt: plaintext is not a group element");
   if (r.is_zero() || r.is_negative() || r >= params_.q())
@@ -31,7 +39,7 @@ Ciphertext PublicKey::inverse(const Ciphertext& c) const {
   return {params_.inv(c.a), params_.inv(c.b)};
 }
 
-Ciphertext PublicKey::juxtapose(const Bigint& m_prime, const Ciphertext& c) const {
+Ciphertext PublicKey::juxtapose(const Element& m_prime, const Ciphertext& c) const {
   return {c.a, params_.mul(m_prime, c.b)};
 }
 
@@ -64,14 +72,14 @@ KeyPair KeyPair::generate(const GroupParams& params, mpz::Prng& prng) {
 KeyPair KeyPair::from_private(const GroupParams& params, Bigint k) {
   if (k.is_zero() || k.is_negative() || k >= params.q())
     throw std::invalid_argument("KeyPair: private key out of Z_q^*");
-  Bigint y = params.pow_g(k);
-  return KeyPair(PublicKey(params, std::move(y)), std::move(k));
+  Element y = params.pow_g(k);
+  return KeyPair(PublicKey(params, y), std::move(k));
 }
 
-Bigint KeyPair::decrypt(const Ciphertext& c) const {
+Element KeyPair::decrypt(const Ciphertext& c) const {
   const GroupParams& params = pub_.params();
   if (!pub_.well_formed(c)) throw std::invalid_argument("decrypt: malformed ciphertext");
-  Bigint ak = params.pow(c.a, k_);
+  Element ak = params.pow(c.a, k_);
   return params.mul(c.b, params.inv(ak));
 }
 

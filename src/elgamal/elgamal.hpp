@@ -16,28 +16,30 @@
 
 namespace dblind::elgamal {
 
+using group::Element;
 using group::GroupParams;
 using mpz::Bigint;
 
 struct Ciphertext {
-  Bigint a;  // g^r
-  Bigint b;  // m * y^r
+  Element a;  // g^r
+  Element b;  // m * y^r
 
   friend bool operator==(const Ciphertext&, const Ciphertext&) = default;
 };
 
 class PublicKey {
  public:
-  // y = g^k. Validates y ∈ G_p (throws std::invalid_argument).
-  PublicKey(GroupParams params, Bigint y);
+  // y = g^k. Validates y ∈ G_p and keeps it decoded (throws
+  // std::invalid_argument).
+  PublicKey(GroupParams params, const Element& y);
 
   [[nodiscard]] const GroupParams& params() const { return params_; }
-  [[nodiscard]] const Bigint& y() const { return y_; }
+  [[nodiscard]] const Element& y() const { return y_; }
 
   // E(m, r) with fresh random r ∈ Z_q^*. Precondition: m ∈ G_p (checked).
-  [[nodiscard]] Ciphertext encrypt(const Bigint& m, mpz::Prng& prng) const;
+  [[nodiscard]] Ciphertext encrypt(const Element& m, mpz::Prng& prng) const;
   // E(m, r) with caller-chosen r (used by proofs that need to know r).
-  [[nodiscard]] Ciphertext encrypt_with_nonce(const Bigint& m, const Bigint& r) const;
+  [[nodiscard]] Ciphertext encrypt_with_nonce(const Element& m, const Bigint& r) const;
 
   // True iff both components are in Z_p^* — the well-formedness every
   // receiver checks before using a ciphertext.
@@ -47,7 +49,7 @@ class PublicKey {
   // ElGamal Inverse: E(m)^{-1} ∈ E(m^{-1}).
   [[nodiscard]] Ciphertext inverse(const Ciphertext& c) const;
   // ElGamal Juxtaposition: m' · E(m, r) = E(m'·m, r).
-  [[nodiscard]] Ciphertext juxtapose(const Bigint& m_prime, const Ciphertext& c) const;
+  [[nodiscard]] Ciphertext juxtapose(const Element& m_prime, const Ciphertext& c) const;
   // ElGamal Multiplication: E(m1,r1) × E(m2,r2) ∈ E(m1·m2) provided
   // r1+r2 ∈ Z_q^*. Returns nullopt when the side condition fails (a == 1),
   // in which case the paper says to solicit fresh values.
@@ -60,7 +62,7 @@ class PublicKey {
 
  private:
   GroupParams params_;
-  Bigint y_;
+  Element y_;
 };
 
 class KeyPair {
@@ -75,7 +77,7 @@ class KeyPair {
 
   // Decrypts c = (a, b) as b / a^k. Throws std::invalid_argument on
   // malformed ciphertexts.
-  [[nodiscard]] Bigint decrypt(const Ciphertext& c) const;
+  [[nodiscard]] Element decrypt(const Ciphertext& c) const;
 
  private:
   KeyPair(PublicKey pub, Bigint k) : pub_(std::move(pub)), k_(std::move(k)) {}

@@ -12,13 +12,14 @@
 //   backend::Ec    — ristretto255: a prime-order group over Curve25519 with
 //                    32-byte canonical encodings (group/ristretto.hpp).
 //
-// Elements are boxed as `Bigint` holding the backend's canonical encoding —
-// a mod-p residue, or the ristretto 32-byte string interpreted as a
-// little-endian integer. Group order scalars are plain Bigints mod q in both
-// backends, so exponent arithmetic (Shamir shares, challenges, blinding
-// factors) is backend-independent. Canonical encodings mean boxed elements
-// can be compared, map-keyed, serialized, and hashed into transcripts without
-// knowing the backend.
+// Operations take and return group::Element (group/element.hpp): the
+// canonical encoding — a mod-p residue, or the ristretto 32-byte string read
+// as a little-endian integer — plus, for a decoded element, the backend's
+// native form. An operation reads the native form of a decoded input and
+// decodes only bare inputs; its result is encoded once and returned decoded.
+// Group order scalars are plain Bigints mod q in both backends, so exponent
+// arithmetic (Shamir shares, challenges, blinding factors) is
+// backend-independent.
 //
 // Op-count instrumentation mirrors MontgomeryCtx::mul_count(): op_count()
 // counts Montgomery multiplications (ModP) or field multiplications (Ec);
@@ -28,10 +29,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
 
+#include "group/element.hpp"
 #include "mpz/bigint.hpp"
 #include "mpz/random.hpp"
 
@@ -56,43 +60,53 @@ class Group {
   [[nodiscard]] virtual const Bigint& p() const = 0;
   // Prime group order q.
   [[nodiscard]] virtual const Bigint& q() const = 0;
-  // Canonical encoding of the generator.
-  [[nodiscard]] virtual const Bigint& g() const = 0;
+  // The generator (decoded).
+  [[nodiscard]] virtual const Element& g() const = 0;
   [[nodiscard]] virtual std::size_t bits() const = 0;
 
-  // Canonical encoding of the neutral element (ModP: 1; Ec: 0, the all-zero
-  // ristretto encoding). Call sites must use this instead of Bigint(1).
-  [[nodiscard]] virtual Bigint identity() const = 0;
-  [[nodiscard]] virtual bool in_group(const Bigint& x) const = 0;
+  // The neutral element (ModP: 1; Ec: 0, the all-zero ristretto encoding),
+  // decoded. Call sites must use this instead of Bigint(1).
+  [[nodiscard]] virtual const Element& identity() const = 0;
+  // Membership: free for an element this backend decoded, one decode for a
+  // bare one.
+  [[nodiscard]] virtual bool in_group(const Element& x) const = 0;
   // Cheap well-formedness check for wire values (ModP: x in [1, p-1]; Ec:
   // same as in_group — every canonical encoding is a group element).
-  [[nodiscard]] virtual bool in_zp_star(const Bigint& x) const = 0;
+  [[nodiscard]] virtual bool in_zp_star(const Element& x) const = 0;
+  // Validates x and returns it decoded; nullopt when it is not a canonical
+  // element encoding. An element this backend already decoded passes free.
+  [[nodiscard]] virtual std::optional<Element> decode(const Element& x) const = 0;
 
-  [[nodiscard]] virtual Bigint pow_g(const Bigint& e) const = 0;
-  [[nodiscard]] virtual Bigint pow(const Bigint& b, const Bigint& e) const = 0;
-  virtual void pin_base(const Bigint& b) const = 0;
-  [[nodiscard]] virtual Bigint pow_fixed(const Bigint& b, const Bigint& e) const = 0;
-  [[nodiscard]] virtual Bigint mul(const Bigint& a, const Bigint& b) const = 0;
-  [[nodiscard]] virtual Bigint pow2(const Bigint& a, const Bigint& ea, const Bigint& b,
-                                    const Bigint& eb) const = 0;
-  [[nodiscard]] virtual Bigint multi_pow(std::span<const Bigint> bases,
-                                         std::span<const Bigint> exps) const = 0;
+  [[nodiscard]] virtual Element pow_g(const Bigint& e) const = 0;
+  [[nodiscard]] virtual Element pow(const Element& b, const Bigint& e) const = 0;
+  virtual void pin_base(const Element& b) const = 0;
+  [[nodiscard]] virtual Element pow_fixed(const Element& b, const Bigint& e) const = 0;
+  [[nodiscard]] virtual Element mul(const Element& a, const Element& b) const = 0;
+  [[nodiscard]] virtual Element pow2(const Element& a, const Bigint& ea, const Element& b,
+                                     const Bigint& eb) const = 0;
+  [[nodiscard]] virtual Element multi_pow(std::span<const Element> bases,
+                                          std::span<const Bigint> exps) const = 0;
+  // Π bases[i]^{exps[i]} == expect, without encoding the product.
+  [[nodiscard]] virtual bool multi_pow_equals(std::span<const Element> bases,
+                                              std::span<const Bigint> exps,
+                                              const Element& expect) const = 0;
   // Group inverse (ModP: a^-1 mod p; Ec: point negation).
-  [[nodiscard]] virtual Bigint inv(const Bigint& a) const = 0;
+  [[nodiscard]] virtual Element inv(const Element& a) const = 0;
 
   virtual void reset_base_caches() const = 0;
   [[nodiscard]] virtual std::size_t pinned_table_count() const = 0;
 
-  [[nodiscard]] virtual Bigint hash_to_group(std::string_view label) const = 0;
+  [[nodiscard]] virtual Element hash_to_group(std::string_view label) const = 0;
 
   // Injective value -> element embedding; inverse of decode_message. The
   // valid input range is [1, max_message_value()].
-  [[nodiscard]] virtual Bigint encode_message(const Bigint& v) const = 0;
-  [[nodiscard]] virtual Bigint decode_message(const Bigint& elem) const = 0;
+  [[nodiscard]] virtual Element encode_message(const Bigint& v) const = 0;
+  [[nodiscard]] virtual Bigint decode_message(const Element& elem) const = 0;
   [[nodiscard]] virtual const Bigint& max_message_value() const = 0;
 
   // Fixed-width canonical wire encoding (ModP: big-endian residue; Ec: the
-  // 32-byte RFC 9496 encoding).
+  // 32-byte RFC 9496 encoding). A function of the encoding alone, so an
+  // Element passes without a copy.
   [[nodiscard]] virtual std::vector<std::uint8_t> element_bytes(const Bigint& x) const = 0;
   [[nodiscard]] virtual std::size_t element_size() const = 0;
 
@@ -102,6 +116,17 @@ class Group {
   // Approximate 64x64 word-multiplications per counted op (bench gates use
   // op_count() * op_cost_weight() as the cross-backend cost unit).
   [[nodiscard]] virtual std::uint64_t op_cost_weight() const = 0;
+
+ protected:
+  // Element plumbing, reserved to the backends. `owner` identifies the
+  // validating backend: every Ec shares one owner (the curve is fixed), every
+  // ModP instance gets its own (validity depends on its p).
+  [[nodiscard]] static Element decoded(Bigint encoding, std::uint64_t owner,
+                                       std::shared_ptr<const ec::Point> point = nullptr) {
+    return {std::move(encoding), owner, std::move(point)};
+  }
+  [[nodiscard]] static std::uint64_t owner_of(const Element& x) { return x.owner_; }
+  [[nodiscard]] static const ec::Point* point_of(const Element& x) { return x.point_.get(); }
 };
 
 }  // namespace dblind::group::backend

@@ -39,17 +39,26 @@ Ec::Ec()
       q_(Bigint::from_hex(
           "1000000000000000000000000000000014def9dea2f79cd65812631a5cf5d3ed")),
       max_message_(Bigint::from_hex(
-          "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffff")) {
-  g_ = box(ec::encode(ec::base_point()));
-}
+          "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffff")),
+      g_(element(ec::base_point())),
+      identity_(element(ec::identity())) {}
 
-Bigint Ec::box(const ec::EncodedPoint& enc) {
+namespace {
+
+Bigint box(const ec::EncodedPoint& enc) {
   std::array<std::uint8_t, 32> be;
   std::copy(enc.rbegin(), enc.rend(), be.begin());
   return Bigint::from_bytes_be(be);
 }
 
-ec::Point Ec::unbox(const Bigint& x) const {
+}  // namespace
+
+Element Ec::element(const ec::Point& pt) {
+  return decoded(box(ec::encode(pt)), kOwner, std::make_shared<const ec::Point>(pt));
+}
+
+ec::Point Ec::point(const Element& x) {
+  if (const ec::Point* native = point_of(x)) return *native;
   std::optional<ec::Point> pt = try_unbox(x);
   if (!pt) throw std::invalid_argument("ec255: not a canonical group element encoding");
   return *pt;
@@ -62,36 +71,46 @@ ec::ScalarBytes Ec::to_scalar(const Bigint& e) const {
   return s;
 }
 
-bool Ec::in_group(const Bigint& x) const {
+bool Ec::in_group(const Element& x) const {
+  if (point_of(x) != nullptr) return true;
   OpScope scope(*this);
   return try_unbox(x).has_value();
 }
 
-Bigint Ec::pow_g(const Bigint& e) const {
+std::optional<Element> Ec::decode(const Element& x) const {
+  if (point_of(x) != nullptr) return x;
+  OpScope scope(*this);
+  std::optional<ec::Point> pt = try_unbox(x);
+  if (!pt) return std::nullopt;
+  // A canonical encoding is the encoding of its point: keep it, skip encode.
+  return decoded(x.encoding(), kOwner, std::make_shared<const ec::Point>(*pt));
+}
+
+Element Ec::pow_g(const Bigint& e) const {
   OpScope scope(*this);
   std::call_once(cache_.once, [&] {
     cache_.g_comb = std::make_unique<const ec::CombTable>(ec::base_point(),
                                                           TableCache::kWindowBits);
   });
-  return box(ec::encode(cache_.g_comb->mul(to_scalar(e))));
+  return element(cache_.g_comb->mul(to_scalar(e)));
 }
 
-Bigint Ec::pow(const Bigint& b, const Bigint& e) const {
+Element Ec::pow(const Element& b, const Bigint& e) const {
   OpScope scope(*this);
-  return box(ec::encode(ec::scalar_mul(unbox(b), to_scalar(e))));
+  return element(ec::scalar_mul(point(b), to_scalar(e)));
 }
 
-void Ec::pin_base(const Bigint& b) const {
+void Ec::pin_base(const Element& b) const {
   if (b == g_) return;  // pow_g's comb table already covers g
   OpScope scope(*this);
-  ec::Point base = unbox(b);
+  ec::Point base = point(b);
   MutexLock lock(cache_.mu);
   if (cache_.pinned.contains(b)) return;
   cache_.pinned.emplace(
       b, std::make_shared<const ec::CombTable>(base, TableCache::kPinnedWindowBits));
 }
 
-Bigint Ec::pow_fixed(const Bigint& b, const Bigint& e) const {
+Element Ec::pow_fixed(const Element& b, const Bigint& e) const {
   if (b == g_) return pow_g(e);
   OpScope scope(*this);
   std::shared_ptr<const ec::CombTable> table;
@@ -101,37 +120,56 @@ Bigint Ec::pow_fixed(const Bigint& b, const Bigint& e) const {
     if (it != cache_.pinned.end()) table = it->second;
   }
   if (!table)  // not pinned: no insertion
-    return box(ec::encode(ec::scalar_mul(unbox(b), to_scalar(e))));
-  return box(ec::encode(table->mul(to_scalar(e))));
+    return element(ec::scalar_mul(point(b), to_scalar(e)));
+  return element(table->mul(to_scalar(e)));
 }
 
-Bigint Ec::mul(const Bigint& a, const Bigint& b) const {
+Element Ec::mul(const Element& a, const Element& b) const {
   OpScope scope(*this);
-  return box(ec::encode(ec::add(unbox(a), unbox(b))));
+  return element(ec::add(point(a), point(b)));
 }
 
-Bigint Ec::pow2(const Bigint& a, const Bigint& ea, const Bigint& b,
-                const Bigint& eb) const {
+Element Ec::pow2(const Element& a, const Bigint& ea, const Element& b, const Bigint& eb) const {
   OpScope scope(*this);
-  const std::array<ec::Point, 2> bases = {unbox(a), unbox(b)};
+  const std::array<ec::Point, 2> bases = {point(a), point(b)};
   const std::array<ec::ScalarBytes, 2> scalars = {to_scalar(ea), to_scalar(eb)};
-  return box(ec::encode(ec::multi_scalar_mul(bases, scalars)));
+  return element(ec::multi_scalar_mul(bases, scalars));
 }
 
-Bigint Ec::multi_pow(std::span<const Bigint> bases, std::span<const Bigint> exps) const {
-  OpScope scope(*this);
+ec::Point Ec::multi_scalar_mul(std::span<const Element> bases,
+                               std::span<const Bigint> exps) const {
   std::vector<ec::Point> pts;
   std::vector<ec::ScalarBytes> scalars;
   pts.reserve(bases.size());
   scalars.reserve(exps.size());
-  for (const Bigint& b : bases) pts.push_back(unbox(b));
+  for (const Element& b : bases) pts.push_back(point(b));
   for (const Bigint& e : exps) scalars.push_back(to_scalar(e));
-  return box(ec::encode(ec::multi_scalar_mul(pts, scalars)));
+  return ec::multi_scalar_mul(pts, scalars);
 }
 
-Bigint Ec::inv(const Bigint& a) const {
+Element Ec::multi_pow(std::span<const Element> bases, std::span<const Bigint> exps) const {
   OpScope scope(*this);
-  return box(ec::encode(ec::neg(unbox(a))));
+  return element(multi_scalar_mul(bases, exps));
+}
+
+bool Ec::multi_pow_equals(std::span<const Element> bases, std::span<const Bigint> exps,
+                          const Element& expect) const {
+  OpScope scope(*this);
+  std::optional<ec::Point> want;
+  if (const ec::Point* native = point_of(expect)) {
+    want = *native;
+  } else {
+    want = try_unbox(expect);
+    if (!want) return false;
+  }
+  // g joins the one Straus pass like any other base: with nothing to encode
+  // that is cheaper than its comb plus a point addition.
+  return ec::eq(multi_scalar_mul(bases, exps), *want);
+}
+
+Element Ec::inv(const Element& a) const {
+  OpScope scope(*this);
+  return element(ec::neg(point(a)));
 }
 
 void Ec::reset_base_caches() const {
@@ -144,7 +182,7 @@ std::size_t Ec::pinned_table_count() const {
   return cache_.pinned.size();
 }
 
-Bigint Ec::hash_to_group(std::string_view label) const {
+Element Ec::hash_to_group(std::string_view label) const {
   OpScope scope(*this);
   // 64 uniform bytes through the RFC 9496 one-way map: nobody learns a
   // discrete log of the result w.r.t. g (or anything else).
@@ -164,12 +202,12 @@ Bigint Ec::hash_to_group(std::string_view label) const {
       std::copy(d.begin(), d.end(), uniform.begin() + 32 * half);
     }
     ec::Point pt = ec::map_to_point(uniform);
-    if (!ec::is_identity(pt)) return box(ec::encode(pt));
+    if (!ec::is_identity(pt)) return element(pt);
     // Identity output (probability ~2^-250); re-derive with fresh counters.
   }
 }
 
-Bigint Ec::encode_message(const Bigint& v) const {
+Element Ec::encode_message(const Bigint& v) const {
   if (v.is_negative() || v.is_zero() || v > max_message_)
     throw std::invalid_argument("encode_message: value must be in [1, 2^232)");
   OpScope scope(*this);
@@ -179,16 +217,15 @@ Bigint Ec::encode_message(const Bigint& v) const {
   for (unsigned tweak = 0; tweak < kMaxTweak; ++tweak) {
     s[0] = static_cast<std::uint8_t>((tweak & 0x7f) << 1);
     s[30] = static_cast<std::uint8_t>(tweak >> 7);
-    if (ec::decode(s)) return box(s);
+    if (std::optional<ec::Point> pt = ec::decode(s))
+      return decoded(box(s), kOwner, std::make_shared<const ec::Point>(*pt));
   }
   throw std::runtime_error("encode_message: no decodable tweak (impossible)");
 }
 
-Bigint Ec::decode_message(const Bigint& elem) const {
-  OpScope scope(*this);
-  if (!try_unbox(elem))
-    throw std::invalid_argument("decode_message: not a group element");
-  std::vector<std::uint8_t> be = elem.to_bytes_be(32);
+Bigint Ec::decode_message(const Element& elem) const {
+  if (!in_group(elem)) throw std::invalid_argument("decode_message: not a group element");
+  std::vector<std::uint8_t> be = elem.encoding().to_bytes_be(32);
   ec::EncodedPoint s;
   std::copy(be.rbegin(), be.rend(), s.begin());
   std::array<std::uint8_t, kPayloadBytes> payload_be;

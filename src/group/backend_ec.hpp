@@ -1,11 +1,13 @@
 // ristretto255 backend: prime-order EC group with 32-byte canonical
 // encodings behind the backend::Group interface.
 //
-// Boxing convention: an element's Bigint value is its RFC 9496 32-byte
-// encoding interpreted as a little-endian integer (so element_bytes() emits
-// exactly the RFC encoding, and the identity boxes as Bigint 0 — the
-// all-zero string). Scalars are ordinary Bigints mod the group order
-// ell = 2^252 + 27742317777372353535851937790883648493.
+// Element convention: an element's encoding is its RFC 9496 32-byte string
+// interpreted as a little-endian integer (so element_bytes() emits exactly
+// the RFC encoding, and the identity encodes as Bigint 0 — the all-zero
+// string); a decoded element also carries its extended point. Operations
+// read that point directly, decode only bare inputs (an inverse square root
+// each), and encode each result once. Scalars are ordinary Bigints mod the
+// group order ell = 2^252 + 27742317777372353535851937790883648493.
 //
 // Op accounting: every group operation snapshots the thread-local field-mul
 // counter (mpz::fe_mul_count()) around its body and flushes the delta into
@@ -31,31 +33,35 @@ class Ec final : public Group {
   [[nodiscard]] std::string_view name() const override { return "ec255"; }
   [[nodiscard]] const Bigint& p() const override { return p_; }
   [[nodiscard]] const Bigint& q() const override { return q_; }
-  [[nodiscard]] const Bigint& g() const override { return g_; }
+  [[nodiscard]] const Element& g() const override { return g_; }
   [[nodiscard]] std::size_t bits() const override { return 255; }
 
-  [[nodiscard]] Bigint identity() const override { return Bigint(0); }
-  [[nodiscard]] bool in_group(const Bigint& x) const override;
+  [[nodiscard]] const Element& identity() const override { return identity_; }
+  [[nodiscard]] bool in_group(const Element& x) const override;
   // Every canonical encoding is a group element; same predicate as in_group.
-  [[nodiscard]] bool in_zp_star(const Bigint& x) const override { return in_group(x); }
+  [[nodiscard]] bool in_zp_star(const Element& x) const override { return in_group(x); }
+  [[nodiscard]] std::optional<Element> decode(const Element& x) const override;
 
-  [[nodiscard]] Bigint pow_g(const Bigint& e) const override;
-  [[nodiscard]] Bigint pow(const Bigint& b, const Bigint& e) const override;
-  void pin_base(const Bigint& b) const override;
-  [[nodiscard]] Bigint pow_fixed(const Bigint& b, const Bigint& e) const override;
-  [[nodiscard]] Bigint mul(const Bigint& a, const Bigint& b) const override;
-  [[nodiscard]] Bigint pow2(const Bigint& a, const Bigint& ea, const Bigint& b,
-                            const Bigint& eb) const override;
-  [[nodiscard]] Bigint multi_pow(std::span<const Bigint> bases,
-                                 std::span<const Bigint> exps) const override;
-  [[nodiscard]] Bigint inv(const Bigint& a) const override;
+  [[nodiscard]] Element pow_g(const Bigint& e) const override;
+  [[nodiscard]] Element pow(const Element& b, const Bigint& e) const override;
+  void pin_base(const Element& b) const override;
+  [[nodiscard]] Element pow_fixed(const Element& b, const Bigint& e) const override;
+  [[nodiscard]] Element mul(const Element& a, const Element& b) const override;
+  [[nodiscard]] Element pow2(const Element& a, const Bigint& ea, const Element& b,
+                             const Bigint& eb) const override;
+  [[nodiscard]] Element multi_pow(std::span<const Element> bases,
+                                  std::span<const Bigint> exps) const override;
+  [[nodiscard]] bool multi_pow_equals(std::span<const Element> bases,
+                                      std::span<const Bigint> exps,
+                                      const Element& expect) const override;
+  [[nodiscard]] Element inv(const Element& a) const override;
 
   void reset_base_caches() const override;
   [[nodiscard]] std::size_t pinned_table_count() const override;
 
-  [[nodiscard]] Bigint hash_to_group(std::string_view label) const override;
-  [[nodiscard]] Bigint encode_message(const Bigint& v) const override;
-  [[nodiscard]] Bigint decode_message(const Bigint& elem) const override;
+  [[nodiscard]] Element hash_to_group(std::string_view label) const override;
+  [[nodiscard]] Element encode_message(const Bigint& v) const override;
+  [[nodiscard]] Bigint decode_message(const Element& elem) const override;
   [[nodiscard]] const Bigint& max_message_value() const override { return max_message_; }
 
   [[nodiscard]] std::vector<std::uint8_t> element_bytes(const Bigint& x) const override;
@@ -86,13 +92,22 @@ class Ec final : public Group {
     std::uint64_t start_;
   };
 
-  // Boxed Bigint -> point; throws std::invalid_argument on anything that is
-  // not a canonical encoding.
-  [[nodiscard]] ec::Point unbox(const Bigint& x) const;
-  [[nodiscard]] static Bigint box(const ec::EncodedPoint& enc);
-  [[nodiscard]] ec::ScalarBytes to_scalar(const Bigint& e) const;
+  // Every Ec instance validates alike: the curve is fixed.
+  static constexpr std::uint64_t kOwner = 1;
 
-  Bigint p_, q_, g_, max_message_;
+  // The point of x: its native form when decoded, else decoded from the
+  // encoding (throws std::invalid_argument on anything that is not a
+  // canonical encoding).
+  [[nodiscard]] static ec::Point point(const Element& x);
+  // The decoded element of `pt`, encoded once.
+  [[nodiscard]] static Element element(const ec::Point& pt);
+  [[nodiscard]] ec::ScalarBytes to_scalar(const Bigint& e) const;
+  // Σ exps[i]·bases[i] as a point, through the one Straus kernel.
+  [[nodiscard]] ec::Point multi_scalar_mul(std::span<const Element> bases,
+                                           std::span<const Bigint> exps) const;
+
+  Bigint p_, q_, max_message_;
+  Element g_, identity_;
   mutable std::atomic<std::uint64_t> op_count_{0};
 
   struct TableCache {
@@ -101,6 +116,7 @@ class Ec final : public Group {
     static constexpr unsigned kWindowBits = 4;
     static constexpr unsigned kPinnedWindowBits = 5;
     mutable Mutex mu;
+    // Keyed by encoding.
     mutable std::map<Bigint, std::shared_ptr<const ec::CombTable>> pinned GUARDED_BY(mu);
   };
   mutable TableCache cache_;

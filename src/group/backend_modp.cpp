@@ -1,6 +1,7 @@
 #include "group/backend_modp.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 
 #include "hash/sha256.hpp"
@@ -8,30 +9,53 @@
 
 namespace dblind::group::backend {
 
-ModP::ModP(Bigint p, Bigint q, Bigint g)
-    : p_(std::move(p)), q_(std::move(q)), g_(std::move(g)), mont_(p_) {}
+namespace {
 
-bool ModP::in_group(const Bigint& x) const {
+// Ec owns 1; ModP instances count up from 2.
+std::uint64_t next_owner() {
+  static std::atomic<std::uint64_t> next{2};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
+
+ModP::ModP(Bigint p, Bigint q, Bigint g)
+    : p_(std::move(p)),
+      q_(std::move(q)),
+      owner_(next_owner()),
+      g_(decoded(std::move(g), owner_)),
+      identity_(decoded(Bigint(1), owner_)),
+      mont_(p_) {}
+
+bool ModP::in_group(const Element& x) const {
+  if (mine(x)) return true;
   if (!in_zp_star(x)) return false;
   return mpz::jacobi(x, p_) == 1;  // QR subgroup == order-q subgroup for safe primes
 }
 
-bool ModP::in_zp_star(const Bigint& x) const {
-  return !x.is_negative() && !x.is_zero() && x < p_;
+bool ModP::in_zp_star(const Element& x) const {
+  if (mine(x)) return true;
+  const Bigint& v = x;
+  return !v.is_negative() && !v.is_zero() && v < p_;
 }
 
-Bigint ModP::pow_g(const Bigint& e) const {
+std::optional<Element> ModP::decode(const Element& x) const {
+  if (!in_group(x)) return std::nullopt;
+  return decoded(x.encoding(), owner_);
+}
+
+Element ModP::pow_g(const Bigint& e) const {
   std::call_once(cache_.once, [&] {
     cache_.g_pow = std::make_unique<const mpz::FixedBasePow>(mont_, g_, q_.bit_length());
   });
-  return cache_.g_pow->pow(mpz::mod(e, q_));
+  return decoded(cache_.g_pow->pow(mpz::mod(e, q_)), owner_);
 }
 
-Bigint ModP::pow(const Bigint& b, const Bigint& e) const {
-  return mont_.pow(mpz::mod(b, p_), mpz::mod(e, q_));
+Element ModP::pow(const Element& b, const Bigint& e) const {
+  return result(mont_.pow(mpz::mod(b, p_), mpz::mod(e, q_)), mine(b));
 }
 
-void ModP::pin_base(const Bigint& b) const {
+void ModP::pin_base(const Element& b) const {
   Bigint base = mpz::mod(b, p_);
   if (base == g_) return;  // pow_g's comb table already covers g
   MutexLock lock(cache_.mu);
@@ -41,7 +65,7 @@ void ModP::pin_base(const Bigint& b) const {
                                                       FixedBaseCache::kPinnedWindowBits));
 }
 
-Bigint ModP::pow_fixed(const Bigint& b, const Bigint& e) const {
+Element ModP::pow_fixed(const Element& b, const Bigint& e) const {
   Bigint base = mpz::mod(b, p_);
   if (base == g_) return pow_g(e);
   std::shared_ptr<const mpz::FixedBasePow> table;
@@ -50,8 +74,8 @@ Bigint ModP::pow_fixed(const Bigint& b, const Bigint& e) const {
     auto it = cache_.pinned.find(base);
     if (it != cache_.pinned.end()) table = it->second;
   }
-  if (!table) return mont_.pow(base, mpz::mod(e, q_));  // not pinned: no insertion
-  return table->pow(mpz::mod(e, q_));
+  if (!table) return result(mont_.pow(base, mpz::mod(e, q_)), mine(b));  // not pinned: no insertion
+  return result(table->pow(mpz::mod(e, q_)), mine(b));
 }
 
 void ModP::reset_base_caches() const {
@@ -64,26 +88,53 @@ std::size_t ModP::pinned_table_count() const {
   return cache_.pinned.size();
 }
 
-Bigint ModP::pow2(const Bigint& a, const Bigint& ea, const Bigint& b,
-                  const Bigint& eb) const {
-  return mont_.pow2(mpz::mod(a, p_), mpz::mod(ea, q_), mpz::mod(b, p_), mpz::mod(eb, q_));
+Element ModP::pow2(const Element& a, const Bigint& ea, const Element& b,
+                   const Bigint& eb) const {
+  return result(
+      mont_.pow2(mpz::mod(a, p_), mpz::mod(ea, q_), mpz::mod(b, p_), mpz::mod(eb, q_)),
+      mine(a) && mine(b));
 }
 
-Bigint ModP::multi_pow(std::span<const Bigint> bases, std::span<const Bigint> exps) const {
-  std::vector<Bigint> reduced(bases.begin(), bases.end());
-  for (Bigint& b : reduced) {
-    if (b.is_negative() || b >= p_) b = mpz::mod(b, p_);
+Element ModP::multi_pow(std::span<const Element> bases, std::span<const Bigint> exps) const {
+  std::vector<Bigint> reduced;
+  reduced.reserve(bases.size());
+  bool valid = true;
+  for (const Element& b : bases) {
+    const Bigint& v = b;
+    reduced.push_back(v.is_negative() || v >= p_ ? mpz::mod(v, p_) : v);
+    valid = valid && mine(b);
   }
-  return mont_.multi_pow(reduced, exps);
+  return result(mont_.multi_pow(reduced, exps), valid);
 }
 
-Bigint ModP::mul(const Bigint& a, const Bigint& b) const {
-  return mont_.mul(mpz::mod(a, p_), mpz::mod(b, p_));
+bool ModP::multi_pow_equals(std::span<const Element> bases, std::span<const Bigint> exps,
+                            const Element& expect) const {
+  if (bases.size() == 2) return pow2(bases[0], exps[0], bases[1], exps[1]) == expect;
+  std::vector<Element> rest;
+  std::vector<Bigint> rest_exps;
+  rest.reserve(bases.size());
+  rest_exps.reserve(exps.size());
+  Bigint g_exp(0);
+  for (std::size_t i = 0; i < bases.size(); ++i) {
+    if (bases[i] == g_) {
+      g_exp = mpz::addmod(g_exp, exps[i], q_);
+    } else {
+      rest.push_back(bases[i]);
+      rest_exps.push_back(exps[i]);
+    }
+  }
+  Element acc = multi_pow(rest, rest_exps);
+  if (!g_exp.is_zero()) acc = mul(acc, pow_g(g_exp));
+  return acc == expect;
 }
 
-Bigint ModP::inv(const Bigint& a) const { return mpz::invmod(a, p_); }
+Element ModP::mul(const Element& a, const Element& b) const {
+  return result(mont_.mul(mpz::mod(a, p_), mpz::mod(b, p_)), mine(a) && mine(b));
+}
 
-Bigint ModP::hash_to_group(std::string_view label) const {
+Element ModP::inv(const Element& a) const { return result(mpz::invmod(a, p_), mine(a)); }
+
+Element ModP::hash_to_group(std::string_view label) const {
   // Expand the label to >= |p| + 64 bits of digest material so the reduction
   // mod p is statistically uniform, then square to land in the QR subgroup.
   const std::size_t need = element_size() + 8;
@@ -106,19 +157,20 @@ Bigint ModP::hash_to_group(std::string_view label) const {
     }
     Bigint v = mpz::mod(Bigint::from_bytes_be(material), p_);
     Bigint e = mont_.mul(v, v);  // v^2: a quadratic residue
-    if (in_group(e) && e != Bigint(1)) return e;
+    if (in_group(e) && e != Bigint(1)) return decoded(std::move(e), owner_);
     // v was 0, 1 or p-1 (astronomically unlikely); extend and retry.
   }
 }
 
-Bigint ModP::encode_message(const Bigint& v) const {
+Element ModP::encode_message(const Bigint& v) const {
   if (v.is_negative() || v.is_zero() || v > q_)
     throw std::invalid_argument("encode_message: value must be in [1, q]");
-  if (mpz::jacobi(v, p_) == 1) return v;
-  return p_ - v;
+  // p = 3 mod 4 makes -1 a non-residue, so exactly one of v, p - v is a QR.
+  if (mpz::jacobi(v, p_) == 1) return decoded(v, owner_);
+  return decoded(p_ - v, owner_);
 }
 
-Bigint ModP::decode_message(const Bigint& elem) const {
+Bigint ModP::decode_message(const Element& elem) const {
   if (!in_group(elem)) throw std::invalid_argument("decode_message: not a group element");
   if (elem <= q_) return elem;
   return p_ - elem;

@@ -24,30 +24,36 @@ class ModP final : public Group {
   [[nodiscard]] std::string_view name() const override { return "modp"; }
   [[nodiscard]] const Bigint& p() const override { return p_; }
   [[nodiscard]] const Bigint& q() const override { return q_; }
-  [[nodiscard]] const Bigint& g() const override { return g_; }
+  [[nodiscard]] const Element& g() const override { return g_; }
   [[nodiscard]] std::size_t bits() const override { return p_.bit_length(); }
 
-  [[nodiscard]] Bigint identity() const override { return Bigint(1); }
-  [[nodiscard]] bool in_group(const Bigint& x) const override;
-  [[nodiscard]] bool in_zp_star(const Bigint& x) const override;
+  [[nodiscard]] const Element& identity() const override { return identity_; }
+  [[nodiscard]] bool in_group(const Element& x) const override;
+  [[nodiscard]] bool in_zp_star(const Element& x) const override;
+  [[nodiscard]] std::optional<Element> decode(const Element& x) const override;
 
-  [[nodiscard]] Bigint pow_g(const Bigint& e) const override;
-  [[nodiscard]] Bigint pow(const Bigint& b, const Bigint& e) const override;
-  void pin_base(const Bigint& b) const override;
-  [[nodiscard]] Bigint pow_fixed(const Bigint& b, const Bigint& e) const override;
-  [[nodiscard]] Bigint mul(const Bigint& a, const Bigint& b) const override;
-  [[nodiscard]] Bigint pow2(const Bigint& a, const Bigint& ea, const Bigint& b,
-                            const Bigint& eb) const override;
-  [[nodiscard]] Bigint multi_pow(std::span<const Bigint> bases,
-                                 std::span<const Bigint> exps) const override;
-  [[nodiscard]] Bigint inv(const Bigint& a) const override;
+  [[nodiscard]] Element pow_g(const Bigint& e) const override;
+  [[nodiscard]] Element pow(const Element& b, const Bigint& e) const override;
+  void pin_base(const Element& b) const override;
+  [[nodiscard]] Element pow_fixed(const Element& b, const Bigint& e) const override;
+  [[nodiscard]] Element mul(const Element& a, const Element& b) const override;
+  [[nodiscard]] Element pow2(const Element& a, const Bigint& ea, const Element& b,
+                             const Bigint& eb) const override;
+  [[nodiscard]] Element multi_pow(std::span<const Element> bases,
+                                  std::span<const Bigint> exps) const override;
+  // Two bases run Shamir's joint window (pow2); more run one
+  // multi-exponentiation over every base but g, with g through its comb.
+  [[nodiscard]] bool multi_pow_equals(std::span<const Element> bases,
+                                      std::span<const Bigint> exps,
+                                      const Element& expect) const override;
+  [[nodiscard]] Element inv(const Element& a) const override;
 
   void reset_base_caches() const override;
   [[nodiscard]] std::size_t pinned_table_count() const override;
 
-  [[nodiscard]] Bigint hash_to_group(std::string_view label) const override;
-  [[nodiscard]] Bigint encode_message(const Bigint& v) const override;
-  [[nodiscard]] Bigint decode_message(const Bigint& elem) const override;
+  [[nodiscard]] Element hash_to_group(std::string_view label) const override;
+  [[nodiscard]] Element encode_message(const Bigint& v) const override;
+  [[nodiscard]] Bigint decode_message(const Element& elem) const override;
   [[nodiscard]] const Bigint& max_message_value() const override { return q_; }
 
   [[nodiscard]] std::vector<std::uint8_t> element_bytes(const Bigint& x) const override;
@@ -66,7 +72,19 @@ class ModP final : public Group {
   }
 
  private:
-  Bigint p_, q_, g_;
+  // True iff this instance validated x: its residue is a group element.
+  [[nodiscard]] bool mine(const Element& x) const { return owner_of(x) == owner_; }
+  // `v` as an element, decoded iff every element it was computed from was a
+  // validated group element (then so is v).
+  [[nodiscard]] Element result(Bigint v, bool valid) const {
+    return valid ? decoded(std::move(v), owner_) : Element(std::move(v));
+  }
+
+  Bigint p_, q_;
+  // Unique per instance and never reused, so an element validated under one
+  // modulus never passes as validated under another.
+  std::uint64_t owner_;
+  Element g_, identity_;
   mpz::MontgomeryCtx mont_;
   // Fixed-base tables: g's, built on first use, and the pinned bases' (see
   // GroupParams docs).

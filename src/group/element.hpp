@@ -1,0 +1,77 @@
+// Group element: canonical encoding plus, once known, the backend-native form.
+//
+// Every element carries the canonical encoding the protocol has always used
+// (mod-p: the residue; ec255: the RFC 9496 32-byte string read as a
+// little-endian integer), so equality, ordering, map keys, transcripts and
+// Writer output depend on the encoding alone. A *decoded* element also
+// carries what the backend needs to compute with it without re-validating:
+//
+//   ec255 — the extended point, shared immutable (so copies are cheap and
+//           verify-pool threads read it without locks);
+//   mod-p — nothing extra: the residue is the native form, and the element is
+//           only marked as validated by the backend instance that made it.
+//
+// Decoded elements come from GroupParams operations (results are encoded
+// once, eagerly), from GroupParams::decode, and from group-aware codec reads
+// (group::read_element on a Reader that carries the group). A *bare* element
+// (encoding only) is what a plain Bigint converts to; every operation accepts
+// it and decodes it per use, as before elements were typed.
+#pragma once
+
+#include <compare>
+#include <cstdint>
+#include <memory>
+#include <utility>
+
+#include "mpz/bigint.hpp"
+
+namespace dblind::group {
+
+namespace ec {
+struct Point;
+}  // namespace ec
+
+namespace backend {
+class Group;
+}  // namespace backend
+
+class Element {
+ public:
+  // Bare element with encoding 0 (the ec255 identity encoding; not a mod-p
+  // element).
+  Element() = default;
+  // Bare element: the encoding only, validated (if at all) by each use.
+  Element(mpz::Bigint encoding)  // NOLINT(google-explicit-constructor)
+      : enc_(std::move(encoding)) {}
+
+  // The canonical encoding, so an Element reads wherever a Bigint did. (Like
+  // encoding(), the reference lives as long as the element does.)
+  operator const mpz::Bigint&() const { return enc_; }  // NOLINT(google-explicit-constructor)
+  [[nodiscard]] const mpz::Bigint& encoding() const { return enc_; }
+
+  // True iff the element carries a backend-native, validated form.
+  [[nodiscard]] bool is_decoded() const { return owner_ != 0; }
+
+  friend bool operator==(const Element& a, const Element& b) { return a.enc_ == b.enc_; }
+  friend bool operator==(const Element& a, const mpz::Bigint& b) { return a.enc_ == b; }
+  friend std::strong_ordering operator<=>(const Element& a, const Element& b) {
+    return a.enc_ <=> b.enc_;
+  }
+  friend std::strong_ordering operator<=>(const Element& a, const mpz::Bigint& b) {
+    return a.enc_ <=> b;
+  }
+
+ private:
+  friend class backend::Group;  // the only code that makes or opens decoded elements
+
+  Element(mpz::Bigint encoding, std::uint64_t owner, std::shared_ptr<const ec::Point> point)
+      : enc_(std::move(encoding)), owner_(owner), point_(std::move(point)) {}
+
+  mpz::Bigint enc_;
+  // Backend::Group::owner() of the backend that validated this element; 0
+  // for a bare element.
+  std::uint64_t owner_ = 0;
+  std::shared_ptr<const ec::Point> point_;  // ec255 native form
+};
+
+}  // namespace dblind::group

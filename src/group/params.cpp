@@ -135,7 +135,7 @@ GroupParams GroupParams::from_values(Bigint p, Bigint q, Bigint g, mpz::Prng& pr
   return GroupParams(make_modp(std::move(p), std::move(q), std::move(g)));
 }
 
-Bigint GroupParams::encode_bytes(std::span<const std::uint8_t> bytes) const {
+Element GroupParams::encode_bytes(std::span<const std::uint8_t> bytes) const {
   // Prefix a 0x01 sentinel byte at the most-significant end so that leading
   // zero bytes of the payload survive the integer round trip.
   std::vector<std::uint8_t> framed(bytes.size() + 1);
@@ -147,12 +147,20 @@ Bigint GroupParams::encode_bytes(std::span<const std::uint8_t> bytes) const {
   return encode_message(v);
 }
 
-std::vector<std::uint8_t> GroupParams::decode_bytes(const Bigint& elem) const {
+std::vector<std::uint8_t> GroupParams::decode_bytes(const Element& elem) const {
   Bigint v = decode_message(elem);
   std::vector<std::uint8_t> framed = v.to_bytes_be();
   if (framed.empty() || framed[0] != 0x01)
     throw std::invalid_argument("decode_bytes: missing sentinel");
   return {framed.begin() + 1, framed.end()};
+}
+
+Element read_element(common::Reader& r) {
+  Bigint v = r.bigint();
+  if (r.group() == nullptr) return Element(std::move(v));
+  std::optional<Element> e = r.group()->decode(std::move(v));
+  if (!e) throw common::CodecError("element: not a canonical group element encoding");
+  return *std::move(e);
 }
 
 }  // namespace dblind::group

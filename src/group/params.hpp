@@ -10,19 +10,26 @@
 //   ec255  (backend::Ec)   — ristretto255, a prime-order group over
 //          Curve25519 with 32-byte canonical encodings. Named id kEc255.
 //
-// Group elements are Bigints holding the backend's canonical encoding, so
-// call sites (ciphertexts, proofs, commitments, transcripts, codecs) are
-// backend-agnostic. Use identity()/is_identity() instead of Bigint(1) — the
-// EC identity encodes as 0.
+// Group elements are group::Element values (group/element.hpp): the
+// backend's canonical encoding, so call sites (ciphertexts, proofs,
+// commitments, transcripts, codecs) stay backend-agnostic, plus the native
+// form once decoded. Every operation returns a decoded element; a bare one
+// (a plain Bigint) is accepted anywhere and decoded per use. Wire values are
+// decoded and validated once, by read_element on a Reader that carries the
+// group. Use identity()/is_identity() instead of Bigint(1) — the EC identity
+// encodes as 0.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/codec.hpp"
 #include "group/backend.hpp"
+#include "group/element.hpp"
 #include "mpz/bigint.hpp"
 #include "mpz/random.hpp"
 
@@ -74,28 +81,34 @@ class GroupParams {
   [[nodiscard]] const Bigint& p() const { return impl_->p(); }
   // Prime group order.
   [[nodiscard]] const Bigint& q() const { return impl_->q(); }
-  // Canonical encoding of the generator.
-  [[nodiscard]] const Bigint& g() const { return impl_->g(); }
+  // The generator (decoded).
+  [[nodiscard]] const Element& g() const { return impl_->g(); }
   [[nodiscard]] std::size_t bits() const { return impl_->bits(); }
 
-  // Canonical encoding of the neutral element (mod-p: 1; ec255: 0).
-  [[nodiscard]] Bigint identity() const { return impl_->identity(); }
+  // The neutral element (mod-p: 1; ec255: encoding 0), decoded.
+  [[nodiscard]] const Element& identity() const { return impl_->identity(); }
   [[nodiscard]] bool is_identity(const Bigint& x) const { return x == impl_->identity(); }
 
   // True iff x is a canonical group-element encoding (mod-p: nonzero QR).
-  [[nodiscard]] bool in_group(const Bigint& x) const { return impl_->in_group(x); }
+  // Free for an element this group decoded; one decode for a bare one.
+  [[nodiscard]] bool in_group(const Element& x) const { return impl_->in_group(x); }
   // Cheap wire well-formedness check (mod-p: x in [1, p-1]; ec255: same as
   // in_group — every canonical encoding is an element).
-  [[nodiscard]] bool in_zp_star(const Bigint& x) const { return impl_->in_zp_star(x); }
+  [[nodiscard]] bool in_zp_star(const Element& x) const { return impl_->in_zp_star(x); }
+  // x validated and decoded; nullopt unless x is a canonical group-element
+  // encoding. Free for an element this group already decoded.
+  [[nodiscard]] std::optional<Element> decode(const Element& x) const {
+    return impl_->decode(x);
+  }
   // True iff x in [0, q).
   [[nodiscard]] bool is_exponent(const Bigint& x) const {
     return !x.is_negative() && x < impl_->q();
   }
 
   // g^e (e reduced mod q first).
-  [[nodiscard]] Bigint pow_g(const Bigint& e) const { return impl_->pow_g(e); }
+  [[nodiscard]] Element pow_g(const Bigint& e) const { return impl_->pow_g(e); }
   // b^e.
-  [[nodiscard]] Bigint pow(const Bigint& b, const Bigint& e) const {
+  [[nodiscard]] Element pow(const Element& b, const Bigint& e) const {
     return impl_->pow(b, e);
   }
   // Pins `b` as a protocol base: builds a wide (5-bit window) comb table for
@@ -104,31 +117,47 @@ class GroupParams {
   // pins — a hostile peer spraying fresh bases cannot touch it. Idempotent;
   // pinning g itself is a no-op (pow_g already combs it). Called by
   // ProtocolServer for y_A, y_B and y_A·y_B, and by PedersenParams for h.
-  void pin_base(const Bigint& b) const { impl_->pin_base(b); }
+  void pin_base(const Element& b) const { impl_->pin_base(b); }
   // b^e through the pinned comb table when `b` was pinned (or is g);
   // otherwise a plain pow() — never inserts into any cache, so it is safe on
   // the prover hot path even for ad-hoc bases. Semantically identical to
   // pow().
-  [[nodiscard]] Bigint pow_fixed(const Bigint& b, const Bigint& e) const {
+  [[nodiscard]] Element pow_fixed(const Element& b, const Bigint& e) const {
     return impl_->pow_fixed(b, e);
   }
   // Group operation a·b.
-  [[nodiscard]] Bigint mul(const Bigint& a, const Bigint& b) const {
+  [[nodiscard]] Element mul(const Element& a, const Element& b) const {
     return impl_->mul(a, b);
   }
   // a^ea · b^eb (Shamir's trick; exponents reduced mod q).
-  [[nodiscard]] Bigint pow2(const Bigint& a, const Bigint& ea, const Bigint& b,
-                            const Bigint& eb) const {
+  [[nodiscard]] Element pow2(const Element& a, const Bigint& ea, const Element& b,
+                             const Bigint& eb) const {
     return impl_->pow2(a, ea, b, eb);
   }
   // Π bases[i]^{exps[i]} (mod-p: Shamir/Pippenger; ec255: signed-window
   // Straus). Exponents must already be in [0, q).
-  [[nodiscard]] Bigint multi_pow(std::span<const Bigint> bases,
-                                 std::span<const Bigint> exps) const {
+  [[nodiscard]] Element multi_pow(std::span<const Element> bases,
+                                  std::span<const Bigint> exps) const {
     return impl_->multi_pow(bases, exps);
   }
+  // The same over bare bases (each decoded per call).
+  [[nodiscard]] Element multi_pow(std::span<const Bigint> bases,
+                                  std::span<const Bigint> exps) const {
+    const std::vector<Element> bare(bases.begin(), bases.end());
+    return impl_->multi_pow(bare, exps);
+  }
+  // Π bases[i]^{exps[i]} == expect, without encoding the product: the
+  // verification equations' comparison. ec255 compares points (coset-aware
+  // ec::eq); mod-p evaluates as the verifiers always did — two bases through
+  // pow2, more through multi_pow with g routed through its comb table — and
+  // compares residues.
+  [[nodiscard]] bool multi_pow_equals(std::span<const Element> bases,
+                                      std::span<const Bigint> exps,
+                                      const Element& expect) const {
+    return impl_->multi_pow_equals(bases, exps, expect);
+  }
   // Group inverse a^{-1}.
-  [[nodiscard]] Bigint inv(const Bigint& a) const { return impl_->inv(a); }
+  [[nodiscard]] Element inv(const Element& a) const { return impl_->inv(a); }
 
   // Epoch-boundary invalidation (core/reconfig): drops every pinned comb
   // except g's own. Bases tied to a retired configuration (old commitment
@@ -144,7 +173,7 @@ class GroupParams {
   }
 
   // Uniformly random group element (random exponent applied to g).
-  [[nodiscard]] Bigint random_element(mpz::Prng& prng) const {
+  [[nodiscard]] Element random_element(mpz::Prng& prng) const {
     return impl_->pow_g(random_exponent(prng));
   }
   // Uniformly random exponent in [1, q).
@@ -156,7 +185,7 @@ class GroupParams {
   // knows its discrete log w.r.t. g (mod-p: hash, reduce, square into the QR
   // subgroup; ec255: the RFC 9496 one-way map). Used e.g. as the second base
   // `h` of Pedersen commitments.
-  [[nodiscard]] Bigint hash_to_group(std::string_view label) const {
+  [[nodiscard]] Element hash_to_group(std::string_view label) const {
     return impl_->hash_to_group(label);
   }
 
@@ -166,10 +195,10 @@ class GroupParams {
   // inputs are [1, max_message_value()] (mod-p: q, via the QR-or-negate map;
   // ec255: 2^232 - 1, embedded in the canonical encoding's payload bytes).
   // Throws std::invalid_argument outside that range.
-  [[nodiscard]] Bigint encode_message(const Bigint& v) const {
+  [[nodiscard]] Element encode_message(const Bigint& v) const {
     return impl_->encode_message(v);
   }
-  [[nodiscard]] Bigint decode_message(const Bigint& elem) const {
+  [[nodiscard]] Bigint decode_message(const Element& elem) const {
     return impl_->decode_message(elem);
   }
   [[nodiscard]] const Bigint& max_message_value() const {
@@ -177,8 +206,8 @@ class GroupParams {
   }
   // Convenience: encode/decode short byte strings (must fit below
   // max_message_value once framed).
-  [[nodiscard]] Bigint encode_bytes(std::span<const std::uint8_t> bytes) const;
-  [[nodiscard]] std::vector<std::uint8_t> decode_bytes(const Bigint& elem) const;
+  [[nodiscard]] Element encode_bytes(std::span<const std::uint8_t> bytes) const;
+  [[nodiscard]] std::vector<std::uint8_t> decode_bytes(const Element& elem) const;
 
   // Canonical serialized form of an element (mod-p: fixed-width big-endian
   // residue; ec255: the 32-byte RFC 9496 encoding), used in hashes and
@@ -223,5 +252,12 @@ class GroupParams {
   // context / comb-table cache / op counter per group.
   std::shared_ptr<const backend::Group> impl_;
 };
+
+// Reads one group element written by Writer::bigint. When the reader
+// carries a group (Reader(bytes, &params)) the element is decoded and
+// validated once, here, and anything that is not a canonical element
+// encoding throws common::CodecError before it can cost an exponentiation;
+// a group-less reader returns it bare.
+[[nodiscard]] Element read_element(common::Reader& r);
 
 }  // namespace dblind::group

@@ -7,8 +7,9 @@
 // order ell = 2^252 + 27742317777372353535851937790883648493 with canonical
 // 32-byte encodings: every group element has exactly one valid encoding, and
 // decode rejects everything else (non-canonical field element, negative s,
-// off-curve / wrong-coset values). That canonicality is what lets the group
-// backend box encodings in Bigint and hash them into transcripts directly.
+// off-curve / wrong-coset values). That canonicality is what lets a
+// group::Element carry its encoding for equality, map keys and transcripts
+// beside its decoded Point, with the two always in agreement.
 //
 // Every variable-base multiplication, one base or many, runs one Straus
 // kernel over width-5 signed sliding windows (odd multiples P..15P per base,

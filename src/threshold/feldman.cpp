@@ -15,12 +15,12 @@ FeldmanCommitments feldman_commit(const group::GroupParams& params,
   return out;
 }
 
-Bigint feldman_eval(const group::GroupParams& params, const FeldmanCommitments& c,
-                    std::uint32_t index) {
+group::Element feldman_eval(const group::GroupParams& params, const FeldmanCommitments& c,
+                            std::uint32_t index) {
   if (c.coefficients.empty()) throw std::invalid_argument("feldman_eval: empty commitments");
   // Π_j C_j^{i^j} evaluated Horner-style in the exponent:
   // acc = C_d; acc = acc^i * C_{d-1}; ...
-  Bigint acc = c.coefficients.back();
+  group::Element acc = c.coefficients.back();
   Bigint iv(static_cast<std::uint64_t>(index));
   for (std::size_t j = c.coefficients.size() - 1; j-- > 0;) {
     acc = params.mul(params.pow(acc, iv), c.coefficients[j]);

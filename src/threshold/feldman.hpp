@@ -17,7 +17,7 @@ namespace dblind::threshold {
 
 struct FeldmanCommitments {
   // commitments_[j] = g^{a_j}; degree = size - 1.
-  std::vector<Bigint> coefficients;
+  std::vector<group::Element> coefficients;
 
   friend bool operator==(const FeldmanCommitments&, const FeldmanCommitments&) = default;
 };
@@ -28,8 +28,8 @@ struct FeldmanCommitments {
 
 // g^{f(index)} computed from the public commitments — the verification key of
 // the share at `index` (index 0 yields g^{secret}, the public key).
-[[nodiscard]] Bigint feldman_eval(const group::GroupParams& params, const FeldmanCommitments& c,
-                                  std::uint32_t index);
+[[nodiscard]] group::Element feldman_eval(const group::GroupParams& params,
+                                          const FeldmanCommitments& c, std::uint32_t index);
 
 // Checks g^{share.value} == feldman_eval(share.index).
 [[nodiscard]] bool feldman_verify(const group::GroupParams& params, const FeldmanCommitments& c,

@@ -48,7 +48,7 @@ const Share& ServiceKeyMaterial::share_of(std::uint32_t index) const {
   return shares_[index - 1];
 }
 
-Bigint ServiceKeyMaterial::verification_key_of(std::uint32_t index) const {
+group::Element ServiceKeyMaterial::verification_key_of(std::uint32_t index) const {
   if (index == 0 || index > shares_.size())
     throw std::out_of_range("ServiceKeyMaterial::verification_key_of: bad index");
   return feldman_eval(params_, commitments_, index);

@@ -42,7 +42,7 @@ class ServiceKeyMaterial {
   // Private key share of server `index` (1-based).
   [[nodiscard]] const Share& share_of(std::uint32_t index) const;
   // Verification key h_i = g^{x_i} of server `index`.
-  [[nodiscard]] Bigint verification_key_of(std::uint32_t index) const;
+  [[nodiscard]] group::Element verification_key_of(std::uint32_t index) const;
 
   ServiceKeyMaterial(group::GroupParams params, ServiceConfig cfg, elgamal::PublicKey pub,
                      FeldmanCommitments commitments, std::vector<Share> shares);

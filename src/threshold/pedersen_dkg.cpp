@@ -18,7 +18,7 @@ PedersenDkgResult run_pedersen_dkg(const group::GroupParams& params, const Servi
   struct Dealer {
     std::vector<Bigint> value_poly;   // a_{d,j}
     std::vector<Bigint> blind_poly;   // b_{d,j}
-    std::vector<Bigint> commitments;  // E_{d,j}
+    std::vector<group::Element> commitments;  // E_{d,j}
     std::vector<PedersenShare> shares;
   };
 

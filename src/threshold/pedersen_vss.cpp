@@ -27,14 +27,14 @@ PedersenDeal pedersen_share(const zkp::PedersenParams& pp, const Bigint& secret,
   return deal;
 }
 
-bool pedersen_verify(const zkp::PedersenParams& pp, std::span<const Bigint> commitments,
+bool pedersen_verify(const zkp::PedersenParams& pp, std::span<const group::Element> commitments,
                      const PedersenShare& share) {
   if (share.index == 0 || commitments.empty()) return false;
   const group::GroupParams& gp = pp.group();
   if (share.value.is_negative() || share.value >= gp.q()) return false;
   if (share.blinding.is_negative() || share.blinding >= gp.q()) return false;
   // Π E_j^{i^j} computed Horner-style in the exponent.
-  Bigint acc = commitments.back();
+  group::Element acc = commitments.back();
   Bigint iv(static_cast<std::uint64_t>(share.index));
   for (std::size_t j = commitments.size() - 1; j-- > 0;) {
     acc = gp.mul(gp.pow(acc, iv), commitments[j]);

@@ -30,7 +30,7 @@ struct PedersenShare {
 };
 
 struct PedersenDeal {
-  std::vector<Bigint> commitments;       // E_j = g^{a_j} h^{b_j}
+  std::vector<group::Element> commitments;  // E_j = g^{a_j} h^{b_j}
   std::vector<PedersenShare> shares;     // shares[i-1] for participant i
 };
 
@@ -40,7 +40,7 @@ struct PedersenDeal {
 
 // Verifies one share pair against the public commitments.
 [[nodiscard]] bool pedersen_verify(const zkp::PedersenParams& pp,
-                                   std::span<const Bigint> commitments,
+                                   std::span<const group::Element> commitments,
                                    const PedersenShare& share);
 
 // Reconstructs the secret from >= f+1 distinct share pairs (values only —

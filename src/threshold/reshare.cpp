@@ -25,7 +25,7 @@ bool reshare_verify_commitments(const group::GroupParams& params,
                                 const ReshareDeal& deal, std::size_t new_f) {
   if (deal.dealer == 0) return false;
   if (deal.commitments.coefficients.size() != new_f + 1) return false;
-  for (const Bigint& c : deal.commitments.coefficients) {
+  for (const group::Element& c : deal.commitments.coefficients) {
     if (!params.in_group(c)) return false;
   }
   // The dealt constant term must be the dealer's OLD share: its commitment
@@ -77,7 +77,7 @@ FeldmanCommitments reshare_commitments(const group::GroupParams& params,
   const std::size_t degree_plus_1 = deals[0].coefficients.size();
   FeldmanCommitments out;
   out.coefficients.reserve(degree_plus_1);
-  std::vector<Bigint> bases(deals.size());
+  std::vector<group::Element> bases(deals.size());
   for (std::size_t k = 0; k < degree_plus_1; ++k) {
     for (std::size_t i = 0; i < deals.size(); ++i) {
       if (deals[i].coefficients.size() != degree_plus_1)

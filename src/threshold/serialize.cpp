@@ -32,7 +32,7 @@ std::vector<std::uint8_t> commitments_to_bytes(const FeldmanCommitments& c) {
   common::Writer w;
   w.u8(kCommitmentsTag);
   w.u32(static_cast<std::uint32_t>(c.coefficients.size()));
-  for (const Bigint& v : c.coefficients) w.bigint(v);
+  for (const group::Element& v : c.coefficients) w.bigint(v);
   return w.take();
 }
 

@@ -25,7 +25,7 @@ bool verify_decryption_share(const group::GroupParams& params,
                              const FeldmanCommitments& commitments, const elgamal::Ciphertext& c,
                              const DecryptionShare& ds, std::string_view context) {
   if (ds.index == 0) return false;
-  Bigint h_i = feldman_eval(params, commitments, ds.index);
+  group::Element h_i = feldman_eval(params, commitments, ds.index);
   zkp::DlogStatement stmt{params.g(), std::move(h_i), c.a, ds.d};
   return zkp::dlog_verify(params, stmt, ds.proof, context);
 }
@@ -34,7 +34,7 @@ bool share_lower_to_cp(const group::GroupParams& params, const FeldmanCommitment
                        const elgamal::Ciphertext& c, const DecryptionShare& ds,
                        std::string_view context, std::vector<zkp::CpBatchItem>& out) {
   if (ds.index == 0) return false;
-  Bigint h_i = feldman_eval(params, commitments, ds.index);
+  group::Element h_i = feldman_eval(params, commitments, ds.index);
   out.push_back({zkp::DlogStatement{params.g(), std::move(h_i), c.a, ds.d}, ds.proof,
                  std::string(context)});
   return true;
@@ -66,8 +66,9 @@ zkp::BatchResult batch_verify_decryption_shares_isolate(
   return r;
 }
 
-Bigint combine_decryption(const group::GroupParams& params, const elgamal::Ciphertext& c,
-                          std::span<const DecryptionShare> shares) {
+group::Element combine_decryption(const group::GroupParams& params,
+                                  const elgamal::Ciphertext& c,
+                                  std::span<const DecryptionShare> shares) {
   if (shares.empty()) throw std::invalid_argument("combine_decryption: no shares");
   std::vector<std::uint32_t> indices;
   std::set<std::uint32_t> seen;
@@ -77,7 +78,7 @@ Bigint combine_decryption(const group::GroupParams& params, const elgamal::Ciphe
     indices.push_back(s.index);
   }
   // a^k = Π d_i^{λ_i}; m = b / a^k.
-  Bigint ak = params.identity();
+  group::Element ak = params.identity();
   for (const DecryptionShare& s : shares) {
     Bigint lambda = lagrange_at_zero(indices, s.index, params.q());
     ak = params.mul(ak, params.pow(s.d, lambda));

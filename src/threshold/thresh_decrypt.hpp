@@ -20,7 +20,7 @@ namespace dblind::threshold {
 
 struct DecryptionShare {
   std::uint32_t index;
-  Bigint d;  // a^{x_i}
+  group::Element d;  // a^{x_i}
   zkp::DlogEqProof proof;
 
   friend bool operator==(const DecryptionShare&, const DecryptionShare&) = default;
@@ -68,8 +68,8 @@ struct DecryptionShare {
 // Combines >= f+1 distinct shares into the plaintext. The caller must have
 // verified the shares; combination throws std::invalid_argument on duplicate
 // indices or an empty span.
-[[nodiscard]] Bigint combine_decryption(const group::GroupParams& params,
-                                        const elgamal::Ciphertext& c,
-                                        std::span<const DecryptionShare> shares);
+[[nodiscard]] group::Element combine_decryption(const group::GroupParams& params,
+                                                const elgamal::Ciphertext& c,
+                                                std::span<const DecryptionShare> shares);
 
 }  // namespace dblind::threshold

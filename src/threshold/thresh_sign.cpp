@@ -25,7 +25,7 @@ SigningMember::SigningMember(const group::GroupParams& params, Share share, mpz:
 
 std::optional<PartialSignature> SigningMember::respond(
     std::span<const NonceCommitment> commitments, std::span<const NonceReveal> reveals,
-    const Bigint& service_y, std::span<const std::uint8_t> msg) {
+    const group::Element& service_y, std::span<const std::uint8_t> msg) {
   if (used_) return std::nullopt;  // nonce reuse would leak the key share
   if (reveals.size() != commitments.size() || reveals.empty()) return std::nullopt;
 
@@ -49,7 +49,7 @@ std::optional<PartialSignature> SigningMember::respond(
   if (!self_included) return std::nullopt;
 
   used_ = true;
-  Bigint r_joint = combine_nonce(params_, reveals);
+  group::Element r_joint = combine_nonce(params_, reveals);
   Bigint e = zkp::schnorr_challenge(params_, r_joint, service_y, msg);
 
   // s_i = λ_i·k_i + e·λ_i·x_i would also work; we instead put λ into the
@@ -59,7 +59,8 @@ std::optional<PartialSignature> SigningMember::respond(
   return PartialSignature{share_.index, std::move(s)};
 }
 
-Bigint combine_nonce(const group::GroupParams& params, std::span<const NonceReveal> reveals) {
+group::Element combine_nonce(const group::GroupParams& params,
+                             std::span<const NonceReveal> reveals) {
   if (reveals.empty()) throw std::invalid_argument("combine_nonce: no reveals");
   std::vector<std::uint32_t> indices;
   std::set<std::uint32_t> seen;
@@ -68,7 +69,7 @@ Bigint combine_nonce(const group::GroupParams& params, std::span<const NonceReve
       throw std::invalid_argument("combine_nonce: duplicate index");
     indices.push_back(r.index);
   }
-  Bigint r_joint = params.identity();
+  group::Element r_joint = params.identity();
   for (const NonceReveal& r : reveals) {
     Bigint lambda = lagrange_at_zero(indices, r.index, params.q());
     r_joint = params.mul(r_joint, params.pow(r.t, lambda));
@@ -82,7 +83,7 @@ bool verify_partial_signature(const group::GroupParams& params,
   if (partial.index != reveal.index) return false;
   if (partial.s.is_negative() || partial.s >= params.q()) return false;
   if (!params.in_group(reveal.t)) return false;
-  Bigint h_i = feldman_eval(params, commitments, partial.index);
+  group::Element h_i = feldman_eval(params, commitments, partial.index);
   // g^{s_i} == t_i · h_i^e
   return params.pow_g(partial.s) == params.mul(reveal.t, params.pow(h_i, e));
 }
@@ -103,7 +104,7 @@ zkp::SchnorrSignature combine_signature(const group::GroupParams& params,
     if (!seen.contains(r.index))
       throw std::invalid_argument("combine_signature: reveal without matching partial");
   }
-  Bigint r_joint = combine_nonce(params, reveals);
+  group::Element r_joint = combine_nonce(params, reveals);
   Bigint s(0);
   for (const PartialSignature& p : partials) {
     Bigint lambda = lagrange_at_zero(indices, p.index, params.q());

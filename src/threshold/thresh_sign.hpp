@@ -40,7 +40,7 @@ struct NonceCommitment {
 
 struct NonceReveal {
   std::uint32_t index;
-  Bigint t;  // g^{k_i}
+  group::Element t;  // g^{k_i}
 
   friend bool operator==(const NonceReveal&, const NonceReveal&) = default;
 };
@@ -70,7 +70,7 @@ class SigningMember {
   // mismatch, preventing a nonce-biasing adversary from obtaining partials.
   [[nodiscard]] std::optional<PartialSignature> respond(
       std::span<const NonceCommitment> commitments, std::span<const NonceReveal> reveals,
-      const Bigint& service_y, std::span<const std::uint8_t> msg);
+      const group::Element& service_y, std::span<const std::uint8_t> msg);
 
  private:
   group::GroupParams params_;
@@ -86,8 +86,8 @@ class SigningMember {
                                                    const NonceReveal& reveal);
 
 // R = Π t_i^{λ_i} over the quorum of reveals (distinct indices required).
-[[nodiscard]] Bigint combine_nonce(const group::GroupParams& params,
-                                   std::span<const NonceReveal> reveals);
+[[nodiscard]] group::Element combine_nonce(const group::GroupParams& params,
+                                           std::span<const NonceReveal> reveals);
 
 // Checks one partial signature: g^{s_i} == t_i · h_i^{e·λ_i}... (see .cpp;
 // the λ factor is applied at combination time, so the per-partial check is

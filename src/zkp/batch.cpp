@@ -18,35 +18,29 @@ class ExpAccumulator {
  public:
   explicit ExpAccumulator(const GroupParams& params) : params_(params) {}
 
-  void add(const Bigint& base, const Bigint& exp) {
+  void add(const Element& base, const Bigint& exp) {
     if (exp.is_zero()) return;
     auto [it, fresh] = terms_.try_emplace(base, exp);
     if (!fresh) it->second = mpz::addmod(it->second, exp, params_.q());
   }
 
-  // Π base^exp, with g routed through the fixed-base table.
-  [[nodiscard]] Bigint evaluate() const {
-    std::vector<Bigint> bases;
+  // Π base^exp == 1, without encoding the product (mod-p routes g through
+  // its fixed-base table; see GroupParams::multi_pow_equals).
+  [[nodiscard]] bool is_identity() const {
+    std::vector<Element> bases;
     std::vector<Bigint> exps;
     bases.reserve(terms_.size());
     exps.reserve(terms_.size());
-    Bigint g_exp(0);
     for (const auto& [base, exp] : terms_) {
-      if (base == params_.g()) {
-        g_exp = exp;
-      } else {
-        bases.push_back(base);
-        exps.push_back(exp);
-      }
+      bases.push_back(base);
+      exps.push_back(exp);
     }
-    Bigint acc = params_.multi_pow(bases, exps);
-    if (!g_exp.is_zero()) acc = params_.mul(acc, params_.pow_g(g_exp));
-    return acc;
+    return params_.multi_pow_equals(bases, exps, params_.identity());
   }
 
  private:
   const GroupParams& params_;
-  std::map<Bigint, Bigint> terms_;
+  std::map<Element, Bigint> terms_;
 };
 
 bool cp_batch_verify_impl(const GroupParams& params, std::span<const CpBatchItem> items,
@@ -64,7 +58,7 @@ bool cp_batch_verify_impl(const GroupParams& params, std::span<const CpBatchItem
     const DlogEqProof& proof = item.proof;
     // Same structural gate as dlog_verify; done per item so a value outside
     // the subgroup is rejected unconditionally, not probabilistically.
-    for (const Bigint* v : {&stmt.base1, &stmt.x, &stmt.base2, &stmt.z, &proof.t1, &proof.t2}) {
+    for (const Element* v : {&stmt.base1, &stmt.x, &stmt.base2, &stmt.z, &proof.t1, &proof.t2}) {
       if (!params.in_group(*v)) return false;
     }
     if (proof.s.is_negative() || proof.s >= q) return false;
@@ -81,7 +75,7 @@ bool cp_batch_verify_impl(const GroupParams& params, std::span<const CpBatchItem
     acc.add(stmt.z, mpz::submod(Bigint(0), mpz::mulmod(c2, e, q), q));
     acc.add(proof.t2, mpz::submod(Bigint(0), c2, q));
   }
-  return params.is_identity(acc.evaluate());
+  return acc.is_identity();
 }
 
 }  // namespace

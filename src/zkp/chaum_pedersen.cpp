@@ -1,5 +1,6 @@
 #include "zkp/chaum_pedersen.hpp"
 
+#include <array>
 #include <stdexcept>
 
 #include "mpz/modmath.hpp"
@@ -51,18 +52,19 @@ bool dlog_verify(const GroupParams& params, const DlogStatement& stmt, const Dlo
                  std::string_view context) {
   // All statement and commitment elements must live in the prime-order
   // subgroup, otherwise the soundness argument does not apply.
-  for (const Bigint* v : {&stmt.base1, &stmt.x, &stmt.base2, &stmt.z, &proof.t1, &proof.t2}) {
+  for (const Element* v : {&stmt.base1, &stmt.x, &stmt.base2, &stmt.z, &proof.t1, &proof.t2}) {
     if (!params.in_group(*v)) return false;
   }
   if (proof.s.is_negative() || proof.s >= params.q()) return false;
   Bigint e = cp_challenge(params, stmt, proof.t1, proof.t2, context);
   // base1^s == t1 * x^e  and  base2^s == t2 * z^e. Each side is evaluated as
   // one double exponentiation (Shamir's trick): base^s * x^{-e} == t1 with
-  // x^{-e} folded in as x^{q-e}.
-  Bigint neg_e = mpz::submod(Bigint(0), e, params.q());
-  if (params.pow2(stmt.base1, proof.s, stmt.x, neg_e) != proof.t1) return false;
-  if (params.pow2(stmt.base2, proof.s, stmt.z, neg_e) != proof.t2) return false;
-  return true;
+  // x^{-e} folded in as x^{q-e}, compared without encoding it.
+  const std::array<Bigint, 2> exps = {proof.s, mpz::submod(Bigint(0), e, params.q())};
+  const std::array<Element, 2> lhs1 = {stmt.base1, stmt.x};
+  const std::array<Element, 2> lhs2 = {stmt.base2, stmt.z};
+  return params.multi_pow_equals(lhs1, exps, proof.t1) &&
+         params.multi_pow_equals(lhs2, exps, proof.t2);
 }
 
 }  // namespace dblind::zkp

@@ -14,20 +14,21 @@
 
 namespace dblind::zkp {
 
+using group::Element;
 using group::GroupParams;
 using mpz::Bigint;
 
 struct DlogStatement {
-  Bigint base1;  // g
-  Bigint x;      // g^a
-  Bigint base2;  // Y
-  Bigint z;      // Y^a
+  Element base1;  // g
+  Element x;      // g^a
+  Element base2;  // Y
+  Element z;      // Y^a
 };
 
 struct DlogEqProof {
-  Bigint t1;  // base1^w
-  Bigint t2;  // base2^w
-  Bigint s;   // w + e*a mod q
+  Element t1;  // base1^w
+  Element t2;  // base2^w
+  Bigint s;    // w + e*a mod q
 
   friend bool operator==(const DlogEqProof&, const DlogEqProof&) = default;
 };
@@ -42,9 +43,9 @@ struct DlogEqProof {
 // at most ONE dlog_finish call (re-finishing with two different challenges
 // would reveal the witness: a = (s - s') / (e - e')).
 struct DlogAnnouncement {
-  Bigint w;   // commitment randomness (secret)
-  Bigint t1;  // base1^w
-  Bigint t2;  // base2^w
+  Bigint w;    // commitment randomness (secret)
+  Element t1;  // base1^w
+  Element t2;  // base2^w
 };
 
 // Offline half: checks the witness, draws w and computes the announcements

@@ -11,7 +11,7 @@ PedersenParams::PedersenParams(group::GroupParams params, std::string_view domai
   params_.pin_base(h_);
 }
 
-mpz::Bigint PedersenParams::commit(const mpz::Bigint& v, const mpz::Bigint& r) const {
+group::Element PedersenParams::commit(const mpz::Bigint& v, const mpz::Bigint& r) const {
   return params_.mul(params_.pow_g(v), params_.pow_fixed(h_, r));
 }
 
@@ -23,13 +23,14 @@ PedersenParams::Opening PedersenParams::commit_random(const mpz::Bigint& v,
   return o;
 }
 
-bool PedersenParams::open(const mpz::Bigint& commitment, const mpz::Bigint& v,
+bool PedersenParams::open(const group::Element& commitment, const mpz::Bigint& v,
                           const mpz::Bigint& r) const {
   if (!params_.in_group(commitment)) return false;
   return commitment == commit(v, r);
 }
 
-mpz::Bigint PedersenParams::add(const mpz::Bigint& c1, const mpz::Bigint& c2) const {
+group::Element PedersenParams::add(const group::Element& c1,
+                                   const group::Element& c2) const {
   return params_.mul(c1, c2);
 }
 

@@ -22,26 +22,26 @@ class PedersenParams {
   PedersenParams(group::GroupParams params, std::string_view domain);
 
   [[nodiscard]] const group::GroupParams& group() const { return params_; }
-  [[nodiscard]] const mpz::Bigint& h() const { return h_; }
+  [[nodiscard]] const group::Element& h() const { return h_; }
 
   // C = g^v · h^r; v, r taken mod q.
-  [[nodiscard]] mpz::Bigint commit(const mpz::Bigint& v, const mpz::Bigint& r) const;
+  [[nodiscard]] group::Element commit(const mpz::Bigint& v, const mpz::Bigint& r) const;
   // Commitment with fresh randomness; returns {C, r}.
   struct Opening {
-    mpz::Bigint commitment;
+    group::Element commitment;
     mpz::Bigint randomness;
   };
   [[nodiscard]] Opening commit_random(const mpz::Bigint& v, mpz::Prng& prng) const;
   // Checks C == g^v · h^r.
-  [[nodiscard]] bool open(const mpz::Bigint& commitment, const mpz::Bigint& v,
+  [[nodiscard]] bool open(const group::Element& commitment, const mpz::Bigint& v,
                           const mpz::Bigint& r) const;
 
   // Homomorphism: commit(v1, r1) * commit(v2, r2) == commit(v1+v2, r1+r2).
-  [[nodiscard]] mpz::Bigint add(const mpz::Bigint& c1, const mpz::Bigint& c2) const;
+  [[nodiscard]] group::Element add(const group::Element& c1, const group::Element& c2) const;
 
  private:
   group::GroupParams params_;
-  mpz::Bigint h_;
+  group::Element h_;
 };
 
 }  // namespace dblind::zkp

@@ -1,5 +1,7 @@
 #include "zkp/schnorr.hpp"
 
+#include <array>
+#include <optional>
 #include <stdexcept>
 
 #include "mpz/modmath.hpp"
@@ -15,20 +17,29 @@ Bigint schnorr_challenge(const GroupParams& params, const Bigint& commit, const 
   return t.challenge(params.q());
 }
 
-SchnorrVerifyKey::SchnorrVerifyKey(GroupParams params, Bigint point)
-    : params_(std::move(params)), point_(std::move(point)) {
-  if (!params_.in_group(point_))
-    throw std::invalid_argument("SchnorrVerifyKey: point is not a group element");
+namespace {
+
+Element decoded_point(const GroupParams& params, const Element& point) {
+  std::optional<Element> p = params.decode(point);
+  if (!p) throw std::invalid_argument("SchnorrVerifyKey: point is not a group element");
+  return *std::move(p);
 }
+
+}  // namespace
+
+SchnorrVerifyKey::SchnorrVerifyKey(GroupParams params, const Element& point)
+    : params_(std::move(params)), point_(decoded_point(params_, point)) {}
 
 bool SchnorrVerifyKey::verify(std::span<const std::uint8_t> msg,
                               const SchnorrSignature& sig) const {
   if (!params_.in_group(sig.r)) return false;
   if (sig.s.is_negative() || sig.s >= params_.q()) return false;
   Bigint e = schnorr_challenge(params_, sig.r, point_, msg);
-  // g^s == r * P^e, checked as g^s * P^{-e} == r (one double exponentiation).
-  Bigint neg_e = mpz::submod(Bigint(0), e, params_.q());
-  return params_.pow2(params_.g(), sig.s, point_, neg_e) == sig.r;
+  // g^s == r * P^e, checked as g^s * P^{-e} == r (one double exponentiation,
+  // compared without encoding it).
+  const std::array<Element, 2> bases = {params_.g(), point_};
+  const std::array<Bigint, 2> exps = {sig.s, mpz::submod(Bigint(0), e, params_.q())};
+  return params_.multi_pow_equals(bases, exps, sig.r);
 }
 
 SchnorrSigningKey SchnorrSigningKey::generate(const GroupParams& params, mpz::Prng& prng) {
@@ -38,15 +49,15 @@ SchnorrSigningKey SchnorrSigningKey::generate(const GroupParams& params, mpz::Pr
 SchnorrSigningKey SchnorrSigningKey::from_private(const GroupParams& params, Bigint x) {
   if (x.is_zero() || x.is_negative() || x >= params.q())
     throw std::invalid_argument("SchnorrSigningKey: secret out of Z_q^*");
-  Bigint point = params.pow_g(x);
-  return SchnorrSigningKey(SchnorrVerifyKey(params, std::move(point)), std::move(x));
+  SchnorrVerifyKey vk(params, params.pow_g(x));
+  return SchnorrSigningKey(std::move(vk), std::move(x));
 }
 
 SchnorrSignature SchnorrSigningKey::sign(std::span<const std::uint8_t> msg,
                                          mpz::Prng& prng) const {
   const GroupParams& params = vk_.params();
   Bigint k = params.random_exponent(prng);
-  Bigint r = params.pow_g(k);
+  Element r = params.pow_g(k);
   Bigint e = schnorr_challenge(params, r, vk_.point(), msg);
   Bigint s = mpz::addmod(k, mpz::mulmod(e, x_, params.q()), params.q());
   return {std::move(r), std::move(s)};
@@ -80,7 +91,8 @@ bool schnorr_batch_verify(const GroupParams& params, std::span<const BatchEntry>
 
   // LHS exponent and RHS base/exponent lists.
   Bigint lhs_exp(0);
-  std::vector<Bigint> bases, exps;
+  std::vector<Element> bases;
+  std::vector<Bigint> exps;
   bases.reserve(2 * batch.size());
   exps.reserve(2 * batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -91,9 +103,7 @@ bool schnorr_batch_verify(const GroupParams& params, std::span<const BatchEntry>
     bases.push_back(batch[i].key->point());
     exps.push_back(mpz::mulmod(coeff[i], challenges[i], params.q()));
   }
-  Bigint lhs = params.pow_g(lhs_exp);
-  Bigint rhs = params.multi_pow(bases, exps);
-  return lhs == rhs;
+  return params.multi_pow_equals(bases, exps, params.pow_g(lhs_exp));
 }
 
 }  // namespace dblind::zkp

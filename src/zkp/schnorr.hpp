@@ -15,11 +15,12 @@
 
 namespace dblind::zkp {
 
+using group::Element;
 using group::GroupParams;
 using mpz::Bigint;
 
 struct SchnorrSignature {
-  Bigint r;  // commitment g^k
+  Element r;  // commitment g^k
   Bigint s;  // response k + e*x mod q
 
   friend bool operator==(const SchnorrSignature&, const SchnorrSignature&) = default;
@@ -34,10 +35,10 @@ struct SchnorrSignature {
 
 class SchnorrVerifyKey {
  public:
-  // P = g^x; validates P ∈ G_p.
-  SchnorrVerifyKey(GroupParams params, Bigint point);
+  // P = g^x; validates P ∈ G_p and keeps it decoded.
+  SchnorrVerifyKey(GroupParams params, const Element& point);
 
-  [[nodiscard]] const Bigint& point() const { return point_; }
+  [[nodiscard]] const Element& point() const { return point_; }
   [[nodiscard]] const GroupParams& params() const { return params_; }
 
   [[nodiscard]] bool verify(std::span<const std::uint8_t> msg, const SchnorrSignature& sig) const;
@@ -46,7 +47,7 @@ class SchnorrVerifyKey {
 
  private:
   GroupParams params_;
-  Bigint point_;
+  Element point_;
 };
 
 class SchnorrSigningKey {

@@ -27,7 +27,7 @@ struct DerivedStatements {
 
 DerivedStatements derive(const elgamal::PublicKey& ka, const elgamal::Ciphertext& ca,
                          const elgamal::PublicKey& kb, const elgamal::Ciphertext& cb,
-                         const Bigint& g12, const Bigint& g21) {
+                         const Element& g12, const Element& g21) {
   const group::GroupParams& params = ka.params();
   DerivedStatements d;
   // Pr1: DLOG(r2, g, δ2, y_A, G12)
@@ -35,9 +35,9 @@ DerivedStatements derive(const elgamal::PublicKey& ka, const elgamal::Ciphertext
   // Pr2: DLOG(r1, g, δ1, y_B, G21)
   d.pr2 = {params.g(), ca.a, kb.y(), g21};
   // Pr3: DLOG(r1-r2, g, δ1/δ2, y_A*y_B, (γ1/γ2)(G21/G12))
-  Bigint x = params.mul(ca.a, params.inv(cb.a));
-  Bigint base2 = params.mul(ka.y(), kb.y());
-  Bigint z = params.mul(params.mul(ca.b, params.inv(cb.b)), params.mul(g21, params.inv(g12)));
+  Element x = params.mul(ca.a, params.inv(cb.a));
+  Element base2 = params.mul(ka.y(), kb.y());
+  Element z = params.mul(params.mul(ca.b, params.inv(cb.b)), params.mul(g21, params.inv(g12)));
   d.pr3 = {params.g(), std::move(x), std::move(base2), std::move(z)};
   return d;
 }
@@ -97,7 +97,7 @@ bool vde_verify(const elgamal::PublicKey& ka, const elgamal::Ciphertext& ca,
   // Every ciphertext component must be in the prime-order subgroup: honest
   // contributions encrypt ρ ∈ G_p, and the quotient-based conditions (3)-(5)
   // are only sound inside the subgroup.
-  for (const Bigint* v : {&ca.a, &ca.b, &cb.a, &cb.b, &proof.g12, &proof.g21}) {
+  for (const Element* v : {&ca.a, &ca.b, &cb.a, &cb.b, &proof.g12, &proof.g21}) {
     if (!params.in_group(*v)) return false;
   }
   DerivedStatements d = derive(ka, ca, kb, cb, proof.g12, proof.g21);
@@ -111,7 +111,7 @@ bool vde_lower_to_cp(const group::GroupParams& params, const VdeBatchItem& item,
   // Mirror vde_verify's structural gate per item before anything is folded
   // into a combined equation.
   if (!(item.ka->params() == params) || !(item.kb->params() == params)) return false;
-  for (const Bigint* v :
+  for (const Element* v :
        {&item.ca->a, &item.ca->b, &item.cb->a, &item.cb->b, &item.proof->g12, &item.proof->g21}) {
     if (!params.in_group(*v)) return false;
   }

@@ -19,8 +19,8 @@
 namespace dblind::zkp {
 
 struct VdeProof {
-  Bigint g12;  // y_A^{r2}  = g^{k_A r_2}, condition (3)
-  Bigint g21;  // y_B^{r1}  = g^{k_B r_1}, condition (4)
+  Element g12;  // y_A^{r2}  = g^{k_A r_2}, condition (3)
+  Element g21;  // y_B^{r1}  = g^{k_B r_1}, condition (4)
   DlogEqProof pr1;
   DlogEqProof pr2;
   DlogEqProof pr3;
@@ -35,8 +35,8 @@ struct VdeProof {
 // off the critical path. Contains commitment randomness (a1..a3.w): secret
 // until the proof is finished, strictly single-use (see DlogAnnouncement).
 struct VdeOffline {
-  Bigint g12;  // y_A^{r2}
-  Bigint g21;  // y_B^{r1}
+  Element g12;  // y_A^{r2}
+  Element g21;  // y_B^{r1}
   DlogAnnouncement a1;  // for Pr1, witness r2
   DlogAnnouncement a2;  // for Pr2, witness r1
   DlogAnnouncement a3;  // for Pr3, witness r1-r2

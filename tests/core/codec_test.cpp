@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "core/messages.hpp"
+#include "core/server.hpp"
 #include "core/types.hpp"
+#include "core/validity.hpp"
+#include "tests/core/test_util.hpp"
+#include "threshold/reshare.hpp"
 
 namespace dblind::core {
 namespace {
@@ -288,6 +295,212 @@ TEST(Codec, ReconfigMessagesRoundTrip) {
     EXPECT_EQ(back.my_new_rank, 5u);
   }
 }
+
+// ---- codec boundary: a parse with the group rejects non-elements ------------
+//
+// Every element field kind — ciphertext component, VDE g12/g21, proof t1/t2,
+// signature r, decryption share d, Feldman coefficient, nonce reveal t — is
+// set to a value outside the group: on ec255 a non-canonical encoding (g with
+// s negated) and an encoding >= p, on mod-p zero and a non-residue. The
+// group-aware parse throws CodecError; the group-less parse of the same bytes
+// still succeeds, with bare elements, and verification rejects the result.
+
+std::vector<Bigint> bad_elements(const group::GroupParams& gp) {
+  if (gp.backend_kind() == group::backend::Kind::kEc255) {
+    const Bigint& g = gp.g();
+    return {g.is_odd() ? g - Bigint(1) : g + Bigint(1), Bigint(1).shl(255) - Bigint(1)};
+  }
+  return {Bigint(0), gp.p() - Bigint(1)};  // p = 3 mod 4: -1 is a non-residue
+}
+
+class CodecBoundary : public ::testing::TestWithParam<group::ParamId> {
+ protected:
+  testing::TestSystem ts = testing::TestSystem::make(31, {4, 1}, {4, 1}, GetParam());
+  const group::GroupParams& gp = ts.params;
+  mpz::Prng prng{32};
+
+  // `honest` must verify after a group-aware parse; every bad value placed
+  // by `poison` must fail that parse and, parsed without the group, verify.
+  template <typename T>
+  void expect_rejected(MsgType type, const T& honest,
+                       const std::function<void(T&, const Bigint&)>& poison,
+                       const std::function<bool(const T&)>& verify, const std::string& what) {
+    ASSERT_TRUE(verify(decode_as<T>(type, encode_body(type, honest), gp))) << what;
+    for (const Bigint& bad : bad_elements(gp)) {
+      T msg = honest;
+      poison(msg, bad);
+      const std::vector<std::uint8_t> body = encode_body(type, msg);
+      EXPECT_THROW((void)decode_as<T>(type, body, gp), CodecError) << what << " " << bad.to_hex();
+      const T bare = decode_as<T>(type, body);
+      EXPECT_FALSE(verify(bare)) << what << " " << bad.to_hex();
+    }
+  }
+};
+
+TEST_P(CodecBoundary, ContributionElementsRejectedAtParse) {
+  const elgamal::PublicKey& ka = ts.cfg.a.encryption_key;
+  const elgamal::PublicKey& kb = ts.cfg.b.encryption_key;
+  const InstanceId id{1, 1, 0};
+  const group::Element rho = gp.random_element(prng);
+  const Bigint r1 = gp.random_exponent(prng);
+  const Bigint r2 = gp.random_exponent(prng);
+  ContributeMsg honest;
+  honest.id = id;
+  honest.server = 2;
+  honest.reveal =
+      make_envelope(ts.b_secrets[0], encode_body(MsgType::kReveal, RevealMsg{id, {}}), 0, prng);
+  honest.contribution = {ka.encrypt_with_nonce(rho, r1), kb.encrypt_with_nonce(rho, r2)};
+  honest.vde = zkp::vde_prove(ka, honest.contribution.ea, r1, kb, honest.contribution.eb, r2,
+                              vde_context(id, 2), prng);
+  const auto verify = [&](const ContributeMsg& m) {
+    return zkp::vde_verify(ka, m.contribution.ea, kb, m.contribution.eb, m.vde,
+                           vde_context(m.id, m.server));
+  };
+  using Poison = std::function<void(ContributeMsg&, const Bigint&)>;
+  const std::vector<std::pair<std::string, Poison>> fields = {
+      {"ciphertext a", [](ContributeMsg& m, const Bigint& v) { m.contribution.ea.a = v; }},
+      {"ciphertext b", [](ContributeMsg& m, const Bigint& v) { m.contribution.eb.b = v; }},
+      {"vde g12", [](ContributeMsg& m, const Bigint& v) { m.vde.g12 = v; }},
+      {"vde g21", [](ContributeMsg& m, const Bigint& v) { m.vde.g21 = v; }},
+      {"proof t1", [](ContributeMsg& m, const Bigint& v) { m.vde.pr1.t1 = v; }},
+      {"proof t2", [](ContributeMsg& m, const Bigint& v) { m.vde.pr3.t2 = v; }},
+  };
+  for (const auto& [what, poison] : fields)
+    expect_rejected<ContributeMsg>(MsgType::kContribute, honest, poison, verify, what);
+}
+
+TEST_P(CodecBoundary, SignatureCommitmentRejectedAtParse) {
+  const SignedMessage honest = make_envelope(
+      ts.b_secrets[0], encode_body(MsgType::kInit, InitMsg{InstanceId{1, 1, 0}}), 0, prng);
+  ASSERT_TRUE(envelope_signature_ok(ts.cfg, honest));
+  for (const Bigint& bad : bad_elements(gp)) {
+    SignedMessage env = honest;
+    env.sig.r = bad;
+    Writer w;
+    env.encode(w);
+    const std::vector<std::uint8_t> bytes = w.take();
+    Reader with_group(bytes, &gp);
+    EXPECT_THROW((void)SignedMessage::decode(with_group), CodecError) << bad.to_hex();
+    Reader groupless(bytes);
+    const SignedMessage back = SignedMessage::decode(groupless);
+    EXPECT_FALSE(back.sig.r.is_decoded());
+    EXPECT_FALSE(envelope_signature_ok(ts.cfg, back)) << bad.to_hex();
+  }
+}
+
+TEST_P(CodecBoundary, DecryptionShareRejectedAtParse) {
+  const elgamal::Ciphertext c = ts.cfg.a.encryption_key.encrypt(gp.random_element(prng), prng);
+  const std::string context = "codec-boundary/decrypt";
+  DecryptShareReplyMsg honest{InstanceId{1, 1, 0},
+                              threshold::make_decryption_share(
+                                  gp, c, ts.a_secrets[0].enc_share, context, prng)};
+  const auto verify = [&](const DecryptShareReplyMsg& m) {
+    return threshold::verify_decryption_share(gp, ts.cfg.a.enc_commitments, c, m.share, context);
+  };
+  expect_rejected<DecryptShareReplyMsg>(
+      MsgType::kDecryptShareReply, honest,
+      [](DecryptShareReplyMsg& m, const Bigint& v) { m.share.d = v; }, verify, "share d");
+  expect_rejected<DecryptShareReplyMsg>(
+      MsgType::kDecryptShareReply, honest,
+      [](DecryptShareReplyMsg& m, const Bigint& v) { m.share.proof.t1 = v; }, verify,
+      "share proof t1");
+}
+
+TEST_P(CodecBoundary, FeldmanCoefficientRejectedAtParse) {
+  const threshold::ReshareDeal enc =
+      threshold::reshare_deal(gp, ts.b_secrets[1].enc_share, 4, 1, prng);
+  const threshold::ReshareDeal sign =
+      threshold::reshare_deal(gp, ts.b_secrets[1].sign_share, 4, 1, prng);
+  ReshareDealMsg honest{static_cast<std::uint8_t>(ServiceRole::kServiceB), 1, 2,
+                        enc.commitments, sign.commitments};
+  const auto verify = [&](const ReshareDealMsg& m) {
+    return threshold::reshare_verify_commitments(gp, ts.cfg.b.enc_commitments,
+                                                 {m.dealer, m.enc, {}}, 1);
+  };
+  for (std::size_t k : {0u, 1u}) {
+    expect_rejected<ReshareDealMsg>(
+        MsgType::kReshareDeal, honest,
+        [k](ReshareDealMsg& m, const Bigint& v) { m.enc.coefficients[k] = v; }, verify,
+        "feldman coefficient " + std::to_string(k));
+  }
+}
+
+TEST_P(CodecBoundary, NonceRevealRejectedAtParse) {
+  const std::vector<std::uint8_t> payload(40, 0x42);
+  const group::Element& y = ts.cfg.a.signing_key.point();
+  std::vector<threshold::SigningMember> members;
+  std::vector<threshold::NonceCommitment> commits;
+  std::vector<threshold::NonceReveal> reveals;
+  for (std::size_t i = 0; i < 2; ++i) {
+    members.emplace_back(gp, ts.a_secrets[i].sign_share, prng);
+    commits.push_back(members.back().commitment());
+    reveals.push_back(members.back().reveal());
+  }
+  const std::optional<threshold::PartialSignature> partial =
+      members.front().respond(commits, reveals, y, payload);
+  ASSERT_TRUE(partial.has_value());
+  const Bigint e = zkp::schnorr_challenge(gp, threshold::combine_nonce(gp, reveals), y, payload);
+  SignRevealReplyMsg honest{7, reveals.front()};
+  expect_rejected<SignRevealReplyMsg>(
+      MsgType::kSignRevealReply, honest,
+      [](SignRevealReplyMsg& m, const Bigint& v) { m.reveal.t = v; },
+      [&](const SignRevealReplyMsg& m) {
+        return threshold::verify_partial_signature(gp, ts.cfg.a.sign_commitments, m.reveal,
+                                                   *partial, e);
+      },
+      "nonce reveal t");
+}
+
+// A server handed a message whose first element is not a group element pays
+// nothing for it: the parse throws before any group operation, as with an
+// init from a coordinator above max_coordinators.
+TEST_P(CodecBoundary, ServerPaysNoGroupOpsForRejectedElements) {
+  ProtocolServer server(ts.cfg, ts.b_secrets[1], ProtocolOptions{});
+  testing::NullContext ctx(3);
+  server.on_start(ctx);
+  server.register_transfer(1);
+  const int sent0 = ctx.sent;
+  for (const Bigint& bad : bad_elements(gp)) {
+    std::vector<std::vector<std::uint8_t>> frames;
+    {  // server-signed envelope: signature r
+      SignedMessage env = make_envelope(
+          ts.b_secrets[0], encode_body(MsgType::kInit, InitMsg{InstanceId{1, 1, 0}}), 0, prng);
+      env.sig.r = bad;
+      Writer w;
+      w.u8(static_cast<std::uint8_t>(WireKind::kServerSigned));
+      env.encode(w);
+      frames.push_back(w.take());
+    }
+    {  // service-signed blind: signature r
+      ServiceSignedMsg blind{static_cast<std::uint8_t>(ServiceRole::kServiceB),
+                             encode_body(MsgType::kBlind, BlindPayload{}), {bad, Bigint(1)}};
+      Writer w;
+      w.u8(static_cast<std::uint8_t>(WireKind::kServiceSigned));
+      blind.encode(w);
+      frames.push_back(w.take());
+    }
+    {  // client transfer request: ciphertext component
+      TransferRequestMsg req{2, {bad, gp.g()}};
+      Writer w;
+      w.u8(static_cast<std::uint8_t>(WireKind::kClient));
+      w.bytes(encode_body(MsgType::kTransferRequest, req));
+      frames.push_back(w.take());
+    }
+    for (const std::vector<std::uint8_t>& frame : frames) {
+      const std::uint64_t ops = gp.group_op_count();
+      server.on_message(ctx, ts.cfg.b.node_of(1), frame);
+      EXPECT_EQ(gp.group_op_count(), ops) << bad.to_hex();
+    }
+  }
+  EXPECT_EQ(ctx.sent, sent0);
+  EXPECT_EQ(server.contributor_instances(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, CodecBoundary,
+                         ::testing::Values(group::ParamId::kToy64, group::ParamId::kEc255),
+                         [](const auto& info) {
+                           return info.param == group::ParamId::kEc255 ? "ec255" : "modp";
+                         });
 
 }  // namespace
 }  // namespace dblind::core

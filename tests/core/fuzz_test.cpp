@@ -3,6 +3,8 @@
 // CodecError (and protocol handlers swallow that, treating garbage as loss).
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/client.hpp"
 #include "core/messages.hpp"
 #include "core/server.hpp"
@@ -95,12 +97,12 @@ TEST(ValidityFuzz, MutatedValidMessagesNeverValidateOrCrash) {
     m.server = r;
     m.commitment = c.contribution.commitment_digest();
     commits.push_back(
-        make_envelope(ts.cfg, ts.b_secrets[r - 1], encode_body(MsgType::kCommit, m), 0, prng));
+        make_envelope(ts.b_secrets[r - 1], encode_body(MsgType::kCommit, m), 0, prng));
   }
   RevealMsg reveal;
   reveal.id = id;
   reveal.commits = commits;
-  SignedMessage reveal_env = make_envelope(ts.cfg, ts.b_secrets[0],
+  SignedMessage reveal_env = make_envelope(ts.b_secrets[0],
                                            encode_body(MsgType::kReveal, reveal), 0, prng);
   ContributeMsg cm;
   cm.id = id;
@@ -110,7 +112,7 @@ TEST(ValidityFuzz, MutatedValidMessagesNeverValidateOrCrash) {
   cm.vde = zkp::vde_prove(ts.cfg.a.encryption_key, cm.contribution.ea, contribs[1].r1,
                           ts.cfg.b.encryption_key, cm.contribution.eb, contribs[1].r2,
                           vde_context(id, 2), prng);
-  SignedMessage env = make_envelope(ts.cfg, ts.b_secrets[1],
+  SignedMessage env = make_envelope(ts.b_secrets[1],
                                     encode_body(MsgType::kContribute, cm), 0, prng);
   ASSERT_TRUE(check_contribute(ts.cfg, env).has_value());
   ASSERT_TRUE(check_contribute_batch(ts.cfg, env, prng).has_value());
@@ -138,6 +140,37 @@ TEST(ValidityFuzz, MutatedValidMessagesNeverValidateOrCrash) {
   // identical message (e.g. inside ignored padding — our codec has none), so
   // none should be accepted.
   EXPECT_EQ(accepted, 0);
+
+  // The same mutations through the group-aware envelope parse the servers
+  // run: it either throws CodecError — and then the group-less parse of the
+  // same bytes, if it succeeds, never validates — or it yields exactly the
+  // group-less message, every element decoded.
+  int rejected_at_parse = 0;
+  for (std::size_t pos = 0; pos < wire.size(); pos += 3) {
+    std::vector<std::uint8_t> mutated = wire;
+    mutated[pos] ^= 0x5A;
+    std::optional<SignedMessage> typed;
+    try {
+      Reader r(mutated, &ts.params);
+      typed = SignedMessage::decode(r);
+      r.expect_done();
+    } catch (const CodecError&) {
+      typed.reset();
+    }
+    expect_no_crash([&] {
+      Reader r(mutated);
+      SignedMessage bare = SignedMessage::decode(r);
+      r.expect_done();
+      if (typed) {
+        EXPECT_EQ(*typed, bare) << "pos=" << pos;
+        EXPECT_TRUE(typed->sig.r.is_decoded()) << "pos=" << pos;
+      } else {
+        ++rejected_at_parse;
+        EXPECT_FALSE(check_contribute(ts.cfg, bare).has_value()) << "pos=" << pos;
+      }
+    });
+  }
+  EXPECT_GT(rejected_at_parse, 0);  // mutations inside the signature commitment
 }
 
 TEST(NodeFuzz, GarbageTrafficDoesNotDisturbProtocol) {

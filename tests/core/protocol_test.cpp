@@ -263,7 +263,7 @@ TEST(Protocol, InitAboveMaxCoordinatorsCostsNothing) {
   const group::GroupParams& gp = server.config().params;
   auto frame_init = [&](ServerRank coordinator) {
     SignedMessage env =
-        make_envelope(ts.cfg, ts.b_secrets[coordinator - 1],
+        make_envelope(ts.b_secrets[coordinator - 1],
                       encode_body(MsgType::kInit, InitMsg{InstanceId{1, coordinator, 0}}), 0, prng);
     Writer w;
     w.u8(static_cast<std::uint8_t>(WireKind::kServerSigned));

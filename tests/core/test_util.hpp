@@ -49,7 +49,7 @@ inline TestService make_test_service(const group::GroupParams& params,
   for (ServerRank r = 1; r <= cfg.n; ++r) {
     zkp::SchnorrSigningKey key = zkp::SchnorrSigningKey::generate(params, prng);
     out.pub.server_sign_keys.push_back(key.verify_key());
-    out.secrets.push_back(ServerSecrets{role, r, enc.share_of(r), sig.share_of(r), key.secret()});
+    out.secrets.push_back(ServerSecrets{role, r, enc.share_of(r), sig.share_of(r), key});
   }
   std::vector<threshold::Share> quorum;
   for (ServerRank r = 1; r <= cfg.quorum(); ++r) quorum.push_back(enc.share_of(r));

@@ -24,7 +24,7 @@ struct Fixture {
 
   SignedMessage signed_init(ServerRank coordinator) {
     InstanceId iid{1, coordinator, 0};
-    return make_envelope(cfg(), b(coordinator), encode_body(MsgType::kInit, InitMsg{iid}), 0, prng);
+    return make_envelope(b(coordinator), encode_body(MsgType::kInit, InitMsg{iid}), 0, prng);
   }
 
   // A contributor's full honest state for one instance.
@@ -47,14 +47,14 @@ struct Fixture {
     m.id = id;
     m.server = server;
     m.commitment = contribution.commitment_digest();
-    return make_envelope(cfg(), b(server), encode_body(MsgType::kCommit, m), 0, prng);
+    return make_envelope(b(server), encode_body(MsgType::kCommit, m), 0, prng);
   }
 
   SignedMessage signed_reveal(const std::vector<SignedMessage>& commits) {
     RevealMsg m;
     m.id = id;
     m.commits = commits;
-    return make_envelope(cfg(), b(id.coordinator), encode_body(MsgType::kReveal, m), 0, prng);
+    return make_envelope(b(id.coordinator), encode_body(MsgType::kReveal, m), 0, prng);
   }
 
   SignedMessage signed_contribute(ServerRank server, const Contrib& c,
@@ -67,7 +67,7 @@ struct Fixture {
     m.vde = zkp::vde_prove(cfg().a.encryption_key, c.contribution.ea, c.r1,
                            cfg().b.encryption_key, c.contribution.eb, c.r2,
                            vde_context(id, server), prng);
-    return make_envelope(cfg(), b(server), encode_body(MsgType::kContribute, m), 0, prng);
+    return make_envelope(b(server), encode_body(MsgType::kContribute, m), 0, prng);
   }
 
   // Verdict of the Fig. 5 reference check; the batch check the servers run
@@ -94,7 +94,7 @@ TEST(Validity, InitAcceptsCoordinatorSignature) {
 TEST(Validity, InitRejectsWrongSigner) {
   // Signed by server 2 but id names coordinator 1 — someone impersonating.
   Fixture fx;
-  auto env = make_envelope(fx.cfg(), fx.b(2),
+  auto env = make_envelope(fx.b(2),
                            encode_body(MsgType::kInit, InitMsg{InstanceId{1, 1, 0}}), 0, fx.prng);
   EXPECT_FALSE(check_init(fx.cfg(), env).has_value());
 }
@@ -108,7 +108,7 @@ TEST(Validity, InitRejectsTamperedBody) {
 
 TEST(Validity, InitRejectsServiceASigner) {
   Fixture fx;
-  auto env = make_envelope(fx.cfg(), fx.a(1),
+  auto env = make_envelope(fx.a(1),
                            encode_body(MsgType::kInit, InitMsg{InstanceId{1, 1, 0}}), 0, fx.prng);
   EXPECT_FALSE(check_init(fx.cfg(), env).has_value());
 }
@@ -126,7 +126,7 @@ TEST(Validity, CommitAcceptsAndBindsSigner) {
   spoof.id = fx.id;
   spoof.server = 3;  // signed by 2 below
   spoof.commitment = c.contribution.commitment_digest();
-  auto bad = make_envelope(fx.cfg(), fx.b(2), encode_body(MsgType::kCommit, spoof), 0, fx.prng);
+  auto bad = make_envelope(fx.b(2), encode_body(MsgType::kCommit, spoof), 0, fx.prng);
   EXPECT_FALSE(check_commit(fx.cfg(), bad).has_value());
 }
 
@@ -159,7 +159,7 @@ TEST(Validity, RevealRejectsCommitsFromOtherInstance) {
   other.id = InstanceId{2, 1, 0};
   other.server = 3;
   other.commitment = fx.make_contrib().contribution.commitment_digest();
-  commits.push_back(make_envelope(fx.cfg(), fx.b(3), encode_body(MsgType::kCommit, other),
+  commits.push_back(make_envelope(fx.b(3), encode_body(MsgType::kCommit, other),
                                   0, fx.prng));
   EXPECT_FALSE(check_reveal(fx.cfg(), fx.signed_reveal(commits)).has_value());
 }
@@ -172,7 +172,7 @@ TEST(Validity, RevealMustBeSignedByCoordinator) {
   RevealMsg m;
   m.id = fx.id;  // coordinator = 1
   m.commits = commits;
-  auto env = make_envelope(fx.cfg(), fx.b(2), encode_body(MsgType::kReveal, m), 0, fx.prng);
+  auto env = make_envelope(fx.b(2), encode_body(MsgType::kReveal, m), 0, fx.prng);
   EXPECT_FALSE(check_reveal(fx.cfg(), env).has_value());
 }
 
@@ -241,7 +241,7 @@ TEST(Validity, ContributeRejectsInconsistentVde) {
   m.vde = zkp::vde_prove(fx.cfg().a.encryption_key, honest.contribution.ea, honest.r1,
                          fx.cfg().b.encryption_key, honest.contribution.eb, honest.r2,
                          vde_context(fx.id, 1), fx.prng);
-  auto env = make_envelope(fx.cfg(), fx.b(1), encode_body(MsgType::kContribute, m), 0, fx.prng);
+  auto env = make_envelope(fx.b(1), encode_body(MsgType::kContribute, m), 0, fx.prng);
   EXPECT_FALSE(fx.contribute_ok(env));
 }
 
@@ -287,7 +287,7 @@ TEST(Validity, BlindSignRequestAcceptsHonestEvidence) {
                          vde_context(fx.id, 3), fx.prng);
   BlindEvidence bad_vde = ev;
   bad_vde.contributes[1] =
-      make_envelope(fx.cfg(), fx.b(2), encode_body(MsgType::kContribute, m), 0, fx.prng);
+      make_envelope(fx.b(2), encode_body(MsgType::kContribute, m), 0, fx.prng);
   Writer wb;
   bad_vde.encode(wb);
   EXPECT_FALSE(fx.blind_request_ok(encode_body(MsgType::kBlind, payload), wb.view()));

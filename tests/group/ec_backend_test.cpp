@@ -174,7 +174,8 @@ TEST(EcBackend, InGroupRejectsNonEncodings) {
   EXPECT_FALSE(gp.in_group(Bigint(1).shl(256)));      // too wide
   EXPECT_FALSE(gp.in_group(Bigint(1).shl(255) - Bigint(1)));  // >= p, non-canonical
   // g with the sign bit of the encoding flipped (negative s) is rejected.
-  Bigint flipped = gp.g().is_odd() ? gp.g() - Bigint(1) : gp.g() + Bigint(1);
+  const Bigint& g = gp.g();
+  Bigint flipped = g.is_odd() ? g - Bigint(1) : g + Bigint(1);
   EXPECT_FALSE(gp.in_group(flipped));
 }
 

@@ -70,6 +70,48 @@ TEST_P(BackendPair, MutatedElementsAreRejectedOrStayCanonical) {
   }
 }
 
+TEST_P(BackendPair, GroupAwareReadAcceptsExactlyTheMembers) {
+  // read_element on a Reader carrying the group is in_group at the codec
+  // boundary: members come back decoded with their encoding unchanged,
+  // everything else is a CodecError. Without the group the same bytes read
+  // back bare.
+  GroupParams gp = GroupParams::named(GetParam());
+  Prng prng(4096);
+  int members = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    Bigint x;
+    if (iter % 3 == 0) {
+      x = gp.random_element(prng);
+      std::vector<std::uint8_t> be = x.to_bytes_be(gp.element_size());
+      const std::uint64_t bit = prng.uniform_u64(8 * gp.element_size());
+      if (iter % 2 == 0) be[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      x = Bigint::from_bytes_be(be);
+    } else {
+      std::vector<std::uint8_t> raw(prng.uniform_u64(gp.element_size() + 2) + 1);
+      prng.fill(raw);
+      x = Bigint::from_bytes_be(raw);
+      if (iter % 7 == 0) x = Bigint(0) - x;
+    }
+    common::Writer w;
+    w.bigint(x);
+    const std::vector<std::uint8_t> bytes = w.take();
+    common::Reader with_group(bytes, &gp);
+    if (gp.in_group(x)) {
+      ++members;
+      const Element e = read_element(with_group);
+      EXPECT_TRUE(e.is_decoded());
+      EXPECT_EQ(e, x);
+    } else {
+      EXPECT_THROW((void)read_element(with_group), common::CodecError) << x.to_hex();
+    }
+    common::Reader groupless(bytes);
+    const Element bare = read_element(groupless);
+    EXPECT_FALSE(bare.is_decoded());
+    EXPECT_EQ(bare, x);
+  }
+  EXPECT_GT(members, 0);
+}
+
 TEST(EcSerializeFuzz, NonCanonicalEcEncodingsRejected) {
   GroupParams gp = GroupParams::named(ParamId::kEc255);
   const Bigint p = Bigint(1).shl(255) - Bigint(19);

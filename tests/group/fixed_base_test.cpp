@@ -38,7 +38,7 @@ TEST_P(FixedBaseWindows, AgreesWithGenericPow) {
   mpz::MontgomeryCtx ctx(gp.p());
   mpz::Prng prng(7100 + window);
 
-  for (const Bigint& base : {gp.g(), gp.pow_g(Bigint(12345)), Bigint(1)}) {
+  for (const Bigint& base : {Bigint(gp.g()), Bigint(gp.pow_g(Bigint(12345))), Bigint(1)}) {
     mpz::FixedBasePow table(ctx, base, gp.q().bit_length(), window);
     EXPECT_EQ(table.window_bits(), window);
     for (const Bigint& e : edge_exponents(gp.q(), prng)) {

@@ -80,7 +80,7 @@ TEST(PedersenVss, AdditiveAcrossDeals) {
   PedersenDeal d1 = pedersen_share(pp, s1, 4, 1, prng);
   PedersenDeal d2 = pedersen_share(pp, s2, 4, 1, prng);
 
-  std::vector<Bigint> joint_commitments;
+  std::vector<group::Element> joint_commitments;
   for (std::size_t j = 0; j < d1.commitments.size(); ++j)
     joint_commitments.push_back(pp.add(d1.commitments[j], d2.commitments[j]));
   std::vector<PedersenShare> joint_shares;

@@ -91,7 +91,11 @@ backend carve must keep the default mod-p build byte-identical to PR 9):
       k limbs; ec255: 25 word muls per fe25519 mul), so the gate compares
       machine-independent arithmetic cost, never wall-clock. Both runs must
       decrypt the original plaintext at every server (integrity == 1) and
-      EC element encodings must be <= 32 bytes;
+      EC element encodings must be <= 32 bytes. Neither arm's group-op count
+      (ec_group_ops, modp_group_ops) may exceed the one in the committed
+      BENCH_pr10.json at the repository root: the counts are deterministic
+      per seed, so any rise is a regression, and that baseline changes only
+      when it is regenerated on purpose;
   15. backend-equivalence: the cross-backend panel (3 seeds x {honest,
       Byzantine inconsistent-contribution} on mod-p and ec255) must report
       identical_results == 1 — the observable protocol outcome is backend
@@ -228,6 +232,18 @@ def run_primitives(build_dir):
     except (subprocess.SubprocessError, json.JSONDecodeError) as err:
         print(f"bench_check: bench_primitives skipped ({err})")
         return None
+
+
+def committed_backend_baseline():
+    """The backend-compare row of the committed BENCH_pr10.json, or None."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "BENCH_pr10.json")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            rows = json.load(fh).get("backend_compare", [])
+    except (OSError, ValueError):
+        return None
+    return rows[0] if rows else None
 
 
 def main():
@@ -373,7 +389,16 @@ def main():
 
     if not backend_compare:
         failures.append("no backend-compare row emitted")
+    baseline = committed_backend_baseline()
+    if baseline is None:
+        failures.append("backend-compare: no committed BENCH_pr10.json baseline to gate against")
     for r in backend_compare:
+        for key in ("ec_group_ops", "modp_group_ops"):
+            if baseline is not None and r[key] > baseline[key]:
+                failures.append(
+                    f"backend-compare: {key} {r[key]} exceeds the committed "
+                    f"BENCH_pr10.json baseline {baseline[key]} (deterministic per seed; "
+                    f"regenerate the baseline only on purpose)")
         if r["cost_ratio"] < 5.0:
             failures.append(
                 f"backend-compare: ec255 only {r['cost_ratio']:.2f}x cheaper than "
