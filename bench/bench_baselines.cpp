@@ -13,7 +13,7 @@
 #include "core/system.hpp"
 #include "table.hpp"
 #include "threshold/keygen.hpp"
-#include "threshold/refresh.hpp"
+#include "threshold/reshare.hpp"
 
 namespace {
 
@@ -192,12 +192,12 @@ int main() {
       (void)baselines::pss_transfer(gp, quorum, commitments, 4, 1, prng);
       return ms_since(t0);
     };
-    // Ours: one zero-sharing refresh of the service key shares per epoch,
+    // Ours: one same-roster resharing of the service key shares per epoch,
     // regardless of how many ciphertexts the service stores (the ciphertexts
-    // themselves need no refresh).
+    // themselves need no refresh). Same algorithm as one PSS secret's.
     auto km = threshold::ServiceKeyMaterial::dealer_keygen(gp, {4, 1}, prng);
     auto t0 = std::chrono::steady_clock::now();
-    (void)threshold::refresh_service(km, prng);
+    (void)threshold::reshare_service(km, km.config(), prng);
     double key_only = ms_since(t0);
     for (int secrets : {1, 10, 100}) {
       double pss = 0;

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "baselines/pss_transfer.hpp"
-#include "threshold/refresh.hpp"
+#include "threshold/reshare.hpp"
 #include "threshold/thresh_decrypt.hpp"
 
 int main() {
@@ -43,7 +43,8 @@ int main() {
   std::printf("service stores %d encrypted secrets under one threshold key\n", kStoredSecrets);
 
   auto t0 = Clock::now();
-  threshold::ServiceKeyMaterial key_epoch1 = threshold::refresh_service(key_epoch0, prng);
+  threshold::ServiceKeyMaterial key_epoch1 =
+      threshold::reshare_service(key_epoch0, key_epoch0.config(), prng);
   double ours_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
   std::printf("epoch refresh (ours): ONE key resharing          = %7.2f ms\n", ours_ms);
 

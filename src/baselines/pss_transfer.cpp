@@ -1,87 +1,28 @@
 #include "baselines/pss_transfer.hpp"
 
-#include <set>
 #include <stdexcept>
 
-#include "mpz/modmath.hpp"
+#include "threshold/reshare.hpp"
 
 namespace dblind::baselines {
-
-ReshareDeal pss_deal(const group::GroupParams& params, const threshold::Share& s, std::size_t n_b,
-                     std::size_t f_b, mpz::Prng& prng) {
-  if (s.index == 0) throw std::invalid_argument("pss_deal: bad dealer index");
-  ReshareDeal deal;
-  deal.dealer = s.index;
-  std::vector<Bigint> poly = threshold::sharing_polynomial(s.value, f_b, params.q(), prng);
-  deal.commitments = threshold::feldman_commit(params, poly);
-  deal.subshares.reserve(n_b);
-  for (std::uint32_t j = 1; j <= n_b; ++j)
-    deal.subshares.push_back({j, threshold::eval_polynomial(poly, j, params.q())});
-  return deal;
-}
-
-bool pss_verify_subshare(const group::GroupParams& params,
-                         const threshold::FeldmanCommitments& a_commitments,
-                         const ReshareDeal& deal, std::uint32_t recipient) {
-  if (recipient == 0 || recipient > deal.subshares.size()) return false;
-  // The constant term of the resharing must commit to the dealer's original
-  // share: C_{i,0} == g^{s_i} (from A's public commitments).
-  if (deal.commitments.coefficients.empty()) return false;
-  if (deal.commitments.coefficients[0] != threshold::feldman_eval(params, a_commitments,
-                                                                  deal.dealer))
-    return false;
-  return threshold::feldman_verify(params, deal.commitments, deal.subshares[recipient - 1]);
-}
-
-threshold::Share pss_combine(const group::GroupParams& params, std::span<const ReshareDeal> deals,
-                             std::uint32_t recipient) {
-  if (deals.empty()) throw std::invalid_argument("pss_combine: no deals");
-  std::vector<std::uint32_t> dealers;
-  std::set<std::uint32_t> seen;
-  for (const ReshareDeal& d : deals) {
-    if (!seen.insert(d.dealer).second) throw std::invalid_argument("pss_combine: duplicate dealer");
-    dealers.push_back(d.dealer);
-  }
-  Bigint acc(0);
-  for (const ReshareDeal& d : deals) {
-    if (recipient == 0 || recipient > d.subshares.size())
-      throw std::invalid_argument("pss_combine: bad recipient");
-    Bigint lambda = threshold::lagrange_at_zero(dealers, d.dealer, params.q());
-    acc = mpz::addmod(acc, mpz::mulmod(lambda, d.subshares[recipient - 1].value, params.q()),
-                      params.q());
-  }
-  return {recipient, std::move(acc)};
-}
-
-threshold::FeldmanCommitments pss_new_commitments(const group::GroupParams& params,
-                                                  std::span<const ReshareDeal> deals) {
-  if (deals.empty()) throw std::invalid_argument("pss_new_commitments: no deals");
-  std::vector<std::uint32_t> dealers;
-  for (const ReshareDeal& d : deals) dealers.push_back(d.dealer);
-  std::size_t width = deals[0].commitments.coefficients.size();
-  threshold::FeldmanCommitments out;
-  out.coefficients.assign(width, params.identity());
-  for (const ReshareDeal& d : deals) {
-    if (d.commitments.coefficients.size() != width)
-      throw std::invalid_argument("pss_new_commitments: inconsistent degrees");
-    Bigint lambda = threshold::lagrange_at_zero(dealers, d.dealer, params.q());
-    for (std::size_t k = 0; k < width; ++k) {
-      out.coefficients[k] =
-          params.mul(out.coefficients[k], params.pow(d.commitments.coefficients[k], lambda));
-    }
-  }
-  return out;
-}
 
 PssTransferResult pss_transfer(const group::GroupParams& params,
                                std::span<const threshold::Share> a_quorum,
                                const threshold::FeldmanCommitments& a_commitments,
                                std::size_t n_b, std::size_t f_b, mpz::Prng& prng) {
   PssTransferResult out;
-  std::vector<ReshareDeal> deals;
+  std::vector<std::uint32_t> dealers;
+  std::vector<threshold::ReshareDeal> deals;
+  std::vector<threshold::FeldmanCommitments> deal_commitments;
+  dealers.reserve(a_quorum.size());
   deals.reserve(a_quorum.size());
+  deal_commitments.reserve(a_quorum.size());
   for (const threshold::Share& s : a_quorum) {
-    deals.push_back(pss_deal(params, s, n_b, f_b, prng));
+    dealers.push_back(s.index);
+    deals.push_back(threshold::reshare_deal(params, s, n_b, f_b, prng));
+    if (!threshold::reshare_verify_commitments(params, a_commitments, deals.back(), f_b))
+      throw std::runtime_error("pss_transfer: deal commitment verification failed");
+    deal_commitments.push_back(deals.back().commitments);
   }
   // Every sub-share travels on its own pairwise-secure link (this is the
   // structural drawback §5 notes: every A server needs a secure channel to
@@ -90,14 +31,17 @@ PssTransferResult pss_transfer(const group::GroupParams& params,
   out.messages = a_quorum.size() * n_b;
   out.bytes = out.messages * (elem /*sub-share*/ + (f_b + 1) * elem /*commitments*/);
 
+  std::vector<mpz::Bigint> subs(deals.size());
   for (std::uint32_t j = 1; j <= n_b; ++j) {
-    for (const ReshareDeal& d : deals) {
-      if (!pss_verify_subshare(params, a_commitments, d, j))
+    for (std::size_t k = 0; k < deals.size(); ++k) {
+      const threshold::Share& sub = deals[k].subshares[j - 1];
+      if (!threshold::reshare_verify_subshare(params, deals[k].commitments, sub))
         throw std::runtime_error("pss_transfer: sub-share verification failed");
+      subs[k] = sub.value;
     }
-    out.b_shares.push_back(pss_combine(params, deals, j));
+    out.b_shares.push_back(threshold::reshare_apply(params, dealers, subs, j));
   }
-  out.b_commitments = pss_new_commitments(params, deals);
+  out.b_commitments = threshold::reshare_commitments(params, dealers, deal_commitments);
   return out;
 }
 

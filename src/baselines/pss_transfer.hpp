@@ -7,65 +7,35 @@
 // quorum Q with Lagrange weights: s'_j = Σ_{i∈Q} λ_i · sub_{i,j}. The result
 // is a fresh, independent (n_B, f_B) sharing of m.
 //
-// The same machinery implements proactive refresh (reshare within one
-// service), whose recurring cost — proportional to the NUMBER OF SECRETS
-// STORED — is the drawback the paper cites as motivation for re-encryption
-// (§5: "a service that stores a lot then incurs a significant recurring
-// overhead").
+// The resharing is threshold/reshare.hpp's: the same algorithm reconfigures
+// a service key and, onto the same roster, proactively refreshes it. A PSS
+// vault runs it once PER STORED SECRET, so its recurring refresh cost is
+// proportional to the number of secrets stored — the drawback the paper
+// cites as motivation for re-encryption (§5: "a service that stores a lot
+// then incurs a significant recurring overhead").
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
 #include "threshold/feldman.hpp"
-#include "threshold/keygen.hpp"
 #include "threshold/shamir.hpp"
 
 namespace dblind::baselines {
 
-using mpz::Bigint;
-
-// What dealer (A server) i sends: one sub-share per B server, plus the
-// public Feldman commitments of its resharing polynomial.
-struct ReshareDeal {
-  std::uint32_t dealer = 0;                      // index of the A server
-  threshold::FeldmanCommitments commitments;     // degree f_B; constant term = g^{s_i}
-  std::vector<threshold::Share> subshares;       // subshares[j-1] goes to B server j
-};
-
-// Deals share `s` of A server `dealer` to an (n_b, f_b) service.
-[[nodiscard]] ReshareDeal pss_deal(const group::GroupParams& params, const threshold::Share& s,
-                                   std::size_t n_b, std::size_t f_b, mpz::Prng& prng);
-
-// Verifies the sub-share destined for B server `recipient` against the
-// deal's commitments AND checks the deal reshapes the dealer's committed
-// share (constant term must equal the dealer's verification key
-// g^{s_dealer}, derived from A's original commitments).
-[[nodiscard]] bool pss_verify_subshare(const group::GroupParams& params,
-                                       const threshold::FeldmanCommitments& a_commitments,
-                                       const ReshareDeal& deal, std::uint32_t recipient);
-
-// B server `recipient` combines the sub-shares from quorum `deals` (all
-// dealers distinct, each verified) into its new share of m.
-[[nodiscard]] threshold::Share pss_combine(const group::GroupParams& params,
-                                           std::span<const ReshareDeal> deals,
-                                           std::uint32_t recipient);
-
-// Joint Feldman commitments of the NEW sharing (for future verification):
-// C'_k = Π_i (C_{i,k})^{λ_i}.
-[[nodiscard]] threshold::FeldmanCommitments pss_new_commitments(
-    const group::GroupParams& params, std::span<const ReshareDeal> deals);
-
-// Convenience: full transfer of a secret shared at A to service B.
-// Returns B's new shares (indexable by rank). Used by tests and benches.
 struct PssTransferResult {
   std::vector<threshold::Share> b_shares;
   threshold::FeldmanCommitments b_commitments;
   std::uint64_t messages = 0;  // point-to-point sub-share messages
   std::uint64_t bytes = 0;     // approximate wire bytes
 };
+
+// Full transfer of a secret shared at A to an (n_b, f_b) service B: every
+// dealer in `a_quorum` (distinct ranks) re-shares its share, B checks every
+// deal against A's commitments and every sub-share against its deal, then
+// combines. Returns B's new shares (b_shares[j-1] is rank j's) and their
+// joint commitments. Throws std::runtime_error if a check fails.
 [[nodiscard]] PssTransferResult pss_transfer(const group::GroupParams& params,
                                              std::span<const threshold::Share> a_quorum,
                                              const threshold::FeldmanCommitments& a_commitments,

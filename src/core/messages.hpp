@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/codec.hpp"
 #include "core/types.hpp"
 #include "elgamal/elgamal.hpp"
 #include "hash/sha256.hpp"

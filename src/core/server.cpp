@@ -118,6 +118,12 @@ std::optional<elgamal::Ciphertext> ProtocolServer::result(TransferId transfer) c
   return it->second;
 }
 
+std::size_t ProtocolServer::signing_nonces_held() const {
+  return static_cast<std::size_t>(
+      std::count_if(member_sessions_.begin(), member_sessions_.end(),
+                    [](const auto& kv) { return kv.second.member != nullptr; }));
+}
+
 // --- plumbing -----------------------------------------------------------------
 
 void ProtocolServer::send_signed(net::Context& ctx, net::NodeId to, MsgType type,
@@ -1291,9 +1297,14 @@ void ProtocolServer::handle_sign_quorum(net::Context& ctx, const SignedMessage& 
     resend_frame(ctx, requester, ms.reveal_frame);
     return;
   }
+  if (!ms.member) return;  // left out of this session's quorum earlier
   bool mine = std::any_of(msg.quorum.begin(), msg.quorum.end(),
                           [&](const auto& c) { return c.index == secrets_.rank; });
-  if (!mine) return;
+  if (!mine) {
+    // Our nonce will never be used: release it. The session never signs.
+    ms.member.reset();
+    return;
+  }
   ms.quorum = msg.quorum;
 
   SignRevealReplyMsg reply;
@@ -1329,6 +1340,9 @@ void ProtocolServer::handle_sign_reveal_set(net::Context& ctx, const SignedMessa
   auto partial = ms.member->respond(ms.quorum, msg.reveals,
                                     cfg_.service(secrets_.role).signing_key.point(), ms.payload);
   if (!partial) return;  // reveal set inconsistent with commitments — refuse
+  // s_i = k_i + e·x_i is out: anyone who later read k_i would learn x_i.
+  // Release the member (nonce and share copy); duplicates get cached bytes.
+  ms.member.reset();
   ms.responded = true;
   ms.reveals_digest = hash::Sha256::digest(env.body);
 
@@ -1920,7 +1934,28 @@ void ProtocolServer::handle_reconfig_echo(net::Context& ctx, const SignedMessage
   // echo claims to certify (check_install_record re-checks this).
   if (env.service != msg.service) return;
   if (msg.epoch != cfg_epoch_ + 1) return;
-  echoes_by_digest_[msg.digest].emplace(env.signer, env);
+  std::map<ServerRank, SignedMessage>& votes = echoes_by_digest_[msg.digest];
+  votes.emplace(env.signer, env);
+  // Fetch step: 2f+1 members echoed an apply this node has not received. It
+  // may be late, or lost together with its resends (which die at the
+  // senders' installs, after which nothing stamped with our epoch reaches us
+  // to draw a kWrongEpoch). Arm a pull of the install record from those
+  // echoers, once, with no immediate send: the echoers answer once they have
+  // installed, and our own install cancels the pull if the apply arrives.
+  const ServicePublic& svc = cfg_.service(static_cast<ServiceRole>(msg.service));
+  if (!install_pull_armed_ && !applies_by_digest_.contains(msg.digest) &&
+      votes.size() >= 2 * svc.cfg.f + 1) {
+    install_pull_armed_ = true;
+    ReconfigPullMsg pull;
+    pull.epoch = cfg_epoch_;
+    std::vector<std::uint8_t> frame = frame_client(encode_body(MsgType::kReconfigPull, pull));
+    Resend r;
+    for (const auto& [rank, echo_env] : votes) {
+      const net::NodeId to = svc.node_of(rank);
+      if (to != ctx.self()) r.msgs.emplace_back(to, frame);
+    }
+    (void)arm_resend(ctx, std::move(r));
+  }
   try_install(ctx);
 }
 
@@ -1975,6 +2010,7 @@ void ProtocolServer::install_config(net::Context& ctx, const SignedMessage& appl
   resends_.clear();  // cached frames carry the old epoch stamp: all dead
   result_pull_keys_.clear();
   subshare_pull_resend_ = 0;
+  install_pull_armed_ = false;
   // Engine mirror of the abort: demote exactly the in-flight self-coordinated
   // transfers back to the head of the admission queue (they keep their
   // priority); queued and completed transfers are untouched. Step 9 re-admits
@@ -2019,7 +2055,7 @@ void ProtocolServer::install_config(net::Context& ctx, const SignedMessage& appl
     secrets_.rank = new_rank;
     if (new_rank == 0) {
       // Retired: destroy the old shares — they are dead weight and a leak
-      // hazard (proactive-security discipline; see threshold/refresh.hpp).
+      // hazard (proactive-security discipline, §5).
       secrets_.enc_share = threshold::Share{};
       secrets_.sign_share = threshold::Share{};
       share_pending_ = false;
@@ -2330,6 +2366,7 @@ void ProtocolServer::restore(std::span<const std::uint8_t> snap) {
   install_log_.clear();
   share_pending_ = false;
   subshare_pull_resend_ = 0;
+  install_pull_armed_ = false;
   restored_ = true;  // on_start pulls the install chain proactively
   // scheduled_reconfigs_ is pre-simulation setup, not runtime state: kept, so
   // on_start re-arms it (the timer handler skips already-installed epochs).

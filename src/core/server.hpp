@@ -142,6 +142,10 @@ class ProtocolServer final : public net::Node {
   // Open contributor instances: one per coordinator init this server
   // committed to (or precomputed a contribution for).
   [[nodiscard]] std::size_t contributor_instances() const { return contributor_.size(); }
+  // Signing sessions still holding a nonce k_i (and a copy of the key share):
+  // those that have neither produced their partial nor been left out of
+  // their session's quorum.
+  [[nodiscard]] std::size_t signing_nonces_held() const;
 
   // --- observability types ----------------------------------------------------
   // Optional fields of a trace event; which ones an event uses depends on
@@ -342,6 +346,7 @@ class ProtocolServer final : public net::Node {
   struct MemberSession {
     std::vector<std::uint8_t> payload;
     std::vector<threshold::NonceCommitment> quorum;
+    // Null once the partial is sent or the quorum left this member out.
     std::unique_ptr<threshold::SigningMember> member;
     bool responded = false;
     // Cached signed frames: a signing member must answer a duplicate round
@@ -515,6 +520,9 @@ class ProtocolServer final : public net::Node {
   // Member of the new roster whose sub-share quorum is still incomplete.
   bool share_pending_ = false;
   std::uint64_t subshare_pull_resend_ = 0;
+  // Fetch step armed: 2f+1 echoes named an apply this node has not received,
+  // so it pulls the install record from the echoers. Reset at install.
+  bool install_pull_armed_ = false;
   // Set by restore(): the next on_start pulls the install chain from every
   // peer, since any install that happened while this server was down left it
   // with a stale share and roster.

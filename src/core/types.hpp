@@ -4,9 +4,13 @@
 #include <cstdint>
 #include <string>
 
-#include "core/codec.hpp"
+#include "common/codec.hpp"
 
 namespace dblind::core {
+
+using common::CodecError;
+using common::Reader;
+using common::Writer;
 
 // Rank of a server within its service, 1-based (matches threshold share
 // indices).

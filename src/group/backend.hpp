@@ -1,7 +1,7 @@
 // Backend-neutral group interface.
 //
-// Every protocol layer (ElGamal, Chaum-Pedersen/VDE, Schnorr, Feldman/
-// Pedersen VSS, threshold decrypt, re-sharing) is generic algebra over a
+// Every protocol layer (ElGamal, Chaum-Pedersen/VDE, Schnorr, Feldman VSS,
+// threshold decrypt, re-sharing) is generic algebra over a
 // cyclic group of prime order q: elements, mul, pow, multi-pow, canonical
 // encode/decode. `GroupParams` (group/params.hpp) stays the facade every
 // call site uses; it delegates to one of these backends:
@@ -95,8 +95,6 @@ class Group {
 
   virtual void reset_base_caches() const = 0;
   [[nodiscard]] virtual std::size_t pinned_table_count() const = 0;
-
-  [[nodiscard]] virtual Element hash_to_group(std::string_view label) const = 0;
 
   // Injective value -> element embedding; inverse of decode_message. The
   // valid input range is [1, max_message_value()].

@@ -4,7 +4,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "hash/sha256.hpp"
 #include "mpz/modmath.hpp"
 
 namespace dblind::group::backend {
@@ -180,31 +179,6 @@ void Ec::reset_base_caches() const {
 std::size_t Ec::pinned_table_count() const {
   MutexLock lock(cache_.mu);
   return cache_.pinned.size();
-}
-
-Element Ec::hash_to_group(std::string_view label) const {
-  OpScope scope(*this);
-  // 64 uniform bytes through the RFC 9496 one-way map: nobody learns a
-  // discrete log of the result w.r.t. g (or anything else).
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    std::array<std::uint8_t, 64> uniform;
-    for (std::uint32_t half = 0; half < 2; ++half) {
-      hash::Sha256 h;
-      h.update("dblind/hash-to-group/ec255/v1");
-      h.update(label);
-      const std::uint32_t counter = attempt * 2 + half;
-      std::uint8_t ctr_bytes[4] = {static_cast<std::uint8_t>(counter),
-                                   static_cast<std::uint8_t>(counter >> 8),
-                                   static_cast<std::uint8_t>(counter >> 16),
-                                   static_cast<std::uint8_t>(counter >> 24)};
-      h.update(std::span<const std::uint8_t>(ctr_bytes, 4));
-      hash::Digest d = h.finish();
-      std::copy(d.begin(), d.end(), uniform.begin() + 32 * half);
-    }
-    ec::Point pt = ec::map_to_point(uniform);
-    if (!ec::is_identity(pt)) return element(pt);
-    // Identity output (probability ~2^-250); re-derive with fresh counters.
-  }
 }
 
 Element Ec::encode_message(const Bigint& v) const {

@@ -59,7 +59,6 @@ class Ec final : public Group {
   void reset_base_caches() const override;
   [[nodiscard]] std::size_t pinned_table_count() const override;
 
-  [[nodiscard]] Element hash_to_group(std::string_view label) const override;
   [[nodiscard]] Element encode_message(const Bigint& v) const override;
   [[nodiscard]] Bigint decode_message(const Element& elem) const override;
   [[nodiscard]] const Bigint& max_message_value() const override { return max_message_; }

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <stdexcept>
 
-#include "hash/sha256.hpp"
 #include "mpz/modmath.hpp"
 
 namespace dblind::group::backend {
@@ -133,34 +132,6 @@ Element ModP::mul(const Element& a, const Element& b) const {
 }
 
 Element ModP::inv(const Element& a) const { return result(mpz::invmod(a, p_), mine(a)); }
-
-Element ModP::hash_to_group(std::string_view label) const {
-  // Expand the label to >= |p| + 64 bits of digest material so the reduction
-  // mod p is statistically uniform, then square to land in the QR subgroup.
-  const std::size_t need = element_size() + 8;
-  std::vector<std::uint8_t> material;
-  std::uint32_t counter = 0;
-  for (;;) {
-    material.clear();
-    while (material.size() < need) {
-      hash::Sha256 h;
-      h.update("dblind/hash-to-group/v1");
-      h.update(label);
-      std::uint8_t ctr_bytes[4] = {static_cast<std::uint8_t>(counter),
-                                   static_cast<std::uint8_t>(counter >> 8),
-                                   static_cast<std::uint8_t>(counter >> 16),
-                                   static_cast<std::uint8_t>(counter >> 24)};
-      h.update(std::span<const std::uint8_t>(ctr_bytes, 4));
-      hash::Digest d = h.finish();
-      material.insert(material.end(), d.begin(), d.end());
-      ++counter;
-    }
-    Bigint v = mpz::mod(Bigint::from_bytes_be(material), p_);
-    Bigint e = mont_.mul(v, v);  // v^2: a quadratic residue
-    if (in_group(e) && e != Bigint(1)) return decoded(std::move(e), owner_);
-    // v was 0, 1 or p-1 (astronomically unlikely); extend and retry.
-  }
-}
 
 Element ModP::encode_message(const Bigint& v) const {
   if (v.is_negative() || v.is_zero() || v > q_)

@@ -116,7 +116,7 @@ class GroupParams {
   // GroupParams (and threads). The pinned set grows only through explicit
   // pins — a hostile peer spraying fresh bases cannot touch it. Idempotent;
   // pinning g itself is a no-op (pow_g already combs it). Called by
-  // ProtocolServer for y_A, y_B and y_A·y_B, and by PedersenParams for h.
+  // ProtocolServer for y_A, y_B and y_A·y_B.
   void pin_base(const Element& b) const { impl_->pin_base(b); }
   // b^e through the pinned comb table when `b` was pinned (or is g);
   // otherwise a plain pow() — never inserts into any cache, so it is safe on
@@ -179,14 +179,6 @@ class GroupParams {
   // Uniformly random exponent in [1, q).
   [[nodiscard]] Bigint random_exponent(mpz::Prng& prng) const {
     return prng.uniform_nonzero_below(impl_->q());
-  }
-
-  // Deterministically derives a group element from a label such that nobody
-  // knows its discrete log w.r.t. g (mod-p: hash, reduce, square into the QR
-  // subgroup; ec255: the RFC 9496 one-way map). Used e.g. as the second base
-  // `h` of Pedersen commitments.
-  [[nodiscard]] Element hash_to_group(std::string_view label) const {
-    return impl_->hash_to_group(label);
   }
 
   // -- Message encoding (§3 requires m ∈ G_p) -------------------------------

@@ -35,12 +35,6 @@ constexpr Fe25519 kSqrtM1{{0x61b274a0ea0b0, 0xd5a5fc8f189d, 0x7ef5e9cbd0c60,
                            0x78595a6804c9e, 0x2b8324804fc1d}};
 constexpr Fe25519 kInvSqrtAMinusD{{0xfdaa805d40ea, 0x2eb482e57d339, 0x7610274bc58,
                                    0x6510b613dc8ff, 0x786c8905cfaff}};
-constexpr Fe25519 kSqrtAdMinusOne{{0x95fb684d1d2, 0x67c90f568502d, 0x28b8094189c7,
-                                   0x3a9f861819b67, 0x4896ce40d47cb}};
-constexpr Fe25519 kOneMinusDSq{{0x409c1945fc176, 0x719abc6a1fc4f, 0x1c37f90b20684,
-                                0x6bccca55eedf, 0x29072a8b2b3e}};
-constexpr Fe25519 kDMinusOneSq{{0x55aaa44ed4d20, 0x59603c3332635, 0x26d3baf4a7928,
-                                0x120a66e6997a9, 0x5968b37af66c2}};
 // Generator: the Ed25519 base point (x even, y = 4/5).
 constexpr Fe25519 kBaseX{{0x62d608f25d51a, 0x412a4b4f6592a, 0x75b7171a4b31d,
                           0x1ff60527118fe, 0x216936d3cd6e5}};
@@ -199,37 +193,6 @@ std::optional<Point> decode(std::span<const std::uint8_t, 32> in) {
 Point scalar_mul(const Point& base, const ScalarBytes& scalar) {
   return multi_scalar_mul(std::span<const Point>(&base, 1),
                           std::span<const ScalarBytes>(&scalar, 1));
-}
-
-namespace {
-
-// RFC 9496 §4.3.4 MAP: field element -> point (one half of the one-way map).
-Point elligator_map(const Fe25519& t) {
-  Fe25519 r = fe_mul(kSqrtM1, fe_sq(t));
-  Fe25519 u = fe_mul(fe_add(r, Fe25519::one()), kOneMinusDSq);
-  Fe25519 minus_one = fe_neg(Fe25519::one());
-  Fe25519 v = fe_mul(fe_sub(minus_one, fe_mul(r, kD)), fe_add(r, kD));
-  auto [was_square, s] = fe_sqrt_ratio_m1(u, v);
-  Fe25519 s_prime = fe_neg(fe_abs(fe_mul(s, t)));
-  fe_cmov(s_prime, s, was_square);
-  s = s_prime;
-  Fe25519 c = r;
-  fe_cmov(c, minus_one, was_square);
-  Fe25519 n = fe_sub(fe_mul(fe_mul(c, fe_sub(r, Fe25519::one())), kDMinusOneSq), v);
-  Fe25519 w0 = fe_mul(fe_add(s, s), v);
-  Fe25519 w1 = fe_mul(n, kSqrtAdMinusOne);
-  Fe25519 w2 = fe_sub(Fe25519::one(), fe_sq(s));
-  Fe25519 w3 = fe_add(Fe25519::one(), fe_sq(s));
-  return Point{fe_mul(w0, w3), fe_mul(w2, w1), fe_mul(w1, w3), fe_mul(w0, w2)};
-}
-
-}  // namespace
-
-Point map_to_point(std::span<const std::uint8_t, 64> uniform) {
-  // fe_from_bytes masks the top bit of each half, per the RFC.
-  Fe25519 t1 = fe_from_bytes(uniform.subspan<0, 32>());
-  Fe25519 t2 = fe_from_bytes(uniform.subspan<32, 32>());
-  return add(elligator_map(t1), elligator_map(t2));
 }
 
 CombTable::CombTable(const Point& base, unsigned window_bits) : window_(window_bits) {

@@ -63,10 +63,6 @@ const ScalarBytes& group_order_le();
 // scalar * P: the one-base call of multi_scalar_mul.
 [[nodiscard]] Point scalar_mul(const Point& base, const ScalarBytes& scalar);
 
-// One-way map: 64 uniform bytes -> group element (RFC 9496 §4.3.4, two
-// Elligator 2 maps added together). Nobody learns a discrete log from it.
-[[nodiscard]] Point map_to_point(std::span<const std::uint8_t, 64> uniform);
-
 // Fixed-base comb: table[i][j] = (j << (w*i)) * base, so a 253-bit scalar
 // costs ceil(253/w) point additions and zero doublings (mirrors
 // mpz::FixedBasePow for the mod-p backend).

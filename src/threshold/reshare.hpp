@@ -1,9 +1,10 @@
-// Shamir re-sharing of a threshold key onto a DIFFERENT roster/threshold.
+// Shamir re-sharing of a threshold key onto a new roster and/or threshold.
 //
-// Proactive refresh (refresh.hpp) re-randomizes shares over a FIXED (n, f)
-// roster. Reconfiguration (ROADMAP "dynamic membership") needs more: install
-// a new server set and/or threshold (n', f') while keeping the service key —
-// and therefore the service public key clients hold — unchanged.
+// This is the one way a key sharing changes. Reconfiguration installs a new
+// server set and/or threshold (n', f') while keeping the service key — and
+// therefore the service public key clients hold — unchanged. §5's proactive
+// refresh is the special case (n', f') = (n, f) over the same roster: every
+// share changes, so shares stolen before and after a refresh do not combine.
 //
 // Mechanism (Desmedt-Jajodia style re-sharing): each old server i in a
 // quorum Q (|Q| = f+1) deals a fresh degree-f' polynomial Q_i with
@@ -19,11 +20,10 @@
 // commitments are C'_k = Π_i D_i[k]^{λ_i}, so C'_0 = g^s: the public key is
 // untouched.
 //
-// SECRECY: unlike zero-sharing refresh deals, re-sharing sub-shares are NOT
-// harmless — any f'+1 sub-shares of one dealer reveal that dealer's old
-// share, and a full deal set reveals the key. Sub-shares must therefore
-// travel point-to-point to their recipient only (core/reconfig enforces
-// this); the commitments alone are public.
+// SECRECY: re-sharing sub-shares are NOT harmless — any f'+1 sub-shares of
+// one dealer reveal that dealer's old share, and a full deal set reveals the
+// key. Sub-shares must therefore travel point-to-point to their recipient
+// only (core/reconfig enforces this); the commitments alone are public.
 #pragma once
 
 #include <set>

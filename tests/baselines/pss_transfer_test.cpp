@@ -9,6 +9,7 @@ namespace {
 
 using group::GroupParams;
 using group::ParamId;
+using mpz::Bigint;
 using mpz::Prng;
 
 struct Fixture {
@@ -63,20 +64,13 @@ TEST(PssTransfer, NewCommitmentsVerifyNewShares) {
 }
 
 TEST(PssTransfer, SubshareVerificationCatchesCheatingDealer) {
+  // A dealer re-sharing a DIFFERENT value than its committed share fails the
+  // check against A's commitments, and the transfer refuses to combine.
   Fixture fx(4);
-  ReshareDeal deal = pss_deal(fx.gp, fx.a_shares[0], 4, 1, fx.prng);
-  EXPECT_TRUE(pss_verify_subshare(fx.gp, fx.a_commitments, deal, 2));
-
-  // Corrupted sub-share.
-  ReshareDeal bad = deal;
-  bad.subshares[1].value = mpz::addmod(bad.subshares[1].value, Bigint(1), fx.gp.q());
-  EXPECT_FALSE(pss_verify_subshare(fx.gp, fx.a_commitments, bad, 2));
-
-  // Dealer resharing a DIFFERENT value than its committed share.
-  threshold::Share forged{fx.a_shares[0].index,
-                          mpz::addmod(fx.a_shares[0].value, Bigint(1), fx.gp.q())};
-  ReshareDeal wrong = pss_deal(fx.gp, forged, 4, 1, fx.prng);
-  EXPECT_FALSE(pss_verify_subshare(fx.gp, fx.a_commitments, wrong, 1));
+  std::vector<threshold::Share> quorum(fx.a_shares.begin(), fx.a_shares.begin() + 2);
+  quorum[0].value = mpz::addmod(quorum[0].value, Bigint(1), fx.gp.q());
+  EXPECT_THROW((void)pss_transfer(fx.gp, quorum, fx.a_commitments, 4, 1, fx.prng),
+               std::runtime_error);
 }
 
 TEST(PssTransfer, ProactiveRefreshWithinService) {
@@ -97,16 +91,6 @@ TEST(PssTransfer, MessageAccountingIsQuadratic) {
   PssTransferResult r = pss_transfer(fx.gp, quorum, fx.a_commitments, 10, 3, fx.prng);
   EXPECT_EQ(r.messages, 3u * 10u);  // |Q| × n_B pairwise links
   EXPECT_GT(r.bytes, 0u);
-}
-
-TEST(PssTransfer, CombineValidatesInput) {
-  Fixture fx(7);
-  EXPECT_THROW((void)pss_combine(fx.gp, {}, 1), std::invalid_argument);
-  ReshareDeal deal = pss_deal(fx.gp, fx.a_shares[0], 4, 1, fx.prng);
-  std::vector<ReshareDeal> dup = {deal, deal};
-  EXPECT_THROW((void)pss_combine(fx.gp, dup, 1), std::invalid_argument);
-  std::vector<ReshareDeal> one = {deal};
-  EXPECT_THROW((void)pss_combine(fx.gp, one, 99), std::invalid_argument);
 }
 
 TEST(PssTransfer, DegenerateSingleDealerQuorum) {

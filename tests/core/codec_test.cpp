@@ -1,4 +1,4 @@
-#include "core/codec.hpp"
+#include "common/codec.hpp"
 
 #include <gtest/gtest.h>
 

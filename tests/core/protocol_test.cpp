@@ -286,6 +286,21 @@ TEST(Protocol, InitAboveMaxCoordinatorsCostsNothing) {
   EXPECT_EQ(server.contributor_instances(), 1u);
 }
 
+// A signing member holds its nonce k_i (and a copy of x_i) only until it
+// sends s_i = k_i + e·x_i, or until its session's quorum leaves it out:
+// whoever read k_i afterwards would learn x_i. Once a lossless run's traffic
+// drains, no server holds one.
+TEST(Protocol, SigningNoncesReleasedAfterUse) {
+  System sys(base_options(29));
+  TransferId t = sys.add_transfer(sys.config().params.encode_message(Bigint(2929)));
+  expect_success(sys, t);
+  sys.sim().run();
+  for (ServerRank r = 1; r <= 4; ++r) {
+    EXPECT_EQ(sys.a_server(r).signing_nonces_held(), 0u) << "A rank " << r;
+    EXPECT_EQ(sys.b_server(r).signing_nonces_held(), 0u) << "B rank " << r;
+  }
+}
+
 TEST(Protocol, BlindingRunsBeforeSecretExists) {
   // Step flexibility (§1/§3): the whole distributed blinding protocol and
   // the blind message precede the existence of E_A(m). A parks the blind

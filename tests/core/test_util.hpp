@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
@@ -13,17 +14,23 @@
 
 namespace dblind::core::testing {
 
-// Minimal Context for driving node handlers outside any transport: sends are
-// only counted, timers vanish, randomness is deterministic.
+// Minimal Context for driving node handlers outside any transport: sends and
+// timer tokens are recorded (a test fires timers by hand through on_timer),
+// randomness is deterministic.
 class NullContext final : public net::Context {
  public:
   explicit NullContext(std::uint64_t seed) : prng_(seed) {}
-  void send(net::NodeId, std::vector<std::uint8_t>) override { ++sent; }
-  void set_timer(net::Time, std::uint64_t) override {}
+  void send(net::NodeId to, std::vector<std::uint8_t> bytes) override {
+    ++sent;
+    frames.emplace_back(to, std::move(bytes));
+  }
+  void set_timer(net::Time, std::uint64_t token) override { timers.push_back(token); }
   [[nodiscard]] net::Time now() const override { return 0; }
   [[nodiscard]] net::NodeId self() const override { return 99; }
   [[nodiscard]] mpz::Prng& rng() override { return prng_; }
   int sent = 0;
+  std::vector<std::pair<net::NodeId, std::vector<std::uint8_t>>> frames;
+  std::vector<std::uint64_t> timers;
 
  private:
   mpz::Prng prng_;

@@ -134,17 +134,6 @@ TEST(EcBackend, ElementBytesAreCanonical32ByteEncodings) {
   EXPECT_EQ(gp.element_bytes(gp.identity()), std::vector<std::uint8_t>(32, 0));
 }
 
-TEST(EcBackend, HashToGroupIsDeterministicAndLabelSeparated) {
-  GroupParams gp = ec();
-  Bigint h1 = gp.hash_to_group("pedersen-h");
-  Bigint h2 = gp.hash_to_group("pedersen-h");
-  Bigint h3 = gp.hash_to_group("other-label");
-  EXPECT_EQ(h1, h2);
-  EXPECT_NE(h1, h3);
-  EXPECT_TRUE(gp.in_group(h1));
-  EXPECT_FALSE(gp.is_identity(h1));
-}
-
 TEST(EcBackend, OpCounterAdvancesAndWeightIsEcScale) {
   GroupParams gp = ec();
   std::uint64_t before = gp.group_op_count();

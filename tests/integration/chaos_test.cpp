@@ -29,6 +29,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -580,6 +581,26 @@ TEST(ChaosRegression, DeadlocksWithoutRetransmission) {
   lossy.liveness_expected = true;
   bool with = run_chaos(lossy, 424242, /*retransmit=*/true);
   EXPECT_TRUE(with);
+}
+
+// churn-leave seeds whose retiring rank 5 lost both the round start and the
+// apply (with every apply resend, which the senders drop at their installs)
+// yet received 2f+1 echoes: nothing stamped with epoch 0 reaches it after the
+// install, so no kWrongEpoch ever prompts a pull. The echo quorum's fetch
+// step must still bring it to the new epoch, retired.
+const Mix& churn_leave_mix() {
+  for (const Mix& mix : kMixes) {
+    if (std::string(mix.name) == "churn-leave") return mix;
+  }
+  throw std::logic_error("no churn-leave mix");
+}
+
+TEST(ChaosRegression, ChurnLeaveSeed253RetireeFetchesInstall) {
+  EXPECT_TRUE(run_chaos(churn_leave_mix(), 253));
+}
+
+TEST(ChaosRegression, ChurnLeaveSeed392RetireeFetchesInstall) {
+  EXPECT_TRUE(run_chaos(churn_leave_mix(), 392));
 }
 
 // Crash-recovery in isolation: the designated B coordinator dies mid-protocol

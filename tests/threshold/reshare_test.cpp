@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "mpz/modmath.hpp"
-#include "threshold/refresh.hpp"
+#include "threshold/thresh_decrypt.hpp"
 
 namespace dblind::threshold {
 namespace {
@@ -122,15 +122,60 @@ TEST(Reshare, RejectsSubThresholdDealerQuorum) {
 }
 
 TEST(Reshare, ComposesWithZeroSharingRefresh) {
-  // Reconfigure, then proactively refresh the new roster: both preserve the
-  // key, so clients never see a public-key change.
+  // Reconfigure, then proactively refresh the new roster (a same-roster
+  // reshare): both preserve the key, so clients never see a public-key
+  // change.
   group::GroupParams gp = params();
   mpz::Prng prng(23);
   ServiceKeyMaterial m0 = ServiceKeyMaterial::dealer_keygen(gp, {4, 1}, prng);
   ServiceKeyMaterial m1 = reshare_service(m0, {7, 2}, prng);
-  ServiceKeyMaterial m2 = refresh_service(m1, prng);
+  ServiceKeyMaterial m2 = reshare_service(m1, m1.config(), prng);
   EXPECT_EQ(m2.public_key().y(), m0.public_key().y());
   EXPECT_EQ(reconstruct_from(m2, 1, 3), reconstruct_from(m0, 1, 2));
+}
+
+// §5 proactive refresh is a reshare onto the same (n, f) roster: every share
+// changes, the key and the public key do not.
+TEST(Reshare, SameRosterRefresh) {
+  group::GroupParams gp = params();
+  mpz::Prng prng(29);
+  ServiceKeyMaterial m0 = ServiceKeyMaterial::dealer_keygen(gp, {4, 1}, prng);
+  Bigint m = gp.random_element(prng);
+  elgamal::Ciphertext c = m0.public_key().encrypt(m, prng);
+
+  ServiceKeyMaterial m1 = reshare_service(m0, m0.config(), prng);
+  EXPECT_EQ(m1.public_key().y(), m0.public_key().y());
+  for (std::uint32_t j = 1; j <= 4; ++j) {
+    EXPECT_NE(m1.share_of(j).value, m0.share_of(j).value) << j;
+    EXPECT_TRUE(feldman_verify(gp, m1.commitments(), m1.share_of(j))) << j;
+  }
+  // A ciphertext made before the refresh threshold-decrypts with new shares.
+  std::vector<DecryptionShare> shares;
+  for (std::uint32_t j : {2u, 4u}) {
+    DecryptionShare ds = make_decryption_share(gp, c, m1.share_of(j), "refresh", prng);
+    EXPECT_TRUE(verify_decryption_share(gp, m1.commitments(), c, ds, "refresh")) << j;
+    shares.push_back(std::move(ds));
+  }
+  EXPECT_EQ(combine_decryption(gp, c, shares), m);
+  // A second refresh in a row keeps the key too.
+  ServiceKeyMaterial m2 = reshare_service(m1, m1.config(), prng);
+  EXPECT_EQ(m2.public_key().y(), m0.public_key().y());
+  EXPECT_EQ(reconstruct_from(m2, 3, 2), reconstruct_from(m0, 1, 2));
+}
+
+TEST(Reshare, ApplyValidatesInput) {
+  group::GroupParams gp = params();
+  const std::vector<Bigint> two = {Bigint(5), Bigint(7)};
+  const std::vector<std::uint32_t> none;
+  const std::vector<std::uint32_t> dup = {1, 1};
+  const std::vector<std::uint32_t> ok = {1, 2};
+  const std::vector<std::uint32_t> three = {1, 2, 3};
+  EXPECT_THROW((void)reshare_apply(gp, none, std::span<const Bigint>(), 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)reshare_apply(gp, dup, two, 1), std::invalid_argument);
+  EXPECT_THROW((void)reshare_apply(gp, ok, two, 0), std::invalid_argument);
+  EXPECT_THROW((void)reshare_apply(gp, three, two, 1), std::invalid_argument);
+  EXPECT_NO_THROW((void)reshare_apply(gp, ok, two, 1));
 }
 
 }  // namespace
