@@ -12,13 +12,13 @@
 //                    a capped engine — latency is flat below saturation and
 //                    grows with queueing delay above it;
 //   load_saturation  saturated throughput of the concurrent engine (unlimited
-//                    admission + cross-transfer batch drain + verify workers)
-//                    vs the strictly sequential baseline
-//                    (max_inflight_transfers = 1, inline verification)
-//                    on the SAME arrival schedule. The gate compares
-//                    virtual-time throughput: virtual time is a pure function
-//                    of the seed (machine-independent, like mont-mul counts),
-//                    wall-clock is recorded as provenance;
+//                    admission) vs the strictly sequential baseline
+//                    (max_inflight_transfers = 1) on the SAME arrival
+//                    schedule; both verify every contribute inline, on
+//                    arrival. The gate compares virtual-time throughput:
+//                    virtual time is a pure function of the seed
+//                    (machine-independent, like mont-mul counts), wall-clock
+//                    is recorded as provenance;
 //   load_equivalence identical_results: with per-instance keyed contribution
 //                    streams both schedules must produce byte-identical
 //                    per-transfer ciphertexts (the concurrent engine changes
@@ -65,7 +65,6 @@ struct LoadConfig {
   int transfers = 16;
   int clients = 4;             // distinct message sources (many-clients mix)
   std::size_t max_inflight = 0;  // admission cap (0 = unlimited)
-  unsigned verify_workers = 2;
   dblind::net::Time mean_interarrival_us = 2'000;
   // When set, dump this run's JSONL span trace to `trace_out` and a
   // prometheus metrics snapshot (for trace_critpath.py's mont-mul join) to
@@ -113,7 +112,6 @@ LoadResult run_load(const LoadConfig& lc) {
   o.delay_min = 2'000;  // fixed delay: schedule-independent quorums
   o.delay_max = 2'000;
   o.protocol.max_inflight_transfers = lc.max_inflight;
-  o.protocol.verify_workers = lc.verify_workers;
   o.protocol.trace = &trace;
   if (!lc.trace_out.empty()) o.protocol.metrics = &metrics;
   System sys(std::move(o));
@@ -266,14 +264,13 @@ int main(int argc, char** argv) {
   LoadConfig conc = base;
   conc.trace_out.clear();
   conc.mean_interarrival_us = 2'000;
-  conc.max_inflight = 0;  // unlimited + batch drain + workers
+  conc.max_inflight = 0;  // unlimited admission
   LoadResult saturated = run_load(conc);
 
   LoadConfig seq = base;
   seq.trace_out.clear();
   seq.mean_interarrival_us = 2'000;
-  seq.max_inflight = 1;  // strictly sequential, inline verification
-  seq.verify_workers = 0;
+  seq.max_inflight = 1;  // strictly sequential
   LoadResult baseline = run_load(seq);
 
   const double sat_tps =

@@ -70,6 +70,18 @@ struct ServerSecrets {
   zkp::SchnorrSigningKey server_sign_key;  // taint:secret — this server's message-signing key
 };
 
+// --- chaos-layer retransmission schedule (liveness only) ----------------------
+// Liveness-critical messages are re-sent on a capped exponential backoff
+// (ProtocolOptions::retransmit switches the layer on or off).
+inline constexpr net::Time kRetransmitInitialDelay = 150'000;
+inline constexpr net::Time kRetransmitMaxDelay = 1'200'000;
+// Total send attempts per cached message (the original send counts).
+inline constexpr int kRetransmitMaxAttempts = 12;
+// B servers missing a result (recovered from a crash, or blinded by a
+// partition while the done message went out) periodically pull the
+// service-signed done message from their peers.
+inline constexpr net::Time kResultPullDelay = 800'000;
+
 // Tunable protocol behavior (liveness knobs only; safety never depends on
 // these).
 struct ProtocolOptions {
@@ -93,33 +105,13 @@ struct ProtocolOptions {
   bool precompute_contributions = false;
 
   // --- chaos-layer retransmission (liveness only) ----------------------------
-  // Re-send liveness-critical messages on a capped exponential backoff until
-  // progress cancels the entry (or attempts run out, so the event queue
-  // always drains). Retransmissions reuse the originally-signed cached
-  // bytes — committed values are never re-randomized. Disabling this
-  // reproduces the fire-once behavior where a single lost protocol message
-  // deadlocks a transfer (exercised by the chaos deadlock regression test).
+  // Re-send liveness-critical messages on the backoff above until progress
+  // cancels the entry (or attempts run out, so the event queue always
+  // drains). Retransmissions reuse the originally-signed cached bytes —
+  // committed values are never re-randomized. Disabling this reproduces the
+  // fire-once behavior where a single lost protocol message deadlocks a
+  // transfer (exercised by the chaos deadlock regression test).
   bool retransmit = true;
-  net::Time retransmit_initial_delay = 150'000;
-  net::Time retransmit_max_delay = 1'200'000;
-  // Total send attempts per cached message (the original send counts).
-  int retransmit_max_attempts = 12;
-  // B servers missing a result (recovered from a crash, or blinded by a
-  // partition while the done message went out) periodically pull the
-  // service-signed done message from their peers.
-  net::Time result_pull_delay = 800'000;
-
-  // --- verification (see docs/PROTOCOL.md) ----------------------------------
-  // Quorum evidence (contribute VDEs, envelope signatures, decryption shares)
-  // is always checked by random-linear-combination batch verification.
-  // Off-handler verification worker pool for contribute messages: >0 spawns
-  // that many worker threads which run the structural + signature checks of
-  // queued contributions concurrently; a drain folds every surviving VDE
-  // proof, across transfers, into one combined pass and applies verdicts in
-  // arrival order, so handler-visible state evolves exactly as in the inline
-  // path. Leave 0 under the deterministic Simulator; intended for
-  // net::ThreadedBus deployments.
-  std::size_t verify_workers = 0;
 
   // --- concurrent multi-transfer engine (core/transfer_engine.hpp) ----------
   // Cap on transfers this server may *self-coordinate* concurrently; excess
@@ -132,9 +124,6 @@ struct ProtocolOptions {
   // the pre-engine flow. 1 = strictly sequential (the open-loop load bench's
   // baseline mode).
   std::size_t max_inflight_transfers = 0;
-  // Shard count for the engine's per-transfer state map (lock striping under
-  // net::ThreadedBus; irrelevant to results).
-  std::size_t engine_shards = 8;
 
   // --- observability (no protocol effect; see docs/OBSERVABILITY.md) --------
   // Structured per-phase trace events (epoch starts, commit/reveal/

@@ -82,12 +82,11 @@ ProtocolServer::ProtocolServer(SystemConfig cfg, ServerSecrets secrets, Protocol
                                Behavior behavior)
     : cfg_(std::move(cfg)), secrets_(std::move(secrets)), opts_(std::move(opts)),
       behavior_(behavior), initial_cfg_(cfg_), initial_secrets_(secrets_),
-      engine_({opts_.max_inflight_transfers, opts_.engine_shards}),
+      engine_(opts_.max_inflight_transfers),
       watchdog_(opts_.watchdog_deadline) {
   // 0 remembered as "defaulted": installs re-derive f+1 from the NEW config.
   initial_max_coordinators_ = opts_.max_coordinators;
   if (opts_.max_coordinators == 0) opts_.max_coordinators = cfg_.b.cfg.f + 1;
-  if (opts_.verify_workers > 0) verify_pool_ = std::make_unique<VerifyPool>(opts_.verify_workers);
   // Pin the protocol bases for this key epoch: every exponentiation in
   // encryption and VDE proving targets g (combed by pow_g), y_A, y_B or
   // y_A·y_B (Pr3's base). One table build per modulus, shared const across
@@ -126,27 +125,6 @@ std::size_t ProtocolServer::signing_nonces_held() const {
 
 // --- plumbing -----------------------------------------------------------------
 
-void ProtocolServer::send_signed(net::Context& ctx, net::NodeId to, MsgType type,
-                                 const std::vector<std::uint8_t>& body) {
-  (void)type;  // body already carries the tag; kept for call-site clarity
-  SignedMessage env = make_envelope(secrets_, body, cfg_epoch_, ctx.rng());
-  ctx.send(to, frame_signed(env));
-}
-
-void ProtocolServer::broadcast_signed(net::Context& ctx, ServiceRole svc, MsgType type,
-                                      const std::vector<std::uint8_t>& body) {
-  (void)type;
-  SignedMessage env = make_envelope(secrets_, body, cfg_epoch_, ctx.rng());
-  std::vector<std::uint8_t> framed = frame_signed(env);
-  const ServicePublic& s = cfg_.service(svc);
-  for (ServerRank r = 1; r <= s.cfg.n; ++r) ctx.send(s.node_of(r), framed);
-}
-
-void ProtocolServer::send_service_signed(net::Context& ctx, net::NodeId to,
-                                         const ServiceSignedMsg& msg) {
-  ctx.send(to, frame_service(msg));
-}
-
 std::vector<std::uint8_t> ProtocolServer::signed_frame(net::Context& ctx,
                                                        const std::vector<std::uint8_t>& body) {
   return frame_signed(make_envelope(secrets_, body, cfg_epoch_, ctx.rng()));
@@ -163,8 +141,8 @@ std::vector<std::uint8_t> ProtocolServer::signed_frame(net::Context& ctx,
 std::uint64_t ProtocolServer::arm_resend(net::Context& ctx, Resend r, net::Time initial_delay,
                                          int max_attempts) {
   if (!opts_.retransmit || r.msgs.empty()) return 0;
-  r.delay = initial_delay != 0 ? initial_delay : opts_.retransmit_initial_delay;
-  r.max_attempts = max_attempts != 0 ? max_attempts : opts_.retransmit_max_attempts;
+  r.delay = initial_delay != 0 ? initial_delay : kRetransmitInitialDelay;
+  r.max_attempts = max_attempts != 0 ? max_attempts : kRetransmitMaxAttempts;
   std::uint64_t key = next_resend_++;
   net::Time delay = r.delay;
   resends_[key] = std::move(r);
@@ -206,7 +184,7 @@ void ProtocolServer::handle_resend_timer(net::Context& ctx, std::uint64_t key) {
     resends_.erase(it);  // give up; backup coordinators / result pulls take over
     return;
   }
-  r.delay = std::min(r.delay * 2, opts_.retransmit_max_delay);
+  r.delay = std::min(r.delay * 2, kRetransmitMaxDelay);
   ctx.set_timer(r.delay, kTimerResend | key);
 }
 
@@ -234,7 +212,7 @@ void ProtocolServer::arm_result_pull(net::Context& ctx, TransferId transfer) {
   }
   r.transfer = transfer;
   r.cancel_on_result = true;
-  std::uint64_t key = arm_resend(ctx, std::move(r), opts_.result_pull_delay);
+  std::uint64_t key = arm_resend(ctx, std::move(r), kResultPullDelay);
   if (key != 0) result_pull_keys_[transfer] = key;
 }
 
@@ -288,7 +266,7 @@ void ProtocolServer::on_start(net::Context& ctx) {
       }
     }
     for (const auto& [to, f] : r.msgs) ctx.send(to, f);
-    arm_resend(ctx, std::move(r), opts_.result_pull_delay, 5);
+    arm_resend(ctx, std::move(r), kResultPullDelay, 5);
   }
   if (is_b()) {
     // Root key for per-instance contribution streams. One fork per
@@ -382,8 +360,6 @@ void ProtocolServer::on_timer(net::Context& ctx, std::uint64_t token) {
       parked_blinds_.clear();
       for (ServiceSignedMsg& m : parked) handle_blind(ctx, m);
     }
-  } else if (kind == kTimerVerifyDrain) {
-    drain_verifies(ctx);
   } else if (kind == kTimerWatchdog) {
     watchdog_tick(ctx);
   }
@@ -696,105 +672,29 @@ void ProtocolServer::handle_commit(net::Context& ctx, const SignedMessage& env) 
 
 void ProtocolServer::handle_contribute(net::Context& ctx, const SignedMessage& env) {
   if (!is_b()) return;
-  if (verify_pool_) {
-    // Off-handler verification: a worker runs only the structural +
-    // signature phase (which needs no randomizers, so workers never share the
-    // node's rng); every surviving VDE proof is folded into ONE combined RLC
-    // pass at the drain, across however many transfers are pending.
-    pending_verifies_.push_back({env, std::nullopt, {}});
-    PendingVerify& pv = pending_verifies_.back();
-    auto task = std::make_shared<std::packaged_task<void()>>(
-        [this, &pv] { pv.result = precheck_contribute_batch(cfg_, pv.env); });
-    pv.done = task->get_future();
-    verify_pool_->submit([task] { (*task)(); });
-    metrics_.verify_queue_depth.observe(pending_verifies_.size());
-    ctx.set_timer(0, kTimerVerifyDrain);
-    return;
-  }
   auto contribute = check_contribute_batch(cfg_, env, ctx.rng());
-  record_contribute_verdict(ctx, env, contribute ? &*contribute : nullptr);
-  if (contribute) apply_contribute(ctx, env, *contribute);
-}
-
-// Verify-outcome bookkeeping for a contribute message (shared by the inline
-// and worker-pool paths). `contribute` is null when verification rejected the
-// message; env.signer then identifies the culprit node.
-void ProtocolServer::record_contribute_verdict(net::Context& ctx, const SignedMessage& env,
-                                               const ContributeMsg* contribute,
-                                               const ContributeMsg* rejected) {
-  if (contribute != nullptr) {
-    metrics_.verify_pass.inc();
-    emit_trace(ctx, obs::EventKind::kVerifyPass, &contribute->id,
-               {.peer = contribute->server,
-                .subject = static_cast<std::uint32_t>(MsgType::kContribute)});
-  } else {
+  if (!contribute) {
+    // A rejected message is never decoded for the trace: env.signer names
+    // the culprit node and the event carries no transfer.
     metrics_.verify_fail.inc();
     metrics_.batch_fallbacks.inc();
-    // With a decoded-but-rejected message in hand (worker-pool drain), the
-    // failure is attributed to the exact (transfer, rank) it came from; the
-    // inline path never decodes a rejected message and keeps transfer = 0.
     emit_trace(ctx, obs::EventKind::kVerifyFail, nullptr,
-               {.transfer = rejected != nullptr ? rejected->id.transfer : 0,
-                .peer = env.signer,
-                .subject = static_cast<std::uint32_t>(MsgType::kContribute)});
+               {.peer = env.signer, .subject = static_cast<std::uint32_t>(MsgType::kContribute)});
+    return;
   }
-}
-
-void ProtocolServer::apply_contribute(net::Context& ctx, const SignedMessage& env,
-                                      const ContributeMsg& contribute) {
-  auto it = coordinator_.find(contribute.id);
+  metrics_.verify_pass.inc();
+  emit_trace(ctx, obs::EventKind::kVerifyPass, &contribute->id,
+             {.peer = contribute->server,
+              .subject = static_cast<std::uint32_t>(MsgType::kContribute)});
+  auto it = coordinator_.find(contribute->id);
   if (it == coordinator_.end()) return;
   CoordinatorState& st = it->second;
   if (st.signing || st.sent_blind) return;
   // Accept only contributions responding to OUR reveal (the same-reveal
   // evidence rule is enforced again by every signing member).
-  if (!(contribute.reveal == st.reveal_env)) return;
-  st.contributes.emplace(contribute.server, env);
+  if (!(contribute->reveal == st.reveal_env)) return;
+  st.contributes.emplace(contribute->server, env);
   coordinator_try_finish(ctx, st);
-}
-
-void ProtocolServer::drain_verifies(net::Context& ctx) {
-  if (pending_verifies_.empty()) return;
-  // Wait for every queued precheck: the combined pass needs the whole drain's
-  // survivors, and the zero-delay drain timer fires once per enqueue burst.
-  for (PendingVerify& pv : pending_verifies_) {
-    if (pv.done.valid()) pv.done.wait();
-  }
-  // Fold the VDE equations of every prechecked message — regardless of which
-  // transfer or coordinator it belongs to — into one tagged cross batch:
-  // exactly one random-linear-combination verification per drain. Tags are
-  // queue positions, so a failing tag maps back to its message (and through
-  // it to the culprit's transfer and rank).
-  zkp::CpCrossBatch batch;
-  for (std::size_t i = 0; i < pending_verifies_.size(); ++i) {
-    const PendingVerify& pv = pending_verifies_[i];
-    if (!pv.result) continue;  // structural/signature reject: no equations
-    std::vector<zkp::CpBatchItem> eqs;
-    if (!zkp::vde_lower_to_cp(cfg_.params, contribute_vde_item(cfg_, *pv.result), eqs)) {
-      batch.poison(i);  // structurally invalid proof: fails without a pass
-      continue;
-    }
-    batch.add(i, std::span<const zkp::CpBatchItem>(eqs));
-  }
-  mpz::Prng prng = ctx.rng().fork("cross-drain");
-  zkp::CrossBatchResult verdict = batch.verify(cfg_.params, prng);
-  std::set<std::uint64_t> bad(verdict.bad_tags.begin(), verdict.bad_tags.end());
-  metrics_.cross_drain_msgs.observe(pending_verifies_.size());
-  metrics_.cross_drain_equations.observe(batch.equations());
-  emit_trace(ctx, obs::EventKind::kBatchDrain, nullptr,
-             {.peer = batch.equations(), .count = pending_verifies_.size()});
-  // Apply verdicts in strict message-arrival order — handler-visible state
-  // evolves exactly as if each message had been verified inline.
-  for (std::size_t i = 0; i < pending_verifies_.size(); ++i) {
-    PendingVerify& pv = pending_verifies_[i];
-    if (pv.result && !bad.contains(i)) {
-      record_contribute_verdict(ctx, pv.env, &*pv.result);
-      apply_contribute(ctx, pv.env, *pv.result);
-    } else {
-      record_contribute_verdict(ctx, pv.env, nullptr, pv.result ? &*pv.result : nullptr);
-    }
-  }
-  pending_verifies_.clear();
 }
 
 void ProtocolServer::coordinator_try_finish(net::Context& ctx, CoordinatorState& st) {
@@ -817,7 +717,7 @@ void ProtocolServer::coordinator_try_finish(net::Context& ctx, CoordinatorState&
     // cited by this instance's evidence names the transfer it was produced
     // for. With the per-transfer state machines this matches st.id.transfer
     // by construction; a cross-transfer contamination bug in the concurrent
-    // drain would surface here as a mismatch.
+    // engine would surface here as a mismatch.
     emit_trace(ctx, obs::EventKind::kContributeCited, &st.id,
                {.peer = c.server, .count = c.id.transfer});
     eas.push_back(c.contribution.ea);
@@ -1185,7 +1085,7 @@ void ProtocolServer::sign_session_finished(net::Context& ctx, SignSession& ss,
       ctx.send(cfg_.b.node_of(rank), framed);
       r.msgs.emplace_back(cfg_.b.node_of(rank), framed);
     }
-    arm_resend(ctx, std::move(r), 0, std::min(opts_.retransmit_max_attempts, 5));
+    arm_resend(ctx, std::move(r), 0, std::min(kRetransmitMaxAttempts, 5));
     try {
       DonePayload done = decode_as<DonePayload>(MsgType::kDone, ss.payload, cfg_.params);
       emit_trace(ctx, obs::EventKind::kSignDone, &done.id,
@@ -1991,12 +1891,8 @@ void ProtocolServer::install_config(net::Context& ctx, const SignedMessage& appl
     if (!st.sent_done) aborted.push_back(id);
   }
 
-  // 2. Drain in-flight verifications, then drop ALL volatile round state —
-  //    every piece of it is bound to the dying configuration.
-  for (PendingVerify& pv : pending_verifies_) {
-    if (pv.done.valid()) pv.done.wait();
-  }
-  pending_verifies_.clear();
+  // 2. Drop ALL volatile round state — every piece of it is bound to the
+  //    dying configuration.
   contributor_.clear();
   coordinator_.clear();
   sign_sessions_.clear();
@@ -2122,7 +2018,7 @@ void ProtocolServer::install_config(net::Context& ctx, const SignedMessage& appl
         ctx.send(to, frame);
         r.msgs.emplace_back(to, frame);
       }
-      subshare_pull_resend_ = arm_resend(ctx, std::move(r), opts_.result_pull_delay);
+      subshare_pull_resend_ = arm_resend(ctx, std::move(r), kResultPullDelay);
     }
   }
 }
@@ -2306,11 +2202,6 @@ std::vector<std::uint8_t> ProtocolServer::snapshot() const {
 void ProtocolServer::restore(std::span<const std::uint8_t> snap) {
   // A crash loses everything volatile: round state, signing sessions, reply
   // caches, armed retransmissions, parked messages, and derived results.
-  // In-flight pool verifications must finish before their slots are dropped.
-  for (PendingVerify& pv : pending_verifies_) {
-    if (pv.done.valid()) pv.done.wait();
-  }
-  pending_verifies_.clear();
   stored_.clear();
   pending_store_.clear();
   transfers_.clear();
@@ -2488,10 +2379,15 @@ void ProtocolServer::watchdog_note(net::Context& ctx, const obs::TraceEvent& ev)
 
 void ProtocolServer::arm_watchdog_timer(net::Context& ctx) {
   if (watchdog_timer_armed_ || opts_.trace == nullptr) return;
-  if (!watchdog_.needs_sweep()) return;
+  std::optional<std::uint64_t> due = watchdog_.next_expiry();
+  if (!due) return;
   watchdog_timer_armed_ = true;
-  // Half the deadline bounds detection latency at 1.5× the idle bound.
-  ctx.set_timer(watchdog_.deadline() / 2, kTimerWatchdog);
+  // Fire exactly at the earliest deadline, so a stall surfaces the instant
+  // the idle bound passes. Deadlines only move later (progress happens at
+  // `now` and the bound is fixed), so the one pending timer is never later
+  // than any entry armed after it; a sweep that finds the deadline pushed
+  // back simply re-arms.
+  ctx.set_timer(*due > ctx.now() ? *due - ctx.now() : 0, kTimerWatchdog);
 }
 
 void ProtocolServer::watchdog_tick(net::Context& ctx) {
@@ -2503,10 +2399,9 @@ void ProtocolServer::watchdog_tick(net::Context& ctx) {
       ev.node = ctx.self();
       ev.kind = obs::EventKind::kStall;
       ev.transfer = s.transfer;
-      // One-shot public state dump: engine queue depth, pending verify jobs,
-      // outstanding retransmission entries. Counts only — never payloads.
+      // One-shot public state dump: engine queue depth and outstanding
+      // retransmission entries. Counts only — never payloads.
       ev.count = engine_.queued();
-      ev.peer = static_cast<std::uint32_t>(pending_verifies_.size());
       ev.attempt = static_cast<std::uint32_t>(resends_.size());
       ev.cfg_epoch = cfg_epoch_;
       ev.span = ctx.mint_span();
@@ -2543,8 +2438,6 @@ void ProtocolServer::resolve_metrics(net::Context& ctx) {
   metrics_.verify_pass = reg.counter("dblind_verify_total", {{"node", node}, {"result", "pass"}});
   metrics_.verify_fail = reg.counter("dblind_verify_total", {{"node", node}, {"result", "fail"}});
   metrics_.batch_fallbacks = reg.counter("dblind_batch_verify_fallbacks_total", by_node);
-  metrics_.verify_queue_depth =
-      reg.histogram("dblind_verify_queue_depth", by_node, {0, 1, 2, 4, 8, 16, 32});
   // Pre-existing counters migrate onto the registry as attached (read-only)
   // series: the registry samples the live cells, the owners keep updating
   // them exactly as before.
@@ -2563,10 +2456,6 @@ void ProtocolServer::resolve_metrics(net::Context& ctx) {
                      &zkp::batch_verify_counts().combined);
   reg.attach_counter("dblind_batch_verify_rejected_total", {},
                      &zkp::batch_verify_counts().rejected);
-  if (verify_pool_ != nullptr) {
-    verify_pool_->set_metrics(reg.counter("dblind_verify_pool_jobs_total", by_node),
-                              reg.gauge("dblind_verify_pool_depth", by_node));
-  }
   metrics_.contrib_mont_muls_online =
       reg.counter("dblind_contrib_mont_muls_total", {{"node", node}, {"path", "online"}});
   metrics_.contrib_mont_muls_offline =
@@ -2584,10 +2473,6 @@ void ProtocolServer::resolve_metrics(net::Context& ctx) {
       reg.counter("dblind_engine_events_total", {{"node", node}, {"event", "admit"}});
   metrics_.engine_defers =
       reg.counter("dblind_engine_events_total", {{"node", node}, {"event", "defer"}});
-  metrics_.cross_drain_msgs =
-      reg.histogram("dblind_cross_drain_msgs", by_node, {1, 2, 4, 8, 16, 32});
-  metrics_.cross_drain_equations =
-      reg.histogram("dblind_cross_drain_equations", by_node, {3, 6, 12, 24, 48, 96});
 }
 
 }  // namespace dblind::core

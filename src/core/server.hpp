@@ -32,16 +32,12 @@
 #include <set>
 #include <vector>
 
-#include <deque>
-#include <future>
-
 #include "core/config.hpp"
 #include "core/contribution_bundle.hpp"
 #include "core/messages.hpp"
 #include "core/reconfig.hpp"
 #include "core/transfer_engine.hpp"
 #include "core/validity.hpp"
-#include "core/verify_pool.hpp"
 #include "hash/sha256.hpp"
 #include "net/sim.hpp"
 #include "obs/metrics.hpp"
@@ -75,9 +71,6 @@ class ProtocolServer final : public net::Node {
     // adaptive-cancellation splice across two reveal rounds. Defeated by the
     // commit/reveal order plus the same-reveal evidence rule.
     kAdaptiveCancelCoordinator,
-    // Contributor half of the adaptive attack: contributes a value crafted
-    // to cancel previously-seen honest contributions.
-    kAdaptiveCancelContributor,
   };
 
   ProtocolServer(SystemConfig cfg, ServerSecrets secrets, ProtocolOptions opts,
@@ -177,7 +170,6 @@ class ProtocolServer final : public net::Node {
     obs::Counter verify_pass;
     obs::Counter verify_fail;
     obs::Counter batch_fallbacks;        // batch checks that came back false
-    obs::Histogram verify_queue_depth;   // pool queue depth at each enqueue
     // Offline-vs-online contributor mont-mul attribution. "online"
     // is everything spent inside the contributor's init/reveal handlers (the
     // critical path a coordinator waits on); "offline" is bundle creation by
@@ -189,14 +181,11 @@ class ProtocolServer final : public net::Node {
     obs::Counter reconfig_installs;   // dblind_reconfig_events_total{event="install"}
     obs::Counter reconfig_aborts;     // ...{event="abort"} (instances killed at installs)
     obs::Counter reconfig_stale_rejects;  // ...{event="stale_reject"} (kWrongEpoch sent)
-    // Concurrent multi-transfer engine (PR 8): admission scheduler health and
-    // cross-transfer drain shape.
+    // Concurrent multi-transfer engine: admission scheduler health.
     obs::Gauge engine_inflight;          // currently admitted self-coordinated transfers
     obs::Gauge engine_queued;            // transfers waiting for an admission slot
     obs::Counter engine_admits;
     obs::Counter engine_defers;
-    obs::Histogram cross_drain_msgs;       // contribute messages per cross-transfer drain
-    obs::Histogram cross_drain_equations;  // CP equations folded into the combined pass
   };
 
   // --- net::Node --------------------------------------------------------------
@@ -219,11 +208,6 @@ class ProtocolServer final : public net::Node {
   // (rank 0) never take part in Fig. 4 — they cannot sign envelopes the new
   // roster accepts — but keep serving results and reconfiguration traffic.
   [[nodiscard]] bool active() const { return secrets_.rank != 0; }
-  void send_signed(net::Context& ctx, net::NodeId to, MsgType type,
-                   const std::vector<std::uint8_t>& body);
-  void broadcast_signed(net::Context& ctx, ServiceRole svc, MsgType type,
-                        const std::vector<std::uint8_t>& body);
-  void send_service_signed(net::Context& ctx, net::NodeId to, const ServiceSignedMsg& msg);
   // Signs `body` and returns the framed wire bytes (for caching + resend).
   [[nodiscard]] std::vector<std::uint8_t> signed_frame(net::Context& ctx,
                                                        const std::vector<std::uint8_t>& body);
@@ -297,17 +281,9 @@ class ProtocolServer final : public net::Node {
   };
   void start_coordinator(net::Context& ctx, TransferId transfer, std::uint32_t epoch);
   void handle_commit(net::Context& ctx, const SignedMessage& env);
+  // Verifies the contribute on arrival (check_contribute_batch) and, when it
+  // answers this coordinator's reveal, records it toward the f+1 quorum.
   void handle_contribute(net::Context& ctx, const SignedMessage& env);
-  // State transition for a verified contribute message — shared by the inline
-  // path and the worker-pool drain, so both evolve coordinator state
-  // identically.
-  void apply_contribute(net::Context& ctx, const SignedMessage& env,
-                        const ContributeMsg& contribute);
-  // Worker-pool drain: waits for every queued structural precheck, folds ALL
-  // surviving VDE proofs — across transfers and coordinators — into one
-  // combined RLC pass, then applies verdicts in strict arrival order with
-  // per-(transfer, rank) culprit attribution on failure.
-  void drain_verifies(net::Context& ctx);
   void coordinator_try_finish(net::Context& ctx, CoordinatorState& st);
 
   // ---- concurrent multi-transfer engine (core/transfer_engine.hpp) -----------
@@ -452,14 +428,6 @@ class ProtocolServer final : public net::Node {
   void emit_trace(net::Context& ctx, obs::EventKind kind, const InstanceId* id = nullptr);
   void emit_trace(net::Context& ctx, obs::EventKind kind, const InstanceId* id,
                   const TraceExtras& extra);
-  // Counts + traces a contribute verification outcome (inline and pool paths).
-  // `rejected` (only ever non-null together with a null `contribute`) carries
-  // the decoded message of a structurally-valid-but-proof-failing contribute,
-  // so the cross-transfer drain can attribute the failure to the right
-  // (transfer, rank) even though the message is dropped.
-  void record_contribute_verdict(net::Context& ctx, const SignedMessage& env,
-                                 const ContributeMsg* contribute,
-                                 const ContributeMsg* rejected = nullptr);
   // Resolves metric handles from opts_.metrics (idempotent; called from
   // on_start so a restarted server re-binds to the same time series). With
   // no registry the handles stay default-constructed: every update lands in
@@ -471,9 +439,10 @@ class ProtocolServer final : public net::Node {
   // entry, anything else refreshes its deadline; a refresh that un-stalls a
   // transfer emits kStallResolved parented on the resolving event's span.
   void watchdog_note(net::Context& ctx, const obs::TraceEvent& ev);
-  // Arms the low-frequency sweep timer iff some tracked transfer could still
-  // newly stall (Watchdog::needs_sweep) and no timer is already pending —
-  // fully-stalled or fully-done nodes let the event queue drain.
+  // Arms the sweep timer for the earliest pending deadline
+  // (Watchdog::next_expiry) iff some tracked transfer could still newly stall
+  // and no timer is already pending — fully-stalled or fully-done nodes let
+  // the event queue drain.
   void arm_watchdog_timer(net::Context& ctx);
   // Sweep: flips idle transfers to stalled and emits one kStall each, with
   // parent = the transfer's latest span (its parent chain is the stalled
@@ -576,22 +545,8 @@ class ProtocolServer final : public net::Node {
            std::pair<std::vector<std::uint8_t>, std::vector<std::uint8_t>>>
       client_decrypt_cache_;  // (request body, reply frame)
 
-  // Verification worker pool (opts_.verify_workers > 0): contribute messages
-  // are prechecked off-handler; results apply in arrival order at the drain
-  // timer. The deque gives reference-stable slots for in-flight jobs; entries
-  // are volatile (dropped on restore(), like all round state). Declared
-  // before verify_pool_ so the pool (whose destructor joins the workers)
-  // dies first and no job can outlive its slot.
-  struct PendingVerify {
-    SignedMessage env;
-    std::optional<ContributeMsg> result;
-    std::future<void> done;
-  };
-  std::deque<PendingVerify> pending_verifies_;
-  std::unique_ptr<VerifyPool> verify_pool_;
-
-  // Concurrent multi-transfer engine: per-transfer lifecycle records sharded
-  // by id plus the FIFO admission scheduler gating self-coordination (see
+  // Concurrent multi-transfer engine: per-transfer lifecycle records plus the
+  // FIFO admission scheduler gating self-coordination (see
   // core/transfer_engine.hpp). Scheduling state is volatile — restore() resets
   // it and the next on_start re-feeds the durable transfer set.
   TransferEngine engine_;
@@ -615,7 +570,6 @@ class ProtocolServer final : public net::Node {
   static constexpr std::uint64_t kTimerSignRetry = 3ull << 56;     // | session id
   static constexpr std::uint64_t kTimerStoreSecret = 4ull << 56;   // | transfer
   static constexpr std::uint64_t kTimerResend = 5ull << 56;        // | resend key
-  static constexpr std::uint64_t kTimerVerifyDrain = 6ull << 56;   // (no payload)
   static constexpr std::uint64_t kTimerReconfig = 8ull << 56;      // | schedule index
   static constexpr std::uint64_t kTimerTransferArrival = 9ull << 56;  // | arrival index
   static constexpr std::uint64_t kTimerWatchdog = 10ull << 56;        // (no payload)

@@ -74,7 +74,7 @@ System::System(SystemOptions opts)
     opts_.protocol.trace->run_meta(obs::RunMeta{
         opts_.seed, static_cast<std::uint32_t>(opts_.a.n), static_cast<std::uint32_t>(opts_.a.f),
         static_cast<std::uint32_t>(opts_.b.n), static_cast<std::uint32_t>(opts_.b.f),
-        static_cast<std::uint32_t>(opts_.protocol.retransmit_max_attempts)});
+        static_cast<std::uint32_t>(kRetransmitMaxAttempts)});
   }
 
   a.pub.first_node = 0;

@@ -4,37 +4,14 @@
 
 namespace dblind::core {
 
-TransferEngine::TransferEngine(Options opts)
-    : max_inflight_(opts.max_inflight), shards_(std::max<std::size_t>(1, opts.shards)) {}
-
-void TransferEngine::set_phase(TransferId t, TransferPhase p) const {
-  Shard& s = shard_of(t);
-  MutexLock lock(s.mu);
-  for (auto& [id, rec] : s.records) {
-    if (id == t) {
-      rec.phase = p;
-      return;
-    }
-  }
-  s.records.emplace_back(t, Record{p});
-}
-
-TransferPhase TransferEngine::get_phase(TransferId t) const {
-  Shard& s = shard_of(t);
-  MutexLock lock(s.mu);
-  for (const auto& [id, rec] : s.records) {
-    if (id == t) return rec.phase;
-  }
-  return TransferPhase::kRegistered;
+TransferPhase TransferEngine::phase_locked(TransferId t) const {
+  auto it = phases_.find(t);
+  return it == phases_.end() ? TransferPhase::kRegistered : it->second;
 }
 
 void TransferEngine::register_transfer(TransferId t) {
-  Shard& s = shard_of(t);
-  MutexLock lock(s.mu);
-  for (const auto& [id, rec] : s.records) {
-    if (id == t) return;
-  }
-  s.records.emplace_back(t, Record{TransferPhase::kRegistered});
+  MutexLock lock(sched_mu_);
+  phases_.try_emplace(t, TransferPhase::kRegistered);
 }
 
 void TransferEngine::fill_locked(std::vector<TransferId>& admitted) {
@@ -43,7 +20,7 @@ void TransferEngine::fill_locked(std::vector<TransferId>& admitted) {
     queue_.pop_front();
     ++inflight_;
     ++admitted_total_;
-    set_phase(next, TransferPhase::kActive);
+    phases_[next] = TransferPhase::kActive;
     admitted.push_back(next);
   }
 }
@@ -51,7 +28,7 @@ void TransferEngine::fill_locked(std::vector<TransferId>& admitted) {
 TransferEngine::StartResult TransferEngine::request_start(TransferId t) {
   StartResult out;
   MutexLock lock(sched_mu_);
-  switch (get_phase(t)) {
+  switch (phase_locked(t)) {
     case TransferPhase::kDone:
       out.decision = Admission::kDone;
       return out;
@@ -67,11 +44,11 @@ TransferEngine::StartResult TransferEngine::request_start(TransferId t) {
       if (max_inflight_ == 0 || inflight_ < max_inflight_) {
         ++inflight_;
         ++admitted_total_;
-        set_phase(t, TransferPhase::kActive);
+        phases_[t] = TransferPhase::kActive;
         out.decision = Admission::kAdmitted;
         out.admitted.push_back(t);
       } else {
-        set_phase(t, TransferPhase::kQueued);
+        phases_[t] = TransferPhase::kQueued;
         queue_.push_back(t);
         out.decision = Admission::kQueued;
       }
@@ -83,7 +60,7 @@ TransferEngine::StartResult TransferEngine::request_start(TransferId t) {
 std::vector<TransferId> TransferEngine::complete(TransferId t) {
   std::vector<TransferId> admitted;
   MutexLock lock(sched_mu_);
-  switch (get_phase(t)) {
+  switch (phase_locked(t)) {
     case TransferPhase::kDone:
       return admitted;
     case TransferPhase::kActive:
@@ -97,7 +74,7 @@ std::vector<TransferId> TransferEngine::complete(TransferId t) {
     case TransferPhase::kRegistered:
       break;
   }
-  set_phase(t, TransferPhase::kDone);
+  phases_[t] = TransferPhase::kDone;
   fill_locked(admitted);
   return admitted;
 }
@@ -105,19 +82,15 @@ std::vector<TransferId> TransferEngine::complete(TransferId t) {
 std::vector<TransferId> TransferEngine::abort_inflight() {
   std::vector<TransferId> aborted;
   MutexLock lock(sched_mu_);
-  // Collect the active set in ascending id order (deterministic — shard
-  // iteration order must not leak into scheduling decisions).
-  for (const Shard& s : shards_) {
-    MutexLock shard_lock(s.mu);
-    for (const auto& [id, rec] : s.records) {
-      if (rec.phase == TransferPhase::kActive) aborted.push_back(id);
-    }
+  // The active set in ascending id order (the map's order), so scheduling
+  // decisions stay deterministic.
+  for (const auto& [id, phase] : phases_) {
+    if (phase == TransferPhase::kActive) aborted.push_back(id);
   }
-  std::sort(aborted.begin(), aborted.end());
   // Demote to the FRONT of the queue: aborted transfers were admitted before
   // anything currently queued, and keep that priority under the new epoch.
   for (auto it = aborted.rbegin(); it != aborted.rend(); ++it) {
-    set_phase(*it, TransferPhase::kQueued);
+    phases_[*it] = TransferPhase::kQueued;
     queue_.push_front(*it);
   }
   inflight_ = 0;
@@ -133,16 +106,16 @@ std::vector<TransferId> TransferEngine::fill_slots() {
 
 void TransferEngine::reset() {
   MutexLock lock(sched_mu_);
+  phases_.clear();
   queue_.clear();
   inflight_ = 0;
   admitted_total_ = 0;
-  for (Shard& s : shards_) {
-    MutexLock shard_lock(s.mu);
-    s.records.clear();
-  }
 }
 
-TransferPhase TransferEngine::phase(TransferId t) const { return get_phase(t); }
+TransferPhase TransferEngine::phase(TransferId t) const {
+  MutexLock lock(sched_mu_);
+  return phase_locked(t);
+}
 
 std::size_t TransferEngine::inflight() const {
   MutexLock lock(sched_mu_);

@@ -1,14 +1,12 @@
-// TransferEngine: sharded per-transfer state machines plus a small admission
+// TransferEngine: per-transfer state machines plus a small admission
 // scheduler, so one ProtocolServer can drive many transfers concurrently
 // through commit/reveal/contribute/blind/done without the implicit
 // one-transfer-at-a-time flow the seed server grew up with.
 //
 // Responsibilities are deliberately narrow:
 //
-//   - Each transfer owns one explicit lifecycle record (phase, birth config
-//     epoch, admission counters), stored in a shard keyed by transfer id so
-//     lookups from concurrent callers (ThreadedBus handlers, benches, the
-//     load harness) never contend on one global lock.
+//   - Each transfer owns one explicit lifecycle phase, kept in one map
+//     keyed by transfer id under the scheduler's lock.
 //   - A FIFO scheduler admits transfers into at most `max_inflight`
 //     concurrently-active slots (0 = unlimited, the seed behavior). FIFO
 //     admission is the no-starvation guarantee: a queued transfer is admitted
@@ -28,6 +26,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <vector>
 
 #include "core/sync.hpp"
@@ -49,14 +48,6 @@ enum class TransferPhase : std::uint8_t {
 
 class TransferEngine {
  public:
-  struct Options {
-    // Maximum concurrently-active transfers; 0 = unlimited (every request is
-    // admitted immediately — byte-identical scheduling to the seed engine).
-    std::size_t max_inflight = 0;
-    // Shard count for the per-transfer records (rounded up to >= 1).
-    std::size_t shards = 8;
-  };
-
   // What request_start decided for the *requested* transfer.
   enum class Admission : std::uint8_t {
     kAdmitted,       // the transfer is now active (it is in the result list)
@@ -65,7 +56,10 @@ class TransferEngine {
     kDone,           // a result already exists; nothing to run
   };
 
-  explicit TransferEngine(Options opts);
+  // `max_inflight` caps concurrently-active transfers; 0 = unlimited (every
+  // request is admitted immediately — byte-identical scheduling to the seed
+  // engine).
+  explicit TransferEngine(std::size_t max_inflight) : max_inflight_(max_inflight) {}
 
   // Idempotently creates the record for `t` (phase kRegistered).
   void register_transfer(TransferId t) EXCLUDES(sched_mu_);
@@ -106,31 +100,16 @@ class TransferEngine {
   [[nodiscard]] std::size_t max_inflight() const { return max_inflight_; }
 
  private:
-  struct Record {
-    TransferPhase phase = TransferPhase::kRegistered;
-  };
-  struct Shard {
-    mutable Mutex mu;
-    // Open-addressed by transfer id; transfers are dense small integers in
-    // practice but nothing here relies on that.
-    std::vector<std::pair<TransferId, Record>> records GUARDED_BY(mu);
-  };
+  // A transfer without a record is kRegistered.
+  [[nodiscard]] TransferPhase phase_locked(TransferId t) const REQUIRES(sched_mu_);
 
-  [[nodiscard]] Shard& shard_of(TransferId t) const {
-    return shards_[static_cast<std::size_t>(t) % shards_.size()];
-  }
-  // Phase bookkeeping on the owning shard (scheduler decisions stay under
-  // sched_mu_; per-transfer phase reads only need the shard lock).
-  void set_phase(TransferId t, TransferPhase p) const;
-  [[nodiscard]] TransferPhase get_phase(TransferId t) const;
-
-  // Pops queue heads into free slots. REQUIRES(sched_mu_).
+  // Pops queue heads into free slots.
   void fill_locked(std::vector<TransferId>& admitted) REQUIRES(sched_mu_);
 
   const std::size_t max_inflight_;
-  mutable std::vector<Shard> shards_;
 
   mutable Mutex sched_mu_;
+  std::map<TransferId, TransferPhase> phases_ GUARDED_BY(sched_mu_);
   std::deque<TransferId> queue_ GUARDED_BY(sched_mu_);
   std::size_t inflight_ GUARDED_BY(sched_mu_) = 0;
   std::uint64_t admitted_total_ GUARDED_BY(sched_mu_) = 0;

@@ -256,8 +256,8 @@ bool commitment_matches(const SystemConfig& cfg, const RevealMsg& reveal, Server
 
 }  // namespace
 
-std::optional<ContributeMsg> precheck_contribute_batch(const SystemConfig& cfg,
-                                                       const SignedMessage& env) {
+std::optional<ContributeMsg> check_contribute_batch(const SystemConfig& cfg,
+                                                    const SignedMessage& env, mpz::Prng& prng) {
   if (env.service != static_cast<std::uint8_t>(ServiceRole::kServiceB)) return std::nullopt;
   if (env.signer == 0 || env.signer > cfg.b.cfg.n) return std::nullopt;
   auto msg = try_decode<ContributeMsg>(cfg, MsgType::kContribute, env.body);
@@ -271,20 +271,9 @@ std::optional<ContributeMsg> precheck_contribute_batch(const SystemConfig& cfg,
   if (!reveal || reveal->id != msg->id) return std::nullopt;
   if (!commitment_matches(cfg, *reveal, msg->server, *msg)) return std::nullopt;
   if (!zkp::schnorr_batch_verify(cfg.params, sigs)) return std::nullopt;
-  return msg;
-}
-
-zkp::VdeBatchItem contribute_vde_item(const SystemConfig& cfg, const ContributeMsg& msg) {
-  return {&cfg.a.encryption_key, &msg.contribution.ea,
-          &cfg.b.encryption_key, &msg.contribution.eb,
-          &msg.vde,              vde_context(msg.id, msg.server)};
-}
-
-std::optional<ContributeMsg> check_contribute_batch(const SystemConfig& cfg,
-                                                    const SignedMessage& env, mpz::Prng& prng) {
-  auto msg = precheck_contribute_batch(cfg, env);
-  if (!msg) return std::nullopt;
-  zkp::VdeBatchItem vde = contribute_vde_item(cfg, *msg);
+  const zkp::VdeBatchItem vde{&cfg.a.encryption_key, &msg->contribution.ea,
+                              &cfg.b.encryption_key, &msg->contribution.eb,
+                              &msg->vde,             vde_context(msg->id, msg->server)};
   if (!zkp::vde_batch_verify(std::span<const zkp::VdeBatchItem>(&vde, 1), prng))
     return std::nullopt;
   return msg;

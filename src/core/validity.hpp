@@ -106,27 +106,6 @@ namespace dblind::core {
                                                                   const SignedMessage& env,
                                                                   mpz::Prng& prng);
 
-// --- cross-transfer drain split (concurrent multi-transfer engine) -----------
-//
-// check_contribute_batch, split in two so the VDE check can be aggregated
-// ACROSS pending contribute messages from many concurrent transfers:
-// verify-pool workers run the structural + signature phase per message
-// (precheck_contribute_batch — decode, epoch/rank/commitment matching, one
-// Schnorr batch over the envelope, reveal and commit signatures), then the
-// drain lowers every surviving message's VDE proof (contribute_vde_item +
-// zkp::vde_lower_to_cp) into one zkp::CpCrossBatch and runs a SINGLE
-// random-linear-combination pass for the whole drain. A message is accepted
-// iff precheck passed and its VDE tag survived — exactly the predicate of
-// check_contribute_batch, up to the same 2^-128 batch soundness error.
-
-[[nodiscard]] std::optional<ContributeMsg> precheck_contribute_batch(const SystemConfig& cfg,
-                                                                     const SignedMessage& env);
-
-// The VDE batch item for a prechecked contribute message. The returned item
-// points into `cfg` and `msg`, which must outlive its use.
-[[nodiscard]] zkp::VdeBatchItem contribute_vde_item(const SystemConfig& cfg,
-                                                    const ContributeMsg& msg);
-
 [[nodiscard]] bool check_blind_sign_request_batch(const SystemConfig& cfg,
                                                   std::span<const std::uint8_t> payload,
                                                   std::span<const std::uint8_t> evidence,

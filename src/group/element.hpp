@@ -7,7 +7,7 @@
 // carries what the backend needs to compute with it without re-validating:
 //
 //   ec255 — the extended point, shared immutable (so copies are cheap and
-//           verify-pool threads read it without locks);
+//           concurrent readers need no locks);
 //   mod-p — nothing extra: the residue is the native form, and the element is
 //           only marked as validated by the backend instance that made it.
 //

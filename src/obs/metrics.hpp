@@ -11,7 +11,7 @@
 //     builds byte-identical in cost to the seed (asserted by the
 //     obs-overhead section of bench_fig4_full).
 //   * Thread safe: registration takes a mutex; updates are lock-free and
-//     safe from concurrent verify-pool workers (TSan-covered).
+//     safe from concurrent handler threads (net::ThreadedBus; TSan-covered).
 //   * No metric value, label or name may carry cryptographic material;
 //     lint_crypto.py's trace-hygiene rule enforces this for src/obs/ and
 //     for every emit_*/record_* call site.

@@ -31,7 +31,6 @@ const char* kind_name(EventKind k) {
     case EventKind::kEpochAbort: return "epoch_abort";
     case EventKind::kEngineAdmit: return "engine_admit";
     case EventKind::kEngineDefer: return "engine_defer";
-    case EventKind::kBatchDrain: return "batch_drain";
     case EventKind::kContributeCited: return "contribute_cited";
     case EventKind::kStall: return "stall";
     case EventKind::kStallResolved: return "stall_resolved";
@@ -119,17 +118,12 @@ std::string to_jsonl(const TraceEvent& e) {
     case EventKind::kEngineDefer:
       field(out, "count", e.count);
       break;
-    case EventKind::kBatchDrain:
-      field(out, "msgs", e.count);
-      field(out, "equations", e.peer);
-      break;
     case EventKind::kContributeCited:
       field(out, "from", e.peer);
       field(out, "cited_transfer", e.count);
       break;
     case EventKind::kStall:
       field(out, "queue", e.count);
-      field(out, "verifies", e.peer);
       field(out, "resends", e.attempt);
       break;
     case EventKind::kStallResolved:

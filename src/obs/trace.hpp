@@ -57,16 +57,14 @@ enum class EventKind : std::uint8_t {
   // Concurrent multi-transfer engine (PR 8).
   kEngineAdmit,     // engine admitted a transfer for self-coordination (count = inflight)
   kEngineDefer,     // admission cap reached; transfer queued (count = queue depth)
-  kBatchDrain,      // one cross-transfer verify drain (count = messages,
-                    // peer = CP equations folded into the combined pass)
   kContributeCited, // done-path evidence cites a contribution
                     // (instance = citing transfer, peer = contributor rank,
                     // count = the cited contribution's transfer id — I8/T8)
   // Stall watchdog (PR 9). Both carry a one-shot public state dump.
   kStall,           // per-transfer deadline expired (count = engine queue
-                    // depth, peer = pending verifies, attempt = outstanding
-                    // resend timers; parent = the transfer's last span, so
-                    // walking parents recovers the stalled span stack)
+                    // depth, attempt = outstanding resend timers; parent =
+                    // the transfer's last span, so walking parents recovers
+                    // the stalled span stack)
   kStallResolved,   // a previously-stalled transfer made progress
                     // (count = stalled duration in µs)
 };

@@ -45,12 +45,15 @@ std::vector<Watchdog::Stall> Watchdog::expired(std::uint64_t now) {
   return out;
 }
 
-bool Watchdog::needs_sweep() const {
-  if (!enabled()) return false;
+std::optional<std::uint64_t> Watchdog::next_expiry() const {
+  std::optional<std::uint64_t> due;
+  if (!enabled()) return due;
   for (const auto& [transfer, e] : entries_) {
-    if (!e.stalled) return true;
+    if (e.stalled) continue;
+    const std::uint64_t at = e.last_activity + deadline_;
+    if (!due || at < *due) due = at;
   }
-  return false;
+  return due;
 }
 
 std::size_t Watchdog::stalled_count() const {

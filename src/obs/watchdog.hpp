@@ -3,14 +3,15 @@
 // The watchdog answers "which transfers have gone quiet?" from inside the
 // process, without waiting for an offline trace replay: ProtocolServer feeds
 // it every transfer-scoped trace emission (progress), arms entries for the
-// transfers it knows about, and sweeps expired entries from a low-frequency
-// timer. A transfer idle past the deadline flips to *stalled* exactly once
-// and is reported so the server can emit a kStall trace event carrying the
-// transfer's latest span (whose parent chain IS the stalled span stack) and
-// a one-shot public state dump (engine queue depth, pending verifies,
-// outstanding retransmits — integers only, never secrets). When a stalled
-// transfer makes progress again the watchdog reports the resolution for a
-// matching kStallResolved event.
+// transfers it knows about, and sweeps expired entries from a timer set for
+// the earliest pending deadline (next_expiry), so a stall is reported the
+// moment a transfer has been idle for exactly the deadline. A transfer idle
+// past the deadline flips to *stalled* exactly once and is reported so the
+// server can emit a kStall trace event carrying the transfer's latest span
+// (whose parent chain IS the stalled span stack) and a one-shot public state
+// dump (engine queue depth, outstanding retransmits — integers only, never
+// secrets). When a stalled transfer makes progress again the watchdog reports
+// the resolution for a matching kStallResolved event.
 //
 // The watchdog is observability, not protocol: it never influences protocol
 // decisions, draws no randomness, and is disabled (and allocation-free) by
@@ -37,7 +38,6 @@ class Watchdog {
   explicit Watchdog(std::uint64_t deadline_us) : deadline_(deadline_us) {}
 
   [[nodiscard]] bool enabled() const { return deadline_ != 0; }
-  [[nodiscard]] std::uint64_t deadline() const { return deadline_; }
 
   // A newly-stalled transfer, reported once per stall episode.
   struct Stall {
@@ -70,11 +70,12 @@ class Watchdog {
   // stalled (exactly once per episode) and is returned.
   [[nodiscard]] std::vector<Stall> expired(std::uint64_t now);
 
-  // True while at least one tracked transfer is NOT stalled — i.e. a future
-  // sweep could still find something to report. The owner keeps its sweep
-  // timer armed only while this holds, so a fully-stalled (or fully-done)
-  // node lets the simulator's event queue drain.
-  [[nodiscard]] bool needs_sweep() const;
+  // The earliest instant a sweep can find something new: min over unstalled
+  // entries of last_activity + deadline. nullopt while every tracked
+  // transfer is stalled (or none is tracked): the owner arms its sweep timer
+  // only when this has a value, so a fully-stalled (or fully-done) node lets
+  // the simulator's event queue drain.
+  [[nodiscard]] std::optional<std::uint64_t> next_expiry() const;
 
   // Currently-stalled transfer count (tests).
   [[nodiscard]] std::size_t stalled_count() const;

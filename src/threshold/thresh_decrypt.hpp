@@ -55,10 +55,10 @@ struct DecryptionShare {
     const elgamal::Ciphertext& c, std::span<const DecryptionShare> shares,
     std::string_view context, mpz::Prng& prng);
 
-// Lowers one share check to its Chaum-Pedersen equation for cross-instance
-// aggregation via zkp::CpCrossBatch (the same equation the batch verifier
-// folds). Returns false (appending nothing) for the structurally invalid
-// ds.index == 0, which verify_decryption_share rejects unconditionally.
+// Lowers one share check to its Chaum-Pedersen equation — exactly what
+// batch_verify_decryption_shares folds per share. Returns false (appending
+// nothing) for the structurally invalid ds.index == 0, which
+// verify_decryption_share rejects unconditionally.
 [[nodiscard]] bool share_lower_to_cp(const group::GroupParams& params,
                                      const FeldmanCommitments& commitments,
                                      const elgamal::Ciphertext& c, const DecryptionShare& ds,

@@ -1,8 +1,6 @@
 #include "zkp/batch.hpp"
 
-#include <algorithm>
 #include <map>
-#include <utility>
 
 #include "mpz/modmath.hpp"
 
@@ -103,39 +101,6 @@ BatchResult cp_batch_verify_isolate(const GroupParams& params, std::span<const C
     if (!dlog_verify(params, items[i].stmt, items[i].proof, items[i].context))
       r.bad.push_back(i);
   }
-  return r;
-}
-
-void CpCrossBatch::add(std::uint64_t tag, CpBatchItem item) {
-  items_.push_back(std::move(item));
-  tags_.push_back(tag);
-}
-
-void CpCrossBatch::add(std::uint64_t tag, std::span<const CpBatchItem> items) {
-  for (const CpBatchItem& item : items) add(tag, item);
-}
-
-void CpCrossBatch::poison(std::uint64_t tag) { poisoned_.push_back(tag); }
-
-CrossBatchResult CpCrossBatch::verify(const GroupParams& params, mpz::Prng& prng) const {
-  CrossBatchResult r;
-  r.bad_tags = poisoned_;
-  // The happy path is ONE combined identity across every source. Poisoned
-  // tags do not spoil it: their equations were never added.
-  if (!cp_batch_verify(params, items_, prng)) {
-    // Attribution pass: group equations by tag, re-verify each source's own
-    // equations as a (much smaller) batch. A source is bad iff its own batch
-    // fails — per-equation serial fallback is never needed because verdicts
-    // are per source.
-    std::map<std::uint64_t, std::vector<CpBatchItem>> by_tag;
-    for (std::size_t i = 0; i < items_.size(); ++i) by_tag[tags_[i]].push_back(items_[i]);
-    for (const auto& [tag, group_items] : by_tag) {
-      if (!cp_batch_verify(params, group_items, prng)) r.bad_tags.push_back(tag);
-    }
-  }
-  std::sort(r.bad_tags.begin(), r.bad_tags.end());
-  r.bad_tags.erase(std::unique(r.bad_tags.begin(), r.bad_tags.end()), r.bad_tags.end());
-  r.ok = r.bad_tags.empty();
   return r;
 }
 

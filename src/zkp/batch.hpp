@@ -70,46 +70,4 @@ BatchVerifyCounts& batch_verify_counts();
                                                   std::span<const CpBatchItem> items,
                                                   mpz::Prng& prng);
 
-// --- cross-source aggregation (concurrent multi-transfer engine) -------------
-//
-// One random-linear-combination pass over Chaum-Pedersen equations collected
-// from heterogeneous sources — plain CP proofs, VDE proofs (vde_lower_to_cp),
-// decryption-share proofs (threshold::share_lower_to_cp) — belonging to many
-// concurrent protocol instances. Each source registers its equations under a
-// caller-chosen tag (a transfer id, or an index into a pending queue); one
-// verify() call runs a SINGLE combined identity over everything added. Only
-// on failure does it re-check per tag (still batched within the tag), so
-// culprit attribution costs one extra pass per *source*, never per equation.
-
-struct CrossBatchResult {
-  bool ok = true;
-  // Tags with at least one failing (or structurally poisoned) equation,
-  // ascending, deduplicated.
-  std::vector<std::uint64_t> bad_tags;
-};
-
-class CpCrossBatch {
- public:
-  // Appends equations under `tag`. Items are copied (CpBatchItem is
-  // self-contained), so callers may discard their staging storage.
-  void add(std::uint64_t tag, CpBatchItem item);
-  void add(std::uint64_t tag, std::span<const CpBatchItem> items);
-  // Marks `tag` failed unconditionally (a source whose structural checks —
-  // subgroup membership, parameter match — already rejected it). Poisoned
-  // tags appear in bad_tags without probabilistic involvement.
-  void poison(std::uint64_t tag);
-
-  [[nodiscard]] std::size_t equations() const { return items_.size(); }
-  [[nodiscard]] bool empty() const { return items_.empty() && poisoned_.empty(); }
-
-  // One combined identity over every added equation; per-tag isolation on
-  // failure. Randomizers from `prng` (mpz::Prng only — lint-enforced).
-  [[nodiscard]] CrossBatchResult verify(const GroupParams& params, mpz::Prng& prng) const;
-
- private:
-  std::vector<CpBatchItem> items_;
-  std::vector<std::uint64_t> tags_;  // parallel to items_
-  std::vector<std::uint64_t> poisoned_;
-};
-
 }  // namespace dblind::zkp

@@ -100,10 +100,10 @@ struct VdeBatchItem {
                                                    mpz::Prng& prng);
 
 // Lowers one VDE item to its three Chaum-Pedersen equations — exactly what
-// vde_batch_verify folds per item — for cross-instance aggregation via
-// zkp::CpCrossBatch. Returns false (appending nothing) when the item fails
-// the structural gate that vde_verify rejects unconditionally: parameter
-// mismatch against `params`, or a component outside the prime-order subgroup.
+// vde_batch_verify folds per item. Returns false (appending nothing) when the
+// item fails the structural gate that vde_verify rejects unconditionally:
+// parameter mismatch against `params`, or a component outside the
+// prime-order subgroup.
 [[nodiscard]] bool vde_lower_to_cp(const group::GroupParams& params, const VdeBatchItem& item,
                                    std::vector<CpBatchItem>& out);
 

@@ -106,8 +106,8 @@ TEST(Sync, CondVarWaitForTimesOut) {
 }
 
 // Producer/consumer handshake over an annotated queue: the exact shape
-// VerifyPool and ThreadedBus slots use (explicit while-loop waits, no
-// predicate lambdas — those defeat the Clang analysis).
+// ThreadedBus slots use (explicit while-loop waits, no predicate lambdas —
+// those defeat the Clang analysis).
 TEST(Sync, ProducerConsumerQueue) {
   struct Shared {
     Mutex mu;

@@ -1,7 +1,7 @@
 // TransferEngine scheduler semantics: FIFO admission under a finite cap, the
 // no-starvation property under adversarial arrival orders, epoch-abort
-// priority preservation, and thread-safety of the sharded records (the
-// concurrent sections are the TSan targets).
+// priority preservation, and thread-safety of the internally locked engine
+// (the concurrent sections are the TSan targets).
 #include "core/transfer_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -17,7 +17,7 @@ namespace {
 using Admission = TransferEngine::Admission;
 
 TEST(TransferEngine, UnlimitedCapAdmitsImmediately) {
-  TransferEngine eng({.max_inflight = 0, .shards = 4});
+  TransferEngine eng(0);
   for (TransferId t = 1; t <= 32; ++t) {
     auto r = eng.request_start(t);
     EXPECT_EQ(r.decision, Admission::kAdmitted);
@@ -29,7 +29,7 @@ TEST(TransferEngine, UnlimitedCapAdmitsImmediately) {
 }
 
 TEST(TransferEngine, CapQueuesAndAdmitsFifo) {
-  TransferEngine eng({.max_inflight = 2, .shards = 4});
+  TransferEngine eng(2);
   EXPECT_EQ(eng.request_start(1).decision, Admission::kAdmitted);
   EXPECT_EQ(eng.request_start(2).decision, Admission::kAdmitted);
   EXPECT_EQ(eng.request_start(3).decision, Admission::kQueued);
@@ -50,7 +50,7 @@ TEST(TransferEngine, CapQueuesAndAdmitsFifo) {
 }
 
 TEST(TransferEngine, DuplicateAndDoneDecisions) {
-  TransferEngine eng({.max_inflight = 1, .shards = 1});
+  TransferEngine eng(1);
   EXPECT_EQ(eng.request_start(7).decision, Admission::kAdmitted);
   // A backup-coordinator timer re-fires: duplicate request, no double slot.
   EXPECT_EQ(eng.request_start(7).decision, Admission::kAlreadyActive);
@@ -62,7 +62,7 @@ TEST(TransferEngine, DuplicateAndDoneDecisions) {
 }
 
 TEST(TransferEngine, CompleteOnQueuedRemovesFromQueue) {
-  TransferEngine eng({.max_inflight = 1, .shards = 2});
+  TransferEngine eng(1);
   (void)eng.request_start(1);
   (void)eng.request_start(2);  // queued
   EXPECT_EQ(eng.queued(), 1u);
@@ -77,7 +77,7 @@ TEST(TransferEngine, CompleteOnQueuedRemovesFromQueue) {
 }
 
 TEST(TransferEngine, CompleteUnknownTransferIsSafe) {
-  TransferEngine eng({.max_inflight = 2, .shards = 2});
+  TransferEngine eng(2);
   // Results can arrive for transfers the engine never admitted (result pulls
   // on a restarted server).
   auto a = eng.complete(99);
@@ -87,7 +87,7 @@ TEST(TransferEngine, CompleteUnknownTransferIsSafe) {
 }
 
 TEST(TransferEngine, AbortInflightDemotesToQueueHead) {
-  TransferEngine eng({.max_inflight = 2, .shards = 4});
+  TransferEngine eng(2);
   (void)eng.request_start(10);
   (void)eng.request_start(11);
   (void)eng.request_start(12);  // queued
@@ -107,7 +107,7 @@ TEST(TransferEngine, AbortInflightDemotesToQueueHead) {
 }
 
 TEST(TransferEngine, AbortLeavesQueuedAndDoneUntouched) {
-  TransferEngine eng({.max_inflight = 1, .shards = 2});
+  TransferEngine eng(1);
   (void)eng.request_start(1);
   (void)eng.request_start(2);  // queued
   (void)eng.complete(3);       // done (learned via pull)
@@ -118,7 +118,7 @@ TEST(TransferEngine, AbortLeavesQueuedAndDoneUntouched) {
 }
 
 TEST(TransferEngine, ResetClearsSchedulingState) {
-  TransferEngine eng({.max_inflight = 1, .shards = 2});
+  TransferEngine eng(1);
   (void)eng.request_start(1);
   (void)eng.request_start(2);
   eng.reset();
@@ -139,7 +139,7 @@ TEST(TransferEngine, NoStarvationUnderAdversarialArrivalOrders) {
     std::mt19937_64 rng(seed);
     const std::size_t cap = 1 + rng() % 3;  // 1..3 slots
     const std::size_t n = 40;
-    TransferEngine eng({.max_inflight = cap, .shards = 4});
+    TransferEngine eng(cap);
 
     std::vector<TransferId> arrivals(n);
     for (std::size_t i = 0; i < n; ++i) arrivals[i] = i + 1;
@@ -189,7 +189,7 @@ TEST(TransferEngine, NoStarvationUnderAdversarialArrivalOrders) {
 // transfer admitted twice, slot accounting balanced). Run under TSan by the
 // tsan CI job.
 TEST(TransferEngine, ConcurrentRequestsAreConsistent) {
-  TransferEngine eng({.max_inflight = 4, .shards = 8});
+  TransferEngine eng(4);
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kPerThread = 64;
   std::vector<std::vector<TransferId>> admitted(kThreads);

@@ -31,6 +31,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 
@@ -52,7 +53,6 @@ struct Mix {
   bool crash_restart_b1 = false;    // crash the designated coordinator, restart later
   bool crash_a4 = false;            // permanently crash one A server (within f)
   bool byzantine_b1 = false;        // adaptive-cancel coordinator at B rank 1
-  unsigned verify_workers = 0;      // off-handler verification pool size
   bool precompute = false;          // contributions precomputed in on_start
   bool liveness_expected = true;    // mix stays within the f-bound
   // --- epochal churn (PR 7) -------------------------------------------------
@@ -93,18 +93,17 @@ constexpr Mix kMixes[] = {
     // A Byzantine coordinator under loss: retransmission must not help the
     // attacker (it only ever re-sends already-validated bytes).
     {.name = "byzantine-lossy", .drop_percent = 10, .byzantine_b1 = true},
-    // The verification worker pool under fire, with loss, corruption, a
-    // healing partition AND a Byzantine coordinator. The worker-pool drain
-    // must reject exactly what inline verification rejects, and deferred
-    // application must not reorder the state machine — same S1–S3
-    // invariants, same liveness bound.
-    {.name = "batch-workers",
+    // A Byzantine coordinator behind a healing partition, with loss,
+    // corruption and duplication: the isolated backup must trip the
+    // watchdog and take over once the partition heals, while the attacker
+    // gains nothing from the retransmitted or corrupted traffic — same
+    // S1–S3 invariants, same liveness bound.
+    {.name = "byzantine-partition",
      .drop_percent = 10,
      .corrupt_percent = 3,
      .duplication_percent = 15,
      .partition_b_backup = true,
-     .byzantine_b1 = true,
-     .verify_workers = 2},
+     .byzantine_b1 = true},
     // Precomputed contributions under crash-recovery and loss: a restored
     // server derives fresh bundles under a new incarnation root, and the
     // Byzantine coordinator gains nothing from precomputation.
@@ -145,14 +144,12 @@ constexpr Mix kMixes[] = {
      .churn_at = 250'000},
     // The concurrent engine under fire: >= 8 transfers in flight (asserted
     // from engine_admit events) while messages drop/duplicate and the
-    // designated coordinator crash-restarts mid-storm. Cross-transfer batch
-    // drains must attribute failures to the right (transfer, rank) and no
-    // done record may cite another transfer's contribution (T8).
+    // designated coordinator crash-restarts mid-storm. No done record may
+    // cite another transfer's contribution (T8).
     {.name = "concurrent-load",
      .drop_percent = 10,
      .duplication_percent = 15,
      .crash_restart_b1 = true,
-     .verify_workers = 2,
      .concurrent_transfers = 10},
     // Concurrency composed with epochal churn (PR 7 x PR 8): a capped engine
     // holds a queue across the install boundary — actives abort, re-admit at
@@ -328,7 +325,6 @@ bool run_chaos(const Mix& mix, std::uint64_t seed, bool retransmit = true) {
   // (100ms–500ms), so an isolated backup reliably trips a stall that then
   // resolves after the heal — and long enough that healthy runs stay quiet.
   o.protocol.watchdog_deadline = 300'000;
-  o.protocol.verify_workers = mix.verify_workers;
   o.protocol.precompute_contributions = mix.precompute;
   o.protocol.max_inflight_transfers = mix.max_inflight;
   if (mix.byzantine_b1) {
@@ -432,16 +428,41 @@ bool run_chaos(const Mix& mix, std::uint64_t seed, bool retransmit = true) {
     EXPECT_GT(trace.count_of(obs::EventKind::kMsgDrop), 0u) << mix.name << " seed=" << seed;
   }
 
+  // Settle before the trace check. run_to_completion stops the instant the
+  // honest current roster holds every result, but other live roster members
+  // — a Byzantine coordinator, members still interpolating a re-shared key,
+  // an adopted standby — may still have result or sub-share pulls riding
+  // their capped backoff, and their open watchdog stalls resolve only when
+  // those land. Let them: T10 below is unchanged, so a stall that never
+  // resolves still fails once the event queue drains.
+  const bool owes_liveness = mix.liveness_expected && retransmit;
+  if (owes_liveness) {
+    auto settled = [&](const ProtocolServer& s) {
+      if (s.share_pending()) return false;
+      for (TransferId t : transfers) {
+        if (!s.result(t)) return false;
+      }
+      return true;
+    };
+    sys.sim().run_until([&] {
+      for (ServerRank r = 1; r <= b_n; ++r) {
+        if (sys.b_server(r).rank() == 0 || sys.sim().crashed(sys.b_node(r))) continue;
+        if (!settled(sys.b_server(r))) return false;
+      }
+      return mix.churn != Mix::Churn::kJoin || settled(sys.b_standby_server(0));
+    });
+  }
+
   // T1–T10: the run's trace satisfies the Fig. 4 causality invariants under
   // every fault mix (the C++ mirror of tools/trace_check.py). Stall
   // resolution (T10) is only owed when the protocol owes liveness: the
   // fire-once deadlock regression intentionally stalls forever.
   EXPECT_GT(trace.events().size(), 0u) << mix.name << " seed=" << seed;
-  check_trace_invariants(trace, mix.name, seed, mix.liveness_expected && retransmit);
+  check_trace_invariants(trace, mix.name, seed, owes_liveness);
 
   // The watchdog actually barked: isolating a B backup past the deadline
   // must produce at least one stall, and the heal must resolve it.
-  if (mix.partition_b_backup && mix.liveness_expected && retransmit) {
+  if (mix.partition_b_backup && owes_liveness) {
     EXPECT_GT(trace.count_of(obs::EventKind::kStall), 0u) << mix.name << " seed=" << seed;
     EXPECT_GT(trace.count_of(obs::EventKind::kStallResolved), 0u)
         << mix.name << " seed=" << seed;
@@ -460,33 +481,11 @@ bool run_chaos(const Mix& mix, std::uint64_t seed, bool retransmit = true) {
     }
   }
 
-  if (mix.liveness_expected && retransmit) {
+  if (owes_liveness) {
     EXPECT_TRUE(completed) << mix.name << " seed=" << seed;
-    // run_to_completion stops the instant the CURRENT roster covers every
-    // result; after churn, members still interpolating their re-shared key
-    // (and the adopted standby) may have sub-share/result pulls riding their
-    // capped backoff (800 ms initial delay) at that moment. Let the queued
-    // retries fire before asserting: if a pull genuinely capped out, the
-    // queue drains with the share still pending and the assertions below
-    // fail exactly as before.
-    if (mix.churn != Mix::Churn::kNone) {
-      sys.sim().run_until([&] {
-        for (ServerRank r = 1; r <= b_n; ++r) {
-          if (!sys.is_honest_b(r) || sys.b_server(r).rank() == 0) continue;
-          if (sys.b_server(r).share_pending()) return false;
-          for (TransferId t : transfers) {
-            if (!sys.b_server(r).result(t)) return false;
-          }
-        }
-        if (mix.churn == Mix::Churn::kJoin) {
-          if (sys.b_standby_server(0).share_pending()) return false;
-          for (TransferId t : transfers) {
-            if (!sys.b_standby_server(0).result(t)) return false;
-          }
-        }
-        return true;
-      });
-    }
+    // The settle above already let queued pulls fire: if one genuinely
+    // capped out, the queue drained with a result missing or a share still
+    // pending, and the assertions below fail.
     for (TransferId t : transfers) {
       for (ServerRank r = 1; r <= b_n; ++r) {
         if (!sys.is_honest_b(r)) continue;
@@ -583,24 +582,50 @@ TEST(ChaosRegression, DeadlocksWithoutRetransmission) {
   EXPECT_TRUE(with);
 }
 
+const Mix& mix_named(std::string_view name) {
+  for (const Mix& mix : kMixes) {
+    if (mix.name == name) return mix;
+  }
+  throw std::logic_error("no such fault mix");
+}
+
 // churn-leave seeds whose retiring rank 5 lost both the round start and the
 // apply (with every apply resend, which the senders drop at their installs)
 // yet received 2f+1 echoes: nothing stamped with epoch 0 reaches it after the
 // install, so no kWrongEpoch ever prompts a pull. The echo quorum's fetch
 // step must still bring it to the new epoch, retired.
-const Mix& churn_leave_mix() {
-  for (const Mix& mix : kMixes) {
-    if (std::string(mix.name) == "churn-leave") return mix;
-  }
-  throw std::logic_error("no churn-leave mix");
-}
-
 TEST(ChaosRegression, ChurnLeaveSeed253RetireeFetchesInstall) {
-  EXPECT_TRUE(run_chaos(churn_leave_mix(), 253));
+  EXPECT_TRUE(run_chaos(mix_named("churn-leave"), 253));
 }
 
 TEST(ChaosRegression, ChurnLeaveSeed392RetireeFetchesInstall) {
-  EXPECT_TRUE(run_chaos(churn_leave_mix(), 392));
+  EXPECT_TRUE(run_chaos(mix_named("churn-leave"), 392));
+}
+
+// The Byzantine coordinator (node 4) stalls on transfer 2 and records the
+// done message only after every honest B server already holds the result,
+// the moment run_to_completion stops. T10 sees that stall resolve only
+// because the settle before the trace check covers Byzantine roster members
+// too.
+TEST(ChaosRegression, ByzantineLossySeed245ByzantineStallResolves) {
+  EXPECT_TRUE(run_chaos(mix_named("byzantine-lossy"), 245));
+}
+
+// B rank 2 (node 5) is isolated from 100 to 500 ms under a 300 ms watchdog
+// deadline. Its last progress is at 8 ms and its own 400 ms backup start
+// counts as progress again, so the "watchdog barked" check needs the stall
+// reported at its 308 ms expiry. A sweep on a fixed deadline/2 period fires
+// at 300 and 450 ms, on either side of it, and reports none.
+TEST(ChaosRegression, CorruptPartitionSeed112WatchdogBarksInPartition) {
+  EXPECT_TRUE(run_chaos(mix_named("corrupt-partition"), 112));
+}
+
+// The adopted standby (node 8) stalls on transfer 2 after the mid-transfer
+// install. While its re-shared key is still pending, run_to_completion does
+// not wait for it, and it records the done message after the rest of the
+// roster. The settle must cover it before T10 is checked, not after.
+TEST(ChaosRegression, ChurnMidTransferSeed246StallResolves) {
+  EXPECT_TRUE(run_chaos(mix_named("churn-mid-transfer"), 246));
 }
 
 // Crash-recovery in isolation: the designated B coordinator dies mid-protocol

@@ -3,30 +3,20 @@
 // With per-instance keyed contribution streams and a fixed-delay network,
 // the bytes of every transfer's result are a pure function of (seed,
 // transfer id, contributor quorum): they must not depend on HOW MANY
-// transfers were in flight around it, nor on where the proofs were checked.
-// The panel runs N open-loop transfers through the concurrent engine
-// (unlimited slots, worker pool + cross-transfer batch drain) and through a
-// strictly sequential baseline (max_inflight_transfers = 1, inline batch
-// verification) and demands byte-identical per-transfer ciphertexts on every
-// honest B server — across >= 4 seeds and with a Byzantine contributor whose
-// inconsistent contribution must be rejected identically in both schedules.
-//
-// The VerifyPool arrival-order regression rides along: tagged multi-transfer
-// jobs that finish out of order must still be *applied* in submission order
-// (the determinism contract the cross-transfer drain builds on), with the
-// per-tag inflight accounting balanced. Run under TSan by the tsan CI job.
+// transfers were in flight around it. The panel runs N open-loop transfers
+// through the concurrent engine (unlimited slots) and through a strictly
+// sequential baseline (max_inflight_transfers = 1), both verifying every
+// contribute inline on arrival, and demands byte-identical per-transfer
+// ciphertexts on every honest B server — across >= 4 seeds and with a
+// Byzantine contributor whose inconsistent contribution must be rejected
+// identically in both schedules.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <future>
 #include <map>
-#include <thread>
 #include <vector>
 
 #include "core/system.hpp"
-#include "core/verify_pool.hpp"
 #include "obs/trace.hpp"
 
 namespace dblind::core {
@@ -45,8 +35,7 @@ struct RunOutcome {
   std::uint64_t max_inflight_seen = 0;  // from engine_admit trace events
 };
 
-RunOutcome run_once(std::uint64_t seed, bool byzantine, std::size_t max_inflight,
-                    std::size_t workers) {
+RunOutcome run_once(std::uint64_t seed, bool byzantine, std::size_t max_inflight) {
   obs::MemoryTraceRecorder trace;
   SystemOptions o;
   o.seed = 47000 + seed;
@@ -57,7 +46,6 @@ RunOutcome run_once(std::uint64_t seed, bool byzantine, std::size_t max_inflight
   o.delay_min = 2'000;
   o.delay_max = 2'000;
   o.protocol.max_inflight_transfers = max_inflight;
-  o.protocol.verify_workers = workers;
   o.protocol.trace = &trace;
   if (byzantine) {
     o.b_behaviors.assign(4, Behavior::kHonest);
@@ -106,10 +94,10 @@ class ConcurrentEquivalence : public ::testing::TestWithParam<std::tuple<int, bo
 TEST_P(ConcurrentEquivalence, InterleavedMatchesSequentialByteForByte) {
   const auto [seed, byzantine] = GetParam();
 
-  // Concurrent: unlimited admission, worker pool + cross-transfer batch drain.
-  RunOutcome conc = run_once(seed, byzantine, /*max_inflight=*/0, /*workers=*/2);
-  // Sequential baseline: one transfer at a time, inline batch verification.
-  RunOutcome seq = run_once(seed, byzantine, /*max_inflight=*/1, /*workers=*/0);
+  // Concurrent: unlimited admission.
+  RunOutcome conc = run_once(seed, byzantine, /*max_inflight=*/0);
+  // Sequential baseline: one transfer at a time.
+  RunOutcome seq = run_once(seed, byzantine, /*max_inflight=*/1);
 
   ASSERT_TRUE(conc.completed) << "seed=" << seed;
   ASSERT_TRUE(seq.completed) << "seed=" << seed;
@@ -139,81 +127,15 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<0>(info.param));
     });
 
-// Intermediate concurrency levels agree too: a capped engine (2 slots) with
-// inline verification lands on the same bytes as the sequential baseline.
+// Intermediate concurrency levels agree too: a capped engine (2 slots) lands
+// on the same bytes as the sequential baseline.
 TEST(ConcurrentEquivalence, CappedEngineAgreesWithExtremes) {
-  RunOutcome capped = run_once(11, /*byzantine=*/false, /*max_inflight=*/2, /*workers=*/0);
-  RunOutcome seq = run_once(11, /*byzantine=*/false, /*max_inflight=*/1, /*workers=*/0);
+  RunOutcome capped = run_once(11, /*byzantine=*/false, /*max_inflight=*/2);
+  RunOutcome seq = run_once(11, /*byzantine=*/false, /*max_inflight=*/1);
   ASSERT_TRUE(capped.completed);
   ASSERT_TRUE(seq.completed);
   EXPECT_EQ(capped.max_inflight_seen, 2u);
   EXPECT_EQ(capped.results, seq.results);
-}
-
-// --- VerifyPool arrival-order regression -------------------------------------------
-
-// Multi-transfer jobs drain concurrently and finish out of order; the caller
-// contract (wait per-job futures in submission order) must still apply
-// results in strict arrival order, and the per-tag accounting must balance.
-TEST(VerifyPoolConcurrent, ArrivalOrderApplicationAcrossTags) {
-  constexpr std::size_t kJobs = 24;
-  VerifyPool pool(3);
-  EXPECT_EQ(pool.workers(), 3u);
-
-  std::vector<std::future<void>> done;
-  std::vector<int> applied;
-  std::atomic<std::uint32_t> completion_stamp{0};
-  std::vector<std::uint32_t> completed_at(kJobs);
-
-  for (std::size_t i = 0; i < kJobs; ++i) {
-    auto task = std::make_shared<std::packaged_task<void()>>([i, &completed_at,
-                                                              &completion_stamp] {
-      // Within each 3-worker window the earlier-submitted job sleeps longer,
-      // so completions invert submission order — the worst case for ordered
-      // application.
-      std::this_thread::sleep_for(std::chrono::microseconds(100 * (3 - i % 3)));
-      completed_at[i] = completion_stamp.fetch_add(1) + 1;
-    });
-    done.push_back(task->get_future());
-    const std::uint64_t transfer_tag = 1 + i % 4;  // 4 interleaved transfers
-    pool.submit([task] { (*task)(); }, transfer_tag);
-  }
-  // Apply strictly in submission order, exactly like the server's drain.
-  for (std::size_t i = 0; i < kJobs; ++i) {
-    done[i].wait();
-    applied.push_back(static_cast<int>(i));
-  }
-  for (std::size_t i = 0; i < kJobs; ++i) EXPECT_EQ(applied[i], static_cast<int>(i));
-  // Sanity: completion really was out of order somewhere (an inversion
-  // exists), or the ordered-application property was tested vacuously.
-  bool inverted = false;
-  for (std::size_t i = 0; i + 1 < kJobs; ++i)
-    inverted = inverted || completed_at[i] > completed_at[i + 1];
-  EXPECT_TRUE(inverted);
-  // All tags drain: accounting balances even though completion raced. The
-  // future is satisfied inside the job, just before the worker's bookkeeping
-  // step, so give the counters a bounded moment to settle.
-  for (int spin = 0; pool.pending() != 0 && spin < 10'000; ++spin)
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  for (std::uint64_t tag = 1; tag <= 4; ++tag) EXPECT_EQ(pool.inflight(tag), 0u);
-  EXPECT_EQ(pool.pending(), 0u);
-}
-
-// inflight(tag) tracks submitted-but-unfinished jobs per tag while a slow job
-// blocks its transfer; other tags drain independently.
-TEST(VerifyPoolConcurrent, PerTagInflightAccounting) {
-  VerifyPool pool(1);  // single worker: deterministic start order
-  std::promise<void> release;
-  std::shared_future<void> gate(release.get_future());
-  pool.submit([gate] { gate.wait(); }, /*tag=*/7);
-  pool.submit([] {}, /*tag=*/9);
-  // The tag-7 job is running (or queued); tag 9 waits behind it.
-  EXPECT_EQ(pool.inflight(7), 1u);
-  EXPECT_EQ(pool.inflight(9), 1u);
-  EXPECT_EQ(pool.pending(), 2u);
-  release.set_value();
-  // Destructor drains: both tags reach zero before the pool dies; reaching
-  // here without deadlock is the assertion.
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 //
 // The concurrency tests double as the TSan coverage for lock-free metric
 // updates: run under the tsan preset they hammer one Counter/Histogram cell
-// from many threads, which is exactly what verify-pool workers do in a
+// from many threads, which is exactly what handler threads do in a
 // ThreadedBus deployment.
 #include <gtest/gtest.h>
 
@@ -236,8 +236,8 @@ TEST(Trace, SpanAndParentSerializeOnlyWhenNonzero) {
 }
 
 // Watchdog events: kStall carries the one-shot state dump (engine queue
-// depth, pending verifies, outstanding resends) plus the stalled transfer's
-// latest span as `parent`; kStallResolved carries the stalled duration.
+// depth, outstanding resends) plus the stalled transfer's latest span as
+// `parent`; kStallResolved carries the stalled duration.
 TEST(Trace, StallEventSerialization) {
   TraceEvent s;
   s.ts = 400000;
@@ -245,13 +245,12 @@ TEST(Trace, StallEventSerialization) {
   s.kind = EventKind::kStall;
   s.transfer = 3;
   s.count = 2;    // engine queue depth
-  s.peer = 1;     // pending verifies
   s.attempt = 4;  // outstanding resend entries
   s.span = 91;
   s.parent = 88;  // the transfer's latest span
   EXPECT_EQ(to_jsonl(s), "{\"ts\":400000,\"node\":6,\"kind\":\"stall\","
                          "\"span\":91,\"parent\":88,\"transfer\":3,"
-                         "\"queue\":2,\"verifies\":1,\"resends\":4}");
+                         "\"queue\":2,\"resends\":4}");
 
   TraceEvent r;
   r.ts = 650000;
@@ -423,13 +422,13 @@ TEST(Watchdog, DisabledWatchdogIsInert) {
   w.arm(1, 0);
   EXPECT_FALSE(w.progress(1, 10, 5).has_value());
   EXPECT_TRUE(w.expired(1'000'000).empty());
-  EXPECT_FALSE(w.needs_sweep());
+  EXPECT_FALSE(w.next_expiry().has_value());
 }
 
 TEST(Watchdog, StallFlipsOncePerEpisodeAndResolvesOnProgress) {
   Watchdog w(100);
   w.arm(7, 0);
-  EXPECT_TRUE(w.needs_sweep());
+  EXPECT_TRUE(w.next_expiry().has_value());
   EXPECT_TRUE(w.expired(99).empty());  // not idle long enough
 
   auto stalls = w.expired(100);
@@ -439,7 +438,7 @@ TEST(Watchdog, StallFlipsOncePerEpisodeAndResolvesOnProgress) {
   EXPECT_EQ(w.stalled_count(), 1u);
   // Second sweep: the same episode is never re-reported.
   EXPECT_TRUE(w.expired(500).empty());
-  EXPECT_FALSE(w.needs_sweep());  // everything stalled: sweeps are pointless
+  EXPECT_FALSE(w.next_expiry().has_value());  // everything stalled: sweeps are pointless
 
   // Progress resolves the stall and reports how long it lasted.
   auto res = w.progress(7, 260, /*span=*/42);
@@ -475,8 +474,40 @@ TEST(Watchdog, CompleteStopsTrackingAndResolvesAPendingStall) {
   auto res = w.complete(2, 130);
   ASSERT_TRUE(res.has_value());
   EXPECT_EQ(res->stalled_us, 30u);
-  EXPECT_FALSE(w.needs_sweep());
+  EXPECT_FALSE(w.next_expiry().has_value());
   EXPECT_TRUE(w.expired(10'000).empty());
+}
+
+// The sweep timer is armed for next_expiry(): the earliest last_activity +
+// deadline over entries that are not already stalled, so a stall surfaces
+// exactly one deadline after the last progress.
+TEST(Watchdog, NextExpiryIsEarliestUnstalledDeadline) {
+  Watchdog off(0);
+  off.arm(1, 0);
+  EXPECT_FALSE(off.next_expiry().has_value());
+
+  Watchdog w(300);
+  EXPECT_FALSE(w.next_expiry().has_value());  // nothing tracked
+  w.arm(1, 100);
+  w.arm(2, 40);
+  EXPECT_EQ(w.next_expiry(), 340u);
+  // Progress pushes transfer 2's deadline past transfer 1's.
+  EXPECT_FALSE(w.progress(2, 250, 7).has_value());
+  EXPECT_EQ(w.next_expiry(), 400u);
+  // At exactly that instant transfer 1 stalls; the next expiry is then
+  // transfer 2's, and a stalled entry never holds the timer.
+  auto stalls = w.expired(400);
+  ASSERT_EQ(stalls.size(), 1u);
+  EXPECT_EQ(stalls[0].transfer, 1u);
+  EXPECT_EQ(w.next_expiry(), 550u);
+  ASSERT_EQ(w.expired(550).size(), 1u);
+  EXPECT_FALSE(w.next_expiry().has_value());  // everything stalled
+  // Resolving a stall re-arms from the resolving progress.
+  ASSERT_TRUE(w.progress(1, 900, 8).has_value());
+  EXPECT_EQ(w.next_expiry(), 1'200u);
+  // Completion stops tracking.
+  EXPECT_FALSE(w.complete(1, 950).has_value());
+  EXPECT_FALSE(w.next_expiry().has_value());
 }
 
 // --- label-cardinality guard ------------------------------------------------

@@ -58,10 +58,9 @@ PR 8 gates (concurrent multi-transfer engine), written to BENCH_pr8.json
 from bench_load's open-loop workload:
 
   10. load_saturation: saturated virtual-time throughput of the concurrent
-      engine (unlimited admission + cross-transfer batch drain + verify
-      workers) must be >= 5.0x the sequential baseline
-      (max_inflight_transfers == 1, inline verification) at f=1/sec512,
-      with integrity == 1 on both arms. Virtual time is deterministic per
+      engine (unlimited admission) must be >= 5.0x the sequential baseline
+      (max_inflight_transfers == 1) at f=1/sec512, with integrity == 1 on
+      both arms; both arms verify every contribute inline, on arrival. Virtual time is deterministic per
       seed, so the gate cannot flake on a loaded box; wall-clock and
       mont-mul counts are recorded as provenance;
   11. load_latency: every offered-load point completes all transfers with

@@ -35,10 +35,11 @@
 #   load             open-loop load harness smoke: bench_load --smoke (toy
 #                    parameters, Poisson arrivals, concurrent vs sequential
 #                    equivalence + saturation check). Set
-#                    DBLIND_SOAK_TRANSFERS=<n> to additionally run a TSan
-#                    soak of the same harness with <n> transfers, exercising
-#                    the verify-pool workers and cross-transfer batch drain
-#                    under the race detector
+#                    DBLIND_SOAK_TRANSFERS=<n> to additionally run the same
+#                    harness with <n> transfers in the TSan build: one long
+#                    instrumented run of the whole protocol stack (the
+#                    simulator runs every node on one thread, so the
+#                    threaded suites in the tsan job remain the race tests)
 #   backend_matrix   EC-backend matrix (PR 10): the full ctest suite re-run
 #                    with DBLIND_BACKEND=ec (every SystemOptions default
 #                    routes through GroupParams::named_or_env, so the whole
@@ -193,9 +194,8 @@ for job in "${JOBS[@]}"; do
         smoke=$?
         soak=0
         if [[ $smoke -eq 0 && -n "${DBLIND_SOAK_TRANSFERS:-}" ]]; then
-          # TSan soak: the load harness is the densest consumer of the
-          # verify-pool workers + cross-transfer drain, so a wide run under
-          # the race detector is the concurrency stress test.
+          # TSan soak: the widest single run of the protocol stack in the
+          # instrumented build.
           cmake --preset tsan > /dev/null &&
             cmake --build --preset tsan -j "$NPROC" --target bench_load &&
             DBLIND_SOAK_TRANSFERS="$DBLIND_SOAK_TRANSFERS" \
