@@ -5,17 +5,6 @@
 
 namespace dblind::core {
 
-namespace {
-
-std::vector<std::uint8_t> frame_client(const std::vector<std::uint8_t>& body) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(WireKind::kClient));
-  w.bytes(body);
-  return w.take();
-}
-
-}  // namespace
-
 std::string client_decrypt_context(TransferId transfer) {
   return "dblind/client-decrypt/t" + std::to_string(transfer);
 }
@@ -25,13 +14,9 @@ ClientNode::ClientNode(SystemConfig cfg, TransferId transfer, mpz::Bigint m,
     : cfg_(std::move(cfg)), transfer_(transfer), m_(std::move(m)),
       poll_interval_(poll_interval) {}
 
-void ClientNode::send_client(net::Context& ctx, net::NodeId to,
-                             const std::vector<std::uint8_t>& body) {
-  ctx.send(to, frame_client(body));
-}
-
-void ClientNode::broadcast_b(net::Context& ctx, const std::vector<std::uint8_t>& body) {
-  for (ServerRank r = 1; r <= cfg_.b.cfg.n; ++r) send_client(ctx, cfg_.b.node_of(r), body);
+void ClientNode::send_all(net::Context& ctx, const ServicePublic& svc,
+                          const std::vector<std::uint8_t>& body) {
+  for (net::NodeId to : svc.nodes()) ctx.send(to, frame_client(body));
 }
 
 void ClientNode::on_start(net::Context& ctx) {
@@ -41,9 +26,8 @@ void ClientNode::on_start(net::Context& ctx) {
   req.transfer = transfer_;
   req.ea_m = cfg_.a.encryption_key.encrypt(m_, ctx.rng());
   publish_body_ = encode_body(MsgType::kTransferRequest, req);
-  for (ServerRank r = 1; r <= cfg_.a.cfg.n; ++r)
-    send_client(ctx, cfg_.a.node_of(r), publish_body_);
-  broadcast_b(ctx, publish_body_);
+  send_all(ctx, cfg_.a, publish_body_);
+  send_all(ctx, cfg_.b, publish_body_);
   ctx.set_timer(poll_interval_, 1);
 }
 
@@ -52,16 +36,13 @@ void ClientNode::on_timer(net::Context& ctx, std::uint64_t) {
   if (!chosen_) {
     // Re-publish (lossy networks may have starved some servers of the
     // transfer request entirely — servers dedupe) and poll for the result.
-    for (ServerRank r = 1; r <= cfg_.a.cfg.n; ++r)
-      send_client(ctx, cfg_.a.node_of(r), publish_body_);
-    broadcast_b(ctx, publish_body_);
-    ResultRequestMsg req;
-    req.transfer = transfer_;
-    broadcast_b(ctx, encode_body(MsgType::kResultRequest, req));
+    send_all(ctx, cfg_.a, publish_body_);
+    send_all(ctx, cfg_.b, publish_body_);
+    send_all(ctx, cfg_.b, encode_body(MsgType::kResultRequest, ResultRequestMsg{transfer_}));
   } else {
     // Result chosen but shares still missing: re-request decryption shares
     // (same ciphertext — B servers answer duplicates from their reply cache).
-    broadcast_b(ctx, decrypt_request_body_);
+    send_all(ctx, cfg_.b, decrypt_request_body_);
   }
   ctx.set_timer(poll_interval_, 1);
 }
@@ -85,7 +66,7 @@ void ClientNode::on_message(net::Context& ctx, net::NodeId from,
         req.transfer = transfer_;
         req.ciphertext = *chosen_;
         decrypt_request_body_ = encode_body(MsgType::kClientDecryptRequest, req);
-        broadcast_b(ctx, decrypt_request_body_);
+        send_all(ctx, cfg_.b, decrypt_request_body_);
         break;
       }
       case MsgType::kClientDecryptReply: {

@@ -49,8 +49,9 @@ class ClientNode final : public net::Node {
   void on_timer(net::Context& ctx, std::uint64_t token) override;
 
  private:
-  void send_client(net::Context& ctx, net::NodeId to, const std::vector<std::uint8_t>& body);
-  void broadcast_b(net::Context& ctx, const std::vector<std::uint8_t>& body);
+  // Sends `body` as a client frame to every server of `svc`.
+  static void send_all(net::Context& ctx, const ServicePublic& svc,
+                       const std::vector<std::uint8_t>& body);
 
   SystemConfig cfg_;
   TransferId transfer_;

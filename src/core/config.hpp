@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <stdexcept>
 #include <vector>
 
@@ -44,6 +45,12 @@ struct ServicePublic {
     if (!roster.empty()) return roster[rank - 1];
     return first_node + rank - 1;
   }
+  // Every roster node, in rank order.
+  [[nodiscard]] std::vector<net::NodeId> nodes() const {
+    std::vector<net::NodeId> out;
+    for (ServerRank r = 1; r <= cfg.n; ++r) out.push_back(node_of(r));
+    return out;
+  }
   [[nodiscard]] const zkp::SchnorrVerifyKey& server_key(ServerRank rank) const {
     if (rank == 0 || rank > server_sign_keys.size())
       throw std::out_of_range("ServicePublic::server_key");
@@ -60,6 +67,9 @@ struct SystemConfig {
     return role == ServiceRole::kServiceA ? a : b;
   }
 };
+
+// One ciphertext per transfer: A's stored E_A(m), B's results E_B(m).
+using ResultMap = std::map<TransferId, elgamal::Ciphertext>;
 
 // Private per-server key material (held by exactly one node).
 struct ServerSecrets {
@@ -93,8 +103,6 @@ struct ProtocolOptions {
   // Retry timeout for threshold-signing sessions that stall (a quorum member
   // crashed or withheld its partial).
   net::Time signing_retry_delay = 600'000;
-  // Number of coordinators that may ever start (paper: f+1 suffices).
-  std::size_t max_coordinators = 0;  // 0 = f+1
   // If true, B servers build their blinding contribution (ρ, both
   // encryptions, the VDE announcements) for the designated coordinator's
   // instance of every registered transfer during on_start, before the init

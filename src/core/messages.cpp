@@ -109,6 +109,27 @@ SignedMessage SignedMessage::decode(Reader& r) {
   return m;
 }
 
+Frame frame_signed(const SignedMessage& env) {
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(WireKind::kServerSigned));
+  env.encode(w);
+  return w.take();
+}
+
+Frame frame_service(const ServiceSignedMsg& msg) {
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(WireKind::kServiceSigned));
+  msg.encode(w);
+  return w.take();
+}
+
+Frame frame_client(std::span<const std::uint8_t> body) {
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(WireKind::kClient));
+  w.bytes(body);
+  return w.take();
+}
+
 void ServiceSignedMsg::encode(Writer& w) const {
   w.u8(service);
   w.bytes(body);

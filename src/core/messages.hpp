@@ -126,6 +126,16 @@ struct ServiceSignedMsg {
   friend bool operator==(const ServiceSignedMsg&, const ServiceSignedMsg&) = default;
 };
 
+// --- wire framing ------------------------------------------------------------
+
+// One wire frame: the WireKind byte, then the content. Cached frames are
+// what duplicates and retransmissions re-send, byte for byte.
+using Frame = std::vector<std::uint8_t>;
+
+[[nodiscard]] Frame frame_signed(const SignedMessage& env);
+[[nodiscard]] Frame frame_service(const ServiceSignedMsg& msg);
+[[nodiscard]] Frame frame_client(std::span<const std::uint8_t> body);
+
 // --- blinding-protocol messages ----------------------------------------------
 
 struct InitMsg {

@@ -33,17 +33,12 @@ std::optional<ReshareDealMsg> check_reshare_deal(const SystemConfig& cfg, Config
   if (env.service != spec.service) return std::nullopt;
   if (env.cfg_epoch != current) return std::nullopt;
   if (!envelope_signature_ok(cfg, env)) return std::nullopt;
-  ReshareDealMsg msg;
-  try {
-    msg = decode_as<ReshareDealMsg>(MsgType::kReshareDeal, env.body, cfg.params);
-  } catch (const CodecError&) {
-    return std::nullopt;
-  }
-  if (msg.service != spec.service || msg.epoch != spec.epoch) return std::nullopt;
-  if (msg.dealer != env.signer) return std::nullopt;
+  auto msg = try_decode<ReshareDealMsg>(cfg, MsgType::kReshareDeal, env.body);
+  if (!msg || msg->service != spec.service || msg->epoch != spec.epoch) return std::nullopt;
+  if (msg->dealer != env.signer) return std::nullopt;
   const ServicePublic& svc = cfg.service(static_cast<ServiceRole>(spec.service));
-  threshold::ReshareDeal enc_deal{msg.dealer, msg.enc, {}};
-  threshold::ReshareDeal sign_deal{msg.dealer, msg.sign, {}};
+  threshold::ReshareDeal enc_deal{msg->dealer, msg->enc, {}};
+  threshold::ReshareDeal sign_deal{msg->dealer, msg->sign, {}};
   if (!threshold::reshare_verify_commitments(cfg.params, svc.enc_commitments, enc_deal, spec.f)) {
     return std::nullopt;
   }
@@ -58,19 +53,14 @@ std::optional<ReconfigApplyMsg> check_reconfig_apply(const SystemConfig& cfg, Co
                                                      const SignedMessage& env) {
   if (env.cfg_epoch != current) return std::nullopt;
   if (!envelope_signature_ok(cfg, env)) return std::nullopt;
-  ReconfigApplyMsg msg;
-  try {
-    msg = decode_as<ReconfigApplyMsg>(MsgType::kReconfigApply, env.body, cfg.params);
-  } catch (const CodecError&) {
-    return std::nullopt;
-  }
-  if (env.service != msg.spec.service) return std::nullopt;
-  if (!reconfig_spec_ok(cfg, current, msg.spec)) return std::nullopt;
-  const ServicePublic& svc = cfg.service(static_cast<ServiceRole>(msg.spec.service));
-  if (msg.deals.size() != svc.cfg.quorum()) return std::nullopt;
+  auto msg = try_decode<ReconfigApplyMsg>(cfg, MsgType::kReconfigApply, env.body);
+  if (!msg || env.service != msg->spec.service) return std::nullopt;
+  if (!reconfig_spec_ok(cfg, current, msg->spec)) return std::nullopt;
+  const ServicePublic& svc = cfg.service(static_cast<ServiceRole>(msg->spec.service));
+  if (msg->deals.size() != svc.cfg.quorum()) return std::nullopt;
   std::uint32_t prev_dealer = 0;
-  for (const SignedMessage& deal_env : msg.deals) {
-    auto deal = check_reshare_deal(cfg, current, msg.spec, deal_env);
+  for (const SignedMessage& deal_env : msg->deals) {
+    auto deal = check_reshare_deal(cfg, current, msg->spec, deal_env);
     if (!deal) return std::nullopt;
     if (deal->dealer <= prev_dealer) return std::nullopt;  // strict order => distinct
     prev_dealer = deal->dealer;
@@ -89,25 +79,13 @@ std::optional<ReconfigApplyMsg> check_install_record(const SystemConfig& cfg, Co
   for (const SignedMessage& env : echoes) {
     if (env.service != apply->spec.service || env.cfg_epoch != current) continue;
     if (!envelope_signature_ok(cfg, env)) continue;
-    ReconfigEchoMsg echo;
-    try {
-      echo = decode_as<ReconfigEchoMsg>(MsgType::kReconfigEcho, env.body, cfg.params);
-    } catch (const CodecError&) {
-      continue;
-    }
-    if (echo.service != apply->spec.service || echo.epoch != apply->spec.epoch) continue;
-    if (echo.digest != want) continue;
+    auto echo = try_decode<ReconfigEchoMsg>(cfg, MsgType::kReconfigEcho, env.body);
+    if (!echo || echo->service != apply->spec.service || echo->epoch != apply->spec.epoch) continue;
+    if (echo->digest != want) continue;
     echoed.insert(env.signer);
   }
   if (echoed.size() < 2 * svc.cfg.f + 1) return std::nullopt;
   return apply;
-}
-
-std::vector<std::uint32_t> deal_quorum(const std::vector<ReshareDealMsg>& deals) {
-  std::vector<std::uint32_t> out;
-  out.reserve(deals.size());
-  for (const ReshareDealMsg& d : deals) out.push_back(d.dealer);
-  return out;
 }
 
 ServicePublic reconfigured_service(const SystemConfig& cfg, const ReconfigSpec& spec,
@@ -116,11 +94,10 @@ ServicePublic reconfigured_service(const SystemConfig& cfg, const ReconfigSpec& 
   ServicePublic out = old_svc;  // encryption_key / signing_key NEVER change
   out.cfg.n = spec.n;
   out.cfg.f = spec.f;
-  const std::vector<std::uint32_t> dealers = deal_quorum(deals);
+  std::vector<std::uint32_t> dealers;
   std::vector<threshold::FeldmanCommitments> enc_deals, sign_deals;
-  enc_deals.reserve(deals.size());
-  sign_deals.reserve(deals.size());
   for (const ReshareDealMsg& d : deals) {
+    dealers.push_back(d.dealer);
     enc_deals.push_back(d.enc);
     sign_deals.push_back(d.sign);
   }

@@ -68,9 +68,6 @@ namespace dblind::core {
     const SystemConfig& cfg, ConfigEpoch current, const SignedMessage& apply_env,
     std::span<const SignedMessage> echoes);
 
-// The dealer quorum (old ranks, in envelope order) of a valid apply.
-[[nodiscard]] std::vector<std::uint32_t> deal_quorum(const std::vector<ReshareDealMsg>& deals);
-
 // Derives the post-install public view of the changing service from a valid
 // apply: new (n', f'), joint re-shared commitments (public key unchanged —
 // reshare_commitments keeps C'_0 = g^s), the roster's per-server sign keys,

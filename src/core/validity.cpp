@@ -5,24 +5,6 @@
 
 namespace dblind::core {
 
-namespace {
-
-// Decodes an envelope body as T (with tag `type`, elements decoded in the
-// configured group); nullopt on any codec error.
-template <typename T>
-std::optional<T> try_decode(const SystemConfig& cfg, MsgType type,
-                            std::span<const std::uint8_t> body) {
-  try {
-    return decode_as<T>(type, body, cfg.params);
-  } catch (const CodecError&) {
-    return std::nullopt;
-  } catch (const std::invalid_argument&) {
-    return std::nullopt;
-  }
-}
-
-}  // namespace
-
 std::vector<std::uint8_t> epoch_signed_bytes(ConfigEpoch epoch,
                                              std::span<const std::uint8_t> body) {
   std::vector<std::uint8_t> out;
@@ -143,23 +125,17 @@ bool check_blind_sign_request(const SystemConfig& cfg, std::span<const std::uint
     return try_decode<BlindPayload>(cfg, MsgType::kBlind, payload);
   }();
   if (!blind) return false;
-  BlindEvidence ev;
-  try {
-    Reader r(evidence, &cfg.params);
-    ev = BlindEvidence::decode(r);
-    r.expect_done();
-  } catch (const CodecError&) {
-    return false;
-  }
+  auto ev = try_read<BlindEvidence>(cfg, evidence);
+  if (!ev) return false;
 
   // f+1 valid contribute messages, distinct servers, same id, same reveal.
-  if (ev.contributes.size() != cfg.b.cfg.quorum()) return false;
+  if (ev->contributes.size() != cfg.b.cfg.quorum()) return false;
   std::set<ServerRank> servers;
   std::vector<elgamal::Ciphertext> eas, ebs;
   const SignedMessage* reveal = nullptr;
-  for (const SignedMessage& env : ev.contributes) {
+  for (const SignedMessage& env : ev->contributes) {
     // I6: the f+1 contributions must all be stamped with one config epoch.
-    if (env.cfg_epoch != ev.contributes.front().cfg_epoch) return false;
+    if (env.cfg_epoch != ev->contributes.front().cfg_epoch) return false;
     auto c = check_contribute(cfg, env);
     if (!c) return false;
     if (c->id != blind->id) return false;
@@ -173,9 +149,9 @@ bool check_blind_sign_request(const SystemConfig& cfg, std::span<const std::uint
   // Same-reveal rule (see header comment): compare the embedded reveal of
   // every contribute message for byte-for-byte equality.
   std::optional<ContributeMsg> first =
-      try_decode<ContributeMsg>(cfg, MsgType::kContribute, ev.contributes.front().body);
+      try_decode<ContributeMsg>(cfg, MsgType::kContribute, ev->contributes.front().body);
   if (!first) return false;
-  for (const SignedMessage& env : ev.contributes) {
+  for (const SignedMessage& env : ev->contributes) {
     auto c = try_decode<ContributeMsg>(cfg, MsgType::kContribute, env.body);
     if (!c || !(c->reveal == first->reveal)) return false;
   }
@@ -283,23 +259,17 @@ bool check_blind_sign_request_batch(const SystemConfig& cfg, std::span<const std
                                     std::span<const std::uint8_t> evidence, mpz::Prng& prng) {
   auto blind = try_decode<BlindPayload>(cfg, MsgType::kBlind, payload);
   if (!blind) return false;
-  BlindEvidence ev;
-  try {
-    Reader r(evidence, &cfg.params);
-    ev = BlindEvidence::decode(r);
-    r.expect_done();
-  } catch (const CodecError&) {
-    return false;
-  }
+  auto ev = try_read<BlindEvidence>(cfg, evidence);
+  if (!ev) return false;
 
-  if (ev.contributes.size() != cfg.b.cfg.quorum()) return false;
+  if (ev->contributes.size() != cfg.b.cfg.quorum()) return false;
   SigBatch sigs;
   SignedBytesArena arena;
   std::vector<ContributeMsg> msgs;
-  msgs.reserve(ev.contributes.size());
+  msgs.reserve(ev->contributes.size());
   std::set<ServerRank> servers;
-  const ConfigEpoch epoch = ev.contributes.front().cfg_epoch;
-  for (const SignedMessage& env : ev.contributes) {
+  const ConfigEpoch epoch = ev->contributes.front().cfg_epoch;
+  for (const SignedMessage& env : ev->contributes) {
     if (env.service != static_cast<std::uint8_t>(ServiceRole::kServiceB)) return false;
     if (env.signer == 0 || env.signer > cfg.b.cfg.n) return false;
     if (env.cfg_epoch != epoch) return false;  // I6: one config epoch per quorum
@@ -350,31 +320,25 @@ bool check_done_sign_request_batch(const SystemConfig& cfg, std::span<const std:
                                    const elgamal::Ciphertext& stored_ea_m, mpz::Prng& prng) {
   auto done = try_decode<DonePayload>(cfg, MsgType::kDone, payload);
   if (!done) return false;
-  DoneEvidence ev;
-  try {
-    Reader r(evidence, &cfg.params);
-    ev = DoneEvidence::decode(r);
-    r.expect_done();
-  } catch (const CodecError&) {
-    return false;
-  }
+  auto ev = try_read<DoneEvidence>(cfg, evidence);
+  if (!ev) return false;
 
-  auto blind = check_blind(cfg, ev.blind);
+  auto blind = check_blind(cfg, ev->blind);
   if (!blind || blind->id != done->id) return false;
 
   auto ea_m_rho = cfg.a.encryption_key.multiply(stored_ea_m, blind->blinded.ea);
   if (!ea_m_rho) return false;
 
-  if (ev.shares.size() != cfg.a.cfg.quorum()) return false;
+  if (ev->shares.size() != cfg.a.cfg.quorum()) return false;
   std::set<std::uint32_t> seen;
-  for (const threshold::DecryptionShare& s : ev.shares) {
+  for (const threshold::DecryptionShare& s : ev->shares) {
     if (!seen.insert(s.index).second) return false;
   }
   if (!threshold::batch_verify_decryption_shares(cfg.params, cfg.a.enc_commitments, *ea_m_rho,
-                                                 ev.shares, decrypt_context(done->id), prng))
+                                                 ev->shares, decrypt_context(done->id), prng))
     return false;
-  group::Element m_rho = threshold::combine_decryption(cfg.params, *ea_m_rho, ev.shares);
-  if (m_rho != ev.m_rho) return false;
+  group::Element m_rho = threshold::combine_decryption(cfg.params, *ea_m_rho, ev->shares);
+  if (m_rho != ev->m_rho) return false;
   if (!cfg.params.in_zp_star(m_rho)) return false;
 
   if (!(done->ea_m == stored_ea_m)) return false;
@@ -388,16 +352,10 @@ bool check_done_sign_request(const SystemConfig& cfg, std::span<const std::uint8
                              const elgamal::Ciphertext& stored_ea_m) {
   auto done = try_decode<DonePayload>(cfg, MsgType::kDone, payload);
   if (!done) return false;
-  DoneEvidence ev;
-  try {
-    Reader r(evidence, &cfg.params);
-    ev = DoneEvidence::decode(r);
-    r.expect_done();
-  } catch (const CodecError&) {
-    return false;
-  }
+  auto ev = try_read<DoneEvidence>(cfg, evidence);
+  if (!ev) return false;
 
-  auto blind = check_blind(cfg, ev.blind);
+  auto blind = check_blind(cfg, ev->blind);
   if (!blind || blind->id != done->id) return false;
 
   // Recompute E_A(mρ) from the locally stored E_A(m) (step 6(a)).
@@ -405,16 +363,16 @@ bool check_done_sign_request(const SystemConfig& cfg, std::span<const std::uint8
   if (!ea_m_rho) return false;
 
   // V^id_mρ: f+1 verified decryption shares combining to mρ (step 6(b)).
-  if (ev.shares.size() != cfg.a.cfg.quorum()) return false;
+  if (ev->shares.size() != cfg.a.cfg.quorum()) return false;
   std::set<std::uint32_t> seen;
-  for (const threshold::DecryptionShare& s : ev.shares) {
+  for (const threshold::DecryptionShare& s : ev->shares) {
     if (!seen.insert(s.index).second) return false;
     if (!threshold::verify_decryption_share(cfg.params, cfg.a.enc_commitments, *ea_m_rho, s,
                                             decrypt_context(done->id)))
       return false;
   }
-  group::Element m_rho = threshold::combine_decryption(cfg.params, *ea_m_rho, ev.shares);
-  if (m_rho != ev.m_rho) return false;
+  group::Element m_rho = threshold::combine_decryption(cfg.params, *ea_m_rho, ev->shares);
+  if (m_rho != ev->m_rho) return false;
   if (!cfg.params.in_zp_star(m_rho)) return false;
 
   // Payload consistency (steps 6(c)/6(d)): E_A(m) is the stored ciphertext

@@ -26,6 +26,8 @@
 #pragma once
 
 #include <optional>
+#include <span>
+#include <stdexcept>
 
 #include "core/config.hpp"
 #include "core/messages.hpp"
@@ -46,6 +48,55 @@ namespace dblind::core {
 // with (and signature-bound to) `cfg_epoch`.
 [[nodiscard]] SignedMessage make_envelope(const ServerSecrets& me, std::vector<std::uint8_t> body,
                                           ConfigEpoch cfg_epoch, mpz::Prng& prng);
+
+// --- the parse helpers ---------------------------------------------------------
+//
+// Every handler parses through these: a message that does not decode (or, for
+// parse_signed, is not correctly signed by the service it must come from) is
+// nullopt, and the handler ignores it, indistinguishably from loss.
+
+// `parse()`'s value, or nullopt on any codec error.
+template <typename Parse>
+[[nodiscard]] auto parsed_or_nullopt(Parse&& parse) -> std::optional<decltype(parse())> {
+  try {
+    return parse();
+  } catch (const CodecError&) {
+    return std::nullopt;
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
+  }
+}
+
+// Decodes `body` as T (tag `type`, element fields decoded in the configured
+// group once).
+template <typename T>
+[[nodiscard]] std::optional<T> try_decode(const SystemConfig& cfg, MsgType type,
+                                          std::span<const std::uint8_t> body) {
+  return parsed_or_nullopt([&] { return decode_as<T>(type, body, cfg.params); });
+}
+
+// The untagged twin, for evidence blobs.
+template <typename T>
+[[nodiscard]] std::optional<T> try_read(const SystemConfig& cfg,
+                                        std::span<const std::uint8_t> bytes) {
+  return parsed_or_nullopt([&] {
+    Reader r(bytes, &cfg.params);
+    T value = T::decode(r);
+    r.expect_done();
+    return value;
+  });
+}
+
+// try_decode of an envelope's body, after its signature verifies and, when
+// `from` is given, its signer belongs to that service.
+template <typename T>
+[[nodiscard]] std::optional<T> parse_signed(const SystemConfig& cfg, const SignedMessage& env,
+                                            MsgType type,
+                                            std::optional<ServiceRole> from = std::nullopt) {
+  if (!envelope_signature_ok(cfg, env)) return std::nullopt;
+  if (from && env.service != static_cast<std::uint8_t>(*from)) return std::nullopt;
+  return try_decode<T>(cfg, type, env.body);
+}
 
 // Fig. 5 row "init": returns the decoded message iff valid.
 [[nodiscard]] std::optional<InitMsg> check_init(const SystemConfig& cfg, const SignedMessage& env);

@@ -169,9 +169,9 @@ MetricsRegistry::histogram_samples() const {
     s.buckets.reserve(h.cell->buckets.size());
     for (const auto& b : h.cell->buckets) {
       s.buckets.push_back(b.load(std::memory_order_relaxed));
+      s.count += s.buckets.back();
     }
     s.total = h.cell->total.load(std::memory_order_relaxed);
-    s.count = h.cell->count.load(std::memory_order_relaxed);
     out.push_back(std::move(s));
   }
   return out;
@@ -210,8 +210,7 @@ std::string MetricsRegistry::prometheus_text() const {
     }
     out << key.first << "_sum" << key.second << " "
         << h.cell->total.load(std::memory_order_relaxed) << "\n";
-    out << key.first << "_count" << key.second << " "
-        << h.cell->count.load(std::memory_order_relaxed) << "\n";
+    out << key.first << "_count" << key.second << " " << cumulative << "\n";
   }
   return out.str();
 }

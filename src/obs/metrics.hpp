@@ -36,12 +36,13 @@ std::atomic<std::uint64_t>& discard_cell();
 
 // Backing storage for one histogram time series. `bounds` are inclusive
 // upper bucket bounds in ascending order; `buckets` has one extra slot for
-// the implicit +Inf bucket.
+// the implicit +Inf bucket. There is no separate count cell: the count is the
+// bucket sum, read in the same pass as the buckets, so an exposition taken
+// mid-update still has _count equal to the le="+Inf" bucket.
 struct HistogramCell {
   std::vector<std::uint64_t> bounds;
   std::vector<std::atomic<std::uint64_t>> buckets;
   std::atomic<std::uint64_t> total{0};
-  std::atomic<std::uint64_t> count{0};
 
   explicit HistogramCell(std::vector<std::uint64_t> b)
       : bounds(std::move(b)), buckets(bounds.size() + 1) {}
@@ -100,10 +101,11 @@ class Histogram {
     while (i < n && v > cell_->bounds[i]) ++i;
     cell_->buckets[i].fetch_add(1, std::memory_order_relaxed);
     cell_->total.fetch_add(v, std::memory_order_relaxed);
-    cell_->count.fetch_add(1, std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t count() const {
-    return cell_->count.load(std::memory_order_relaxed);
+    std::uint64_t n = 0;
+    for (const auto& b : cell_->buckets) n += b.load(std::memory_order_relaxed);
+    return n;
   }
   [[nodiscard]] std::uint64_t total() const {
     return cell_->total.load(std::memory_order_relaxed);

@@ -31,8 +31,6 @@ std::optional<Watchdog::Resolution> Watchdog::complete(std::uint64_t transfer,
   return out;
 }
 
-void Watchdog::disarm(std::uint64_t transfer) { entries_.erase(transfer); }
-
 std::vector<Watchdog::Stall> Watchdog::expired(std::uint64_t now) {
   std::vector<Stall> out;
   if (!enabled()) return out;

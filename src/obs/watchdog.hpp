@@ -61,9 +61,6 @@ class Watchdog {
 
   // Terminal progress: like progress(), then stops tracking the transfer.
   std::optional<Resolution> complete(std::uint64_t transfer, std::uint64_t now);
-
-  // Stops tracking without a resolution (epoch aborts, restores).
-  void disarm(std::uint64_t transfer);
   void reset() { entries_.clear(); }
 
   // Sweep at `now`: every tracked transfer idle past the deadline flips to

@@ -453,7 +453,7 @@ TEST_P(CodecBoundary, NonceRevealRejectedAtParse) {
 
 // A server handed a message whose first element is not a group element pays
 // nothing for it: the parse throws before any group operation, as with an
-// init from a coordinator above max_coordinators.
+// init from a coordinator rank above f+1.
 TEST_P(CodecBoundary, ServerPaysNoGroupOpsForRejectedElements) {
   ProtocolServer server(ts.cfg, ts.b_secrets[1], ProtocolOptions{});
   testing::NullContext ctx(3);

@@ -6,6 +6,7 @@
 #include "core/system.hpp"
 #include "core/validity.hpp"
 #include "tests/core/test_util.hpp"
+#include "threshold/thresh_decrypt.hpp"
 
 namespace dblind::core {
 namespace {
@@ -250,10 +251,10 @@ TEST(Protocol, PrecomputedContributionsComplete) {
   expect_success(sys, t);
 }
 
-// Honest servers never coordinate above max_coordinators (f+1 by default),
-// so an init from a higher rank is Byzantine: a correct contributor drops it
-// before any group work — no signature check, no bundle, no state, no
-// commit. A rank-1 init is the control: same path, accepted.
+// Honest servers coordinate only as ranks 1..f+1 (§4.1), so an init from a
+// higher rank is Byzantine: a correct contributor drops it before any group
+// work — no signature check, no bundle, no state, no commit. A rank-1 init
+// is the control: same path, accepted.
 TEST(Protocol, InitAboveMaxCoordinatorsCostsNothing) {
   auto ts = testing::TestSystem::make(21);
   mpz::Prng prng(4);
@@ -262,13 +263,9 @@ TEST(Protocol, InitAboveMaxCoordinatorsCostsNothing) {
   server.on_start(ctx);
   const group::GroupParams& gp = server.config().params;
   auto frame_init = [&](ServerRank coordinator) {
-    SignedMessage env =
-        make_envelope(ts.b_secrets[coordinator - 1],
-                      encode_body(MsgType::kInit, InitMsg{InstanceId{1, coordinator, 0}}), 0, prng);
-    Writer w;
-    w.u8(static_cast<std::uint8_t>(WireKind::kServerSigned));
-    env.encode(w);
-    return w.take();
+    return testing::framed(make_envelope(
+        ts.b_secrets[coordinator - 1],
+        encode_body(MsgType::kInit, InitMsg{InstanceId{1, coordinator, 0}}), 0, prng));
   };
 
   const ServerRank above = static_cast<ServerRank>(ts.cfg.b.cfg.f + 2);
@@ -402,14 +399,6 @@ TEST(Protocol, SurvivesDosSlowedCoordinator) {
   expect_success(sys, t);
 }
 
-TEST(Protocol, SingleCoordinatorNoBackupsHonestRun) {
-  SystemOptions o = base_options(27);
-  o.protocol.max_coordinators = 1;
-  System sys(std::move(o));
-  TransferId t = sys.add_transfer(sys.config().params.encode_message(Bigint(97)));
-  expect_success(sys, t);
-}
-
 TEST(Protocol, AddTransferValidatesPlaintext) {
   System sys(base_options(24));
   // Not a group element: p-1 is a non-residue.
@@ -434,6 +423,153 @@ TEST(Protocol, StatsAreAccountedFor) {
   EXPECT_GT(stats.end_time, 0u);
   EXPECT_GT(sys.service_cpu_seconds(ServiceRole::kServiceA), 0.0);
   EXPECT_GT(sys.service_cpu_seconds(ServiceRole::kServiceB), 0.0);
+}
+
+
+// ---- signing-member rules on hand-signed frames ------------------------------
+
+// A service-A server of rank 2 as a threshold-signing member for requester
+// rank 1, driven on a NullContext. The kDone request carries valid evidence:
+// a blind message signed with B's reconstructed signing key (standing in for
+// B's signing round) and f+1 decryption shares.
+struct SigningFixture {
+  static constexpr std::uint64_t kSession = 5;
+  testing::TestSystem ts = testing::TestSystem::make(71);
+  mpz::Prng prng{72};
+  testing::NullContext ctx{73};
+  ProtocolServer member{ts.cfg, ts.a_secrets[1], ProtocolOptions{}};
+  std::vector<std::uint8_t> request;  // the framed kSignRequest
+
+  SigningFixture() {
+    const SystemConfig& cfg = ts.cfg;
+    const group::GroupParams& gp = cfg.params;
+    const InstanceId id{1, 1, 0};
+    const elgamal::Ciphertext stored = cfg.a.encryption_key.encrypt(gp.random_element(prng), prng);
+    BlindPayload blind{id, {}};
+    const group::Element rho = gp.random_element(prng);
+    blind.blinded.ea = cfg.a.encryption_key.encrypt(rho, prng);
+    blind.blinded.eb = cfg.b.encryption_key.encrypt(rho, prng);
+    const std::vector<threshold::Share> b_quorum = {ts.b_secrets[0].sign_share,
+                                                    ts.b_secrets[1].sign_share};
+    const zkp::SchnorrSigningKey b_sign =
+        zkp::SchnorrSigningKey::from_private(gp, threshold::shamir_reconstruct(b_quorum, gp.q()));
+    ServiceSignedMsg blind_env;
+    blind_env.service = static_cast<std::uint8_t>(ServiceRole::kServiceB);
+    blind_env.body = encode_body(MsgType::kBlind, blind);
+    blind_env.sig = b_sign.sign(blind_env.body, prng);
+
+    const elgamal::Ciphertext ea_m_rho = *cfg.a.encryption_key.multiply(stored, blind.blinded.ea);
+    std::vector<threshold::DecryptionShare> shares;
+    for (std::uint32_t i : {1u, 2u}) {
+      shares.push_back(threshold::make_decryption_share(
+          gp, ea_m_rho, ts.a_secrets[i - 1].enc_share, decrypt_context(id), prng));
+    }
+    const group::Element m_rho = threshold::combine_decryption(gp, ea_m_rho, shares);
+    DonePayload done{id, stored,
+                     cfg.b.encryption_key.juxtapose(
+                         m_rho, cfg.b.encryption_key.inverse(blind.blinded.eb))};
+    Writer w;
+    DoneEvidence{blind_env, m_rho, shares}.encode(w);
+    SignRequestMsg req{kSession, static_cast<std::uint8_t>(SignPurpose::kDone),
+                       encode_body(MsgType::kDone, done), w.take()};
+    request = from_requester(MsgType::kSignRequest, req);
+
+    member.store_secret(id.transfer, stored);
+    member.on_start(ctx);
+  }
+
+  [[nodiscard]] const group::GroupParams& gp() const { return ts.cfg.params; }
+  [[nodiscard]] net::NodeId requester() const { return ts.cfg.a.node_of(1); }
+
+  template <typename T>
+  std::vector<std::uint8_t> from_requester(MsgType type, const T& msg) {
+    return testing::framed(make_envelope(ts.a_secrets[0], encode_body(type, msg), 0, prng));
+  }
+  // Feeds one frame from the requester; returns what the member sent back.
+  std::vector<std::vector<std::uint8_t>> feed(const std::vector<std::uint8_t>& frame) {
+    const std::size_t before = ctx.frames.size();
+    member.on_message(ctx, requester(), frame);
+    std::vector<std::vector<std::uint8_t>> out;
+    for (std::size_t i = before; i < ctx.frames.size(); ++i) {
+      EXPECT_EQ(ctx.frames[i].first, requester());
+      out.push_back(ctx.frames[i].second);
+    }
+    return out;
+  }
+  template <typename T>
+  T reply_as(MsgType type, const std::vector<std::uint8_t>& frame) const {
+    return decode_as<T>(type, testing::body_of(frame), gp());
+  }
+  // A quorum member the test plays itself (rank 1 or 3), with a fresh nonce.
+  threshold::SigningMember peer(ServerRank rank) {
+    return threshold::SigningMember(gp(), ts.a_secrets[rank - 1].sign_share, prng);
+  }
+};
+
+// A duplicate request is answered with the cached commit frame: the same
+// bytes, and no second nonce. It still pays the envelope and evidence
+// re-check, which runs before the duplicate lookup, but not the nonce
+// commitment a fresh session costs.
+TEST(SigningRound, DuplicateRequestGetsSameCommitReply) {
+  SigningFixture fx;
+  std::uint64_t ops = fx.gp().group_op_count();
+  const auto first = fx.feed(fx.request);
+  const std::uint64_t first_ops = fx.gp().group_op_count() - ops;
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(fx.member.signing_nonces_held(), 1u);
+
+  ops = fx.gp().group_op_count();
+  const auto again = fx.feed(fx.request);
+  const std::uint64_t again_ops = fx.gp().group_op_count() - ops;
+  ASSERT_EQ(again.size(), 1u);
+  EXPECT_EQ(again.front(), first.front());
+  EXPECT_EQ(fx.member.signing_nonces_held(), 1u);
+  EXPECT_LT(again_ops, first_ops);
+}
+
+// A member signs at most once per session: a duplicate of the reveal set it
+// answered gets the cached partial, and a different reveal set gets nothing.
+TEST(SigningRound, SecondRevealSetGetsNoPartial) {
+  SigningFixture fx;
+  const auto commit = fx.feed(fx.request);
+  ASSERT_EQ(commit.size(), 1u);
+  const auto mine =
+      fx.reply_as<SignCommitReplyMsg>(MsgType::kSignCommitReply, commit.front()).commit;
+  threshold::SigningMember rank1 = fx.peer(1);
+  const auto reveal = fx.feed(fx.from_requester(
+      MsgType::kSignQuorum, SignQuorumMsg{SigningFixture::kSession, {rank1.commitment(), mine}}));
+  ASSERT_EQ(reveal.size(), 1u);
+  const auto my_reveal =
+      fx.reply_as<SignRevealReplyMsg>(MsgType::kSignRevealReply, reveal.front()).reveal;
+
+  const auto set = fx.from_requester(
+      MsgType::kSignRevealSet, SignRevealSetMsg{SigningFixture::kSession, {rank1.reveal(), my_reveal}});
+  const auto partial = fx.feed(set);
+  ASSERT_EQ(partial.size(), 1u);
+  (void)fx.reply_as<SignPartialReplyMsg>(MsgType::kSignPartialReply, partial.front());
+  EXPECT_EQ(fx.member.signing_nonces_held(), 0u);
+  EXPECT_EQ(fx.feed(set), partial);
+
+  threshold::SigningMember other = fx.peer(1);
+  EXPECT_TRUE(fx.feed(fx.from_requester(MsgType::kSignRevealSet,
+                                        SignRevealSetMsg{SigningFixture::kSession,
+                                                         {other.reveal(), my_reveal}}))
+                  .empty());
+}
+
+// A quorum that leaves the member out means its nonce will never be used:
+// the member releases it at once and reveals nothing.
+TEST(SigningRound, QuorumWithoutMemberReleasesNonce) {
+  SigningFixture fx;
+  ASSERT_EQ(fx.feed(fx.request).size(), 1u);
+  ASSERT_EQ(fx.member.signing_nonces_held(), 1u);
+  threshold::SigningMember rank1 = fx.peer(1);
+  threshold::SigningMember rank3 = fx.peer(3);
+  EXPECT_TRUE(fx.feed(fx.from_requester(MsgType::kSignQuorum,
+                                        SignQuorumMsg{SigningFixture::kSession,
+                                                      {rank1.commitment(), rank3.commitment()}}))
+                  .empty());
+  EXPECT_EQ(fx.member.signing_nonces_held(), 0u);
 }
 
 }  // namespace

@@ -196,28 +196,8 @@ TEST(Reconfig, EpochIsMonotonic) {
 
 // ---- round rules on hand-signed envelopes ----------------------------------
 
-// The type-tagged body of a server-signed or client frame.
-std::vector<std::uint8_t> body_of(const std::vector<std::uint8_t>& frame) {
-  Reader r(frame);
-  const auto kind = static_cast<WireKind>(r.u8());
-  if (kind == WireKind::kServerSigned) return SignedMessage::decode(r).body;
-  if (kind == WireKind::kClient) return r.bytes();
-  return {};
-}
-
-std::vector<std::uint8_t> framed(const SignedMessage& env) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(WireKind::kServerSigned));
-  env.encode(w);
-  return w.take();
-}
-
-std::vector<std::uint8_t> framed(const std::vector<std::uint8_t>& client_body) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(WireKind::kClient));
-  w.bytes(client_body);
-  return w.take();
-}
+using testing::body_of;
+using testing::framed;
 
 // A same-roster refresh of a (4,1) service B at epoch 1, with every message
 // signed by hand under the epoch-0 roster keys.

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/messages.hpp"
 #include "net/sim.hpp"
 #include "threshold/keygen.hpp"
 #include "threshold/shamir.hpp"
@@ -35,6 +36,22 @@ class NullContext final : public net::Context {
  private:
   mpz::Prng prng_;
 };
+
+// Wire framing for hand-built messages: a server-signed envelope, or a
+// client body.
+inline Frame framed(const SignedMessage& env) { return frame_signed(env); }
+inline Frame framed(const std::vector<std::uint8_t>& client_body) {
+  return frame_client(client_body);
+}
+
+// The type-tagged body of a server-signed or client frame.
+inline std::vector<std::uint8_t> body_of(const std::vector<std::uint8_t>& frame) {
+  Reader r(frame);
+  const auto kind = static_cast<WireKind>(r.u8());
+  if (kind == WireKind::kServerSigned) return SignedMessage::decode(r).body;
+  if (kind == WireKind::kClient) return r.bytes();
+  return {};
+}
 
 struct TestService {
   ServicePublic pub;

@@ -431,20 +431,28 @@ bool run_chaos(const Mix& mix, std::uint64_t seed, bool retransmit = true) {
   // Settle before the trace check. run_to_completion stops the instant the
   // honest current roster holds every result, but other live roster members
   // — a Byzantine coordinator, members still interpolating a re-shared key,
-  // an adopted standby — may still have result or sub-share pulls riding
-  // their capped backoff, and their open watchdog stalls resolve only when
-  // those land. Let them: T10 below is unchanged, so a stall that never
-  // resolves still fails once the event queue drains.
+  // an adopted standby, a member that restarts after the install — may still
+  // have install, result or sub-share pulls riding their capped backoff, and
+  // their open watchdog stalls resolve only when those land. Let them: wait
+  // for every scheduled restart, then for every live roster member to reach
+  // the installed epoch with a complete share and every result. T10 below is
+  // unchanged, so a stall that never resolves still fails once the event
+  // queue drains.
   const bool owes_liveness = mix.liveness_expected && retransmit;
+  const ConfigEpoch installed = mix.churn != Mix::Churn::kNone ? 1 : 0;
+  const net::Time restart_at = mix.churn_crash_member ? mix.churn_at + 900'000 : 0;
   if (owes_liveness) {
     auto settled = [&](const ProtocolServer& s) {
-      if (s.share_pending()) return false;
+      if (s.share_pending() || s.config_epoch() < installed) return false;
       for (TransferId t : transfers) {
         if (!s.result(t)) return false;
       }
       return true;
     };
     sys.sim().run_until([&] {
+      if (sys.sim().now() < restart_at ||
+          (mix.churn_crash_member && sys.sim().crashed(sys.b_node(4))))
+        return false;
       for (ServerRank r = 1; r <= b_n; ++r) {
         if (sys.b_server(r).rank() == 0 || sys.sim().crashed(sys.b_node(r))) continue;
         if (!settled(sys.b_server(r))) return false;
@@ -504,6 +512,18 @@ bool run_chaos(const Mix& mix, std::uint64_t seed, bool retransmit = true) {
         if (!sys.is_honest_b(r)) continue;
         EXPECT_EQ(sys.b_server(r).config_epoch(), 1u) << mix.name << " seed=" << seed
                                                       << " rank=" << r;
+      }
+      if (mix.churn_crash_member) {
+        // The rank that crashed as the round started has restarted, pulled
+        // the install, completed its re-shared share and every result.
+        const ProtocolServer& laggard = sys.b_server(4);
+        EXPECT_FALSE(sys.sim().crashed(sys.b_node(4))) << mix.name << " seed=" << seed;
+        EXPECT_EQ(laggard.config_epoch(), 1u) << mix.name << " seed=" << seed;
+        EXPECT_FALSE(laggard.share_pending()) << mix.name << " seed=" << seed;
+        for (TransferId t : transfers) {
+          EXPECT_TRUE(laggard.result(t).has_value())
+              << mix.name << " seed=" << seed << " t=" << t;
+        }
       }
       if (mix.churn == Mix::Churn::kJoin) {
         EXPECT_EQ(sys.b_standby_server(0).config_epoch(), 1u) << mix.name << " seed=" << seed;
@@ -626,6 +646,15 @@ TEST(ChaosRegression, CorruptPartitionSeed112WatchdogBarksInPartition) {
 // roster. The settle must cover it before T10 is checked, not after.
 TEST(ChaosRegression, ChurnMidTransferSeed246StallResolves) {
   EXPECT_TRUE(run_chaos(mix_named("churn-mid-transfer"), 246));
+}
+
+// B rank 4 crashes as the reshare round starts and restarts 900 ms later. The
+// settle used to skip it (crashed nodes are not checked) and, once it only
+// waited for the restart, stopped at 1,156.7 ms — before the laggard's own
+// install at 1,165.0 ms. The settle must wait for the restarted rank to
+// reach the installed epoch with its share complete.
+TEST(ChaosRegression, ChurnCrashSeed138LaggardRejoins) {
+  EXPECT_TRUE(run_chaos(mix_named("churn-crash-during-reshare"), 138));
 }
 
 // Crash-recovery in isolation: the designated B coordinator dies mid-protocol

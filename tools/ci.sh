@@ -63,8 +63,21 @@
 #                    replayed against the Fig. 4 invariants (done needs f+1
 #                    valid contributions, reveal needs the commit quorum,
 #                    epoch monotonicity, retransmit backoff cap)
+#   same_behaviour   refactor gate: exports DBLIND_BASE_REF (default HEAD)
+#                    with git archive into build-base/, builds it beside the
+#                    working tree, and byte-compares (1) `dblind transfer
+#                    --trace` JSONL for the honest, `--byzantine adaptive` and
+#                    `--byzantine badvde --loss 10` runs at seeds 1-3, (2) every
+#                    chaos mix's trace at seeds 100-102 (DBLIND_CHAOS_TRACE_DIR)
+#                    and (3) perfbench's deterministic counts (setup_word_muls,
+#                    word_muls_per_transfer, wire_bytes_per_transfer,
+#                    messages_per_transfer) on every workload at seed 1.
+#                    DBLIND_SAME_BEHAVIOUR_EXCEPT="<name> ..." lists chaos
+#                    mixes or count names whose difference is reported but
+#                    does not fail the job. Not part of the default job list.
 #
-# Usage: tools/ci.sh [job...]     (no args = all jobs, lint first)
+# Usage: tools/ci.sh [job...]     (no args = every job but same_behaviour,
+#                                  lint first)
 # Exit: nonzero if any selected job fails.
 set -u
 
@@ -125,6 +138,82 @@ run_chaos_sweep() {
     fi
   fi
   rm -f "$log"
+  return $rc
+}
+
+# The same_behaviour job (see the header). Everything it writes lands in
+# build-base/ (the exported base tree, its build, and both sides' outputs
+# under build-base/compare/).
+run_same_behaviour() {
+  local base_ref="${DBLIND_BASE_REF:-HEAD}"
+  local except=" ${DBLIND_SAME_BEHAVIOUR_EXCEPT:-} "
+  local base="$ROOT/build-base"
+  local out="$base/compare"
+  rm -rf "$base"
+  mkdir -p "$base/src" "$out" || return 1
+  git -C "$ROOT" archive "$base_ref" | tar -x -C "$base/src" || return 1
+  echo "ci.sh: same_behaviour: $base_ref vs the working tree"
+  cmake -S "$base/src" -B "$base/build" -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null &&
+    cmake --build "$base/build" -j "$NPROC" --target dblind chaos_test > /dev/null &&
+    cmake --preset relwithdebinfo > /dev/null &&
+    cmake --build --preset relwithdebinfo -j "$NPROC" --target dblind chaos_test > /dev/null ||
+    return 1
+
+  local side tree src seed w
+  for side in base work; do
+    if [[ $side == base ]]; then tree="$base/build" src="$base/src"; else
+      tree="$ROOT/build-relwithdebinfo" src="$ROOT"; fi
+    mkdir -p "$out/$side/cli" "$out/$side/chaos" "$out/$side/perf"
+    for seed in 1 2 3; do
+      "$tree/tools/dblind" transfer --bits 64 --message dawn --seed "$seed" \
+        --trace "$out/$side/cli/honest_seed$seed.jsonl" > /dev/null &&
+        "$tree/tools/dblind" transfer --bits 64 --message dawn --seed "$seed" \
+          --byzantine adaptive --trace "$out/$side/cli/adaptive_seed$seed.jsonl" > /dev/null &&
+        "$tree/tools/dblind" transfer --bits 64 --message dawn --seed "$seed" \
+          --byzantine badvde --loss 10 --trace "$out/$side/cli/badvde_seed$seed.jsonl" \
+          > /dev/null || return 1
+    done
+    DBLIND_CHAOS_TRACE_DIR="$out/$side/chaos" DBLIND_CHAOS_SEEDS=3 DBLIND_CHAOS_SEED_BASE=100 \
+      "$tree/tests/chaos_test" --gtest_filter='ChaosSweep.EnvConfiguredSweep' \
+      > "$out/$side/chaos.log" 2>&1 || echo "ci.sh: $side chaos sweep failed (see $out/$side/chaos.log)"
+    for w in ec255-steady modp1024-steady ec255-byzantine-churn; do
+      (cd "$src" && python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0 \
+        2> /dev/null | tail -n 1) > "$out/$side/perf/$w.json" || return 1
+    done
+  done
+
+  local rc=0 f name
+  for f in "$out"/base/cli/* "$out"/base/chaos/*.jsonl; do
+    name="${f#"$out"/base/}"
+    if cmp -s "$f" "$out/work/$name"; then continue; fi
+    local mix="${name#chaos/}"
+    mix="${mix%_seed*}"
+    if [[ $except == *" $mix "* ]]; then
+      echo "ci.sh: same_behaviour: $name differs (excepted)"
+    else
+      echo "ci.sh: same_behaviour: $name DIFFERS"
+      rc=1
+    fi
+  done
+  [[ $(ls "$out/base/chaos" | wc -l) -eq $(ls "$out/work/chaos" | wc -l) ]] ||
+    { echo "ci.sh: same_behaviour: the two chaos sweeps wrote different trace sets"; rc=1; }
+  python3 - "$out" "$except" << 'PY' || rc=1
+import json, sys
+out, except_ = sys.argv[1], sys.argv[2].split()
+counts = ["setup_word_muls", "word_muls_per_transfer", "wire_bytes_per_transfer",
+          "messages_per_transfer"]
+ok = True
+for w in ["ec255-steady", "modp1024-steady", "ec255-byzantine-churn"]:
+    base, work = ({k: v["value"] for k, v in json.load(open(f"{out}/{s}/perf/{w}.json"))["metrics"].items()}
+                  for s in ("base", "work"))
+    for c in counts:
+        same = base[c] == work[c]
+        note = "same" if same else ("differs (excepted)" if c in except_ else "DIFFERS")
+        print(f"ci.sh: same_behaviour: {w} {c}: {base[c]} -> {work[c]} {note}")
+        ok = ok and (same or c in except_)
+sys.exit(0 if ok else 1)
+PY
+  [[ $rc -eq 0 ]] && echo "ci.sh: same_behaviour: traces and counts match"
   return $rc
 }
 
@@ -237,8 +326,12 @@ for job in "${JOBS[@]}"; do
             --generate-with "$ROOT/build-relwithdebinfo/tools/dblind"
       } || FAILED+=("$job")
       ;;
+    same_behaviour)
+      banner same_behaviour
+      run_same_behaviour || FAILED+=("$job")
+      ;;
     *)
-      echo "ci.sh: unknown job '$job' (relwithdebinfo|asan|tsan|lint|taint|thread_safety|chaos|churn|load|backend_matrix|bench|trace_check)" >&2
+      echo "ci.sh: unknown job '$job' (relwithdebinfo|asan|tsan|lint|taint|thread_safety|chaos|churn|load|backend_matrix|bench|trace_check|same_behaviour)" >&2
       FAILED+=("$job")
       ;;
   esac

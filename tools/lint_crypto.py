@@ -44,8 +44,10 @@ about, run over the token/line surface of ``src/``:
       The backend implementation itself (src/group/) is exempt.
 
   retransmit-rerandomize
-      Retransmission paths (functions whose name contains ``resend`` or
-      ``retransmit``) must re-send the originally-signed bytes verbatim,
+      Retransmission paths (every member of the ``Recovery`` module —
+      its broadcast and timer entry points included — and any function
+      whose name contains ``resend`` or ``retransmit``) must re-send the
+      originally-signed bytes verbatim,
       never rebuild the message: re-running ``make_envelope``/``vde_prove``
       or drawing fresh randomness inside a resend path re-randomizes a
       message the receiver may have already acted on — and for Schnorr
@@ -64,7 +66,8 @@ about, run over the token/line surface of ``src/``:
 
   trace-hygiene
       The observability layer (src/obs/ and every ``emit_*``/``record_*``
-      call that feeds it) must only ever see public protocol coordinates —
+      call that feeds it, the protocol modules' ``trace``/``verdict`` hook
+      included) must only ever see public protocol coordinates —
       timestamps, node ids, ranks, message types, counts. Secret material
       (rho, key shares, decryption exponents, signing nonces, Prng state)
       appearing in src/obs/ code or in the arguments of an emit/record
@@ -171,7 +174,9 @@ SECRET_SCALAR = re.compile(
 
 # A *definition* line (column 0, not a `;`-terminated declaration) of a
 # function whose name marks it as a retransmission path.
-RESEND_FN_DEF = re.compile(r"^[\w:<>,&*~\[\]\s]*\b\w*(?:resend|retransmit)\w*\s*\(")
+RESEND_FN_DEF = re.compile(
+    r"^[\w:<>,&*~\[\]\s]*\b(?:\w*(?:resend|retransmit)\w*|Recovery::\w+)\s*\("
+)
 
 # Anything that mints fresh crypto material — forbidden inside resend paths,
 # which must replay cached, originally-signed bytes.
@@ -221,9 +226,9 @@ TRACE_SECRET = re.compile(
 # arm/progress/complete arguments resurface verbatim inside kStall state
 # dumps — all of them must carry only public coordinates.
 EMIT_CALL = re.compile(
-    r"\b(?:emit|record)\w*\s*\("
+    r"\b(?:emit|record)\w*\s*\(|\b(?:trace|verdict)\s*\("
     r"|\b(?:mint_span|set_current_span)\s*\("
-    r"|\bwatchdog\w*\.\s*(?:arm|progress|complete|expired)\s*\("
+    r"|\bwatchdog\w*(?:\(\))?\.\s*(?:arm|progress|complete|expired)\s*\("
 )
 
 # A TraceEvent built by hand (the watchdog emits kStall/kStallResolved
@@ -611,7 +616,25 @@ SELF_TEST_CASES = [
         "  req.ea_m = cfg_.a.encryption_key.encrypt(m_, ctx.rng());\n"
         "}",
     ),
+    (
+        "retransmit-rerandomize",
+        "std::uint64_t Recovery::broadcast(net::Context& ctx, const Frame& frame) {\n"
+        "  auto env = make_envelope(me, body, epoch, ctx.rng());\n"
+        "}",
+    ),
+    (
+        "retransmit-rerandomize",
+        "void Recovery::on_timer(const Local& l, std::uint64_t key) {\n"
+        "  e.msgs.front().second = frame_signed(l.sign(vde_prove(ka, ea, r1, kb, eb, r2, c, rng)));\n"
+        "}",
+    ),
     # ...and must NOT fire:
+    (
+        None,
+        "void Signing::broadcast_round(const Local& l, Session& s) {\n"
+        "  auto env = make_envelope(me, body, epoch, ctx.rng());  // a round's first send\n"
+        "}",
+    ),
     (
         None,
         "void ProtocolServer::resend_frame(net::Context& ctx, net::NodeId to) {\n"
@@ -690,6 +713,9 @@ SELF_TEST_CASES = [
         "            .count = nonce_commitment.words()});",
     ),
     ("trace-hygiene", "recorder->record(make_event(prng.state()));"),
+    # ...through a module's trace hook, and through the watchdog accessor:
+    ("trace-hygiene", "l.trace(obs::EventKind::kCommitSent, &id, {.peer = share.index});"),
+    ("trace-hygiene", "observer_.watchdog().arm(share.index, ctx.now());"),
     # ...secrets through the PR 9 span plumbing and watchdog call sites:
     ("trace-hygiene", "ctx.set_current_span(secrets_.rank ^ mask);"),
     ("trace-hygiene", "watchdog_.progress(ev.transfer, ev.ts, share_index);"),

@@ -38,13 +38,15 @@ Laundering (approved one-way/enciphering transforms whose output is public
 by design): ``encrypt*``, ``commit*``, ``hash*``/``sha256*``/``digest*``,
 transcript ``absorb*``/``challenge*``, group exponentiation (``pow``,
 ``pow_g``, ``pow_fixed``, ``pow2``, ``multi_pow`` — DL-hard),
-and the wire-framing path ``make_envelope``/``frame_bytes`` (its output is a
-signed protocol message, public by definition). Length/size projections
+and the wire-framing path ``make_envelope``/``sign``/``frame_bytes``/
+``frame_signed`` (its output is a signed protocol message, public by
+definition). Length/size projections
 (``bit_length()``, ``size()``) are deliberately NOT laundering — consistent
 with lint_crypto's trace-hygiene rule.
 
 Sinks (where tainted values must never arrive):
   taint-trace       arguments of ``emit_*``/``record*`` observability calls
+                    and of the modules' trace hook ``trace``/``verdict``
                     (multi-line calls included)
   taint-metric      arguments of metric-handle updates ``.inc()``/``.set()``/
                     ``.observe()``
@@ -58,9 +60,11 @@ Sinks (where tainted values must never arrive):
                     randomness must never survive a crash (re-proving over
                     it after restore breaks witness secrecy).
   taint-retransmit  the retransmit cache: assignments into ``*frame*`` /
-                    ``*retransmit_cache*`` members and ``arm_resend``/
-                    ``cache_frame*`` arguments must carry framed signed
-                    bytes, never raw secrets.
+                    ``*retransmit_cache*`` members and the arguments of the
+                    retransmission entry points (``broadcast*`` — every
+                    Recovery broadcast — ``resend_frame``, ``arm_resend``,
+                    ``cache_frame*``) must carry framed signed bytes, never
+                    raw secrets.
 
 Waivers: append ``// taint-lint: allow(<rule>) <reason>`` to the flagged
 line (or the line directly above). A reason is mandatory.
@@ -123,7 +127,7 @@ DECL_NAME = re.compile(r"([A-Za-z_]\w*)\s*(?:;|=|\{|\()")
 LAUNDER_CALL = re.compile(
     r"\b(?:encrypt\w*|commit\w*|hash\w*|sha256\w*|digest\w*|absorb\w*|"
     r"challenge\w*|pow_g|pow_fixed|pow2|multi_pow|pow|"
-    r"make_envelope|frame_bytes|signed_frame|frame_service|"
+    r"make_envelope|frame_bytes|signed_frame|frame_signed|frame_service|sign|"
     r"check_\w+|verify\w*)\s*\("
 )
 
@@ -134,13 +138,15 @@ PUBLIC_PROJECTION = re.compile(r"\b[A-Za-z_][\w]*\s*(?:\.|->)\s*(?:rank|role)\b"
 
 # --- sinks -------------------------------------------------------------------
 
-TRACE_SINK = re.compile(r"\b(?:emit|record)\w*\s*\(")
+TRACE_SINK = re.compile(r"\b(?:emit\w*|record\w*|trace|verdict)\s*\(")
 METRIC_SINK = re.compile(r"\.(?:inc|set|observe)\s*\(")
 LOG_SINK = re.compile(
     r"std::(cout|cerr|clog)\b|\bf?printf\s*\(|\bputs\s*\(|\bstd::format\s*\(|"
     r"\bsyslog\s*\(|\bos\s*<<"
 )
-RETRANSMIT_CALL_SINK = re.compile(r"\b(?:arm_resend|cache_frames?\w*|store_frames?\w*)\s*\(")
+RETRANSMIT_CALL_SINK = re.compile(
+    r"\b(?:arm_resend|broadcast\w*|resend_frame|cache_frames?\w*|store_frames?\w*)\s*\("
+)
 RETRANSMIT_ASSIGN_SINK = re.compile(
     r"((?:[A-Za-z_]\w*\.)*\w*(?:frame|retransmit_cache)\w*)\s*=(?!=)(.*)$"
 )
@@ -365,6 +371,9 @@ SELF_TEST_CASES = [
     ("taint-log", _fn('  std::cout << "share: " << share << "\\n";')),
     ("taint-metric", _fn("  depth_metric_.set(witness_r1.words());")),
     ("taint-trace", _fn("  recorder->record(make_event(nonce));")),
+    # the protocol modules reach the recorder through Local::trace/verdict:
+    ("taint-trace", _fn("  l.trace(obs::EventKind::kCommitSent, &id, {.peer = rho.words()});")),
+    ("taint-trace", _fn("  l.verdict(ok, true, nullptr, share.index, MsgType::kContribute);")),
     # ---- multi-step propagation -------------------------------------------
     ("taint-trace", _fn(
         "  auto tmp = rho;\n"
@@ -481,6 +490,15 @@ SELF_TEST_CASES = [
     ("taint-retransmit", _fn(
         "  auto leaked = r1;\n"
         "  cache_frames(st, leaked);")),
+    # the retransmission module's entry points are sinks too:
+    ("taint-retransmit", _fn(
+        "  auto mask = gp.random_exponent(prng);\n"
+        "  l.resend.broadcast(l.ctx, l.cfg.b.nodes(), mask.to_bytes_be(), {});")),
+    ("taint-retransmit", _fn(
+        "  l.resend.resend_frame(l.ctx, to, nonce.to_bytes_be());")),
+    (None, _fn(
+        "  l.resend.broadcast(l.ctx, l.cfg.b.nodes(),\n"
+        "                     frame_signed(l.sign(encode_body(MsgType::kInit, init))), {});")),
     # the legitimate path: framed, signed envelope bytes
     (None, _fn(
         "  auto env = make_envelope(cfg_, secrets_, body, ctx.rng());\n"
