@@ -2,25 +2,31 @@
 
 namespace dblind::core {
 
-namespace {
+void FailstopInit::encode(Writer& w) const { w.u32(coordinator); }
 
-// Plain (unsigned) messages: the fail-stop model has no Byzantine senders.
-enum class FsType : std::uint8_t { kInit = 1, kContribute = 2 };
+FailstopInit FailstopInit::decode(Reader& r) { return {r.u32()}; }
 
-std::vector<std::uint8_t> fs_init(std::uint32_t coordinator) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(FsType::kInit));
-  w.u32(coordinator);
-  return w.take();
-}
-
-std::vector<std::uint8_t> fs_contribute(std::uint32_t coordinator, std::uint32_t server,
-                                        const Contribution& c) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(FsType::kContribute));
+void FailstopContribute::encode(Writer& w) const {
   w.u32(coordinator);
   w.u32(server);
-  c.encode(w);
+  contribution.encode(w);
+}
+
+FailstopContribute FailstopContribute::decode(Reader& r) {
+  FailstopContribute m;
+  m.coordinator = r.u32();
+  m.server = r.u32();
+  m.contribution = Contribution::decode(r);
+  return m;
+}
+
+namespace {
+
+template <typename T>
+std::vector<std::uint8_t> fs_frame(FailstopType type, const T& msg) {
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(type));
+  msg.encode(w);
   return w.take();
 }
 
@@ -48,17 +54,15 @@ class FailstopBlindingSystem::ServerNode final : public net::Node {
   void on_message(net::Context& ctx, net::NodeId from, std::span<const std::uint8_t> bytes) override {
     try {
       Reader r(bytes, &sys_.opts_.params);
-      auto type = static_cast<FsType>(r.u8());
-      if (type == FsType::kInit) {
-        std::uint32_t coordinator = r.u32();
+      auto type = static_cast<FailstopType>(r.u8());
+      if (type == FailstopType::kInit) {
+        const FailstopInit m = FailstopInit::decode(r);
         r.expect_done();
-        handle_init(ctx, from, coordinator);
-      } else if (type == FsType::kContribute) {
-        std::uint32_t coordinator = r.u32();
-        std::uint32_t server = r.u32();
-        Contribution c = Contribution::decode(r);
+        handle_init(ctx, from, m.coordinator);
+      } else if (type == FailstopType::kContribute) {
+        const FailstopContribute m = FailstopContribute::decode(r);
         r.expect_done();
-        if (coordinator == rank_) handle_contribute(ctx, server, c);
+        if (m.coordinator == rank_) handle_contribute(ctx, m.server, m.contribution);
       }
     } catch (const CodecError&) {
     }
@@ -69,7 +73,7 @@ class FailstopBlindingSystem::ServerNode final : public net::Node {
  private:
   void start_coordinator(net::Context& ctx) {
     started_ = true;
-    auto msg = fs_init(rank_);
+    auto msg = fs_frame(FailstopType::kInit, FailstopInit{rank_});
     for (std::uint32_t r = 1; r <= sys_.opts_.n; ++r) ctx.send(r - 1, msg);
   }
 
@@ -84,7 +88,7 @@ class FailstopBlindingSystem::ServerNode final : public net::Node {
     Contribution c;
     c.ea = sys_.ka_->public_key().encrypt(rho, ctx.rng());
     c.eb = sys_.kb_->public_key().encrypt(rho, ctx.rng());
-    ctx.send(from, fs_contribute(coordinator, rank_, c));
+    ctx.send(from, fs_frame(FailstopType::kContribute, FailstopContribute{coordinator, rank_, c}));
   }
 
   void handle_contribute(net::Context& ctx, std::uint32_t server, const Contribution& c) {

@@ -36,6 +36,26 @@ struct FailstopOptions {
   bool adaptive_attack = false;
 };
 
+// The fail-stop protocol's two frames: a FailstopType byte, then the
+// message. Unsigned: the fail-stop model has no Byzantine senders.
+enum class FailstopType : std::uint8_t { kInit = 1, kContribute = 2 };
+
+struct FailstopInit {
+  std::uint32_t coordinator = 0;
+
+  void encode(Writer& w) const;
+  static FailstopInit decode(Reader& r);
+};
+
+struct FailstopContribute {
+  std::uint32_t coordinator = 0;
+  std::uint32_t server = 0;
+  Contribution contribution;
+
+  void encode(Writer& w) const;
+  static FailstopContribute decode(Reader& r);
+};
+
 struct FailstopOutcome {
   Contribution blinded;       // (E_A(ρ), E_B(ρ))
   bool by_attacker = false;   // produced by the Byzantine coordinator

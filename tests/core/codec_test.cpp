@@ -7,9 +7,12 @@
 
 #include "core/messages.hpp"
 #include "core/server.hpp"
+#include "core/system.hpp"
 #include "core/types.hpp"
 #include "core/validity.hpp"
+#include "hash/sha256.hpp"
 #include "tests/core/test_util.hpp"
+#include "tests/core/wire_table.hpp"
 #include "threshold/reshare.hpp"
 
 namespace dblind::core {
@@ -294,6 +297,108 @@ TEST(Codec, ReconfigMessagesRoundTrip) {
     auto back = decode_as<SubsharePullMsg>(MsgType::kSubsharePull, body);
     EXPECT_EQ(back.my_new_rank, 5u);
   }
+}
+
+// ---- the wire table: one pinned encoding per wire type -----------------------
+
+// The body struct of every MsgType. The switch has no default, so -Wswitch
+// names an enumerator added without a case here.
+const char* body_struct(MsgType type) {
+  switch (type) {
+    case MsgType::kInit: return "InitMsg";
+    case MsgType::kCommit: return "CommitMsg";
+    case MsgType::kReveal: return "RevealMsg";
+    case MsgType::kContribute: return "ContributeMsg";
+    case MsgType::kBlind: return "BlindPayload";
+    case MsgType::kDone: return "DonePayload";
+    case MsgType::kSignRequest: return "SignRequestMsg";
+    case MsgType::kSignCommitReply: return "SignCommitReplyMsg";
+    case MsgType::kSignQuorum: return "SignQuorumMsg";
+    case MsgType::kSignRevealReply: return "SignRevealReplyMsg";
+    case MsgType::kSignRevealSet: return "SignRevealSetMsg";
+    case MsgType::kSignPartialReply: return "SignPartialReplyMsg";
+    case MsgType::kDecryptRequest: return "DecryptRequestMsg";
+    case MsgType::kDecryptShareReply: return "DecryptShareReplyMsg";
+    case MsgType::kTransferRequest: return "TransferRequestMsg";
+    case MsgType::kResultRequest: return "ResultRequestMsg";
+    case MsgType::kResultReply: return "ResultReplyMsg";
+    case MsgType::kClientDecryptRequest: return "ClientDecryptRequestMsg";
+    case MsgType::kClientDecryptReply: return "ClientDecryptReplyMsg";
+    case MsgType::kReconfigStart: return "ReconfigStartMsg";
+    case MsgType::kReshareDeal: return "ReshareDealMsg";
+    case MsgType::kReshareSubshare: return "ReshareSubshareMsg";
+    case MsgType::kReconfigApply: return "ReconfigApplyMsg";
+    case MsgType::kReconfigEcho: return "ReconfigEchoMsg";
+    case MsgType::kWrongEpoch: return "WrongEpochMsg";
+    case MsgType::kReconfigPull: return "ReconfigPullMsg";
+    case MsgType::kReconfigState: return "ReconfigStateMsg";
+    case MsgType::kSubsharePull: return "SubsharePullMsg";
+  }
+  return nullptr;
+}
+
+TEST(WireTable, EveryMsgTypeHasItsBodyRow) {
+  const std::vector<testing::WireRow> table = testing::wire_table();
+  int types = 0;
+  for (int v = 0; v < 256; ++v) {
+    const auto type = static_cast<MsgType>(v);
+    const char* name = body_struct(type);
+    if (name == nullptr) continue;
+    ++types;
+    int rows = 0;
+    for (const testing::WireRow& row : table) {
+      if (row.type != type) continue;
+      ++rows;
+      EXPECT_EQ(row.name, name) << "tag " << v;
+    }
+    EXPECT_EQ(rows, 1) << "tag " << v << " (" << name << ")";
+  }
+  EXPECT_EQ(types, 28);
+}
+
+TEST(WireTable, EveryRowEncodesToItsPinnedBytes) {
+  for (const testing::WireRow& row : testing::wire_table()) {
+    const std::string actual = hash::to_hex(row.bytes);
+    EXPECT_EQ(actual, row.hex) << row.name << " encodes to " << actual;
+  }
+}
+
+TEST(WireTable, EveryRowRoundTrips) {
+  for (const testing::WireRow& row : testing::wire_table()) {
+    EXPECT_EQ(row.reparse(row.bytes), row.bytes) << row.name;
+  }
+}
+
+TEST(WireTable, EveryStrictPrefixIsRejected) {
+  for (const testing::WireRow& row : testing::wire_table()) {
+    const std::span<const std::uint8_t> bytes(row.bytes);
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+      EXPECT_THROW((void)row.reparse(bytes.first(len)), CodecError)
+          << row.name << " prefix " << len << "/" << bytes.size();
+    }
+  }
+}
+
+// Durable state: a server's snapshot after a fixed-seed run on explicit
+// Toy64 parameters (so DBLIND_BACKEND does not move it).
+TEST(WireTable, SnapshotBytesPinned) {
+  SystemOptions o;
+  o.params = group::GroupParams::named(group::ParamId::kToy64);
+  o.seed = 20;
+  System sys(std::move(o));
+  for (std::uint64_t m = 100; m < 103; ++m)
+    sys.add_transfer(sys.config().params.encode_message(Bigint(m)));
+  ASSERT_TRUE(sys.run_to_completion());
+  const auto sha = [](const std::vector<std::uint8_t>& snap) {
+    const hash::Digest d = hash::Sha256::digest(snap);
+    return hash::to_hex(d);
+  };
+  const std::string a = sha(sys.a_server(1).snapshot());
+  const std::string b = sha(sys.b_server(1).snapshot());
+  ASSERT_GT(sys.a_server(1).snapshot().size(), 100u);
+  ASSERT_GT(sys.b_server(1).snapshot().size(), 100u);
+  EXPECT_EQ(a, "87a2eefb63205ca54f36faa0822d74208645506bf42c910a5584f4628a84c850");
+  EXPECT_EQ(b, "36a2c745a4bb52ad6426953621708756025d38dfe57e31b834ed4b096f57e34f");
 }
 
 // ---- codec boundary: a parse with the group rejects non-elements ------------

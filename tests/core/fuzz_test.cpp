@@ -12,6 +12,7 @@
 #include "core/validity.hpp"
 #include "mpz/random.hpp"
 #include "tests/core/test_util.hpp"
+#include "tests/core/wire_table.hpp"
 
 namespace dblind::core {
 namespace {
@@ -37,33 +38,19 @@ std::vector<std::uint8_t> random_bytes(Prng& prng, std::size_t max_len) {
 
 class DecoderFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
+// Every parser of the wire table (tests/core/wire_table.hpp), fed random
+// bytes and single-byte mutations of its row's valid encoding.
 TEST_P(DecoderFuzz, RandomBytesNeverCrashDecoders) {
   Prng prng(GetParam());
+  const std::vector<testing::WireRow> table = testing::wire_table();
   for (int iter = 0; iter < 300; ++iter) {
     auto bytes = random_bytes(prng, 160);
-    expect_no_crash([&] { (void)decode_as<InitMsg>(MsgType::kInit, bytes); });
-    expect_no_crash([&] { (void)decode_as<CommitMsg>(MsgType::kCommit, bytes); });
-    expect_no_crash([&] { (void)decode_as<RevealMsg>(MsgType::kReveal, bytes); });
-    expect_no_crash([&] { (void)decode_as<ContributeMsg>(MsgType::kContribute, bytes); });
-    expect_no_crash([&] { (void)decode_as<BlindPayload>(MsgType::kBlind, bytes); });
-    expect_no_crash([&] { (void)decode_as<DonePayload>(MsgType::kDone, bytes); });
-    expect_no_crash([&] { (void)decode_as<SignRequestMsg>(MsgType::kSignRequest, bytes); });
-    expect_no_crash([&] { (void)decode_as<SignQuorumMsg>(MsgType::kSignQuorum, bytes); });
-    expect_no_crash([&] { (void)decode_as<DecryptRequestMsg>(MsgType::kDecryptRequest, bytes); });
-    expect_no_crash([&] { (void)decode_as<ResultRequestMsg>(MsgType::kResultRequest, bytes); });
-    expect_no_crash([&] { (void)decode_as<ResultReplyMsg>(MsgType::kResultReply, bytes); });
-    expect_no_crash(
-        [&] { (void)decode_as<ClientDecryptRequestMsg>(MsgType::kClientDecryptRequest, bytes); });
-    expect_no_crash(
-        [&] { (void)decode_as<ClientDecryptReplyMsg>(MsgType::kClientDecryptReply, bytes); });
-    expect_no_crash([&] {
-      Reader r(bytes);
-      (void)SignedMessage::decode(r);
-    });
-    expect_no_crash([&] {
-      Reader r(bytes);
-      (void)ServiceSignedMsg::decode(r);
-    });
+    for (const testing::WireRow& row : table) {
+      expect_no_crash([&] { (void)row.reparse(bytes); });
+      std::vector<std::uint8_t> mutated = row.bytes;
+      mutated[prng.uniform_u64(mutated.size())] ^= static_cast<std::uint8_t>(1 + iter % 255);
+      expect_no_crash([&] { (void)row.reparse(mutated); });
+    }
   }
 }
 
