@@ -310,21 +310,21 @@ int main(int argc, char** argv) {
 
       constexpr int kReps = 5;
       if (!serial_pass()) std::puts("BUG: serial verification failed");
-      std::uint64_t m0 = gp.mont_mul_count();
+      std::uint64_t m0 = gp.group_op_count();
       auto t0 = std::chrono::steady_clock::now();
       for (int r = 0; r < kReps; ++r) (void)serial_pass();
       auto t1 = std::chrono::steady_clock::now();
-      std::uint64_t serial_muls = (gp.mont_mul_count() - m0) / kReps;
+      std::uint64_t serial_muls = (gp.group_op_count() - m0) / kReps;
       double serial_ms = std::chrono::duration<double, std::milli>(t1 - t0).count() / kReps;
 
       Prng warm(777);
       if (!batch_pass(warm)) std::puts("BUG: batch verification failed");
       Prng vr(888 + f);
-      m0 = gp.mont_mul_count();
+      m0 = gp.group_op_count();
       t0 = std::chrono::steady_clock::now();
       for (int r = 0; r < kReps; ++r) (void)batch_pass(vr);
       t1 = std::chrono::steady_clock::now();
-      std::uint64_t batch_muls = (gp.mont_mul_count() - m0) / kReps;
+      std::uint64_t batch_muls = (gp.group_op_count() - m0) / kReps;
       double batch_ms = std::chrono::duration<double, std::milli>(t1 - t0).count() / kReps;
 
       double mul_ratio = static_cast<double>(serial_muls) / static_cast<double>(batch_muls);
@@ -367,9 +367,9 @@ int main(int argc, char** argv) {
       }
       core::System sys(std::move(o));
       sys.add_transfer(sys.config().params.encode_message(Bigint(7)));
-      std::uint64_t before = sys.config().params.mont_mul_count();
+      std::uint64_t before = sys.config().params.group_op_count();
       sys.run_to_completion();
-      muls[inst] = sys.config().params.mont_mul_count() - before;
+      muls[inst] = sys.config().params.group_op_count() - before;
       msgs[inst] = sys.sim().stats().messages_sent;
       lat[inst] = sys.sim().stats().end_time / 1000.0;
     }
@@ -497,18 +497,18 @@ int main(int argc, char** argv) {
     std::vector<Bigint> exps;
     for (int i = 0; i < kExps; ++i) exps.push_back(gp.random_exponent(prng));
 
-    std::uint64_t m0 = gp.mont_mul_count();
+    std::uint64_t m0 = gp.group_op_count();
     auto t0 = std::chrono::steady_clock::now();
     for (const Bigint& e : exps) (void)gp.pow_fixed(y, e);
     auto t1 = std::chrono::steady_clock::now();
-    const std::uint64_t comb_muls = (gp.mont_mul_count() - m0) / kExps;
+    const std::uint64_t comb_muls = (gp.group_op_count() - m0) / kExps;
     const double comb_ms = std::chrono::duration<double, std::milli>(t1 - t0).count() / kExps;
 
-    m0 = gp.mont_mul_count();
+    m0 = gp.group_op_count();
     t0 = std::chrono::steady_clock::now();
     for (const Bigint& e : exps) (void)gp.pow(y, e);
     t1 = std::chrono::steady_clock::now();
-    const std::uint64_t generic_muls = (gp.mont_mul_count() - m0) / kExps;
+    const std::uint64_t generic_muls = (gp.group_op_count() - m0) / kExps;
     const double generic_ms = std::chrono::duration<double, std::milli>(t1 - t0).count() / kExps;
 
     for (const Bigint& e : exps) {
@@ -604,9 +604,9 @@ int main(int argc, char** argv) {
     };
 
     auto [base_sys, base_ts] = make_sys(false);
-    const std::uint64_t b0 = base_sys->config().params.mont_mul_count();
+    const std::uint64_t b0 = base_sys->config().params.group_op_count();
     bool ok = base_sys->run_to_completion();
-    const std::uint64_t pre_muls = base_sys->config().params.mont_mul_count() - b0;
+    const std::uint64_t pre_muls = base_sys->config().params.group_op_count() - b0;
     const double t_base = base_sys->sim().stats().end_time / 1000.0;
     ok = ok && integrity(*base_sys, base_ts);
 
@@ -618,12 +618,12 @@ int main(int argc, char** argv) {
       }
       return true;
     };
-    const std::uint64_t r0 = rot_sys->config().params.mont_mul_count();
+    const std::uint64_t r0 = rot_sys->config().params.group_op_count();
     ok = ok && rot_sys->sim().run_until(installed, 50'000'000);
-    const std::uint64_t rotation_muls = rot_sys->config().params.mont_mul_count() - r0;
+    const std::uint64_t rotation_muls = rot_sys->config().params.group_op_count() - r0;
     const double t_install = rot_sys->sim().stats().end_time / 1000.0;
     ok = ok && rot_sys->run_to_completion();
-    const std::uint64_t post_muls = rot_sys->config().params.mont_mul_count() - r0 - rotation_muls;
+    const std::uint64_t post_muls = rot_sys->config().params.group_op_count() - r0 - rotation_muls;
     const double t_rot = rot_sys->sim().stats().end_time / 1000.0;
     ok = ok && integrity(*rot_sys, rot_ts);
 

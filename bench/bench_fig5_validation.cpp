@@ -89,9 +89,7 @@ struct Fixture {
     payload.blinded.ea = *cfg.a.encryption_key.product(eas);
     payload.blinded.eb = *cfg.b.encryption_key.product(ebs);
     blind_payload = core::encode_body(core::MsgType::kBlind, payload);
-    core::Writer w;
-    evidence.encode(w);
-    blind_evidence = w.take();
+    blind_evidence = dblind::group::to_bytes(evidence);
   }
 };
 

@@ -134,7 +134,7 @@ LoadResult run_load(const LoadConfig& lc) {
   r.completed = sys.run_to_completion();
   auto w1 = std::chrono::steady_clock::now();
   r.wall_ms = std::chrono::duration<double, std::milli>(w1 - w0).count();
-  r.mont_muls = sys.config().params.mont_mul_count();
+  r.mont_muls = sys.config().params.group_op_count();
 
   // Per-transfer latency: arrival -> FIRST done_recorded anywhere (the
   // earliest moment any B server could hand the result to a client).

@@ -1,4 +1,4 @@
-// Canonical binary encoding for protocol messages.
+// Canonical binary encoding: the byte-level primitives.
 //
 // Self-verifying messages (§4.2.3) are signed over, hashed over, and nested
 // inside each other, so every message needs one canonical byte form. The
@@ -8,6 +8,7 @@
 // reject trailing garbage, so a byte string has at most one valid parse.
 // A Reader may carry the group its elements belong to; group::read_element
 // (group/params.hpp) then decodes and validates each element as it is read.
+// group/codec.hpp composes these primitives into whole wire types.
 #pragma once
 
 #include <algorithm>
@@ -117,9 +118,10 @@ class Reader {
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
 
   // Reads an element count and validates it against the bytes actually left
-  // (each element needs at least `min_elem_bytes`). Prevents adversarial
-  // counts from driving huge allocations before any data is parsed.
-  std::uint32_t count(std::size_t min_elem_bytes = 1) {
+  // (each element needs at least `min_elem_bytes`, the size of its shortest
+  // accepted encoding). Prevents adversarial counts from driving huge
+  // allocations before any data is parsed.
+  std::uint32_t count(std::size_t min_elem_bytes) {
     std::uint32_t n = u32();
     if (min_elem_bytes != 0 && n > remaining() / min_elem_bytes)
       throw CodecError("count exceeds available data");

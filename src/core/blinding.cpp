@@ -58,7 +58,7 @@ void Blinding::on_init(const Local& l, const SignedMessage& env) {
   if (!init) return;
   // Mont-muls spent while serving the request are the "online" cost; with a
   // precomputed bundle this stays near zero.
-  obs::ScopedCounterDelta online(l.cfg.params.mont_mul_cell(),
+  obs::ScopedCounterDelta online(l.cfg.params.group_op_cell(),
                                  l.observer.m.contrib_mont_muls_online);
   ContributorState& st = contributor(l, init->id);
   const net::NodeId coordinator = l.cfg.b.node_of(init->id.coordinator);
@@ -101,7 +101,7 @@ void Blinding::on_reveal(const Local& l, const SignedMessage& env) {
   st.contributed = true;
   st.answered_reveal = env;
 
-  obs::ScopedCounterDelta online(l.cfg.params.mont_mul_cell(),
+  obs::ScopedCounterDelta online(l.cfg.params.group_op_cell(),
                                  l.observer.m.contrib_mont_muls_online);
   ContributeMsg msg;
   msg.id = reveal->id;
@@ -249,10 +249,8 @@ void Blinding::try_finish(const Local& l, CoordinatorState& st, Signing& signing
 
 void Blinding::sign_blind(const Local& l, const InstanceId& id, Contribution blinded,
                           const BlindEvidence& evidence, Signing& signing) {
-  Writer w;
-  evidence.encode(w);
   signing.start(l, SignPurpose::kBlind, encode_body(MsgType::kBlind, BlindPayload{id, blinded}),
-                w.take(), id.transfer);
+                group::to_bytes(evidence), id.transfer);
 }
 
 void Blinding::on_signed(const Local& l, const ServiceSignature& sig) {

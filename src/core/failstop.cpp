@@ -2,36 +2,6 @@
 
 namespace dblind::core {
 
-void FailstopInit::encode(Writer& w) const { w.u32(coordinator); }
-
-FailstopInit FailstopInit::decode(Reader& r) { return {r.u32()}; }
-
-void FailstopContribute::encode(Writer& w) const {
-  w.u32(coordinator);
-  w.u32(server);
-  contribution.encode(w);
-}
-
-FailstopContribute FailstopContribute::decode(Reader& r) {
-  FailstopContribute m;
-  m.coordinator = r.u32();
-  m.server = r.u32();
-  m.contribution = Contribution::decode(r);
-  return m;
-}
-
-namespace {
-
-template <typename T>
-std::vector<std::uint8_t> fs_frame(FailstopType type, const T& msg) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(type));
-  msg.encode(w);
-  return w.take();
-}
-
-}  // namespace
-
 class FailstopBlindingSystem::ServerNode final : public net::Node {
  public:
   ServerNode(FailstopBlindingSystem& sys, std::uint32_t rank) : sys_(sys), rank_(rank) {}
@@ -56,11 +26,11 @@ class FailstopBlindingSystem::ServerNode final : public net::Node {
       Reader r(bytes, &sys_.opts_.params);
       auto type = static_cast<FailstopType>(r.u8());
       if (type == FailstopType::kInit) {
-        const FailstopInit m = FailstopInit::decode(r);
+        const auto m = group::read<FailstopInit>(r);
         r.expect_done();
         handle_init(ctx, from, m.coordinator);
       } else if (type == FailstopType::kContribute) {
-        const FailstopContribute m = FailstopContribute::decode(r);
+        const auto m = group::read<FailstopContribute>(r);
         r.expect_done();
         if (m.coordinator == rank_) handle_contribute(ctx, m.server, m.contribution);
       }
@@ -73,7 +43,7 @@ class FailstopBlindingSystem::ServerNode final : public net::Node {
  private:
   void start_coordinator(net::Context& ctx) {
     started_ = true;
-    auto msg = fs_frame(FailstopType::kInit, FailstopInit{rank_});
+    auto msg = group::to_bytes(static_cast<std::uint8_t>(FailstopType::kInit), FailstopInit{rank_});
     for (std::uint32_t r = 1; r <= sys_.opts_.n; ++r) ctx.send(r - 1, msg);
   }
 
@@ -88,7 +58,8 @@ class FailstopBlindingSystem::ServerNode final : public net::Node {
     Contribution c;
     c.ea = sys_.ka_->public_key().encrypt(rho, ctx.rng());
     c.eb = sys_.kb_->public_key().encrypt(rho, ctx.rng());
-    ctx.send(from, fs_frame(FailstopType::kContribute, FailstopContribute{coordinator, rank_, c}));
+    ctx.send(from, group::to_bytes(static_cast<std::uint8_t>(FailstopType::kContribute),
+                                   FailstopContribute{coordinator, rank_, c}));
   }
 
   void handle_contribute(net::Context& ctx, std::uint32_t server, const Contribution& c) {

@@ -42,18 +42,12 @@ enum class FailstopType : std::uint8_t { kInit = 1, kContribute = 2 };
 
 struct FailstopInit {
   std::uint32_t coordinator = 0;
-
-  void encode(Writer& w) const;
-  static FailstopInit decode(Reader& r);
 };
 
 struct FailstopContribute {
   std::uint32_t coordinator = 0;
   std::uint32_t server = 0;
   Contribution contribution;
-
-  void encode(Writer& w) const;
-  static FailstopContribute decode(Reader& r);
 };
 
 struct FailstopOutcome {

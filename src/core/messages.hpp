@@ -11,6 +11,12 @@
 // the message kind, and evidence (nested SignedMessages) can be re-verified
 // recursively per the validity rules of Figure 5.
 //
+// Each struct below is its own wire layout: its data members, in
+// declaration order, are its fields, and the generic codec in
+// group/codec.hpp writes and reads them. A struct holds no other data
+// member, so adding or removing a message type is adding or removing one
+// struct (and its MsgType).
+//
 // Element fields (ciphertext components, proof commitments, signature
 // commitments, decryption shares, Feldman coefficients, nonce reveals) are
 // read with group::read_element: a Reader that carries the group decodes and
@@ -24,6 +30,7 @@
 
 #include "core/types.hpp"
 #include "elgamal/elgamal.hpp"
+#include "group/codec.hpp"
 #include "hash/sha256.hpp"
 #include "threshold/feldman.hpp"
 #include "threshold/thresh_decrypt.hpp"
@@ -82,21 +89,6 @@ enum class WireKind : std::uint8_t {
   kClient = 3,
 };
 
-// --- low-level codec helpers -------------------------------------------------
-
-void put_ciphertext(Writer& w, const elgamal::Ciphertext& c);
-elgamal::Ciphertext get_ciphertext(Reader& r);
-void put_schnorr_sig(Writer& w, const zkp::SchnorrSignature& s);
-zkp::SchnorrSignature get_schnorr_sig(Reader& r);
-void put_dlog_proof(Writer& w, const zkp::DlogEqProof& p);
-zkp::DlogEqProof get_dlog_proof(Reader& r);
-void put_vde_proof(Writer& w, const zkp::VdeProof& p);
-zkp::VdeProof get_vde_proof(Reader& r);
-void put_decryption_share(Writer& w, const threshold::DecryptionShare& s);
-threshold::DecryptionShare get_decryption_share(Reader& r);
-void put_feldman(Writer& w, const threshold::FeldmanCommitments& c);
-threshold::FeldmanCommitments get_feldman(Reader& r);
-
 // --- envelopes ---------------------------------------------------------------
 
 // ⟨m⟩_i: body signed by an individual server key. The signature covers the
@@ -110,8 +102,9 @@ struct SignedMessage {
   std::vector<std::uint8_t> body;  // type-tagged message bytes
   zkp::SchnorrSignature sig;
 
-  void encode(Writer& w) const;
-  static SignedMessage decode(Reader& r);
+  // The codec for this layout, as members (perfbench calls them).
+  void encode(Writer& w) const { group::write(w, *this); }
+  static SignedMessage decode(Reader& r) { return group::read<SignedMessage>(r); }
   friend bool operator==(const SignedMessage&, const SignedMessage&) = default;
 };
 
@@ -121,8 +114,6 @@ struct ServiceSignedMsg {
   std::vector<std::uint8_t> body;
   zkp::SchnorrSignature sig;
 
-  void encode(Writer& w) const;
-  static ServiceSignedMsg decode(Reader& r);
   friend bool operator==(const ServiceSignedMsg&, const ServiceSignedMsg&) = default;
 };
 
@@ -140,26 +131,17 @@ using Frame = std::vector<std::uint8_t>;
 
 struct InitMsg {
   InstanceId id;
-
-  void encode(Writer& w) const;
-  static InitMsg decode(Reader& r);
 };
 
 struct CommitMsg {
   InstanceId id;
   ServerRank server = 0;
   hash::Digest commitment{};  // κ(E_A(ρ_i), E_B(ρ_i))
-
-  void encode(Writer& w) const;
-  static CommitMsg decode(Reader& r);
 };
 
 struct RevealMsg {
   InstanceId id;
   std::vector<SignedMessage> commits;  // M: 2f+1 valid commit messages
-
-  void encode(Writer& w) const;
-  static RevealMsg decode(Reader& r);
 };
 
 // An encrypted contribution (E_A(ρ_i), E_B(ρ_i)).
@@ -167,8 +149,6 @@ struct Contribution {
   elgamal::Ciphertext ea;
   elgamal::Ciphertext eb;
 
-  void encode(Writer& w) const;
-  static Contribution decode(Reader& r);
   // κ(E_A(ρ_i), E_B(ρ_i)) — the hash commitment of step 2(b).
   [[nodiscard]] hash::Digest commitment_digest() const;
   friend bool operator==(const Contribution&, const Contribution&) = default;
@@ -180,9 +160,6 @@ struct ContributeMsg {
   SignedMessage reveal;  // R: the reveal message this responds to (evidence)
   Contribution contribution;
   zkp::VdeProof vde;
-
-  void encode(Writer& w) const;
-  static ContributeMsg decode(Reader& r);
 };
 
 // (id, blind, A, E_A(ρ), B, E_B(ρ)) — the payload that service B
@@ -190,9 +167,6 @@ struct ContributeMsg {
 struct BlindPayload {
   InstanceId id;
   Contribution blinded;  // the combined (E_A(ρ), E_B(ρ))
-
-  void encode(Writer& w) const;
-  static BlindPayload decode(Reader& r);
 };
 
 // (id, done, A, E_A(m), B, E_B(m)) — payload threshold-signed by A in 6(d).
@@ -200,9 +174,6 @@ struct DonePayload {
   InstanceId id;
   elgamal::Ciphertext ea_m;
   elgamal::Ciphertext eb_m;
-
-  void encode(Writer& w) const;
-  static DonePayload decode(Reader& r);
 };
 
 // --- threshold-signature sub-protocol ----------------------------------------
@@ -216,9 +187,6 @@ enum class SignPurpose : std::uint8_t {
 // contribute messages (each embeds the reveal, which embeds the commits).
 struct BlindEvidence {
   std::vector<SignedMessage> contributes;
-
-  void encode(Writer& w) const;
-  static BlindEvidence decode(Reader& r);
 };
 
 // Evidence making a kDone signing request self-verifying: the service-signed
@@ -228,9 +196,6 @@ struct DoneEvidence {
   ServiceSignedMsg blind;
   group::Element m_rho;
   std::vector<threshold::DecryptionShare> shares;
-
-  void encode(Writer& w) const;
-  static DoneEvidence decode(Reader& r);
 };
 
 struct SignRequestMsg {
@@ -238,49 +203,31 @@ struct SignRequestMsg {
   std::uint8_t purpose = 0;   // SignPurpose
   std::vector<std::uint8_t> payload;   // the bytes to be threshold-signed
   std::vector<std::uint8_t> evidence;  // BlindEvidence or DoneEvidence bytes
-
-  void encode(Writer& w) const;
-  static SignRequestMsg decode(Reader& r);
 };
 
 struct SignCommitReplyMsg {
   std::uint64_t session = 0;
   threshold::NonceCommitment commit;
-
-  void encode(Writer& w) const;
-  static SignCommitReplyMsg decode(Reader& r);
 };
 
 struct SignQuorumMsg {
   std::uint64_t session = 0;
   std::vector<threshold::NonceCommitment> quorum;
-
-  void encode(Writer& w) const;
-  static SignQuorumMsg decode(Reader& r);
 };
 
 struct SignRevealReplyMsg {
   std::uint64_t session = 0;
   threshold::NonceReveal reveal;
-
-  void encode(Writer& w) const;
-  static SignRevealReplyMsg decode(Reader& r);
 };
 
 struct SignRevealSetMsg {
   std::uint64_t session = 0;
   std::vector<threshold::NonceReveal> reveals;
-
-  void encode(Writer& w) const;
-  static SignRevealSetMsg decode(Reader& r);
 };
 
 struct SignPartialReplyMsg {
   std::uint64_t session = 0;
   threshold::PartialSignature partial;
-
-  void encode(Writer& w) const;
-  static SignPartialReplyMsg decode(Reader& r);
 };
 
 // --- threshold-decryption sub-protocol ---------------------------------------
@@ -288,17 +235,11 @@ struct SignPartialReplyMsg {
 struct DecryptRequestMsg {
   InstanceId id;
   ServiceSignedMsg blind;  // M'': evidence that this decryption is justified
-
-  void encode(Writer& w) const;
-  static DecryptRequestMsg decode(Reader& r);
 };
 
 struct DecryptShareReplyMsg {
   InstanceId id;
   threshold::DecryptionShare share;
-
-  void encode(Writer& w) const;
-  static DecryptShareReplyMsg decode(Reader& r);
 };
 
 // --- client-facing messages ----------------------------------------------------
@@ -306,40 +247,25 @@ struct DecryptShareReplyMsg {
 struct TransferRequestMsg {
   TransferId transfer = 0;
   elgamal::Ciphertext ea_m;  // used by A servers; B servers only register
-
-  void encode(Writer& w) const;
-  static TransferRequestMsg decode(Reader& r);
 };
 
 struct ResultRequestMsg {
   TransferId transfer = 0;
-
-  void encode(Writer& w) const;
-  static ResultRequestMsg decode(Reader& r);
 };
 
 struct ResultReplyMsg {
   TransferId transfer = 0;
   ServiceSignedMsg done;  // verifiable with the service public key alone
-
-  void encode(Writer& w) const;
-  static ResultReplyMsg decode(Reader& r);
 };
 
 struct ClientDecryptRequestMsg {
   TransferId transfer = 0;
   elgamal::Ciphertext ciphertext;  // must match a valid done for `transfer`
-
-  void encode(Writer& w) const;
-  static ClientDecryptRequestMsg decode(Reader& r);
 };
 
 struct ClientDecryptReplyMsg {
   TransferId transfer = 0;
   threshold::DecryptionShare share;
-
-  void encode(Writer& w) const;
-  static ClientDecryptReplyMsg decode(Reader& r);
 };
 
 // --- reconfiguration messages ---------------------------------------------------
@@ -351,8 +277,6 @@ struct RosterEntry {
   std::uint32_t node = 0;  // net::NodeId of the server holding this rank
   group::Element sign_key;  // Schnorr verify-key group element
 
-  void encode(Writer& w) const;
-  static RosterEntry decode(Reader& r);
   friend bool operator==(const RosterEntry&, const RosterEntry&) = default;
 };
 
@@ -367,16 +291,11 @@ struct ReconfigSpec {
   std::uint32_t f = 0;
   std::vector<RosterEntry> roster;
 
-  void encode(Writer& w) const;
-  static ReconfigSpec decode(Reader& r);
   friend bool operator==(const ReconfigSpec&, const ReconfigSpec&) = default;
 };
 
 struct ReconfigStartMsg {
   ReconfigSpec spec;
-
-  void encode(Writer& w) const;
-  static ReconfigStartMsg decode(Reader& r);
 };
 
 // A dealer's re-sharing COMMITMENTS for both service keys (encryption +
@@ -388,9 +307,6 @@ struct ReshareDealMsg {
   std::uint32_t dealer = 0;  // OLD rank of the dealing server
   threshold::FeldmanCommitments enc;
   threshold::FeldmanCommitments sign;
-
-  void encode(Writer& w) const;
-  static ReshareDealMsg decode(Reader& r);
 };
 
 // The sub-shares for ONE new-roster server from one dealer. Secret: any
@@ -402,9 +318,6 @@ struct ReshareSubshareMsg {
   std::uint32_t target_rank = 0;  // new rank this sub-share pair belongs to
   mpz::Bigint enc_sub;   // taint:secret
   mpz::Bigint sign_sub;  // taint:secret
-
-  void encode(Writer& w) const;
-  static ReshareSubshareMsg decode(Reader& r);
 };
 
 // The coordinator's chosen configuration: the spec, the f+1 commitment-valid
@@ -414,9 +327,6 @@ struct ReconfigApplyMsg {
   ReconfigSpec spec;
   std::vector<SignedMessage> deals;  // kReshareDeal envelopes, dealer-signed
   std::vector<TransferId> transfers;
-
-  void encode(Writer& w) const;
-  static ReconfigApplyMsg decode(Reader& r);
 };
 
 // Bracha-style echo of an apply's digest: a server installs epoch e only
@@ -425,9 +335,6 @@ struct ReconfigEchoMsg {
   std::uint8_t service = 0;
   ConfigEpoch epoch = 0;
   hash::Digest digest{};  // over the encoded ReconfigApplyMsg body
-
-  void encode(Writer& w) const;
-  static ReconfigEchoMsg decode(Reader& r);
 };
 
 // Typed stale-epoch rejection (liveness-only: unauthenticated; a forged one
@@ -435,16 +342,10 @@ struct ReconfigEchoMsg {
 struct WrongEpochMsg {
   std::uint8_t service = 0;
   ConfigEpoch epoch = 0;  // the rejecting server's CURRENT epoch
-
-  void encode(Writer& w) const;
-  static WrongEpochMsg decode(Reader& r);
 };
 
 struct ReconfigPullMsg {
   ConfigEpoch epoch = 0;  // puller's installed epoch; send me everything newer
-
-  void encode(Writer& w) const;
-  static ReconfigPullMsg decode(Reader& r);
 };
 
 // One installed epoch's self-certifying record: the apply envelope plus the
@@ -453,9 +354,6 @@ struct ReconfigPullMsg {
 struct ReconfigStateMsg {
   SignedMessage apply;                // kReconfigApply envelope
   std::vector<SignedMessage> echoes;  // 2f+1 kReconfigEcho envelopes
-
-  void encode(Writer& w) const;
-  static ReconfigStateMsg decode(Reader& r);
 };
 
 // A new-roster server that has the apply but is missing sub-shares asks the
@@ -464,9 +362,6 @@ struct SubsharePullMsg {
   std::uint8_t service = 0;
   ConfigEpoch epoch = 0;
   std::uint32_t my_new_rank = 0;
-
-  void encode(Writer& w) const;
-  static SubsharePullMsg decode(Reader& r);
 };
 
 // --- type-tagged body helpers --------------------------------------------------
@@ -474,25 +369,11 @@ struct SubsharePullMsg {
 // Encodes `msg` with its leading MsgType tag.
 template <typename T>
 std::vector<std::uint8_t> encode_body(MsgType type, const T& msg) {
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(type));
-  msg.encode(w);
-  return w.take();
+  return group::to_bytes(static_cast<std::uint8_t>(type), msg);
 }
 
 // Reads the MsgType tag without consuming the message.
 [[nodiscard]] MsgType peek_type(std::span<const std::uint8_t> body);
-
-// Decodes a tagged body from `r`; throws CodecError on a tag mismatch or
-// trailing bytes.
-template <typename T>
-T decode_tagged(MsgType expect, Reader& r) {
-  auto tag = static_cast<MsgType>(r.u8());
-  if (tag != expect) throw CodecError("decode_as: unexpected message type");
-  T msg = T::decode(r);
-  r.expect_done();
-  return msg;
-}
 
 // Decodes a body expecting the given tag, decoding every element field in
 // `group` once; throws CodecError on mismatch, trailing bytes, or an element
@@ -500,15 +381,13 @@ T decode_tagged(MsgType expect, Reader& r) {
 template <typename T>
 T decode_as(MsgType expect, std::span<const std::uint8_t> body,
             const group::GroupParams& group) {
-  Reader r(body, &group);
-  return decode_tagged<T>(expect, r);
+  return group::from_bytes<T>(static_cast<std::uint8_t>(expect), body, &group);
 }
 
 // Group-less parse: the same bytes, element fields left bare.
 template <typename T>
 T decode_as(MsgType expect, std::span<const std::uint8_t> body) {
-  Reader r(body);
-  return decode_tagged<T>(expect, r);
+  return group::from_bytes<T>(static_cast<std::uint8_t>(expect), body);
 }
 
 }  // namespace dblind::core

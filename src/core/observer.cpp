@@ -144,7 +144,7 @@ void Observer::resolve(net::Context& ctx, obs::MetricsRegistry* registry,
   // Pre-existing counters join the registry as attached (read-only) series:
   // the registry samples the live cells, the owners keep updating them.
   reg.attach_counter("dblind_retransmits_sent_total", by_node, retransmits);
-  reg.attach_counter("dblind_mont_muls_total", {}, params.mont_mul_cell());
+  reg.attach_counter("dblind_mont_muls_total", {}, params.group_op_cell());
   // Backend-labelled view of the same op counter plus its word-mul weight:
   // lets offline tooling (trace_critpath) attribute crypto cost to the
   // active group backend instead of assuming mod-p Montgomery muls.

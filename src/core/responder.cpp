@@ -133,10 +133,9 @@ void Responder::on_share_reply(const Local& l, const SignedMessage& env, const L
   const elgamal::PublicKey& kb = l.cfg.b.encryption_key;
   DonePayload payload{msg->id, ledger.stored.at(msg->id.transfer),
                       kb.juxtapose(m_rho, kb.inverse(st.blind.blinded.eb))};
-  Writer w;
-  DoneEvidence{st.blind_env, std::move(m_rho), std::move(shares)}.encode(w);
   l.trace(obs::EventKind::kDoneSignBegin, &msg->id);
-  signing.start(l, SignPurpose::kDone, encode_body(MsgType::kDone, payload), w.take(),
+  signing.start(l, SignPurpose::kDone, encode_body(MsgType::kDone, payload),
+                group::to_bytes(DoneEvidence{st.blind_env, std::move(m_rho), std::move(shares)}),
                 msg->id.transfer);
 }
 

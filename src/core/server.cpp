@@ -88,7 +88,7 @@ void ProtocolServer::on_start(net::Context& ctx) {
   // Step flexibility: the designated coordinator's first instance gets its
   // bundle before any init arrives — exactly the one it would derive.
   if (active() && opts_.precompute_contributions) {
-    obs::ScopedCounterDelta offline(cfg_.params.mont_mul_cell(),
+    obs::ScopedCounterDelta offline(cfg_.params.group_op_cell(),
                                     observer_.m.contrib_mont_muls_offline);
     const Local l = local(ctx);
     for (TransferId t : ledger_.transfers) {
@@ -145,7 +145,7 @@ obs::ScopedCounterDelta ProtocolServer::count_rx(MsgType type, std::size_t bytes
   const std::size_t slot = metric_slot(type);
   observer_.m.rx_msgs[slot].inc();
   observer_.m.rx_bytes[slot].inc(bytes);
-  return obs::ScopedCounterDelta(cfg_.params.mont_mul_cell(), observer_.m.mont_muls[slot]);
+  return obs::ScopedCounterDelta(cfg_.params.group_op_cell(), observer_.m.mont_muls[slot]);
 }
 
 void ProtocolServer::on_message(net::Context& ctx, net::NodeId from,
@@ -158,13 +158,13 @@ void ProtocolServer::on_message(net::Context& ctx, net::NodeId from,
     Reader r(bytes, &cfg_.params);
     const auto kind = static_cast<WireKind>(r.u8());
     if (kind == WireKind::kServerSigned) {
-      const SignedMessage env = SignedMessage::decode(r);
+      const auto env = group::read<SignedMessage>(r);
       r.expect_done();
       rx_type = peek_type(env.body);
       const obs::ScopedCounterDelta mont = count_rx(rx_type, bytes.size());
       on_signed(ctx, from, rx_type, env);
     } else if (kind == WireKind::kServiceSigned) {
-      const ServiceSignedMsg msg = ServiceSignedMsg::decode(r);
+      const auto msg = group::read<ServiceSignedMsg>(r);
       r.expect_done();
       rx_type = peek_type(msg.body);
       const obs::ScopedCounterDelta mont = count_rx(rx_type, bytes.size());
@@ -495,38 +495,26 @@ void ProtocolServer::adopt_share(net::Context& ctx, CompletedShare share) {
 // --- crash recovery -------------------------------------------------------------------
 
 namespace {
+
 constexpr std::uint8_t kSnapshotVersion = 1;
+
+// A server's durable state, in snapshot order (behind kSnapshotVersion).
+struct SnapshotRecord {
+  ResultMap stored;
+  std::map<TransferId, std::pair<elgamal::Ciphertext, net::Time>> pending_store;
+  std::set<TransferId> transfers;
+  std::map<TransferId, std::uint32_t> next_epochs;
+  std::vector<ServiceSignedMsg> dones;  // every validated done, by transfer
+};
+
 }  // namespace
 
 std::vector<std::uint8_t> ProtocolServer::snapshot() const {
-  Writer w;
-  w.u8(kSnapshotVersion);
-  w.u32(static_cast<std::uint32_t>(ledger_.stored.size()));
-  for (const auto& [t, c] : ledger_.stored) {
-    w.u64(t);
-    put_ciphertext(w, c);
-  }
-  w.u32(static_cast<std::uint32_t>(ledger_.pending_store.size()));
-  for (const auto& [t, p] : ledger_.pending_store) {
-    w.u64(t);
-    put_ciphertext(w, p.first);
-    w.u64(p.second);
-  }
-  w.u32(static_cast<std::uint32_t>(ledger_.transfers.size()));
-  for (TransferId t : ledger_.transfers) w.u64(t);
-  const std::map<TransferId, std::uint32_t>& next_epoch = blinding_.next_epochs();
-  w.u32(static_cast<std::uint32_t>(next_epoch.size()));
-  for (const auto& [t, e] : next_epoch) {
-    w.u64(t);
-    w.u32(e);
-  }
-  std::uint32_t done_count = 0;
-  for (const auto& [t, v] : ledger_.done_msgs) done_count += static_cast<std::uint32_t>(v.size());
-  w.u32(done_count);
-  for (const auto& [t, v] : ledger_.done_msgs) {
-    for (const ServiceSignedMsg& m : v) m.encode(w);
-  }
-  return w.take();
+  SnapshotRecord record{ledger_.stored, ledger_.pending_store, ledger_.transfers,
+                        blinding_.next_epochs(), {}};
+  for (const auto& [t, v] : ledger_.done_msgs)
+    record.dones.insert(record.dones.end(), v.begin(), v.end());
+  return group::to_bytes(kSnapshotVersion, record);
 }
 
 void ProtocolServer::restore(std::span<const std::uint8_t> snap) {
@@ -556,36 +544,15 @@ void ProtocolServer::restore(std::span<const std::uint8_t> snap) {
   // Parse into locals and commit only on full success: a corrupt snapshot
   // recovers with EMPTY durable state, never a partial one (and never throws).
   try {
-    Reader r(snap, &cfg_.params);
-    if (r.u8() != kSnapshotVersion) return;
-    Ledger restored;
-    for (std::uint32_t i = 0, n = r.count(8); i < n; ++i) {
-      TransferId t = r.u64();
-      restored.stored[t] = get_ciphertext(r);
-    }
-    for (std::uint32_t i = 0, n = r.count(8); i < n; ++i) {
-      TransferId t = r.u64();
-      elgamal::Ciphertext c = get_ciphertext(r);
-      net::Time when = r.u64();
-      restored.pending_store[t] = {std::move(c), when};
-    }
-    for (std::uint32_t i = 0, n = r.count(8); i < n; ++i) restored.transfers.insert(r.u64());
-    std::map<TransferId, std::uint32_t> next_epoch;
-    for (std::uint32_t i = 0, n = r.count(8); i < n; ++i) {
-      TransferId t = r.u64();
-      next_epoch[t] = r.u32();
-    }
-    std::vector<ServiceSignedMsg> dones;
-    for (std::uint32_t i = 0, n = r.count(8); i < n; ++i) {
-      dones.push_back(ServiceSignedMsg::decode(r));
-    }
-    r.expect_done();
-
-    ledger_ = std::move(restored);
-    blinding_.next_epochs() = std::move(next_epoch);
+    SnapshotRecord record =
+        group::from_bytes<SnapshotRecord>(kSnapshotVersion, snap, &cfg_.params);
+    ledger_.stored = std::move(record.stored);
+    ledger_.pending_store = std::move(record.pending_store);
+    ledger_.transfers = std::move(record.transfers);
+    blinding_.next_epochs() = std::move(record.next_epochs);
     // Rebuild results from the durable done messages, re-validating each one
     // (a snapshot is data, not an authority on signature validity).
-    for (const ServiceSignedMsg& m : dones) {
+    for (const ServiceSignedMsg& m : record.dones) {
       auto done = check_done(cfg_, m);
       if (done) record_done(nullptr, *done, m);
     }

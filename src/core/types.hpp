@@ -42,19 +42,6 @@ struct InstanceId {
   // — "new values can thus be requested".
   std::uint32_t epoch = 0;
 
-  void encode(Writer& w) const {
-    w.u64(transfer);
-    w.u32(coordinator);
-    w.u32(epoch);
-  }
-  static InstanceId decode(Reader& r) {
-    InstanceId id;
-    id.transfer = r.u64();
-    id.coordinator = r.u32();
-    id.epoch = r.u32();
-    return id;
-  }
-
   [[nodiscard]] std::string str() const {
     return "t" + std::to_string(transfer) + "/c" + std::to_string(coordinator) + "/e" +
            std::to_string(epoch);

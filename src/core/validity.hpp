@@ -79,12 +79,7 @@ template <typename T>
 template <typename T>
 [[nodiscard]] std::optional<T> try_read(const SystemConfig& cfg,
                                         std::span<const std::uint8_t> bytes) {
-  return parsed_or_nullopt([&] {
-    Reader r(bytes, &cfg.params);
-    T value = T::decode(r);
-    r.expect_done();
-    return value;
-  });
+  return parsed_or_nullopt([&] { return group::from_bytes<T>(bytes, &cfg.params); });
 }
 
 // try_decode of an envelope's body, after its signature verifies and, when

@@ -1,5 +1,6 @@
 #include "elgamal/serialize.hpp"
 
+#include "group/codec.hpp"
 #include "group/serialize.hpp"
 
 namespace dblind::elgamal {
@@ -9,42 +10,31 @@ namespace {
 constexpr std::uint8_t kPublicKeyTag = 0x21;
 constexpr std::uint8_t kCiphertextTag = 0x22;
 
+// A public key on the wire: its group's encoding, then y.
+struct PublicKeyRecord {
+  std::vector<std::uint8_t> params;
+  group::Element y;
+};
+
 }  // namespace
 
 std::vector<std::uint8_t> public_key_to_bytes(const PublicKey& key) {
-  common::Writer w;
-  w.u8(kPublicKeyTag);
-  w.bytes(group::group_params_to_bytes(key.params()));
-  w.bigint(key.y());
-  return w.take();
+  return group::to_bytes(kPublicKeyTag,
+                         PublicKeyRecord{group::group_params_to_bytes(key.params()), key.y()});
 }
 
 PublicKey public_key_from_bytes(std::span<const std::uint8_t> bytes) {
-  common::Reader r(bytes);
-  if (r.u8() != kPublicKeyTag) throw common::CodecError("public_key: bad tag");
-  auto params_bytes = r.bytes();
-  mpz::Bigint y = r.bigint();
-  r.expect_done();
-  group::GroupParams params = group::group_params_from_bytes_trusted(params_bytes);
-  return PublicKey(std::move(params), std::move(y));  // validates y ∈ G_p
+  PublicKeyRecord rec = group::from_bytes<PublicKeyRecord>(kPublicKeyTag, bytes);
+  group::GroupParams params = group::group_params_from_bytes_trusted(rec.params);
+  return PublicKey(std::move(params), rec.y);  // validates y ∈ G_p
 }
 
 std::vector<std::uint8_t> ciphertext_to_bytes(const Ciphertext& c) {
-  common::Writer w;
-  w.u8(kCiphertextTag);
-  w.bigint(c.a);
-  w.bigint(c.b);
-  return w.take();
+  return group::to_bytes(kCiphertextTag, c);
 }
 
 Ciphertext ciphertext_from_bytes(std::span<const std::uint8_t> bytes) {
-  common::Reader r(bytes);
-  if (r.u8() != kCiphertextTag) throw common::CodecError("ciphertext: bad tag");
-  Ciphertext c;
-  c.a = r.bigint();
-  c.b = r.bigint();
-  r.expect_done();
-  return c;
+  return group::from_bytes<Ciphertext>(kCiphertextTag, bytes);
 }
 
 }  // namespace dblind::elgamal

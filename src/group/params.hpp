@@ -223,13 +223,6 @@ class GroupParams {
   // unit for cross-backend cost comparisons (bench_check PR 10 gate).
   [[nodiscard]] std::uint64_t op_cost_weight() const { return impl_->op_cost_weight(); }
 
-  // Historical aliases (every pre-backend call site counted mont-muls; on
-  // the EC backend these count field muls instead).
-  [[nodiscard]] std::uint64_t mont_mul_count() const { return impl_->op_count(); }
-  [[nodiscard]] const std::atomic<std::uint64_t>* mont_mul_cell() const {
-    return impl_->op_cell();
-  }
-
   friend bool operator==(const GroupParams& a, const GroupParams& b) {
     return a.impl_->kind() == b.impl_->kind() && a.impl_->p() == b.impl_->p() &&
            a.impl_->g() == b.impl_->g();

@@ -223,8 +223,8 @@ class MetricsRegistry {
 std::string label_text(const LabelSet& labels);
 
 // Samples a source cell at construction and adds the delta to `dst` at
-// destruction. Used to attribute mont-mul counts to a protocol phase:
-//   { ScopedCounterDelta d(group.mont_mul_cell(), per_phase_counter); ... }
+// destruction. Used to attribute group-op counts to a protocol phase:
+//   { ScopedCounterDelta d(group.group_op_cell(), per_phase_counter); ... }
 class ScopedCounterDelta {
  public:
   ScopedCounterDelta(const std::atomic<std::uint64_t>* src, Counter dst)

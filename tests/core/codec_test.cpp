@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <functional>
+#include <new>
 #include <string>
 
 #include "core/messages.hpp"
@@ -14,6 +17,29 @@
 #include "tests/core/test_util.hpp"
 #include "tests/core/wire_table.hpp"
 #include "threshold/reshare.hpp"
+
+// A counting global operator new: while g_count_allocs is set it records
+// the largest single allocation (CodecAllocation below); otherwise it is
+// plain malloc.
+namespace {
+std::atomic<bool> g_count_allocs{false};
+std::atomic<std::size_t> g_largest_alloc{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    std::size_t seen = g_largest_alloc.load(std::memory_order_relaxed);
+    while (size > seen &&
+           !g_largest_alloc.compare_exchange_weak(seen, size, std::memory_order_relaxed)) {
+    }
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so GCC does not pair an inlined free() with the operator new
+// call it replaces (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t /*size*/) noexcept { std::free(p); }
 
 namespace dblind::core {
 namespace {
@@ -89,11 +115,7 @@ TEST(Codec, ExpectDoneCatchesTrailing) {
 
 TEST(Codec, InstanceIdRoundTrip) {
   InstanceId id{7, 3, 2};
-  Writer w;
-  id.encode(w);
-  auto bytes = w.take();
-  Reader r(bytes);
-  EXPECT_EQ(InstanceId::decode(r), id);
+  EXPECT_EQ(group::from_bytes<InstanceId>(group::to_bytes(id)), id);
   EXPECT_EQ(id.str(), "t7/c3/e2");
 }
 
@@ -401,6 +423,91 @@ TEST(WireTable, SnapshotBytesPinned) {
   EXPECT_EQ(b, "36a2c745a4bb52ad6426953621708756025d38dfe57e31b834ed4b096f57e34f");
 }
 
+// ---- allocation bound: a vector count cannot amplify one frame --------------
+//
+// Each body below ends in a vector count followed by zero bytes. A reader
+// that reserves `count` elements before checking the count against the
+// element's smallest encoding turns every input byte into sizeof(element)
+// reserved bytes (208 for a DecryptionShare, 128 for a SignedMessage, 56 for
+// an Element). With the bound, the worst case is 56 / 5 = 11.2.
+
+// The largest single allocation `parse` makes.
+std::size_t largest_alloc(const std::function<void()>& parse) {
+  g_largest_alloc.store(0);
+  g_count_allocs.store(true);
+  try {
+    parse();
+  } catch (const CodecError&) {
+  }
+  g_count_allocs.store(false);
+  return g_largest_alloc.load();
+}
+
+// `head`, then `count`, then `fill` zero bytes.
+std::vector<std::uint8_t> counted_body(std::vector<std::uint8_t> head, std::uint32_t count,
+                                       std::size_t fill) {
+  Writer w;
+  w.u32(count);
+  const std::vector<std::uint8_t> tail = w.take();
+  head.insert(head.end(), tail.begin(), tail.end());
+  head.resize(head.size() + fill, 0);
+  return head;
+}
+
+TEST(CodecAllocation, VectorCountsCannotAmplifyAFrame) {
+  constexpr std::size_t kFill = 4096;
+  const ServiceSignedMsg blind{1, {0xfa, 0xce}, {Bigint(7), Bigint(8)}};
+  std::vector<std::uint8_t> done_head = group::to_bytes(blind);
+  {
+    Writer w;
+    w.bigint(Bigint(9));  // m_rho
+    const std::vector<std::uint8_t> m_rho = w.take();
+    done_head.insert(done_head.end(), m_rho.begin(), m_rho.end());
+  }
+  Writer reveal_head;  // tag, InstanceId
+  reveal_head.u8(static_cast<std::uint8_t>(MsgType::kReveal));
+  reveal_head.u64(1);
+  reveal_head.u32(1);
+  reveal_head.u32(0);
+  Writer deal_head;  // tag, service, epoch, dealer
+  deal_head.u8(static_cast<std::uint8_t>(MsgType::kReshareDeal));
+  deal_head.u8(1);
+  deal_head.u32(1);
+  deal_head.u32(1);
+
+  struct Case {
+    std::string name;
+    std::vector<std::uint8_t> head;
+    std::size_t min_elem;  // the element's smallest encoding
+    std::function<void(std::span<const std::uint8_t>)> parse;
+  };
+  const std::vector<Case> cases = {
+      {"DoneEvidence::shares", done_head, 24,
+       [](std::span<const std::uint8_t> b) { (void)group::from_bytes<DoneEvidence>(b); }},
+      {"RevealMsg::commits", reveal_head.take(), 23,
+       [](std::span<const std::uint8_t> b) {
+         (void)decode_as<RevealMsg>(MsgType::kReveal, b);
+       }},
+      {"ReshareDealMsg::enc", deal_head.take(), 5,
+       [](std::span<const std::uint8_t> b) {
+         (void)decode_as<ReshareDealMsg>(MsgType::kReshareDeal, b);
+       }},
+  };
+  for (const Case& c : cases) {
+    // A count of one element per remaining byte, and the largest count the
+    // bound accepts.
+    for (std::size_t count : {kFill, kFill / c.min_elem}) {
+      const std::vector<std::uint8_t> body =
+          counted_body(c.head, static_cast<std::uint32_t>(count), kFill);
+      const std::size_t largest = largest_alloc([&] { c.parse(body); });
+      EXPECT_LE(largest, 16 * body.size())
+          << c.name << " count " << count << ": one allocation of " << largest << " bytes ("
+          << static_cast<double>(largest) / static_cast<double>(body.size())
+          << "x) from a " << body.size() << "-byte body";
+    }
+  }
+}
+
 // ---- codec boundary: a parse with the group rejects non-elements ------------
 //
 // Every element field kind — ciphertext component, VDE g12/g21, proof t1/t2,
@@ -579,10 +686,7 @@ TEST_P(CodecBoundary, ServerPaysNoGroupOpsForRejectedElements) {
     {  // service-signed blind: signature r
       ServiceSignedMsg blind{static_cast<std::uint8_t>(ServiceRole::kServiceB),
                              encode_body(MsgType::kBlind, BlindPayload{}), {bad, Bigint(1)}};
-      Writer w;
-      w.u8(static_cast<std::uint8_t>(WireKind::kServiceSigned));
-      blind.encode(w);
-      frames.push_back(w.take());
+      frames.push_back(frame_service(blind));
     }
     {  // client transfer request: ciphertext component
       TransferRequestMsg req{2, {bad, gp.g()}};

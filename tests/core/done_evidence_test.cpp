@@ -63,16 +63,7 @@ struct DoneFixture {
         m_rho, cfg.b.encryption_key.inverse(blind.blinded.eb));
     payload = encode_body(MsgType::kDone, done);
 
-    DoneEvidence ev{blind_env, m_rho, shares};
-    Writer w;
-    ev.encode(w);
-    evidence = w.take();
-  }
-
-  [[nodiscard]] std::vector<std::uint8_t> encode_evidence(const DoneEvidence& ev) const {
-    Writer w;
-    ev.encode(w);
-    return w.take();
+    evidence = group::to_bytes(DoneEvidence{blind_env, m_rho, shares});
   }
 
   // Verdict of the Fig. 5 reference check; the batch check the A servers
@@ -99,7 +90,7 @@ TEST(DoneEvidenceCheck, WrongStoredCiphertextRejected) {
 TEST(DoneEvidenceCheck, TamperedMRhoRejected) {
   DoneFixture fx;
   DoneEvidence ev{fx.blind_env, fx.ts.params.mul(fx.m_rho, fx.ts.params.g()), fx.shares};
-  EXPECT_FALSE(fx.done_ok(fx.payload, fx.encode_evidence(ev), fx.stored));
+  EXPECT_FALSE(fx.done_ok(fx.payload, group::to_bytes(ev), fx.stored));
 }
 
 TEST(DoneEvidenceCheck, ForgedBlindSignatureRejected) {
@@ -107,7 +98,7 @@ TEST(DoneEvidenceCheck, ForgedBlindSignatureRejected) {
   ServiceSignedMsg forged = fx.blind_env;
   forged.body.back() ^= 1;
   DoneEvidence ev{forged, fx.m_rho, fx.shares};
-  EXPECT_FALSE(fx.done_ok(fx.payload, fx.encode_evidence(ev), fx.stored));
+  EXPECT_FALSE(fx.done_ok(fx.payload, group::to_bytes(ev), fx.stored));
 }
 
 TEST(DoneEvidenceCheck, BadDecryptionShareRejected) {
@@ -115,14 +106,14 @@ TEST(DoneEvidenceCheck, BadDecryptionShareRejected) {
   auto bad_shares = fx.shares;
   bad_shares[0].d = fx.ts.params.mul(bad_shares[0].d, fx.ts.params.g());
   DoneEvidence ev{fx.blind_env, fx.m_rho, bad_shares};
-  EXPECT_FALSE(fx.done_ok(fx.payload, fx.encode_evidence(ev), fx.stored));
+  EXPECT_FALSE(fx.done_ok(fx.payload, group::to_bytes(ev), fx.stored));
 }
 
 TEST(DoneEvidenceCheck, DuplicateShareIndicesRejected) {
   DoneFixture fx;
   std::vector<threshold::DecryptionShare> dup = {fx.shares[0], fx.shares[0]};
   DoneEvidence ev{fx.blind_env, fx.m_rho, dup};
-  EXPECT_FALSE(fx.done_ok(fx.payload, fx.encode_evidence(ev), fx.stored));
+  EXPECT_FALSE(fx.done_ok(fx.payload, group::to_bytes(ev), fx.stored));
 }
 
 TEST(DoneEvidenceCheck, WrongShareCountRejected) {
@@ -132,7 +123,7 @@ TEST(DoneEvidenceCheck, WrongShareCountRejected) {
                                                    fx.ts.a_secrets[2].enc_share,
                                                    decrypt_context(fx.id), fx.prng));
   DoneEvidence ev{fx.blind_env, fx.m_rho, extra};  // f+2 shares: not exactly a quorum
-  EXPECT_FALSE(fx.done_ok(fx.payload, fx.encode_evidence(ev), fx.stored));
+  EXPECT_FALSE(fx.done_ok(fx.payload, group::to_bytes(ev), fx.stored));
 }
 
 TEST(DoneEvidenceCheck, TamperedPayloadRejected) {
@@ -157,7 +148,7 @@ TEST(DoneEvidenceCheck, SharesForWrongContextRejected) {
         decrypt_context(InstanceId{2, 1, 0}), fx.prng));
   }
   DoneEvidence ev{fx.blind_env, fx.m_rho, wrong_ctx};
-  EXPECT_FALSE(fx.done_ok(fx.payload, fx.encode_evidence(ev), fx.stored));
+  EXPECT_FALSE(fx.done_ok(fx.payload, group::to_bytes(ev), fx.stored));
 }
 
 }  // namespace

@@ -468,10 +468,9 @@ struct SigningFixture {
     DonePayload done{id, stored,
                      cfg.b.encryption_key.juxtapose(
                          m_rho, cfg.b.encryption_key.inverse(blind.blinded.eb))};
-    Writer w;
-    DoneEvidence{blind_env, m_rho, shares}.encode(w);
     SignRequestMsg req{kSession, static_cast<std::uint8_t>(SignPurpose::kDone),
-                       encode_body(MsgType::kDone, done), w.take()};
+                       encode_body(MsgType::kDone, done),
+                       group::to_bytes(DoneEvidence{blind_env, m_rho, shares})};
     request = from_requester(MsgType::kSignRequest, req);
 
     member.store_secret(id.transfer, stored);

@@ -266,14 +266,13 @@ TEST(Validity, BlindSignRequestAcceptsHonestEvidence) {
   payload.blinded.ea = *fx.cfg().a.encryption_key.product(eas);
   payload.blinded.eb = *fx.cfg().b.encryption_key.product(ebs);
 
-  Writer w;
-  ev.encode(w);
-  EXPECT_TRUE(fx.blind_request_ok(encode_body(MsgType::kBlind, payload), w.view()));
+  const std::vector<std::uint8_t> evidence = group::to_bytes(ev);
+  EXPECT_TRUE(fx.blind_request_ok(encode_body(MsgType::kBlind, payload), evidence));
 
   // A payload that is NOT the product of the evidence is rejected.
   BlindPayload wrong = payload;
   wrong.blinded.ea.b = fx.ts.params.mul(wrong.blinded.ea.b, fx.ts.params.g());
-  EXPECT_FALSE(fx.blind_request_ok(encode_body(MsgType::kBlind, wrong), w.view()));
+  EXPECT_FALSE(fx.blind_request_ok(encode_body(MsgType::kBlind, wrong), evidence));
 
   // Evidence whose second contribute carries a VDE proof bound to another
   // server's context is rejected, though signatures and commitments check out.
@@ -288,9 +287,8 @@ TEST(Validity, BlindSignRequestAcceptsHonestEvidence) {
   BlindEvidence bad_vde = ev;
   bad_vde.contributes[1] =
       make_envelope(fx.b(2), encode_body(MsgType::kContribute, m), 0, fx.prng);
-  Writer wb;
-  bad_vde.encode(wb);
-  EXPECT_FALSE(fx.blind_request_ok(encode_body(MsgType::kBlind, payload), wb.view()));
+  EXPECT_FALSE(
+      fx.blind_request_ok(encode_body(MsgType::kBlind, payload), group::to_bytes(bad_vde)));
 }
 
 TEST(Validity, BlindSignRequestRejectsMixedReveals) {
@@ -317,9 +315,7 @@ TEST(Validity, BlindSignRequestRejectsMixedReveals) {
       std::vector<elgamal::Ciphertext>{contribs[0].contribution.ea, contribs[1].contribution.ea});
   payload.blinded.eb = *fx.cfg().b.encryption_key.product(
       std::vector<elgamal::Ciphertext>{contribs[0].contribution.eb, contribs[1].contribution.eb});
-  Writer w;
-  ev.encode(w);
-  EXPECT_FALSE(fx.blind_request_ok(encode_body(MsgType::kBlind, payload), w.view()));
+  EXPECT_FALSE(fx.blind_request_ok(encode_body(MsgType::kBlind, payload), group::to_bytes(ev)));
 }
 
 TEST(Validity, BlindSignRequestRejectsDuplicateServers) {
@@ -343,9 +339,7 @@ TEST(Validity, BlindSignRequestRejectsDuplicateServers) {
   ASSERT_TRUE(sq && sq2);
   payload.blinded.ea = *sq;
   payload.blinded.eb = *sq2;
-  Writer w;
-  ev.encode(w);
-  EXPECT_FALSE(fx.blind_request_ok(encode_body(MsgType::kBlind, payload), w.view()));
+  EXPECT_FALSE(fx.blind_request_ok(encode_body(MsgType::kBlind, payload), group::to_bytes(ev)));
 }
 
 TEST(Validity, ServiceSignedBlindRoundTrip) {

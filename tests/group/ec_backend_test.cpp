@@ -140,7 +140,6 @@ TEST(EcBackend, OpCounterAdvancesAndWeightIsEcScale) {
   (void)gp.pow_g(Bigint(123456));
   EXPECT_GT(gp.group_op_count(), before);
   EXPECT_EQ(gp.op_cost_weight(), 25u);  // word-muls per field mul
-  EXPECT_EQ(gp.mont_mul_count(), gp.group_op_count());  // alias
   // The mod-p oracle weighs ops as 2k^2 word muls.
   GroupParams modp = GroupParams::named(ParamId::kToy64);
   EXPECT_EQ(modp.op_cost_weight(), 2u);  // k = 1 limb

@@ -476,6 +476,14 @@ SELF_TEST_CASES = [
      "  auto stash = nonce_cache_;\n"
      "  w.bytes(stash);\n"
      "}"),
+    # the durable record is built inside snapshot() itself, so an ephemeral
+    # secret placed into it is seen where it enters:
+    ("taint-snapshot",
+     "std::vector<std::uint8_t> ProtocolServer::snapshot() const {\n"
+     "  SnapshotRecord record{ledger_.stored, ledger_.pending_store, ledger_.transfers,\n"
+     "                        blinding_.next_epochs(), rho_dones_};\n"
+     "  return group::to_bytes(kSnapshotVersion, record);\n"
+     "}"),
     # long-lived key material in a snapshot is the point of snapshots:
     (None,
      "std::vector<std::uint8_t> ProtocolServer::snapshot() const {\n"
