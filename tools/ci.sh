@@ -73,8 +73,10 @@
 #                    word_muls_per_transfer, wire_bytes_per_transfer,
 #                    messages_per_transfer) on every workload at seed 1.
 #                    DBLIND_SAME_BEHAVIOUR_EXCEPT="<name> ..." lists chaos
-#                    mixes or count names whose difference is reported but
-#                    does not fail the job. Not part of the default job list.
+#                    mixes, count names (excepted on every workload) or
+#                    <workload>:<count> pairs (excepted on that workload
+#                    only) whose difference is reported but does not fail
+#                    the job. Not part of the default job list.
 #
 # Usage: tools/ci.sh [job...]     (no args = every job but same_behaviour,
 #                                  lint first)
@@ -208,9 +210,10 @@ for w in ["ec255-steady", "modp1024-steady", "ec255-byzantine-churn"]:
                   for s in ("base", "work"))
     for c in counts:
         same = base[c] == work[c]
-        note = "same" if same else ("differs (excepted)" if c in except_ else "DIFFERS")
+        excepted = c in except_ or f"{w}:{c}" in except_
+        note = "same" if same else ("differs (excepted)" if excepted else "DIFFERS")
         print(f"ci.sh: same_behaviour: {w} {c}: {base[c]} -> {work[c]} {note}")
-        ok = ok and (same or c in except_)
+        ok = ok and (same or excepted)
 sys.exit(0 if ok else 1)
 PY
   [[ $rc -eq 0 ]] && echo "ci.sh: same_behaviour: traces and counts match"
