@@ -68,6 +68,15 @@ std::optional<ReconfigApplyMsg> check_reconfig_apply(const SystemConfig& cfg, Co
   return msg;
 }
 
+std::optional<ReconfigEchoMsg> check_reconfig_echo(const SystemConfig& cfg, ConfigEpoch current,
+                                                   const SignedMessage& env) {
+  if (env.cfg_epoch != current) return std::nullopt;
+  auto echo = try_decode<ReconfigEchoMsg>(cfg, MsgType::kReconfigEcho, env.body);
+  if (!echo || echo->service != env.service || echo->epoch != current + 1) return std::nullopt;
+  if (!envelope_signature_ok(cfg, env)) return std::nullopt;
+  return echo;
+}
+
 std::optional<ReconfigApplyMsg> check_install_record(const SystemConfig& cfg, ConfigEpoch current,
                                                      const SignedMessage& apply_env,
                                                      std::span<const SignedMessage> echoes) {
@@ -77,12 +86,9 @@ std::optional<ReconfigApplyMsg> check_install_record(const SystemConfig& cfg, Co
   const hash::Digest want = reconfig_apply_digest(apply_env);
   std::set<ServerRank> echoed;
   for (const SignedMessage& env : echoes) {
-    if (env.service != apply->spec.service || env.cfg_epoch != current) continue;
-    if (!envelope_signature_ok(cfg, env)) continue;
-    auto echo = try_decode<ReconfigEchoMsg>(cfg, MsgType::kReconfigEcho, env.body);
-    if (!echo || echo->service != apply->spec.service || echo->epoch != apply->spec.epoch) continue;
-    if (echo->digest != want) continue;
-    echoed.insert(env.signer);
+    if (env.service != apply->spec.service) continue;
+    auto echo = check_reconfig_echo(cfg, current, env);
+    if (echo && echo->digest == want) echoed.insert(env.signer);
   }
   if (echoed.size() < 2 * svc.cfg.f + 1) return std::nullopt;
   return apply;

@@ -59,11 +59,18 @@ namespace dblind::core {
                                                                    ConfigEpoch current,
                                                                    const SignedMessage& env);
 
-// Validates one epoch's install certificate (a ReconfigStateMsg step or an
-// InstallRecord): the apply per check_reconfig_apply plus at least 2f+1 echo
-// envelopes from distinct old-roster ranks of the changing service, each
-// signed over cfg_epoch = current and echoing exactly this apply's digest
-// and epoch. Returns the decoded apply iff certified.
+// The echo rule: a kReconfigEcho envelope is a vote of its signer, an
+// old-roster member of the service the echo names, for the epoch current+1
+// apply with the echo's digest, signed over cfg_epoch = current. Returns the
+// decoded echo iff the vote is valid; the voter is (env.service, env.signer).
+[[nodiscard]] std::optional<ReconfigEchoMsg> check_reconfig_echo(const SystemConfig& cfg,
+                                                                 ConfigEpoch current,
+                                                                 const SignedMessage& env);
+
+// Validates one pulled epoch's install certificate (a ReconfigStateMsg
+// step): the apply per check_reconfig_apply plus at least 2f+1 valid echo
+// votes (check_reconfig_echo) for this apply's digest from distinct ranks
+// of the changing service. Returns the decoded apply iff certified.
 [[nodiscard]] std::optional<ReconfigApplyMsg> check_install_record(
     const SystemConfig& cfg, ConfigEpoch current, const SignedMessage& apply_env,
     std::span<const SignedMessage> echoes);

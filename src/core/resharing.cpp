@@ -122,7 +122,9 @@ std::optional<Certificate> Resharing::on_deal(const Local& l, const SignedMessag
                                               const Ledger& ledger) {
   if (!round_ || !round_->coordinating) return std::nullopt;
   Round& rr = *round_;
-  if (rr.applied) return std::nullopt;
+  // One deal per dealer (its signer): a held dealer's next deal changes
+  // nothing, so it is not checked.
+  if (rr.applied || rr.deals.contains(env.signer)) return std::nullopt;
   auto deal = check_reshare_deal(l.cfg, l.epoch, rr.spec, env);
   if (!deal) return std::nullopt;
   rr.deals.emplace(deal->dealer, env);
@@ -151,21 +153,24 @@ std::optional<Certificate> Resharing::on_deal(const Local& l, const SignedMessag
 }
 
 std::optional<Certificate> Resharing::on_apply(const Local& l, const SignedMessage& env) {
-  auto apply = check_reconfig_apply(l.cfg, l.epoch, env);
-  if (!apply) return std::nullopt;
   const hash::Digest digest = reconfig_apply_digest(env);
-  applies_.emplace(digest, env);
+  auto held = applies_.find(digest);
+  if (held == applies_.end() || !(held->second.env == env)) {
+    auto apply = check_reconfig_apply(l.cfg, l.epoch, env);
+    if (!apply) return std::nullopt;
+    held = applies_.try_emplace(digest, HeldApply{env, std::move(*apply)}).first;
+  }
+  const ReconfigSpec& spec = held->second.msg.spec;
 
   // Echo exactly one digest per epoch — the uniqueness rule everything else
   // leans on. Only old-roster members of the changing service vote.
-  if (static_cast<std::uint8_t>(l.me.role) == apply->spec.service && l.active() &&
-      !share_pending_) {
-    Round& rr = join(apply->spec);
+  if (static_cast<std::uint8_t>(l.me.role) == spec.service && l.active() && !share_pending_) {
+    Round& rr = join(spec);
     if (!rr.echoed) {
       rr.echoed = true;
       const SignedMessage echo = l.sign(encode_body(
-          MsgType::kReconfigEcho, ReconfigEchoMsg{apply->spec.service, apply->spec.epoch, digest}));
-      l.resend.broadcast(l.ctx, round_targets(l, apply->spec), frame_signed(echo),
+          MsgType::kReconfigEcho, ReconfigEchoMsg{spec.service, spec.epoch, digest}));
+      l.resend.broadcast(l.ctx, round_targets(l, spec), frame_signed(echo),
                          {.self = ToSelf::kResendOnly});
       echoes_[digest].emplace(echo.signer, echo);  // count our own echo
     }
@@ -174,12 +179,13 @@ std::optional<Certificate> Resharing::on_apply(const Local& l, const SignedMessa
 }
 
 std::optional<Certificate> Resharing::on_echo(const Local& l, const SignedMessage& env) {
-  auto msg = parse_signed<ReconfigEchoMsg>(l.cfg, env, MsgType::kReconfigEcho);
+  auto msg = try_decode<ReconfigEchoMsg>(l.cfg, MsgType::kReconfigEcho, env.body);
   if (!msg) return std::nullopt;
-  // Echo votes count per-service: the signer must belong to the service its
-  // echo claims to certify (check_install_record re-checks this).
-  if (env.service != msg->service) return std::nullopt;
-  if (msg->epoch != l.epoch + 1) return std::nullopt;
+  // One vote per voter and digest: a held voter's next echo changes nothing,
+  // so it is not checked.
+  auto held = echoes_.find(msg->digest);
+  if (held != echoes_.end() && held->second.contains(env.signer)) return std::nullopt;
+  if (!check_reconfig_echo(l.cfg, l.epoch, env)) return std::nullopt;
   std::map<ServerRank, SignedMessage>& votes = echoes_[msg->digest];
   votes.emplace(env.signer, env);
   // Fetch step: 2f+1 members echoed an apply this node lacks (late, or lost
@@ -198,14 +204,18 @@ std::optional<Certificate> Resharing::on_echo(const Local& l, const SignedMessag
 }
 
 std::optional<Certificate> Resharing::try_install(const Local& l) const {
-  for (const auto& [digest, apply_env] : applies_) {
+  for (const auto& [digest, held] : applies_) {
     auto eit = echoes_.find(digest);
     if (eit == echoes_.end()) continue;
+    const std::uint8_t service = held.msg.spec.service;
     std::vector<SignedMessage> echoes;
-    echoes.reserve(eit->second.size());
-    for (const auto& [rank, echo_env] : eit->second) echoes.push_back(echo_env);
-    auto apply = check_install_record(l.cfg, l.epoch, apply_env, echoes);
-    if (apply) return Certificate{apply_env, std::move(*apply), std::move(echoes)};
+    std::size_t votes = 0;
+    for (const auto& [rank, echo_env] : eit->second) {
+      echoes.push_back(echo_env);
+      if (echo_env.service == service) ++votes;
+    }
+    if (votes >= 2 * l.cfg.service(static_cast<ServiceRole>(service)).cfg.f + 1)
+      return Certificate{held.env, held.msg, std::move(echoes)};
   }
   return std::nullopt;
 }

@@ -3,7 +3,9 @@
 // deals ONE re-sharing, the proposer certifies f+1 valid deals into an apply,
 // and old-roster members echo the first valid apply's digest exactly once: an
 // apply plus 2f+1 echoes is a (unique) Certificate, which ProtocolServer
-// installs. Laggards pull the install chain one epoch at a time.
+// installs. Each deal, apply and echo is checked once, when it arrives; a
+// held one is not checked again, and completing a certificate only counts
+// held votes. Laggards pull the install chain one epoch at a time.
 #pragma once
 
 #include <cstdint>
@@ -126,11 +128,18 @@ class Resharing {
   // Keeps a sub-share for the install in progress (epoch+1) or the one just
   // installed; false (dropped) for any other epoch.
   bool store(const Local& l, const ReshareSubshareMsg& msg);
+  // The first held apply with 2f+1 held votes of its service: counting only.
   [[nodiscard]] std::optional<Certificate> try_install(const Local& l) const;
 
+  // A checked apply, kept beside its envelope.
+  struct HeldApply {
+    SignedMessage env;
+    ReconfigApplyMsg msg;
+  };
+
   std::optional<Round> round_;
-  // Valid applies / echo votes for the NEXT epoch, by apply digest.
-  std::map<hash::Digest, SignedMessage> applies_;
+  // Checked applies / echo votes for the NEXT epoch, by apply digest.
+  std::map<hash::Digest, HeldApply> applies_;
   std::map<hash::Digest, std::map<ServerRank, SignedMessage>> echoes_;
   // Sub-shares by (install epoch, old dealer rank); latest receipt wins, so
   // a garbage sub-share cannot shadow the dealer's real one.

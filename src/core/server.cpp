@@ -408,7 +408,7 @@ void ProtocolServer::install(net::Context& ctx, Certificate cert) {
 
   // 2. Drop ALL round state: all of it is bound to the dying configuration.
   //    The in-flight self-coordinated transfers go back to the head of the
-  //    admission queue, keeping their priority, for step 9 to re-admit.
+  //    admission queue, keeping their priority, for step 8 to re-admit.
   drop_round_state();
   (void)engine_.abort_inflight();
   observer_.m.engine_inflight.set(0);
@@ -440,15 +440,13 @@ void ProtocolServer::install(net::Context& ctx, Certificate cert) {
     resharing_.set_share_pending(new_rank != 0);
   }
 
-  // 6. Pinned fixed-base tables die with their configuration (contribution
-  //    streams need no re-keying: the epoch is part of their key).
-  cfg_.params.reset_base_caches();
-  pin_bases();
-
-  // 7. Record the certificate; laggards pull it one epoch at a time.
+  // 6. Record the certificate; laggards pull it one epoch at a time. Nothing
+  //    is re-keyed: a reshare never changes a service key, so the pinned
+  //    comb tables stay, and the epoch is part of each contribution stream's
+  //    key.
   resharing_.record(cfg_epoch_, InstallRecord{std::move(cert.apply_env), std::move(cert.echoes)});
 
-  // 8. Observability: aborts carry the NEW epoch ("killed by install of e").
+  // 7. Observability: aborts carry the NEW epoch ("killed by install of e").
   observer_.m.config_epoch.set(cfg_epoch_);
   observer_.m.reconfig_installs.inc();
   const Local l = local(ctx);
@@ -458,7 +456,7 @@ void ProtocolServer::install(net::Context& ctx, Certificate cert) {
   }
   l.trace(obs::EventKind::kEpochInstall, nullptr, {.peer = rank(), .count = spec.n});
 
-  // 9. Resume: B adopts the apply's transfers and restarts coordinators
+  // 8. Resume: B adopts the apply's transfers and restarts coordinators
   //    and result pulls under the new ranks.
   if (is_b() && active() && !resharing_.share_pending()) {
     for (TransferId t : cert.apply.transfers) ledger_.transfers.insert(t);
@@ -469,7 +467,7 @@ void ProtocolServer::install(net::Context& ctx, Certificate cert) {
   // wolf.
   if (is_b() && !active()) observer_.watchdog().reset();
 
-  // 10. Complete our new share, or keep pulling the missing sub-shares.
+  // 9. Complete our new share, or keep pulling the missing sub-shares.
   if (resharing_.share_pending()) {
     if (auto share = resharing_.complete_share(local(ctx))) {
       adopt_share(ctx, std::move(*share));

@@ -93,7 +93,6 @@ class Group {
   // Group inverse (ModP: a^-1 mod p; Ec: point negation).
   [[nodiscard]] virtual Element inv(const Element& a) const = 0;
 
-  virtual void reset_base_caches() const = 0;
   [[nodiscard]] virtual std::size_t pinned_table_count() const = 0;
 
   // Injective value -> element embedding; inverse of decode_message. The

@@ -171,11 +171,6 @@ Element Ec::inv(const Element& a) const {
   return element(ec::neg(point(a)));
 }
 
-void Ec::reset_base_caches() const {
-  MutexLock lock(cache_.mu);
-  cache_.pinned.clear();  // g's call_once comb is separate and stays
-}
-
 std::size_t Ec::pinned_table_count() const {
   MutexLock lock(cache_.mu);
   return cache_.pinned.size();

@@ -56,7 +56,6 @@ class Ec final : public Group {
                                       const Element& expect) const override;
   [[nodiscard]] Element inv(const Element& a) const override;
 
-  void reset_base_caches() const override;
   [[nodiscard]] std::size_t pinned_table_count() const override;
 
   [[nodiscard]] Element encode_message(const Bigint& v) const override;

@@ -77,11 +77,6 @@ Element ModP::pow_fixed(const Element& b, const Bigint& e) const {
   return result(table->pow(mpz::mod(e, q_)), mine(b));
 }
 
-void ModP::reset_base_caches() const {
-  MutexLock lock(cache_.mu);
-  cache_.pinned.clear();  // g's call_once comb is separate and stays
-}
-
 std::size_t ModP::pinned_table_count() const {
   MutexLock lock(cache_.mu);
   return cache_.pinned.size();

@@ -112,11 +112,12 @@ class GroupParams {
     return impl_->pow(b, e);
   }
   // Pins `b` as a protocol base: builds a wide (5-bit window) comb table for
-  // it once per key epoch, shared const thereafter across all copies of this
-  // GroupParams (and threads). The pinned set grows only through explicit
-  // pins — a hostile peer spraying fresh bases cannot touch it. Idempotent;
-  // pinning g itself is a no-op (pow_g already combs it). Called by
-  // ProtocolServer for y_A, y_B and y_A·y_B.
+  // it once, shared const thereafter across all copies of this GroupParams
+  // (and threads) for as long as any copy lives. The pinned set grows only
+  // through explicit pins — a hostile peer spraying fresh bases cannot touch
+  // it. Idempotent; pinning g itself is a no-op (pow_g already combs it).
+  // ProtocolServer's constructor pins y_A, y_B and y_A·y_B, which no reshare
+  // changes.
   void pin_base(const Element& b) const { impl_->pin_base(b); }
   // b^e through the pinned comb table when `b` was pinned (or is g);
   // otherwise a plain pow() — never inserts into any cache, so it is safe on
@@ -159,14 +160,6 @@ class GroupParams {
   // Group inverse a^{-1}.
   [[nodiscard]] Element inv(const Element& a) const { return impl_->inv(a); }
 
-  // Epoch-boundary invalidation (core/reconfig): drops every pinned comb
-  // except g's own. Bases tied to a retired configuration (old commitment
-  // points, per-epoch aggregates) must not survive an epoch install; callers
-  // re-pin the protocol bases that are still live afterwards. Shared across
-  // all copies of this GroupParams, so one server's install clears the
-  // process-wide cache — semantically a no-op (pow_fixed degrades to pow()),
-  // never a safety issue.
-  void reset_base_caches() const { impl_->reset_base_caches(); }
   // Pinned table count (tests/observability).
   [[nodiscard]] std::size_t pinned_table_count() const {
     return impl_->pinned_table_count();

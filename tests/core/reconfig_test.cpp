@@ -236,6 +236,13 @@ struct RoundFixture {
                          encode_body(MsgType::kReconfigEcho, ReconfigEchoMsg{kB, 1, digest}), 0,
                          prng);
   }
+  // The group operations `fn` performs.
+  template <typename Fn>
+  std::uint64_t ops(Fn&& fn) const {
+    const std::uint64_t before = gp().group_op_count();
+    fn();
+    return gp().group_op_count() - before;
+  }
 };
 
 // A dealer cannot re-share a value other than its share: the deal's constant
@@ -319,6 +326,56 @@ TEST(ReconfigRound, EchoQuorumWithoutApplyPullsInstall) {
   server.on_message(ctx, fx.node(1),
                     framed(encode_body(MsgType::kReconfigState, ReconfigStateMsg{apply, echoes})));
   EXPECT_EQ(server.config_epoch(), 1u);
+}
+
+// Each apply and echo is checked once, when it arrives: a re-delivered one
+// costs no group operation, and a first echo costs its own signature check
+// and nothing more (no held apply or vote is checked again).
+TEST(ReconfigRound, HeldVotesAreNotRechecked) {
+  RoundFixture fx;
+  ProtocolServer server(fx.ts.cfg, fx.ts.b_secrets[3], ProtocolOptions{});
+  testing::NullContext ctx(7);
+  server.on_start(ctx);
+  const SignedMessage apply = fx.apply(1, {fx.honest_deal(1), fx.honest_deal(2)});
+  const SignedMessage echo = fx.echo(1, reconfig_apply_digest(apply));
+  const auto deliver = [&](const SignedMessage& env) {
+    return fx.ops([&] { server.on_message(ctx, fx.node(1), framed(env)); });
+  };
+  const std::uint64_t echo_check =
+      fx.ops([&] { EXPECT_TRUE(envelope_signature_ok(fx.ts.cfg, echo)); });
+
+  EXPECT_GT(deliver(apply), 0u);  // checked, then echoed with our own vote
+  EXPECT_EQ(deliver(apply), 0u);
+  EXPECT_EQ(deliver(echo), echo_check);
+  EXPECT_EQ(deliver(echo), 0u);
+  EXPECT_EQ(server.config_epoch(), 0u);  // two votes of the three needed
+}
+
+// An install rebuilds nothing a reshare keeps: the echo that completes the
+// certificate costs its own check plus deriving the next service, and the
+// pinned comb tables (y_A, y_B, y_A·y_B: a reshare changes no key) stay.
+TEST(ReconfigRound, InstallBuildsNoCombTable) {
+  RoundFixture fx;
+  ProtocolServer server(fx.ts.cfg, fx.ts.b_secrets[3], ProtocolOptions{});
+  testing::NullContext ctx(9);
+  server.on_start(ctx);
+  const SignedMessage apply = fx.apply(1, {fx.honest_deal(1), fx.honest_deal(2)});
+  const hash::Digest d = reconfig_apply_digest(apply);
+  const SignedMessage last = fx.echo(2, d);
+  server.on_message(ctx, fx.node(1), framed(apply));
+  server.on_message(ctx, fx.node(1), framed(fx.echo(1, d)));
+  ASSERT_EQ(server.config_epoch(), 0u);
+
+  const ReconfigApplyMsg msg = decode_as<ReconfigApplyMsg>(MsgType::kReconfigApply, apply.body,
+                                                           fx.gp());
+  const std::uint64_t echo_check =
+      fx.ops([&] { EXPECT_TRUE(envelope_signature_ok(fx.ts.cfg, last)); });
+  const std::uint64_t derive = fx.ops([&] { (void)next_service(fx.ts.cfg, msg); });
+  const std::size_t pinned = fx.gp().pinned_table_count();
+  EXPECT_EQ(fx.ops([&] { server.on_message(ctx, fx.node(2), framed(last)); }),
+            echo_check + derive);
+  EXPECT_EQ(server.config_epoch(), 1u);
+  EXPECT_EQ(fx.gp().pinned_table_count(), pinned);
 }
 
 }  // namespace

@@ -84,7 +84,7 @@ TEST(FixedBase, PinnedDispatchMatchesPow) {
   }
 }
 
-// Copies of GroupParams share the pinned tables (one build per key epoch,
+// Copies of GroupParams share the pinned tables (one build per base,
 // visible to every server holding the same parameters).
 TEST(FixedBase, PinSharedAcrossCopies) {
   GroupParams gp = GroupParams::named(ParamId::kToy64);
@@ -102,35 +102,6 @@ TEST(FixedBase, PinSharedAcrossCopies) {
   // q-bit exponent costs at most ceil(bits/5) multiplications there, far
   // below the squaring chain of the generic path.
   EXPECT_LE(comb_muls, (gp.q().bit_length() + 4) / 5 + 1);
-}
-
-// Epoch-boundary invalidation (PR 7): reset_base_caches drops every pinned
-// comb table, so bases pinned for a dying key epoch are unreachable in the
-// next one — the epoch's install cascade calls exactly this before pinning
-// the new roster's verification keys. Results stay correct throughout (a
-// miss falls back to the generic path); only the table inventory changes.
-TEST(FixedBase, ResetDropsPinnedTablesAcrossEpochs) {
-  GroupParams gp = GroupParams::named(ParamId::kToy64);
-  mpz::Prng prng(7500);
-  const Bigint y_old = gp.pow_g(gp.random_exponent(prng));
-  const Bigint y_new = gp.pow_g(gp.random_exponent(prng));
-  gp.pin_base(y_old);
-  EXPECT_EQ(gp.pinned_table_count(), 1u);
-
-  gp.reset_base_caches();
-  EXPECT_EQ(gp.pinned_table_count(), 0u);
-  // The stale base still computes correctly — through the generic path, at
-  // the generic path's cost (a fresh dispatch must not resurrect the table).
-  const Bigint e = gp.random_exponent(prng);
-  EXPECT_EQ(gp.pow_fixed(y_old, e), gp.pow(y_old, e));
-  EXPECT_EQ(gp.pinned_table_count(), 0u);
-
-  // The new epoch pins its own bases; the old one stays unpinned, and the
-  // reset is visible through every copy sharing the parameter caches.
-  GroupParams copy = gp;
-  gp.pin_base(y_new);
-  EXPECT_EQ(copy.pinned_table_count(), 1u);
-  EXPECT_EQ(copy.pow_fixed(y_new, e), gp.pow(y_new, e));
 }
 
 // The perf claim behind the tentpole, machine-independent: a comb-table
