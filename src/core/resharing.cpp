@@ -23,6 +23,16 @@ Frame pull_frame(const Local& l) {
   return frame_client(encode_body(MsgType::kReconfigPull, ReconfigPullMsg{l.epoch}));
 }
 
+// The held votes of `service`'s members, by rank.
+template <typename Votes>
+std::vector<SignedMessage> votes_of(const Votes& votes, std::uint8_t service) {
+  std::vector<SignedMessage> out;
+  for (auto it = votes.lower_bound({service, 0}); it != votes.end() && it->first.first == service;
+       ++it)
+    out.push_back(it->second);
+  return out;
+}
+
 }  // namespace
 
 NextService next_service(const SystemConfig& cfg, const ReconfigApplyMsg& apply) {
@@ -172,7 +182,7 @@ std::optional<Certificate> Resharing::on_apply(const Local& l, const SignedMessa
           MsgType::kReconfigEcho, ReconfigEchoMsg{spec.service, spec.epoch, digest}));
       l.resend.broadcast(l.ctx, round_targets(l, spec), frame_signed(echo),
                          {.self = ToSelf::kResendOnly});
-      echoes_[digest].emplace(echo.signer, echo);  // count our own echo
+      echoes_[digest].emplace(Voter{echo.service, echo.signer}, echo);  // count our own echo
     }
   }
   return try_install(l);
@@ -183,22 +193,26 @@ std::optional<Certificate> Resharing::on_echo(const Local& l, const SignedMessag
   if (!msg) return std::nullopt;
   // One vote per voter and digest: a held voter's next echo changes nothing,
   // so it is not checked.
+  const Voter voter{env.service, env.signer};
   auto held = echoes_.find(msg->digest);
-  if (held != echoes_.end() && held->second.contains(env.signer)) return std::nullopt;
+  if (held != echoes_.end() && held->second.contains(voter)) return std::nullopt;
   if (!check_reconfig_echo(l.cfg, l.epoch, env)) return std::nullopt;
-  std::map<ServerRank, SignedMessage>& votes = echoes_[msg->digest];
-  votes.emplace(env.signer, env);
+  Votes& votes = echoes_[msg->digest];
+  votes.emplace(voter, env);
   // Fetch step: 2f+1 members echoed an apply this node lacks (late, or lost
   // with resends that die at the senders' installs). Pull the install record
   // from the echoers once, sending nothing now: they answer once installed,
   // and our own install cancels the pull if the apply arrives first.
-  const ServicePublic& svc = l.cfg.service(static_cast<ServiceRole>(msg->service));
-  if (!install_pull_armed_ && !applies_.contains(msg->digest) &&
-      votes.size() >= 2 * svc.cfg.f + 1) {
-    install_pull_armed_ = true;
-    std::vector<net::NodeId> echoers;
-    for (const auto& [rank, echo_env] : votes) echoers.push_back(svc.node_of(rank));
-    l.resend.broadcast(l.ctx, echoers, pull_frame(l), {.send_now = false, .self = ToSelf::kNever});
+  if (!install_pull_armed_ && !applies_.contains(msg->digest)) {
+    const ServicePublic& svc = l.cfg.service(static_cast<ServiceRole>(msg->service));
+    const std::vector<SignedMessage> echoed = votes_of(votes, msg->service);
+    if (echoed.size() >= 2 * svc.cfg.f + 1) {
+      install_pull_armed_ = true;
+      std::vector<net::NodeId> echoers;
+      for (const SignedMessage& echo_env : echoed) echoers.push_back(svc.node_of(echo_env.signer));
+      l.resend.broadcast(l.ctx, echoers, pull_frame(l),
+                         {.send_now = false, .self = ToSelf::kNever});
+    }
   }
   return try_install(l);
 }
@@ -208,13 +222,8 @@ std::optional<Certificate> Resharing::try_install(const Local& l) const {
     auto eit = echoes_.find(digest);
     if (eit == echoes_.end()) continue;
     const std::uint8_t service = held.msg.spec.service;
-    std::vector<SignedMessage> echoes;
-    std::size_t votes = 0;
-    for (const auto& [rank, echo_env] : eit->second) {
-      echoes.push_back(echo_env);
-      if (echo_env.service == service) ++votes;
-    }
-    if (votes >= 2 * l.cfg.service(static_cast<ServiceRole>(service)).cfg.f + 1)
+    std::vector<SignedMessage> echoes = votes_of(eit->second, service);
+    if (echoes.size() >= 2 * l.cfg.service(static_cast<ServiceRole>(service)).cfg.f + 1)
       return Certificate{held.env, held.msg, std::move(echoes)};
   }
   return std::nullopt;

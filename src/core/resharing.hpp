@@ -136,11 +136,15 @@ class Resharing {
     SignedMessage env;
     ReconfigApplyMsg msg;
   };
+  // An echo's voter: (service, rank). Ranks alone would let a member of the
+  // other service take a voter's place.
+  using Voter = std::pair<std::uint8_t, ServerRank>;
+  using Votes = std::map<Voter, SignedMessage>;
 
   std::optional<Round> round_;
   // Checked applies / echo votes for the NEXT epoch, by apply digest.
   std::map<hash::Digest, HeldApply> applies_;
-  std::map<hash::Digest, std::map<ServerRank, SignedMessage>> echoes_;
+  std::map<hash::Digest, Votes> echoes_;
   // Sub-shares by (install epoch, old dealer rank); latest receipt wins, so
   // a garbage sub-share cannot shadow the dealer's real one.
   std::map<std::pair<ConfigEpoch, std::uint32_t>, ReshareSubshareMsg> subshares_;

@@ -378,5 +378,26 @@ TEST(ReconfigRound, InstallBuildsNoCombTable) {
   EXPECT_EQ(fx.gp().pinned_table_count(), pinned);
 }
 
+// Echo votes are keyed by (service, rank): an A member's echo naming B's
+// apply digest takes no B member's place, so B rank 1's later echo counts.
+TEST(ReconfigRound, ForeignServiceEchoCannotShadowAVote) {
+  RoundFixture fx;
+  ProtocolServer server(fx.ts.cfg, fx.ts.b_secrets[3], ProtocolOptions{});
+  testing::NullContext ctx(11);
+  server.on_start(ctx);
+  const SignedMessage apply = fx.apply(1, {fx.honest_deal(1), fx.honest_deal(2)});
+  const hash::Digest d = reconfig_apply_digest(apply);
+  constexpr auto kA = static_cast<std::uint8_t>(ServiceRole::kServiceA);
+  const SignedMessage foreign = make_envelope(
+      fx.ts.a_secrets[0], encode_body(MsgType::kReconfigEcho, ReconfigEchoMsg{kA, 1, d}), 0,
+      fx.prng);
+  server.on_message(ctx, fx.node(1), framed(apply));  // and rank 4 echoes it
+  server.on_message(ctx, fx.ts.cfg.a.node_of(1), framed(foreign));
+  server.on_message(ctx, fx.node(1), framed(fx.echo(1, d)));
+  EXPECT_EQ(server.config_epoch(), 0u);
+  server.on_message(ctx, fx.node(2), framed(fx.echo(2, d)));
+  EXPECT_EQ(server.config_epoch(), 1u);
+}
+
 }  // namespace
 }  // namespace dblind::core
