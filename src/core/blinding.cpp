@@ -157,6 +157,22 @@ void Blinding::start(const Local& l, TransferId transfer, std::uint32_t epoch, S
                                       {.transfer = transfer, .cancel_on_result = true});
 }
 
+void Blinding::arm_backup(const Local& l, TransferId transfer, net::Time delay) {
+  const std::uint64_t key = next_timer_++;
+  timer_ids_[key] = transfer;
+  l.ctx.set_timer(delay, timer::kCoordinator | key);
+}
+
+void Blinding::on_timer(const Local& l, std::uint64_t key, const ResultMap& results,
+                        Signing& signing) {
+  auto it = timer_ids_.find(key);
+  if (it == timer_ids_.end()) return;
+  const TransferId transfer = it->second;
+  timer_ids_.erase(it);
+  if (l.active() && !results.contains(transfer))
+    start(l, transfer, next_epoch(transfer), signing);
+}
+
 void Blinding::on_commit(const Local& l, const SignedMessage& env) {
   if (!l.is_b()) return;
   auto commit = check_commit(l.cfg, env);

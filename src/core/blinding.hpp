@@ -36,6 +36,11 @@ class Blinding {
 
   // Coordinator: opens this server's instance `epoch` of `transfer`.
   void start(const Local& l, TransferId transfer, std::uint32_t epoch, Signing& signing);
+  // A backup coordinator (rank 2..f+1) opens its instance of `transfer`
+  // after `delay`, unless an install drops the timer first.
+  void arm_backup(const Local& l, TransferId transfer, net::Time delay);
+  // timer::kCoordinator: a backup's delay ran out.
+  void on_timer(const Local& l, std::uint64_t key, const ResultMap& results, Signing& signing);
   void on_commit(const Local& l, const SignedMessage& env);
   // Verifies a contribute on arrival; one answering this coordinator's
   // reveal counts toward the f+1 quorum.
@@ -60,6 +65,7 @@ class Blinding {
   void reset() {
     contributors_.clear();
     coordinators_.clear();
+    timer_ids_.clear();
   }
 
  private:
@@ -109,6 +115,10 @@ class Blinding {
   std::map<InstanceId, ContributorState> contributors_;
   std::map<InstanceId, CoordinatorState> coordinators_;
   std::map<TransferId, std::uint32_t> next_epoch_;
+  // Armed backup timers: a timer carries its key, never a transfer id (a
+  // client names the id, and its high bits would spill into the timer's kind).
+  std::map<std::uint64_t, TransferId> timer_ids_;
+  std::uint64_t next_timer_ = 0;
   int attack_successes_ = 0;
 };
 

@@ -49,7 +49,7 @@ enum class Behavior : std::uint8_t {
 // Timer tokens: the high byte names the kind, the rest is its argument.
 namespace timer {
 inline constexpr std::uint64_t kKindMask = 0xffull << 56;
-inline constexpr std::uint64_t kCoordinator = 1ull << 56;      // | transfer
+inline constexpr std::uint64_t kCoordinator = 1ull << 56;      // | backup timer id
 inline constexpr std::uint64_t kResponder = 2ull << 56;        // | responder timer id
 inline constexpr std::uint64_t kSignRetry = 3ull << 56;        // | session id
 inline constexpr std::uint64_t kStoreSecret = 4ull << 56;      // | transfer

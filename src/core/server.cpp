@@ -102,14 +102,7 @@ void ProtocolServer::on_timer(net::Context& ctx, std::uint64_t token) {
   const std::uint64_t arg = token & ~timer::kKindMask;
   const Local l = local(ctx);
   switch (token & timer::kKindMask) {
-    case timer::kCoordinator:
-      // An install may have demoted the transfer to the queue since: it
-      // restarts through a fresh admission, never a stale timer.
-      if (active() && !ledger_.results.contains(arg) &&
-          engine_.phase(arg) == TransferPhase::kActive) {
-        blinding_.start(l, arg, blinding_.next_epoch(arg), signing_);
-      }
-      break;
+    case timer::kCoordinator: blinding_.on_timer(l, arg, ledger_.results, signing_); break;
     case timer::kTransferArrival:  // as if a client kTransferRequest landed now
       if (arg < scheduled_arrivals_.size()) run_transfer(ctx, scheduled_arrivals_[arg].second);
       break;
@@ -380,7 +373,7 @@ void ProtocolServer::launch_admitted(net::Context& ctx, std::span<const Transfer
     if (delay == 0) {
       blinding_.start(l, t, blinding_.next_epoch(t), signing_);
     } else {
-      ctx.set_timer(delay, timer::kCoordinator | t);
+      blinding_.arm_backup(l, t, delay);
     }
   }
 }

@@ -283,6 +283,35 @@ TEST(Protocol, InitAboveMaxCoordinatorsCostsNothing) {
   EXPECT_EQ(server.contributor_instances(), 1u);
 }
 
+// A backup coordinator's timer carries a key, never the transfer id: a
+// client names the id, and one at or above 2^56 would spill into the
+// timer's kind byte (4 << 56 turned kCoordinator into kResend).
+TEST(Protocol, HostileTransferIdStillArmsACoordinatorTimer) {
+  auto ts = testing::TestSystem::make(22);
+  mpz::Prng prng(5);
+  ProtocolServer server(ts.cfg, ts.b_secrets[1], ProtocolOptions{});  // B rank 2, a backup
+  testing::NullContext ctx(6);
+  server.on_start(ctx);
+  const TransferId hostile = (TransferId{4} << 56) | 1;
+  const TransferRequestMsg request{
+      hostile, ts.cfg.a.encryption_key.encrypt(ts.cfg.params.random_element(prng), prng)};
+  ctx.timers.clear();
+  server.on_message(ctx, 0, testing::framed(encode_body(MsgType::kTransferRequest, request)));
+  std::vector<std::uint64_t> backups;
+  for (std::uint64_t token : ctx.timers) {
+    if ((token & timer::kKindMask) == timer::kCoordinator) backups.push_back(token);
+  }
+  ASSERT_EQ(backups.size(), 1u);
+
+  // When it fires, the backup opens its instance of that very transfer.
+  ctx.frames.clear();
+  server.on_timer(ctx, backups[0]);
+  ASSERT_FALSE(ctx.frames.empty());
+  const std::vector<std::uint8_t> body = testing::body_of(ctx.frames[0].second);
+  ASSERT_EQ(peek_type(body), MsgType::kInit);
+  EXPECT_EQ(decode_as<InitMsg>(MsgType::kInit, body).id, (InstanceId{hostile, 2, 0}));
+}
+
 // A signing member holds its nonce k_i (and a copy of x_i) only until it
 // sends s_i = k_i + e·x_i, or until its session's quorum leaves it out:
 // whoever read k_i afterwards would learn x_i. Once a lossless run's traffic

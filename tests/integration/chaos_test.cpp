@@ -193,7 +193,10 @@ constexpr int kMixCount = static_cast<int>(std::size(kMixes));
 //      reports is eventually resolved on the same (node, transfer): by a
 //      kStallResolved, by the transfer's kDoneRecorded, or — because the
 //      watchdog is volatile — mooted by the node crash-restarting or
-//      retiring (rank 0 after an install).
+//      retiring (rank 0 after an install);
+//   T11 a node opens at most one instance per transfer between two of its
+//      own restart or epoch_install events: a backup coordinator's delay
+//      timer dies with the configuration it was armed under.
 void check_trace_invariants(const obs::MemoryTraceRecorder& trace, const char* mix_name,
                             std::uint64_t seed, bool expect_stalls_resolved) {
   const obs::RunMeta meta = trace.meta();
@@ -208,6 +211,11 @@ void check_trace_invariants(const obs::MemoryTraceRecorder& trace, const char* m
   std::map<Instance, std::set<std::uint64_t>> foreign_cites;
   std::set<std::uint64_t> spans_seen;
   std::set<std::pair<std::uint64_t, std::uint64_t>> open_stalls;  // (node, transfer)
+  // T11: (node, transfer) opened since the node's last restart or install.
+  std::set<std::pair<std::uint64_t, std::uint64_t>> opened;
+  const auto forget_opened = [&](std::uint64_t node) {
+    std::erase_if(opened, [&](const auto& o) { return o.first == node; });
+  };
   const std::string at = std::string(mix_name) + " seed=" + std::to_string(seed);
   for (const obs::TraceEvent& e : trace.events()) {
     const Instance id{e.transfer, e.coordinator, e.epoch};
@@ -264,6 +272,7 @@ void check_trace_invariants(const obs::MemoryTraceRecorder& trace, const char* m
         if (e.peer == 0) {
           std::erase_if(open_stalls, [&](const auto& s) { return s.first == e.node; });
         }
+        forget_opened(e.node);
         auto [it, fresh] = installed_epoch.try_emplace(e.node, e.cfg_epoch);
         if (!fresh) {
           EXPECT_GT(e.cfg_epoch, it->second) << "T7 " << at;
@@ -278,6 +287,7 @@ void check_trace_invariants(const obs::MemoryTraceRecorder& trace, const char* m
         // T10: the watchdog is volatile; a stall episode interrupted by a
         // crash ends with the crash (completion shows up as kDoneRecorded).
         std::erase_if(open_stalls, [&](const auto& s) { return s.first == e.node; });
+        forget_opened(e.node);
         break;
       case obs::EventKind::kEpochStart: {
         auto [it, fresh] = last_epoch.try_emplace({e.node, e.transfer}, e.epoch);
@@ -285,6 +295,9 @@ void check_trace_invariants(const obs::MemoryTraceRecorder& trace, const char* m
           EXPECT_GT(e.epoch, it->second) << "T3 " << at;
           it->second = e.epoch;
         }
+        EXPECT_TRUE(opened.insert({e.node, e.transfer}).second)
+            << "T11 " << at << ": node " << e.node << " opened a second instance of transfer "
+            << e.transfer << " at epoch " << e.epoch << " without a restart or install";
         break;
       }
       case obs::EventKind::kRetransmit: {
@@ -461,7 +474,7 @@ bool run_chaos(const Mix& mix, std::uint64_t seed, bool retransmit = true) {
     });
   }
 
-  // T1–T10: the run's trace satisfies the Fig. 4 causality invariants under
+  // T1–T11: the run's trace satisfies the Fig. 4 causality invariants under
   // every fault mix (the C++ mirror of tools/trace_check.py). Stall
   // resolution (T10) is only owed when the protocol owes liveness: the
   // fire-once deadlock regression intentionally stalls forever.

@@ -31,6 +31,9 @@ for every run, Byzantine or not:
       every nonzero `parent` names a span that appeared EARLIER in the
       stream — spans are minted at record time, so a cause always precedes
       its effects (across message hops, timers, and crash/restart cycles).
+  I11 a node emits at most one `epoch_start` per transfer between two of its
+      own `restart` or `epoch_install` events — a backup coordinator's delay
+      timer dies with the configuration it was armed under.
 
 Stream handling (shared with trace_critpath.py via tracelib.py): traces are
 read line-by-line, never slurped; the meta line's schema version must match
@@ -84,6 +87,9 @@ class Checker:
         # I9: every span id seen so far (spans are minted in record order,
         # so a parent must already be here when its child arrives).
         self.spans_seen = set()
+        # I11: (node, transfer) pairs opened since the node's last restart or
+        # install.
+        self.opened = set()
         # Latency bookkeeping: (phase) -> list of durations.
         self.latency = {}
         self._marks = {}       # (what, node, instance) -> ts
@@ -92,6 +98,9 @@ class Checker:
 
     def err(self, lineno, msg):
         self.errors.append(f"line {lineno}: {msg}")
+
+    def _forget_opened(self, node):
+        self.opened = {(n, t) for (n, t) in self.opened if n != node}
 
     def _mark(self, what, ev):
         self._marks[(what, ev["node"], instance_of(ev))] = ev["ts"]
@@ -135,6 +144,11 @@ class Checker:
                 self.err(lineno, f"I3: node {node} transfer {inst[0]} announced "
                                  f"epoch {ev.get('epoch')} after epoch {prev}")
             self.last_epoch[key] = ev.get("epoch")
+            if key in self.opened:
+                self.err(lineno, f"I11: node {node} opened a second instance of "
+                                 f"transfer {inst[0]} without a restart or "
+                                 f"install in between")
+            self.opened.add(key)
             self._mark("epoch_start", ev)
             self._first_start.setdefault(inst[0], ev["ts"])
         elif kind == "reveal_sent":
@@ -196,6 +210,7 @@ class Checker:
                                  f"not increasing (last {prev})")
             self.last_attempt[key] = attempt
         elif kind == "epoch_install":
+            self._forget_opened(node)
             cfg = ev.get("cfg_epoch")
             if not isinstance(cfg, int) or cfg < 1:
                 self.err(lineno, "I7: epoch_install without a positive cfg_epoch")
@@ -215,6 +230,7 @@ class Checker:
             # A restored server replays the install chain from its snapshot;
             # its monotonicity baseline starts over.
             self.installed_epoch.pop(node, None)
+            self._forget_opened(node)
         elif kind == "contribute_cited":
             cited = ev.get("cited_transfer")
             if cited is None:
@@ -426,6 +442,22 @@ SELF_TESTS = [
         '{"ts":0,"node":4,"kind":"epoch_start","span":1,"transfer":1,"coord":1,"epoch":0}',
         '{"ts":1,"node":5,"kind":"epoch_start","span":1,"transfer":2,"coord":1,"epoch":0}',
     ]), False, "I9"),
+    ("one-instance-per-configuration", "\n".join([
+        META,
+        '{"ts":0,"node":5,"kind":"epoch_start","transfer":1,"coord":2,"epoch":0}',
+        '{"ts":1,"node":5,"kind":"epoch_install","cfg_epoch":1,"rank":2,"n":4}',
+        '{"ts":2,"node":5,"kind":"epoch_start","transfer":1,"coord":2,"epoch":1}',
+        '{"ts":3,"node":5,"kind":"crash"}',
+        '{"ts":4,"node":5,"kind":"restart"}',
+        '{"ts":5,"node":5,"kind":"epoch_start","transfer":1,"coord":2,"epoch":2}',
+        '{"ts":6,"node":4,"kind":"epoch_start","transfer":1,"coord":1,"epoch":0}',
+    ]), True, None),
+    ("stale-backup-timer-reopens", "\n".join([
+        META,
+        '{"ts":0,"node":5,"kind":"epoch_install","cfg_epoch":1,"rank":2,"n":4}',
+        '{"ts":1,"node":5,"kind":"epoch_start","transfer":1,"coord":2,"epoch":0}',
+        '{"ts":2,"node":5,"kind":"epoch_start","transfer":1,"coord":2,"epoch":1}',
+    ]), False, "I11"),
     ("stall-events-known", "\n".join([
         META,
         '{"ts":0,"node":4,"kind":"epoch_start","span":1,"transfer":1,"coord":1,"epoch":0}',
