@@ -3,9 +3,11 @@
 // Self-verifying messages (§4.2.3) are signed over, hashed over, and nested
 // inside each other, so every message needs one canonical byte form. The
 // format is deliberately simple: fixed-width little-endian integers and
-// length-prefixed byte strings; Bigints carry a sign byte plus big-endian
-// magnitude. Reader performs strict bounds checking and decode functions
-// reject trailing garbage, so a byte string has at most one valid parse.
+// length-prefixed byte strings; Bigints carry a sign byte plus the minimal
+// big-endian magnitude (zero is the one byte 00, never negative). Reader
+// performs strict bounds checking, rejects any other magnitude form, and
+// decode functions reject trailing garbage, so a byte string has at most one
+// valid parse and a value exactly one byte form.
 // A Reader may carry the group its elements belong to; group::read_element
 // (group/params.hpp) then decodes and validates each element as it is read.
 // group/codec.hpp composes these primitives into whole wire types.
@@ -111,6 +113,9 @@ class Reader {
     std::uint8_t neg = u8();
     if (neg > 1) throw CodecError("bigint: bad sign byte");
     auto mag = bytes();
+    if (mag.empty() || (mag.size() > 1 && mag[0] == 0))
+      throw CodecError("bigint: magnitude not minimal");
+    if (neg && mag[0] == 0) throw CodecError("bigint: negative zero");
     mpz::Bigint v = mpz::Bigint::from_bytes_be(mag);
     return neg ? v.negated() : v;
   }

@@ -20,11 +20,13 @@
 // and adding a member adds it to the wire (tests/core/wire_table.hpp pins
 // every type's bytes).
 //
-// Reading is strict. Elements go through read_element, so a Reader that
-// carries the group rejects a non-member before any exponentiation. Every
-// count is checked against the smallest accepted encoding of its element
-// type (min_encoded_bytes) before anything is reserved, so one input byte
-// can reserve at most sizeof(T) / min_encoded_bytes<T>() bytes.
+// Reading is strict, and each value has one byte form: a Bigint's magnitude
+// is minimal, and set and map keys are strictly ascending. Elements go
+// through read_element, so a Reader that carries the group rejects a
+// non-member before any exponentiation. Every count is checked against the
+// smallest accepted encoding of its element type (min_encoded_bytes) before
+// anything is reserved, so one input byte can reserve at most
+// sizeof(T) / min_encoded_bytes<T>() bytes.
 #pragma once
 
 #include <array>
@@ -101,6 +103,8 @@ template <typename T>
 using MemberTuple = decltype(members(std::declval<T&>()));
 
 // Counted containers: the element type a reader parses, and how it inserts.
+// A set's or map's keys arrive strictly ascending, as a writer iterates
+// them: a repeated or out-of-order key would be a second byte form.
 template <typename T>
 struct Counted : std::false_type {};
 template <typename E, typename A>
@@ -111,14 +115,19 @@ struct Counted<std::vector<E, A>> : std::true_type {
 template <typename K, typename C, typename A>
 struct Counted<std::set<K, C, A>> : std::true_type {
   using Elem = K;
-  static void add(std::set<K, C, A>& out, K&& k) { out.insert(out.end(), std::move(k)); }
+  static void add(std::set<K, C, A>& out, K&& k) {
+    if (!out.empty() && !out.key_comp()(*out.rbegin(), k))
+      throw common::CodecError("set: keys not strictly ascending");
+    out.insert(out.end(), std::move(k));
+  }
 };
 template <typename K, typename V, typename C, typename A>
 struct Counted<std::map<K, V, C, A>> : std::true_type {
   using Elem = std::pair<K, V>;
-  // A repeated key keeps its last value.
   static void add(std::map<K, V, C, A>& out, std::pair<K, V>&& kv) {
-    out.insert_or_assign(out.end(), std::move(kv.first), std::move(kv.second));
+    if (!out.empty() && !out.key_comp()(out.rbegin()->first, kv.first))
+      throw common::CodecError("map: keys not strictly ascending");
+    out.emplace_hint(out.end(), std::move(kv.first), std::move(kv.second));
   }
 };
 
@@ -134,15 +143,15 @@ constexpr bool kScalar = std::is_same_v<T, mpz::Bigint> || std::is_same_v<T, Ele
 
 }  // namespace wire
 
-// The size of the shortest encoding a reader accepts for a T: 5 for a
-// Bigint or Element (sign byte and an empty magnitude), 4 for any count.
+// The size of the shortest encoding a reader accepts for a T: 6 for a
+// Bigint or Element (sign byte, length, one magnitude byte), 4 for any count.
 template <typename T>
 constexpr std::size_t min_encoded_bytes() {
   if constexpr (std::is_same_v<T, std::uint8_t> || std::is_same_v<T, std::uint32_t> ||
                 std::is_same_v<T, std::uint64_t> || std::is_same_v<T, wire::Digest>) {
     return sizeof(T);
   } else if constexpr (wire::kScalar<T>) {
-    return 5;
+    return 6;
   } else if constexpr (wire::kBytes<T> || wire::Counted<T>::value) {
     return 4;
   } else if constexpr (wire::IsPair<T>::value) {

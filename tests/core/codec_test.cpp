@@ -5,7 +5,10 @@
 #include <atomic>
 #include <cstdlib>
 #include <functional>
+#include <initializer_list>
+#include <map>
 #include <new>
+#include <set>
 #include <string>
 
 #include "core/messages.hpp"
@@ -101,6 +104,51 @@ TEST(Codec, BadBigintSignRejected) {
   std::vector<std::uint8_t> buf = {2 /*bad sign*/, 1, 0, 0, 0, 42};
   Reader r(buf);
   EXPECT_THROW((void)r.bigint(), CodecError);
+}
+
+// One byte form per value. A SignedMessage whose sig.s is written with a
+// leading zero byte (00 52 52) would parse equal to the canonical 52 52, so
+// the reader rejects it, as it rejects an empty magnitude and a negative
+// zero, and set or map keys that are not strictly ascending.
+TEST(Codec, SecondByteFormsRejected) {
+  const SignedMessage env{1, 3, 0, {9, 8, 7}, {Bigint(123), Bigint(0x5252)}};
+  Writer w;
+  w.u8(env.service);
+  w.u32(env.signer);
+  w.u32(env.cfg_epoch);
+  w.bytes(env.body);
+  w.bigint(env.sig.r);
+  w.u8(0);
+  w.bytes(std::vector<std::uint8_t>{0x00, 0x52, 0x52});
+  const std::vector<std::uint8_t> padded = w.take();
+  const std::vector<std::uint8_t> canonical = group::to_bytes(env);
+  ASSERT_EQ(padded.size(), canonical.size() + 1);
+  EXPECT_EQ(group::from_bytes<SignedMessage>(canonical), env);
+  EXPECT_THROW((void)group::from_bytes<SignedMessage>(padded), CodecError);
+
+  for (const std::vector<std::uint8_t>& bigint :
+       {std::vector<std::uint8_t>{0, 0, 0, 0, 0}, std::vector<std::uint8_t>{1, 1, 0, 0, 0, 0}}) {
+    Reader r(bigint);
+    EXPECT_THROW((void)r.bigint(), CodecError);
+  }
+  Writer zero;
+  zero.bigint(Bigint(0));
+  EXPECT_EQ(zero.take(), (std::vector<std::uint8_t>{0, 1, 0, 0, 0, 0}));
+
+  const auto keys = [](std::initializer_list<std::uint64_t> ks) {
+    Writer kw;
+    kw.u32(static_cast<std::uint32_t>(ks.size()));
+    for (std::uint64_t k : ks) kw.u64(k);
+    return kw.take();
+  };
+  using Set = std::set<std::uint64_t>;
+  EXPECT_EQ(group::from_bytes<Set>(keys({1, 2})), (Set{1, 2}));
+  EXPECT_THROW((void)group::from_bytes<Set>(keys({2, 1})), CodecError);
+  EXPECT_THROW((void)group::from_bytes<Set>(keys({1, 1})), CodecError);
+  using Map = std::map<std::uint64_t, std::uint8_t>;
+  std::vector<std::uint8_t> repeated = group::to_bytes(Map{{1, 7}, {2, 8}});
+  repeated[13] = 1;  // after the count and the first entry: the second key, 2, becomes 1
+  EXPECT_THROW((void)group::from_bytes<Map>(repeated), CodecError);
 }
 
 TEST(Codec, ExpectDoneCatchesTrailing) {
@@ -429,7 +477,7 @@ TEST(WireTable, SnapshotBytesPinned) {
 // that reserves `count` elements before checking the count against the
 // element's smallest encoding turns every input byte into sizeof(element)
 // reserved bytes (208 for a DecryptionShare, 128 for a SignedMessage, 56 for
-// an Element). With the bound, the worst case is 56 / 5 = 11.2.
+// an Element). With the bound, the worst case is 56 / 6 ≈ 9.3.
 
 // The largest single allocation `parse` makes.
 std::size_t largest_alloc(const std::function<void()>& parse) {
@@ -482,13 +530,13 @@ TEST(CodecAllocation, VectorCountsCannotAmplifyAFrame) {
     std::function<void(std::span<const std::uint8_t>)> parse;
   };
   const std::vector<Case> cases = {
-      {"DoneEvidence::shares", done_head, 24,
+      {"DoneEvidence::shares", done_head, 28,
        [](std::span<const std::uint8_t> b) { (void)group::from_bytes<DoneEvidence>(b); }},
-      {"RevealMsg::commits", reveal_head.take(), 23,
+      {"RevealMsg::commits", reveal_head.take(), 25,
        [](std::span<const std::uint8_t> b) {
          (void)decode_as<RevealMsg>(MsgType::kReveal, b);
        }},
-      {"ReshareDealMsg::enc", deal_head.take(), 5,
+      {"ReshareDealMsg::enc", deal_head.take(), 6,
        [](std::span<const std::uint8_t> b) {
          (void)decode_as<ReshareDealMsg>(MsgType::kReshareDeal, b);
        }},
