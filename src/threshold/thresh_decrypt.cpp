@@ -53,19 +53,6 @@ bool batch_verify_decryption_shares(const group::GroupParams& params,
   return zkp::cp_batch_verify(params, items, prng);
 }
 
-zkp::BatchResult batch_verify_decryption_shares_isolate(
-    const group::GroupParams& params, const FeldmanCommitments& commitments,
-    const elgamal::Ciphertext& c, std::span<const DecryptionShare> shares,
-    std::string_view context, mpz::Prng& prng) {
-  zkp::BatchResult r;
-  if (batch_verify_decryption_shares(params, commitments, c, shares, context, prng)) return r;
-  r.ok = false;
-  for (std::size_t i = 0; i < shares.size(); ++i) {
-    if (!verify_decryption_share(params, commitments, c, shares[i], context)) r.bad.push_back(i);
-  }
-  return r;
-}
-
 group::Element combine_decryption(const group::GroupParams& params,
                                   const elgamal::Ciphertext& c,
                                   std::span<const DecryptionShare> shares) {

@@ -48,13 +48,6 @@ struct DecryptionShare {
                                                   std::span<const DecryptionShare> shares,
                                                   std::string_view context, mpz::Prng& prng);
 
-// Batch check first; on failure names the failing share indices (positions in
-// `shares`, not server indices) via individual verification.
-[[nodiscard]] zkp::BatchResult batch_verify_decryption_shares_isolate(
-    const group::GroupParams& params, const FeldmanCommitments& commitments,
-    const elgamal::Ciphertext& c, std::span<const DecryptionShare> shares,
-    std::string_view context, mpz::Prng& prng);
-
 // Lowers one share check to its Chaum-Pedersen equation — exactly what
 // batch_verify_decryption_shares folds per share. Returns false (appending
 // nothing) for the structurally invalid ds.index == 0, which

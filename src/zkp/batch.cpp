@@ -1,6 +1,7 @@
 #include "zkp/batch.hpp"
 
 #include <map>
+#include <vector>
 
 #include "mpz/modmath.hpp"
 
@@ -90,18 +91,6 @@ bool cp_batch_verify(const GroupParams& params, std::span<const CpBatchItem> ite
   const bool ok = cp_batch_verify_impl(params, items, prng);
   if (!ok) bc.rejected.fetch_add(1, std::memory_order_relaxed);
   return ok;
-}
-
-BatchResult cp_batch_verify_isolate(const GroupParams& params, std::span<const CpBatchItem> items,
-                                    mpz::Prng& prng) {
-  BatchResult r;
-  if (cp_batch_verify(params, items, prng)) return r;
-  r.ok = false;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (!dlog_verify(params, items[i].stmt, items[i].proof, items[i].context))
-      r.bad.push_back(i);
-  }
-  return r;
 }
 
 }  // namespace dblind::zkp

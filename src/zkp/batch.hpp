@@ -13,17 +13,14 @@
 // 2^-kBatchRandomizerBits (2^-|q| for toy groups with |q| < 128), so a batch
 // accept/reject agrees with per-proof verification up to that bound. The
 // randomizers MUST be fresh and unpredictable to the prover — they come from
-// mpz::Prng, never constants (enforced by tools/lint_crypto.py).
-//
-// On batch failure the *_isolate variants fall back to one-at-a-time
-// verification to name the culprit indices.
+// mpz::Prng, never constants (enforced by tools/lint_crypto.py). A failed
+// batch rejects its message as a whole.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "mpz/random.hpp"
 #include "zkp/chaum_pedersen.hpp"
@@ -40,17 +37,11 @@ struct CpBatchItem {
   std::string context;
 };
 
-struct BatchResult {
-  bool ok = true;
-  std::vector<std::size_t> bad;  // item indices that fail individual verification
-};
-
 // Process-wide outcome counters for combined-identity batch checks (every
 // cp_batch_verify call, including the vde and decryption-share wrappers).
-// `rejected` counts combined checks that failed — i.e. runs that take (or
-// would take) the serial isolation fallback. Relaxed atomics; exposed so
-// obs::MetricsRegistry can attach them (attach_counter) without zkp
-// depending on obs.
+// `rejected` counts combined checks that failed, each rejecting the message
+// it checked. Relaxed atomics; exposed so obs::MetricsRegistry can attach
+// them (attach_counter) without zkp depending on obs.
 struct BatchVerifyCounts {
   std::atomic<std::uint64_t> combined{0};
   std::atomic<std::uint64_t> rejected{0};
@@ -63,11 +54,5 @@ BatchVerifyCounts& batch_verify_counts();
 // cancel each other out. An empty span verifies trivially.
 [[nodiscard]] bool cp_batch_verify(const GroupParams& params, std::span<const CpBatchItem> items,
                                    mpz::Prng& prng);
-
-// Batch check first; on failure, verifies items individually and reports the
-// exact culprit indices.
-[[nodiscard]] BatchResult cp_batch_verify_isolate(const GroupParams& params,
-                                                  std::span<const CpBatchItem> items,
-                                                  mpz::Prng& prng);
 
 }  // namespace dblind::zkp

@@ -134,15 +134,4 @@ bool vde_batch_verify(std::span<const VdeBatchItem> items, mpz::Prng& prng) {
   return cp_batch_verify(params, cp, prng);
 }
 
-BatchResult vde_batch_verify_isolate(std::span<const VdeBatchItem> items, mpz::Prng& prng) {
-  BatchResult r;
-  if (vde_batch_verify(items, prng)) return r;
-  r.ok = false;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const VdeBatchItem& it = items[i];
-    if (!vde_verify(*it.ka, *it.ca, *it.kb, *it.cb, *it.proof, it.context)) r.bad.push_back(i);
-  }
-  return r;
-}
-
 }  // namespace dblind::zkp

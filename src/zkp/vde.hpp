@@ -94,11 +94,6 @@ struct VdeBatchItem {
 // All items must share one group parameter set.
 [[nodiscard]] bool vde_batch_verify(std::span<const VdeBatchItem> items, mpz::Prng& prng);
 
-// Batch check first; on failure names the failing VDE item indices via
-// individual vde_verify.
-[[nodiscard]] BatchResult vde_batch_verify_isolate(std::span<const VdeBatchItem> items,
-                                                   mpz::Prng& prng);
-
 // Lowers one VDE item to its three Chaum-Pedersen equations — exactly what
 // vde_batch_verify folds per item. Returns false (appending nothing) when the
 // item fails the structural gate that vde_verify rejects unconditionally:

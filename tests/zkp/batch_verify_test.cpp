@@ -4,8 +4,8 @@
 // The batch verifiers must agree with per-proof verification on every input a
 // Byzantine server could craft: each single-proof mutation (tampered
 // commitment, response, statement element, wrong key, proofs swapped between
-// statements) has to make the whole batch reject, and the *_isolate fallback
-// has to name the exact culprit. Mutations are swept across many seeds so a
+// statements) has to make the whole batch reject, while one-at-a-time
+// verification fails exactly the mutated items. Mutations are swept across many seeds so a
 // lucky randomizer cancellation (probability 2^-min(128,|q|) per run) would
 // have to repeat dozens of times to slip through.
 #include "zkp/batch.hpp"
@@ -47,6 +47,15 @@ std::vector<CpBatchItem> make_batch(const GroupParams& gp, Prng& prng, std::size
   return items;
 }
 
+// The indices of the items dlog_verify rejects one at a time.
+std::vector<std::size_t> failing(const GroupParams& gp, const std::vector<CpBatchItem>& items) {
+  std::vector<std::size_t> bad;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (!dlog_verify(gp, items[i].stmt, items[i].proof, items[i].context)) bad.push_back(i);
+  }
+  return bad;
+}
+
 TEST(CpBatch, ValidBatchesAccept) {
   GroupParams gp = toy();
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
@@ -55,16 +64,13 @@ TEST(CpBatch, ValidBatchesAccept) {
       auto items = make_batch(gp, prng, k);
       Prng vr = prng.fork("verify");
       EXPECT_TRUE(cp_batch_verify(gp, items, vr)) << "seed=" << seed << " k=" << k;
-      Prng vr2 = prng.fork("isolate");
-      BatchResult r = cp_batch_verify_isolate(gp, items, vr2);
-      EXPECT_TRUE(r.ok);
-      EXPECT_TRUE(r.bad.empty());
+      EXPECT_TRUE(failing(gp, items).empty());
     }
   }
 }
 
-// One mutation per run, swept over >= 50 seeds; each must reject and the
-// isolate fallback must finger exactly the mutated index.
+// One mutation per run, swept over >= 50 seeds; each must reject the batch,
+// and dlog_verify must reject exactly the mutated item.
 TEST(CpBatch, EverySingleProofMutationRejectedAcrossSeeds) {
   GroupParams gp = toy();
   // Mutations applied to items[target] of a 5-item batch.
@@ -98,12 +104,8 @@ TEST(CpBatch, EverySingleProofMutationRejectedAcrossSeeds) {
     Prng vr = prng.fork("verify");
     EXPECT_FALSE(cp_batch_verify(gp, items, vr))
         << "seed=" << seed << " mutation=" << mi << " target=" << target;
-
-    Prng vr2 = prng.fork("isolate");
-    BatchResult r = cp_batch_verify_isolate(gp, items, vr2);
-    EXPECT_FALSE(r.ok);
-    ASSERT_EQ(r.bad.size(), 1u) << "seed=" << seed << " mutation=" << mi;
-    EXPECT_EQ(r.bad[0], target) << "seed=" << seed << " mutation=" << mi;
+    EXPECT_EQ(failing(gp, items), (std::vector<std::size_t>{target}))
+        << "seed=" << seed << " mutation=" << mi;
   }
 }
 
@@ -122,10 +124,7 @@ TEST(CpBatch, SwappedProofsBetweenStatementsRejected) {
 
     Prng vr = prng.fork("verify");
     EXPECT_FALSE(cp_batch_verify(gp, items, vr)) << seed;
-    Prng vr2 = prng.fork("isolate");
-    BatchResult r = cp_batch_verify_isolate(gp, items, vr2);
-    EXPECT_FALSE(r.ok);
-    EXPECT_EQ(r.bad, (std::vector<std::size_t>{1, 2})) << seed;
+    EXPECT_EQ(failing(gp, items), (std::vector<std::size_t>{1, 2})) << seed;
   }
 }
 
@@ -138,10 +137,7 @@ TEST(CpBatch, MultipleCulpritsAllIdentified) {
   }
   Prng vr = prng.fork("verify");
   EXPECT_FALSE(cp_batch_verify(gp, items, vr));
-  Prng vr2 = prng.fork("isolate");
-  BatchResult r = cp_batch_verify_isolate(gp, items, vr2);
-  EXPECT_FALSE(r.ok);
-  EXPECT_EQ(r.bad, (std::vector<std::size_t>{0, 3, 7}));
+  EXPECT_EQ(failing(gp, items), (std::vector<std::size_t>{0, 3, 7}));
 }
 
 // Batch accept/reject must agree with serial verification on random mixes of
@@ -203,6 +199,16 @@ struct VdeFixture {
   }
 };
 
+// The indices of the items vde_verify rejects one at a time.
+std::vector<std::size_t> failing(const std::vector<VdeBatchItem>& items) {
+  std::vector<std::size_t> bad;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const VdeBatchItem& it = items[i];
+    if (!vde_verify(*it.ka, *it.ca, *it.kb, *it.cb, *it.proof, it.context)) bad.push_back(i);
+  }
+  return bad;
+}
+
 TEST(VdeBatch, ValidBatchAcceptsAndEmptyIsTrivial) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     VdeFixture fx(seed, 4);
@@ -228,11 +234,7 @@ TEST(VdeBatch, TamperedProofRejectedAndCulpritIsolatedAcrossSeeds) {
     auto items = fx.items();
     Prng vr(seed * 131);
     EXPECT_FALSE(vde_batch_verify(items, vr)) << seed;
-    Prng vr2(seed * 137);
-    BatchResult r = vde_batch_verify_isolate(items, vr2);
-    EXPECT_FALSE(r.ok) << seed;
-    ASSERT_EQ(r.bad.size(), 1u) << seed;
-    EXPECT_EQ(r.bad[0], target) << seed;
+    EXPECT_EQ(failing(items), (std::vector<std::size_t>{target})) << seed;
   }
 }
 
@@ -245,11 +247,7 @@ TEST(VdeBatch, ProofUnderWrongKeyRejected) {
   items[1].kb = &evil.public_key();
   Prng vr(901);
   EXPECT_FALSE(vde_batch_verify(items, vr));
-  Prng vr2(902);
-  BatchResult r = vde_batch_verify_isolate(items, vr2);
-  EXPECT_FALSE(r.ok);
-  ASSERT_EQ(r.bad.size(), 1u);
-  EXPECT_EQ(r.bad[0], 1u);
+  EXPECT_EQ(failing(items), (std::vector<std::size_t>{1}));
 }
 
 TEST(VdeBatch, SwappedProofsBetweenItemsRejected) {
@@ -269,10 +267,7 @@ TEST(VdeBatch, SwappedProofsBetweenItemsRejected) {
   std::swap(fx.proofs[0], fx.proofs[2]);
   Prng vr(1101);
   EXPECT_FALSE(vde_batch_verify(fx.items(), vr));
-  Prng vr2(1102);
-  BatchResult r = vde_batch_verify_isolate(fx.items(), vr2);
-  EXPECT_FALSE(r.ok);
-  EXPECT_EQ(r.bad, (std::vector<std::size_t>{0, 2}));
+  EXPECT_EQ(failing(fx.items()), (std::vector<std::size_t>{0, 2}));
 }
 
 }  // namespace
@@ -331,12 +326,11 @@ TEST(ShareBatch, MutatedShareRejectedAndIsolatedAcrossSeeds) {
     EXPECT_FALSE(batch_verify_decryption_shares(fx.gp, fx.km.commitments(), fx.c, fx.shares,
                                                 "dec-ctx", vr))
         << seed;
-    Prng vr2(seed * 19);
-    zkp::BatchResult r = batch_verify_decryption_shares_isolate(fx.gp, fx.km.commitments(), fx.c,
-                                                                fx.shares, "dec-ctx", vr2);
-    EXPECT_FALSE(r.ok) << seed;
-    ASSERT_EQ(r.bad.size(), 1u) << seed;
-    EXPECT_EQ(r.bad[0], target) << seed;
+    for (std::size_t i = 0; i < fx.shares.size(); ++i) {
+      EXPECT_EQ(verify_decryption_share(fx.gp, fx.km.commitments(), fx.c, fx.shares[i], "dec-ctx"),
+                i != target)
+          << seed << " share " << i;
+    }
   }
 }
 
