@@ -571,8 +571,8 @@ int main(int argc, char** argv) {
   std::puts(" window prices the re-share round plus the discarded in-flight work; the");
   std::puts(" post-install window is the full protocol under the new configuration.");
   std::puts(" Gate: post-rotation steady-state mont-muls/transfer within 5% of the");
-  std::puts(" baseline — the install's invalidation cascade (pinned comb tables,");
-  std::puts(" contributor state) must re-arm fully, not leak cost into the new epoch.)");
+  std::puts(" baseline — the install drops contributor state and keeps the pinned");
+  std::puts(" comb tables; neither may leak cost into the new epoch.)");
   {
     constexpr int kWave = 4;
     constexpr net::Time kRotateAt = 30'000;  // lands well inside the first round-trips

@@ -48,9 +48,9 @@ PR 7 gates (epochal reconfiguration), written to BENCH_pr7.json:
       transfer — including those aborted at the epoch boundary and re-run —
       decrypts to its original plaintext (integrity == 1);
   9.  reconfig: post-rotation steady-state mont-muls/transfer within 5% of
-      the no-rotation baseline for the same seed — the install's cache
-      invalidation cascade (pinned comb tables, contributor state) must
-      re-arm completely rather than leak per-transfer cost into the new
+      the no-rotation baseline for the same seed — the install drops every
+      contributor state and keeps the pinned comb tables (a reshare changes
+      no service key), and neither may leak per-transfer cost into the new
       epoch. The rotation window itself (re-share round + discarded
       in-flight work) is recorded for context, never gated.
 
