@@ -6,13 +6,8 @@ namespace dblind::mpz {
 
 namespace {
 
+using fe_detail::kMask;
 using u64 = std::uint64_t;
-using u128 = unsigned __int128;
-
-constexpr u64 kMask = (u64{1} << 51) - 1;
-// 2p in radix-2^51 limbs, added before subtraction so limbs stay nonnegative.
-constexpr u64 kTwoP0 = 0xFFFFFFFFFFFDA;
-constexpr u64 kTwoP1234 = 0xFFFFFFFFFFFFE;
 
 u64 load64(const std::uint8_t* in) {
   u64 v = 0;
@@ -22,25 +17,14 @@ u64 load64(const std::uint8_t* in) {
 
 void store64(std::uint8_t* out, u64 v) { std::memcpy(out, &v, 8); }
 
-// Carry chain folding the 2^255 overflow back via * 19; leaves limbs < 2^52.
-void fe_carry(Fe25519& r) {
-  u64 c;
-  c = r.l[0] >> 51; r.l[0] &= kMask; r.l[1] += c;
-  c = r.l[1] >> 51; r.l[1] &= kMask; r.l[2] += c;
-  c = r.l[2] >> 51; r.l[2] &= kMask; r.l[3] += c;
-  c = r.l[3] >> 51; r.l[3] &= kMask; r.l[4] += c;
-  c = r.l[4] >> 51; r.l[4] &= kMask; r.l[0] += c * 19;
-  c = r.l[0] >> 51; r.l[0] &= kMask; r.l[1] += c;
-}
-
 // Fully reduce into [0, p) (curve25519-donna-c64 contract step).
 void fe_reduce_full(Fe25519& t) {
-  fe_carry(t);
-  fe_carry(t);
+  fe_detail::carry(t);
+  fe_detail::carry(t);
   // t in [0, 2^255). Add 19: values in [p, 2^255) wrap past 2^255 once we add
   // 2^255 - 19 below; values in [0, p) do not.
   t.l[0] += 19;
-  fe_carry(t);
+  fe_detail::carry(t);
   t.l[0] += (u64{1} << 51) - 19;
   t.l[1] += (u64{1} << 51) - 1;
   t.l[2] += (u64{1} << 51) - 1;
@@ -53,88 +37,6 @@ void fe_reduce_full(Fe25519& t) {
   c = t.l[2] >> 51; t.l[2] &= kMask; t.l[3] += c;
   c = t.l[3] >> 51; t.l[3] &= kMask; t.l[4] += c;
   t.l[4] &= kMask;
-}
-
-}  // namespace
-
-std::uint64_t& fe_mul_count() {
-  thread_local std::uint64_t count = 0;
-  return count;
-}
-
-Fe25519 fe_add(const Fe25519& a, const Fe25519& b) {
-  Fe25519 r;
-  for (int i = 0; i < 5; ++i) r.l[i] = a.l[i] + b.l[i];
-  fe_carry(r);
-  return r;
-}
-
-Fe25519 fe_sub(const Fe25519& a, const Fe25519& b) {
-  Fe25519 r;
-  r.l[0] = a.l[0] + kTwoP0 - b.l[0];
-  r.l[1] = a.l[1] + kTwoP1234 - b.l[1];
-  r.l[2] = a.l[2] + kTwoP1234 - b.l[2];
-  r.l[3] = a.l[3] + kTwoP1234 - b.l[3];
-  r.l[4] = a.l[4] + kTwoP1234 - b.l[4];
-  fe_carry(r);
-  return r;
-}
-
-Fe25519 fe_neg(const Fe25519& a) { return fe_sub(Fe25519::zero(), a); }
-
-Fe25519 fe_mul(const Fe25519& a, const Fe25519& b) {
-  ++fe_mul_count();
-  const u64 a0 = a.l[0], a1 = a.l[1], a2 = a.l[2], a3 = a.l[3], a4 = a.l[4];
-  const u64 b0 = b.l[0], b1 = b.l[1], b2 = b.l[2], b3 = b.l[3], b4 = b.l[4];
-  const u64 b1_19 = b1 * 19, b2_19 = b2 * 19, b3_19 = b3 * 19, b4_19 = b4 * 19;
-  u128 t0 = (u128)a0 * b0 + (u128)a1 * b4_19 + (u128)a2 * b3_19 +
-            (u128)a3 * b2_19 + (u128)a4 * b1_19;
-  u128 t1 = (u128)a0 * b1 + (u128)a1 * b0 + (u128)a2 * b4_19 +
-            (u128)a3 * b3_19 + (u128)a4 * b2_19;
-  u128 t2 = (u128)a0 * b2 + (u128)a1 * b1 + (u128)a2 * b0 + (u128)a3 * b4_19 +
-            (u128)a4 * b3_19;
-  u128 t3 = (u128)a0 * b3 + (u128)a1 * b2 + (u128)a2 * b1 + (u128)a3 * b0 +
-            (u128)a4 * b4_19;
-  u128 t4 = (u128)a0 * b4 + (u128)a1 * b3 + (u128)a2 * b2 + (u128)a3 * b1 +
-            (u128)a4 * b0;
-  Fe25519 r;
-  u64 c;
-  r.l[0] = (u64)t0 & kMask; c = (u64)(t0 >> 51);
-  t1 += c;
-  r.l[1] = (u64)t1 & kMask; c = (u64)(t1 >> 51);
-  t2 += c;
-  r.l[2] = (u64)t2 & kMask; c = (u64)(t2 >> 51);
-  t3 += c;
-  r.l[3] = (u64)t3 & kMask; c = (u64)(t3 >> 51);
-  t4 += c;
-  r.l[4] = (u64)t4 & kMask; c = (u64)(t4 >> 51);
-  r.l[0] += c * 19;
-  c = r.l[0] >> 51; r.l[0] &= kMask; r.l[1] += c;
-  return r;
-}
-
-Fe25519 fe_sq(const Fe25519& a) { return fe_mul(a, a); }
-
-Fe25519 fe_mul_small(const Fe25519& a, std::uint64_t k) {
-  Fe25519 r;
-  u128 t;
-  u64 c = 0;
-  for (int i = 0; i < 5; ++i) {
-    t = (u128)a.l[i] * k + c;
-    r.l[i] = (u64)t & kMask;
-    c = (u64)(t >> 51);
-  }
-  r.l[0] += c * 19;
-  fe_carry(r);
-  return r;
-}
-
-namespace {
-
-// a^(2^n) by n repeated squarings.
-Fe25519 fe_sq_n(Fe25519 a, int n) {
-  for (int i = 0; i < n; ++i) a = fe_sq(a);
-  return a;
 }
 
 // z^(2^250 - 1) — the shared prefix of the p-2 and (p-5)/8 addition chains.
@@ -208,11 +110,6 @@ bool fe_is_negative(const Fe25519& a) {
 }
 
 bool fe_eq(const Fe25519& a, const Fe25519& b) { return fe_is_zero(fe_sub(a, b)); }
-
-void fe_cmov(Fe25519& a, const Fe25519& b, bool flag) {
-  const u64 mask = ~(static_cast<u64>(flag) - 1);
-  for (int i = 0; i < 5; ++i) a.l[i] ^= mask & (a.l[i] ^ b.l[i]);
-}
 
 Fe25519 fe_abs(const Fe25519& a) {
   Fe25519 r = a;

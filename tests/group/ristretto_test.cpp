@@ -338,6 +338,92 @@ TEST(Fe25519Fuzz, ArithmeticMatchesBigintOracle) {
   }
 }
 
+// The value of limbs that need not be carried: sum l[i] * 2^(51 i) mod p.
+Bigint limbs_value(const Fe25519& a) {
+  Bigint v(0);
+  for (int i = 0; i < 5; ++i) v = v + Bigint(a.l[i]).shl(51 * static_cast<std::size_t>(i));
+  return mpz::mod(v, field_p());
+}
+
+// Limbs below 2^bits, each drawn at the bound itself (2^bits - 1) one time in
+// four, else uniformly below it.
+Fe25519 limbs_below(mpz::Prng& prng, unsigned bits) {
+  const std::uint64_t top = (std::uint64_t{1} << bits) - 1;
+  Fe25519 a;
+  for (std::uint64_t& limb : a.l) limb = prng.next_u64() % 4 == 0 ? top : prng.next_u64() & top;
+  return a;
+}
+
+// Every limb below 2^52, as fe25519.hpp promises of every op's output.
+bool carried(const Fe25519& a) {
+  return std::all_of(a.l.begin(), a.l.end(),
+                     [](std::uint64_t limb) { return limb < (std::uint64_t{1} << 52); });
+}
+
+// Each op at the largest limbs its written bound (fe25519.hpp) admits, not
+// only at reduced values: mul, sq and sq_n at 2^54 - 1, add at 2^62 - 1, sub
+// and neg subtracting 2p's own limbs, mul_small at k = 2^32 - 1.
+TEST(Fe25519Fuzz, OpsHoldAtTheirLimbBounds) {
+  mpz::Prng prng(1730);
+  const Bigint p = field_p();
+  // 2p's limbs: the largest b that fe_sub admits.
+  const Fe25519 two_p{{0xFFFFFFFFFFFDA, 0xFFFFFFFFFFFFE, 0xFFFFFFFFFFFFE, 0xFFFFFFFFFFFFE,
+                       0xFFFFFFFFFFFFE}};
+  for (int iter = 0; iter < 300; ++iter) {
+    const Fe25519 a = limbs_below(prng, 54);
+    const Fe25519 b = limbs_below(prng, 54);
+    const Bigint av = limbs_value(a);
+    const Bigint bv = limbs_value(b);
+    const Fe25519 prod = mpz::fe_mul(a, b);
+    EXPECT_TRUE(carried(prod));
+    EXPECT_EQ(fe_to_bigint(prod), mpz::mulmod(av, bv, p));
+    const Fe25519 sq = mpz::fe_sq(a);
+    EXPECT_TRUE(carried(sq));
+    EXPECT_EQ(fe_to_bigint(sq), mpz::mulmod(av, av, p));
+    const int n = 1 + static_cast<int>(prng.next_u64() % 8);
+    Bigint pow = av;
+    for (int i = 0; i < n; ++i) pow = mpz::mulmod(pow, pow, p);
+    EXPECT_EQ(fe_to_bigint(mpz::fe_sq_n(a, n)), pow) << "n=" << n;
+
+    const Fe25519 wide = limbs_below(prng, 62);
+    const Fe25519 wide2 = limbs_below(prng, 62);
+    const Bigint wv = limbs_value(wide);
+    const Fe25519 sum = mpz::fe_add(wide, wide2);
+    EXPECT_TRUE(carried(sum));
+    EXPECT_EQ(fe_to_bigint(sum), mpz::addmod(wv, limbs_value(wide2), p));
+    const Fe25519 subtrahend = iter % 2 == 0 ? two_p : prod;
+    const Fe25519 diff = mpz::fe_sub(wide, subtrahend);
+    EXPECT_TRUE(carried(diff));
+    EXPECT_EQ(fe_to_bigint(diff), mpz::submod(wv, limbs_value(subtrahend), p));
+    EXPECT_EQ(fe_to_bigint(mpz::fe_neg(subtrahend)),
+              mpz::submod(Bigint(0), limbs_value(subtrahend), p));
+    const std::uint64_t k = iter % 2 == 0 ? 0xFFFFFFFFU : prng.next_u64() >> 32;
+    const Fe25519 scaled = mpz::fe_mul_small(prod, k);
+    EXPECT_TRUE(carried(scaled));
+    EXPECT_EQ(fe_to_bigint(scaled), mpz::mulmod(limbs_value(prod), Bigint(k), p));
+  }
+}
+
+// fe_sq, fe_sq_n and fe_mul(a, a) agree and each count one multiplication per
+// squaring.
+TEST(Fe25519Fuzz, SquaringMatchesMultiplyAndCountsOnce) {
+  mpz::Prng prng(1731);
+  const Bigint p = field_p();
+  for (int iter = 0; iter < 100; ++iter) {
+    const Fe25519 a = fe_from_bigint(prng.uniform_below(p));
+    const std::uint64_t before = mpz::fe_mul_count();
+    const Fe25519 sq = mpz::fe_sq(a);
+    EXPECT_EQ(mpz::fe_mul_count() - before, 1U);
+    EXPECT_EQ(fe_to_bigint(sq), fe_to_bigint(mpz::fe_mul(a, a)));
+    const std::uint64_t before_n = mpz::fe_mul_count();
+    const Fe25519 sq5 = mpz::fe_sq_n(a, 5);
+    EXPECT_EQ(mpz::fe_mul_count() - before_n, 5U);
+    Fe25519 by_mul = a;
+    for (int i = 0; i < 5; ++i) by_mul = mpz::fe_mul(by_mul, by_mul);
+    EXPECT_EQ(fe_to_bigint(sq5), fe_to_bigint(by_mul));
+  }
+}
+
 TEST(Fe25519Fuzz, EncodingRoundTripsAndOrders) {
   mpz::Prng prng(271828);
   const Bigint p = field_p();
