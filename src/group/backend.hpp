@@ -16,7 +16,10 @@
 // canonical encoding — a mod-p residue, or the ristretto 32-byte string read
 // as a little-endian integer — plus, for a decoded element, the backend's
 // native form. An operation reads the native form of a decoded input and
-// decodes only bare inputs; its result is encoded once and returned decoded.
+// decodes only bare inputs, and returns its result decoded. A mod-p result is
+// its residue; an ec255 result is its point, encoded only when something
+// reads the encoding (element.hpp), so an operation never encodes an input or
+// a result itself.
 // Group order scalars are plain Bigints mod q in both backends, so exponent
 // arithmetic (Shamir shares, challenges, blinding factors) is
 // backend-independent.
@@ -118,12 +121,18 @@ class Group {
   // Element plumbing, reserved to the backends. `owner` identifies the
   // validating backend: every Ec shares one owner (the curve is fixed), every
   // ModP instance gets its own (validity depends on its p).
-  [[nodiscard]] static Element decoded(Bigint encoding, std::uint64_t owner,
-                                       std::shared_ptr<const ec::Point> point = nullptr) {
-    return {std::move(encoding), owner, std::move(point)};
+  [[nodiscard]] static Element decoded(Bigint encoding, std::uint64_t owner) {
+    return {std::move(encoding), owner};
+  }
+  [[nodiscard]] static Element decoded(std::shared_ptr<const ec::Native> native,
+                                       std::uint64_t owner) {
+    return {std::move(native), owner};
   }
   [[nodiscard]] static std::uint64_t owner_of(const Element& x) { return x.owner_; }
-  [[nodiscard]] static const ec::Point* point_of(const Element& x) { return x.point_.get(); }
+  [[nodiscard]] static const ec::Native* native_of(const Element& x) { return x.native_.get(); }
+  // x's encoding without computing one: null for an ec255 result whose
+  // encoding nothing has read yet.
+  [[nodiscard]] static const Bigint* encoding_if_known(const Element& x);
 };
 
 }  // namespace dblind::group::backend

@@ -6,7 +6,39 @@
 
 #include "mpz/modmath.hpp"
 
-namespace dblind::group::backend {
+namespace dblind::group {
+
+namespace {
+
+// The element encoding of an RFC 9496 string: read as a little-endian integer.
+mpz::Bigint box(const ec::EncodedPoint& enc) {
+  std::array<std::uint8_t, 32> be;
+  std::copy(enc.rbegin(), enc.rend(), be.begin());
+  return mpz::Bigint::from_bytes_be(be);
+}
+
+}  // namespace
+
+ec::Native::Native(const Point& point, mpz::Bigint encoding)
+    : point_(point), encoding_(std::move(encoding)) {
+  known_.store(true, std::memory_order_relaxed);
+}
+
+const mpz::Bigint& ec::Native::encoding() const {
+  if (!known_.load(std::memory_order_acquire)) {
+    std::call_once(once_, [this] {
+      const std::uint64_t start = mpz::fe_mul_count();
+      encoding_ = box(ec::encode(point_));
+      cell_->fetch_add(mpz::fe_mul_count() - start, std::memory_order_relaxed);
+      known_.store(true, std::memory_order_release);
+    });
+  }
+  return encoding_;
+}
+
+const mpz::Bigint& Element::native_encoding() const { return native_->encoding(); }
+
+namespace backend {
 
 namespace {
 
@@ -32,6 +64,10 @@ std::optional<ec::Point> try_unbox(const Bigint& x) {
 
 }  // namespace
 
+const Bigint* Group::encoding_if_known(const Element& x) {
+  return x.native_ ? x.native_->encoding_if_known() : &x.enc_;
+}
+
 Ec::Ec()
     : p_(Bigint::from_hex(
           "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffed")),
@@ -39,25 +75,19 @@ Ec::Ec()
           "1000000000000000000000000000000014def9dea2f79cd65812631a5cf5d3ed")),
       max_message_(Bigint::from_hex(
           "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffff")),
-      g_(element(ec::base_point())),
-      identity_(element(ec::identity())) {}
+      g_(encoded_element(ec::base_point())),
+      identity_(encoded_element(ec::identity())) {}
 
-namespace {
-
-Bigint box(const ec::EncodedPoint& enc) {
-  std::array<std::uint8_t, 32> be;
-  std::copy(enc.rbegin(), enc.rend(), be.begin());
-  return Bigint::from_bytes_be(be);
+Element Ec::encoded_element(const ec::Point& pt) {
+  return decoded(std::make_shared<const ec::Native>(pt, box(ec::encode(pt))), kOwner);
 }
 
-}  // namespace
-
-Element Ec::element(const ec::Point& pt) {
-  return decoded(box(ec::encode(pt)), kOwner, std::make_shared<const ec::Point>(pt));
+Element Ec::element(const ec::Point& pt) const {
+  return decoded(std::make_shared<const ec::Native>(pt, op_count_), kOwner);
 }
 
 ec::Point Ec::point(const Element& x) {
-  if (const ec::Point* native = point_of(x)) return *native;
+  if (const ec::Native* native = native_of(x)) return native->point();
   std::optional<ec::Point> pt = try_unbox(x);
   if (!pt) throw std::invalid_argument("ec255: not a canonical group element encoding");
   return *pt;
@@ -71,27 +101,48 @@ ec::ScalarBytes Ec::to_scalar(const Bigint& e) const {
 }
 
 bool Ec::in_group(const Element& x) const {
-  if (point_of(x) != nullptr) return true;
+  if (native_of(x) != nullptr) return true;
   OpScope scope(*this);
   return try_unbox(x).has_value();
 }
 
 std::optional<Element> Ec::decode(const Element& x) const {
-  if (point_of(x) != nullptr) return x;
+  if (native_of(x) != nullptr) return x;
   OpScope scope(*this);
   std::optional<ec::Point> pt = try_unbox(x);
   if (!pt) return std::nullopt;
   // A canonical encoding is the encoding of its point: keep it, skip encode.
-  return decoded(x.encoding(), kOwner, std::make_shared<const ec::Point>(*pt));
+  return decoded(std::make_shared<const ec::Native>(*pt, x.encoding()), kOwner);
 }
 
-Element Ec::pow_g(const Bigint& e) const {
-  OpScope scope(*this);
+const ec::CombTable& Ec::g_comb() const {
   std::call_once(cache_.once, [&] {
     cache_.g_comb = std::make_unique<const ec::CombTable>(ec::base_point(),
                                                           TableCache::kWindowBits);
   });
-  return element(cache_.g_comb->mul(to_scalar(e)));
+  return *cache_.g_comb;
+}
+
+bool Ec::is_g(const Element& b) const {
+  if (const Bigint* enc = encoding_if_known(b)) return *enc == g_.encoding();
+  return ec::eq(native_of(b)->point(), ec::base_point());
+}
+
+std::shared_ptr<const ec::CombTable> Ec::pinned_table(const Element& b) const {
+  const Bigint* enc = encoding_if_known(b);
+  MutexLock lock(cache_.mu);
+  if (enc != nullptr) {
+    auto it = cache_.pinned.find(*enc);
+    return it == cache_.pinned.end() ? nullptr : it->second.table;
+  }
+  for (const auto& [key, pinned] : cache_.pinned)
+    if (ec::eq(native_of(b)->point(), pinned.base)) return pinned.table;
+  return nullptr;
+}
+
+Element Ec::pow_g(const Bigint& e) const {
+  OpScope scope(*this);
+  return element(g_comb().mul(to_scalar(e)));
 }
 
 Element Ec::pow(const Element& b, const Bigint& e) const {
@@ -100,27 +151,24 @@ Element Ec::pow(const Element& b, const Bigint& e) const {
 }
 
 void Ec::pin_base(const Element& b) const {
-  if (b == g_) return;  // pow_g's comb table already covers g
+  // The key is b's encoding: read here, before the op scope, so a base still
+  // unencoded is encoded once and charged by its own memo.
+  const Bigint& key = b.encoding();
+  if (key == g_.encoding()) return;  // pow_g's comb table already covers g
   OpScope scope(*this);
   ec::Point base = point(b);
   MutexLock lock(cache_.mu);
-  if (cache_.pinned.contains(b)) return;
+  if (cache_.pinned.contains(key)) return;
   cache_.pinned.emplace(
-      b, std::make_shared<const ec::CombTable>(base, TableCache::kPinnedWindowBits));
+      key, Pinned{base, std::make_shared<const ec::CombTable>(base, TableCache::kPinnedWindowBits)});
 }
 
 Element Ec::pow_fixed(const Element& b, const Bigint& e) const {
-  if (b == g_) return pow_g(e);
   OpScope scope(*this);
-  std::shared_ptr<const ec::CombTable> table;
-  {
-    MutexLock lock(cache_.mu);
-    auto it = cache_.pinned.find(b);
-    if (it != cache_.pinned.end()) table = it->second;
-  }
-  if (!table)  // not pinned: no insertion
-    return element(ec::scalar_mul(point(b), to_scalar(e)));
-  return element(table->mul(to_scalar(e)));
+  if (is_g(b)) return element(g_comb().mul(to_scalar(e)));
+  if (std::shared_ptr<const ec::CombTable> table = pinned_table(b))
+    return element(table->mul(to_scalar(e)));
+  return element(ec::scalar_mul(point(b), to_scalar(e)));  // not pinned: no insertion
 }
 
 Element Ec::mul(const Element& a, const Element& b) const {
@@ -155,8 +203,8 @@ bool Ec::multi_pow_equals(std::span<const Element> bases, std::span<const Bigint
                           const Element& expect) const {
   OpScope scope(*this);
   std::optional<ec::Point> want;
-  if (const ec::Point* native = point_of(expect)) {
-    want = *native;
+  if (const ec::Native* native = native_of(expect)) {
+    want = native->point();
   } else {
     want = try_unbox(expect);
     if (!want) return false;
@@ -187,7 +235,7 @@ Element Ec::encode_message(const Bigint& v) const {
     s[0] = static_cast<std::uint8_t>((tweak & 0x7f) << 1);
     s[30] = static_cast<std::uint8_t>(tweak >> 7);
     if (std::optional<ec::Point> pt = ec::decode(s))
-      return decoded(box(s), kOwner, std::make_shared<const ec::Point>(*pt));
+      return decoded(std::make_shared<const ec::Native>(*pt, box(s)), kOwner);
   }
   throw std::runtime_error("encode_message: no decodable tweak (impossible)");
 }
@@ -213,4 +261,6 @@ std::vector<std::uint8_t> Ec::element_bytes(const Bigint& x) const {
   return be;
 }
 
-}  // namespace dblind::group::backend
+}  // namespace backend
+
+}  // namespace dblind::group

@@ -4,17 +4,24 @@
 // Element convention: an element's encoding is its RFC 9496 32-byte string
 // interpreted as a little-endian integer (so element_bytes() emits exactly
 // the RFC encoding, and the identity encodes as Bigint 0 — the all-zero
-// string); a decoded element also carries its extended point. Operations
-// read that point directly, decode only bare inputs (an inverse square root
-// each), and encode each result once. Scalars are ordinary Bigints mod the
+// string); a decoded element also carries its extended point (ec::Native).
+// Operations read that point directly, decode only bare inputs (an inverse
+// square root each), and return their result as a point whose encoding is
+// computed on first read, if ever. Scalars are ordinary Bigints mod the
 // group order ell = 2^252 + 27742317777372353535851937790883648493.
 //
 // Op accounting: every group operation snapshots the thread-local field-mul
 // counter (mpz::fe_mul_count()) around its body and flushes the delta into
-// one shared atomic, mirroring MontgomeryCtx::mul_count() — deterministic,
-// and attributable per protocol phase via obs::ScopedCounterDelta.
+// one shared atomic cell, mirroring MontgomeryCtx::mul_count() —
+// deterministic, and attributable per protocol phase via
+// obs::ScopedCounterDelta. A result's deferred encode is flushed the same way
+// into the cell of the backend that made the result: the cell is shared by
+// that backend and its results, since a result can outlive its backend. So
+// every field multiplication is charged exactly once, wherever it runs, and
+// no encode may run inside an operation's own scope.
 #pragma once
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -22,6 +29,39 @@
 #include "core/sync.hpp"
 #include "group/backend.hpp"
 #include "group/ristretto.hpp"
+
+namespace dblind::group::ec {
+
+// The native form of a decoded ec255 element, shared by all its copies: the
+// point and the canonical encoding in one allocation. A decoded wire value or
+// a constant comes with its encoding; an operation's result computes it on
+// the first read of any copy, from any thread, exactly once, and charges the
+// field multiplications to `cell`.
+class Native {
+ public:
+  using Cell = std::shared_ptr<std::atomic<std::uint64_t>>;
+
+  // A point whose encoding is known.
+  Native(const Point& point, mpz::Bigint encoding);
+  // An operation result: encoded on first read, charged to `cell`.
+  Native(const Point& point, Cell cell) : point_(point), cell_(std::move(cell)) {}
+
+  [[nodiscard]] const Point& point() const { return point_; }
+  [[nodiscard]] const mpz::Bigint& encoding() const;
+  // The encoding if something has computed it; never computes one.
+  [[nodiscard]] const mpz::Bigint* encoding_if_known() const {
+    return known_.load(std::memory_order_acquire) ? &encoding_ : nullptr;
+  }
+
+ private:
+  Point point_;
+  Cell cell_;  // null when the encoding was known at construction
+  mutable std::once_flag once_;
+  mutable std::atomic<bool> known_{false};
+  mutable mpz::Bigint encoding_;  // written once, under once_
+};
+
+}  // namespace dblind::group::ec
 
 namespace dblind::group::backend {
 
@@ -66,10 +106,10 @@ class Ec final : public Group {
   [[nodiscard]] std::size_t element_size() const override { return 32; }
 
   [[nodiscard]] std::uint64_t op_count() const override {
-    return op_count_.load(std::memory_order_relaxed);
+    return op_count_->load(std::memory_order_relaxed);
   }
   [[nodiscard]] const std::atomic<std::uint64_t>* op_cell() const override {
-    return &op_count_;
+    return op_count_.get();
   }
   // One GF(2^255-19) multiplication on 5 radix-2^51 limbs is 25 word
   // multiplications (we count squarings at the same weight).
@@ -81,8 +121,8 @@ class Ec final : public Group {
     explicit OpScope(const Ec& owner)
         : owner_(owner), start_(mpz::fe_mul_count()) {}
     ~OpScope() {
-      owner_.op_count_.fetch_add(mpz::fe_mul_count() - start_,
-                                 std::memory_order_relaxed);
+      owner_.op_count_->fetch_add(mpz::fe_mul_count() - start_,
+                                  std::memory_order_relaxed);
     }
     OpScope(const OpScope&) = delete;
     OpScope& operator=(const OpScope&) = delete;
@@ -97,17 +137,31 @@ class Ec final : public Group {
   // encoding (throws std::invalid_argument on anything that is not a
   // canonical encoding).
   [[nodiscard]] static ec::Point point(const Element& x);
-  // The decoded element of `pt`, encoded once.
-  [[nodiscard]] static Element element(const ec::Point& pt);
+  // The decoded element of `pt` with its encoding computed now (constants).
+  [[nodiscard]] static Element encoded_element(const ec::Point& pt);
+  // An operation's result: `pt`, encoded on first read into op_count_.
+  [[nodiscard]] Element element(const ec::Point& pt) const;
   [[nodiscard]] ec::ScalarBytes to_scalar(const Bigint& e) const;
   // Σ exps[i]·bases[i] as a point, through the one Straus kernel.
   [[nodiscard]] ec::Point multi_scalar_mul(std::span<const Element> bases,
                                            std::span<const Bigint> exps) const;
+  // g's comb table, built by the first caller (inside its op scope).
+  [[nodiscard]] const ec::CombTable& g_comb() const;
+  // Whether b is g, and b's pinned comb table (null when b is not pinned).
+  // Both run inside the caller's op scope and never encode b: a b whose
+  // encoding is known is compared by it, any other by point (ec::eq, at most
+  // 4M per candidate).
+  [[nodiscard]] bool is_g(const Element& b) const;
+  [[nodiscard]] std::shared_ptr<const ec::CombTable> pinned_table(const Element& b) const;
 
   Bigint p_, q_, max_message_;
+  ec::Native::Cell op_count_ = std::make_shared<std::atomic<std::uint64_t>>(0);
   Element g_, identity_;
-  mutable std::atomic<std::uint64_t> op_count_{0};
 
+  struct Pinned {
+    ec::Point base;
+    std::shared_ptr<const ec::CombTable> table;
+  };
   struct TableCache {
     std::once_flag once;
     std::unique_ptr<const ec::CombTable> g_comb;
@@ -115,7 +169,7 @@ class Ec final : public Group {
     static constexpr unsigned kPinnedWindowBits = 5;
     mutable Mutex mu;
     // Keyed by encoding.
-    mutable std::map<Bigint, std::shared_ptr<const ec::CombTable>> pinned GUARDED_BY(mu);
+    mutable std::map<Bigint, Pinned> pinned GUARDED_BY(mu);
   };
   mutable TableCache cache_;
 };

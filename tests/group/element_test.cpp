@@ -3,15 +3,20 @@
 // The cost tests count GF(2^255-19) multiplications (mpz::fe_mul_count(),
 // deterministic) around one facade call and compare them with the ristretto
 // kernels the call must consist of: an operation on decoded elements reads
-// their points (no decode), encodes its result once, and multi_pow_equals
-// encodes nothing. The twin tests check that a bare element (encoding only)
-// and its decoded twin give identical results under every operation.
+// their points (no decode) and costs its kernel only; the first read of the
+// result's encoding costs one encode, charged to the backend, and a second
+// read or a read through a copy costs nothing, from any number of threads.
+// multi_pow_equals encodes nothing. The twin tests check that a bare element
+// (encoding only) and its decoded twin give identical results under every
+// operation.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <latch>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "common/codec.hpp"
@@ -51,12 +56,19 @@ ec::ScalarBytes scalar_of(const GroupParams& gp, const Bigint& e) {
 // A bare copy: the same encoding, no native form.
 Element bare(const Element& x) { return Element(x.encoding()); }
 
+// x after its first read: an operation result encodes then, not later.
+Element read(Element x) {
+  (void)x.encoding();
+  return x;
+}
+
 class ElementCost : public ::testing::Test {
  protected:
   GroupParams gp = GroupParams::named(ParamId::kEc255);
   mpz::Prng prng{0xe1e};
-  Element x = gp.random_element(prng);
-  Element y = gp.random_element(prng);
+  // Read up front, so no cost below includes their own deferred encodes.
+  Element x = read(gp.random_element(prng));
+  Element y = read(gp.random_element(prng));
   std::uint64_t decode_cost = field_muls_of([&] { (void)ec::decode(encoded(x)); });
 };
 
@@ -69,20 +81,31 @@ TEST_F(ElementCost, InGroupOnDecodedIsFreeOnBareIsOneDecode) {
   EXPECT_GT(decode_cost, 200U);  // an inverse square root
 }
 
+// The addition is paid by the operation, the encode by the first read of the
+// result's encoding; both are charged to the backend's op counter.
 TEST_F(ElementCost, MulOfDecodedIsOneAdditionPlusOneEncode) {
   const ec::Point px = point_of(x);
   const ec::Point py = point_of(y);
   const ec::Point sum = ec::add(px, py);
   const std::uint64_t add_cost = field_muls_of([&] { (void)ec::add(px, py); });
   const std::uint64_t encode_cost = field_muls_of([&] { (void)ec::encode(sum); });
+  const std::uint64_t ops0 = gp.group_op_count();
   Element product;
-  EXPECT_EQ(field_muls_of([&] { product = gp.mul(x, y); }), add_cost + encode_cost);
+  EXPECT_EQ(field_muls_of([&] { product = gp.mul(x, y); }), add_cost);
   EXPECT_TRUE(product.is_decoded());
+  const Element copy = product;
+  EXPECT_EQ(field_muls_of([&] { (void)product.encoding(); }), encode_cost);
+  EXPECT_EQ(field_muls_of([&] { (void)product.encoding(); }), 0U);
+  EXPECT_EQ(field_muls_of([&] { EXPECT_EQ(copy, product); }), 0U);
+  EXPECT_EQ(gp.group_op_count() - ops0, add_cost + encode_cost);
+  // A copy taken after the read shares the encoding too; a product nothing
+  // reads is never encoded.
+  EXPECT_EQ(field_muls_of([&] { (void)Element(product).encoding(); }), 0U);
+  EXPECT_EQ(field_muls_of([&] { (void)gp.mul(product, x); }), add_cost);
   // Bare operands pay one decode each on top.
   const Element bx = bare(x);
   const Element by = bare(y);
-  EXPECT_EQ(field_muls_of([&] { (void)gp.mul(bx, by); }),
-            add_cost + encode_cost + 2 * decode_cost);
+  EXPECT_EQ(field_muls_of([&] { (void)gp.mul(bx, by); }), add_cost + 2 * decode_cost);
 }
 
 TEST_F(ElementCost, MultiPowEqualsEncodesNothing) {
@@ -103,10 +126,38 @@ TEST_F(ElementCost, MultiPowEqualsEncodesNothing) {
   const std::uint64_t compare = field_muls_of([&] { (void)ec::eq(sum, sum); });
   EXPECT_EQ(field_muls_of([&] { EXPECT_TRUE(gp.multi_pow_equals(bases, exps, expect)); }),
             kernel + compare);
-  // Against multi_pow, the comparison saves exactly the encode.
+  // multi_pow costs the kernel; reading its result adds the encode that the
+  // comparison never pays.
   const std::uint64_t encode_cost = field_muls_of([&] { (void)ec::encode(sum); });
-  EXPECT_EQ(field_muls_of([&] { (void)gp.multi_pow(bases, exps); }), kernel + encode_cost);
+  Element product;
+  EXPECT_EQ(field_muls_of([&] { product = gp.multi_pow(bases, exps); }), kernel);
+  EXPECT_EQ(field_muls_of([&] { (void)product.encoding(); }), encode_cost);
   EXPECT_FALSE(gp.multi_pow_equals(bases, exps, gp.mul(expect, gp.g())));
+}
+
+// Eight threads make the first reads of one result's encoding, some through
+// their own copies: every read sees the same encoding, and the backend is
+// charged exactly one encode.
+TEST_F(ElementCost, ConcurrentFirstReadEncodesOnce) {
+  const ec::Point sum = ec::add(point_of(x), point_of(y));
+  const std::uint64_t encode_cost = field_muls_of([&] { (void)ec::encode(sum); });
+  const Element expected = read(gp.mul(bare(x), bare(y)));
+  const Element product = gp.mul(x, y);
+  const std::uint64_t ops0 = gp.group_op_count();
+  constexpr int kThreads = 8;
+  std::array<mpz::Bigint, kThreads> seen;
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      const Element mine = product;
+      seen[i] = i % 2 == 0 ? product.encoding() : mine.encoding();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const mpz::Bigint& s : seen) EXPECT_EQ(s, expected.encoding());
+  EXPECT_EQ(gp.group_op_count() - ops0, encode_cost);
 }
 
 TEST_F(ElementCost, DecodeValidatesOnceAndPassesDecodedFree) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/system.hpp"
+#include "mpz/fe25519.hpp"
 
 namespace dblind::core {
 namespace {
@@ -135,6 +136,38 @@ TEST(CrossBackend, ResultIsFreshCiphertextOnEc) {
   EXPECT_TRUE(sys.config().params.in_group(res->a));
   EXPECT_TRUE(sys.config().params.in_group(res->b));
   EXPECT_NE(sys.oracle_decrypt_a(*res), elem);  // bound to B, not A
+}
+
+// Every GF(2^255-19) multiplication a run performs is charged to the
+// backend's op counter exactly once, deferred encodes included: the thread's
+// field-mul count and the group-op count move alike over a DKG, three
+// transfers and the reads of every result after the System is gone. An
+// encode that escaped the counter, or one charged twice, breaks the equality.
+TEST(EcAccounting, EveryFieldMulIsCharged) {
+  const GroupParams gp = GroupParams::named(ParamId::kEc255);
+  const std::uint64_t fe0 = mpz::fe_mul_count();
+  const std::uint64_t ops0 = gp.group_op_count();
+  std::vector<elgamal::Ciphertext> results;
+  {
+    SystemOptions o;
+    o.params = gp;
+    o.seed = 3;
+    o.use_dkg = true;
+    System sys(std::move(o));
+    std::vector<TransferId> ids;
+    for (int i = 0; i < 3; ++i) ids.push_back(sys.add_transfer(gp.encode_message(Bigint(77 + i))));
+    ASSERT_TRUE(sys.run_to_completion());
+    for (TransferId t : ids) {
+      for (ServerRank r = 1; r <= sys.b_cfg().n; ++r) {
+        if (auto res = sys.result(t, r)) results.push_back(*res);
+      }
+    }
+  }
+  ASSERT_EQ(results.size(), 12u);
+  for (const elgamal::Ciphertext& c : results) {
+    EXPECT_TRUE(gp.in_group(c.a.encoding()) && gp.in_group(c.b.encoding()));
+  }
+  EXPECT_EQ(mpz::fe_mul_count() - fe0, gp.group_op_count() - ops0);
 }
 
 }  // namespace
