@@ -66,12 +66,6 @@ Point finish(const Completed& c, bool with_t) {
                with_t ? fe_mul(c.E, c.H) : Fe25519::zero()};
 }
 
-// Addend in cached form (Y+X, Y-X, 2Z, 2dT): adding it costs 4M before
-// finish(), and negating it costs no multiplication.
-struct Cached {
-  Fe25519 YplusX, YminusX, Z2, T2d;
-};
-
 Cached to_cached(const Point& p) {
   return Cached{fe_add(p.Y, p.X), fe_sub(p.Y, p.X), fe_add(p.Z, p.Z), fe_mul(p.T, k2D)};
 }
@@ -198,13 +192,22 @@ Point scalar_mul(const Point& base, const ScalarBytes& scalar) {
 CombTable::CombTable(const Point& base, unsigned window_bits) : window_(window_bits) {
   const unsigned positions = (255 + window_ - 1) / window_ + 1;
   const std::size_t row_len = std::size_t{1} << window_;
+  // The identity in cached form (1, 1, 2, 0). Digit 0 never reads it.
+  const Fe25519 one = Fe25519::one();
+  const Cached cached_identity{one, one, fe_add(one, one), Fe25519::zero()};
   table_.resize(positions);
   Point pos_base = base;
   for (unsigned i = 0; i < positions; ++i) {
     auto& row = table_[i];
     row.resize(row_len);
-    row[0] = identity();
-    for (std::size_t j = 1; j < row_len; ++j) row[j] = add(row[j - 1], pos_base);
+    row[0] = cached_identity;
+    const Cached step = to_cached(pos_base);
+    Point multiple = pos_base;
+    row[1] = step;
+    for (std::size_t j = 2; j < row_len; ++j) {
+      multiple = finish(add_completed(multiple, step), true);
+      row[j] = to_cached(multiple);
+    }
     for (unsigned b = 0; b < window_; ++b) pos_base = dbl(pos_base);
   }
 }
@@ -213,7 +216,7 @@ Point CombTable::mul(const ScalarBytes& scalar) const {
   Point acc = identity();
   for (unsigned i = 0; i < table_.size(); ++i) {
     const unsigned d = digit_of(scalar, window_, i);
-    if (d != 0) acc = add(acc, table_[i][d]);
+    if (d != 0) acc = finish(add_completed(acc, table_[i][d]), true);
   }
   return acc;
 }

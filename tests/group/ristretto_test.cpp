@@ -297,6 +297,34 @@ TEST(RistrettoKernelCost, SharedChainAndShortScalarsStayCheap) {
   EXPECT_EQ(field_muls_of([&] { (void)add(base, base); }), 9U);
 }
 
+// A comb table holds its entries in cached form (Y+X, Y-X, 2Z, 2dT), so a
+// fixed-base multiplication costs 8 field muls per nonzero digit: no
+// conversion per addition, no doubling.
+TEST(RistrettoKernelCost, CombCostsEightPerNonzeroDigit) {
+  mpz::Prng prng(23);
+  const auto nonzero_digits = [](const ScalarBytes& s, unsigned w) {
+    std::uint64_t count = 0;
+    for (unsigned pos = 0; pos < 256; pos += w) {
+      unsigned digit = 0;
+      for (unsigned b = pos; b < pos + w && b < 256; ++b)
+        digit |= ((s[b / 8] >> (b % 8)) & 1U) << (b - pos);
+      count += digit != 0 ? 1 : 0;
+    }
+    return count;
+  };
+  for (unsigned w : {4U, 5U}) {
+    const CombTable table(scalar_mul(base_point(), random_scalar(prng)), w);
+    for (int iter = 0; iter < 8; ++iter) {
+      const ScalarBytes s = random_scalar(prng);
+      EXPECT_EQ(field_muls_of([&] { (void)table.mul(s); }), 8 * nonzero_digits(s, w))
+          << "w=" << w;
+    }
+    EXPECT_EQ(field_muls_of([&] { (void)table.mul(ScalarBytes{}); }), 0U);
+    // Bits 0 and 20 set: two nonzero digits at either width.
+    EXPECT_EQ(field_muls_of([&] { (void)table.mul(scalar_from_u64(0x100001)); }), 16U);
+  }
+}
+
 // ---- GF(2^255-19) property fuzz against the Bigint oracle ------------------
 
 Bigint field_p() {
