@@ -182,7 +182,7 @@ std::optional<Certificate> Resharing::on_apply(const Local& l, const SignedMessa
           MsgType::kReconfigEcho, ReconfigEchoMsg{spec.service, spec.epoch, digest}));
       l.resend.broadcast(l.ctx, round_targets(l, spec), frame_signed(echo),
                          {.self = ToSelf::kResendOnly});
-      echoes_[digest].emplace(Voter{echo.service, echo.signer}, echo);  // count our own echo
+      vote(Voter{echo.service, echo.signer}, digest, echo);  // count our own echo
     }
   }
   return try_install(l);
@@ -191,14 +191,13 @@ std::optional<Certificate> Resharing::on_apply(const Local& l, const SignedMessa
 std::optional<Certificate> Resharing::on_echo(const Local& l, const SignedMessage& env) {
   auto msg = try_decode<ReconfigEchoMsg>(l.cfg, MsgType::kReconfigEcho, env.body);
   if (!msg) return std::nullopt;
-  // One vote per voter and digest: a held voter's next echo changes nothing,
-  // so it is not checked.
+  // One vote per voter and epoch, as a correct member echoes exactly one
+  // digest: a voter's first checked echo stands, and any later one (the same
+  // digest again, or another) is dropped before its check.
   const Voter voter{env.service, env.signer};
-  auto held = echoes_.find(msg->digest);
-  if (held != echoes_.end() && held->second.contains(voter)) return std::nullopt;
+  if (voted_.contains(voter)) return std::nullopt;
   if (!check_reconfig_echo(l.cfg, l.epoch, env)) return std::nullopt;
-  Votes& votes = echoes_[msg->digest];
-  votes.emplace(voter, env);
+  const Votes& votes = vote(voter, msg->digest, env);
   // Fetch step: 2f+1 members echoed an apply this node lacks (late, or lost
   // with resends that die at the senders' installs). Pull the install record
   // from the echoers once, sending nothing now: they answer once installed,
@@ -215,6 +214,14 @@ std::optional<Certificate> Resharing::on_echo(const Local& l, const SignedMessag
     }
   }
   return try_install(l);
+}
+
+const Resharing::Votes& Resharing::vote(const Voter& voter, const hash::Digest& digest,
+                                        const SignedMessage& echo) {
+  voted_.insert(voter);
+  Votes& votes = echoes_[digest];
+  votes.emplace(voter, echo);
+  return votes;
 }
 
 std::optional<Certificate> Resharing::try_install(const Local& l) const {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <span>
 #include <utility>
 #include <vector>
@@ -86,6 +87,7 @@ class Resharing {
     round_.reset();
     applies_.clear();
     echoes_.clear();
+    voted_.clear();
     subshare_pull_ = 0;
     install_pull_armed_ = false;
   }
@@ -140,11 +142,17 @@ class Resharing {
   // other service take a voter's place.
   using Voter = std::pair<std::uint8_t, ServerRank>;
   using Votes = std::map<Voter, SignedMessage>;
+  // Records `voter`'s one checked echo for this epoch; returns its digest's
+  // votes.
+  const Votes& vote(const Voter& voter, const hash::Digest& digest, const SignedMessage& echo);
 
   std::optional<Round> round_;
   // Checked applies / echo votes for the NEXT epoch, by apply digest.
   std::map<hash::Digest, HeldApply> applies_;
   std::map<hash::Digest, Votes> echoes_;
+  // Every voter in echoes_: one vote each per epoch, so the store holds at
+  // most one echo per roster member whatever a Byzantine one sends.
+  std::set<Voter> voted_;
   // Sub-shares by (install epoch, old dealer rank); latest receipt wins, so
   // a garbage sub-share cannot shadow the dealer's real one.
   std::map<std::pair<ConfigEpoch, std::uint32_t>, ReshareSubshareMsg> subshares_;

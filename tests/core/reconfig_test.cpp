@@ -351,6 +351,59 @@ TEST(ReconfigRound, HeldVotesAreNotRechecked) {
   EXPECT_EQ(server.config_epoch(), 0u);  // two votes of the three needed
 }
 
+// A correct member echoes one digest per epoch, so a voter's first checked
+// echo is its vote: a second echo naming a fresh digest costs no group
+// operation and is not stored, and the honest round still installs. Stored,
+// it would complete a quorum for the fresh digest beside two other voters'
+// echoes and make the server pull an install record for it.
+TEST(ReconfigRound, SecondDigestEchoCostsNothing) {
+  RoundFixture fx;
+  const SignedMessage apply = fx.apply(1, {fx.honest_deal(1), fx.honest_deal(2)});
+  const hash::Digest d = reconfig_apply_digest(apply);
+  hash::Digest fresh = d;
+  fresh[0] ^= 1;
+  const SignedMessage first = fx.echo(1, d);
+  const SignedMessage second = fx.echo(1, fresh);
+  const std::uint64_t echo_check =
+      fx.ops([&] { EXPECT_TRUE(envelope_signature_ok(fx.ts.cfg, first)); });
+  const auto pull_targets = [&](ProtocolServer& server, testing::NullContext& ctx) {
+    for (std::uint64_t token : std::vector<std::uint64_t>(ctx.timers)) server.on_timer(ctx, token);
+    std::set<net::NodeId> pulled;
+    for (const auto& [to, frame] : ctx.frames) {
+      const std::vector<std::uint8_t> body = body_of(frame);
+      if (!body.empty() && peek_type(body) == MsgType::kReconfigPull) pulled.insert(to);
+    }
+    return pulled;
+  };
+
+  // Without the apply: the fresh digest gets ranks 2 and 3, not rank 1.
+  {
+    ProtocolServer server(fx.ts.cfg, fx.ts.b_secrets[3], ProtocolOptions{});
+    testing::NullContext ctx(13);
+    server.on_start(ctx);
+    ctx.frames.clear();
+    ctx.timers.clear();
+    const auto deliver = [&](ServerRank from, const SignedMessage& env) {
+      return fx.ops([&] { server.on_message(ctx, fx.node(from), framed(env)); });
+    };
+    EXPECT_EQ(deliver(1, first), echo_check);
+    EXPECT_EQ(deliver(1, second), 0u);
+    EXPECT_GT(deliver(2, fx.echo(2, fresh)), 0u);
+    EXPECT_GT(deliver(3, fx.echo(3, fresh)), 0u);
+    EXPECT_TRUE(pull_targets(server, ctx).empty());
+  }
+  // With it: rank 1's first vote still counts, and the round installs.
+  ProtocolServer server(fx.ts.cfg, fx.ts.b_secrets[3], ProtocolOptions{});
+  testing::NullContext ctx(15);
+  server.on_start(ctx);
+  server.on_message(ctx, fx.node(1), framed(apply));  // and rank 4 echoes it
+  server.on_message(ctx, fx.node(1), framed(first));
+  EXPECT_EQ(fx.ops([&] { server.on_message(ctx, fx.node(1), framed(second)); }), 0u);
+  EXPECT_EQ(server.config_epoch(), 0u);
+  server.on_message(ctx, fx.node(2), framed(fx.echo(2, d)));
+  EXPECT_EQ(server.config_epoch(), 1u);
+}
+
 // An install rebuilds nothing a reshare keeps: the echo that completes the
 // certificate costs its own check plus deriving the next service, and the
 // pinned comb tables (y_A, y_B, y_A·y_B: a reshare changes no key) stay.
