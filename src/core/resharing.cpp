@@ -23,13 +23,15 @@ Frame pull_frame(const Local& l) {
   return frame_client(encode_body(MsgType::kReconfigPull, ReconfigPullMsg{l.epoch}));
 }
 
-// The held votes of `service`'s members, by rank.
+// The held votes of `service`'s members for `digest`, by rank.
 template <typename Votes>
-std::vector<SignedMessage> votes_of(const Votes& votes, std::uint8_t service) {
+std::vector<SignedMessage> votes_of(const Votes& votes, std::uint8_t service,
+                                    const hash::Digest& digest) {
   std::vector<SignedMessage> out;
   for (auto it = votes.lower_bound({service, 0}); it != votes.end() && it->first.first == service;
-       ++it)
-    out.push_back(it->second);
+       ++it) {
+    if (it->second.digest == digest) out.push_back(it->second.echo);
+  }
   return out;
 }
 
@@ -182,7 +184,7 @@ std::optional<Certificate> Resharing::on_apply(const Local& l, const SignedMessa
           MsgType::kReconfigEcho, ReconfigEchoMsg{spec.service, spec.epoch, digest}));
       l.resend.broadcast(l.ctx, round_targets(l, spec), frame_signed(echo),
                          {.self = ToSelf::kResendOnly});
-      vote(Voter{echo.service, echo.signer}, digest, echo);  // count our own echo
+      votes_.try_emplace(Voter{echo.service, echo.signer}, Vote{digest, echo});  // our own
     }
   }
   return try_install(l);
@@ -195,16 +197,16 @@ std::optional<Certificate> Resharing::on_echo(const Local& l, const SignedMessag
   // digest: a voter's first checked echo stands, and any later one (the same
   // digest again, or another) is dropped before its check.
   const Voter voter{env.service, env.signer};
-  if (voted_.contains(voter)) return std::nullopt;
+  if (votes_.contains(voter)) return std::nullopt;
   if (!check_reconfig_echo(l.cfg, l.epoch, env)) return std::nullopt;
-  const Votes& votes = vote(voter, msg->digest, env);
+  votes_.try_emplace(voter, Vote{msg->digest, env});
   // Fetch step: 2f+1 members echoed an apply this node lacks (late, or lost
   // with resends that die at the senders' installs). Pull the install record
   // from the echoers once, sending nothing now: they answer once installed,
   // and our own install cancels the pull if the apply arrives first.
   if (!install_pull_armed_ && !applies_.contains(msg->digest)) {
     const ServicePublic& svc = l.cfg.service(static_cast<ServiceRole>(msg->service));
-    const std::vector<SignedMessage> echoed = votes_of(votes, msg->service);
+    const std::vector<SignedMessage> echoed = votes_of(votes_, msg->service, msg->digest);
     if (echoed.size() >= 2 * svc.cfg.f + 1) {
       install_pull_armed_ = true;
       std::vector<net::NodeId> echoers;
@@ -216,20 +218,10 @@ std::optional<Certificate> Resharing::on_echo(const Local& l, const SignedMessag
   return try_install(l);
 }
 
-const Resharing::Votes& Resharing::vote(const Voter& voter, const hash::Digest& digest,
-                                        const SignedMessage& echo) {
-  voted_.insert(voter);
-  Votes& votes = echoes_[digest];
-  votes.emplace(voter, echo);
-  return votes;
-}
-
 std::optional<Certificate> Resharing::try_install(const Local& l) const {
   for (const auto& [digest, held] : applies_) {
-    auto eit = echoes_.find(digest);
-    if (eit == echoes_.end()) continue;
     const std::uint8_t service = held.msg.spec.service;
-    std::vector<SignedMessage> echoes = votes_of(eit->second, service);
+    std::vector<SignedMessage> echoes = votes_of(votes_, service, digest);
     if (echoes.size() >= 2 * l.cfg.service(static_cast<ServiceRole>(service)).cfg.f + 1)
       return Certificate{held.env, held.msg, std::move(echoes)};
   }

@@ -4,14 +4,14 @@
 // and old-roster members echo the first valid apply's digest exactly once: an
 // apply plus 2f+1 echoes is a (unique) Certificate, which ProtocolServer
 // installs. Each deal, apply and echo is checked once, when it arrives; a
-// held one is not checked again, and completing a certificate only counts
-// held votes. Laggards pull the install chain one epoch at a time.
+// held one is not checked again, a voter's first checked echo is its one
+// vote, and completing a certificate only counts held votes. Laggards pull
+// the install chain one epoch at a time.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <span>
 #include <utility>
 #include <vector>
@@ -86,8 +86,7 @@ class Resharing {
   void reset() {
     round_.reset();
     applies_.clear();
-    echoes_.clear();
-    voted_.clear();
+    votes_.clear();
     subshare_pull_ = 0;
     install_pull_armed_ = false;
   }
@@ -141,18 +140,19 @@ class Resharing {
   // An echo's voter: (service, rank). Ranks alone would let a member of the
   // other service take a voter's place.
   using Voter = std::pair<std::uint8_t, ServerRank>;
-  using Votes = std::map<Voter, SignedMessage>;
-  // Records `voter`'s one checked echo for this epoch; returns its digest's
-  // votes.
-  const Votes& vote(const Voter& voter, const hash::Digest& digest, const SignedMessage& echo);
+  // A checked echo and the apply digest it names.
+  struct Vote {
+    hash::Digest digest;
+    SignedMessage echo;
+  };
 
   std::optional<Round> round_;
-  // Checked applies / echo votes for the NEXT epoch, by apply digest.
+  // Checked applies for the NEXT epoch, by apply digest.
   std::map<hash::Digest, HeldApply> applies_;
-  std::map<hash::Digest, Votes> echoes_;
-  // Every voter in echoes_: one vote each per epoch, so the store holds at
-  // most one echo per roster member whatever a Byzantine one sends.
-  std::set<Voter> voted_;
+  // Checked echo votes for the NEXT epoch, one per voter: a correct member
+  // echoes one digest per epoch, so its first checked echo is its vote, and
+  // a Byzantine member cannot store more than one.
+  std::map<Voter, Vote> votes_;
   // Sub-shares by (install epoch, old dealer rank); latest receipt wins, so
   // a garbage sub-share cannot shadow the dealer's real one.
   std::map<std::pair<ConfigEpoch, std::uint32_t>, ReshareSubshareMsg> subshares_;
