@@ -36,6 +36,35 @@ TEST(ThreadedClient, FullPipelineOnRealThreads) {
   EXPECT_EQ(*handle->plaintext(), m);
 }
 
+// The same pipeline on ristretto255: node threads share elements (keys, DKG
+// commitments, ciphertexts) whose encodings are computed on first read, so
+// this is the run that exercises that memo across real threads.
+TEST(ThreadedClient, FullPipelineOnRealThreadsEc255) {
+  auto ts = testing::TestSystem::make(0xec25, {4, 1}, {4, 1}, group::ParamId::kEc255);
+  mpz::Bigint m = ts.params.encode_message(mpz::Bigint(1414213562));
+
+  ProtocolOptions opts;
+  opts.coordinator_backup_delay = 300'000;
+  opts.responder_backup_delay = 300'000;
+  opts.signing_retry_delay = 500'000;
+
+  net::ThreadedBus bus(0x2552);
+  for (ServerRank r = 1; r <= 4; ++r)
+    bus.add_node(std::make_unique<ProtocolServer>(ts.cfg, ts.a_secrets[r - 1], opts));
+  for (ServerRank r = 1; r <= 4; ++r)
+    bus.add_node(std::make_unique<ProtocolServer>(ts.cfg, ts.b_secrets[r - 1], opts));
+  auto client = std::make_unique<ClientNode>(ts.cfg, 9002, m, /*poll_interval=*/20'000);
+  ClientNode* handle = client.get();
+  bus.add_node(std::move(client));
+
+  bus.start();
+  bool done = bus.run_until([&] { return handle->finished(); }, std::chrono::milliseconds(30000));
+  bus.stop();
+  ASSERT_TRUE(done) << "ec255 client pipeline did not finish on real threads";
+  ASSERT_TRUE(handle->plaintext().has_value());
+  EXPECT_EQ(*handle->plaintext(), m);
+}
+
 TEST(ThreadedClient, FullPipelineSurvivesLossyBus) {
   // Same pipeline, but the transport drops 12% of messages: only the
   // retransmission layer — server resend timers, idempotent cached replies,

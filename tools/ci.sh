@@ -41,17 +41,23 @@
 #                    simulator runs every node on one thread, so the
 #                    threaded suites in the tsan job remain the race tests)
 #   backend_matrix   EC-backend matrix (PR 10): the full ctest suite re-run
-#                    with DBLIND_BACKEND=ec (every SystemOptions default
-#                    routes through GroupParams::named_or_env, so the whole
-#                    protocol stack executes on ristretto255), minus the
-#                    `bench` label — the bench gate pins mod-p baselines, so
-#                    it only runs on the default backend. Then a chaos
-#                    smoke: every fault mix at DBLIND_CHAOS_SEEDS (default 6
-#                    here, not 50) seeds on the EC backend, with the same
-#                    failure forensics as the chaos job. The dedicated EC
-#                    suites (ristretto KATs, field fuzz, cross-backend
-#                    equivalence) carry the ctest label backend.ec and
-#                    already run in tier-1 on any backend.
+#                    with DBLIND_BACKEND=ec, minus the `bench` label — the
+#                    bench gate pins mod-p baselines, so it only runs on the
+#                    default backend. Only what routes through
+#                    GroupParams::named_or_env moves to ristretto255: every
+#                    SystemOptions default, so System-driven suites and the
+#                    chaos harness. Tests that name their group stay on it:
+#                    testing::TestSystem::make defaults to ParamId::kToy64,
+#                    so ThreadedBus.* and ThreadedClient.* keep mod-p here,
+#                    and ThreadedClient.FullPipelineOnRealThreadsEc255 is the
+#                    real-thread ec255 run (in every job, tsan included).
+#                    Then a chaos smoke: every fault mix at
+#                    DBLIND_CHAOS_SEEDS (default 6 here, not 50) seeds on
+#                    the EC backend, with the same failure forensics as the
+#                    chaos job. The dedicated EC suites (ristretto KATs,
+#                    field fuzz, cross-backend equivalence) carry the ctest
+#                    label backend.ec and already run in tier-1 on any
+#                    backend.
 #   bench            bench regression gates: bench_check.py (batched vs
 #                    serial Fig. 5 evidence checks >= 2x, precompute on/off
 #                    online split >= 3x, obs overhead, comb tables, reconfig,
