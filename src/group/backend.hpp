@@ -130,9 +130,6 @@ class Group {
   }
   [[nodiscard]] static std::uint64_t owner_of(const Element& x) { return x.owner_; }
   [[nodiscard]] static const ec::Native* native_of(const Element& x) { return x.native_.get(); }
-  // x's encoding without computing one: null for an ec255 result whose
-  // encoding nothing has read yet.
-  [[nodiscard]] static const Bigint* encoding_if_known(const Element& x);
 };
 
 }  // namespace dblind::group::backend

@@ -64,10 +64,6 @@ std::optional<ec::Point> try_unbox(const Bigint& x) {
 
 }  // namespace
 
-const Bigint* Group::encoding_if_known(const Element& x) {
-  return x.native_ ? x.native_->encoding_if_known() : &x.enc_;
-}
-
 Ec::Ec()
     : p_(Bigint::from_hex(
           "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffed")),
@@ -123,6 +119,11 @@ const ec::CombTable& Ec::g_comb() const {
   return *cache_.g_comb;
 }
 
+const Bigint* Ec::encoding_if_known(const Element& x) {
+  const ec::Native* native = native_of(x);
+  return native != nullptr ? native->encoding_if_known() : &x.encoding();
+}
+
 bool Ec::is_g(const Element& b) const {
   if (const Bigint* enc = encoding_if_known(b)) return *enc == g_.encoding();
   return ec::eq(native_of(b)->point(), ec::base_point());
@@ -159,8 +160,8 @@ void Ec::pin_base(const Element& b) const {
   ec::Point base = point(b);
   MutexLock lock(cache_.mu);
   if (cache_.pinned.contains(key)) return;
-  cache_.pinned.emplace(
-      key, Pinned{base, std::make_shared<const ec::CombTable>(base, TableCache::kPinnedWindowBits)});
+  auto table = std::make_shared<const ec::CombTable>(base, TableCache::kPinnedWindowBits);
+  cache_.pinned.emplace(key, Pinned{base, std::move(table)});
 }
 
 Element Ec::pow_fixed(const Element& b, const Bigint& e) const {

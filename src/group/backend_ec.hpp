@@ -145,6 +145,9 @@ class Ec final : public Group {
   // Σ exps[i]·bases[i] as a point, through the one Straus kernel.
   [[nodiscard]] ec::Point multi_scalar_mul(std::span<const Element> bases,
                                            std::span<const Bigint> exps) const;
+  // x's encoding without computing one: null for a result whose encoding
+  // nothing has read yet.
+  [[nodiscard]] static const Bigint* encoding_if_known(const Element& x);
   // g's comb table, built by the first caller (inside its op scope).
   [[nodiscard]] const ec::CombTable& g_comb() const;
   // Whether b is g, and b's pinned comb table (null when b is not pinned).

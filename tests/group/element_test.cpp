@@ -135,6 +135,29 @@ TEST_F(ElementCost, MultiPowEqualsEncodesNothing) {
   EXPECT_FALSE(gp.multi_pow_equals(bases, exps, gp.mul(expect, gp.g())));
 }
 
+// pow_fixed never encodes its base: a base that nothing has read yet is
+// matched to g and to the pinned bases by point (at most 4 field muls each)
+// and still takes their comb tables.
+TEST_F(ElementCost, PowFixedMatchesAnUnreadBaseByPoint) {
+  gp.pin_base(x);
+  const Bigint e = gp.random_exponent(prng);
+  const std::uint64_t comb = field_muls_of([&] { (void)gp.pow_fixed(x, e); });
+  const std::uint64_t generic = field_muls_of([&] { (void)gp.pow(x, e); });
+  ASSERT_LT(2 * comb, generic);
+  const ec::Point px = point_of(x);
+  const std::uint64_t encode_cost = field_muls_of([&] { (void)ec::encode(px); });
+  for (const Element& base : {x, gp.g()}) {
+    const Element twin = gp.mul(base, gp.identity());  // equal, unread
+    Element r;
+    const std::uint64_t cost = field_muls_of([&] { r = gp.pow_fixed(twin, e); });
+    EXPECT_LT(2 * cost, generic);
+    EXPECT_EQ(r, gp.pow(base, e));
+    EXPECT_EQ(field_muls_of([&] { (void)twin.encoding(); }), encode_cost);
+  }
+  const Element twin = gp.mul(x, gp.identity());
+  EXPECT_LE(field_muls_of([&] { (void)gp.pow_fixed(twin, e); }), comb + 8);
+}
+
 // Eight threads make the first reads of one result's encoding, some through
 // their own copies: every read sees the same encoding, and the backend is
 // charged exactly one encode.
