@@ -19,11 +19,6 @@ mpz::Bigint box(const ec::EncodedPoint& enc) {
 
 }  // namespace
 
-ec::Native::Native(const Point& point, mpz::Bigint encoding)
-    : point_(point), encoding_(std::move(encoding)) {
-  known_.store(true, std::memory_order_relaxed);
-}
-
 const mpz::Bigint& ec::Native::encoding() const {
   if (!known_.load(std::memory_order_acquire)) {
     std::call_once(once_, [this] {

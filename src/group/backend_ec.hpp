@@ -42,7 +42,8 @@ class Native {
   using Cell = std::shared_ptr<std::atomic<std::uint64_t>>;
 
   // A point whose encoding is known.
-  Native(const Point& point, mpz::Bigint encoding);
+  Native(const Point& point, mpz::Bigint encoding)
+      : point_(point), known_(true), encoding_(std::move(encoding)) {}
   // An operation result: encoded on first read, charged to `cell`.
   Native(const Point& point, Cell cell) : point_(point), cell_(std::move(cell)) {}
 
