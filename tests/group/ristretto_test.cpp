@@ -390,7 +390,8 @@ bool carried(const Fe25519& a) {
 
 // Each op at the largest limbs its written bound (fe25519.hpp) admits, not
 // only at reduced values: mul, sq and sq_n at 2^54 - 1, add at 2^62 - 1, sub
-// and neg subtracting 2p's own limbs, mul_small at k = 2^32 - 1.
+// and neg subtracting 2p's own limbs, mul_small at k = 2^32 - 1. Every output
+// is carried, and the counter counts one per multiply or square.
 TEST(Fe25519Fuzz, OpsHoldAtTheirLimbBounds) {
   mpz::Prng prng(1730);
   const Bigint p = field_p();
@@ -405,13 +406,19 @@ TEST(Fe25519Fuzz, OpsHoldAtTheirLimbBounds) {
     const Fe25519 prod = mpz::fe_mul(a, b);
     EXPECT_TRUE(carried(prod));
     EXPECT_EQ(fe_to_bigint(prod), mpz::mulmod(av, bv, p));
+    // A squaring counts as one multiplication, n of them as n.
+    const std::uint64_t before = mpz::fe_mul_count();
     const Fe25519 sq = mpz::fe_sq(a);
+    EXPECT_EQ(mpz::fe_mul_count() - before, 1U);
     EXPECT_TRUE(carried(sq));
     EXPECT_EQ(fe_to_bigint(sq), mpz::mulmod(av, av, p));
     const int n = 1 + static_cast<int>(prng.next_u64() % 8);
     Bigint pow = av;
     for (int i = 0; i < n; ++i) pow = mpz::mulmod(pow, pow, p);
-    EXPECT_EQ(fe_to_bigint(mpz::fe_sq_n(a, n)), pow) << "n=" << n;
+    const std::uint64_t before_n = mpz::fe_mul_count();
+    const Fe25519 sq_n = mpz::fe_sq_n(a, n);
+    EXPECT_EQ(mpz::fe_mul_count() - before_n, static_cast<std::uint64_t>(n));
+    EXPECT_EQ(fe_to_bigint(sq_n), pow) << "n=" << n;
 
     const Fe25519 wide = limbs_below(prng, 62);
     const Fe25519 wide2 = limbs_below(prng, 62);
@@ -429,26 +436,6 @@ TEST(Fe25519Fuzz, OpsHoldAtTheirLimbBounds) {
     const Fe25519 scaled = mpz::fe_mul_small(prod, k);
     EXPECT_TRUE(carried(scaled));
     EXPECT_EQ(fe_to_bigint(scaled), mpz::mulmod(limbs_value(prod), Bigint(k), p));
-  }
-}
-
-// fe_sq, fe_sq_n and fe_mul(a, a) agree and each count one multiplication per
-// squaring.
-TEST(Fe25519Fuzz, SquaringMatchesMultiplyAndCountsOnce) {
-  mpz::Prng prng(1731);
-  const Bigint p = field_p();
-  for (int iter = 0; iter < 100; ++iter) {
-    const Fe25519 a = fe_from_bigint(prng.uniform_below(p));
-    const std::uint64_t before = mpz::fe_mul_count();
-    const Fe25519 sq = mpz::fe_sq(a);
-    EXPECT_EQ(mpz::fe_mul_count() - before, 1U);
-    EXPECT_EQ(fe_to_bigint(sq), fe_to_bigint(mpz::fe_mul(a, a)));
-    const std::uint64_t before_n = mpz::fe_mul_count();
-    const Fe25519 sq5 = mpz::fe_sq_n(a, 5);
-    EXPECT_EQ(mpz::fe_mul_count() - before_n, 5U);
-    Fe25519 by_mul = a;
-    for (int i = 0; i < 5; ++i) by_mul = mpz::fe_mul(by_mul, by_mul);
-    EXPECT_EQ(fe_to_bigint(sq5), fe_to_bigint(by_mul));
   }
 }
 
