@@ -5,7 +5,13 @@
 // indistinguishable from lost messages"), so their cost — which grows with f
 // because reveal/contribute messages embed 2f+1 commit messages as evidence
 // — is the protocol's main CPU overhead beyond raw crypto.
+//
+// Each row times the check a server runs on that message (core/validity.hpp),
+// on a valid message: before timing, the binary exits 1 if any fixture
+// message fails its check, so no row can time a rejection path.
 #include <benchmark/benchmark.h>
+
+#include <cstdio>
 
 #include "core/validity.hpp"
 #include "tests/core/test_util.hpp"
@@ -91,6 +97,23 @@ struct Fixture {
     blind_payload = core::encode_body(core::MsgType::kBlind, payload);
     blind_evidence = dblind::group::to_bytes(evidence);
   }
+
+  // The checks, as the servers run them.
+  bool init_ok() { return core::check_init(ts.cfg, init_env).has_value(); }
+  bool commit_ok() { return core::check_commit(ts.cfg, commits[0]).has_value(); }
+  bool reveal_ok() {
+    // A contributor decodes the reveal, then checks its 2f+2 signatures.
+    auto msg = core::try_decode<core::RevealMsg>(ts.cfg, core::MsgType::kReveal, reveal_env.body);
+    return msg && core::check_reveal(ts.cfg, reveal_env, *msg);
+  }
+  bool contribute_ok() {
+    // Signature + embedded reveal (2f+1 commits) + VDE verification.
+    return core::check_contribute(ts.cfg, contribute_env, prng).has_value();
+  }
+  bool blind_request_ok() {
+    // The heaviest check: f+1 contributes sharing one reveal + product check.
+    return core::check_blind_sign_request(ts.cfg, blind_payload, blind_evidence, prng);
+  }
 };
 
 Fixture& fixture(std::size_t f) {
@@ -100,42 +123,38 @@ Fixture& fixture(std::size_t f) {
   return *it->second;
 }
 
-void BM_CheckInit(benchmark::State& state) {
-  Fixture& fx = fixture(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(core::check_init(fx.ts.cfg, fx.init_env));
-}
-BENCHMARK(BM_CheckInit)->Arg(1)->Arg(2)->Arg(3);
-
-void BM_CheckCommit(benchmark::State& state) {
-  Fixture& fx = fixture(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(core::check_commit(fx.ts.cfg, fx.commits[0]));
-}
-BENCHMARK(BM_CheckCommit)->Arg(1)->Arg(2)->Arg(3);
-
-void BM_CheckReveal(benchmark::State& state) {
-  // Validates 2f+1 embedded commit signatures.
-  Fixture& fx = fixture(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(core::check_reveal(fx.ts.cfg, fx.reveal_env));
-}
-BENCHMARK(BM_CheckReveal)->Arg(1)->Arg(2)->Arg(3);
-
-void BM_CheckContribute(benchmark::State& state) {
-  // Signature + embedded reveal (2f+1 commits) + VDE verification.
-  Fixture& fx = fixture(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(core::check_contribute(fx.ts.cfg, fx.contribute_env));
-}
-BENCHMARK(BM_CheckContribute)->Arg(1)->Arg(2)->Arg(3);
-
-void BM_CheckBlindSignRequest(benchmark::State& state) {
-  // The heaviest check: f+1 full contribute validations + product check.
-  Fixture& fx = fixture(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        core::check_blind_sign_request(fx.ts.cfg, fx.blind_payload, fx.blind_evidence));
-}
-BENCHMARK(BM_CheckBlindSignRequest)->Arg(1)->Arg(2)->Arg(3);
+struct Row {
+  const char* name;
+  bool (Fixture::*check)();
+};
+constexpr Row kRows[] = {
+    {"BM_CheckInit", &Fixture::init_ok},
+    {"BM_CheckCommit", &Fixture::commit_ok},
+    {"BM_CheckReveal", &Fixture::reveal_ok},
+    {"BM_CheckContribute", &Fixture::contribute_ok},
+    {"BM_CheckBlindSignRequest", &Fixture::blind_request_ok},
+};
+constexpr std::size_t kFaults[] = {1, 2, 3};
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  for (const Row& row : kRows) {
+    for (std::size_t f : kFaults) {
+      if (!(fixture(f).*row.check)()) {
+        std::fprintf(stderr, "%s: the f=%zu fixture message fails its check\n", row.name, f);
+        return 1;
+      }
+    }
+    auto* b =
+        benchmark::RegisterBenchmark(row.name, [check = row.check](benchmark::State& state) {
+          Fixture& fx = fixture(static_cast<std::size_t>(state.range(0)));
+          for (auto _ : state) benchmark::DoNotOptimize((fx.*check)());
+        });
+    for (std::size_t f : kFaults) b->Arg(static_cast<std::int64_t>(f));
+  }
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

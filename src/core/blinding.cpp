@@ -34,16 +34,16 @@ Blinding::ContributorState& Blinding::contributor(const Local& l, const Instance
 
   ContributorState st;
   st.bundle = make_contribution_bundle(l.cfg, instance_prng);
-  st.contribution.ea = st.bundle.ea;
+  st.contribution.ea = st.bundle->ea;
   if (behavior_ == Behavior::kInconsistentContribution) {
     // §4.2.2 attack: E_B encrypts a different plaintext (ρ' != ρ). No valid
     // VDE proof exists for the pair; on_reveal attaches a proof computed for
     // the consistent shadow pair, so the mismatch is only detectable through
     // VDE verification, not through message shape.
-    group::Element rho_bad = l.cfg.params.mul(st.bundle.rho, l.cfg.params.g());
-    st.contribution.eb = l.cfg.b.encryption_key.encrypt_with_nonce(rho_bad, st.bundle.r2);
+    group::Element rho_bad = l.cfg.params.mul(st.bundle->rho, l.cfg.params.g());
+    st.contribution.eb = l.cfg.b.encryption_key.encrypt_with_nonce(rho_bad, st.bundle->r2);
   } else {
-    st.contribution.eb = st.bundle.eb;
+    st.contribution.eb = st.bundle->eb;
   }
   return contributors_.emplace(id, std::move(st)).first->second;
 }
@@ -77,15 +77,18 @@ void Blinding::on_init(const Local& l, const SignedMessage& env) {
 
 void Blinding::on_reveal(const Local& l, const SignedMessage& env) {
   if (!l.is_b() || !l.active()) return;
-  auto reveal = check_reveal(l.cfg, env);
+  // Look the instance up before any signature check: a reveal this server
+  // will not answer costs it one decode, never the 2f+2 signatures.
+  auto reveal = try_decode<RevealMsg>(l.cfg, MsgType::kReveal, env.body);
   if (!reveal) return;
   auto it = contributors_.find(reveal->id);
-  if (it == contributors_.end()) return;  // never committed for this instance
+  if (it == contributors_.end() || !it->second.committed) return;  // never committed to it
   ContributorState& st = it->second;
   const net::NodeId coordinator = l.cfg.b.node_of(reveal->id.coordinator);
   // Respond to at most one reveal per instance (see validity.hpp on why this
   // matters for Randomness-Confidentiality). A duplicate of the SAME reveal
-  // gets the cached contribute frame — never a re-randomized one.
+  // gets the cached contribute frame — never a re-randomized one, and without
+  // checking again what was checked before the answer.
   if (st.contributed) {
     if (env == st.answered_reveal) l.resend.resend_frame(l.ctx, coordinator, st.contribute_frame);
     return;
@@ -97,7 +100,7 @@ void Blinding::on_reveal(const Local& l, const SignedMessage& env) {
         auto c = try_decode<CommitMsg>(l.cfg, MsgType::kCommit, commit_env.body);
         return c && c->server == l.me.rank && c->commitment == st.contribution.commitment_digest();
       });
-  if (!mine) return;
+  if (!mine || !check_reveal(l.cfg, env, *reveal)) return;
   st.contributed = true;
   st.answered_reveal = env;
 
@@ -112,13 +115,22 @@ void Blinding::on_reveal(const Local& l, const SignedMessage& env) {
   // consistent pair bundle.eb, also for kInconsistentContribution) were fixed
   // with the bundle; this only binds the challenge and computes responses —
   // zero group exponentiations.
-  const ContributionBundle& bundle = st.bundle;
+  const ContributionBundle& bundle = *st.bundle;
   msg.vde = zkp::vde_prove_online(l.cfg.a.encryption_key, bundle.ea, bundle.r1,
                                   l.cfg.b.encryption_key, bundle.eb, bundle.r2, bundle.vde,
                                   vde_context(msg.id, msg.server));
   st.contribute_frame = l.signed_frame(encode_body(MsgType::kContribute, msg));
+  // The answer is cached and the proof is out: nothing reads ρ, r₁, r₂ or the
+  // announcement exponents again.
+  st.bundle.reset();
   l.ctx.send(coordinator, st.contribute_frame);
   l.trace(obs::EventKind::kContributeSent, &reveal->id, {.peer = coordinator});
+}
+
+std::size_t Blinding::spent_bundles_held() const {
+  return static_cast<std::size_t>(
+      std::count_if(contributors_.begin(), contributors_.end(),
+                    [](const auto& kv) { return kv.second.contributed && kv.second.bundle; }));
 }
 
 // --- coordinator -----------------------------------------------------------------
@@ -208,7 +220,7 @@ void Blinding::on_commit(const Local& l, const SignedMessage& env) {
 
 void Blinding::on_contribute(const Local& l, const SignedMessage& env, Signing& signing) {
   if (!l.is_b()) return;
-  auto contribute = check_contribute_batch(l.cfg, env, l.ctx.rng());
+  auto contribute = check_contribute(l.cfg, env, l.ctx.rng());
   // A rejected message is never decoded for the trace: env.signer names the
   // culprit node and the event carries no transfer.
   if (!l.verdict(contribute.has_value(), true, contribute ? &contribute->id : nullptr,

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "core/contribution_bundle.hpp"
@@ -33,6 +34,8 @@ class Blinding {
   // Step flexibility: builds the contribution bundle of `id` ahead of its init.
   void precompute(const Local& l, const InstanceId& id) { (void)contributor(l, id); }
   [[nodiscard]] std::size_t contributor_instances() const { return contributors_.size(); }
+  // Answered instances still holding the bundle their answer spent.
+  [[nodiscard]] std::size_t spent_bundles_held() const;
 
   // Coordinator: opens this server's instance `epoch` of `transfer`.
   void start(const Local& l, TransferId transfer, std::uint32_t epoch, Signing& signing);
@@ -73,11 +76,11 @@ class Blinding {
   struct ContributorState {
     Contribution contribution;  // the advertised (ea, eb)
     // ρ, the nonces, the announcements (finished in on_reveal) and the
-    // consistent pair (ea, eb) the VDE proof is computed over. bundle.eb
+    // consistent pair (ea, eb) the VDE proof is computed over. bundle->eb
     // equals contribution.eb for honest servers; kInconsistentContribution
     // advertises a different eb but must still attach a proof for the
-    // consistent shadow pair.
-    ContributionBundle bundle;
+    // consistent shadow pair. Released once the answer is cached.
+    std::optional<ContributionBundle> bundle;
     bool committed = false;
     bool contributed = false;  // responded to (at most) one reveal
     // Cached signed frames, re-sent verbatim on duplicate init/reveal.

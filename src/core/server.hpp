@@ -101,6 +101,9 @@ class ProtocolServer final : public net::Node {
   // those that have neither produced their partial nor been left out of
   // their session's quorum.
   [[nodiscard]] std::size_t signing_nonces_held() const { return signing_.nonces_held(); }
+  // Contributor instances that answered their reveal yet still hold the
+  // bundle the answer spent (ρ, r₁, r₂ and the VDE announcement exponents).
+  [[nodiscard]] std::size_t spent_bundles_held() const { return blinding_.spent_bundles_held(); }
 
   // --- net::Node --------------------------------------------------------------
   void on_start(net::Context& ctx) override;

@@ -171,7 +171,7 @@ void Signing::on_request(const Local& l, const SignedMessage& env, const Ledger&
   const auto purpose = static_cast<SignPurpose>(msg->purpose);
   if (purpose == SignPurpose::kBlind) {
     if (!l.is_b()) return;
-    const bool ok = check_blind_sign_request_batch(l.cfg, msg->payload, msg->evidence, l.ctx.rng());
+    const bool ok = check_blind_sign_request(l.cfg, msg->payload, msg->evidence, l.ctx.rng());
     if (!l.verdict(ok, true, nullptr, env.signer, MsgType::kBlind)) return;
   } else if (purpose == SignPurpose::kDone) {
     if (l.is_b()) return;
@@ -179,8 +179,8 @@ void Signing::on_request(const Local& l, const SignedMessage& env, const Ledger&
     if (!payload) return;
     auto sit = ledger.stored.find(payload->id.transfer);
     if (sit == ledger.stored.end()) return;
-    const bool ok = check_done_sign_request_batch(l.cfg, msg->payload, msg->evidence, sit->second,
-                                                  l.ctx.rng());
+    const bool ok =
+        check_done_sign_request(l.cfg, msg->payload, msg->evidence, sit->second, l.ctx.rng());
     if (!l.verdict(ok, true, &payload->id, env.signer, MsgType::kDone)) return;
   } else {
     return;

@@ -23,6 +23,17 @@
 // the first round, and splice rounds together to choose the blinding factor.
 // Together with the honest-server rule "contribute to at most one reveal per
 // instance", same-reveal evidence restores the commit-before-reveal order.
+//
+// Each row has one implementation, the one servers run. A check first applies
+// every structural rule, then verifies all the envelope and commit signatures
+// it collected in one Schnorr batch equation (a lone commit signature is
+// verified on its own), then all VDE and decryption-share proofs in one
+// random-linear-combination multi-exponentiation (randomizers from `prng`).
+// check_blind_sign_request applies the same-reveal rule first, so the reveal
+// its f+1 contributes share is validated once. The verdicts agree with the
+// serial Fig. 5 reference in tests/core/fig5_oracle.hpp, which checks each
+// signature and proof on its own, up to the 2^-128 batch soundness error
+// (docs/PROTOCOL.md).
 #pragma once
 
 #include <optional>
@@ -101,13 +112,16 @@ template <typename T>
                                                     const SignedMessage& env);
 
 // Fig. 5 row "reveal": signature + 2f+1 different valid commits, matching id.
-[[nodiscard]] std::optional<RevealMsg> check_reveal(const SystemConfig& cfg,
-                                                    const SignedMessage& env);
+// `msg` is env.body decoded (try_decode<RevealMsg>): a contributor decodes a
+// reveal to look its instance up before it pays for any signature.
+[[nodiscard]] bool check_reveal(const SystemConfig& cfg, const SignedMessage& env,
+                                const RevealMsg& msg);
 
 // Fig. 5 row "contribute": signature + valid VDE + contribution matches the
 // commitment inside the embedded (valid) reveal message.
 [[nodiscard]] std::optional<ContributeMsg> check_contribute(const SystemConfig& cfg,
-                                                            const SignedMessage& env);
+                                                            const SignedMessage& env,
+                                                            mpz::Prng& prng);
 
 // Fig. 5 row "blind": threshold signature of service B over a BlindPayload.
 [[nodiscard]] std::optional<BlindPayload> check_blind(const SystemConfig& cfg,
@@ -122,7 +136,8 @@ template <typename T>
 // whose combined contribution equals the payload.
 [[nodiscard]] bool check_blind_sign_request(const SystemConfig& cfg,
                                             std::span<const std::uint8_t> payload,
-                                            std::span<const std::uint8_t> evidence);
+                                            std::span<const std::uint8_t> evidence,
+                                            mpz::Prng& prng);
 
 // Evidence for a kDone signing request (step 6(d)): valid blind message,
 // f+1 verified decryption shares for E_A(mρ) = E_A(m) × E_A(ρ) (computed
@@ -131,36 +146,7 @@ template <typename T>
 [[nodiscard]] bool check_done_sign_request(const SystemConfig& cfg,
                                            std::span<const std::uint8_t> payload,
                                            std::span<const std::uint8_t> evidence,
-                                           const elgamal::Ciphertext& stored_ea_m);
-
-// --- batch verification (the only production path) --------------------------
-//
-// ProtocolServer checks contribute messages and signing requests only through
-// the *_batch functions below; the serial check_contribute,
-// check_blind_sign_request and check_done_sign_request above stay as the
-// Fig. 5 reference that tests and bench_fig5_validation compare against.
-// Each *_batch function checks exactly the predicates of its serial
-// counterpart, but verifies all envelope/commit signatures in one Schnorr
-// batch equation and all Chaum-Pedersen/VDE/decryption-share proofs in one
-// random-linear-combination multi-exponentiation (randomizers from `prng`).
-// check_blind_sign_request_batch additionally exploits the same-reveal rule:
-// the byte-identical reveal embedded in all f+1 contributes is validated
-// once instead of f+1 times. Accept/reject agrees with the serial functions
-// up to the 2^-128 batch soundness error (docs/PROTOCOL.md).
-
-[[nodiscard]] std::optional<ContributeMsg> check_contribute_batch(const SystemConfig& cfg,
-                                                                  const SignedMessage& env,
-                                                                  mpz::Prng& prng);
-
-[[nodiscard]] bool check_blind_sign_request_batch(const SystemConfig& cfg,
-                                                  std::span<const std::uint8_t> payload,
-                                                  std::span<const std::uint8_t> evidence,
-                                                  mpz::Prng& prng);
-
-[[nodiscard]] bool check_done_sign_request_batch(const SystemConfig& cfg,
-                                                 std::span<const std::uint8_t> payload,
-                                                 std::span<const std::uint8_t> evidence,
-                                                 const elgamal::Ciphertext& stored_ea_m,
-                                                 mpz::Prng& prng);
+                                           const elgamal::Ciphertext& stored_ea_m,
+                                           mpz::Prng& prng);
 
 }  // namespace dblind::core

@@ -4,6 +4,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "hash/sha256.hpp"
 #include "mpz/modmath.hpp"
 
 namespace dblind::group {
@@ -15,6 +16,15 @@ mpz::Bigint box(const ec::EncodedPoint& enc) {
   std::array<std::uint8_t, 32> be;
   std::copy(enc.rbegin(), enc.rend(), be.begin());
   return mpz::Bigint::from_bytes_be(be);
+}
+
+// The element encoding of the generator, from its RFC 9496 §A.1 string.
+mpz::Bigint generator_encoding() {
+  const std::vector<std::uint8_t> s =
+      hash::from_hex("e2f2ae0a6abc4e71a884a961c500515f58e30b6aa582dd8db6a65945e08d2d76");
+  ec::EncodedPoint enc;
+  std::copy(s.begin(), s.end(), enc.begin());
+  return box(enc);
 }
 
 }  // namespace
@@ -66,11 +76,11 @@ Ec::Ec()
           "1000000000000000000000000000000014def9dea2f79cd65812631a5cf5d3ed")),
       max_message_(Bigint::from_hex(
           "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffff")),
-      g_(encoded_element(ec::base_point())),
-      identity_(encoded_element(ec::identity())) {}
+      g_(encoded_element(ec::base_point(), generator_encoding())),
+      identity_(encoded_element(ec::identity(), Bigint(0))) {}
 
-Element Ec::encoded_element(const ec::Point& pt) {
-  return decoded(std::make_shared<const ec::Native>(pt, box(ec::encode(pt))), kOwner);
+Element Ec::encoded_element(const ec::Point& pt, Bigint encoding) {
+  return decoded(std::make_shared<const ec::Native>(pt, std::move(encoding)), kOwner);
 }
 
 Element Ec::element(const ec::Point& pt) const {

@@ -138,8 +138,9 @@ class Ec final : public Group {
   // encoding (throws std::invalid_argument on anything that is not a
   // canonical encoding).
   [[nodiscard]] static ec::Point point(const Element& x);
-  // The decoded element of `pt` with its encoding computed now (constants).
-  [[nodiscard]] static Element encoded_element(const ec::Point& pt);
+  // The decoded element of `pt` with its known `encoding` (the constants g
+  // and the identity, built without computing an encode).
+  [[nodiscard]] static Element encoded_element(const ec::Point& pt, Bigint encoding);
   // An operation's result: `pt`, encoded on first read into op_count_.
   [[nodiscard]] Element element(const ec::Point& pt) const;
   [[nodiscard]] ec::ScalarBytes to_scalar(const Bigint& e) const;

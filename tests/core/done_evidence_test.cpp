@@ -1,4 +1,4 @@
-// Focused unit tests of check_done_sign_request and its batch twin — the
+// Focused unit tests of check_done_sign_request against the Fig. 5 oracle — the
 // deepest evidence chain in the protocol (blind message ⊃ service signature;
 // decryption shares ⊃ Chaum-Pedersen proofs; payload consistency with the
 // stored ciphertext).
@@ -6,6 +6,7 @@
 
 #include "core/validity.hpp"
 #include "mpz/modmath.hpp"
+#include "tests/core/fig5_oracle.hpp"
 #include "tests/core/test_util.hpp"
 #include "threshold/shamir.hpp"
 #include "threshold/thresh_decrypt.hpp"
@@ -66,12 +67,12 @@ struct DoneFixture {
     evidence = group::to_bytes(DoneEvidence{blind_env, m_rho, shares});
   }
 
-  // Verdict of the Fig. 5 reference check; the batch check the A servers
-  // run must agree with it on every case.
+  // Verdict of the Fig. 5 reference check (tests/core/fig5_oracle.hpp); the
+  // check the A servers run must agree with it on every case.
   bool done_ok(std::span<const std::uint8_t> p, std::span<const std::uint8_t> ev,
                const elgamal::Ciphertext& stored_ea_m) {
-    const bool serial = check_done_sign_request(ts.cfg, p, ev, stored_ea_m);
-    EXPECT_EQ(check_done_sign_request_batch(ts.cfg, p, ev, stored_ea_m, prng), serial);
+    const bool serial = oracle::check_done_sign_request(ts.cfg, p, ev, stored_ea_m);
+    EXPECT_EQ(check_done_sign_request(ts.cfg, p, ev, stored_ea_m, prng), serial);
     return serial;
   }
 };

@@ -11,6 +11,7 @@
 #include "core/system.hpp"
 #include "core/validity.hpp"
 #include "mpz/random.hpp"
+#include "tests/core/fig5_oracle.hpp"
 #include "tests/core/test_util.hpp"
 #include "tests/core/wire_table.hpp"
 
@@ -112,16 +113,19 @@ TEST(ValidityFuzz, MutatedValidMessagesNeverValidateOrCrash) {
                           vde_context(id, 2), prng);
   SignedMessage env = make_envelope(ts.b_secrets[1],
                                     encode_body(MsgType::kContribute, cm), 0, prng);
-  ASSERT_TRUE(check_contribute(ts.cfg, env).has_value());
-  ASSERT_TRUE(check_contribute_batch(ts.cfg, env, prng).has_value());
+  ASSERT_TRUE(oracle::check_contribute(ts.cfg, env).has_value());
+  ASSERT_TRUE(check_contribute(ts.cfg, env, prng).has_value());
 
   // Serialize the envelope, mutate one byte at a stride, re-parse, validate
-  // with the Fig. 5 reference and with the batch check the servers run: the
-  // two must agree on every mutation.
+  // with the Fig. 5 reference and with the check the servers run: the two
+  // must agree on every mutation, on the contribute and on the reveal it
+  // embeds.
   Writer w;
   env.encode(w);
   std::vector<std::uint8_t> wire = w.take();
   int accepted = 0;
+  int reveals_accepted = 0;
+  int reveals_rejected = 0;
   for (std::size_t pos = 0; pos < wire.size(); pos += 7) {
     std::vector<std::uint8_t> mutated = wire;
     mutated[pos] ^= 0x5A;
@@ -129,15 +133,26 @@ TEST(ValidityFuzz, MutatedValidMessagesNeverValidateOrCrash) {
       Reader r(mutated);
       SignedMessage m2 = SignedMessage::decode(r);
       r.expect_done();
-      const bool serial = check_contribute(ts.cfg, m2).has_value();
-      EXPECT_EQ(check_contribute_batch(ts.cfg, m2, prng).has_value(), serial) << "pos=" << pos;
+      const bool serial = oracle::check_contribute(ts.cfg, m2).has_value();
+      EXPECT_EQ(check_contribute(ts.cfg, m2, prng).has_value(), serial) << "pos=" << pos;
       if (serial) ++accepted;
+      auto c = try_decode<ContributeMsg>(ts.cfg, MsgType::kContribute, m2.body);
+      if (!c) return;
+      const bool serial_reveal = oracle::check_reveal(ts.cfg, c->reveal).has_value();
+      auto reveal = try_decode<RevealMsg>(ts.cfg, MsgType::kReveal, c->reveal.body);
+      EXPECT_EQ(reveal && check_reveal(ts.cfg, c->reveal, *reveal), serial_reveal)
+          << "pos=" << pos;
+      ++(serial_reveal ? reveals_accepted : reveals_rejected);
     });
   }
   // A mutation that still validates must be a mutation that decodes to the
   // identical message (e.g. inside ignored padding — our codec has none), so
   // none should be accepted.
   EXPECT_EQ(accepted, 0);
+  // Mutations outside the embedded reveal leave it valid; some inside it
+  // still decode, and must be rejected by both.
+  EXPECT_GT(reveals_accepted, 0);
+  EXPECT_GT(reveals_rejected, 0);
 
   // The same mutations through the group-aware envelope parse the servers
   // run: it either throws CodecError — and then the group-less parse of the
@@ -164,7 +179,7 @@ TEST(ValidityFuzz, MutatedValidMessagesNeverValidateOrCrash) {
         EXPECT_TRUE(typed->sig.r.is_decoded()) << "pos=" << pos;
       } else {
         ++rejected_at_parse;
-        EXPECT_FALSE(check_contribute(ts.cfg, bare).has_value()) << "pos=" << pos;
+        EXPECT_FALSE(oracle::check_contribute(ts.cfg, bare).has_value()) << "pos=" << pos;
       }
     });
   }

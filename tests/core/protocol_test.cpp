@@ -283,6 +283,73 @@ TEST(Protocol, InitAboveMaxCoordinatorsCostsNothing) {
   EXPECT_EQ(server.contributor_instances(), 1u);
 }
 
+// A contributor looks a reveal's instance up before it checks a signature.
+// A reveal for an instance it never committed to, or another reveal for an
+// instance it already answered, costs it no group op; a byte-identical
+// duplicate of the answered reveal gets the cached contribute bytes, also
+// without a check.
+TEST(Protocol, RevealIsLookedUpBeforeItIsVerified) {
+  auto ts = testing::TestSystem::make(23);
+  mpz::Prng prng(6);
+  ProtocolServer server(ts.cfg, ts.b_secrets[1], ProtocolOptions{});  // B rank 2
+  testing::NullContext ctx(7);
+  server.on_start(ctx);
+  const group::GroupParams& gp = server.config().params;
+  auto sign = [&](ServerRank signer, MsgType type, const auto& msg) {
+    return make_envelope(ts.b_secrets[signer - 1], encode_body(type, msg), 0, prng);
+  };
+  // A reveal by coordinator 1 of `id`, with commits by ranks 1 and 3 and `mine`.
+  auto reveal = [&](const InstanceId& id, const SignedMessage& mine) {
+    const Contribution any{ts.cfg.a.encryption_key.encrypt(gp.g(), prng),
+                           ts.cfg.b.encryption_key.encrypt(gp.g(), prng)};
+    return testing::framed(sign(1, MsgType::kReveal,
+                                RevealMsg{id,
+                                          {sign(1, MsgType::kCommit,
+                                                CommitMsg{id, 1, any.commitment_digest()}),
+                                           mine,
+                                           sign(3, MsgType::kCommit,
+                                                CommitMsg{id, 3, any.commitment_digest()})}}));
+  };
+  const net::NodeId coordinator = ts.cfg.b.node_of(1);
+  const InstanceId id{1, 1, 0};
+  server.on_message(ctx, coordinator, testing::framed(sign(1, MsgType::kInit, InitMsg{id})));
+  ASSERT_EQ(ctx.sent, 1);
+  const SignedMessage commit = group::from_bytes<SignedMessage>(
+      static_cast<std::uint8_t>(WireKind::kServerSigned), ctx.frames[0].second, &gp);
+
+  // An instance this server never committed to.
+  const InstanceId other{2, 1, 0};
+  const std::vector<std::uint8_t> unknown =
+      reveal(other, sign(2, MsgType::kCommit, CommitMsg{other, 2, hash::Digest{}}));
+  std::uint64_t ops = gp.group_op_count();
+  server.on_message(ctx, coordinator, unknown);
+  EXPECT_EQ(gp.group_op_count(), ops);
+  EXPECT_EQ(ctx.sent, 1);
+
+  // The control: a valid reveal naming our commit is checked and answered.
+  const std::vector<std::uint8_t> first = reveal(id, commit);
+  server.on_message(ctx, coordinator, first);
+  ASSERT_EQ(ctx.sent, 2);
+  EXPECT_EQ(testing::body_of(ctx.frames[1].second)[0],
+            static_cast<std::uint8_t>(MsgType::kContribute));
+  const std::vector<std::uint8_t> contribute = ctx.frames[1].second;
+
+  // Its byte-identical duplicate: the cached contribute, no check.
+  ops = gp.group_op_count();
+  server.on_message(ctx, coordinator, first);
+  EXPECT_EQ(gp.group_op_count(), ops);
+  ASSERT_EQ(ctx.sent, 3);
+  EXPECT_EQ(ctx.frames[2].second, contribute);
+
+  // A second, equally valid reveal of the answered instance: dropped unchecked.
+  const std::vector<std::uint8_t> second = reveal(id, commit);
+  ASSERT_NE(second, first);
+  ops = gp.group_op_count();
+  server.on_message(ctx, coordinator, second);
+  EXPECT_EQ(gp.group_op_count(), ops);
+  EXPECT_EQ(ctx.sent, 3);
+}
+
 // A backup coordinator's timer carries a key, never the transfer id: a
 // client names the id, and one at or above 2^56 would spill into the
 // timer's kind byte (4 << 56 turned kCoordinator into kResend).
@@ -324,6 +391,20 @@ TEST(Protocol, SigningNoncesReleasedAfterUse) {
   for (ServerRank r = 1; r <= 4; ++r) {
     EXPECT_EQ(sys.a_server(r).signing_nonces_held(), 0u) << "A rank " << r;
     EXPECT_EQ(sys.b_server(r).signing_nonces_held(), 0u) << "B rank " << r;
+  }
+}
+
+// A contributor's bundle (ρ, r₁, r₂ and the VDE announcement exponents) is
+// spent by its one answer: once the contribute frame is cached for
+// duplicates, nothing reads the bundle, and no server keeps it.
+TEST(Protocol, ContributionBundlesReleasedAfterUse) {
+  System sys(base_options(30));
+  TransferId t = sys.add_transfer(sys.config().params.encode_message(Bigint(3030)));
+  expect_success(sys, t);
+  sys.sim().run();
+  for (ServerRank r = 1; r <= 4; ++r) {
+    EXPECT_GT(sys.b_server(r).contributor_instances(), 0u) << "B rank " << r;
+    EXPECT_EQ(sys.b_server(r).spent_bundles_held(), 0u) << "B rank " << r;
   }
 }
 

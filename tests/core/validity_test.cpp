@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/core/fig5_oracle.hpp"
 #include "tests/core/test_util.hpp"
 #include "zkp/vde.hpp"
 
@@ -70,17 +71,28 @@ struct Fixture {
     return make_envelope(b(server), encode_body(MsgType::kContribute, m), 0, prng);
   }
 
-  // Verdict of the Fig. 5 reference check; the batch check the servers run
-  // must agree with it on every case.
+  // Verdict of the Fig. 5 reference check (tests/core/fig5_oracle.hpp); the
+  // check the servers run must agree with it on every case.
+  bool commit_ok(const SignedMessage& env) {
+    const bool serial = oracle::check_commit(cfg(), env).has_value();
+    EXPECT_EQ(check_commit(cfg(), env).has_value(), serial);
+    return serial;
+  }
+  bool reveal_ok(const SignedMessage& env) {
+    const bool serial = oracle::check_reveal(cfg(), env).has_value();
+    auto msg = try_decode<RevealMsg>(cfg(), MsgType::kReveal, env.body);
+    EXPECT_EQ(msg && check_reveal(cfg(), env, *msg), serial);
+    return serial;
+  }
   bool contribute_ok(const SignedMessage& env) {
-    const bool serial = check_contribute(cfg(), env).has_value();
-    EXPECT_EQ(check_contribute_batch(cfg(), env, prng).has_value(), serial);
+    const bool serial = oracle::check_contribute(cfg(), env).has_value();
+    EXPECT_EQ(check_contribute(cfg(), env, prng).has_value(), serial);
     return serial;
   }
   bool blind_request_ok(std::span<const std::uint8_t> payload,
                         std::span<const std::uint8_t> evidence) {
-    const bool serial = check_blind_sign_request(cfg(), payload, evidence);
-    EXPECT_EQ(check_blind_sign_request_batch(cfg(), payload, evidence, prng), serial);
+    const bool serial = oracle::check_blind_sign_request(cfg(), payload, evidence);
+    EXPECT_EQ(check_blind_sign_request(cfg(), payload, evidence, prng), serial);
     return serial;
   }
 };
@@ -120,6 +132,7 @@ TEST(Validity, CommitAcceptsAndBindsSigner) {
   auto parsed = check_commit(fx.cfg(), env);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->server, 2u);
+  EXPECT_TRUE(fx.commit_ok(env));
 
   // Claiming another server's rank fails.
   CommitMsg spoof;
@@ -127,7 +140,7 @@ TEST(Validity, CommitAcceptsAndBindsSigner) {
   spoof.server = 3;  // signed by 2 below
   spoof.commitment = c.contribution.commitment_digest();
   auto bad = make_envelope(fx.b(2), encode_body(MsgType::kCommit, spoof), 0, fx.prng);
-  EXPECT_FALSE(check_commit(fx.cfg(), bad).has_value());
+  EXPECT_FALSE(fx.commit_ok(bad));
 }
 
 TEST(Validity, RevealRequiresExactly2fPlus1DistinctCommits) {
@@ -139,13 +152,13 @@ TEST(Validity, RevealRequiresExactly2fPlus1DistinctCommits) {
     commits.push_back(fx.signed_commit(r, contribs.back().contribution));
   }
   // 3 = 2f+1 for f=1: valid.
-  EXPECT_TRUE(check_reveal(fx.cfg(), fx.signed_reveal(commits)).has_value());
+  EXPECT_TRUE(fx.reveal_ok(fx.signed_reveal(commits)));
   // Too few.
   std::vector<SignedMessage> two(commits.begin(), commits.begin() + 2);
-  EXPECT_FALSE(check_reveal(fx.cfg(), fx.signed_reveal(two)).has_value());
+  EXPECT_FALSE(fx.reveal_ok(fx.signed_reveal(two)));
   // Duplicate server.
   std::vector<SignedMessage> dup = {commits[0], commits[1], commits[1]};
-  EXPECT_FALSE(check_reveal(fx.cfg(), fx.signed_reveal(dup)).has_value());
+  EXPECT_FALSE(fx.reveal_ok(fx.signed_reveal(dup)));
 }
 
 TEST(Validity, RevealRejectsCommitsFromOtherInstance) {
@@ -161,7 +174,7 @@ TEST(Validity, RevealRejectsCommitsFromOtherInstance) {
   other.commitment = fx.make_contrib().contribution.commitment_digest();
   commits.push_back(make_envelope(fx.b(3), encode_body(MsgType::kCommit, other),
                                   0, fx.prng));
-  EXPECT_FALSE(check_reveal(fx.cfg(), fx.signed_reveal(commits)).has_value());
+  EXPECT_FALSE(fx.reveal_ok(fx.signed_reveal(commits)));
 }
 
 TEST(Validity, RevealMustBeSignedByCoordinator) {
@@ -173,7 +186,22 @@ TEST(Validity, RevealMustBeSignedByCoordinator) {
   m.id = fx.id;  // coordinator = 1
   m.commits = commits;
   auto env = make_envelope(fx.b(2), encode_body(MsgType::kReveal, m), 0, fx.prng);
-  EXPECT_FALSE(check_reveal(fx.cfg(), env).has_value());
+  EXPECT_FALSE(fx.reveal_ok(env));
+}
+
+TEST(Validity, RevealRejectsForgedOrOtherEpochCommit) {
+  // The shape is right but the evidence is not: a commit carrying another
+  // commit's signature, or one signed under another config epoch (I6).
+  Fixture fx;
+  std::vector<SignedMessage> commits;
+  for (ServerRank r = 1; r <= 3; ++r)
+    commits.push_back(fx.signed_commit(r, fx.make_contrib().contribution));
+  std::vector<SignedMessage> forged = commits;
+  forged[2].sig = commits[1].sig;
+  EXPECT_FALSE(fx.reveal_ok(fx.signed_reveal(forged)));
+  std::vector<SignedMessage> other_epoch = commits;
+  other_epoch[2] = make_envelope(fx.b(3), commits[2].body, 1, fx.prng);
+  EXPECT_FALSE(fx.reveal_ok(fx.signed_reveal(other_epoch)));
 }
 
 TEST(Validity, ContributeFullyValid) {

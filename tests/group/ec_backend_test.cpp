@@ -13,6 +13,8 @@
 
 #include "group/params.hpp"
 #include "group/serialize.hpp"
+#include "hash/sha256.hpp"
+#include "mpz/fe25519.hpp"
 #include "mpz/modmath.hpp"
 #include "mpz/random.hpp"
 
@@ -37,6 +39,21 @@ TEST(EcBackend, BasicShape) {
   EXPECT_EQ(gp.identity(), Bigint(0));  // 32 zero bytes boxed
   EXPECT_TRUE(gp.in_group(gp.g()));
   EXPECT_FALSE(gp.is_identity(gp.g()));
+}
+
+// g and the identity are built from their known encodings (RFC 9496 §A.1's
+// generator string and 32 zero bytes), so naming the group computes no
+// encode. Each encoding is its point's: computing either element gives it.
+TEST(EcBackend, NamingTheGroupCostsNoFieldMul) {
+  const std::uint64_t fe0 = mpz::fe_mul_count();
+  GroupParams gp = ec();
+  EXPECT_EQ(mpz::fe_mul_count() - fe0, 0u);
+  EXPECT_EQ(hash::to_hex(gp.element_bytes(gp.g())),
+            "e2f2ae0a6abc4e71a884a961c500515f58e30b6aa582dd8db6a65945e08d2d76");
+  EXPECT_EQ(gp.element_bytes(gp.identity()), std::vector<std::uint8_t>(32, 0));
+  EXPECT_EQ(gp.pow_g(Bigint(1)), gp.g());
+  EXPECT_EQ(gp.pow_g(gp.q()), gp.identity());
+  EXPECT_EQ(gp.mul(gp.g(), gp.identity()), gp.g());
 }
 
 TEST(EcBackend, GroupLawsThroughTheFacade) {

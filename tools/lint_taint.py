@@ -533,7 +533,7 @@ SELF_TEST_CASES = [
     # verification helpers launder: a verdict over secret-adjacent input is
     # public (it decides protocol control flow anyway):
     (None, _fn(
-        "  auto contribute = check_contribute_batch(cfg_, env, ctx.rng());\n"
+        "  auto contribute = check_contribute(cfg_, env, ctx.rng());\n"
         "  record_contribute_verdict(ctx, env, &*contribute);")),
     # ---- multi-line sink calls --------------------------------------------
     ("taint-trace", _fn(
