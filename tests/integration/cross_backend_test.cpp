@@ -145,9 +145,7 @@ TEST(CrossBackend, ResultIsFreshCiphertextOnEc) {
 // encode that escaped the counter, or one charged twice, breaks the equality.
 TEST(EcAccounting, EveryFieldMulIsCharged) {
   const GroupParams gp = GroupParams::named(ParamId::kEc255);
-  // Built before the counts start, so that the counts hold the System's work
-  // alone (under DBLIND_BACKEND=ec its default group is another ec255
-  // backend; since that constructor computes no encode, it costs nothing).
+  // Built before the counts start, so that they count the System's work alone.
   SystemOptions o;
   o.params = gp;
   o.seed = 3;
