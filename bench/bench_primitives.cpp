@@ -1,8 +1,14 @@
 // PRIM: substrate microbenchmarks (context for every protocol-level number).
 //
 // Covers the cryptographic operations the re-encryption protocol is built
-// from, across the embedded parameter sizes. Run: build/bench/bench_primitives
+// from, across the embedded parameter sizes, and the ec255 fixed-base paths
+// (BM_Ec255*: pow_g, a pinned pow_fixed, Schnorr checks under a pinned and an
+// unpinned key, a batch of ten). Before timing anything it checks that a
+// pinned key and an unpinned one give the same verdict on a valid and on a
+// forged signature, and exits 1 if not. Run: build/bench/bench_primitives
 #include <benchmark/benchmark.h>
+
+#include <cstdio>
 
 #include "elgamal/elgamal.hpp"
 #include "group/params.hpp"
@@ -362,6 +368,106 @@ void BM_ShamirShareReconstruct(benchmark::State& state) {
 }
 BENCHMARK(BM_ShamirShareReconstruct)->Arg(1)->Arg(3)->Arg(10);
 
+// --- ec255: shift tables and the one Straus pass ------------------------------
+
+// One ec255 group with `keys` Schnorr keys pinned (the server keys a
+// ProtocolServer pins) and a second group with none: a pinned check runs
+// over the keys' shift tables, an unpinned one walks a 253-step chain.
+struct Ec255Fixture {
+  static constexpr int kKeys = 10;
+  GroupParams pinned = GroupParams::named(ParamId::kEc255);
+  GroupParams unpinned = GroupParams::named(ParamId::kEc255);
+  std::vector<zkp::SchnorrVerifyKey> pinned_keys;
+  std::vector<zkp::SchnorrVerifyKey> unpinned_keys;
+  std::vector<std::vector<std::uint8_t>> msgs;
+  std::vector<zkp::SchnorrSignature> sigs;
+  Bigint exp;
+
+  Ec255Fixture() {
+    Prng prng(24);
+    for (int i = 0; i < kKeys; ++i) {
+      const zkp::SchnorrSigningKey sk = zkp::SchnorrSigningKey::generate(pinned, prng);
+      pinned.pin_key(sk.verify_key().point());
+      pinned_keys.push_back(sk.verify_key());
+      unpinned_keys.emplace_back(unpinned, sk.verify_key().point());
+      msgs.emplace_back(64, static_cast<std::uint8_t>(i));
+      sigs.push_back(sk.sign(msgs.back(), prng));
+    }
+    exp = pinned.random_exponent(prng);
+    // Build every table outside the timed loops.
+    (void)pinned.pow_g(exp);
+    (void)pinned.pow_fixed(pinned_keys[0].point(), exp);
+    for (int i = 0; i < kKeys; ++i) (void)verify(true, i, sigs[static_cast<std::size_t>(i)]);
+    (void)unpinned.pow_g(exp);
+  }
+
+  [[nodiscard]] bool verify(bool with_pins, int i, const zkp::SchnorrSignature& sig) const {
+    const auto k = static_cast<std::size_t>(i);
+    return (with_pins ? pinned_keys : unpinned_keys)[k].verify(msgs[k], sig);
+  }
+
+  [[nodiscard]] std::vector<zkp::BatchEntry> batch(bool with_pins) const {
+    std::vector<zkp::BatchEntry> out;
+    for (std::size_t k = 0; k < sigs.size(); ++k)
+      out.push_back({&(with_pins ? pinned_keys : unpinned_keys)[k], msgs[k], &sigs[k]});
+    return out;
+  }
+
+  // A pinned key must judge exactly as an unpinned one: on every valid
+  // signature, on a forged one (s + 1) and on each batch.
+  [[nodiscard]] bool verdicts_agree() const {
+    for (int i = 0; i < kKeys; ++i) {
+      const zkp::SchnorrSignature& sig = sigs[static_cast<std::size_t>(i)];
+      const zkp::SchnorrSignature forged{sig.r, mpz::addmod(sig.s, Bigint(1), pinned.q())};
+      if (!verify(true, i, sig) || !verify(false, i, sig)) return false;
+      if (verify(true, i, forged) || verify(false, i, forged)) return false;
+    }
+    return zkp::schnorr_batch_verify(pinned, batch(true)) &&
+           zkp::schnorr_batch_verify(unpinned, batch(false));
+  }
+};
+
+const Ec255Fixture& ec255() {
+  static const Ec255Fixture fx;
+  return fx;
+}
+
+void BM_Ec255PowG(benchmark::State& state) {
+  const Ec255Fixture& fx = ec255();
+  for (auto _ : state) benchmark::DoNotOptimize(fx.pinned.pow_g(fx.exp));
+}
+BENCHMARK(BM_Ec255PowG);
+
+void BM_Ec255PowFixed(benchmark::State& state) {
+  const Ec255Fixture& fx = ec255();
+  const group::Element& base = fx.pinned_keys[0].point();
+  for (auto _ : state) benchmark::DoNotOptimize(fx.pinned.pow_fixed(base, fx.exp));
+}
+BENCHMARK(BM_Ec255PowFixed);
+
+void BM_Ec255SchnorrVerify(benchmark::State& state, bool with_pins) {
+  const Ec255Fixture& fx = ec255();
+  for (auto _ : state) benchmark::DoNotOptimize(fx.verify(with_pins, 0, fx.sigs[0]));
+}
+BENCHMARK_CAPTURE(BM_Ec255SchnorrVerify, pinned, true);
+BENCHMARK_CAPTURE(BM_Ec255SchnorrVerify, unpinned, false);
+
+void BM_Ec255SchnorrBatch(benchmark::State& state) {
+  const Ec255Fixture& fx = ec255();
+  const std::vector<zkp::BatchEntry> batch = fx.batch(true);
+  for (auto _ : state) benchmark::DoNotOptimize(zkp::schnorr_batch_verify(fx.pinned, batch));
+}
+BENCHMARK(BM_Ec255SchnorrBatch)->Arg(Ec255Fixture::kKeys);
+
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (!ec255().verdicts_agree()) {
+    std::fprintf(stderr, "BM_Ec255*: a pinned key and an unpinned one disagree on a verdict\n");
+    return 1;
+  }
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -93,6 +93,8 @@ void Blinding::on_reveal(const Local& l, const SignedMessage& env) {
     if (env == st.answered_reveal) l.resend.resend_frame(l.ctx, coordinator, st.contribute_frame);
     return;
   }
+  // The transfer is done and the bundle released: nothing left to answer with.
+  if (!st.bundle) return;
   if (behavior_ == Behavior::kWithholdContribution) return;
   // Only respond if this reveal contains our commitment (step 4).
   const bool mine = std::any_of(
@@ -131,6 +133,17 @@ std::size_t Blinding::spent_bundles_held() const {
   return static_cast<std::size_t>(
       std::count_if(contributors_.begin(), contributors_.end(),
                     [](const auto& kv) { return kv.second.contributed && kv.second.bundle; }));
+}
+
+std::size_t Blinding::bundles_held() const {
+  return static_cast<std::size_t>(std::count_if(
+      contributors_.begin(), contributors_.end(), [](const auto& kv) { return kv.second.bundle.has_value(); }));
+}
+
+void Blinding::release_bundles(TransferId transfer) {
+  for (auto it = contributors_.lower_bound(InstanceId{transfer, 0, 0});
+       it != contributors_.end() && it->first.transfer == transfer; ++it)
+    it->second.bundle.reset();
 }
 
 // --- coordinator -----------------------------------------------------------------
@@ -187,16 +200,21 @@ void Blinding::on_timer(const Local& l, std::uint64_t key, const ResultMap& resu
 
 void Blinding::on_commit(const Local& l, const SignedMessage& env) {
   if (!l.is_b()) return;
-  auto commit = check_commit(l.cfg, env);
-  if (!commit) return;
-  auto it = coordinators_.find(commit->id);
+  // Look the instance up before the signature check: a commit for an
+  // instance this server does not coordinate, one that arrives after the
+  // reveal, and a second one from the same server cost one decode each,
+  // never a signature check.
+  auto claimed = try_decode<CommitMsg>(l.cfg, MsgType::kCommit, env.body);
+  if (!claimed) return;
+  auto it = coordinators_.find(claimed->id);
   if (it == coordinators_.end()) return;
   CoordinatorState& st = it->second;
-  if (st.revealed) return;
-  if (st.commits.emplace(commit->server, env).second) {
-    l.trace(obs::EventKind::kCommitAccepted, &st.id,
-            {.peer = commit->server, .count = st.commits.size()});
-  }
+  if (st.revealed || st.commits.contains(claimed->server)) return;
+  auto commit = check_commit(l.cfg, env);
+  if (!commit) return;
+  st.commits.emplace(commit->server, env);
+  l.trace(obs::EventKind::kCommitAccepted, &st.id,
+          {.peer = commit->server, .count = st.commits.size()});
 
   const std::size_t need = 2 * l.cfg.b.cfg.f + 1;
   if (st.commits.size() < need) return;

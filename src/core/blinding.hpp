@@ -36,6 +36,12 @@ class Blinding {
   [[nodiscard]] std::size_t contributor_instances() const { return contributors_.size(); }
   // Answered instances still holding the bundle their answer spent.
   [[nodiscard]] std::size_t spent_bundles_held() const;
+  // Instances holding a bundle, answered or not.
+  [[nodiscard]] std::size_t bundles_held() const;
+  // `transfer` is done: no reveal of its instances is answered any more, so
+  // each instance's bundle is released (its commit frame stays, for
+  // duplicate inits).
+  void release_bundles(TransferId transfer);
 
   // Coordinator: opens this server's instance `epoch` of `transfer`.
   void start(const Local& l, TransferId transfer, std::uint32_t epoch, Signing& signing);
@@ -79,7 +85,8 @@ class Blinding {
     // consistent pair (ea, eb) the VDE proof is computed over. bundle->eb
     // equals contribution.eb for honest servers; kInconsistentContribution
     // advertises a different eb but must still attach a proof for the
-    // consistent shadow pair. Released once the answer is cached.
+    // consistent shadow pair. Released once the answer is cached, or once
+    // the transfer is done.
     std::optional<ContributionBundle> bundle;
     bool committed = false;
     bool contributed = false;  // responded to (at most) one reveal

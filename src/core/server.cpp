@@ -24,6 +24,14 @@ void ProtocolServer::pin_bases() {
   gp.pin_base(cfg_.a.encryption_key.y());
   gp.pin_base(cfg_.b.encryption_key.y());
   gp.pin_base(gp.mul(cfg_.a.encryption_key.y(), cfg_.b.encryption_key.y()));
+  pin_keys();
+}
+
+void ProtocolServer::pin_keys() {
+  for (const ServicePublic* svc : {&cfg_.a, &cfg_.b}) {
+    cfg_.params.pin_key(svc->signing_key.point());
+    for (const zkp::SchnorrVerifyKey& key : svc->server_sign_keys) cfg_.params.pin_key(key.point());
+  }
 }
 
 void ProtocolServer::store_secret(TransferId transfer, elgamal::Ciphertext ea_m) {
@@ -289,6 +297,7 @@ void ProtocolServer::record_done(net::Context* ctx, const DonePayload& done,
   if (!ledger_.results.try_emplace(done.id.transfer, done.eb_m).second) return;
   results_count_.fetch_add(1, std::memory_order_release);
   recovery_.cancel_transfer(done.id.transfer);
+  blinding_.release_bundles(done.id.transfer);
   if (ctx == nullptr) return;  // restore: no trace timestamp exists there
   local(*ctx).trace(obs::EventKind::kDoneRecorded, &done.id);
   // The completion frees an admission slot for a queued transfer.
@@ -433,11 +442,12 @@ void ProtocolServer::install(net::Context& ctx, Certificate cert) {
     resharing_.set_share_pending(new_rank != 0);
   }
 
-  // 6. Record the certificate; laggards pull it one epoch at a time. Nothing
-  //    is re-keyed: a reshare never changes a service key, so the pinned
-  //    comb tables stay, and the epoch is part of each contribution stream's
-  //    key.
+  // 6. Record the certificate; laggards pull it one epoch at a time. A
+  //    reshare never changes a service key, so the pinned bases stay, and
+  //    the epoch is part of each contribution stream's key; a new roster's
+  //    server keys are pinned beside the old ones.
   resharing_.record(cfg_epoch_, InstallRecord{std::move(cert.apply_env), std::move(cert.echoes)});
+  pin_keys();
 
   // 7. Observability: aborts carry the NEW epoch ("killed by install of e").
   observer_.m.config_epoch.set(cfg_epoch_);

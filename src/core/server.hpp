@@ -104,6 +104,9 @@ class ProtocolServer final : public net::Node {
   // Contributor instances that answered their reveal yet still hold the
   // bundle the answer spent (ρ, r₁, r₂ and the VDE announcement exponents).
   [[nodiscard]] std::size_t spent_bundles_held() const { return blinding_.spent_bundles_held(); }
+  // Contributor instances holding a bundle: unanswered ones until their
+  // transfer is done.
+  [[nodiscard]] std::size_t bundles_held() const { return blinding_.bundles_held(); }
 
   // --- net::Node --------------------------------------------------------------
   void on_start(net::Context& ctx) override;
@@ -124,9 +127,13 @@ class ProtocolServer final : public net::Node {
     return Local{cfg_,  secrets_,  cfg_epoch_, resharing_.share_pending(),
                  ctx,   recovery_, observer_};
   }
-  // Pins the bases every encryption and VDE proof exponentiates: g (combed
-  // by pow_g), y_A, y_B and y_A·y_B (Pr3's base).
+  // Pins the bases every encryption and VDE proof exponentiates (y_A, y_B
+  // and y_A·y_B, Pr3's base; g has its own table), then the keys.
   void pin_bases();
+  // Pins the keys every envelope and service signature is checked against:
+  // both services' 2n server keys and their two signing keys. An install
+  // pins again, since a roster change brings new server keys.
+  void pin_keys();
   // Counts a received frame; the result attributes the handler's mont-muls.
   [[nodiscard]] obs::ScopedCounterDelta count_rx(MsgType type, std::size_t bytes);
   // Hands a parsed frame to the module that owns its type.

@@ -26,8 +26,9 @@ Ciphertext PublicKey::encrypt_with_nonce(const Element& m, const Bigint& r) cons
     throw std::invalid_argument("encrypt: plaintext is not a group element");
   if (r.is_zero() || r.is_negative() || r >= params_.q())
     throw std::invalid_argument("encrypt: nonce out of Z_q^*");
-  // pow_fixed: comb table when y is a pinned protocol base (the service keys
-  // are pinned by ProtocolServer), plain pow otherwise — same values.
+  // pow_fixed: y's fixed-base table when y is a pinned protocol base (the
+  // service keys are pinned by ProtocolServer), plain pow otherwise — same
+  // values.
   return {params_.pow_g(r), params_.mul(m, params_.pow_fixed(y_, r))};
 }
 

@@ -83,6 +83,8 @@ class Group {
   [[nodiscard]] virtual Element pow_g(const Bigint& e) const = 0;
   [[nodiscard]] virtual Element pow(const Element& b, const Bigint& e) const = 0;
   virtual void pin_base(const Element& b) const = 0;
+  // A key that signatures are checked against (see GroupParams::pin_key).
+  virtual void pin_key(const Element& b) const = 0;
   [[nodiscard]] virtual Element pow_fixed(const Element& b, const Bigint& e) const = 0;
   [[nodiscard]] virtual Element mul(const Element& a, const Element& b) const = 0;
   [[nodiscard]] virtual Element pow2(const Element& a, const Bigint& ea, const Element& b,

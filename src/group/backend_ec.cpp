@@ -116,12 +116,10 @@ std::optional<Element> Ec::decode(const Element& x) const {
   return decoded(std::make_shared<const ec::Native>(*pt, x.encoding()), kOwner);
 }
 
-const ec::CombTable& Ec::g_comb() const {
-  std::call_once(cache_.once, [&] {
-    cache_.g_comb = std::make_unique<const ec::CombTable>(ec::base_point(),
-                                                          TableCache::kWindowBits);
-  });
-  return *cache_.g_comb;
+const ec::ShiftTable& Ec::g_table() const {
+  std::call_once(cache_.g_once,
+                 [&] { cache_.g_table = std::make_unique<const ec::ShiftTable>(ec::base_point()); });
+  return *cache_.g_table;
 }
 
 const Bigint* Ec::encoding_if_known(const Element& x) {
@@ -129,52 +127,70 @@ const Bigint* Ec::encoding_if_known(const Element& x) {
   return native != nullptr ? native->encoding_if_known() : &x.encoding();
 }
 
-bool Ec::is_g(const Element& b) const {
-  if (const Bigint* enc = encoding_if_known(b)) return *enc == g_.encoding();
-  return ec::eq(native_of(b)->point(), ec::base_point());
-}
-
-std::shared_ptr<const ec::CombTable> Ec::pinned_table(const Element& b) const {
+const ec::ShiftTable* Ec::table_of(const Element& b, bool by_point) const {
   const Bigint* enc = encoding_if_known(b);
+  if (enc == nullptr && !by_point) return nullptr;
+  // enc is null only for a decoded result, whose point is at hand.
+  if (enc != nullptr ? *enc == g_.encoding() : ec::eq(native_of(b)->point(), ec::base_point()))
+    return &g_table();
   MutexLock lock(cache_.mu);
+  Pinned* hit = nullptr;
   if (enc != nullptr) {
     auto it = cache_.pinned.find(*enc);
-    return it == cache_.pinned.end() ? nullptr : it->second.table;
+    if (it != cache_.pinned.end()) hit = &it->second;
+  } else {
+    for (auto& [key, pinned] : cache_.pinned) {
+      if (ec::eq(native_of(b)->point(), pinned.base)) {
+        hit = &pinned;
+        break;
+      }
+    }
   }
-  for (const auto& [key, pinned] : cache_.pinned)
-    if (ec::eq(native_of(b)->point(), pinned.base)) return pinned.table;
-  return nullptr;
+  if (hit == nullptr) return nullptr;
+  if (!hit->table) hit->table = std::make_unique<const ec::ShiftTable>(hit->base);
+  return hit->table.get();
+}
+
+std::vector<ec::Term> Ec::terms_of(std::span<const Element> bases,
+                                   std::span<const Bigint> exps) const {
+  std::vector<ec::Term> terms(bases.size());
+  for (std::size_t i = 0; i < bases.size(); ++i) {
+    terms[i].table = table_of(bases[i], false);
+    if (terms[i].table == nullptr) terms[i].base = point(bases[i]);
+    terms[i].scalar = to_scalar(exps[i]);
+  }
+  return terms;
 }
 
 Element Ec::pow_g(const Bigint& e) const {
   OpScope scope(*this);
-  return element(g_comb().mul(to_scalar(e)));
+  const ec::Term term{&g_table(), {}, to_scalar(e)};
+  return element(ec::multi_scalar_mul(std::span<const ec::Term>(&term, 1)));
 }
 
 Element Ec::pow(const Element& b, const Bigint& e) const {
   OpScope scope(*this);
-  return element(ec::scalar_mul(point(b), to_scalar(e)));
+  return element(ec::multi_scalar_mul(terms_of(std::span<const Element>(&b, 1),
+                                                std::span<const Bigint>(&e, 1))));
 }
 
 void Ec::pin_base(const Element& b) const {
   // The key is b's encoding: read here, before the op scope, so a base still
-  // unencoded is encoded once and charged by its own memo.
+  // unencoded is encoded once and charged by its own memo. The table waits
+  // for the first operation that names b.
   const Bigint& key = b.encoding();
-  if (key == g_.encoding()) return;  // pow_g's comb table already covers g
+  if (key == g_.encoding()) return;  // g has its own table
   OpScope scope(*this);
   ec::Point base = point(b);
   MutexLock lock(cache_.mu);
-  if (cache_.pinned.contains(key)) return;
-  auto table = std::make_shared<const ec::CombTable>(base, TableCache::kPinnedWindowBits);
-  cache_.pinned.emplace(key, Pinned{base, std::move(table)});
+  cache_.pinned.try_emplace(key, Pinned{base, nullptr});
 }
 
 Element Ec::pow_fixed(const Element& b, const Bigint& e) const {
   OpScope scope(*this);
-  if (is_g(b)) return element(g_comb().mul(to_scalar(e)));
-  if (std::shared_ptr<const ec::CombTable> table = pinned_table(b))
-    return element(table->mul(to_scalar(e)));
-  return element(ec::scalar_mul(point(b), to_scalar(e)));  // not pinned: no insertion
+  ec::Term term{table_of(b, true), {}, to_scalar(e)};
+  if (term.table == nullptr) term.base = point(b);  // not pinned: no insertion
+  return element(ec::multi_scalar_mul(std::span<const ec::Term>(&term, 1)));
 }
 
 Element Ec::mul(const Element& a, const Element& b) const {
@@ -184,25 +200,14 @@ Element Ec::mul(const Element& a, const Element& b) const {
 
 Element Ec::pow2(const Element& a, const Bigint& ea, const Element& b, const Bigint& eb) const {
   OpScope scope(*this);
-  const std::array<ec::Point, 2> bases = {point(a), point(b)};
-  const std::array<ec::ScalarBytes, 2> scalars = {to_scalar(ea), to_scalar(eb)};
-  return element(ec::multi_scalar_mul(bases, scalars));
-}
-
-ec::Point Ec::multi_scalar_mul(std::span<const Element> bases,
-                               std::span<const Bigint> exps) const {
-  std::vector<ec::Point> pts;
-  std::vector<ec::ScalarBytes> scalars;
-  pts.reserve(bases.size());
-  scalars.reserve(exps.size());
-  for (const Element& b : bases) pts.push_back(point(b));
-  for (const Bigint& e : exps) scalars.push_back(to_scalar(e));
-  return ec::multi_scalar_mul(pts, scalars);
+  const std::array<Element, 2> bases = {a, b};
+  const std::array<Bigint, 2> exps = {ea, eb};
+  return element(ec::multi_scalar_mul(terms_of(bases, exps)));
 }
 
 Element Ec::multi_pow(std::span<const Element> bases, std::span<const Bigint> exps) const {
   OpScope scope(*this);
-  return element(multi_scalar_mul(bases, exps));
+  return element(ec::multi_scalar_mul(terms_of(bases, exps)));
 }
 
 bool Ec::multi_pow_equals(std::span<const Element> bases, std::span<const Bigint> exps,
@@ -215,9 +220,7 @@ bool Ec::multi_pow_equals(std::span<const Element> bases, std::span<const Bigint
     want = try_unbox(expect);
     if (!want) return false;
   }
-  // g joins the one Straus pass like any other base: with nothing to encode
-  // that is cheaper than its comb plus a point addition.
-  return ec::eq(multi_scalar_mul(bases, exps), *want);
+  return ec::eq(ec::multi_scalar_mul(terms_of(bases, exps)), *want);
 }
 
 Element Ec::inv(const Element& a) const {

@@ -25,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 #include "core/sync.hpp"
 #include "group/backend.hpp"
@@ -86,6 +87,9 @@ class Ec final : public Group {
   [[nodiscard]] Element pow_g(const Bigint& e) const override;
   [[nodiscard]] Element pow(const Element& b, const Bigint& e) const override;
   void pin_base(const Element& b) const override;
+  // Every operation reads the table of a pinned base, so a key that
+  // signatures are checked against pins like any other base.
+  void pin_key(const Element& b) const override { pin_base(b); }
   [[nodiscard]] Element pow_fixed(const Element& b, const Bigint& e) const override;
   [[nodiscard]] Element mul(const Element& a, const Element& b) const override;
   [[nodiscard]] Element pow2(const Element& a, const Bigint& ea, const Element& b,
@@ -144,20 +148,22 @@ class Ec final : public Group {
   // An operation's result: `pt`, encoded on first read into op_count_.
   [[nodiscard]] Element element(const ec::Point& pt) const;
   [[nodiscard]] ec::ScalarBytes to_scalar(const Bigint& e) const;
-  // Σ exps[i]·bases[i] as a point, through the one Straus kernel.
-  [[nodiscard]] ec::Point multi_scalar_mul(std::span<const Element> bases,
-                                           std::span<const Bigint> exps) const;
   // x's encoding without computing one: null for a result whose encoding
   // nothing has read yet.
   [[nodiscard]] static const Bigint* encoding_if_known(const Element& x);
-  // g's comb table, built by the first caller (inside its op scope).
-  [[nodiscard]] const ec::CombTable& g_comb() const;
-  // Whether b is g, and b's pinned comb table (null when b is not pinned).
-  // Both run inside the caller's op scope and never encode b: a b whose
-  // encoding is known is compared by it, any other by point (ec::eq, at most
-  // 4M per candidate).
-  [[nodiscard]] bool is_g(const Element& b) const;
-  [[nodiscard]] std::shared_ptr<const ec::CombTable> pinned_table(const Element& b) const;
+  // g's shift table, built by the first caller (inside its op scope).
+  [[nodiscard]] const ec::ShiftTable& g_table() const;
+  // The shift table of b when b is g or a pinned base, built when an
+  // operation first names b (inside that operation's op scope); null for any
+  // other base. b is looked up by its encoding, and never encoded here: a b
+  // whose encoding nothing has read yet is compared with g and each pinned
+  // base by point (ec::eq, at most 4M per candidate) when `by_point`, and
+  // taken as unpinned otherwise.
+  [[nodiscard]] const ec::ShiftTable* table_of(const Element& b, bool by_point) const;
+  // The terms of Σ exps[i]·bases[i]: a pinned base (or g) by its table, any
+  // other by its point.
+  [[nodiscard]] std::vector<ec::Term> terms_of(std::span<const Element> bases,
+                                               std::span<const Bigint> exps) const;
 
   Bigint p_, q_, max_message_;
   ec::Native::Cell op_count_ = std::make_shared<std::atomic<std::uint64_t>>(0);
@@ -165,15 +171,14 @@ class Ec final : public Group {
 
   struct Pinned {
     ec::Point base;
-    std::shared_ptr<const ec::CombTable> table;
+    std::unique_ptr<const ec::ShiftTable> table;  // null until an operation names the base
   };
   struct TableCache {
-    std::once_flag once;
-    std::unique_ptr<const ec::CombTable> g_comb;
-    static constexpr unsigned kWindowBits = 4;
-    static constexpr unsigned kPinnedWindowBits = 5;
+    std::once_flag g_once;
+    std::unique_ptr<const ec::ShiftTable> g_table;
     mutable Mutex mu;
-    // Keyed by encoding.
+    // Keyed by encoding. Entries are never erased, so a table outlives every
+    // pass that reads it.
     mutable std::map<Bigint, Pinned> pinned GUARDED_BY(mu);
   };
   mutable TableCache cache_;

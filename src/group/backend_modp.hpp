@@ -35,6 +35,9 @@ class ModP final : public Group {
   [[nodiscard]] Element pow_g(const Bigint& e) const override;
   [[nodiscard]] Element pow(const Element& b, const Bigint& e) const override;
   void pin_base(const Element& b) const override;
+  // A check's multi-exponentiation reads no pinned table here, so a key's
+  // table would cost its build and memory and save nothing.
+  void pin_key(const Element& /*b*/) const override {}
   [[nodiscard]] Element pow_fixed(const Element& b, const Bigint& e) const override;
   [[nodiscard]] Element mul(const Element& a, const Element& b) const override;
   [[nodiscard]] Element pow2(const Element& a, const Bigint& ea, const Element& b,

@@ -111,18 +111,30 @@ class GroupParams {
   [[nodiscard]] Element pow(const Element& b, const Bigint& e) const {
     return impl_->pow(b, e);
   }
-  // Pins `b` as a protocol base: builds a wide (5-bit window) comb table for
-  // it once, shared const thereafter across all copies of this GroupParams
-  // (and threads) for as long as any copy lives. The pinned set grows only
-  // through explicit pins — a hostile peer spraying fresh bases cannot touch
-  // it. Idempotent; pinning g itself is a no-op (pow_g already combs it).
+  // Pins `b` as a protocol base, shared const across all copies of this
+  // GroupParams (and threads) for as long as any copy lives. The pinned set
+  // grows only through explicit pins: a hostile peer spraying fresh bases
+  // cannot touch it. Idempotent; pinning g itself is a no-op (g always has
+  // its table).
+  //   mod-p: builds b's 5-bit comb table now, read by pow_fixed.
+  //   ec255: registers b; its shift table (16 rows of odd multiples, 20 KB)
+  //   is built when an operation first names b, inside that operation, and
+  //   every operation then reads it (pow, pow2, multi_pow, multi_pow_equals
+  //   too): b^e needs 16 doublings instead of 253.
   // ProtocolServer's constructor pins y_A, y_B and y_A·y_B, which no reshare
   // changes.
   void pin_base(const Element& b) const { impl_->pin_base(b); }
-  // b^e through the pinned comb table when `b` was pinned (or is g);
-  // otherwise a plain pow() — never inserts into any cache, so it is safe on
-  // the prover hot path even for ad-hoc bases. Semantically identical to
-  // pow().
+  // Pins `b` as a key that signatures are checked against (ProtocolServer
+  // pins every server key and both service signing keys). ec255 pins it like
+  // pin_base, so a Schnorr check under it walks 16 doublings, not 253; mod-p
+  // does nothing, since its checks' multi-exponentiation reads no pinned
+  // table.
+  void pin_key(const Element& b) const { impl_->pin_key(b); }
+  // b^e, through b's table when `b` was pinned (or is g); otherwise a plain
+  // pow(). Never inserts into any cache, so it is safe on the prover hot path
+  // even for ad-hoc bases. Semantically identical to pow(); ec255 also
+  // matches a base whose encoding nothing has read yet to g and the pinned
+  // bases by point, where pow() takes it as unpinned.
   [[nodiscard]] Element pow_fixed(const Element& b, const Bigint& e) const {
     return impl_->pow_fixed(b, e);
   }
@@ -135,8 +147,9 @@ class GroupParams {
                              const Bigint& eb) const {
     return impl_->pow2(a, ea, b, eb);
   }
-  // Π bases[i]^{exps[i]} (mod-p: Shamir/Pippenger; ec255: signed-window
-  // Straus). Exponents must already be in [0, q).
+  // Π bases[i]^{exps[i]} (mod-p: Shamir/Pippenger; ec255: the one signed
+  // Straus pass, pinned bases and g over their shift tables). Exponents must
+  // already be in [0, q).
   [[nodiscard]] Element multi_pow(std::span<const Element> bases,
                                   std::span<const Bigint> exps) const {
     return impl_->multi_pow(bases, exps);
@@ -149,7 +162,8 @@ class GroupParams {
   }
   // Π bases[i]^{exps[i]} == expect, without encoding the product: the
   // verification equations' comparison. ec255 compares points (coset-aware
-  // ec::eq); mod-p evaluates as the verifiers always did — two bases through
+  // ec::eq) after one Straus pass, pinned bases and g over their shift
+  // tables; mod-p evaluates as the verifiers always did — two bases through
   // pow2, more through multi_pow with g routed through its comb table — and
   // compares residues.
   [[nodiscard]] bool multi_pow_equals(std::span<const Element> bases,
@@ -160,7 +174,8 @@ class GroupParams {
   // Group inverse a^{-1}.
   [[nodiscard]] Element inv(const Element& a) const { return impl_->inv(a); }
 
-  // Pinned table count (tests/observability).
+  // Pinned base count (tests/observability); an ec255 base's table may not
+  // be built yet.
   [[nodiscard]] std::size_t pinned_table_count() const {
     return impl_->pinned_table_count();
   }
@@ -227,7 +242,7 @@ class GroupParams {
 
   // Shared so that copies of GroupParams (passed around freely by services,
   // servers, and messages) reuse one backend instance — one Montgomery
-  // context / comb-table cache / op counter per group.
+  // context / fixed-base table cache / op counter per group.
   std::shared_ptr<const backend::Group> impl_;
 };
 

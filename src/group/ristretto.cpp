@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <vector>
 
 #include "mpz/fe25519.hpp"
 
@@ -42,16 +43,6 @@ constexpr Fe25519 kBaseY{{0x6666666666658, 0x4cccccccccccc, 0x1999999999999,
                           0x3333333333333, 0x6666666666666}};
 constexpr Fe25519 kBaseT{{0x68ab3a5b7dda3, 0xeea2a5eadbb, 0x2af8df483c27e,
                           0x332b375274732, 0x67875f0fd78b7}};
-
-// Bit-window digit of a little-endian scalar: bits [w*i, w*i + w) (comb).
-unsigned digit_of(const ScalarBytes& s, unsigned w, unsigned i) {
-  const unsigned bit = w * i;
-  const unsigned byte = bit / 8;
-  if (byte >= 32) return 0;
-  unsigned v = s[byte] >> (bit % 8);
-  if (bit % 8 + w > 8 && byte + 1 < 32) v |= unsigned{s[byte + 1]} << (8 - bit % 8);
-  return v & ((1U << w) - 1U);
-}
 
 // Completed point (ref10's p1p1): X = E*F, Y = G*H, Z = F*G, T = E*H. Both
 // the doubling and the addition end here, and the last three or four
@@ -184,65 +175,49 @@ std::optional<Point> decode(std::span<const std::uint8_t, 32> in) {
   return Point{x, y, Fe25519::one(), t};
 }
 
-Point scalar_mul(const Point& base, const ScalarBytes& scalar) {
-  return multi_scalar_mul(std::span<const Point>(&base, 1),
-                          std::span<const ScalarBytes>(&scalar, 1));
-}
-
-CombTable::CombTable(const Point& base, unsigned window_bits) : window_(window_bits) {
-  const unsigned positions = (255 + window_ - 1) / window_ + 1;
-  const std::size_t row_len = std::size_t{1} << window_;
-  // The identity in cached form (1, 1, 2, 0). Digit 0 never reads it.
-  const Fe25519 one = Fe25519::one();
-  const Cached cached_identity{one, one, fe_add(one, one), Fe25519::zero()};
-  table_.resize(positions);
-  Point pos_base = base;
-  for (unsigned i = 0; i < positions; ++i) {
-    auto& row = table_[i];
-    row.resize(row_len);
-    row[0] = cached_identity;
-    const Cached step = to_cached(pos_base);
-    Point multiple = pos_base;
-    row[1] = step;
-    for (std::size_t j = 2; j < row_len; ++j) {
-      multiple = finish(add_completed(multiple, step), true);
-      row[j] = to_cached(multiple);
-    }
-    for (unsigned b = 0; b < window_; ++b) pos_base = dbl(pos_base);
-  }
-}
-
-Point CombTable::mul(const ScalarBytes& scalar) const {
-  Point acc = identity();
-  for (unsigned i = 0; i < table_.size(); ++i) {
-    const unsigned d = digit_of(scalar, window_, i);
-    if (d != 0) acc = finish(add_completed(acc, table_[i][d]), true);
-  }
-  return acc;
-}
-
 namespace {
 
-// Width-5 signed sliding window (wNAF): scalar = sum digits[i] * 2^i with
-// every digit 0 or odd in [-15, 15], and any two nonzero digits at least five
-// positions apart. A 256-bit input may carry one digit into position 256.
 constexpr unsigned kWindow = 5;
-constexpr std::size_t kDigits = 257;
-using Digits = std::array<std::int8_t, kDigits>;
+using Words = std::array<std::uint64_t, 4>;
 
-// Returns one past the highest nonzero digit (0 for a zero scalar).
-std::size_t recode_wnaf(const ScalarBytes& s, Digits& digits) {
-  std::array<std::uint64_t, 5> word{};  // word[4] stays 0: reads past bit 255
-  for (std::size_t i = 0; i < 32; ++i) word[i / 8] |= std::uint64_t{s[i]} << (8 * (i % 8));
+Words words_of(const ScalarBytes& s) {
+  Words w{};
+  for (std::size_t i = 0; i < 32; ++i) w[i / 8] |= std::uint64_t{s[i]} << (8 * (i % 8));
+  return w;
+}
+
+// a < b, as 256-bit little-endian integers.
+bool less(const Words& a, const Words& b) {
+  for (std::size_t i = a.size(); i-- > 0;)
+    if (a[i] != b[i]) return a[i] < b[i];
+  return false;
+}
+
+// a - b for a >= b.
+Words minus(const Words& a, const Words& b) {
+  Words out{};
+  unsigned borrow = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const std::uint64_t d = a[i] - b[i];
+    out[i] = d - borrow;
+    borrow = (a[i] < b[i] || d < borrow) ? 1 : 0;
+  }
+  return out;
+}
+
+// Appends the width-5 signed sliding-window digits of carry + (the low `bits`
+// bits of `words`): each digit odd in [-15, 15], any two at least five
+// positions apart, all below position `bits`. Returns the carry left at
+// position `bits` (0 or 1): the windows read zeros above the top word, so a
+// carry only forms where a window still covers a set bit, at most at `bits`.
+template <typename Emit>
+unsigned recode(std::span<const std::uint64_t> words, unsigned bits, unsigned carry, Emit&& emit) {
   constexpr unsigned kMask = (1U << kWindow) - 1;
-  digits.fill(0);
-  std::size_t top = 0;
-  unsigned carry = 0;
-  for (unsigned pos = 0; pos < kDigits;) {
+  for (unsigned pos = 0; pos < bits;) {
     const unsigned w = pos / 64, bit = pos % 64;
-    std::uint64_t bits = word[w] >> bit;
-    if (bit + kWindow > 64 && w + 1 < word.size()) bits |= word[w + 1] << (64 - bit);
-    const unsigned window = carry + static_cast<unsigned>(bits & kMask);
+    std::uint64_t window_bits = words[w] >> bit;
+    if (bit + kWindow > 64 && w + 1 < words.size()) window_bits |= words[w + 1] << (64 - bit);
+    const unsigned window = carry + static_cast<unsigned>(window_bits & kMask);
     if ((window & 1) == 0) {
       ++pos;
       continue;
@@ -250,40 +225,91 @@ std::size_t recode_wnaf(const ScalarBytes& s, Digits& digits) {
     // window is odd in [1, 31]: keep it below 16, else take window - 32 and
     // carry 1 into the next window.
     carry = window >> (kWindow - 1);
-    const int digit = static_cast<int>(window) - static_cast<int>(carry << kWindow);
-    digits[pos] = static_cast<std::int8_t>(digit);
-    top = pos + 1;
+    emit(pos, static_cast<int>(window) - static_cast<int>(carry << kWindow));
     pos += kWindow;
   }
-  return top;
+  return carry;
 }
+
+OddMultiples odd_multiples(const Point& p) {
+  OddMultiples out;
+  const Cached twice = to_cached(dbl(p));
+  Point odd = p;
+  out[0] = to_cached(odd);
+  for (std::size_t j = 1; j < out.size(); ++j) {
+    odd = finish(add_completed(odd, twice), true);
+    out[j] = to_cached(odd);
+  }
+  return out;
+}
+
+// One nonzero digit of the pass: at chain position `pos`, add digit times
+// the base of `table`.
+struct Add {
+  unsigned pos;
+  int digit;
+  const OddMultiples* table;
+};
 
 }  // namespace
 
-// Straus: every base gets a table of its odd multiples P, 3P, ..., 15P, and
-// all bases share one doubling chain that starts at the highest nonzero digit
-// across all scalars, so the chain follows the longest scalar. Negative
-// digits add the negated table entry. Each step's completed point is
-// finished only once the next step is known, so T is computed only ahead of
-// an addition and for the result.
-Point multi_scalar_mul(std::span<const Point> bases, std::span<const ScalarBytes> scalars) {
-  constexpr std::size_t kTable = std::size_t{1} << (kWindow - 2);  // odd multiples 1..15
-  const std::size_t n = bases.size();
-  std::vector<Digits> digits(n);
-  std::vector<std::array<Cached, kTable>> tables(n);
-  std::size_t top = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t len = recode_wnaf(scalars[k], digits[k]);
-    if (len == 0) continue;  // zero scalar: its table is never read
-    top = std::max(top, len);
-    const Cached twice = to_cached(dbl(bases[k]));
-    Point odd = bases[k];
-    tables[k][0] = to_cached(odd);
-    for (std::size_t j = 1; j < kTable; ++j) {
-      odd = finish(add_completed(odd, twice), true);
-      tables[k][j] = to_cached(odd);
+ShiftTable::ShiftTable(const Point& base) {
+  Point row_base = base;
+  for (unsigned j = 0; j < kRows; ++j) {
+    rows_[j] = odd_multiples(row_base);
+    if (j + 1 == kRows) break;
+    // 2^16 times the row's base; only the last doubling's T is read.
+    for (unsigned b = 0; b < kChunkBits; ++b)
+      row_base = finish(dbl_completed(row_base), b + 1 == kChunkBits);
+  }
+}
+
+// Every term is recoded into (position, digit, table) additions first; the
+// pass then walks one doubling chain from the highest position down. Each
+// step's completed point is finished only once the next step is known, so T
+// is computed only ahead of an addition and for the result.
+Point multi_scalar_mul(std::span<const Term> terms) {
+  static const Words order = words_of(group_order_le());
+  static const Words half_order = [] {  // floor(ell / 2): ell is odd
+    Words h = order;
+    for (std::size_t i = 0; i < h.size(); ++i)
+      h[i] = (h[i] >> 1) | (i + 1 < h.size() ? h[i + 1] << 63 : 0);
+    return h;
+  }();
+
+  std::vector<Add> adds;
+  adds.reserve(64 * terms.size());   // a 16-bit chunk has at most 4 digits
+  std::vector<OddMultiples> tables;  // the point terms' odd multiples
+  tables.reserve(terms.size());
+  for (const Term& term : terms) {
+    Words w = words_of(term.scalar);
+    // ell/2 < e < ell enters as ell - e with its digits negated.
+    const int sign = less(half_order, w) && less(w, order) ? -1 : 1;
+    if (sign < 0) w = minus(order, w);
+    if (term.table != nullptr) {
+      unsigned carry = 0;
+      for (unsigned j = 0; j < ShiftTable::kRows; ++j) {
+        const unsigned shift = j * ShiftTable::kChunkBits;
+        const std::uint64_t chunk = (w[shift / 64] >> (shift % 64)) & 0xffff;
+        const OddMultiples* row = &term.table->row(j);
+        carry = recode(std::span<const std::uint64_t>(&chunk, 1), ShiftTable::kChunkBits, carry,
+                       [&](unsigned pos, int d) { adds.push_back({pos, sign * d, row}); });
+      }
+      // Past the top chunk (inputs of 2^256 - 2^255 and up): 2^16 times row 15.
+      if (carry != 0)
+        adds.push_back({ShiftTable::kChunkBits, sign, &term.table->row(ShiftTable::kRows - 1)});
+    } else {
+      const std::size_t first = adds.size();
+      const unsigned carry = recode(w, 256, 0, [&](unsigned pos, int d) {
+        adds.push_back({pos, sign * d, nullptr});
+      });
+      if (carry != 0) adds.push_back({256, sign, nullptr});
+      if (adds.size() == first) continue;  // zero scalar: its odd multiples are never read
+      tables.push_back(odd_multiples(term.base));
+      for (std::size_t i = first; i < adds.size(); ++i) adds[i].table = &tables.back();
     }
   }
+  std::sort(adds.begin(), adds.end(), [](const Add& a, const Add& b) { return a.pos > b.pos; });
 
   Point acc = identity();
   Completed step{};
@@ -292,23 +318,38 @@ Point multi_scalar_mul(std::span<const Point> bases, std::span<const ScalarBytes
     if (pending) acc = finish(step, with_t);
     pending = false;
   };
+  const std::size_t top = adds.empty() ? 0 : adds.front().pos + 1;
+  std::size_t next = 0;
   for (std::size_t i = top; i-- > 0;) {
     if (i + 1 != top) {
       settle(false);
       step = dbl_completed(acc);
       pending = true;
     }
-    for (std::size_t k = 0; k < n; ++k) {
-      const int d = digits[k][i];
-      if (d == 0) continue;
+    for (; next < adds.size() && adds[next].pos == i; ++next) {
       settle(true);
-      const Cached& entry = tables[k][static_cast<std::size_t>(std::abs(d)) / 2];
-      step = add_completed(acc, d > 0 ? entry : neg_cached(entry));
+      const Add& a = adds[next];
+      const Cached& entry = (*a.table)[static_cast<std::size_t>(std::abs(a.digit)) / 2];
+      step = add_completed(acc, a.digit > 0 ? entry : neg_cached(entry));
       pending = true;
     }
   }
   settle(true);
   return acc;
+}
+
+Point multi_scalar_mul(std::span<const Point> bases, std::span<const ScalarBytes> scalars) {
+  std::vector<Term> terms(bases.size());
+  for (std::size_t i = 0; i < bases.size(); ++i) {
+    terms[i].base = bases[i];
+    terms[i].scalar = scalars[i];
+  }
+  return multi_scalar_mul(terms);
+}
+
+Point scalar_mul(const Point& base, const ScalarBytes& scalar) {
+  const Term term{nullptr, base, scalar};
+  return multi_scalar_mul(std::span<const Term>(&term, 1));
 }
 
 }  // namespace dblind::group::ec

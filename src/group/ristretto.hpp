@@ -11,18 +11,21 @@
 // group::Element carry its encoding for equality, map keys and transcripts
 // beside its decoded Point, with the two always in agreement.
 //
-// Every variable-base multiplication, one base or many, runs one Straus
-// kernel over width-5 signed sliding windows (odd multiples P..15P per base,
-// one shared doubling chain sized by the longest scalar); fixed bases get
-// comb tables mirroring mpz::FixedBasePow. The kernels branch on scalar
-// digits and make no constant-time claim.
+// Every multiplication, one base or many, fixed or not, runs one signed
+// Straus pass over width-5 signed sliding windows (odd multiples P..15P per
+// base). A scalar above ell/2 enters negated (ell - e, with every digit
+// negated), so a Lagrange coefficient of -1 costs one addition. A base with a
+// shift table enters as sixteen 16-bit chunks, one per table row, and so
+// needs 16 doublings instead of 253; any other base gets its odd multiples
+// built per call and enters whole. All terms share one doubling chain, sized
+// by the longest digit string. The pass branches on scalar digits and reads
+// table entries at digit-dependent indices: it makes no constant-time claim.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "mpz/fe25519.hpp"
 
@@ -67,27 +70,43 @@ const ScalarBytes& group_order_le();
 // Rejects non-canonical / invalid encodings with nullopt.
 [[nodiscard]] std::optional<Point> decode(std::span<const std::uint8_t, 32> in);
 
-// scalar * P: the one-base call of multi_scalar_mul.
-[[nodiscard]] Point scalar_mul(const Point& base, const ScalarBytes& scalar);
+// The odd multiples B, 3B, ..., 15B of one base in cached form: the entries
+// a width-5 signed window digit reads.
+using OddMultiples = std::array<Cached, 8>;
 
-// Fixed-base comb: table[i][j] = (j << (w*i)) * base, held in cached form,
-// so a 253-bit scalar costs one 8M addition per nonzero digit (at most
-// ceil(253/w)) and zero doublings (mirrors mpz::FixedBasePow for the mod-p
-// backend).
-class CombTable {
+// A shift table of a base P: row j holds the odd multiples of 2^{16j}·P for
+// j = 0..15, 20 KB in all. A scalar enters the Straus pass as sixteen 16-bit
+// chunks, chunk j over row j, each recoded over its own 17 digit positions
+// (a chunk's carry goes into the next chunk), so the pass over a table needs
+// 16 doublings and about three additions per chunk. Building one costs about
+// 2,900 field muls: 16 rows of odd multiples and 240 doublings.
+class ShiftTable {
  public:
-  CombTable(const Point& base, unsigned window_bits);
-  [[nodiscard]] Point mul(const ScalarBytes& scalar) const;
+  static constexpr unsigned kChunkBits = 16;
+  static constexpr unsigned kRows = 256 / kChunkBits;
+
+  explicit ShiftTable(const Point& base);
+  [[nodiscard]] const OddMultiples& row(unsigned j) const { return rows_[j]; }
 
  private:
-  unsigned window_;
-  std::vector<std::vector<Cached>> table_;  // [digit position][digit value]
+  std::array<OddMultiples, kRows> rows_;
 };
 
-// sum scalars[i] * bases[i] (bases and scalars have equal length). The chain
-// starts at the highest nonzero digit across all scalars, so short scalars
-// get short chains, as in MontgomeryCtx::pow/multi_pow.
+// One term of a multiplication: scalar · base, the base given by its shift
+// table when it has one (then `base` is not read), else as a point.
+struct Term {
+  const ShiftTable* table = nullptr;
+  Point base{};
+  ScalarBytes scalar{};
+};
+
+// Σ scalar·base over `terms`: the one signed Straus pass (see the top of
+// this file). A zero scalar costs nothing, not even its base's odd multiples.
+[[nodiscard]] Point multi_scalar_mul(std::span<const Term> terms);
+// The same over bases given as points (bases and scalars have equal length).
 [[nodiscard]] Point multi_scalar_mul(std::span<const Point> bases,
                                      std::span<const ScalarBytes> scalars);
+// scalar * P: a one-term pass.
+[[nodiscard]] Point scalar_mul(const Point& base, const ScalarBytes& scalar);
 
 }  // namespace dblind::group::ec

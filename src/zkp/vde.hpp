@@ -31,7 +31,7 @@ struct VdeProof {
 // Offline half of VDE proving: everything that depends only on the service
 // keys and the prover's own randomness — G12/G21 and the three Chaum-
 // Pedersen announcements. All of it is fixed-base exponentiation (g, y_A,
-// y_B, y_A·y_B), so with pinned comb tables it is both cheap and entirely
+// y_B, y_A·y_B), so with pinned fixed-base tables it is both cheap and entirely
 // off the critical path. Contains commitment randomness (a1..a3.w): secret
 // until the proof is finished, strictly single-use (see DlogAnnouncement).
 struct VdeOffline {

@@ -350,6 +350,60 @@ TEST(Protocol, RevealIsLookedUpBeforeItIsVerified) {
   EXPECT_EQ(ctx.sent, 3);
 }
 
+// A coordinator looks a commit's instance up before it checks a signature.
+// A commit for an instance it does not coordinate, another commit from a
+// server it already holds one from, and a commit that arrives after the
+// reveal cost it no group op. A forged commit for the live instance is still
+// checked, and rejected: the real commit of the server it names counts.
+TEST(Protocol, CommitIsLookedUpBeforeItIsVerified) {
+  auto ts = testing::TestSystem::make(24);
+  mpz::Prng prng(8);
+  ProtocolServer server(ts.cfg, ts.b_secrets[0], ProtocolOptions{});  // B rank 1 coordinates
+  testing::NullContext ctx(9);
+  server.on_start(ctx);
+  const group::GroupParams& gp = server.config().params;
+  const TransferRequestMsg request{1, ts.cfg.a.encryption_key.encrypt(gp.g(), prng)};
+  server.on_message(ctx, 0, testing::framed(encode_body(MsgType::kTransferRequest, request)));
+  const InstanceId id{1, 1, 0};
+  auto commit_by = [&](ServerRank signer, ServerRank named, const InstanceId& of) {
+    SignedMessage env = make_envelope(ts.b_secrets[signer - 1],
+                                      encode_body(MsgType::kCommit, CommitMsg{of, named, {}}), 0,
+                                      prng);
+    env.signer = named;
+    return testing::framed(env);
+  };
+  auto commit = [&](ServerRank signer, const InstanceId& of) { return commit_by(signer, signer, of); };
+  auto ops_of = [&](ServerRank from, const std::vector<std::uint8_t>& frame) {
+    const std::uint64_t before = gp.group_op_count();
+    server.on_message(ctx, ts.cfg.b.node_of(from), frame);
+    return gp.group_op_count() - before;
+  };
+  auto reveals_sent = [&] {
+    return std::count_if(ctx.frames.begin(), ctx.frames.end(), [](const auto& sent) {
+      const std::vector<std::uint8_t> body = testing::body_of(sent.second);
+      return !body.empty() && peek_type(body) == MsgType::kReveal;
+    });
+  };
+
+  // An instance this server does not coordinate.
+  EXPECT_EQ(ops_of(2, commit(2, InstanceId{2, 1, 0})), 0u);
+  // The control: a valid commit is checked and held.
+  const std::vector<std::uint8_t> first = commit(2, id);
+  EXPECT_GT(ops_of(2, first), 0u);
+  // Its duplicate, and another commit from the same server: dropped unchecked.
+  EXPECT_EQ(ops_of(2, first), 0u);
+  EXPECT_EQ(ops_of(2, commit(2, id)), 0u);
+  // Rank 4's signature on a commit that names rank 3: checked and rejected,
+  // so rank 3's own commit is checked and counts.
+  EXPECT_GT(ops_of(4, commit_by(4, 3, id)), 0u);
+  EXPECT_GT(ops_of(3, commit(3, id)), 0u);
+  EXPECT_EQ(reveals_sent(), 0);
+  EXPECT_GT(ops_of(4, commit(4, id)), 0u);  // the 2f+1st: the reveal goes out
+  EXPECT_GT(reveals_sent(), 0);
+  // A late commit: dropped unchecked.
+  EXPECT_EQ(ops_of(1, commit(1, id)), 0u);
+}
+
 // A backup coordinator's timer carries a key, never the transfer id: a
 // client names the id, and one at or above 2^56 would spill into the
 // timer's kind byte (4 << 56 turned kCoordinator into kResend).
@@ -405,6 +459,22 @@ TEST(Protocol, ContributionBundlesReleasedAfterUse) {
   for (ServerRank r = 1; r <= 4; ++r) {
     EXPECT_GT(sys.b_server(r).contributor_instances(), 0u) << "B rank " << r;
     EXPECT_EQ(sys.b_server(r).spent_bundles_held(), 0u) << "B rank " << r;
+  }
+}
+
+// A contributor whose commit missed the reveal never answers, so its bundle
+// is not spent by an answer: done releases it. After three transfers every
+// B server holds no bundle at all.
+TEST(Protocol, UnansweredContributionBundlesReleasedAtDone) {
+  System sys(base_options(30));
+  std::vector<TransferId> transfers;
+  for (int i = 0; i < 3; ++i)
+    transfers.push_back(sys.add_transfer(sys.config().params.encode_message(Bigint(3030 + i))));
+  for (TransferId t : transfers) expect_success(sys, t);
+  sys.sim().run();
+  for (ServerRank r = 1; r <= 4; ++r) {
+    EXPECT_GT(sys.b_server(r).contributor_instances(), 0u) << "B rank " << r;
+    EXPECT_EQ(sys.b_server(r).bundles_held(), 0u) << "B rank " << r;
   }
 }
 

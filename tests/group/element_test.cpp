@@ -135,27 +135,79 @@ TEST_F(ElementCost, MultiPowEqualsEncodesNothing) {
   EXPECT_FALSE(gp.multi_pow_equals(bases, exps, gp.mul(expect, gp.g())));
 }
 
-// pow_fixed never encodes its base: a base that nothing has read yet is
-// matched to g and to the pinned bases by point (at most 4 field muls each)
-// and still takes their comb tables.
+// The first operation that names a pinned base builds its shift table,
+// inside that operation; later ones walk 16 doublings over it. pow_fixed
+// never encodes its base: a base that nothing has read yet is matched to g
+// and to the pinned bases by point (at most 4 field muls each) and still
+// takes their tables.
 TEST_F(ElementCost, PowFixedMatchesAnUnreadBaseByPoint) {
   gp.pin_base(x);
   const Bigint e = gp.random_exponent(prng);
-  const std::uint64_t comb = field_muls_of([&] { (void)gp.pow_fixed(x, e); });
-  const std::uint64_t generic = field_muls_of([&] { (void)gp.pow(x, e); });
-  ASSERT_LT(2 * comb, generic);
   const ec::Point px = point_of(x);
+  const std::uint64_t build = field_muls_of([&] { (void)ec::ShiftTable(px); });
+  const std::uint64_t generic =
+      field_muls_of([&] { (void)ec::scalar_mul(px, scalar_of(gp, e)); });
+  const std::uint64_t first = field_muls_of([&] { (void)gp.pow_fixed(x, e); });
+  const std::uint64_t fixed = field_muls_of([&] { (void)gp.pow_fixed(x, e); });
+  EXPECT_EQ(first, build + fixed);
+  ASSERT_LT(3 * fixed, generic);
   const std::uint64_t encode_cost = field_muls_of([&] { (void)ec::encode(px); });
   for (const Element& base : {x, gp.g()}) {
     const Element twin = gp.mul(base, gp.identity());  // equal, unread
     Element r;
     const std::uint64_t cost = field_muls_of([&] { r = gp.pow_fixed(twin, e); });
-    EXPECT_LT(2 * cost, generic);
+    EXPECT_LT(3 * cost, generic);
     EXPECT_EQ(r, gp.pow(base, e));
     EXPECT_EQ(field_muls_of([&] { (void)twin.encoding(); }), encode_cost);
   }
   const Element twin = gp.mul(x, gp.identity());
-  EXPECT_LE(field_muls_of([&] { (void)gp.pow_fixed(twin, e); }), comb + 8);
+  EXPECT_LE(field_muls_of([&] { (void)gp.pow_fixed(twin, e); }), fixed + 8);
+}
+
+// g's table exists once anything has named g: pow_g then costs 16 chunks'
+// additions (about three each, 8 field muls apiece) and at most 15
+// doublings (7 each).
+TEST_F(ElementCost, PowGWalksSixteenDoublings) {
+  (void)gp.pow_g(Bigint(1));
+  std::uint64_t total = 0;
+  constexpr int kExps = 32;
+  for (int i = 0; i < kExps; ++i) {
+    const Bigint e = gp.random_exponent(prng);
+    const std::uint64_t cost = field_muls_of([&] { (void)gp.pow_g(e); });
+    EXPECT_LE(cost, 64 * 8U + 15 * 7U);
+    total += cost;
+  }
+  EXPECT_LE(total / kExps, 520U);
+  // A Lagrange coefficient of -1 enters as (-g, 1): one addition.
+  EXPECT_EQ(field_muls_of([&] { (void)gp.pow_g(gp.q() - Bigint(1)); }), 8U);
+}
+
+// Eight threads name one pinned base for the first time at once, each
+// through its own copy of the group: one of them builds the base's table,
+// and the backend is charged for one build and eight passes.
+TEST_F(ElementCost, ConcurrentFirstUseBuildsOneTable) {
+  gp.pin_base(x);
+  const Bigint e = gp.random_exponent(prng);
+  const ec::Point px = point_of(x);
+  const ec::EncodedPoint expected = ec::encode(ec::scalar_mul(px, scalar_of(gp, e)));
+  const std::uint64_t build = field_muls_of([&] { (void)ec::ShiftTable(px); });
+  const std::uint64_t ops0 = gp.group_op_count();
+  constexpr int kThreads = 8;
+  std::array<Element, kThreads> results;
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      const GroupParams mine = gp;
+      start.arrive_and_wait();
+      results[i] = mine.pow(x, e);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const std::uint64_t ops = gp.group_op_count() - ops0;
+  const std::uint64_t pass = field_muls_of([&] { (void)gp.pow(x, e); });
+  EXPECT_EQ(ops, build + kThreads * pass);
+  for (const Element& r : results) EXPECT_EQ(encoded(r), expected);
 }
 
 // Eight threads make the first reads of one result's encoding, some through

@@ -1,7 +1,8 @@
 // ristretto255 unit tests: RFC 9496 known-answer vectors, group laws, the
 // canonical-encoding contract (decode rejects everything that is not an
-// encoding), the Straus and comb kernels against an independent double-and-add
-// reference, their deterministic field-mul costs, and a property
+// encoding), the one signed Straus kernel (points and shift tables) against an
+// independent double-and-add reference, its deterministic field-mul costs, and
+// a property
 // fuzz of the underlying GF(2^255-19) arithmetic against the Bigint oracle.
 #include <gtest/gtest.h>
 
@@ -229,18 +230,89 @@ TEST(RistrettoScalarMul, MatchesDoubleAndAddReference) {
   }
 }
 
-TEST(RistrettoComb, MatchesScalarMulForBothWindowWidths) {
+// floor(ell / 2) + delta, for |delta| small: the sign rule's edge.
+ScalarBytes half_order_plus(int delta) {
+  ScalarBytes h{};
+  const ScalarBytes& ell = group_order_le();
+  for (std::size_t i = 0; i < 32; ++i)
+    h[i] = static_cast<std::uint8_t>((ell[i] >> 1) | (i + 1 < 32 ? ell[i + 1] << 7 : 0));
+  std::uint64_t low = 0;
+  for (int i = 0; i < 8; ++i) low |= std::uint64_t{h[i]} << (8 * i);
+  low += static_cast<std::uint64_t>(static_cast<std::int64_t>(delta));  // no carry out here
+  for (int i = 0; i < 8; ++i) h[i] = static_cast<std::uint8_t>(low >> (8 * i));
+  return h;
+}
+
+// The edges of a 16-bit chunk recoding on top of edge_scalars: bits 15 and
+// 16 (the last bit of chunk 0, the first of chunk 1), all-ones chunks whose
+// top window carries into the next chunk (one, two in a row, one in the
+// middle), the top chunk of a 256-bit input, and both sides of ell/2.
+std::vector<ScalarBytes> chunk_edge_scalars(mpz::Prng& prng) {
+  std::vector<ScalarBytes> out = edge_scalars(prng);
+  for (std::uint64_t k : {std::uint64_t{1} << 15, std::uint64_t{1} << 16, std::uint64_t{3} << 15,
+                          std::uint64_t{0xffff}, std::uint64_t{0x1ffff},
+                          std::uint64_t{0xffffffff}, std::uint64_t{0xffff} << 32,
+                          std::uint64_t{0x7fff8001}})
+    out.push_back(scalar_from_u64(k));
+  ScalarBytes top_chunk{};  // 0xffff << 240: the top chunk's carry leaves the table
+  top_chunk[30] = top_chunk[31] = 0xff;
+  out.push_back(top_chunk);
+  ScalarBytes top_bit{};  // 2^255
+  top_bit[31] = 0x80;
+  out.push_back(top_bit);
+  for (int delta : {-1, 0, 1, 2}) out.push_back(half_order_plus(delta));
+  return out;
+}
+
+// A base with a shift table enters as sixteen 16-bit chunks, one per row:
+// the same sum as the reference, over every chunk edge.
+TEST(RistrettoShiftTable, MatchesReferenceOverChunkEdges) {
   mpz::Prng prng(11);
-  CombTable w4(base_point(), 4);
-  CombTable w5(base_point(), 5);
-  for (const ScalarBytes& s : edge_scalars(prng)) {
-    Point ref = reference_mul(base_point(), s);
-    EXPECT_TRUE(eq(scalar_mul(base_point(), s), ref)) << to_hex(s);
-    EXPECT_TRUE(eq(w4.mul(s), ref)) << "w=4 " << to_hex(s);
-    EXPECT_TRUE(eq(w5.mul(s), ref)) << "w=5 " << to_hex(s);
+  const Point other = scalar_mul(base_point(), random_scalar(prng));
+  for (const Point& base : {base_point(), other}) {
+    const ShiftTable table(base);
+    for (const ScalarBytes& s : chunk_edge_scalars(prng)) {
+      const Point ref = reference_mul(base, s);
+      const Term term{&table, {}, s};
+      EXPECT_TRUE(eq(multi_scalar_mul(std::span<const Term>(&term, 1)), ref)) << to_hex(s);
+      EXPECT_TRUE(eq(scalar_mul(base, s), ref)) << to_hex(s);
+    }
   }
-  EXPECT_TRUE(is_identity(w4.mul(ScalarBytes{})));
-  EXPECT_TRUE(is_identity(w4.mul(group_order_le())));
+  const ShiftTable table(base_point());
+  const Term zero{&table, {}, ScalarBytes{}};
+  EXPECT_TRUE(is_identity(multi_scalar_mul(std::span<const Term>(&zero, 1))));
+  const Term ell{&table, {}, group_order_le()};
+  EXPECT_TRUE(is_identity(multi_scalar_mul(std::span<const Term>(&ell, 1))));
+}
+
+// One pass over table bases only, point bases only, and both, with the
+// chunk-edge scalars cycled through every slot: the sum of the references.
+TEST(RistrettoMultiExp, PinnedUnpinnedAndMixedBasesMatchReference) {
+  mpz::Prng prng(29);
+  const std::vector<ScalarBytes> edges = chunk_edge_scalars(prng);
+  std::vector<Point> points;
+  std::vector<ShiftTable> tables;
+  for (int i = 0; i < 6; ++i) {
+    points.push_back(scalar_mul(base_point(), random_scalar(prng)));
+    tables.emplace_back(points.back());
+  }
+  enum class Mix { kTablesOnly, kPointsOnly, kMixed };
+  for (Mix mix : {Mix::kTablesOnly, Mix::kPointsOnly, Mix::kMixed}) {
+    for (std::size_t n : {1, 2, 3, 6}) {
+      for (std::size_t round = 0; round < edges.size(); round += n) {
+        std::vector<Term> terms;
+        Point ref = identity();
+        for (std::size_t i = 0; i < n; ++i) {
+          const bool table = mix == Mix::kTablesOnly || (mix == Mix::kMixed && i % 2 == 0);
+          const ScalarBytes& s = edges[(round + i) % edges.size()];
+          terms.push_back({table ? &tables[i] : nullptr, points[i], s});
+          ref = add(ref, reference_mul(points[i], s));
+        }
+        EXPECT_TRUE(eq(multi_scalar_mul(terms), ref))
+            << "mix=" << static_cast<int>(mix) << " n=" << n << " round=" << round;
+      }
+    }
+  }
 }
 
 TEST(RistrettoMultiExp, MatchesDoubleAndAddReference) {
@@ -297,32 +369,47 @@ TEST(RistrettoKernelCost, SharedChainAndShortScalarsStayCheap) {
   EXPECT_EQ(field_muls_of([&] { (void)add(base, base); }), 9U);
 }
 
-// A comb table holds its entries in cached form (Y+X, Y-X, 2Z, 2dT), so a
-// fixed-base multiplication costs 8 field muls per nonzero digit: no
-// conversion per addition, no doubling.
-TEST(RistrettoKernelCost, CombCostsEightPerNonzeroDigit) {
+// The pass costs 8 field muls per addition and 7 per doubling (4S, then X,
+// Y, Z of the next point: T is only finished ahead of an addition), so a
+// base over its shift table walks at most 16 doublings whatever its scalar,
+// and a point base adds its odd multiples (73) and a chain as long as its
+// scalar. A scalar above ell/2 enters negated, so ell - 1 is one addition.
+TEST(RistrettoKernelCost, ShiftTableCostsEightPerAdditionAndSevenPerDoubling) {
   mpz::Prng prng(23);
-  const auto nonzero_digits = [](const ScalarBytes& s, unsigned w) {
-    std::uint64_t count = 0;
-    for (unsigned pos = 0; pos < 256; pos += w) {
-      unsigned digit = 0;
-      for (unsigned b = pos; b < pos + w && b < 256; ++b)
-        digit |= ((s[b / 8] >> (b % 8)) & 1U) << (b - pos);
-      count += digit != 0 ? 1 : 0;
-    }
-    return count;
+  const Point base = scalar_mul(base_point(), random_scalar(prng));
+  const ShiftTable table(base);
+  const auto table_cost = [&](const ScalarBytes& s) {
+    const Term term{&table, {}, s};
+    return field_muls_of([&] { (void)multi_scalar_mul(std::span<const Term>(&term, 1)); });
   };
-  for (unsigned w : {4U, 5U}) {
-    const CombTable table(scalar_mul(base_point(), random_scalar(prng)), w);
-    for (int iter = 0; iter < 8; ++iter) {
-      const ScalarBytes s = random_scalar(prng);
-      EXPECT_EQ(field_muls_of([&] { (void)table.mul(s); }), 8 * nonzero_digits(s, w))
-          << "w=" << w;
-    }
-    EXPECT_EQ(field_muls_of([&] { (void)table.mul(ScalarBytes{}); }), 0U);
-    // Bits 0 and 20 set: two nonzero digits at either width.
-    EXPECT_EQ(field_muls_of([&] { (void)table.mul(scalar_from_u64(0x100001)); }), 16U);
-  }
+  EXPECT_EQ(table_cost(ScalarBytes{}), 0U);
+  EXPECT_EQ(table_cost(scalar_from_u64(1)), 8U);
+  // Bit 16: row 1's first digit, no doubling at all.
+  EXPECT_EQ(table_cost(scalar_from_u64(std::uint64_t{1} << 16)), 8U);
+  // Bits 0 and 20: row 0 at position 0, row 1 at position 4.
+  EXPECT_EQ(table_cost(scalar_from_u64(0x100001)), 2 * 8U + 4 * 7U);
+  // 0xffff: -1 at position 0 and a carry into row 1.
+  EXPECT_EQ(table_cost(scalar_from_u64(0xffff)), 2 * 8U);
+  ScalarBytes ell_minus_1 = group_order_le();
+  ell_minus_1[0] -= 1;
+  EXPECT_EQ(table_cost(ell_minus_1), 8U);
+  ScalarBytes top{};
+  top[31] = 0x80;  // 2^255: row 15 at position 15
+  EXPECT_EQ(table_cost(top), 8U + 15 * 7U);
+  // Random scalars: at most 4 digits per chunk and 15 doublings.
+  for (int iter = 0; iter < 8; ++iter)
+    EXPECT_LE(table_cost(random_scalar(prng)), 64 * 8U + 15 * 7U);
+
+  const auto point_cost = [&](const ScalarBytes& s) {
+    return field_muls_of([&] { (void)scalar_mul(base, s); });
+  };
+  EXPECT_EQ(point_cost(ScalarBytes{}), 0U);
+  EXPECT_EQ(point_cost(scalar_from_u64(1)), 73U + 8U);
+  EXPECT_EQ(point_cost(scalar_from_u64(std::uint64_t{1} << 16)), 73U + 8U + 16 * 7U);
+  EXPECT_EQ(point_cost(ell_minus_1), 73U + 8U);  // enters as (-P, 1)
+  // Building the table: 16 rows of odd multiples (73 each), 240 doublings
+  // (7 each, 8 for the last of each row's 16).
+  EXPECT_EQ(field_muls_of([&] { (void)ShiftTable(base); }), 16 * 73U + 15 * (15 * 7U + 8U));
 }
 
 // ---- GF(2^255-19) property fuzz against the Bigint oracle ------------------
