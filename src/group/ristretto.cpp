@@ -295,7 +295,8 @@ Point multi_scalar_mul(std::span<const Term> terms) {
         carry = recode(std::span<const std::uint64_t>(&chunk, 1), ShiftTable::kChunkBits, carry,
                        [&](unsigned pos, int d) { adds.push_back({pos, sign * d, row}); });
       }
-      // Past the top chunk (inputs of 2^256 - 2^255 and up): 2^16 times row 15.
+      // A carry out of the top chunk (inputs of 2^255 - 2^240 and up) is
+      // 2^16 times row 15's base.
       if (carry != 0)
         adds.push_back({ShiftTable::kChunkBits, sign, &term.table->row(ShiftTable::kRows - 1)});
     } else {

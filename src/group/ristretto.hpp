@@ -16,7 +16,7 @@
 // base). A scalar above ell/2 enters negated (ell - e, with every digit
 // negated), so a Lagrange coefficient of -1 costs one addition. A base with a
 // shift table enters as sixteen 16-bit chunks, one per table row, and so
-// needs 16 doublings instead of 253; any other base gets its odd multiples
+// needs at most 16 doublings instead of 253; any other base gets its odd multiples
 // built per call and enters whole. All terms share one doubling chain, sized
 // by the longest digit string. The pass branches on scalar digits and reads
 // table entries at digit-dependent indices: it makes no constant-time claim.
@@ -76,10 +76,12 @@ using OddMultiples = std::array<Cached, 8>;
 
 // A shift table of a base P: row j holds the odd multiples of 2^{16j}·P for
 // j = 0..15, 20 KB in all. A scalar enters the Straus pass as sixteen 16-bit
-// chunks, chunk j over row j, each recoded over its own 17 digit positions
-// (a chunk's carry goes into the next chunk), so the pass over a table needs
-// 16 doublings and about three additions per chunk. Building one costs about
-// 2,900 field muls: 16 rows of odd multiples and 240 doublings.
+// chunks, chunk j over row j, each recoded on its own: its carry out of bit
+// 16 goes into the next chunk, and the top chunk's into position 16 of row
+// 15 (only for inputs of 2^255 - 2^240 and up; a reduced scalar is below
+// 2^253). So the pass over a table needs at most 16
+// doublings and about three additions per chunk. Building one costs 2,863
+// field muls: 16 rows of odd multiples and 240 doublings.
 class ShiftTable {
  public:
   static constexpr unsigned kChunkBits = 16;
