@@ -151,15 +151,17 @@ const ec::ShiftTable* Ec::table_of(const Element& b, bool by_point) const {
   return hit->table.get();
 }
 
-std::vector<ec::Term> Ec::terms_of(std::span<const Element> bases,
-                                   std::span<const Bigint> exps) const {
-  std::vector<ec::Term> terms(bases.size());
-  for (std::size_t i = 0; i < bases.size(); ++i) {
-    terms[i].table = table_of(bases[i], false);
-    if (terms[i].table == nullptr) terms[i].base = point(bases[i]);
-    terms[i].scalar = to_scalar(exps[i]);
-  }
-  return terms;
+ec::Term Ec::term(const Element& b, const Bigint& e, bool by_point) const {
+  ec::Term t{table_of(b, by_point), {}, to_scalar(e)};
+  if (t.table == nullptr) t.base = point(b);
+  return t;
+}
+
+ec::Point Ec::pass(std::span<const Element> bases, std::span<const Bigint> exps) const {
+  std::vector<ec::Term> terms;
+  terms.reserve(bases.size());
+  for (std::size_t i = 0; i < bases.size(); ++i) terms.push_back(term(bases[i], exps[i], false));
+  return ec::multi_scalar_mul(terms);
 }
 
 Element Ec::pow_g(const Bigint& e) const {
@@ -170,8 +172,8 @@ Element Ec::pow_g(const Bigint& e) const {
 
 Element Ec::pow(const Element& b, const Bigint& e) const {
   OpScope scope(*this);
-  return element(ec::multi_scalar_mul(terms_of(std::span<const Element>(&b, 1),
-                                                std::span<const Bigint>(&e, 1))));
+  const ec::Term t = term(b, e, false);
+  return element(ec::multi_scalar_mul(std::span<const ec::Term>(&t, 1)));
 }
 
 void Ec::pin_base(const Element& b) const {
@@ -188,9 +190,8 @@ void Ec::pin_base(const Element& b) const {
 
 Element Ec::pow_fixed(const Element& b, const Bigint& e) const {
   OpScope scope(*this);
-  ec::Term term{table_of(b, true), {}, to_scalar(e)};
-  if (term.table == nullptr) term.base = point(b);  // not pinned: no insertion
-  return element(ec::multi_scalar_mul(std::span<const ec::Term>(&term, 1)));
+  const ec::Term t = term(b, e, true);  // not pinned: a point term, no insertion
+  return element(ec::multi_scalar_mul(std::span<const ec::Term>(&t, 1)));
 }
 
 Element Ec::mul(const Element& a, const Element& b) const {
@@ -200,14 +201,13 @@ Element Ec::mul(const Element& a, const Element& b) const {
 
 Element Ec::pow2(const Element& a, const Bigint& ea, const Element& b, const Bigint& eb) const {
   OpScope scope(*this);
-  const std::array<Element, 2> bases = {a, b};
-  const std::array<Bigint, 2> exps = {ea, eb};
-  return element(ec::multi_scalar_mul(terms_of(bases, exps)));
+  const std::array<ec::Term, 2> terms = {term(a, ea, false), term(b, eb, false)};
+  return element(ec::multi_scalar_mul(terms));
 }
 
 Element Ec::multi_pow(std::span<const Element> bases, std::span<const Bigint> exps) const {
   OpScope scope(*this);
-  return element(ec::multi_scalar_mul(terms_of(bases, exps)));
+  return element(pass(bases, exps));
 }
 
 bool Ec::multi_pow_equals(std::span<const Element> bases, std::span<const Bigint> exps,
@@ -220,7 +220,7 @@ bool Ec::multi_pow_equals(std::span<const Element> bases, std::span<const Bigint
     want = try_unbox(expect);
     if (!want) return false;
   }
-  return ec::eq(ec::multi_scalar_mul(terms_of(bases, exps)), *want);
+  return ec::eq(pass(bases, exps), *want);
 }
 
 Element Ec::inv(const Element& a) const {

@@ -160,10 +160,12 @@ class Ec final : public Group {
   // base by point (ec::eq, at most 4M per candidate) when `by_point`, and
   // taken as unpinned otherwise.
   [[nodiscard]] const ec::ShiftTable* table_of(const Element& b, bool by_point) const;
-  // The terms of Σ exps[i]·bases[i]: a pinned base (or g) by its table, any
-  // other by its point.
-  [[nodiscard]] std::vector<ec::Term> terms_of(std::span<const Element> bases,
-                                               std::span<const Bigint> exps) const;
+  // The term e·b: b's table when b is g or pinned (see table_of), else its
+  // point.
+  [[nodiscard]] ec::Term term(const Element& b, const Bigint& e, bool by_point) const;
+  // Σ exps[i]·bases[i] as a point: one pass over their terms.
+  [[nodiscard]] ec::Point pass(std::span<const Element> bases,
+                               std::span<const Bigint> exps) const;
 
   Bigint p_, q_, max_message_;
   ec::Native::Cell op_count_ = std::make_shared<std::atomic<std::uint64_t>>(0);
