@@ -136,8 +136,9 @@ std::size_t Blinding::spent_bundles_held() const {
 }
 
 std::size_t Blinding::bundles_held() const {
-  return static_cast<std::size_t>(std::count_if(
-      contributors_.begin(), contributors_.end(), [](const auto& kv) { return kv.second.bundle.has_value(); }));
+  return static_cast<std::size_t>(
+      std::count_if(contributors_.begin(), contributors_.end(),
+                    [](const auto& kv) { return kv.second.bundle.has_value(); }));
 }
 
 void Blinding::release_bundles(TransferId transfer) {

@@ -30,7 +30,8 @@ void ProtocolServer::pin_bases() {
 void ProtocolServer::pin_keys() {
   for (const ServicePublic* svc : {&cfg_.a, &cfg_.b}) {
     cfg_.params.pin_key(svc->signing_key.point());
-    for (const zkp::SchnorrVerifyKey& key : svc->server_sign_keys) cfg_.params.pin_key(key.point());
+    for (const zkp::SchnorrVerifyKey& key : svc->server_sign_keys)
+      cfg_.params.pin_key(key.point());
   }
 }
 

@@ -117,8 +117,9 @@ std::optional<Element> Ec::decode(const Element& x) const {
 }
 
 const ec::ShiftTable& Ec::g_table() const {
-  std::call_once(cache_.g_once,
-                 [&] { cache_.g_table = std::make_unique<const ec::ShiftTable>(ec::base_point()); });
+  std::call_once(cache_.g_once, [&] {
+    cache_.g_table = std::make_unique<const ec::ShiftTable>(ec::base_point());
+  });
   return *cache_.g_table;
 }
 

@@ -372,7 +372,9 @@ TEST(Protocol, CommitIsLookedUpBeforeItIsVerified) {
     env.signer = named;
     return testing::framed(env);
   };
-  auto commit = [&](ServerRank signer, const InstanceId& of) { return commit_by(signer, signer, of); };
+  auto commit = [&](ServerRank signer, const InstanceId& of) {
+    return commit_by(signer, signer, of);
+  };
   auto ops_of = [&](ServerRank from, const std::vector<std::uint8_t>& frame) {
     const std::uint64_t before = gp.group_op_count();
     server.on_message(ctx, ts.cfg.b.node_of(from), frame);
