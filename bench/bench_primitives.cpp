@@ -3,9 +3,10 @@
 // Covers the cryptographic operations the re-encryption protocol is built
 // from, across the embedded parameter sizes, and the ec255 fixed-base paths
 // (BM_Ec255*: pow_g, a pinned pow_fixed, Schnorr checks under a pinned and an
-// unpinned key, a batch of ten). Before timing anything it checks that a
-// pinned key and an unpinned one give the same verdict on a valid and on a
-// forged signature, and exits 1 if not. Run: build/bench/bench_primitives
+// unpinned key, a batch of ten). Before timing anything it checks, on ec255
+// and on the 1024-bit mod-p group, that a pinned key and an unpinned one give
+// the same verdict on a valid and on a forged signature and on a batch, and
+// exits 1 if not. Run: build/bench/bench_primitives
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -52,7 +53,7 @@ void BM_ModExp(benchmark::State& state) {
 BENCHMARK(BM_ModExp)->Arg(128)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);
 
 void BM_ModExpFixedBase(benchmark::State& state) {
-  // pow_g through the precomputed comb table (vs BM_ModExp's generic path).
+  // pow_g through g's shift table (vs BM_ModExp's generic path).
   GroupParams gp = GroupParams::named(param_of(state.range(0)));
   Prng prng(1);
   Bigint exp = gp.random_exponent(prng);
@@ -63,7 +64,7 @@ void BM_ModExpFixedBase(benchmark::State& state) {
 }
 BENCHMARK(BM_ModExpFixedBase)->Arg(128)->Arg(256)->Arg(512)->Arg(1024)->Arg(2048);
 
-void BM_ModExp2Shamir(benchmark::State& state) {
+void BM_ModExp2(benchmark::State& state) {
   // a^ea * b^eb in one pass (the shape of every verification equation).
   GroupParams gp = GroupParams::named(param_of(state.range(0)));
   Prng prng(1);
@@ -75,11 +76,11 @@ void BM_ModExp2Shamir(benchmark::State& state) {
     benchmark::DoNotOptimize(gp.pow2(a, ea, b, eb));
   }
 }
-BENCHMARK(BM_ModExp2Shamir)->Arg(256)->Arg(512)->Arg(1024);
+BENCHMARK(BM_ModExp2)->Arg(256)->Arg(512)->Arg(1024);
 
 void BM_MultiPow(benchmark::State& state) {
-  // Π b_i^e_i in one interleaved pass (Shamir <= 4 bases, Pippenger beyond) —
-  // the engine under every batch verifier.
+  // Π b_i^e_i in one pass with one shared squaring chain — the engine under
+  // every batch verifier.
   GroupParams gp = GroupParams::named(ParamId::kSec512);
   Prng prng(1);
   const auto k = static_cast<std::size_t>(state.range(0));
@@ -368,26 +369,28 @@ void BM_ShamirShareReconstruct(benchmark::State& state) {
 }
 BENCHMARK(BM_ShamirShareReconstruct)->Arg(1)->Arg(3)->Arg(10);
 
-// --- ec255: shift tables and the one Straus pass ------------------------------
+// --- shift tables and pinned keys ---------------------------------------------
 
-// One ec255 group with `keys` Schnorr keys pinned (the server keys a
+// One group with `kKeys` Schnorr keys pinned (the server keys a
 // ProtocolServer pins) and a second group with none: a pinned check runs
-// over the keys' shift tables, an unpinned one walks a 253-step chain.
-struct Ec255Fixture {
+// over the keys' shift tables, an unpinned one walks a chain of one step per
+// bit of q.
+struct KeyFixture {
   static constexpr int kKeys = 10;
-  GroupParams pinned = GroupParams::named(ParamId::kEc255);
-  GroupParams unpinned = GroupParams::named(ParamId::kEc255);
+  GroupParams pinned;
+  GroupParams unpinned;
   std::vector<zkp::SchnorrVerifyKey> pinned_keys;
   std::vector<zkp::SchnorrVerifyKey> unpinned_keys;
   std::vector<std::vector<std::uint8_t>> msgs;
   std::vector<zkp::SchnorrSignature> sigs;
   Bigint exp;
 
-  Ec255Fixture() {
+  explicit KeyFixture(ParamId id)
+      : pinned(GroupParams::named(id)), unpinned(GroupParams::named(id)) {
     Prng prng(24);
     for (int i = 0; i < kKeys; ++i) {
       const zkp::SchnorrSigningKey sk = zkp::SchnorrSigningKey::generate(pinned, prng);
-      pinned.pin_key(sk.verify_key().point());
+      pinned.pin_base(sk.verify_key().point());
       pinned_keys.push_back(sk.verify_key());
       unpinned_keys.emplace_back(unpinned, sk.verify_key().point());
       msgs.emplace_back(64, static_cast<std::uint8_t>(i));
@@ -427,44 +430,44 @@ struct Ec255Fixture {
   }
 };
 
-const Ec255Fixture& ec255() {
-  static const Ec255Fixture fx;
+const KeyFixture& ec255() {
+  static const KeyFixture fx(ParamId::kEc255);
   return fx;
 }
 
 void BM_Ec255PowG(benchmark::State& state) {
-  const Ec255Fixture& fx = ec255();
+  const KeyFixture& fx = ec255();
   for (auto _ : state) benchmark::DoNotOptimize(fx.pinned.pow_g(fx.exp));
 }
 BENCHMARK(BM_Ec255PowG);
 
 void BM_Ec255PowFixed(benchmark::State& state) {
-  const Ec255Fixture& fx = ec255();
+  const KeyFixture& fx = ec255();
   const group::Element& base = fx.pinned_keys[0].point();
   for (auto _ : state) benchmark::DoNotOptimize(fx.pinned.pow_fixed(base, fx.exp));
 }
 BENCHMARK(BM_Ec255PowFixed);
 
 void BM_Ec255SchnorrVerify(benchmark::State& state, bool with_pins) {
-  const Ec255Fixture& fx = ec255();
+  const KeyFixture& fx = ec255();
   for (auto _ : state) benchmark::DoNotOptimize(fx.verify(with_pins, 0, fx.sigs[0]));
 }
 BENCHMARK_CAPTURE(BM_Ec255SchnorrVerify, pinned, true);
 BENCHMARK_CAPTURE(BM_Ec255SchnorrVerify, unpinned, false);
 
 void BM_Ec255SchnorrBatch(benchmark::State& state) {
-  const Ec255Fixture& fx = ec255();
+  const KeyFixture& fx = ec255();
   const std::vector<zkp::BatchEntry> batch = fx.batch(true);
   for (auto _ : state) benchmark::DoNotOptimize(zkp::schnorr_batch_verify(fx.pinned, batch));
 }
-BENCHMARK(BM_Ec255SchnorrBatch)->Arg(Ec255Fixture::kKeys);
+BENCHMARK(BM_Ec255SchnorrBatch)->Arg(KeyFixture::kKeys);
 
 }  // namespace
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
-  if (!ec255().verdicts_agree()) {
-    std::fprintf(stderr, "BM_Ec255*: a pinned key and an unpinned one disagree on a verdict\n");
+  if (!ec255().verdicts_agree() || !KeyFixture(ParamId::kSec1024).verdicts_agree()) {
+    std::fprintf(stderr, "a pinned key and an unpinned one disagree on a verdict\n");
     return 1;
   }
   benchmark::RunSpecifiedBenchmarks();

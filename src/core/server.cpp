@@ -29,9 +29,9 @@ void ProtocolServer::pin_bases() {
 
 void ProtocolServer::pin_keys() {
   for (const ServicePublic* svc : {&cfg_.a, &cfg_.b}) {
-    cfg_.params.pin_key(svc->signing_key.point());
+    cfg_.params.pin_base(svc->signing_key.point());
     for (const zkp::SchnorrVerifyKey& key : svc->server_sign_keys)
-      cfg_.params.pin_key(key.point());
+      cfg_.params.pin_base(key.point());
   }
 }
 

@@ -33,7 +33,7 @@ Ciphertext PublicKey::encrypt_with_nonce(const Element& m, const Bigint& r) cons
 }
 
 bool PublicKey::well_formed(const Ciphertext& c) const {
-  return params_.in_zp_star(c.a) && params_.in_zp_star(c.b);
+  return params_.in_group(c.a) && params_.in_group(c.b);
 }
 
 Ciphertext PublicKey::inverse(const Ciphertext& c) const {

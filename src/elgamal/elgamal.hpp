@@ -41,8 +41,8 @@ class PublicKey {
   // E(m, r) with caller-chosen r (used by proofs that need to know r).
   [[nodiscard]] Ciphertext encrypt_with_nonce(const Element& m, const Bigint& r) const;
 
-  // True iff both components are in Z_p^* — the well-formedness every
-  // receiver checks before using a ciphertext.
+  // True iff both components are group elements — the well-formedness every
+  // receiver checks before using a ciphertext. Free for decoded components.
   [[nodiscard]] bool well_formed(const Ciphertext& c) const;
 
   // -- §3 ciphertext algebra -------------------------------------------------

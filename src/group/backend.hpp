@@ -73,9 +73,6 @@ class Group {
   // Membership: free for an element this backend decoded, one decode for a
   // bare one.
   [[nodiscard]] virtual bool in_group(const Element& x) const = 0;
-  // Cheap well-formedness check for wire values (ModP: x in [1, p-1]; Ec:
-  // same as in_group — every canonical encoding is a group element).
-  [[nodiscard]] virtual bool in_zp_star(const Element& x) const = 0;
   // Validates x and returns it decoded; nullopt when it is not a canonical
   // element encoding. An element this backend already decoded passes free.
   [[nodiscard]] virtual std::optional<Element> decode(const Element& x) const = 0;
@@ -83,8 +80,6 @@ class Group {
   [[nodiscard]] virtual Element pow_g(const Bigint& e) const = 0;
   [[nodiscard]] virtual Element pow(const Element& b, const Bigint& e) const = 0;
   virtual void pin_base(const Element& b) const = 0;
-  // A key that signatures are checked against (see GroupParams::pin_key).
-  virtual void pin_key(const Element& b) const = 0;
   [[nodiscard]] virtual Element pow_fixed(const Element& b, const Bigint& e) const = 0;
   [[nodiscard]] virtual Element mul(const Element& a, const Element& b) const = 0;
   [[nodiscard]] virtual Element pow2(const Element& a, const Bigint& ea, const Element& b,

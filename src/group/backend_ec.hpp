@@ -80,16 +80,11 @@ class Ec final : public Group {
 
   [[nodiscard]] const Element& identity() const override { return identity_; }
   [[nodiscard]] bool in_group(const Element& x) const override;
-  // Every canonical encoding is a group element; same predicate as in_group.
-  [[nodiscard]] bool in_zp_star(const Element& x) const override { return in_group(x); }
   [[nodiscard]] std::optional<Element> decode(const Element& x) const override;
 
   [[nodiscard]] Element pow_g(const Bigint& e) const override;
   [[nodiscard]] Element pow(const Element& b, const Bigint& e) const override;
   void pin_base(const Element& b) const override;
-  // Every operation reads the table of a pinned base, so a key that
-  // signatures are checked against pins like any other base.
-  void pin_key(const Element& b) const override { pin_base(b); }
   [[nodiscard]] Element pow_fixed(const Element& b, const Bigint& e) const override;
   [[nodiscard]] Element mul(const Element& a, const Element& b) const override;
   [[nodiscard]] Element pow2(const Element& a, const Bigint& ea, const Element& b,

@@ -28,14 +28,9 @@ ModP::ModP(Bigint p, Bigint q, Bigint g)
 
 bool ModP::in_group(const Element& x) const {
   if (mine(x)) return true;
-  if (!in_zp_star(x)) return false;
-  return mpz::jacobi(x, p_) == 1;  // QR subgroup == order-q subgroup for safe primes
-}
-
-bool ModP::in_zp_star(const Element& x) const {
-  if (mine(x)) return true;
   const Bigint& v = x;
-  return !v.is_negative() && !v.is_zero() && v < p_;
+  if (v.is_negative() || v.is_zero() || v >= p_) return false;
+  return mpz::jacobi(v, p_) == 1;  // QR subgroup == order-q subgroup for safe primes
 }
 
 std::optional<Element> ModP::decode(const Element& x) const {
@@ -43,38 +38,53 @@ std::optional<Element> ModP::decode(const Element& x) const {
   return decoded(x.encoding(), owner_);
 }
 
+Bigint ModP::residue(const Element& b) const {
+  const Bigint& v = b;
+  return v.is_negative() || v >= p_ ? mpz::mod(v, p_) : v;
+}
+
+const mpz::ShiftTable* ModP::table_of(const Bigint& base) const {
+  if (base == g_.encoding()) {
+    std::call_once(cache_.g_once, [&] {
+      cache_.g_table = std::make_unique<const mpz::ShiftTable>(mont_, base, q_.bit_length());
+    });
+    return cache_.g_table.get();
+  }
+  MutexLock lock(cache_.mu);
+  auto it = cache_.pinned.find(base);
+  if (it == cache_.pinned.end()) return nullptr;
+  if (!it->second)
+    it->second = std::make_unique<const mpz::ShiftTable>(mont_, base, q_.bit_length());
+  return it->second.get();
+}
+
+mpz::MontgomeryCtx::Term ModP::term(const Element& b, const Bigint& e) const {
+  Bigint base = residue(b);
+  const mpz::ShiftTable* table = table_of(base);
+  return {table, table != nullptr ? Bigint() : std::move(base), mpz::mod(e, q_)};
+}
+
+Bigint ModP::pass(std::span<const Element> bases, std::span<const Bigint> exps) const {
+  if (bases.size() != exps.size()) throw std::invalid_argument("modp: length mismatch");
+  std::vector<mpz::MontgomeryCtx::Term> terms;
+  terms.reserve(bases.size());
+  for (std::size_t i = 0; i < bases.size(); ++i) terms.push_back(term(bases[i], exps[i]));
+  return mont_.multi_pow(terms);
+}
+
 Element ModP::pow_g(const Bigint& e) const {
-  std::call_once(cache_.once, [&] {
-    cache_.g_pow = std::make_unique<const mpz::FixedBasePow>(mont_, g_, q_.bit_length());
-  });
-  return decoded(cache_.g_pow->pow(mpz::mod(e, q_)), owner_);
+  return decoded(mont_.pow(*table_of(g_.encoding()), mpz::mod(e, q_)), owner_);
 }
 
 Element ModP::pow(const Element& b, const Bigint& e) const {
-  return result(mont_.pow(mpz::mod(b, p_), mpz::mod(e, q_)), mine(b));
+  return result(pass(std::span<const Element>(&b, 1), std::span<const Bigint>(&e, 1)), mine(b));
 }
 
 void ModP::pin_base(const Element& b) const {
-  Bigint base = mpz::mod(b, p_);
-  if (base == g_) return;  // pow_g's comb table already covers g
+  Bigint base = residue(b);
+  if (base == g_.encoding()) return;  // g has its own table
   MutexLock lock(cache_.mu);
-  if (cache_.pinned.contains(base)) return;
-  cache_.pinned.emplace(
-      base, std::make_shared<const mpz::FixedBasePow>(mont_, base, q_.bit_length(),
-                                                      FixedBaseCache::kPinnedWindowBits));
-}
-
-Element ModP::pow_fixed(const Element& b, const Bigint& e) const {
-  Bigint base = mpz::mod(b, p_);
-  if (base == g_) return pow_g(e);
-  std::shared_ptr<const mpz::FixedBasePow> table;
-  {
-    MutexLock lock(cache_.mu);
-    auto it = cache_.pinned.find(base);
-    if (it != cache_.pinned.end()) table = it->second;
-  }
-  if (!table) return result(mont_.pow(base, mpz::mod(e, q_)), mine(b));  // not pinned: no insertion
-  return result(table->pow(mpz::mod(e, q_)), mine(b));
+  cache_.pinned.try_emplace(std::move(base), nullptr);
 }
 
 std::size_t ModP::pinned_table_count() const {
@@ -84,42 +94,19 @@ std::size_t ModP::pinned_table_count() const {
 
 Element ModP::pow2(const Element& a, const Bigint& ea, const Element& b,
                    const Bigint& eb) const {
-  return result(
-      mont_.pow2(mpz::mod(a, p_), mpz::mod(ea, q_), mpz::mod(b, p_), mpz::mod(eb, q_)),
-      mine(a) && mine(b));
+  const std::array<Element, 2> bases = {a, b};
+  const std::array<Bigint, 2> exps = {ea, eb};
+  return result(pass(bases, exps), mine(a) && mine(b));
 }
 
 Element ModP::multi_pow(std::span<const Element> bases, std::span<const Bigint> exps) const {
-  std::vector<Bigint> reduced;
-  reduced.reserve(bases.size());
-  bool valid = true;
-  for (const Element& b : bases) {
-    const Bigint& v = b;
-    reduced.push_back(v.is_negative() || v >= p_ ? mpz::mod(v, p_) : v);
-    valid = valid && mine(b);
-  }
-  return result(mont_.multi_pow(reduced, exps), valid);
+  return result(pass(bases, exps),
+                std::all_of(bases.begin(), bases.end(), [&](const Element& b) { return mine(b); }));
 }
 
 bool ModP::multi_pow_equals(std::span<const Element> bases, std::span<const Bigint> exps,
                             const Element& expect) const {
-  if (bases.size() == 2) return pow2(bases[0], exps[0], bases[1], exps[1]) == expect;
-  std::vector<Element> rest;
-  std::vector<Bigint> rest_exps;
-  rest.reserve(bases.size());
-  rest_exps.reserve(exps.size());
-  Bigint g_exp(0);
-  for (std::size_t i = 0; i < bases.size(); ++i) {
-    if (bases[i] == g_) {
-      g_exp = mpz::addmod(g_exp, exps[i], q_);
-    } else {
-      rest.push_back(bases[i]);
-      rest_exps.push_back(exps[i]);
-    }
-  }
-  Element acc = multi_pow(rest, rest_exps);
-  if (!g_exp.is_zero()) acc = mul(acc, pow_g(g_exp));
-  return acc == expect;
+  return pass(bases, exps) == expect.encoding();
 }
 
 Element ModP::mul(const Element& a, const Element& b) const {

@@ -1,9 +1,8 @@
-// Safe-prime Z_p* backend: the original GroupParams arithmetic, verbatim,
-// behind the backend::Group interface. p = 2q + 1, elements live in the
-// order-q quadratic-residue subgroup, g = 4 for the named parameter sets.
-// Kept bit-identical to the pre-backend code — it is the differential oracle
-// the EC backend is tested against, and the default build's behavior must
-// not move.
+// Safe-prime Z_p* backend behind the backend::Group interface. p = 2q + 1,
+// elements live in the order-q quadratic-residue subgroup, g = 4 for the
+// named parameter sets. It is the differential oracle the EC backend is
+// tested against. Exponentiations run MontgomeryCtx's one pass, g and every
+// pinned base over their shift tables, and pin like backend::Ec's.
 #pragma once
 
 #include <map>
@@ -29,23 +28,20 @@ class ModP final : public Group {
 
   [[nodiscard]] const Element& identity() const override { return identity_; }
   [[nodiscard]] bool in_group(const Element& x) const override;
-  [[nodiscard]] bool in_zp_star(const Element& x) const override;
   [[nodiscard]] std::optional<Element> decode(const Element& x) const override;
 
   [[nodiscard]] Element pow_g(const Bigint& e) const override;
   [[nodiscard]] Element pow(const Element& b, const Bigint& e) const override;
   void pin_base(const Element& b) const override;
-  // A check's multi-exponentiation reads no pinned table here, so a key's
-  // table would cost its build and memory and save nothing.
-  void pin_key(const Element& /*b*/) const override {}
-  [[nodiscard]] Element pow_fixed(const Element& b, const Bigint& e) const override;
+  // Every operation reads the pinned tables: the same as pow.
+  [[nodiscard]] Element pow_fixed(const Element& b, const Bigint& e) const override {
+    return pow(b, e);
+  }
   [[nodiscard]] Element mul(const Element& a, const Element& b) const override;
   [[nodiscard]] Element pow2(const Element& a, const Bigint& ea, const Element& b,
                              const Bigint& eb) const override;
   [[nodiscard]] Element multi_pow(std::span<const Element> bases,
                                   std::span<const Bigint> exps) const override;
-  // Two bases run Shamir's joint window (pow2); more run one
-  // multi-exponentiation over every base but g, with g through its comb.
   [[nodiscard]] bool multi_pow_equals(std::span<const Element> bases,
                                       std::span<const Bigint> exps,
                                       const Element& expect) const override;
@@ -80,6 +76,16 @@ class ModP final : public Group {
   [[nodiscard]] Element result(Bigint v, bool valid) const {
     return valid ? decoded(std::move(v), owner_) : Element(std::move(v));
   }
+  // b's residue mod p.
+  [[nodiscard]] Bigint residue(const Element& b) const;
+  // The shift table of `base` (a residue) when it is g or a pinned base,
+  // built when an operation first names it; null for any other base.
+  [[nodiscard]] const mpz::ShiftTable* table_of(const Bigint& base) const;
+  // The term b^e, e reduced mod q: b's table when it has one (see table_of),
+  // else its residue.
+  [[nodiscard]] mpz::MontgomeryCtx::Term term(const Element& b, const Bigint& e) const;
+  // Π bases[i]^{exps[i]}: one pass over their terms.
+  [[nodiscard]] Bigint pass(std::span<const Element> bases, std::span<const Bigint> exps) const;
 
   Bigint p_, q_;
   // Unique per instance and never reused, so an element validated under one
@@ -87,16 +93,15 @@ class ModP final : public Group {
   std::uint64_t owner_;
   Element g_, identity_;
   mpz::MontgomeryCtx mont_;
-  // Fixed-base tables: g's, built on first use, and the pinned bases' (see
-  // GroupParams docs).
-  struct FixedBaseCache {
-    std::once_flag once;
-    std::unique_ptr<const mpz::FixedBasePow> g_pow;
+  struct TableCache {
+    std::once_flag g_once;
+    std::unique_ptr<const mpz::ShiftTable> g_table;
     mutable Mutex mu;
-    static constexpr std::size_t kPinnedWindowBits = 5;
-    mutable std::map<Bigint, std::shared_ptr<const mpz::FixedBasePow>> pinned GUARDED_BY(mu);
+    // Keyed by residue; a table is null until an operation names its base.
+    // Entries are never erased, so a table outlives every pass that reads it.
+    mutable std::map<Bigint, std::unique_ptr<const mpz::ShiftTable>> pinned GUARDED_BY(mu);
   };
-  mutable FixedBaseCache cache_;
+  mutable TableCache cache_;
 };
 
 }  // namespace dblind::group::backend

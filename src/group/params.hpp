@@ -92,9 +92,6 @@ class GroupParams {
   // True iff x is a canonical group-element encoding (mod-p: nonzero QR).
   // Free for an element this group decoded; one decode for a bare one.
   [[nodiscard]] bool in_group(const Element& x) const { return impl_->in_group(x); }
-  // Cheap wire well-formedness check (mod-p: x in [1, p-1]; ec255: same as
-  // in_group — every canonical encoding is an element).
-  [[nodiscard]] bool in_zp_star(const Element& x) const { return impl_->in_zp_star(x); }
   // x validated and decoded; nullopt unless x is a canonical group-element
   // encoding. Free for an element this group already decoded.
   [[nodiscard]] std::optional<Element> decode(const Element& x) const {
@@ -115,26 +112,20 @@ class GroupParams {
   // GroupParams (and threads) for as long as any copy lives. The pinned set
   // grows only through explicit pins: a hostile peer spraying fresh bases
   // cannot touch it. Idempotent; pinning g itself is a no-op (g always has
-  // its table).
-  //   mod-p: builds b's 5-bit comb table now, read by pow_fixed.
-  //   ec255: registers b; its shift table (16 rows of odd multiples, 20 KB)
-  //   is built when an operation first names b, inside that operation, and
-  //   every operation then reads it (pow, pow2, multi_pow, multi_pow_equals
-  //   too): b^e needs 16 doublings instead of 253.
+  // its table). Pinning registers b; its shift table is built when an
+  // operation first names b, inside that operation, and every operation then
+  // reads it (pow, pow2, multi_pow, multi_pow_equals too), as g's. A table
+  // holds the odd powers of b^{2^{16j}} per 16-bit chunk j of an exponent, so
+  // b^e needs at most 15 squarings (mod-p) or 16 doublings (ec255), not one
+  // per bit of q. ec255's table takes 20 KB; mod-p's 128 KB at 1024 bits.
   // ProtocolServer's constructor pins y_A, y_B and y_A·y_B, which no reshare
-  // changes.
+  // changes, and every server key and both service signing keys, which it
+  // pins again after an install.
   void pin_base(const Element& b) const { impl_->pin_base(b); }
-  // Pins `b` as a key that signatures are checked against (ProtocolServer
-  // pins every server key and both service signing keys). ec255 pins it like
-  // pin_base, so a Schnorr check under it walks 16 doublings, not 253; mod-p
-  // does nothing, since its checks' multi-exponentiation reads no pinned
-  // table.
-  void pin_key(const Element& b) const { impl_->pin_key(b); }
-  // b^e, through b's table when `b` was pinned (or is g); otherwise a plain
-  // pow(). Never inserts into any cache, so it is safe on the prover hot path
-  // even for ad-hoc bases. Semantically identical to pow(); ec255 also
-  // matches a base whose encoding nothing has read yet to g and the pinned
-  // bases by point, where pow() takes it as unpinned.
+  // b^e: the same as pow(). Never inserts into any cache, so it is safe on
+  // the prover hot path even for ad-hoc bases. ec255 also matches a base
+  // whose encoding nothing has read yet to g and the pinned bases by point,
+  // where pow() takes it as unpinned.
   [[nodiscard]] Element pow_fixed(const Element& b, const Bigint& e) const {
     return impl_->pow_fixed(b, e);
   }
@@ -142,14 +133,14 @@ class GroupParams {
   [[nodiscard]] Element mul(const Element& a, const Element& b) const {
     return impl_->mul(a, b);
   }
-  // a^ea · b^eb (Shamir's trick; exponents reduced mod q).
+  // a^ea · b^eb (one two-term pass; exponents reduced mod q).
   [[nodiscard]] Element pow2(const Element& a, const Bigint& ea, const Element& b,
                              const Bigint& eb) const {
     return impl_->pow2(a, ea, b, eb);
   }
-  // Π bases[i]^{exps[i]} (mod-p: Shamir/Pippenger; ec255: the one signed
-  // Straus pass, pinned bases and g over their shift tables). Exponents must
-  // already be in [0, q).
+  // Π bases[i]^{exps[i]}: one pass, pinned bases and g over their shift
+  // tables (mod-p: unsigned width-5 windows; ec255: the signed Straus pass).
+  // Exponents are reduced mod q.
   [[nodiscard]] Element multi_pow(std::span<const Element> bases,
                                   std::span<const Bigint> exps) const {
     return impl_->multi_pow(bases, exps);
@@ -161,11 +152,8 @@ class GroupParams {
     return impl_->multi_pow(bare, exps);
   }
   // Π bases[i]^{exps[i]} == expect, without encoding the product: the
-  // verification equations' comparison. ec255 compares points (coset-aware
-  // ec::eq) after one Straus pass, pinned bases and g over their shift
-  // tables; mod-p evaluates as the verifiers always did — two bases through
-  // pow2, more through multi_pow with g routed through its comb table — and
-  // compares residues.
+  // verification equations' comparison, after the same pass as multi_pow.
+  // ec255 compares points (coset-aware ec::eq); mod-p compares residues.
   [[nodiscard]] bool multi_pow_equals(std::span<const Element> bases,
                                       std::span<const Bigint> exps,
                                       const Element& expect) const {
@@ -174,8 +162,8 @@ class GroupParams {
   // Group inverse a^{-1}.
   [[nodiscard]] Element inv(const Element& a) const { return impl_->inv(a); }
 
-  // Pinned base count (tests/observability); an ec255 base's table may not
-  // be built yet.
+  // Pinned base count (tests/observability); a base's table may not be built
+  // yet.
   [[nodiscard]] std::size_t pinned_table_count() const {
     return impl_->pinned_table_count();
   }

@@ -20,6 +20,37 @@ u64 inv64(u64 x) {
   return inv;
 }
 
+constexpr std::size_t kWindow = 5;
+// b, b^3, ..., b^31: the entries a width-5 window digit reads.
+constexpr std::size_t kOddPowers = std::size_t{1} << (kWindow - 1);
+
+// Calls emit(pos, digit) for the width-5 unsigned sliding-window digits of
+// bits [lo, lo + width) of `exp`, pos counted from lo: each digit odd in
+// [1, 31], any two at least five positions apart. A window reads zeros at and
+// above lo + width, so every digit stays inside its chunk.
+template <typename Emit>
+void recode(const Bigint& exp, std::size_t lo, std::size_t width, Emit&& emit) {
+  for (std::size_t pos = 0; pos < width;) {
+    if (!exp.bit(lo + pos)) {
+      ++pos;
+      continue;
+    }
+    unsigned digit = 0;
+    for (std::size_t b = std::min(pos + kWindow, width); b-- > pos;)
+      digit = (digit << 1) | (exp.bit(lo + b) ? 1U : 0U);
+    emit(pos, digit);
+    pos += kWindow;
+  }
+}
+
+// One multiplication of the pass: at chain position `pos`, multiply by
+// powers^digit, read from the odd powers `powers` (see odd_powers).
+struct Mul {
+  std::size_t pos;
+  unsigned digit;
+  const u64* powers;
+};
+
 }  // namespace
 
 MontgomeryCtx::MontgomeryCtx(Bigint modulus) : n_(std::move(modulus)) {
@@ -86,7 +117,8 @@ MontgomeryCtx::Limbs MontgomeryCtx::redc(Limbs t) const {
   return out;
 }
 
-MontgomeryCtx::Limbs MontgomeryCtx::mont_mul(const Limbs& a, const Limbs& b) const {
+MontgomeryCtx::Limbs MontgomeryCtx::mont_mul(std::span<const u64> a,
+                                             std::span<const u64> b) const {
   mul_count_.fetch_add(1, std::memory_order_relaxed);
   Limbs t(2 * k_ + 1, 0);
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -135,225 +167,95 @@ Bigint MontgomeryCtx::mul(const Bigint& a, const Bigint& b) const {
   return from_mont(mont_mul(to_mont(a), to_mont(b)));
 }
 
-Bigint MontgomeryCtx::pow(const Bigint& base, const Bigint& exp) const {
-  if (exp.is_negative()) throw std::invalid_argument("MontgomeryCtx::pow: negative exponent");
-  if (base.is_negative() || base >= n_)
-    throw std::invalid_argument("MontgomeryCtx::pow: base out of range");
-  if (exp.is_zero()) return from_mont(one_mont_);
-
-  // 4-bit fixed window.
-  constexpr std::size_t kWindow = 4;
-  std::vector<Limbs> table(1u << kWindow);
-  table[0] = one_mont_;
-  table[1] = to_mont(base);
-  for (std::size_t i = 2; i < table.size(); ++i) table[i] = mont_mul(table[i - 1], table[1]);
-
-  const std::size_t bits = exp.bit_length();
-  const std::size_t windows = (bits + kWindow - 1) / kWindow;
-  Limbs acc = one_mont_;
-  bool started = false;
-  for (std::size_t w = windows; w-- > 0;) {
-    if (started) {
-      for (std::size_t s = 0; s < kWindow; ++s) acc = mont_mul(acc, acc);
-    }
-    unsigned idx = 0;
-    for (std::size_t b = 0; b < kWindow; ++b) {
-      std::size_t bitpos = w * kWindow + (kWindow - 1 - b);
-      idx = (idx << 1) | (exp.bit(bitpos) ? 1u : 0u);
-    }
-    if (idx != 0) {
-      acc = mont_mul(acc, table[idx]);
-      started = true;
-    } else if (!started) {
-      // Leading zero window; nothing accumulated yet.
-    }
+MontgomeryCtx::Limbs MontgomeryCtx::odd_powers(const Limbs& a) const {
+  Limbs out(kOddPowers * k_);
+  std::copy(a.begin(), a.end(), out.begin());
+  const Limbs sq = mont_mul(a, a);
+  for (std::size_t i = 1; i < kOddPowers; ++i) {
+    const Limbs next = mont_mul(std::span<const u64>(out).subspan((i - 1) * k_, k_), sq);
+    std::copy(next.begin(), next.end(), out.begin() + static_cast<std::ptrdiff_t>(i * k_));
   }
-  if (!started) return from_mont(one_mont_);  // exp == 0 handled above; defensive
-  return from_mont(acc);
+  return out;
+}
+
+Bigint MontgomeryCtx::pow(const Bigint& base, const Bigint& exp) const {
+  const Term term{nullptr, base, exp};
+  return multi_pow(std::span<const Term>(&term, 1));
+}
+
+Bigint MontgomeryCtx::pow(const ShiftTable& table, const Bigint& exp) const {
+  const Term term{&table, {}, exp};
+  return multi_pow(std::span<const Term>(&term, 1));
 }
 
 Bigint MontgomeryCtx::multi_pow(std::span<const Bigint> bases,
                                 std::span<const Bigint> exps) const {
   if (bases.size() != exps.size())
     throw std::invalid_argument("MontgomeryCtx::multi_pow: length mismatch");
-  if (bases.empty()) return from_mont(one_mont_);
-  std::size_t bits = 0;
-  std::vector<Limbs> mont;
-  mont.reserve(bases.size());
-  for (std::size_t i = 0; i < bases.size(); ++i) {
-    if (bases[i].is_negative() || bases[i] >= n_)
-      throw std::invalid_argument("MontgomeryCtx::multi_pow: base out of range");
-    if (exps[i].is_negative())
+  std::vector<Term> terms;
+  terms.reserve(bases.size());
+  for (std::size_t i = 0; i < bases.size(); ++i) terms.push_back({nullptr, bases[i], exps[i]});
+  return multi_pow(terms);
+}
+
+// Every term is recoded into (position, digit, odd powers) multiplications
+// first; the pass then walks one squaring chain from the highest position
+// down, and starts it at the first multiplication rather than at 1.
+Bigint MontgomeryCtx::multi_pow(std::span<const Term> terms) const {
+  std::vector<Mul> muls;
+  std::vector<Limbs> odd;  // the whole bases' odd powers
+  odd.reserve(terms.size());
+  for (const Term& term : terms) {
+    if (term.exp.is_negative())
       throw std::invalid_argument("MontgomeryCtx::multi_pow: negative exponent");
-    bits = std::max(bits, exps[i].bit_length());
-    mont.push_back(to_mont(bases[i]));
-  }
-  if (bits == 0) return from_mont(one_mont_);
-  if (bases.size() == 1) return pow(bases[0], exps[0]);
-  Limbs acc = bases.size() <= 4 ? multi_pow_shamir(mont, exps, bits)
-                                : multi_pow_pippenger(mont, exps, bits);
-  return from_mont(acc);
-}
-
-// Interleaved windowed Shamir's trick: each base gets a tiny odd-power table
-// (base^1..base^3) and all bases share one squaring chain, consuming their
-// exponents two bits at a time. For the 2–4 base verification equations this
-// replaces per-base squaring chains with a single one.
-MontgomeryCtx::Limbs MontgomeryCtx::multi_pow_shamir(const std::vector<Limbs>& mont,
-                                                     std::span<const Bigint> exps,
-                                                     std::size_t bits) const {
-  const std::size_t n = mont.size();
-  // tbl[i][d] = mont(base_i^d) for d in [1, 4).
-  std::vector<std::array<Limbs, 4>> tbl(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    tbl[i][1] = mont[i];
-    tbl[i][2] = mont_mul(mont[i], mont[i]);
-    tbl[i][3] = mont_mul(tbl[i][2], mont[i]);
-  }
-  const std::size_t windows = (bits + 1) / 2;
-  Limbs acc = one_mont_;
-  bool started = false;
-  for (std::size_t w = windows; w-- > 0;) {
-    if (started) {
-      acc = mont_mul(acc, acc);
-      acc = mont_mul(acc, acc);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      unsigned d = (exps[i].bit(2 * w + 1) ? 2u : 0u) | (exps[i].bit(2 * w) ? 1u : 0u);
-      if (d != 0) {
-        acc = mont_mul(acc, tbl[i][d]);
-        started = true;
+    if (term.table != nullptr) {
+      if (term.table->ctx_ != this)
+        throw std::invalid_argument("MontgomeryCtx::multi_pow: table of another modulus");
+      if (term.exp.bit_length() > term.table->exp_bits())
+        throw std::invalid_argument("MontgomeryCtx::multi_pow: exponent wider than its table");
+      for (std::size_t j = 0; j < term.table->rows_; ++j) {
+        const u64* row = term.table->powers_.data() + j * kOddPowers * k_;
+        recode(term.exp, j * ShiftTable::kChunkBits, ShiftTable::kChunkBits,
+               [&](std::size_t pos, unsigned digit) { muls.push_back({pos, digit, row}); });
       }
+    } else {
+      if (term.base.is_negative() || term.base >= n_)
+        throw std::invalid_argument("MontgomeryCtx::multi_pow: base out of range");
+      const std::size_t first = muls.size();
+      recode(term.exp, 0, term.exp.bit_length(),
+             [&](std::size_t pos, unsigned digit) { muls.push_back({pos, digit, nullptr}); });
+      if (muls.size() == first) continue;  // zero exponent: its odd powers are never read
+      odd.push_back(odd_powers(to_mont(term.base)));
+      for (std::size_t i = first; i < muls.size(); ++i) muls[i].powers = odd.back().data();
     }
   }
-  return started ? acc : one_mont_;
+  std::sort(muls.begin(), muls.end(), [](const Mul& a, const Mul& b) { return a.pos > b.pos; });
+
+  Limbs acc;  // empty until the first multiplication: 1
+  const std::size_t top = muls.empty() ? 0 : muls.front().pos + 1;
+  std::size_t next = 0;
+  for (std::size_t i = top; i-- > 0;) {
+    if (!acc.empty()) acc = mont_mul(acc, acc);
+    for (; next < muls.size() && muls[next].pos == i; ++next) {
+      const std::span<const u64> power(muls[next].powers + (muls[next].digit / 2) * k_, k_);
+      acc = acc.empty() ? Limbs(power.begin(), power.end()) : mont_mul(acc, power);
+    }
+  }
+  return from_mont(acc.empty() ? one_mont_ : acc);
 }
 
-// Pippenger's bucket method: split exponents into c-bit windows; per window,
-// drop each base into the bucket indexed by its window digit, then fold the
-// buckets with the running-product identity Π_d bucket[d]^d computed in
-// 2·(#nonempty-tail) multiplications. Squarings are amortised across all
-// bases, and per-base work is one multiplication per window regardless of
-// digit value — the asymptotically right shape for large batches.
-MontgomeryCtx::Limbs MontgomeryCtx::multi_pow_pippenger(const std::vector<Limbs>& mont,
-                                                        std::span<const Bigint> exps,
-                                                        std::size_t bits) const {
-  const std::size_t n = mont.size();
-  // Window width ≈ log2(n), capped so the bucket-fold cost (~2^{c+1} muls per
-  // window) stays in balance with the n bucket inserts.
-  std::size_t c = 2;
-  while (c < 8 && (std::size_t{1} << (c + 1)) <= n) ++c;
-  const std::size_t buckets_count = (std::size_t{1} << c) - 1;
-  const std::size_t windows = (bits + c - 1) / c;
-
-  Limbs acc = one_mont_;
-  bool started = false;
-  std::vector<Limbs> bucket(buckets_count + 1);  // bucket[0] unused; empty = unset
-  for (std::size_t w = windows; w-- > 0;) {
-    if (started) {
-      for (std::size_t s = 0; s < c; ++s) acc = mont_mul(acc, acc);
-    }
-    for (auto& b : bucket) b.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      std::size_t digit = 0;
-      for (std::size_t b = 0; b < c; ++b) {
-        if (exps[i].bit(w * c + b)) digit |= std::size_t{1} << b;
-      }
-      if (digit == 0) continue;
-      bucket[digit] = bucket[digit].empty() ? mont[i] : mont_mul(bucket[digit], mont[i]);
-    }
-    // Fold: running = Π_{e>=d} bucket[e]; window sum = Π_d running_d.
-    Limbs running;
-    Limbs wsum;
-    for (std::size_t d = buckets_count; d >= 1; --d) {
-      if (!bucket[d].empty())
-        running = running.empty() ? bucket[d] : mont_mul(running, bucket[d]);
-      if (!running.empty()) wsum = wsum.empty() ? running : mont_mul(wsum, running);
-    }
-    if (!wsum.empty()) {
-      acc = started ? mont_mul(acc, wsum) : wsum;
-      started = true;
-    }
-  }
-  return started ? acc : one_mont_;
-}
-
-Bigint MontgomeryCtx::pow2(const Bigint& a, const Bigint& ea, const Bigint& b,
-                           const Bigint& eb) const {
-  if (ea.is_negative() || eb.is_negative())
-    throw std::invalid_argument("MontgomeryCtx::pow2: negative exponent");
-  if (a.is_negative() || a >= n_ || b.is_negative() || b >= n_)
-    throw std::invalid_argument("MontgomeryCtx::pow2: base out of range");
-  // 2-bit joint window: table[i][j] = a^i * b^j for i, j in [0, 4).
-  Limbs am = to_mont(a);
-  Limbs bm = to_mont(b);
-  std::array<std::array<Limbs, 4>, 4> table;
-  table[0][0] = one_mont_;
-  table[1][0] = am;
-  table[2][0] = mont_mul(am, am);
-  table[3][0] = mont_mul(table[2][0], am);
-  for (std::size_t i = 0; i < 4; ++i) {
-    for (std::size_t j = 1; j < 4; ++j) table[i][j] = mont_mul(table[i][j - 1], bm);
-  }
-
-  const std::size_t bits = std::max(ea.bit_length(), eb.bit_length());
-  if (bits == 0) return from_mont(one_mont_);
-  const std::size_t windows = (bits + 1) / 2;
-  Limbs acc = one_mont_;
-  bool started = false;
-  for (std::size_t w = windows; w-- > 0;) {
-    if (started) {
-      acc = mont_mul(acc, acc);
-      acc = mont_mul(acc, acc);
-    }
-    unsigned ia = (ea.bit(2 * w + 1) ? 2u : 0u) | (ea.bit(2 * w) ? 1u : 0u);
-    unsigned ib = (eb.bit(2 * w + 1) ? 2u : 0u) | (eb.bit(2 * w) ? 1u : 0u);
-    if (ia != 0 || ib != 0) {
-      acc = mont_mul(acc, table[ia][ib]);
-      started = true;
-    }
-  }
-  if (!started) return from_mont(one_mont_);
-  return from_mont(acc);
-}
-
-FixedBasePow::FixedBasePow(const MontgomeryCtx& ctx, const Bigint& base,
-                           std::size_t max_exp_bits, std::size_t window_bits)
-    : ctx_(ctx), window_(window_bits) {
+ShiftTable::ShiftTable(const MontgomeryCtx& ctx, const Bigint& base, std::size_t exp_bits)
+    : ctx_(&ctx), rows_(std::max<std::size_t>(1, (exp_bits + kChunkBits - 1) / kChunkBits)) {
   if (base.is_negative() || base >= ctx.modulus())
-    throw std::invalid_argument("FixedBasePow: base out of range");
-  if (window_ == 0 || window_ > 8)
-    throw std::invalid_argument("FixedBasePow: window_bits out of [1, 8]");
-  if (max_exp_bits == 0) max_exp_bits = 1;
-  windows_ = (max_exp_bits + window_ - 1) / window_;
-  const std::size_t entries = 1ull << window_;
-  table_.resize(windows_);
-
-  MontgomeryCtx::Limbs cur = ctx_.to_mont(base);  // base^(2^(window_*i)) as i advances
-  for (std::size_t i = 0; i < windows_; ++i) {
-    table_[i].resize(entries);
-    table_[i][0] = ctx_.one_mont_;
-    table_[i][1] = cur;
-    for (std::size_t j = 2; j < entries; ++j)
-      table_[i][j] = ctx_.mont_mul(table_[i][j - 1], cur);
-    // Advance cur to base^(2^(window_*(i+1))) = cur^(2^window_).
-    if (i + 1 < windows_) cur = ctx_.mont_mul(table_[i][entries - 1], cur);
+    throw std::invalid_argument("ShiftTable: base out of range");
+  powers_.reserve(rows_ * kOddPowers * ctx.k_);
+  MontgomeryCtx::Limbs row_base = ctx.to_mont(base);
+  for (std::size_t j = 0; j < rows_; ++j) {
+    const MontgomeryCtx::Limbs row = ctx.odd_powers(row_base);
+    powers_.insert(powers_.end(), row.begin(), row.end());
+    if (j + 1 == rows_) break;
+    for (std::size_t b = 0; b < kChunkBits; ++b) row_base = ctx.mont_mul(row_base, row_base);
   }
-}
-
-Bigint FixedBasePow::pow(const Bigint& exp) const {
-  if (exp.is_negative()) throw std::invalid_argument("FixedBasePow::pow: negative exponent");
-  if (exp.bit_length() > windows_ * window_)
-    throw std::invalid_argument("FixedBasePow::pow: exponent too large for table");
-  MontgomeryCtx::Limbs acc = ctx_.one_mont_;
-  for (std::size_t i = 0; i < windows_; ++i) {
-    unsigned idx = 0;
-    for (std::size_t b = 0; b < window_; ++b) {
-      if (exp.bit(i * window_ + b)) idx |= 1u << b;
-    }
-    if (idx != 0) acc = ctx_.mont_mul(acc, table_[i][idx]);
-  }
-  return ctx_.from_mont(acc);
 }
 
 }  // namespace dblind::mpz

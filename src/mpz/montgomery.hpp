@@ -3,9 +3,17 @@
 // All the hot paths in the library (ElGamal, Chaum-Pedersen, VDE, threshold
 // shares) reduce to modular exponentiation over a fixed safe-prime modulus,
 // so a reusable per-modulus context pays for its setup almost immediately.
+//
+// Every exponentiation, one base or many, fixed or not, runs one pass over
+// width-5 unsigned sliding windows (odd powers b, b^3, ..., b^31 per base).
+// A base with a shift table enters as one 16-bit chunk per table row and so
+// needs at most 15 squarings however long its exponent; any other base gets
+// its odd powers built per call and enters whole. All terms share one
+// squaring chain, sized by the longest digit string. The pass branches on
+// exponent digits and reads table entries at digit-dependent indices: it
+// makes no constant-time claim.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <span>
@@ -15,8 +23,18 @@
 
 namespace dblind::mpz {
 
+class ShiftTable;
+
 class MontgomeryCtx {
  public:
+  // One term of an exponentiation: base^exp, the base given by its shift
+  // table when it has one (then `base` is not read).
+  struct Term {
+    const ShiftTable* table = nullptr;
+    Bigint base;
+    Bigint exp;
+  };
+
   // Precondition: `modulus` is odd and > 1 (checked; throws
   // std::invalid_argument otherwise).
   explicit MontgomeryCtx(Bigint modulus);
@@ -26,22 +44,23 @@ class MontgomeryCtx {
   // (a * b) mod n, for 0 <= a, b < n.
   [[nodiscard]] Bigint mul(const Bigint& a, const Bigint& b) const;
 
-  // (base ^ exp) mod n, for 0 <= base < n and exp >= 0. Fixed 4-bit window.
+  // (base ^ exp) mod n, for 0 <= base < n and exp >= 0: a one-term pass.
   [[nodiscard]] Bigint pow(const Bigint& base, const Bigint& exp) const;
+  // The same over the base's shift table, for exp of at most
+  // table.exp_bits() bits.
+  [[nodiscard]] Bigint pow(const ShiftTable& table, const Bigint& exp) const;
 
-  // (a^ea · b^eb) mod n via Shamir's trick (one shared squaring chain):
-  // ~40% cheaper than two separate exponentiations. Verification equations
-  // (Schnorr, Chaum-Pedersen) are exactly this shape.
-  [[nodiscard]] Bigint pow2(const Bigint& a, const Bigint& ea, const Bigint& b,
-                            const Bigint& eb) const;
-
-  // Π bases[i]^{exps[i]} mod n with one shared squaring chain — the building
-  // block of batch verification. Dispatches on the base count: 1 base falls
-  // through to pow(), 2–4 bases use interleaved 2-bit-windowed Shamir tables,
-  // larger sets use Pippenger's bucket method.
+  // Π bases[i]^{exps[i]} mod n: an n-term pass over whole bases.
   // Preconditions: equal-length spans, bases in [0, n), exps >= 0.
   [[nodiscard]] Bigint multi_pow(std::span<const Bigint> bases,
                                  std::span<const Bigint> exps) const;
+
+  // Π term.base^{term.exp} mod n: the one pass (see the top of this file). A
+  // zero exponent costs nothing, not even its base's odd powers.
+  // Preconditions: every exp >= 0; a whole base in [0, n); a table built over
+  // this context, and its exp at most table->exp_bits() bits. Throws
+  // std::invalid_argument otherwise.
+  [[nodiscard]] Bigint multi_pow(std::span<const Term> terms) const;
 
   // Montgomery multiplications performed through this context since
   // construction (squarings included). Monotone, thread-safe, and — unlike
@@ -59,20 +78,19 @@ class MontgomeryCtx {
   }
 
  private:
-  friend class FixedBasePow;
+  friend class ShiftTable;
   using Limbs = std::vector<std::uint64_t>;
 
   // Montgomery reduction of a (<= 2k-limb) product; result < n in Montgomery
   // domain semantics.
   [[nodiscard]] Limbs redc(Limbs t) const;
-  [[nodiscard]] Limbs mont_mul(const Limbs& a, const Limbs& b) const;
+  [[nodiscard]] Limbs mont_mul(std::span<const std::uint64_t> a,
+                               std::span<const std::uint64_t> b) const;
   [[nodiscard]] Limbs to_mont(const Bigint& a) const;
   [[nodiscard]] Bigint from_mont(const Limbs& a) const;
-
-  [[nodiscard]] Limbs multi_pow_shamir(const std::vector<Limbs>& mont,
-                                       std::span<const Bigint> exps, std::size_t bits) const;
-  [[nodiscard]] Limbs multi_pow_pippenger(const std::vector<Limbs>& mont,
-                                          std::span<const Bigint> exps, std::size_t bits) const;
+  // The odd powers a, a^3, ..., a^31 of a Montgomery-form `a`, k limbs each,
+  // back to back: 1 squaring and 15 multiplications.
+  [[nodiscard]] Limbs odd_powers(const Limbs& a) const;
 
   Bigint n_;
   std::size_t k_ = 0;        // limb count of n
@@ -89,36 +107,31 @@ class MontgomeryCtx {
   mutable std::atomic<std::uint64_t> mul_count_{0};
 };
 
-// Fixed-base exponentiation with a precomputed comb table: for a base used
-// in thousands of exponentiations (the group generator g, a long-lived
-// public key y), precomputing base^(j·2^(w·i)) for j ∈ [0, 2^w) and every
-// w-bit window position i eliminates all squarings — each exponentiation
-// becomes ~bits/w Montgomery multiplications. Setup costs ~(2^w/w)·bits
-// multiplications, amortized after a handful of uses. The default window
-// (w = 4) matches the original cache tables; pinned protocol bases (g, h,
-// y_A, y_B) use w = 5, trading a 2× larger one-time table for ~20% fewer
-// multiplications on every exponentiation.
-class FixedBasePow {
+// A shift table of a base b: row j holds the odd powers of b^{2^{16j}}, for
+// j = 0 .. ceil(exp_bits / 16) - 1. An exponent enters the pass as one 16-bit
+// chunk per row, chunk j over row j, each recoded on its own (a window
+// reads zeros above its chunk). So the pass over a table needs at most 15
+// squarings and about three multiplications per chunk. Building one costs
+// 16 multiplications per row and 16 squarings between rows: 2,033 for a
+// 1023-bit q, whose 64 rows take 128 KB at 1024 bits.
+class ShiftTable {
  public:
-  static constexpr std::size_t kWindow = 4;
+  static constexpr std::size_t kChunkBits = 16;
 
-  // Precondition: 0 <= base < ctx.modulus(); exponents passed to pow() must
-  // have bit_length() <= max_exp_bits; window_bits in [1, 8]. The context
-  // must outlive this object.
-  FixedBasePow(const MontgomeryCtx& ctx, const Bigint& base, std::size_t max_exp_bits,
-               std::size_t window_bits = kWindow);
+  // Precondition: 0 <= base < ctx.modulus() (checked; throws
+  // std::invalid_argument). The context must outlive the table.
+  ShiftTable(const MontgomeryCtx& ctx, const Bigint& base, std::size_t exp_bits);
 
-  // base ^ exp mod n, exp in [0, 2^max_exp_bits).
-  [[nodiscard]] Bigint pow(const Bigint& exp) const;
-
-  [[nodiscard]] std::size_t window_bits() const { return window_; }
+  // The widest exponent a pass over this table takes.
+  [[nodiscard]] std::size_t exp_bits() const { return rows_ * kChunkBits; }
 
  private:
-  const MontgomeryCtx& ctx_;
-  std::size_t window_ = kWindow;
-  std::size_t windows_ = 0;
-  // table_[i][j] = mont(base^(j * 2^(window_*i))), j in [0, 2^window_).
-  std::vector<std::vector<MontgomeryCtx::Limbs>> table_;
+  friend class MontgomeryCtx;
+  const MontgomeryCtx* ctx_;
+  std::size_t rows_;
+  // Row j's odd powers, Montgomery form, as MontgomeryCtx::odd_powers
+  // returns them; the rows back to back.
+  std::vector<std::uint64_t> powers_;
 };
 
 }  // namespace dblind::mpz

@@ -158,7 +158,7 @@ inline bool check_done_sign_request(const SystemConfig& cfg,
   }
   group::Element m_rho = threshold::combine_decryption(cfg.params, *ea_m_rho, ev->shares);
   if (m_rho != ev->m_rho) return false;
-  if (!cfg.params.in_zp_star(m_rho)) return false;
+  if (!cfg.params.in_group(m_rho)) return false;
 
   // Payload consistency (steps 6(c)/6(d)): E_A(m) is the stored ciphertext
   // and E_B(m) = (mρ)·E_B(ρ)^{-1}.

@@ -33,7 +33,7 @@ void expect_success(System& sys, TransferId t) {
     EXPECT_EQ(sys.oracle_decrypt_b(*res), m) << "B server " << r;
     // The result is a *fresh* ciphertext under K_B, not the original one
     // under K_A re-labelled.
-    EXPECT_TRUE(sys.config().params.in_zp_star(res->a));
+    EXPECT_TRUE(sys.config().params.in_group(res->a));
   }
 }
 

@@ -341,6 +341,8 @@ TEST(ReconfigRound, HeldVotesAreNotRechecked) {
   const auto deliver = [&](const SignedMessage& env) {
     return fx.ops([&] { server.on_message(ctx, fx.node(1), framed(env)); });
   };
+  // The server pinned rank 1's key; its first check builds the key's table.
+  EXPECT_TRUE(envelope_signature_ok(fx.ts.cfg, echo));
   const std::uint64_t echo_check =
       fx.ops([&] { EXPECT_TRUE(envelope_signature_ok(fx.ts.cfg, echo)); });
 
@@ -364,6 +366,9 @@ TEST(ReconfigRound, SecondDigestEchoCostsNothing) {
   fresh[0] ^= 1;
   const SignedMessage first = fx.echo(1, d);
   const SignedMessage second = fx.echo(1, fresh);
+  // Every server below pins rank 1's key: pin it and build its table first.
+  fx.gp().pin_base(fx.ts.cfg.b.server_sign_keys[0].point());
+  EXPECT_TRUE(envelope_signature_ok(fx.ts.cfg, first));
   const std::uint64_t echo_check =
       fx.ops([&] { EXPECT_TRUE(envelope_signature_ok(fx.ts.cfg, first)); });
   const auto pull_targets = [&](ProtocolServer& server, testing::NullContext& ctx) {
@@ -406,7 +411,8 @@ TEST(ReconfigRound, SecondDigestEchoCostsNothing) {
 
 // An install rebuilds nothing a reshare keeps: the echo that completes the
 // certificate costs its own check plus deriving the next service, and the
-// pinned comb tables (y_A, y_B, y_A·y_B: a reshare changes no key) stay.
+// pinned bases (y_A, y_B, y_A·y_B and the keys: a same-roster reshare changes
+// no key) and their tables stay.
 TEST(ReconfigRound, InstallBuildsNoCombTable) {
   RoundFixture fx;
   ProtocolServer server(fx.ts.cfg, fx.ts.b_secrets[3], ProtocolOptions{});

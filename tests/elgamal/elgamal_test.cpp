@@ -209,6 +209,22 @@ TEST(ElGamal, WellFormedChecks) {
   EXPECT_FALSE(kp.public_key().well_formed({good.a, gp.p()}));
 }
 
+// A bare component in [1, p - 1] that is not a quadratic residue is not a
+// group element: the ciphertext is malformed, and decrypt refuses it rather
+// than return a non-element. (-1 is a non-residue, since p = 3 mod 4.)
+TEST(ElGamal, NonResidueComponentIsMalformed) {
+  GroupParams gp = toy();
+  Prng prng(15);
+  KeyPair kp = KeyPair::generate(gp, prng);
+  Ciphertext good = kp.public_key().encrypt(gp.random_element(prng), prng);
+  const Bigint a = good.a;
+  const Bigint b = good.b;
+  for (const Ciphertext& c : {Ciphertext{gp.p() - a, b}, Ciphertext{a, gp.p() - b}}) {
+    EXPECT_FALSE(kp.public_key().well_formed(c));
+    EXPECT_THROW((void)kp.decrypt(c), std::invalid_argument);
+  }
+}
+
 // Blinding/un-blinding algebra (paper Fig. 1/2, single-key core): verifies
 // the derivation chain (mρ)·E_B(ρ)^{-1} ∈ E_B(m) used by step 4.
 TEST(ElGamalAlgebra, BlindUnblindChain) {

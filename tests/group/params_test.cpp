@@ -180,7 +180,7 @@ TEST(GroupParams, FromValuesValidates) {
                std::invalid_argument);
 }
 
-// The FixedBaseCache behind pin_base/pow_fixed/pow_g is shared across all
+// The table cache behind pin_base/pow_fixed/pow_g is shared across all
 // copies of a GroupParams and across threads (its mutex is a dblind::Mutex in
 // the annotated-capability rollout, PR 6). Hammer g's first-use table build,
 // pinning, and lookups from many threads at once; every result must still

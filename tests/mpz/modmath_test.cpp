@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
+#include "mpz/montgomery.hpp"
 #include "mpz/random.hpp"
 
 namespace dblind::mpz {
@@ -160,6 +163,7 @@ TEST(Montgomery, RejectsBadModulus) {
   EXPECT_THROW(MontgomeryCtx(Bigint(-7)), std::invalid_argument);
 }
 
+// a^ea · b^eb, GroupParams::pow2's shape, is a two-term pass.
 TEST(Pow2, MatchesTwoSeparateExponentiations) {
   Bigint m = Bigint::from_hex("fc7fb60b74845770ea35c5cacef5191b0634d65fb8cfbb233eb4908e654edd8f");
   MontgomeryCtx ctx(m);
@@ -169,20 +173,8 @@ TEST(Pow2, MatchesTwoSeparateExponentiations) {
     Bigint b = prng.uniform_below(m);
     Bigint ea = prng.random_bits(1 + prng.uniform_u64(256));
     Bigint eb = prng.random_bits(1 + prng.uniform_u64(256));
-    EXPECT_EQ(ctx.pow2(a, ea, b, eb), mulmod(ctx.pow(a, ea), ctx.pow(b, eb), m));
+    EXPECT_EQ(ctx.multi_pow({{a, b}}, {{ea, eb}}), mulmod(ctx.pow(a, ea), ctx.pow(b, eb), m));
   }
-}
-
-TEST(Pow2, EdgeCases) {
-  MontgomeryCtx ctx(Bigint(101));
-  EXPECT_EQ(ctx.pow2(Bigint(5), Bigint(0), Bigint(7), Bigint(0)), Bigint(1));
-  EXPECT_EQ(ctx.pow2(Bigint(5), Bigint(1), Bigint(7), Bigint(0)), Bigint(5));
-  EXPECT_EQ(ctx.pow2(Bigint(5), Bigint(0), Bigint(7), Bigint(1)), Bigint(7));
-  EXPECT_EQ(ctx.pow2(Bigint(5), Bigint(2), Bigint(7), Bigint(2)), Bigint(25 * 49 % 101));
-  EXPECT_THROW((void)ctx.pow2(Bigint(101), Bigint(1), Bigint(2), Bigint(1)),
-               std::invalid_argument);
-  EXPECT_THROW((void)ctx.pow2(Bigint(5), Bigint(-1), Bigint(2), Bigint(1)),
-               std::invalid_argument);
 }
 
 TEST(Pow2, MismatchedExponentWidths) {
@@ -194,7 +186,7 @@ TEST(Pow2, MismatchedExponentWidths) {
   // One tiny, one wide exponent.
   Bigint ea(3);
   Bigint eb = prng.random_bits(63);
-  EXPECT_EQ(ctx.pow2(a, ea, b, eb), mulmod(ctx.pow(a, ea), ctx.pow(b, eb), m));
+  EXPECT_EQ(ctx.multi_pow({{a, b}}, {{ea, eb}}), mulmod(ctx.pow(a, ea), ctx.pow(b, eb), m));
 }
 
 TEST(MultiPow, MatchesProductOfPows) {
@@ -221,45 +213,64 @@ TEST(MultiPow, EdgeCases) {
   EXPECT_EQ(ctx.multi_pow(b, z), Bigint(1));
   std::vector<Bigint> e = {Bigint(2)};
   EXPECT_EQ(ctx.multi_pow(b, e), Bigint(25));
-  std::vector<Bigint> two_b = {Bigint(5), Bigint(7)};
+  // Two terms: a zero exponent contributes 1, an exponent of 1 its base.
+  const std::vector<Bigint> two_b = {Bigint(5), Bigint(7)};
+  const auto two = [&](std::uint64_t ea, std::uint64_t eb) {
+    return ctx.multi_pow(two_b, std::vector<Bigint>{Bigint(ea), Bigint(eb)});
+  };
+  EXPECT_EQ(two(0, 0), Bigint(1));
+  EXPECT_EQ(two(1, 0), Bigint(5));
+  EXPECT_EQ(two(0, 1), Bigint(7));
+  EXPECT_EQ(two(2, 2), Bigint(25 * 49 % 101));
   EXPECT_THROW((void)ctx.multi_pow(two_b, e), std::invalid_argument);
+  EXPECT_THROW((void)ctx.multi_pow({{Bigint(101), Bigint(2)}}, {{Bigint(1), Bigint(1)}}),
+               std::invalid_argument);
+  EXPECT_THROW((void)ctx.multi_pow(two_b, {{Bigint(-1), Bigint(1)}}), std::invalid_argument);
   std::vector<Bigint> neg = {Bigint(-1)};
   EXPECT_THROW((void)ctx.multi_pow(b, neg), std::invalid_argument);
 }
 
+// Fixed-base exponentiation: a pass over the base's shift table agrees with
+// the whole-base pass.
 TEST(FixedBasePow, MatchesGenericPow) {
   Bigint m = Bigint::from_hex("fc7fb60b74845770ea35c5cacef5191b0634d65fb8cfbb233eb4908e654edd8f");
   MontgomeryCtx ctx(m);
   Prng prng(21);
   Bigint base = prng.uniform_below(m);
-  FixedBasePow fixed(ctx, base, 256);
+  ShiftTable table(ctx, base, 256);
   for (int i = 0; i < 20; ++i) {
     Bigint e = prng.random_bits(1 + prng.uniform_u64(256));
-    EXPECT_EQ(fixed.pow(e), ctx.pow(base, e));
+    EXPECT_EQ(ctx.pow(table, e), ctx.pow(base, e));
   }
-  EXPECT_EQ(fixed.pow(Bigint(0)), Bigint(1));
-  EXPECT_EQ(fixed.pow(Bigint(1)), base);
+  EXPECT_EQ(ctx.pow(table, Bigint(0)), Bigint(1));
+  EXPECT_EQ(ctx.pow(table, Bigint(1)), base);
 }
 
 TEST(FixedBasePow, EdgeExponentWidths) {
   Bigint m(101);
   MontgomeryCtx ctx(m);
-  // Capacity rounds up to whole 4-bit windows: 7 requested -> 8 usable bits.
-  FixedBasePow fixed(ctx, Bigint(5), 7);
-  for (std::uint64_t e = 0; e < 256; ++e) {
-    EXPECT_EQ(fixed.pow(Bigint(e)), ctx.pow(Bigint(5), Bigint(e))) << e;
+  // Capacity rounds up to whole 16-bit rows: 7 requested -> 16 usable bits.
+  ShiftTable table(ctx, Bigint(5), 7);
+  EXPECT_EQ(table.exp_bits(), 16U);
+  for (std::uint64_t low = 0; low < 512; ++low) {
+    for (const std::uint64_t e : {low, (std::uint64_t{1} << 16) - 1 - low}) {
+      ASSERT_EQ(ctx.pow(table, Bigint(e)), ctx.pow(Bigint(5), Bigint(e))) << e;
+    }
   }
-  EXPECT_THROW((void)fixed.pow(Bigint(256)), std::invalid_argument);  // 9 bits
-  EXPECT_THROW((void)fixed.pow(Bigint(-1)), std::invalid_argument);
+  EXPECT_THROW((void)ctx.pow(table, Bigint(1) << 16), std::invalid_argument);  // 17 bits
+  EXPECT_THROW((void)ctx.pow(table, Bigint(-1)), std::invalid_argument);
+  // A table serves only the context it was built over.
+  MontgomeryCtx other(m);
+  EXPECT_THROW((void)other.pow(table, Bigint(3)), std::invalid_argument);
 }
 
 TEST(FixedBasePow, RejectsBadBase) {
   MontgomeryCtx ctx(Bigint(101));
-  EXPECT_THROW(FixedBasePow(ctx, Bigint(101), 8), std::invalid_argument);
-  EXPECT_THROW(FixedBasePow(ctx, Bigint(-1), 8), std::invalid_argument);
-  FixedBasePow zero_ok(ctx, Bigint(0), 8);
-  EXPECT_EQ(zero_ok.pow(Bigint(3)), Bigint(0));
-  EXPECT_EQ(zero_ok.pow(Bigint(0)), Bigint(1));
+  EXPECT_THROW(ShiftTable(ctx, Bigint(101), 8), std::invalid_argument);
+  EXPECT_THROW(ShiftTable(ctx, Bigint(-1), 8), std::invalid_argument);
+  ShiftTable zero_ok(ctx, Bigint(0), 8);
+  EXPECT_EQ(ctx.pow(zero_ok, Bigint(3)), Bigint(0));
+  EXPECT_EQ(ctx.pow(zero_ok, Bigint(0)), Bigint(1));
 }
 
 TEST(Montgomery, RejectsOutOfRangeOperands) {

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "group/params.hpp"
 #include "mpz/bigint.hpp"
 #include "mpz/modmath.hpp"
 #include "mpz/montgomery.hpp"
@@ -108,7 +109,6 @@ TEST_P(DifferentialTest, MultiPowAgrees) {
     if (m.is_even()) m += Bigint(1);
     if (m == Bigint(1)) continue;
     MontgomeryCtx mctx(m);
-    // Cover both the Shamir (<= 4 bases) and Pippenger (> 4) code paths.
     std::size_t count = 2 + prng.uniform_u64(15);
     std::vector<Bigint> bases, exps;
     BnPtr expect(BN_new());
@@ -154,9 +154,32 @@ TEST_P(DifferentialTest, GcdAgrees) {
   }
 }
 
-// Fixed-base comb tables (the PR 5 fast path for protocol bases) vs
-// BN_mod_exp, over every window width and the edge exponents the comb
-// indexing must get right: 0, 1, order-1, all-ones and single-bit patterns.
+// The edge exponents of a shift table over `exp_bits` bits: 0, 1, 2, every
+// 16-bit chunk all ones, chunks of all ones one apart, single bits on each
+// side of every chunk edge, and the table's full width (all ones, top bit).
+std::vector<Bigint> shift_table_edges(std::size_t exp_bits) {
+  const std::size_t chunk = ShiftTable::kChunkBits;
+  const std::size_t width = (exp_bits + chunk - 1) / chunk * chunk;
+  std::vector<Bigint> exps = {Bigint(0), Bigint(1), Bigint(2), (Bigint(1) << width) - Bigint(1),
+                              Bigint(1) << (width - 1)};
+  Bigint alternate(0);
+  for (std::size_t lo = 0; lo < width; lo += chunk) {
+    exps.push_back(((Bigint(1) << chunk) - Bigint(1)) << lo);
+    if ((lo / chunk) % 2 == 0) alternate = alternate + (((Bigint(1) << chunk) - Bigint(1)) << lo);
+    if (lo > 0) {
+      exps.push_back(Bigint(1) << (lo - 1));
+      exps.push_back(Bigint(1) << lo);
+      exps.push_back((Bigint(1) << lo) + (Bigint(1) << (lo - 1)));
+    }
+  }
+  exps.push_back(alternate);
+  return exps;
+}
+
+// Shift tables (the fixed-base tables of g and every pinned base; a comb
+// whose teeth are 16 bits apart, each windowed on its own) vs BN_mod_exp on
+// random odd moduli, over the edge exponents the chunk indexing must get
+// right and random draws.
 TEST_P(DifferentialTest, FixedBaseCombAgrees) {
   Prng prng(GetParam() ^ 0xc0bb1e5ull);
   for (int iter = 0; iter < 3; ++iter) {
@@ -166,23 +189,44 @@ TEST_P(DifferentialTest, FixedBaseCombAgrees) {
     MontgomeryCtx mctx(m);
     Bigint base = prng.uniform_below(m);
     const std::size_t max_bits = 200;
+    ShiftTable table(mctx, base, max_bits);
 
-    std::vector<Bigint> exps = {Bigint(0), Bigint(1), Bigint(2),
-                                (Bigint(1) << max_bits) - Bigint(1),
-                                Bigint(1) << (max_bits - 1)};
+    std::vector<Bigint> exps = shift_table_edges(max_bits);
     for (int i = 0; i < 4; ++i) exps.push_back(prng.random_bits(1 + prng.uniform_u64(max_bits)));
 
     BnPtr bm = to_bn(m), bb = to_bn(base);
-    for (std::size_t window = 1; window <= 8; ++window) {
-      FixedBasePow table(mctx, base, max_bits, window);
+    for (const Bigint& exp : exps) {
+      BnPtr be = to_bn(exp), r(BN_new());
+      BN_mod_exp(r.get(), bb.get(), be.get(), bm.get(), ctx_);
+      EXPECT_EQ(from_bn(r.get()), mctx.pow(table, exp))
+          << "m=" << m.to_hex() << " e=" << exp.to_hex();
+    }
+  }
+}
+
+// The shift tables the named 1024- and 2048-bit groups build for g and for a
+// pinned base, vs BN_mod_exp on the edge exponents and q - 1.
+TEST(ShiftTableDifferential, NamedGroupEdgesAgree) {
+  BN_CTX* bn_ctx = BN_CTX_new();
+  Prng prng(0x5e1f);
+  for (group::ParamId id : {group::ParamId::kSec1024, group::ParamId::kSec2048}) {
+    const group::GroupParams gp = group::GroupParams::named(id);
+    MontgomeryCtx mctx(gp.p());
+    std::vector<Bigint> exps = shift_table_edges(gp.q().bit_length());
+    exps.push_back(gp.q() - Bigint(1));
+    BnPtr bm = to_bn(gp.p());
+    for (const Bigint& base : {Bigint(gp.g()), Bigint(gp.random_element(prng))}) {
+      ShiftTable table(mctx, base, gp.q().bit_length());
+      BnPtr bb = to_bn(base);
       for (const Bigint& exp : exps) {
         BnPtr be = to_bn(exp), r(BN_new());
-        BN_mod_exp(r.get(), bb.get(), be.get(), bm.get(), ctx_);
-        EXPECT_EQ(from_bn(r.get()), table.pow(exp))
-            << "m=" << m.to_hex() << " w=" << window << " e=" << exp.to_hex();
+        BN_mod_exp(r.get(), bb.get(), be.get(), bm.get(), bn_ctx);
+        EXPECT_EQ(from_bn(r.get()), mctx.pow(table, exp))
+            << gp.bits() << "-bit p, e=" << exp.to_hex();
       }
     }
   }
+  BN_CTX_free(bn_ctx);
 }
 
 TEST_P(DifferentialTest, PrimalityAgrees) {

@@ -5,7 +5,6 @@
 #include <functional>
 #include <string>
 
-#include "mpz/fe25519.hpp"
 #include "mpz/modmath.hpp"
 
 namespace dblind::zkp {
@@ -197,33 +196,47 @@ TEST(Schnorr, EmptyMessageSignable) {
   EXPECT_FALSE(sk.verify_key().verify(bytes("a"), sig));
 }
 
-std::uint64_t field_muls_of(const std::function<void()>& f) {
-  const std::uint64_t before = mpz::fe_mul_count();
+// The group operations `f` performs on `gp`: field muls on ec255, Montgomery
+// multiplications on mod-p.
+std::uint64_t ops_of(const GroupParams& gp, const std::function<void()>& f) {
+  const std::uint64_t before = gp.group_op_count();
   f();
-  return mpz::fe_mul_count() - before;
+  return gp.group_op_count() - before;
 }
 
-// On ec255 a check under a pinned key runs g and the key over their shift
-// tables: 16 doublings instead of 253, about a third of the field muls once
-// the key's table exists. The verdicts are the same either way.
+// A check under a pinned key runs g and the key over their shift tables: at
+// most 16 doublings (ec255) or 15 squarings (mod-p) instead of one per bit of
+// q, about a third of the group operations once the key's table exists. The
+// verdicts are the same either way.
 TEST(SchnorrCost, CheckUnderAPinnedKeyCostsAThird) {
-  const GroupParams pinned = GroupParams::named(ParamId::kEc255);
-  const GroupParams unpinned = GroupParams::named(ParamId::kEc255);
-  Prng prng(31);
-  const SchnorrSigningKey sk = SchnorrSigningKey::generate(pinned, prng);
-  pinned.pin_key(sk.verify_key().point());
-  const SchnorrVerifyKey& with_pin = sk.verify_key();
-  const SchnorrVerifyKey without_pin(unpinned, with_pin.point());
-  const auto msg = bytes("pinned");
-  const SchnorrSignature sig = sk.sign(msg, prng);
-  const SchnorrSignature forged{sig.r, mpz::addmod(sig.s, Bigint(1), pinned.q())};
-  (void)unpinned.pow_g(Bigint(1));  // g's table, on both sides
-  // The first check under the key builds its table.
-  EXPECT_TRUE(with_pin.verify(msg, sig));
-  EXPECT_LE(field_muls_of([&] { EXPECT_TRUE(with_pin.verify(msg, sig)); }), 1000U);
-  EXPECT_GT(field_muls_of([&] { EXPECT_TRUE(without_pin.verify(msg, sig)); }), 2400U);
-  EXPECT_FALSE(with_pin.verify(msg, forged));
-  EXPECT_FALSE(without_pin.verify(msg, forged));
+  struct Bound {
+    ParamId id;
+    std::uint64_t pinned_at_most;
+    std::uint64_t unpinned_above;
+  };
+  for (const Bound& b : {Bound{ParamId::kEc255, 1000, 2400}, Bound{ParamId::kSec1024, 450, 1300}}) {
+    const GroupParams pinned = GroupParams::named(b.id);
+    const GroupParams unpinned = GroupParams::named(b.id);
+    SCOPED_TRACE(pinned.backend_name());
+    Prng prng(31);
+    const SchnorrSigningKey sk = SchnorrSigningKey::generate(pinned, prng);
+    pinned.pin_base(sk.verify_key().point());
+    const SchnorrVerifyKey& with_pin = sk.verify_key();
+    const SchnorrVerifyKey without_pin(unpinned, with_pin.point());
+    const auto msg = bytes("pinned");
+    const SchnorrSignature sig = sk.sign(msg, prng);
+    const SchnorrSignature forged{sig.r, mpz::addmod(sig.s, Bigint(1), pinned.q())};
+    (void)unpinned.pow_g(Bigint(1));  // g's table, on both sides
+    // The first check under the key builds its table.
+    EXPECT_TRUE(with_pin.verify(msg, sig));
+    const std::uint64_t with = ops_of(pinned, [&] { EXPECT_TRUE(with_pin.verify(msg, sig)); });
+    const std::uint64_t without =
+        ops_of(unpinned, [&] { EXPECT_TRUE(without_pin.verify(msg, sig)); });
+    EXPECT_LE(with, b.pinned_at_most);
+    EXPECT_GT(without, b.unpinned_above);
+    EXPECT_FALSE(with_pin.verify(msg, forged));
+    EXPECT_FALSE(without_pin.verify(msg, forged));
+  }
 }
 
 }  // namespace

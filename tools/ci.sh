@@ -60,7 +60,7 @@
 #                    backend.
 #   bench            bench regression gates: bench_check.py (batched vs
 #                    serial Fig. 5 evidence checks >= 2x, precompute on/off
-#                    online split >= 3x, obs overhead, comb tables, reconfig,
+#                    online split >= 3x, obs overhead, pinned tables, reconfig,
 #                    load, critpath, backends) by deterministic counts, plus
 #                    the wall-clock microbenchmarks; writes BENCH_pr3.json ..
 #                    BENCH_pr10.json into build-relwithdebinfo/
