@@ -1,8 +1,10 @@
 #include "group/backend_modp.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <stdexcept>
+#include <vector>
 
 #include "mpz/modmath.hpp"
 

@@ -44,7 +44,8 @@ void recode(const Bigint& exp, std::size_t lo, std::size_t width, Emit&& emit) {
 }
 
 // One multiplication of the pass: at chain position `pos`, multiply by
-// powers^digit, read from the odd powers `powers` (see odd_powers).
+// b^digit, read from b's odd powers `powers` (laid out as odd_powers returns
+// them).
 struct Mul {
   std::size_t pos;
   unsigned digit;
