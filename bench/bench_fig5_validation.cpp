@@ -107,12 +107,16 @@ struct Fixture {
     return msg && core::check_reveal(ts.cfg, reveal_env, *msg);
   }
   bool contribute_ok() {
-    // Signature + embedded reveal (2f+1 commits) + VDE verification.
-    return core::check_contribute(ts.cfg, contribute_env, prng).has_value();
+    // A coordinator decodes the contribute, then checks its signature, the
+    // embedded reveal (2f+1 commits) and the VDE proof.
+    auto msg = core::try_decode<core::ContributeMsg>(ts.cfg, core::MsgType::kContribute,
+                                                     contribute_env.body);
+    return msg && core::check_contribute(ts.cfg, contribute_env, *msg, prng);
   }
   bool blind_request_ok() {
     // The heaviest check: f+1 contributes sharing one reveal + product check.
-    return core::check_blind_sign_request(ts.cfg, blind_payload, blind_evidence, prng);
+    return core::check_blind_sign_request(ts.cfg, blind_payload, blind_evidence, prng)
+        .has_value();
   }
 };
 

@@ -239,20 +239,26 @@ void Blinding::on_commit(const Local& l, const SignedMessage& env) {
 
 void Blinding::on_contribute(const Local& l, const SignedMessage& env, Signing& signing) {
   if (!l.is_b()) return;
-  auto contribute = check_contribute(l.cfg, env, l.ctx.rng());
-  // A rejected message is never decoded for the trace: env.signer names the
-  // culprit node and the event carries no transfer.
-  if (!l.verdict(contribute.has_value(), true, contribute ? &contribute->id : nullptr,
-                 contribute ? contribute->server : env.signer, MsgType::kContribute))
-    return;
+  // A rejected message's fields are not trusted for the trace: env.signer
+  // names the culprit node and the event carries no transfer.
+  const auto reject = [&] { l.verdict(false, true, nullptr, env.signer, MsgType::kContribute); };
+  auto contribute = try_decode<ContributeMsg>(l.cfg, MsgType::kContribute, env.body);
+  if (!contribute) return reject();
+  // Look the instance up before any signature or VDE check: a contribute for
+  // an instance this server does not coordinate, one that arrives once
+  // signing has begun, a second one from a server already counted and one
+  // that answers another reveal cost one decode each.
   auto it = coordinators_.find(contribute->id);
   if (it == coordinators_.end()) return;
   CoordinatorState& st = it->second;
-  if (st.signing) return;
+  if (st.signing || st.contributes.contains(contribute->server)) return;
   // Accept only contributions responding to OUR reveal (the same-reveal
-  // evidence rule is enforced again by every signing member).
+  // evidence rule is enforced again by the signing members).
   if (!(contribute->reveal == st.reveal_env)) return;
-  st.contributes.emplace(contribute->server, env);
+  if (!check_contribute(l.cfg, env, *contribute, l.ctx.rng())) return reject();
+  l.verdict(true, true, &contribute->id, contribute->server, MsgType::kContribute);
+  const ServerRank server = contribute->server;
+  st.contributes.emplace(server, Contributed{env, std::move(*contribute)});
   try_finish(l, st, signing);
 }
 
@@ -268,15 +274,15 @@ void Blinding::try_finish(const Local& l, CoordinatorState& st, Signing& signing
 
   BlindEvidence evidence;
   std::vector<elgamal::Ciphertext> eas, ebs;
-  for (const auto& [rank, env] : st.contributes) {
+  for (const auto& [rank, c] : st.contributes) {
     if (evidence.contributes.size() == quorum) break;
-    evidence.contributes.push_back(env);
-    ContributeMsg c = decode_as<ContributeMsg>(MsgType::kContribute, env.body, l.cfg.params);
+    evidence.contributes.push_back(c.env);
     // Transfer-isolation audit record (invariant I8/T8): a cited contribution
     // naming another transfer would expose cross-transfer contamination.
-    l.trace(obs::EventKind::kContributeCited, &st.id, {.peer = c.server, .count = c.id.transfer});
-    eas.push_back(c.contribution.ea);
-    ebs.push_back(c.contribution.eb);
+    l.trace(obs::EventKind::kContributeCited, &st.id,
+            {.peer = c.msg.server, .count = c.msg.id.transfer});
+    eas.push_back(c.msg.contribution.ea);
+    ebs.push_back(c.msg.contribution.eb);
   }
   auto ea = l.cfg.a.encryption_key.product(eas);
   auto eb = l.cfg.b.encryption_key.product(ebs);
@@ -336,12 +342,11 @@ void Blinding::attack(const Local& l, CoordinatorState& st, Signing& signing) {
 
   std::vector<elgamal::Ciphertext> eas, ebs;
   BlindEvidence evidence;
-  for (const auto& [rank, env] : st.contributes) {
+  for (const auto& [rank, c] : st.contributes) {
     if (evidence.contributes.size() == quorum - 1) break;
-    evidence.contributes.push_back(env);
-    ContributeMsg c = decode_as<ContributeMsg>(MsgType::kContribute, env.body, gp);
-    eas.push_back(c.contribution.ea);
-    ebs.push_back(c.contribution.eb);
+    evidence.contributes.push_back(c.env);
+    eas.push_back(c.msg.contribution.ea);
+    ebs.push_back(c.msg.contribution.eb);
   }
 
   // Craft the canceling contribution: E(ρ̂) × Π E(ρ_i)^{-1}.

@@ -51,8 +51,8 @@ class Blinding {
   // timer::kCoordinator: a backup's delay ran out.
   void on_timer(const Local& l, std::uint64_t key, const ResultMap& results, Signing& signing);
   void on_commit(const Local& l, const SignedMessage& env);
-  // Verifies a contribute on arrival; one answering this coordinator's
-  // reveal counts toward the f+1 quorum.
+  // Verifies a contribute on arrival, once it is known to answer this
+  // coordinator's reveal for an instance still short of its f+1 quorum.
   void on_contribute(const Local& l, const SignedMessage& env, Signing& signing);
   // Step 5(d): B signed a blind payload; C_j → A.
   void on_signed(const Local& l, const ServiceSignature& sig);
@@ -95,12 +95,17 @@ class Blinding {
     Frame contribute_frame;
     SignedMessage answered_reveal;  // the one reveal we responded to
   };
+  // A checked contribute: the envelope cited as evidence, and its body.
+  struct Contributed {
+    SignedMessage env;
+    ContributeMsg msg;
+  };
   struct CoordinatorState {
     InstanceId id;
     std::map<ServerRank, SignedMessage> commits;
     SignedMessage reveal_env;
     bool revealed = false;
-    std::map<ServerRank, SignedMessage> contributes;
+    std::map<ServerRank, Contributed> contributes;
     bool signing = false;
     std::uint64_t init_resend = 0;  // retransmission keys (0 = none)
     std::uint64_t reveal_resend = 0;

@@ -209,7 +209,7 @@ void ProtocolServer::on_signed(net::Context& ctx, net::NodeId from, MsgType type
     case MsgType::kContribute: blinding_.on_contribute(l, env, signing_); break;
     case MsgType::kSignRequest: signing_.on_request(l, env, ledger_); break;
     case MsgType::kSignCommitReply: signing_.on_commit_reply(l, env); break;
-    case MsgType::kSignQuorum: signing_.on_quorum(l, env); break;
+    case MsgType::kSignQuorum: signing_.on_quorum(l, env, ledger_); break;
     case MsgType::kSignRevealReply: signing_.on_reveal_reply(l, env); break;
     case MsgType::kSignRevealSet: signing_.on_reveal_set(l, env); break;
     case MsgType::kSignPartialReply:

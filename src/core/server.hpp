@@ -99,8 +99,11 @@ class ProtocolServer final : public net::Node {
   }
   // Signing sessions still holding a nonce k_i (and a copy of the key share):
   // those that have neither produced their partial nor been left out of
-  // their session's quorum.
+  // their session's quorum, nor failed their evidence check.
   [[nodiscard]] std::size_t signing_nonces_held() const { return signing_.nonces_held(); }
+  // Signing sessions still holding a request's evidence: those no quorum has
+  // named or left out yet (the requester's own session holds none).
+  [[nodiscard]] std::size_t signing_evidence_held() const { return signing_.evidence_held(); }
   // Contributor instances that answered their reveal yet still hold the
   // bundle the answer spent (ρ, r₁, r₂ and the VDE announcement exponents).
   [[nodiscard]] std::size_t spent_bundles_held() const { return blinding_.spent_bundles_held(); }

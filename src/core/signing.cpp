@@ -1,6 +1,7 @@
 #include "core/signing.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/recovery.hpp"
 
@@ -165,27 +166,6 @@ void Signing::on_request(const Local& l, const SignedMessage& env, const Ledger&
   if (!l.holds_share()) return;
   auto msg = parse_signed<SignRequestMsg>(l.cfg, env, MsgType::kSignRequest, l.me.role);
   if (!msg) return;
-
-  // Self-verification of the signing request (§4.2.3): a member signs only
-  // payloads justified by valid evidence.
-  const auto purpose = static_cast<SignPurpose>(msg->purpose);
-  if (purpose == SignPurpose::kBlind) {
-    if (!l.is_b()) return;
-    const bool ok = check_blind_sign_request(l.cfg, msg->payload, msg->evidence, l.ctx.rng());
-    if (!l.verdict(ok, true, nullptr, env.signer, MsgType::kBlind)) return;
-  } else if (purpose == SignPurpose::kDone) {
-    if (l.is_b()) return;
-    auto payload = try_decode<DonePayload>(l.cfg, MsgType::kDone, msg->payload);
-    if (!payload) return;
-    auto sit = ledger.stored.find(payload->id.transfer);
-    if (sit == ledger.stored.end()) return;
-    const bool ok =
-        check_done_sign_request(l.cfg, msg->payload, msg->evidence, sit->second, l.ctx.rng());
-    if (!l.verdict(ok, true, &payload->id, env.signer, MsgType::kDone)) return;
-  } else {
-    return;
-  }
-
   const net::NodeId to = l.service().node_of(env.signer);
   const auto key = std::make_pair(to, msg->session);
   if (auto it = members_.find(key); it != members_.end()) {
@@ -194,7 +174,23 @@ void Signing::on_request(const Local& l, const SignedMessage& env, const Ledger&
     l.resend.resend_frame(l.ctx, to, it->second.commit_frame);
     return;
   }
+  // B signs blind payloads, A signs done payloads.
+  const auto purpose = static_cast<SignPurpose>(msg->purpose);
+  if (purpose != (l.is_b() ? SignPurpose::kBlind : SignPurpose::kDone)) return;
+
   MemberSession ms;
+  // The requester built its payload from messages it had already checked:
+  // its own session keeps no evidence. Every other member keeps it for the
+  // check it runs once a quorum names it.
+  if (env.signer != l.me.rank) {
+    Evidence& ev = ms.evidence.emplace();
+    if (purpose == SignPurpose::kDone) {
+      // The check needs this server's stored E_A(m): without it, no commitment.
+      ev.done = try_decode<DonePayload>(l.cfg, MsgType::kDone, msg->payload);
+      if (!ev.done || !ledger.stored.contains(ev.done->id.transfer)) return;
+    }
+    ev.bytes = std::move(msg->evidence);
+  }
   ms.payload = std::move(msg->payload);
   ms.member = std::make_unique<threshold::SigningMember>(l.cfg.params, l.me.sign_share,
                                                          l.ctx.rng());
@@ -204,7 +200,20 @@ void Signing::on_request(const Local& l, const SignedMessage& env, const Ledger&
   l.ctx.send(to, stored.commit_frame);
 }
 
-void Signing::on_quorum(const Local& l, const SignedMessage& env) {
+bool Signing::evidence_ok(const Local& l, const SignedMessage& env,
+                          std::span<const std::uint8_t> payload, const Evidence& ev,
+                          const Ledger& ledger) {
+  if (!ev.done) {
+    const auto id = check_blind_sign_request(l.cfg, payload, ev.bytes, l.ctx.rng());
+    return l.verdict(id.has_value(), true, id ? &*id : nullptr, env.signer, MsgType::kBlind);
+  }
+  auto sit = ledger.stored.find(ev.done->id.transfer);
+  const bool ok = sit != ledger.stored.end() &&
+                  check_done_sign_request(l.cfg, *ev.done, ev.bytes, sit->second, l.ctx.rng());
+  return l.verdict(ok, true, &ev.done->id, env.signer, MsgType::kDone);
+}
+
+void Signing::on_quorum(const Local& l, const SignedMessage& env, const Ledger& ledger) {
   auto msg = parse_signed<SignQuorumMsg>(l.cfg, env, MsgType::kSignQuorum, l.me.role);
   const net::NodeId to = msg ? l.service().node_of(env.signer) : 0;
   auto it = msg ? members_.find(std::make_pair(to, msg->session)) : members_.end();
@@ -215,10 +224,14 @@ void Signing::on_quorum(const Local& l, const SignedMessage& env) {
     l.resend.resend_frame(l.ctx, to, ms.reveal_frame);
     return;
   }
-  if (!ms.member) return;  // left out of this session's quorum earlier
+  if (!ms.member) return;  // left out of this session's quorum, or its check failed
   const bool mine = std::any_of(msg->quorum.begin(), msg->quorum.end(),
                                 [&](const auto& c) { return c.index == l.me.rank; });
-  if (!mine) {
+  // The evidence is read at most once, here, and freed either way.
+  const std::optional<Evidence> ev = std::exchange(ms.evidence, std::nullopt);
+  // Self-verification of the signing request (§4.2.3): a member reveals, and
+  // so signs, only payloads justified by valid evidence.
+  if (!mine || (ev && !evidence_ok(l, env, ms.payload, *ev, ledger))) {
     // Our nonce will never be used: release it. The session never signs.
     ms.member.reset();
     return;
@@ -262,6 +275,12 @@ void Signing::on_reveal_set(const Local& l, const SignedMessage& env) {
 std::size_t Signing::nonces_held() const {
   return static_cast<std::size_t>(std::count_if(
       members_.begin(), members_.end(), [](const auto& kv) { return kv.second.member != nullptr; }));
+}
+
+std::size_t Signing::evidence_held() const {
+  return static_cast<std::size_t>(
+      std::count_if(members_.begin(), members_.end(),
+                    [](const auto& kv) { return kv.second.evidence.has_value(); }));
 }
 
 }  // namespace dblind::core

@@ -5,10 +5,16 @@
 // Requester: the first 2f+1 nonce commitments fix a quorum of f+1, whose
 // reveals go back out as one set; f+1 valid partials combine. A stalled
 // session retries without its stallers; a bad partial excludes its signer.
-// Member: checks the evidence (Fig. 5), commits to a fresh nonce once per
-// session, reveals only inside a quorum, signs at most once, and answers
-// every duplicate with the bytes it sent first (a fresh nonce for the same
-// session would be nonce reuse across equivocating requesters).
+// Member: commits to a fresh nonce once per session and keeps the request's
+// evidence; when a quorum names it, it checks the evidence (Fig. 5) and
+// reveals only if the check passes, and a quorum that leaves it out, or a
+// failed check, releases nonce and evidence. It signs at most once, and
+// answers every duplicate with the bytes it sent first (a fresh nonce for
+// the same session would be nonce reuse across equivocating requesters).
+// The requester's own member session checks nothing: it built the payload
+// from messages it had already checked, and every f+1 quorum around a
+// Byzantine requester holds an honest member that checks (DESIGN.md,
+// "Sign-request evidence, checked in the quorum").
 #pragma once
 
 #include <cstdint>
@@ -16,6 +22,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -49,11 +56,15 @@ class Signing {
 
   // Member.
   void on_request(const Local& l, const SignedMessage& env, const Ledger& ledger);
-  void on_quorum(const Local& l, const SignedMessage& env);
+  void on_quorum(const Local& l, const SignedMessage& env, const Ledger& ledger);
   void on_reveal_set(const Local& l, const SignedMessage& env);
   // Sessions still holding a nonce k_i (and a copy of the key share): those
-  // that have neither produced their partial nor been left out of a quorum.
+  // that have neither produced their partial nor been left out of a quorum,
+  // nor failed their evidence check.
   [[nodiscard]] std::size_t nonces_held() const;
+  // Sessions still holding a request's evidence: those no quorum has named
+  // or left out yet.
+  [[nodiscard]] std::size_t evidence_held() const;
 
   void reset() {
     sessions_.clear();
@@ -76,10 +87,19 @@ class Signing {
     bool done = false;
     std::uint64_t round_resend = 0;  // retransmits the current round's broadcast
   };
+  // What a member checks once a quorum names it (Fig. 5).
+  struct Evidence {
+    std::vector<std::uint8_t> bytes;
+    std::optional<DonePayload> done;  // a kDone request's payload, decoded once
+  };
   struct MemberSession {
     std::vector<std::uint8_t> payload;
+    // None for the requester's own session; released when a quorum names
+    // this member (after the check) or leaves it out.
+    std::optional<Evidence> evidence;
     std::vector<threshold::NonceCommitment> quorum;
-    // Null once the partial is sent or the quorum left this member out.
+    // Null once the partial is sent, the quorum left this member out or the
+    // evidence failed its check.
     std::unique_ptr<threshold::SigningMember> member;
     bool responded = false;
     // Cached signed frames, re-sent verbatim on duplicates.
@@ -95,6 +115,11 @@ class Signing {
   void retry(const Local& l, Session s, std::set<ServerRank> excluded);
   // Broadcasts one round message of `s` to the service and arms its resend.
   void broadcast_round(const Local& l, Session& s, std::vector<std::uint8_t> body);
+  // Self-verification of a signing request (§4.2.3), counted and traced as
+  // one verdict on the requester `env.signer`.
+  static bool evidence_ok(const Local& l, const SignedMessage& env,
+                          std::span<const std::uint8_t> payload, const Evidence& ev,
+                          const Ledger& ledger);
 
   Behavior behavior_;
   net::Time retry_delay_;

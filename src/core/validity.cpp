@@ -141,24 +141,20 @@ bool check_reveal(const SystemConfig& cfg, const SignedMessage& env, const Revea
   return collect_reveal(cfg, env, msg, env.cfg_epoch, sigs) && sigs.verify(cfg.params);
 }
 
-std::optional<ContributeMsg> check_contribute(const SystemConfig& cfg, const SignedMessage& env,
-                                              mpz::Prng& prng) {
-  if (!b_envelope_ok(cfg, env, env.cfg_epoch)) return std::nullopt;
-  auto msg = try_decode<ContributeMsg>(cfg, MsgType::kContribute, env.body);
-  if (!msg || env.signer != msg->server) return std::nullopt;
+bool check_contribute(const SystemConfig& cfg, const SignedMessage& env, const ContributeMsg& msg,
+                      mpz::Prng& prng) {
+  if (!b_envelope_ok(cfg, env, env.cfg_epoch) || env.signer != msg.server) return false;
 
   SigBatch sigs;
   sigs.add(cfg, env);
   // I6: the embedded reveal is from the contribute's own config epoch.
-  auto reveal = collect_embedded_reveal(cfg, msg->reveal, msg->id, env.cfg_epoch, sigs);
-  if (!reveal || !commitment_matches(cfg, *reveal, msg->server, *msg)) return std::nullopt;
-  if (!sigs.verify(cfg.params)) return std::nullopt;
-  const zkp::VdeBatchItem vde{&cfg.a.encryption_key, &msg->contribution.ea,
-                              &cfg.b.encryption_key, &msg->contribution.eb,
-                              &msg->vde,             vde_context(msg->id, msg->server)};
-  if (!zkp::vde_batch_verify(std::span<const zkp::VdeBatchItem>(&vde, 1), prng))
-    return std::nullopt;
-  return msg;
+  auto reveal = collect_embedded_reveal(cfg, msg.reveal, msg.id, env.cfg_epoch, sigs);
+  if (!reveal || !commitment_matches(cfg, *reveal, msg.server, msg)) return false;
+  if (!sigs.verify(cfg.params)) return false;
+  const zkp::VdeBatchItem vde{&cfg.a.encryption_key, &msg.contribution.ea,
+                              &cfg.b.encryption_key, &msg.contribution.eb,
+                              &msg.vde,              vde_context(msg.id, msg.server)};
+  return zkp::vde_batch_verify(std::span<const zkp::VdeBatchItem>(&vde, 1), prng);
 }
 
 std::optional<BlindPayload> check_blind(const SystemConfig& cfg, const ServiceSignedMsg& msg) {
@@ -173,25 +169,27 @@ std::optional<DonePayload> check_done(const SystemConfig& cfg, const ServiceSign
   return try_decode<DonePayload>(cfg, MsgType::kDone, msg.body);
 }
 
-bool check_blind_sign_request(const SystemConfig& cfg, std::span<const std::uint8_t> payload,
-                              std::span<const std::uint8_t> evidence, mpz::Prng& prng) {
+std::optional<InstanceId> check_blind_sign_request(const SystemConfig& cfg,
+                                                   std::span<const std::uint8_t> payload,
+                                                   std::span<const std::uint8_t> evidence,
+                                                   mpz::Prng& prng) {
   auto blind = try_decode<BlindPayload>(cfg, MsgType::kBlind, payload);
-  if (!blind) return false;
+  if (!blind) return std::nullopt;
   auto ev = try_read<BlindEvidence>(cfg, evidence);
-  if (!ev) return false;
+  if (!ev) return std::nullopt;
 
   // f+1 contribute messages, distinct servers, same id, one config epoch (I6).
-  if (ev->contributes.size() != cfg.b.cfg.quorum()) return false;
+  if (ev->contributes.size() != cfg.b.cfg.quorum()) return std::nullopt;
   SigBatch sigs;
   std::vector<ContributeMsg> msgs;
   msgs.reserve(ev->contributes.size());
   std::set<ServerRank> servers;
   const ConfigEpoch epoch = ev->contributes.front().cfg_epoch;
   for (const SignedMessage& env : ev->contributes) {
-    if (!b_envelope_ok(cfg, env, epoch)) return false;
+    if (!b_envelope_ok(cfg, env, epoch)) return std::nullopt;
     auto c = try_decode<ContributeMsg>(cfg, MsgType::kContribute, env.body);
-    if (!c || env.signer != c->server || c->id != blind->id) return false;
-    if (!servers.insert(c->server).second) return false;
+    if (!c || env.signer != c->server || c->id != blind->id) return std::nullopt;
+    if (!servers.insert(c->server).second) return std::nullopt;
     sigs.add(cfg, env);
     msgs.push_back(std::move(*c));
   }
@@ -200,14 +198,14 @@ bool check_blind_sign_request(const SystemConfig& cfg, std::span<const std::uint
   // byte-identical, the shared reveal and its 2f+1 commits are checked once.
   const ContributeMsg& first = msgs.front();
   for (const ContributeMsg& c : msgs) {
-    if (!(c.reveal == first.reveal)) return false;
+    if (!(c.reveal == first.reveal)) return std::nullopt;
   }
   auto reveal = collect_embedded_reveal(cfg, first.reveal, blind->id, epoch, sigs);
-  if (!reveal) return false;
+  if (!reveal) return std::nullopt;
   for (const ContributeMsg& c : msgs) {
-    if (!commitment_matches(cfg, *reveal, c.server, c)) return false;
+    if (!commitment_matches(cfg, *reveal, c.server, c)) return std::nullopt;
   }
-  if (!sigs.verify(cfg.params)) return false;
+  if (!sigs.verify(cfg.params)) return std::nullopt;
 
   std::vector<zkp::VdeBatchItem> vdes;
   vdes.reserve(msgs.size());
@@ -215,7 +213,7 @@ bool check_blind_sign_request(const SystemConfig& cfg, std::span<const std::uint
     vdes.push_back({&cfg.a.encryption_key, &c.contribution.ea, &cfg.b.encryption_key,
                     &c.contribution.eb, &c.vde, vde_context(c.id, c.server)});
   }
-  if (!zkp::vde_batch_verify(vdes, prng)) return false;
+  if (!zkp::vde_batch_verify(vdes, prng)) return std::nullopt;
 
   // The payload must be exactly the homomorphic product of the evidence
   // contributions (and non-degenerate, per the ElGamal Multiplication side
@@ -227,20 +225,18 @@ bool check_blind_sign_request(const SystemConfig& cfg, std::span<const std::uint
   }
   auto ea = cfg.a.encryption_key.product(eas);
   auto eb = cfg.b.encryption_key.product(ebs);
-  if (!ea || !eb) return false;
-  return *ea == blind->blinded.ea && *eb == blind->blinded.eb;
+  if (!ea || !eb || !(*ea == blind->blinded.ea && *eb == blind->blinded.eb)) return std::nullopt;
+  return blind->id;
 }
 
-bool check_done_sign_request(const SystemConfig& cfg, std::span<const std::uint8_t> payload,
+bool check_done_sign_request(const SystemConfig& cfg, const DonePayload& done,
                              std::span<const std::uint8_t> evidence,
                              const elgamal::Ciphertext& stored_ea_m, mpz::Prng& prng) {
-  auto done = try_decode<DonePayload>(cfg, MsgType::kDone, payload);
-  if (!done) return false;
   auto ev = try_read<DoneEvidence>(cfg, evidence);
   if (!ev) return false;
 
   auto blind = check_blind(cfg, ev->blind);
-  if (!blind || blind->id != done->id) return false;
+  if (!blind || blind->id != done.id) return false;
 
   // Recompute E_A(mρ) from the locally stored E_A(m) (step 6(a)).
   auto ea_m_rho = cfg.a.encryption_key.multiply(stored_ea_m, blind->blinded.ea);
@@ -253,7 +249,7 @@ bool check_done_sign_request(const SystemConfig& cfg, std::span<const std::uint8
     if (!seen.insert(s.index).second) return false;
   }
   if (!threshold::batch_verify_decryption_shares(cfg.params, cfg.a.enc_commitments, *ea_m_rho,
-                                                 ev->shares, decrypt_context(done->id), prng))
+                                                 ev->shares, decrypt_context(done.id), prng))
     return false;
   group::Element m_rho = threshold::combine_decryption(cfg.params, *ea_m_rho, ev->shares);
   if (m_rho != ev->m_rho) return false;
@@ -261,10 +257,10 @@ bool check_done_sign_request(const SystemConfig& cfg, std::span<const std::uint8
 
   // Payload consistency (steps 6(c)/6(d)): E_A(m) is the stored ciphertext
   // and E_B(m) = (mρ)·E_B(ρ)^{-1}.
-  if (!(done->ea_m == stored_ea_m)) return false;
+  if (!(done.ea_m == stored_ea_m)) return false;
   elgamal::Ciphertext expect_eb_m =
       cfg.b.encryption_key.juxtapose(m_rho, cfg.b.encryption_key.inverse(blind->blinded.eb));
-  return done->eb_m == expect_eb_m;
+  return done.eb_m == expect_eb_m;
 }
 
 }  // namespace dblind::core

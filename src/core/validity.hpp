@@ -118,10 +118,11 @@ template <typename T>
                                 const RevealMsg& msg);
 
 // Fig. 5 row "contribute": signature + valid VDE + contribution matches the
-// commitment inside the embedded (valid) reveal message.
-[[nodiscard]] std::optional<ContributeMsg> check_contribute(const SystemConfig& cfg,
-                                                            const SignedMessage& env,
-                                                            mpz::Prng& prng);
+// commitment inside the embedded (valid) reveal message. `msg` is env.body
+// decoded (try_decode<ContributeMsg>): a coordinator decodes a contribute to
+// look its instance up before it pays for any check.
+[[nodiscard]] bool check_contribute(const SystemConfig& cfg, const SignedMessage& env,
+                                    const ContributeMsg& msg, mpz::Prng& prng);
 
 // Fig. 5 row "blind": threshold signature of service B over a BlindPayload.
 [[nodiscard]] std::optional<BlindPayload> check_blind(const SystemConfig& cfg,
@@ -133,18 +134,18 @@ template <typename T>
 
 // Evidence for a kBlind signing request (step 5(c)): f+1 valid contribute
 // messages from distinct servers, same id, all embedding the same reveal,
-// whose combined contribution equals the payload.
-[[nodiscard]] bool check_blind_sign_request(const SystemConfig& cfg,
-                                            std::span<const std::uint8_t> payload,
-                                            std::span<const std::uint8_t> evidence,
-                                            mpz::Prng& prng);
+// whose combined contribution equals the payload. Returns the payload's
+// instance iff valid.
+[[nodiscard]] std::optional<InstanceId> check_blind_sign_request(
+    const SystemConfig& cfg, std::span<const std::uint8_t> payload,
+    std::span<const std::uint8_t> evidence, mpz::Prng& prng);
 
 // Evidence for a kDone signing request (step 6(d)): valid blind message,
 // f+1 verified decryption shares for E_A(mρ) = E_A(m) × E_A(ρ) (computed
 // against the locally stored E_A(m)) combining to mρ, and a payload equal to
-// (id, E_A(m), (mρ)·E_B(ρ)^{-1}).
-[[nodiscard]] bool check_done_sign_request(const SystemConfig& cfg,
-                                           std::span<const std::uint8_t> payload,
+// (id, E_A(m), (mρ)·E_B(ρ)^{-1}). `done` is the request's payload decoded
+// (try_decode<DonePayload>): a member decodes it once, to find its E_A(m).
+[[nodiscard]] bool check_done_sign_request(const SystemConfig& cfg, const DonePayload& done,
                                            std::span<const std::uint8_t> evidence,
                                            const elgamal::Ciphertext& stored_ea_m,
                                            mpz::Prng& prng);

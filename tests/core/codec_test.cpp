@@ -468,7 +468,7 @@ TEST(WireTable, SnapshotBytesPinned) {
   ASSERT_GT(sys.a_server(1).snapshot().size(), 100u);
   ASSERT_GT(sys.b_server(1).snapshot().size(), 100u);
   EXPECT_EQ(a, "87a2eefb63205ca54f36faa0822d74208645506bf42c910a5584f4628a84c850");
-  EXPECT_EQ(b, "36a2c745a4bb52ad6426953621708756025d38dfe57e31b834ed4b096f57e34f");
+  EXPECT_EQ(b, "de833097b860504cd5534d5d98de64c3b8fce889d092c38699f90a72523ac480");
 }
 
 // ---- allocation bound: a vector count cannot amplify one frame --------------

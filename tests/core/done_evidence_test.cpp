@@ -72,7 +72,8 @@ struct DoneFixture {
   bool done_ok(std::span<const std::uint8_t> p, std::span<const std::uint8_t> ev,
                const elgamal::Ciphertext& stored_ea_m) {
     const bool serial = oracle::check_done_sign_request(ts.cfg, p, ev, stored_ea_m);
-    EXPECT_EQ(check_done_sign_request(ts.cfg, p, ev, stored_ea_m, prng), serial);
+    auto decoded = try_decode<DonePayload>(ts.cfg, MsgType::kDone, p);
+    EXPECT_EQ(decoded && check_done_sign_request(ts.cfg, *decoded, ev, stored_ea_m, prng), serial);
     return serial;
   }
 };

@@ -406,6 +406,125 @@ TEST(Protocol, CommitIsLookedUpBeforeItIsVerified) {
   EXPECT_EQ(ops_of(1, commit(1, id)), 0u);
 }
 
+// A coordinator looks a contribute's instance up before it checks a
+// signature or a VDE proof. A contribute for an instance it does not
+// coordinate, one that answers another reveal, a second one from a server
+// already counted and one that arrives once signing has begun cost it only
+// their decode. A body that does not decode is still a failed verdict.
+TEST(Protocol, ContributeIsLookedUpBeforeItIsVerified) {
+  auto ts = testing::TestSystem::make(25);
+  mpz::Prng prng(10);
+  obs::MemoryTraceRecorder trace;
+  ProtocolServer server(ts.cfg, ts.b_secrets[0], ProtocolOptions{.trace = &trace});  // B rank 1
+  testing::NullContext ctx(11);
+  server.on_start(ctx);
+  const group::GroupParams& gp = server.config().params;
+  const elgamal::PublicKey& ka = ts.cfg.a.encryption_key;
+  const elgamal::PublicKey& kb = ts.cfg.b.encryption_key;
+  const TransferRequestMsg request{1, ka.encrypt(gp.g(), prng)};
+  server.on_message(ctx, 0, testing::framed(encode_body(MsgType::kTransferRequest, request)));
+  const InstanceId id{1, 1, 0};
+  auto sign = [&](ServerRank signer, MsgType type, const auto& msg) {
+    return make_envelope(ts.b_secrets[signer - 1], encode_body(type, msg), 0, prng);
+  };
+
+  // Ranks 2-4 commit to (E_A(ρ), E_B(ρ)); the third commit sends the reveal.
+  struct Contrib {
+    Contribution contribution;
+    Bigint r1, r2;
+  };
+  std::map<ServerRank, Contrib> contribs;
+  for (ServerRank r = 2; r <= 4; ++r) {
+    const group::Element rho = gp.random_element(prng);
+    Contrib& c = contribs[r];
+    c.r1 = gp.random_exponent(prng);
+    c.r2 = gp.random_exponent(prng);
+    c.contribution = {ka.encrypt_with_nonce(rho, c.r1), kb.encrypt_with_nonce(rho, c.r2)};
+    server.on_message(
+        ctx, ts.cfg.b.node_of(r),
+        testing::framed(sign(r, MsgType::kCommit,
+                             CommitMsg{id, r, c.contribution.commitment_digest()})));
+  }
+  auto sent_of = [&](MsgType type) {
+    std::vector<SignedMessage> out;
+    for (const auto& [to, frame] : ctx.frames) {
+      const std::vector<std::uint8_t> body = testing::body_of(frame);
+      if (body.empty() || peek_type(body) != type) continue;
+      out.push_back(group::from_bytes<SignedMessage>(
+          static_cast<std::uint8_t>(WireKind::kServerSigned), frame, &gp));
+    }
+    return out;
+  };
+  ASSERT_FALSE(sent_of(MsgType::kReveal).empty());
+  const SignedMessage reveal = sent_of(MsgType::kReveal).front();
+
+  // Rank r's contribute for instance `of`, answering `answered`.
+  auto contribute = [&](ServerRank r, const InstanceId& of, const SignedMessage& answered) {
+    const Contrib& c = contribs.at(r);
+    const zkp::VdeProof vde =
+        zkp::vde_prove(ka, c.contribution.ea, c.r1, kb, c.contribution.eb, c.r2,
+                       vde_context(of, r), prng);
+    return testing::framed(
+        sign(r, MsgType::kContribute, ContributeMsg{of, r, answered, c.contribution, vde}));
+  };
+  auto ops_of = [&](ServerRank from, const std::vector<std::uint8_t>& frame) {
+    const std::uint64_t before = gp.group_op_count();
+    server.on_message(ctx, ts.cfg.b.node_of(from), frame);
+    return gp.group_op_count() - before;
+  };
+  // What parsing the frame and decoding its body cost.
+  auto decode_ops = [&](const std::vector<std::uint8_t>& frame) {
+    const std::uint64_t before = gp.group_op_count();
+    const auto env = group::from_bytes<SignedMessage>(
+        static_cast<std::uint8_t>(WireKind::kServerSigned), frame, &gp);
+    (void)try_decode<ContributeMsg>(server.config(), MsgType::kContribute, env.body);
+    return gp.group_op_count() - before;
+  };
+  auto expect_decode_only = [&](ServerRank from, const std::vector<std::uint8_t>& frame) {
+    const std::uint64_t decode = decode_ops(frame);
+    EXPECT_EQ(ops_of(from, frame), decode);
+  };
+  auto passes = [&] { return trace.count_of(obs::EventKind::kVerifyPass); };
+  auto fails = [&] { return trace.count_of(obs::EventKind::kVerifyFail); };
+
+  // Each dropped contribute below would pass its check.
+  // A contribute for an instance this server does not coordinate.
+  const InstanceId elsewhere{2, 1, 0};
+  RevealMsg elsewhere_reveal{elsewhere, {}};
+  for (ServerRank r = 2; r <= 4; ++r) {
+    elsewhere_reveal.commits.push_back(sign(
+        r, MsgType::kCommit, CommitMsg{elsewhere, r, contribs[r].contribution.commitment_digest()}));
+  }
+  expect_decode_only(2, contribute(2, elsewhere, sign(1, MsgType::kReveal, elsewhere_reveal)));
+  // A contribute answering another reveal of the instance.
+  RevealMsg other = decode_as<RevealMsg>(MsgType::kReveal, reveal.body, gp);
+  std::swap(other.commits[0], other.commits[1]);
+  expect_decode_only(2, contribute(2, id, sign(1, MsgType::kReveal, other)));
+  // A body that does not decode: a failed verdict, and nothing else.
+  SignedMessage garbled = sign(2, MsgType::kContribute, ContributeMsg{});
+  garbled.body.resize(3);
+  expect_decode_only(2, testing::framed(garbled));
+  EXPECT_EQ(fails(), 1u);
+  EXPECT_EQ(passes(), 0u);
+
+  // The control: a valid contribute is checked and counts.
+  const std::vector<std::uint8_t> first = contribute(2, id, reveal);
+  EXPECT_GT(ops_of(2, first), decode_ops(first));
+  EXPECT_EQ(passes(), 1u);
+  // Another contribute from the same server: dropped unchecked.
+  expect_decode_only(2, contribute(2, id, reveal));
+  EXPECT_TRUE(sent_of(MsgType::kSignRequest).empty());
+  // The f+1st: checked, and signing begins.
+  const std::vector<std::uint8_t> second = contribute(3, id, reveal);
+  EXPECT_GT(ops_of(3, second), decode_ops(second));
+  EXPECT_EQ(passes(), 2u);
+  EXPECT_FALSE(sent_of(MsgType::kSignRequest).empty());
+  // A late contribute: dropped unchecked.
+  expect_decode_only(4, contribute(4, id, reveal));
+  EXPECT_EQ(passes(), 2u);
+  EXPECT_EQ(fails(), 1u);
+}
+
 // A backup coordinator's timer carries a key, never the transfer id: a
 // client names the id, and one at or above 2^56 would spill into the
 // timer's kind byte (4 << 56 turned kCoordinator into kResend).
@@ -437,8 +556,9 @@ TEST(Protocol, HostileTransferIdStillArmsACoordinatorTimer) {
 
 // A signing member holds its nonce k_i (and a copy of x_i) only until it
 // sends s_i = k_i + e·x_i, or until its session's quorum leaves it out:
-// whoever read k_i afterwards would learn x_i. Once a lossless run's traffic
-// drains, no server holds one.
+// whoever read k_i afterwards would learn x_i. It holds a request's evidence
+// only until a quorum names it or leaves it out. Once a lossless run's
+// traffic drains, no server holds either.
 TEST(Protocol, SigningNoncesReleasedAfterUse) {
   System sys(base_options(29));
   TransferId t = sys.add_transfer(sys.config().params.encode_message(Bigint(2929)));
@@ -447,6 +567,8 @@ TEST(Protocol, SigningNoncesReleasedAfterUse) {
   for (ServerRank r = 1; r <= 4; ++r) {
     EXPECT_EQ(sys.a_server(r).signing_nonces_held(), 0u) << "A rank " << r;
     EXPECT_EQ(sys.b_server(r).signing_nonces_held(), 0u) << "B rank " << r;
+    EXPECT_EQ(sys.a_server(r).signing_evidence_held(), 0u) << "A rank " << r;
+    EXPECT_EQ(sys.b_server(r).signing_evidence_held(), 0u) << "B rank " << r;
   }
 }
 
@@ -619,7 +741,10 @@ struct SigningFixture {
   testing::TestSystem ts = testing::TestSystem::make(71);
   mpz::Prng prng{72};
   testing::NullContext ctx{73};
-  ProtocolServer member{ts.cfg, ts.a_secrets[1], ProtocolOptions{}};
+  obs::MemoryTraceRecorder trace;  // the member's verdicts
+  ProtocolServer member{ts.cfg, ts.a_secrets[1], ProtocolOptions{.trace = &trace}};
+  std::vector<std::uint8_t> payload;  // the encoded DonePayload
+  DoneEvidence evidence;
   std::vector<std::uint8_t> request;  // the framed kSignRequest
 
   SigningFixture() {
@@ -650,32 +775,60 @@ struct SigningFixture {
     DonePayload done{id, stored,
                      cfg.b.encryption_key.juxtapose(
                          m_rho, cfg.b.encryption_key.inverse(blind.blinded.eb))};
-    SignRequestMsg req{kSession, static_cast<std::uint8_t>(SignPurpose::kDone),
-                       encode_body(MsgType::kDone, done),
-                       group::to_bytes(DoneEvidence{blind_env, m_rho, shares})};
-    request = from_requester(MsgType::kSignRequest, req);
+    payload = encode_body(MsgType::kDone, done);
+    evidence = DoneEvidence{blind_env, m_rho, shares};
+    request = request_with(evidence);
 
     member.store_secret(id.transfer, stored);
     member.on_start(ctx);
   }
 
   [[nodiscard]] const group::GroupParams& gp() const { return ts.cfg.params; }
-  [[nodiscard]] net::NodeId requester() const { return ts.cfg.a.node_of(1); }
 
+  // `msg` in an envelope signed by A rank `signer` (the requester by default).
+  template <typename T>
+  std::vector<std::uint8_t> signed_by(ServerRank signer, MsgType type, const T& msg) {
+    return testing::framed(make_envelope(ts.a_secrets[signer - 1], encode_body(type, msg), 0, prng));
+  }
   template <typename T>
   std::vector<std::uint8_t> from_requester(MsgType type, const T& msg) {
-    return testing::framed(make_envelope(ts.a_secrets[0], encode_body(type, msg), 0, prng));
+    return signed_by(1, type, msg);
   }
-  // Feeds one frame from the requester; returns what the member sent back.
-  std::vector<std::vector<std::uint8_t>> feed(const std::vector<std::uint8_t>& frame) {
+  // The kDone request of session kSession over `ev`.
+  std::vector<std::uint8_t> request_with(const DoneEvidence& ev) {
+    return from_requester(MsgType::kSignRequest,
+                          SignRequestMsg{kSession, static_cast<std::uint8_t>(SignPurpose::kDone),
+                                         payload, group::to_bytes(ev)});
+  }
+  // Feeds one frame from A rank `from`; returns what the member sent back.
+  std::vector<std::vector<std::uint8_t>> feed(const std::vector<std::uint8_t>& frame,
+                                              ServerRank from = 1) {
     const std::size_t before = ctx.frames.size();
-    member.on_message(ctx, requester(), frame);
+    member.on_message(ctx, ts.cfg.a.node_of(from), frame);
     std::vector<std::vector<std::uint8_t>> out;
     for (std::size_t i = before; i < ctx.frames.size(); ++i) {
-      EXPECT_EQ(ctx.frames[i].first, requester());
+      EXPECT_EQ(ctx.frames[i].first, ts.cfg.a.node_of(from));
       out.push_back(ctx.frames[i].second);
     }
     return out;
+  }
+  // The group ops feeding `frame` costs.
+  std::uint64_t ops_of(const std::vector<std::uint8_t>& frame, ServerRank from = 1) {
+    const std::uint64_t before = gp().group_op_count();
+    (void)feed(frame, from);
+    return gp().group_op_count() - before;
+  }
+  // The group ops of parsing `frame` and checking its envelope signature, as
+  // the member does (its signer's key table built beforehand).
+  std::uint64_t envelope_ops(const std::vector<std::uint8_t>& frame) {
+    const auto parse = [&] {
+      return group::from_bytes<SignedMessage>(static_cast<std::uint8_t>(WireKind::kServerSigned),
+                                              frame, &gp());
+    };
+    (void)envelope_signature_ok(member.config(), parse());
+    const std::uint64_t before = gp().group_op_count();
+    EXPECT_TRUE(envelope_signature_ok(member.config(), parse()));
+    return gp().group_op_count() - before;
   }
   template <typename T>
   T reply_as(MsgType type, const std::vector<std::uint8_t>& frame) const {
@@ -685,27 +838,55 @@ struct SigningFixture {
   threshold::SigningMember peer(ServerRank rank) {
     return threshold::SigningMember(gp(), ts.a_secrets[rank - 1].sign_share, prng);
   }
+  [[nodiscard]] std::uint64_t verdicts() const {
+    return trace.count_of(obs::EventKind::kVerifyPass) +
+           trace.count_of(obs::EventKind::kVerifyFail);
+  }
 };
 
+// A request costs its envelope check and one nonce commitment (k_i, its
+// digest and the signed reply carrying it), nothing more: the member checks
+// the evidence only once a quorum names it, and keeps it until then.
+TEST(SigningRound, RequestCostsItsEnvelopeCheckAndOneCommitment) {
+  SigningFixture fx;
+  const std::uint64_t envelope = fx.envelope_ops(fx.request);
+  mpz::Prng twin_rng = fx.ctx.rng();  // the member's next draws
+  const std::uint64_t request = fx.ops_of(fx.request);
+  ASSERT_EQ(fx.ctx.frames.size(), 1u);
+  EXPECT_EQ(fx.member.signing_nonces_held(), 1u);
+  EXPECT_EQ(fx.member.signing_evidence_held(), 1u);
+  EXPECT_EQ(fx.verdicts(), 0u);
+
+  // The same commitment and reply, drawn from a copy of the member's generator.
+  const std::uint64_t ops = fx.gp().group_op_count();
+  const threshold::SigningMember twin(fx.gp(), fx.ts.a_secrets[1].sign_share, twin_rng);
+  const std::vector<std::uint8_t> reply = testing::framed(make_envelope(
+      fx.ts.a_secrets[1],
+      encode_body(MsgType::kSignCommitReply,
+                  SignCommitReplyMsg{SigningFixture::kSession, twin.commitment()}),
+      0, twin_rng));
+  const std::uint64_t commitment = fx.gp().group_op_count() - ops;
+  EXPECT_EQ(reply, fx.ctx.frames.front().second);
+  EXPECT_EQ(request, envelope + commitment);
+}
+
 // A duplicate request is answered with the cached commit frame: the same
-// bytes, and no second nonce. It still pays the envelope and evidence
-// re-check, which runs before the duplicate lookup, but not the nonce
-// commitment a fresh session costs.
+// bytes, and no second nonce. It is looked up before anything but its
+// envelope check, so it costs exactly that check.
 TEST(SigningRound, DuplicateRequestGetsSameCommitReply) {
   SigningFixture fx;
-  std::uint64_t ops = fx.gp().group_op_count();
   const auto first = fx.feed(fx.request);
-  const std::uint64_t first_ops = fx.gp().group_op_count() - ops;
   ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(fx.member.signing_nonces_held(), 1u);
 
-  ops = fx.gp().group_op_count();
+  const std::uint64_t envelope = fx.envelope_ops(fx.request);
+  std::uint64_t ops = fx.gp().group_op_count();
   const auto again = fx.feed(fx.request);
   const std::uint64_t again_ops = fx.gp().group_op_count() - ops;
   ASSERT_EQ(again.size(), 1u);
   EXPECT_EQ(again.front(), first.front());
   EXPECT_EQ(fx.member.signing_nonces_held(), 1u);
-  EXPECT_LT(again_ops, first_ops);
+  EXPECT_EQ(again_ops, envelope);
 }
 
 // A member signs at most once per session: a duplicate of the reveal set it
@@ -722,6 +903,8 @@ TEST(SigningRound, SecondRevealSetGetsNoPartial) {
   ASSERT_EQ(reveal.size(), 1u);
   const auto my_reveal =
       fx.reply_as<SignRevealReplyMsg>(MsgType::kSignRevealReply, reveal.front()).reveal;
+  EXPECT_EQ(fx.trace.count_of(obs::EventKind::kVerifyPass), 1u);
+  EXPECT_EQ(fx.member.signing_evidence_held(), 0u);
 
   const auto set = fx.from_requester(
       MsgType::kSignRevealSet, SignRevealSetMsg{SigningFixture::kSession, {rank1.reveal(), my_reveal}});
@@ -739,18 +922,87 @@ TEST(SigningRound, SecondRevealSetGetsNoPartial) {
 }
 
 // A quorum that leaves the member out means its nonce will never be used:
-// the member releases it at once and reveals nothing.
+// the member releases it and the unchecked evidence at once, reveals
+// nothing, and pays only the quorum's envelope check.
 TEST(SigningRound, QuorumWithoutMemberReleasesNonce) {
   SigningFixture fx;
   ASSERT_EQ(fx.feed(fx.request).size(), 1u);
   ASSERT_EQ(fx.member.signing_nonces_held(), 1u);
+  ASSERT_EQ(fx.member.signing_evidence_held(), 1u);
   threshold::SigningMember rank1 = fx.peer(1);
   threshold::SigningMember rank3 = fx.peer(3);
-  EXPECT_TRUE(fx.feed(fx.from_requester(MsgType::kSignQuorum,
-                                        SignQuorumMsg{SigningFixture::kSession,
-                                                      {rank1.commitment(), rank3.commitment()}}))
-                  .empty());
+  const auto quorum = fx.from_requester(
+      MsgType::kSignQuorum,
+      SignQuorumMsg{SigningFixture::kSession, {rank1.commitment(), rank3.commitment()}});
+  const std::uint64_t envelope = fx.envelope_ops(quorum);
+  const std::uint64_t before = fx.gp().group_op_count();
+  EXPECT_TRUE(fx.feed(quorum).empty());
+  EXPECT_EQ(fx.gp().group_op_count() - before, envelope);
   EXPECT_EQ(fx.member.signing_nonces_held(), 0u);
+  EXPECT_EQ(fx.member.signing_evidence_held(), 0u);
+  EXPECT_EQ(fx.verdicts(), 0u);
+}
+
+// A quorum that names the member over done evidence that fails its check
+// (one decryption share's proof response + 1) gets no reveal: the member
+// commits first, counts one failed verdict when the quorum arrives, and
+// releases nonce and evidence. The quorum's duplicate is not checked again.
+TEST(SigningRound, QuorumOverTamperedEvidenceGetsNoReveal) {
+  SigningFixture fx;
+  DoneEvidence bad = fx.evidence;
+  bad.shares[0].proof.s = (bad.shares[0].proof.s + Bigint(1)) % fx.gp().q();
+  const auto commit = fx.feed(fx.request_with(bad));
+  ASSERT_EQ(commit.size(), 1u);
+  EXPECT_EQ(fx.verdicts(), 0u);
+  const auto mine =
+      fx.reply_as<SignCommitReplyMsg>(MsgType::kSignCommitReply, commit.front()).commit;
+  threshold::SigningMember rank1 = fx.peer(1);
+  const auto quorum = fx.from_requester(
+      MsgType::kSignQuorum, SignQuorumMsg{SigningFixture::kSession, {rank1.commitment(), mine}});
+  EXPECT_TRUE(fx.feed(quorum).empty());
+  EXPECT_EQ(fx.trace.count_of(obs::EventKind::kVerifyFail), 1u);
+  EXPECT_EQ(fx.trace.count_of(obs::EventKind::kVerifyPass), 0u);
+  EXPECT_EQ(fx.member.signing_nonces_held(), 0u);
+  EXPECT_EQ(fx.member.signing_evidence_held(), 0u);
+  EXPECT_TRUE(fx.feed(quorum).empty());
+  EXPECT_EQ(fx.verdicts(), 1u);
+}
+
+// The requester's own member session checks nothing: the requester built
+// the payload from messages it had already checked. A request the member
+// signed itself, with no evidence at all, keeps none and reaches its reveal
+// for the cost of the quorum's envelope check and the signed reveal.
+TEST(SigningRound, OwnRequestRevealsWithoutEvidenceCheck) {
+  SigningFixture fx;
+  constexpr ServerRank kSelf = 2;
+  const auto commit = fx.feed(
+      fx.signed_by(kSelf, MsgType::kSignRequest,
+                   SignRequestMsg{SigningFixture::kSession,
+                                  static_cast<std::uint8_t>(SignPurpose::kDone), fx.payload, {}}),
+      kSelf);
+  ASSERT_EQ(commit.size(), 1u);
+  EXPECT_EQ(fx.member.signing_evidence_held(), 0u);
+  const auto mine =
+      fx.reply_as<SignCommitReplyMsg>(MsgType::kSignCommitReply, commit.front()).commit;
+  threshold::SigningMember rank1 = fx.peer(1);
+  const auto quorum = fx.signed_by(
+      kSelf, MsgType::kSignQuorum, SignQuorumMsg{SigningFixture::kSession, {rank1.commitment(), mine}});
+  const std::uint64_t envelope = fx.envelope_ops(quorum);
+  mpz::Prng twin_rng = fx.ctx.rng();
+  const std::uint64_t before = fx.gp().group_op_count();
+  const auto reveal = fx.feed(quorum, kSelf);
+  const std::uint64_t quorum_ops = fx.gp().group_op_count() - before;
+  ASSERT_EQ(reveal.size(), 1u);
+  const SignRevealReplyMsg msg =
+      fx.reply_as<SignRevealReplyMsg>(MsgType::kSignRevealReply, reveal.front());
+  EXPECT_EQ(threshold::nonce_commitment_digest(fx.gp(), msg.reveal), mine.digest);
+  EXPECT_EQ(fx.verdicts(), 0u);
+
+  const std::uint64_t ops = fx.gp().group_op_count();
+  const std::vector<std::uint8_t> twin = testing::framed(make_envelope(
+      fx.ts.a_secrets[kSelf - 1], encode_body(MsgType::kSignRevealReply, msg), 0, twin_rng));
+  EXPECT_EQ(twin, reveal.front());
+  EXPECT_EQ(quorum_ops, envelope + (fx.gp().group_op_count() - ops));
 }
 
 }  // namespace

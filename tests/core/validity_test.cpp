@@ -86,13 +86,19 @@ struct Fixture {
   }
   bool contribute_ok(const SignedMessage& env) {
     const bool serial = oracle::check_contribute(cfg(), env).has_value();
-    EXPECT_EQ(check_contribute(cfg(), env, prng).has_value(), serial);
+    auto msg = try_decode<ContributeMsg>(cfg(), MsgType::kContribute, env.body);
+    EXPECT_EQ(msg && check_contribute(cfg(), env, *msg, prng), serial);
     return serial;
   }
   bool blind_request_ok(std::span<const std::uint8_t> payload,
                         std::span<const std::uint8_t> evidence) {
     const bool serial = oracle::check_blind_sign_request(cfg(), payload, evidence);
-    EXPECT_EQ(check_blind_sign_request(cfg(), payload, evidence, prng), serial);
+    const std::optional<InstanceId> id = check_blind_sign_request(cfg(), payload, evidence, prng);
+    EXPECT_EQ(id.has_value(), serial);
+    // A valid request's verdict names the payload's instance.
+    if (id) {
+      EXPECT_EQ(*id, try_decode<BlindPayload>(cfg(), MsgType::kBlind, payload)->id);
+    }
     return serial;
   }
 };

@@ -25,6 +25,7 @@
 // DBLIND_CHAOS_SEEDS=<n> (see ChaosSweep.EnvConfiguredSweep and tools/ci.sh).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -196,7 +197,12 @@ constexpr int kMixCount = static_cast<int>(std::size(kMixes));
 //      retiring (rank 0 after an install);
 //   T11 a node opens at most one instance per transfer between two of its
 //      own restart or epoch_install events: a backup coordinator's delay
-//      timer dies with the configuration it was armed under.
+//      timer dies with the configuration it was armed under;
+//   T12 when the signing service has f >= 1, every sign_done is preceded by
+//      a verify_pass of the request's evidence (kBlind for a blind
+//      signature, kDone for a done one) for the same instance at another
+//      node: every f+1 quorum holds a member besides the requester, which
+//      checks before it reveals.
 void check_trace_invariants(const obs::MemoryTraceRecorder& trace, const char* mix_name,
                             std::uint64_t seed, bool expect_stalls_resolved) {
   const obs::RunMeta meta = trace.meta();
@@ -213,6 +219,8 @@ void check_trace_invariants(const obs::MemoryTraceRecorder& trace, const char* m
   std::set<std::pair<std::uint64_t, std::uint64_t>> open_stalls;  // (node, transfer)
   // T11: (node, transfer) opened since the node's last restart or install.
   std::set<std::pair<std::uint64_t, std::uint64_t>> opened;
+  // T12: (instance, MsgType checked) -> nodes whose sign-request check passed.
+  std::map<std::pair<Instance, std::uint32_t>, std::set<std::uint64_t>> sign_checks;
   const auto forget_opened = [&](std::uint64_t node) {
     std::erase_if(opened, [&](const auto& o) { return o.first == node; });
   };
@@ -243,7 +251,24 @@ void check_trace_invariants(const obs::MemoryTraceRecorder& trace, const char* m
           contribute_ok[id].insert(e.peer);
           contribute_cfg_epochs[id].insert(e.cfg_epoch);
         }
+        if (e.has_instance && (e.subject == static_cast<std::uint32_t>(MsgType::kBlind) ||
+                               e.subject == static_cast<std::uint32_t>(MsgType::kDone))) {
+          sign_checks[{id, e.subject}].insert(e.node);
+        }
         break;
+      case obs::EventKind::kSignDone: {
+        const bool blind = e.subject == static_cast<std::uint32_t>(SignPurpose::kBlind);
+        const MsgType checked = blind ? MsgType::kBlind : MsgType::kDone;
+        if ((blind ? meta.b_f : meta.a_f) == 0) break;
+        const std::set<std::uint64_t>& nodes =
+            sign_checks[{id, static_cast<std::uint32_t>(checked)}];
+        EXPECT_TRUE(std::any_of(nodes.begin(), nodes.end(),
+                                [&](std::uint64_t n) { return n != e.node; }))
+            << "T12 " << at << ": node " << e.node << " recorded a service signature (purpose "
+            << e.subject << ") for transfer " << e.transfer
+            << " that no other node's evidence check preceded";
+        break;
+      }
       case obs::EventKind::kCommitAccepted:
         commits[{e.node, id}].insert(e.peer);
         break;
@@ -474,7 +499,7 @@ bool run_chaos(const Mix& mix, std::uint64_t seed, bool retransmit = true) {
     });
   }
 
-  // T1–T11: the run's trace satisfies the Fig. 4 causality invariants under
+  // T1–T12: the run's trace satisfies the Fig. 4 causality invariants under
   // every fault mix (the C++ mirror of tools/trace_check.py). Stall
   // resolution (T10) is only owed when the protocol owes liveness: the
   // fire-once deadlock regression intentionally stalls forever.

@@ -34,6 +34,11 @@ for every run, Byzantine or not:
   I11 a node emits at most one `epoch_start` per transfer between two of its
       own `restart` or `epoch_install` events — a backup coordinator's delay
       timer dies with the configuration it was armed under.
+  I12 when the signing service has f >= 1, every `sign_done` is preceded by a
+      `verify_pass` of the signing request's evidence for the same instance
+      at a node other than the one recording it (subject 5, blind, for
+      purpose 1; subject 6, done, for purpose 2) — every f+1 quorum holds a
+      member besides the requester, and it checks before it reveals.
 
 Stream handling (shared with trace_critpath.py via tracelib.py): traces are
 read line-by-line, never slurped; the meta line's schema version must match
@@ -61,6 +66,10 @@ from tracelib import (TRACE_VERSION, TraceError, TraceLimitError, instance_of,
                       iter_trace, parse_line)
 
 SUBJECT_CONTRIBUTE = 4  # MsgType::kContribute
+# I12: SignPurpose -> (MsgType of its request's evidence check, meta key of
+# the signing service's f).
+SIGN_CHECKS = {1: (5, "b_f"), 2: (6, "a_f")}
+SIGN_SUBJECTS = {subject for subject, _ in SIGN_CHECKS.values()}
 
 
 class Checker:
@@ -90,6 +99,8 @@ class Checker:
         # I11: (node, transfer) pairs opened since the node's last restart or
         # install.
         self.opened = set()
+        # I12: (instance, subject) -> nodes whose sign-request check passed.
+        self.sign_checks = {}
         # Latency bookkeeping: (phase) -> list of durations.
         self.latency = {}
         self._marks = {}       # (what, node, instance) -> ts
@@ -135,6 +146,9 @@ class Checker:
             # cfg_epoch is suppressed in the JSONL when zero (seed epoch).
             self.contribute_cfg_epochs.setdefault(inst, set()).add(
                 ev.get("cfg_epoch", 0))
+        elif kind == "verify_pass" and inst[0] is not None and \
+                ev.get("subject") in SIGN_SUBJECTS:
+            self.sign_checks.setdefault((inst, ev.get("subject")), set()).add(node)
         elif kind == "commit_accepted":
             self.commits.setdefault((node, inst), set()).add(ev.get("from"))
         elif kind == "epoch_start":
@@ -164,10 +178,19 @@ class Checker:
             self._span("contribute", "reveal_sent", ev)
             self._mark("blind_sign_begin", ev)
         elif kind == "sign_done":
-            if ev.get("purpose") == 1:
+            purpose = ev.get("purpose")
+            if purpose == 1:
                 self._span("blind_sign", "blind_sign_begin", ev)
-            elif ev.get("purpose") == 2:
+            elif purpose == 2:
                 self._span("done_sign", "done_sign_begin", ev)
+            if self.meta is not None and purpose in SIGN_CHECKS:
+                subject, f_key = SIGN_CHECKS[purpose]
+                checkers = self.sign_checks.get((inst, subject), set()) - {node}
+                if self.meta[f_key] >= 1 and not checkers:
+                    self.err(lineno, f"I12: sign_done (purpose {purpose}) for "
+                                     f"{inst} at node {node} without an earlier "
+                                     f"verify_pass (subject {subject}) at another "
+                                     f"node")
         elif kind == "decrypt_begin":
             self._mark("decrypt_begin", ev)
         elif kind == "decrypt_done":
@@ -323,10 +346,12 @@ SELF_TESTS = [
         '{"ts":5,"node":4,"kind":"reveal_sent","transfer":1,"coord":1,"epoch":0,"count":3}',
         _passes(2),
         '{"ts":20,"node":4,"kind":"blind_sign_begin","transfer":1,"coord":1,"epoch":0,"count":2}',
+        '{"ts":25,"node":5,"kind":"verify_pass","transfer":1,"coord":1,"epoch":0,"subject":5,"peer":1}',
         '{"ts":30,"node":4,"kind":"sign_done","transfer":1,"coord":1,"epoch":0,"purpose":1}',
         '{"ts":40,"node":0,"kind":"decrypt_begin","transfer":1,"coord":1,"epoch":0}',
         '{"ts":50,"node":0,"kind":"decrypt_done","transfer":1,"coord":1,"epoch":0,"count":2}',
         '{"ts":51,"node":0,"kind":"done_sign_begin","transfer":1,"coord":1,"epoch":0}',
+        '{"ts":55,"node":1,"kind":"verify_pass","transfer":1,"coord":1,"epoch":0,"subject":6,"peer":1}',
         '{"ts":60,"node":0,"kind":"sign_done","transfer":1,"coord":1,"epoch":0,"purpose":2}',
         '{"ts":70,"node":5,"kind":"done_recorded","transfer":1,"coord":1,"epoch":0}',
         '{"ts":80,"node":4,"kind":"retransmit","transfer":1,"key":3,"frames":4,"attempt":1,"cap":12}',
@@ -464,6 +489,20 @@ SELF_TESTS = [
         '{"ts":400000,"node":5,"kind":"stall","span":2,"parent":1,"transfer":1,"queue":0,"verifies":1,"resends":2}',
         '{"ts":500000,"node":5,"kind":"stall_resolved","span":3,"parent":1,"transfer":1,"stalled_us":100000}',
     ]), True, None),
+    ("sign-done-after-member-check", "\n".join([
+        META.replace('"a_f":1', '"a_f":0'),
+        '{"ts":1,"node":4,"kind":"verify_pass","transfer":1,"coord":1,"epoch":0,"subject":5,"peer":1}',
+        '{"ts":2,"node":5,"kind":"verify_pass","transfer":1,"coord":1,"epoch":0,"subject":5,"peer":1}',
+        '{"ts":3,"node":4,"kind":"sign_done","transfer":1,"coord":1,"epoch":0,"purpose":1}',
+        # A lone A server (f = 0) signs with no other member to check.
+        '{"ts":4,"node":0,"kind":"sign_done","transfer":1,"coord":1,"epoch":0,"purpose":2}',
+    ]), True, None),
+    ("sign-done-checked-only-by-requester", "\n".join([
+        META,
+        '{"ts":1,"node":4,"kind":"verify_pass","transfer":1,"coord":1,"epoch":0,"subject":5,"peer":1}',
+        '{"ts":2,"node":5,"kind":"verify_pass","transfer":1,"coord":1,"epoch":0,"subject":6,"peer":1}',
+        '{"ts":3,"node":4,"kind":"sign_done","transfer":1,"coord":1,"epoch":0,"purpose":1}',
+    ]), False, "I12"),
     ("v1-trace-rejected", META_V1 + "\n", False, "unsupported trace schema"),
     ("future-version-rejected",
      META.replace('"v":2', '"v":3') + "\n", False, "unsupported trace schema"),
