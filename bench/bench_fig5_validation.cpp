@@ -99,7 +99,11 @@ struct Fixture {
   }
 
   // The checks, as the servers run them.
-  bool init_ok() { return core::check_init(ts.cfg, init_env).has_value(); }
+  bool init_ok() {
+    // A contributor decodes the init, then checks its signature.
+    auto msg = core::try_decode<core::InitMsg>(ts.cfg, core::MsgType::kInit, init_env.body);
+    return msg && core::check_init(ts.cfg, init_env, *msg);
+  }
   bool commit_ok() { return core::check_commit(ts.cfg, commits[0]).has_value(); }
   bool reveal_ok() {
     // A contributor decodes the reveal, then checks its 2f+2 signatures.

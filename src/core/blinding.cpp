@@ -54,21 +54,27 @@ void Blinding::on_init(const Local& l, const SignedMessage& env) {
   // only as ranks 1..f+1 (§4.1). A higher signer rank is Byzantine: drop it
   // before the signature check and before any bundle or contributor state.
   if (env.signer > l.cfg.b.cfg.f + 1) return;
-  auto init = check_init(l.cfg, env);
+  // Look the instance up before the signature check: an init for an
+  // instance this server committed to costs it one decode.
+  auto init = try_decode<InitMsg>(l.cfg, MsgType::kInit, env.body);
   if (!init) return;
+  if (auto it = contributors_.find(init->id); it != contributors_.end() && it->second.committed) {
+    // A duplicate of the init we checked (retransmission or network
+    // duplication) gets the exact bytes we committed to the first time; any
+    // other init for the instance is dropped.
+    if (env == it->second.committed_init)
+      l.resend.resend_frame(l.ctx, l.cfg.b.node_of(init->id.coordinator), it->second.commit_frame);
+    return;
+  }
+  if (!check_init(l.cfg, env, *init)) return;
   // Mont-muls spent while serving the request are the "online" cost; with a
   // precomputed bundle this stays near zero.
   obs::ScopedCounterDelta online(l.cfg.params.group_op_cell(),
                                  l.observer.m.contrib_mont_muls_online);
-  ContributorState& st = contributor(l, init->id);
   const net::NodeId coordinator = l.cfg.b.node_of(init->id.coordinator);
-  if (st.committed) {
-    // Duplicate init (retransmission or network duplication): answer with the
-    // exact bytes we committed to the first time.
-    l.resend.resend_frame(l.ctx, coordinator, st.commit_frame);
-    return;
-  }
+  ContributorState& st = contributor(l, init->id);
   st.committed = true;
+  st.committed_init = env;
   st.commit_frame = l.signed_frame(encode_body(
       MsgType::kCommit, CommitMsg{init->id, l.me.rank, st.contribution.commitment_digest()}));
   l.ctx.send(coordinator, st.commit_frame);
@@ -183,7 +189,12 @@ void Blinding::start(const Local& l, TransferId transfer, std::uint32_t epoch, S
                                       {.transfer = transfer, .cancel_on_result = true});
 }
 
-void Blinding::arm_backup(const Local& l, TransferId transfer, net::Time delay) {
+void Blinding::coordinate(const Local& l, TransferId transfer, const ResultMap& results,
+                          Signing& signing) {
+  if (!l.is_b() || !l.active() || l.me.rank > l.cfg.b.cfg.f + 1) return;
+  if (results.contains(transfer) || !coordinated_.insert(transfer).second) return;
+  const net::Time delay = (l.me.rank - 1) * backup_delay_;
+  if (delay == 0) return start(l, transfer, next_epoch(transfer), signing);
   const std::uint64_t key = next_timer_++;
   timer_ids_[key] = transfer;
   l.ctx.set_timer(delay, timer::kCoordinator | key);

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <vector>
 
 #include "core/contribution_bundle.hpp"
@@ -21,7 +22,9 @@ namespace dblind::core {
 
 class Blinding {
  public:
-  explicit Blinding(Behavior behavior) : behavior_(behavior) {}
+  // A backup coordinator of rank j starts (j-1)·`backup_delay` after rank 1.
+  Blinding(Behavior behavior, net::Time backup_delay)
+      : behavior_(behavior), backup_delay_(backup_delay) {}
 
   // Draws this incarnation's root key for per-instance contribution streams:
   // a restarted server never replays the ρ of an instance it may already
@@ -43,11 +46,12 @@ class Blinding {
   // duplicate inits).
   void release_bundles(TransferId transfer);
 
-  // Coordinator: opens this server's instance `epoch` of `transfer`.
-  void start(const Local& l, TransferId transfer, std::uint32_t epoch, Signing& signing);
-  // A backup coordinator (rank 2..f+1) opens its instance of `transfer`
-  // after `delay`, unless an install drops the timer first.
-  void arm_backup(const Local& l, TransferId transfer, net::Time delay);
+  // Coordinator: ranks 1..f+1 of the installed B roster coordinate every
+  // transfer (§4.1: f+1 suffice for progress), each once per configuration
+  // and none that has a result. Rank 1 opens its instance at once; a backup
+  // arms its delay timer, which an install drops.
+  void coordinate(const Local& l, TransferId transfer, const ResultMap& results,
+                  Signing& signing);
   // timer::kCoordinator: a backup's delay ran out.
   void on_timer(const Local& l, std::uint64_t key, const ResultMap& results, Signing& signing);
   void on_commit(const Local& l, const SignedMessage& env);
@@ -59,7 +63,6 @@ class Blinding {
   // The next coordinator epoch per transfer. Durable: a restarted
   // coordinator must not reuse an epoch it may already have announced with
   // a different (lost) contribution set.
-  [[nodiscard]] std::uint32_t next_epoch(TransferId transfer) const;
   [[nodiscard]] std::map<TransferId, std::uint32_t>& next_epochs() { return next_epoch_; }
   [[nodiscard]] const std::map<TransferId, std::uint32_t>& next_epochs() const {
     return next_epoch_;
@@ -71,9 +74,13 @@ class Blinding {
   // or spliced payloads.
   [[nodiscard]] int attack_successes() const { return attack_successes_; }
 
+  // Drops everything bound to the running configuration, the coordinated
+  // set included: an install or a restart coordinates each unfinished
+  // transfer afresh.
   void reset() {
     contributors_.clear();
     coordinators_.clear();
+    coordinated_.clear();
     timer_ids_.clear();
   }
 
@@ -93,6 +100,7 @@ class Blinding {
     // Cached signed frames, re-sent verbatim on duplicate init/reveal.
     Frame commit_frame;
     Frame contribute_frame;
+    SignedMessage committed_init;   // the init we committed on
     SignedMessage answered_reveal;  // the one reveal we responded to
   };
   // A checked contribute: the envelope cited as evidence, and its body.
@@ -118,6 +126,9 @@ class Blinding {
   // Finds or creates the state for `id`, deriving its contribution bundle
   // from the instance's keyed stream.
   ContributorState& contributor(const Local& l, const InstanceId& id);
+  [[nodiscard]] std::uint32_t next_epoch(TransferId transfer) const;
+  // Opens this server's instance `epoch` of `transfer`.
+  void start(const Local& l, TransferId transfer, std::uint32_t epoch, Signing& signing);
   void try_finish(const Local& l, CoordinatorState& st, Signing& signing);
   // Step 5(c): asks B to sign `blinded` for instance `id`.
   void sign_blind(const Local& l, const InstanceId& id, Contribution blinded,
@@ -126,10 +137,14 @@ class Blinding {
   void attack(const Local& l, CoordinatorState& st, Signing& signing);
 
   Behavior behavior_;
+  net::Time backup_delay_;
   hash::Digest instance_rng_root_{};
   std::map<InstanceId, ContributorState> contributors_;
   std::map<InstanceId, CoordinatorState> coordinators_;
   std::map<TransferId, std::uint32_t> next_epoch_;
+  // Transfers this server coordinates under the running configuration: an
+  // instance opened or a backup timer armed.
+  std::set<TransferId> coordinated_;
   // Armed backup timers: a timer carries its key, never a transfer id (a
   // client names the id, and its high bits would spill into the timer's kind).
   std::map<std::uint64_t, TransferId> timer_ids_;

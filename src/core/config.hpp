@@ -121,18 +121,6 @@ struct ProtocolOptions {
   // transfer (exercised by the chaos deadlock regression test).
   bool retransmit = true;
 
-  // --- concurrent multi-transfer engine (core/transfer_engine.hpp) ----------
-  // Cap on transfers this server may *self-coordinate* concurrently; excess
-  // registrations queue FIFO and are admitted as in-flight transfers record
-  // their done message. Gates only self-coordination (starting/backing-up a
-  // coordinator for a transfer) — contributor, responder and signing-member
-  // roles always react to whatever arrives, so a capped server still serves
-  // other coordinators' transfers. 0 (the default) = unlimited: every
-  // registered transfer is admitted immediately, byte-identical scheduling to
-  // the pre-engine flow. 1 = strictly sequential (the open-loop load bench's
-  // baseline mode).
-  std::size_t max_inflight_transfers = 0;
-
   // --- observability (no protocol effect; see docs/OBSERVABILITY.md) --------
   // Structured per-phase trace events (epoch starts, commit/reveal/
   // contribute edges, verify pass/fail with culprits, retransmits, done).

@@ -91,8 +91,7 @@ void Observer::arm_watchdog(net::Context& ctx) {
   ctx.set_timer(*due > ctx.now() ? *due - ctx.now() : 0, timer::kWatchdog);
 }
 
-void Observer::watchdog_tick(net::Context& ctx, ConfigEpoch epoch, std::uint64_t queued,
-                             std::size_t resends) {
+void Observer::watchdog_tick(net::Context& ctx, ConfigEpoch epoch, std::size_t resends) {
   watchdog_timer_armed_ = false;
   if (trace_ != nullptr) {
     for (const obs::Watchdog::Stall& s : watchdog_.expired(ctx.now())) {
@@ -102,7 +101,6 @@ void Observer::watchdog_tick(net::Context& ctx, ConfigEpoch epoch, std::uint64_t
       ev.kind = obs::EventKind::kStall;
       ev.transfer = s.transfer;
       // One-shot public state dump: counts only — never payloads.
-      ev.count = queued;
       ev.attempt = static_cast<std::uint32_t>(resends);
       ev.cfg_epoch = epoch;
       ev.span = ctx.mint_span();
@@ -168,12 +166,6 @@ void Observer::resolve(net::Context& ctx, obs::MetricsRegistry* registry,
       reg.counter("dblind_reconfig_events_total", {{"node", node}, {"event", "abort"}});
   m.reconfig_stale_rejects =
       reg.counter("dblind_reconfig_events_total", {{"node", node}, {"event", "stale_reject"}});
-  m.engine_inflight = reg.gauge("dblind_engine_inflight", by_node);
-  m.engine_queued = reg.gauge("dblind_engine_queued", by_node);
-  m.engine_admits =
-      reg.counter("dblind_engine_events_total", {{"node", node}, {"event", "admit"}});
-  m.engine_defers =
-      reg.counter("dblind_engine_events_total", {{"node", node}, {"event", "defer"}});
 }
 
 }  // namespace dblind::core

@@ -55,11 +55,6 @@ struct ServerMetrics {
   obs::Counter reconfig_installs;   // dblind_reconfig_events_total{event="install"}
   obs::Counter reconfig_aborts;     // ...{event="abort"} (instances killed at installs)
   obs::Counter reconfig_stale_rejects;  // ...{event="stale_reject"} (kWrongEpoch sent)
-  // Concurrent multi-transfer engine: admission scheduler health.
-  obs::Gauge engine_inflight;          // currently admitted self-coordinated transfers
-  obs::Gauge engine_queued;            // transfers waiting for an admission slot
-  obs::Counter engine_admits;
-  obs::Counter engine_defers;
 };
 
 // Clamps a MsgType to a ServerMetrics per-type slot (0 = unknown).
@@ -91,9 +86,8 @@ class Observer {
   // Arms the sweep timer at the earliest pending deadline, unless armed.
   void arm_watchdog(net::Context& ctx);
   // Sweep: one kStall per newly idle transfer, parented on its latest span,
-  // with a one-shot public state dump (queued transfers, open resends).
-  void watchdog_tick(net::Context& ctx, ConfigEpoch epoch, std::uint64_t queued,
-                     std::size_t resends);
+  // with a one-shot public state dump (open resends).
+  void watchdog_tick(net::Context& ctx, ConfigEpoch epoch, std::size_t resends);
   void reset_watchdog() {
     watchdog_.reset();
     watchdog_timer_armed_ = false;

@@ -13,9 +13,9 @@ ProtocolServer::ProtocolServer(SystemConfig cfg, ServerSecrets secrets, Protocol
     : cfg_(std::move(cfg)), secrets_(std::move(secrets)), opts_(std::move(opts)),
       behavior_(behavior), initial_cfg_(cfg_), initial_secrets_(secrets_),
       observer_(opts_.trace, opts_.watchdog_deadline, ledger_.results),
-      recovery_(opts_.retransmit), blinding_(behavior),
+      recovery_(opts_.retransmit), blinding_(behavior, opts_.coordinator_backup_delay),
       signing_(behavior, opts_.signing_retry_delay, opts_.retransmit),
-      responder_(opts_.responder_backup_delay), engine_(opts_.max_inflight_transfers) {
+      responder_(opts_.responder_backup_delay) {
   pin_bases();
 }
 
@@ -78,16 +78,17 @@ void ProtocolServer::on_start(net::Context& ctx) {
   }
   if (!is_b()) return;
   blinding_.new_incarnation(ctx);
+  const Local l = local(ctx);
   // After a restart, completed transfers (restored from the durable done
   // messages) are skipped, and the coordinator epoch continues past
   // anything this server may have announced pre-crash.
-  for (TransferId t : ledger_.transfers) schedule_coordinator(ctx, t);
+  for (TransferId t : ledger_.transfers) blinding_.coordinate(l, t, ledger_.results, signing_);
   for (std::size_t i = 0; i < scheduled_arrivals_.size(); ++i) {
     ctx.set_timer(scheduled_arrivals_[i].first, timer::kTransferArrival | i);
   }
   for (TransferId t : ledger_.transfers) recovery_.pull_result(ctx, cfg_, t, ledger_.results);
   // Stall watchdog: track every unfinished transfer from this incarnation's
-  // start (later arrivals and re-admissions self-arm through the trace hook).
+  // start (a later arrival is tracked from its first transfer-scoped event).
   if (observer_.watchdog().enabled()) {
     for (TransferId t : ledger_.transfers) {
       if (!ledger_.results.contains(t)) observer_.watchdog().arm(t, ctx.now());
@@ -99,7 +100,6 @@ void ProtocolServer::on_start(net::Context& ctx) {
   if (active() && opts_.precompute_contributions) {
     obs::ScopedCounterDelta offline(cfg_.params.group_op_cell(),
                                     observer_.m.contrib_mont_muls_offline);
-    const Local l = local(ctx);
     for (TransferId t : ledger_.transfers) {
       if (!ledger_.results.contains(t)) blinding_.precompute(l, InstanceId{t, 1, 0});
     }
@@ -135,7 +135,7 @@ void ProtocolServer::on_timer(net::Context& ctx, std::uint64_t token) {
       }
       break;
     case timer::kWatchdog:
-      observer_.watchdog_tick(ctx, cfg_epoch_, engine_.queued(), recovery_.open_entries());
+      observer_.watchdog_tick(ctx, cfg_epoch_, recovery_.open_entries());
       break;
     default: break;
   }
@@ -280,8 +280,14 @@ void ProtocolServer::accept_done(net::Context& ctx, const ServiceSignedMsg& msg,
 
 void ProtocolServer::run_transfer(net::Context& ctx, TransferId transfer) {
   if (!ledger_.transfers.insert(transfer).second) return;  // already registered
-  schedule_coordinator(ctx, transfer);
+  blinding_.coordinate(local(ctx), transfer, ledger_.results, signing_);
   recovery_.pull_result(ctx, cfg_, transfer, ledger_.results);
+}
+
+void ProtocolServer::resume_transfers(net::Context& ctx) {
+  const Local l = local(ctx);
+  for (TransferId t : ledger_.transfers) blinding_.coordinate(l, t, ledger_.results, signing_);
+  for (TransferId t : ledger_.transfers) recovery_.pull_result(ctx, cfg_, t, ledger_.results);
 }
 
 void ProtocolServer::record_done(net::Context* ctx, const DonePayload& done,
@@ -301,11 +307,6 @@ void ProtocolServer::record_done(net::Context* ctx, const DonePayload& done,
   blinding_.release_bundles(done.id.transfer);
   if (ctx == nullptr) return;  // restore: no trace timestamp exists there
   local(*ctx).trace(obs::EventKind::kDoneRecorded, &done.id);
-  // The completion frees an admission slot for a queued transfer.
-  std::vector<TransferId> admitted = engine_.complete(done.id.transfer);
-  observer_.m.engine_inflight.set(engine_.inflight());
-  observer_.m.engine_queued.set(engine_.queued());
-  launch_admitted(*ctx, admitted);
 }
 
 // --- client-facing handlers --------------------------------------------------------
@@ -352,42 +353,6 @@ void ProtocolServer::handle_client_decrypt_request(net::Context& ctx, net::NodeI
   ctx.send(from, frame);
 }
 
-// --- admission -----------------------------------------------------------------------
-
-void ProtocolServer::schedule_coordinator(net::Context& ctx, TransferId transfer) {
-  // Coordinators are ranks 1..f+1 of the installed B roster (§4.1: f+1
-  // suffice for progress).
-  if (!is_b() || !active() || secrets_.rank > cfg_.b.cfg.f + 1) return;
-  if (ledger_.results.contains(transfer)) return;  // nothing to run — and no slot burned
-  engine_.register_transfer(transfer);
-  TransferEngine::StartResult sr = engine_.request_start(transfer);
-  if (sr.decision == TransferEngine::Admission::kQueued) {
-    observer_.m.engine_defers.inc();
-    observer_.m.engine_queued.set(engine_.queued());
-    local(ctx).trace(obs::EventKind::kEngineDefer, nullptr,
-                     {.transfer = transfer, .count = engine_.queued()});
-  }
-  launch_admitted(ctx, sr.admitted);
-}
-
-void ProtocolServer::launch_admitted(net::Context& ctx, std::span<const TransferId> admitted) {
-  for (TransferId t : admitted) {
-    observer_.m.engine_admits.inc();
-    observer_.m.engine_inflight.set(engine_.inflight());
-    observer_.m.engine_queued.set(engine_.queued());
-    const Local l = local(ctx);
-    l.trace(obs::EventKind::kEngineAdmit, nullptr, {.transfer = t, .count = engine_.inflight()});
-    // Rank-staggered start (§4.1): rank 1 coordinates immediately, backups
-    // arm the delayed timer.
-    const net::Time delay = (secrets_.rank - 1) * opts_.coordinator_backup_delay;
-    if (delay == 0) {
-      blinding_.start(l, t, blinding_.next_epoch(t), signing_);
-    } else {
-      blinding_.arm_backup(l, t, delay);
-    }
-  }
-}
-
 // --- epochal reconfiguration -----------------------------------------------------------
 
 void ProtocolServer::drop_round_state() {
@@ -410,12 +375,8 @@ void ProtocolServer::install(net::Context& ctx, Certificate cert) {
   responder_.unfinished(aborted);
 
   // 2. Drop ALL round state: all of it is bound to the dying configuration.
-  //    The in-flight self-coordinated transfers go back to the head of the
-  //    admission queue, keeping their priority, for step 8 to re-admit.
+  //    Step 8 (or adopt_share) coordinates the unfinished transfers afresh.
   drop_round_state();
-  (void)engine_.abort_inflight();
-  observer_.m.engine_inflight.set(0);
-  observer_.m.engine_queued.set(engine_.queued());
 
   // 3. Everything that needs the OLD configuration, computed before the swap.
   NextService next = next_service(cfg_, cert.apply);
@@ -464,8 +425,7 @@ void ProtocolServer::install(net::Context& ctx, Certificate cert) {
   //    and result pulls under the new ranks.
   if (is_b() && active() && !resharing_.share_pending()) {
     for (TransferId t : cert.apply.transfers) ledger_.transfers.insert(t);
-    for (TransferId t : ledger_.transfers) schedule_coordinator(ctx, t);
-    for (TransferId t : ledger_.transfers) recovery_.pull_result(ctx, cfg_, t, ledger_.results);
+    resume_transfers(ctx);
   }
   // A retired server owes no more done records: stop tracking, not crying
   // wolf.
@@ -484,14 +444,11 @@ void ProtocolServer::install(net::Context& ctx, Certificate cert) {
 void ProtocolServer::adopt_share(net::Context& ctx, CompletedShare share) {
   secrets_.enc_share = std::move(share.enc);
   secrets_.sign_share = std::move(share.sign);
-  // Now a full member: start coordinating the transfers the apply carried
-  // (admission-gated like every other entry point).
+  // Now a full member: resume like install's step 8, with the transfers the
+  // apply carried.
   if (!is_b() || !active()) return;
   for (TransferId t : share.transfers) ledger_.transfers.insert(t);
-  for (TransferId t : ledger_.transfers) {
-    schedule_coordinator(ctx, t);
-    recovery_.pull_result(ctx, cfg_, t, ledger_.results);
-  }
+  resume_transfers(ctx);
 }
 
 // --- crash recovery -------------------------------------------------------------------
@@ -526,11 +483,8 @@ void ProtocolServer::restore(std::span<const std::uint8_t> snap) {
   ledger_ = Ledger{};
   blinding_.next_epochs().clear();
   results_count_.store(0, std::memory_order_release);
-  // Admission scheduling and the watchdog too: on_start re-feeds them from
-  // the restored transfer set (a pre-crash stall resolves via kDoneRecorded).
-  engine_.reset();
-  observer_.m.engine_inflight.set(0);
-  observer_.m.engine_queued.set(0);
+  // The watchdog too: on_start re-arms it from the restored transfer set (a
+  // pre-crash stall resolves via kDoneRecorded).
   observer_.reset_watchdog();
   // Installed configurations too: a recovered server restarts at the SEED
   // configuration with its construction-time share and re-learns the install

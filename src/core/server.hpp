@@ -25,7 +25,6 @@
 #include "core/resharing.hpp"
 #include "core/responder.hpp"
 #include "core/signing.hpp"
-#include "core/transfer_engine.hpp"
 
 namespace dblind::core {
 
@@ -157,14 +156,12 @@ class ProtocolServer final : public net::Node {
   void handle_client_decrypt_request(net::Context& ctx, net::NodeId from,
                                      std::span<const std::uint8_t> body);
 
-  // ---- concurrent multi-transfer engine (core/transfer_engine.hpp) -----------
-  // B: registers a newly known transfer and runs it.
+  // ---- service B transfers --------------------------------------------------------
+  // Registers a newly known transfer and runs it.
   void run_transfer(net::Context& ctx, TransferId transfer);
-  // Self-coordination is admission-gated; the other roles react to whatever
-  // arrives regardless.
-  void schedule_coordinator(net::Context& ctx, TransferId transfer);
-  // Starts coordinators (rank-staggered) for transfers just admitted.
-  void launch_admitted(net::Context& ctx, std::span<const TransferId> admitted);
+  // Under the installed configuration: coordinates every transfer without a
+  // result, then pulls each missing result.
+  void resume_transfers(net::Context& ctx);
 
   // ---- epochal reconfiguration (core/resharing.hpp) ---------------------------
   void install_if(net::Context& ctx, std::optional<Certificate> cert) {
@@ -197,7 +194,6 @@ class ProtocolServer final : public net::Node {
   Signing signing_;
   Responder responder_;
   Resharing resharing_;
-  TransferEngine engine_;
 
   // (request body, reply frame) per (client, transfer): duplicates get the
   // same bytes.

@@ -184,7 +184,7 @@ TransferId System::add_transfer_arriving(const mpz::Bigint& m, net::Time when) {
   TransferId t = next_transfer_++;
   for (ProtocolServer* s : a_servers_) s->store_secret_at(t, ea_m, when);
   // B servers learn of the transfer only when its arrival timer fires, so the
-  // admission engine sees a true open-loop arrival process rather than a
+  // coordinators see a true open-loop arrival process rather than a
   // pre-registered batch.
   for (const BFamilyEntry& e : b_family_) e.server->register_transfer_arriving(t, when);
   transfers_.push_back(t);

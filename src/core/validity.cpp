@@ -35,14 +35,11 @@ SignedMessage make_envelope(const ServerSecrets& me, std::vector<std::uint8_t> b
   return env;
 }
 
-std::optional<InitMsg> check_init(const SystemConfig& cfg, const SignedMessage& env) {
-  if (!envelope_signature_ok(cfg, env)) return std::nullopt;
-  auto msg = try_decode<InitMsg>(cfg, MsgType::kInit, env.body);
-  if (!msg) return std::nullopt;
+bool check_init(const SystemConfig& cfg, const SignedMessage& env, const InitMsg& msg) {
   // The init message is the coordinator announcing its own instance.
-  if (env.service != static_cast<std::uint8_t>(ServiceRole::kServiceB)) return std::nullopt;
-  if (env.signer != msg->id.coordinator) return std::nullopt;
-  return msg;
+  if (env.service != static_cast<std::uint8_t>(ServiceRole::kServiceB)) return false;
+  if (env.signer != msg.id.coordinator) return false;
+  return envelope_signature_ok(cfg, env);
 }
 
 namespace {

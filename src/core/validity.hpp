@@ -104,8 +104,11 @@ template <typename T>
   return try_decode<T>(cfg, type, env.body);
 }
 
-// Fig. 5 row "init": returns the decoded message iff valid.
-[[nodiscard]] std::optional<InitMsg> check_init(const SystemConfig& cfg, const SignedMessage& env);
+// Fig. 5 row "init". `msg` is env.body decoded (try_decode<InitMsg>): a
+// contributor decodes an init to look its instance up before it pays for the
+// signature.
+[[nodiscard]] bool check_init(const SystemConfig& cfg, const SignedMessage& env,
+                              const InitMsg& msg);
 
 // Fig. 5 row "commit".
 [[nodiscard]] std::optional<CommitMsg> check_commit(const SystemConfig& cfg,

@@ -29,8 +29,6 @@ const char* kind_name(EventKind k) {
     case EventKind::kRetransmit: return "retransmit";
     case EventKind::kEpochInstall: return "epoch_install";
     case EventKind::kEpochAbort: return "epoch_abort";
-    case EventKind::kEngineAdmit: return "engine_admit";
-    case EventKind::kEngineDefer: return "engine_defer";
     case EventKind::kContributeCited: return "contribute_cited";
     case EventKind::kStall: return "stall";
     case EventKind::kStallResolved: return "stall_resolved";
@@ -114,16 +112,11 @@ std::string to_jsonl(const TraceEvent& e) {
     case EventKind::kEpochAbort:
       field(out, "cfg_epoch", e.cfg_epoch);
       break;
-    case EventKind::kEngineAdmit:
-    case EventKind::kEngineDefer:
-      field(out, "count", e.count);
-      break;
     case EventKind::kContributeCited:
       field(out, "from", e.peer);
       field(out, "cited_transfer", e.count);
       break;
     case EventKind::kStall:
-      field(out, "queue", e.count);
       field(out, "resends", e.attempt);
       break;
     case EventKind::kStallResolved:

@@ -54,17 +54,13 @@ enum class EventKind : std::uint8_t {
   // Epochal reconfiguration (PR 7). cfg_epoch carries the config epoch.
   kEpochInstall,    // node installed a configuration (count = new n, peer = new rank)
   kEpochAbort,      // a live instance was aborted at an epoch boundary
-  // Concurrent multi-transfer engine (PR 8).
-  kEngineAdmit,     // engine admitted a transfer for self-coordination (count = inflight)
-  kEngineDefer,     // admission cap reached; transfer queued (count = queue depth)
   kContributeCited, // done-path evidence cites a contribution
                     // (instance = citing transfer, peer = contributor rank,
                     // count = the cited contribution's transfer id — I8/T8)
   // Stall watchdog (PR 9). Both carry a one-shot public state dump.
-  kStall,           // per-transfer deadline expired (count = engine queue
-                    // depth, attempt = outstanding resend timers; parent =
-                    // the transfer's last span, so walking parents recovers
-                    // the stalled span stack)
+  kStall,           // per-transfer deadline expired (attempt = outstanding
+                    // resend timers; parent = the transfer's last span, so
+                    // walking parents recovers the stalled span stack)
   kStallResolved,   // a previously-stalled transfer made progress
                     // (count = stalled duration in µs)
 };

@@ -9,9 +9,9 @@
 // past the deadline flips to *stalled* exactly once and is reported so the
 // server can emit a kStall trace event carrying the transfer's latest span
 // (whose parent chain IS the stalled span stack) and a one-shot public state
-// dump (engine queue depth, outstanding retransmits — integers only, never
-// secrets). When a stalled transfer makes progress again the watchdog reports
-// the resolution for a matching kStallResolved event.
+// dump (outstanding retransmits — integers only, never secrets). When a
+// stalled transfer makes progress again the watchdog reports the resolution
+// for a matching kStallResolved event.
 //
 // The watchdog is observability, not protocol: it never influences protocol
 // decisions, draws no randomness, and is disabled (and allocation-free) by

@@ -283,6 +283,60 @@ TEST(Protocol, InitAboveMaxCoordinatorsCostsNothing) {
   EXPECT_EQ(server.contributor_instances(), 1u);
 }
 
+// A contributor looks an init's instance up before it checks the signature.
+// An init for an instance it committed to costs it one decode: a
+// byte-identical duplicate of the init it checked gets the cached commit
+// bytes, and any other init for that instance is dropped. A fresh init, or
+// one for an instance whose bundle was precomputed but not yet committed to,
+// is still checked first.
+TEST(Protocol, InitIsLookedUpBeforeItIsVerified) {
+  auto ts = testing::TestSystem::make(26);
+  mpz::Prng prng(12);
+  ProtocolServer server(ts.cfg, ts.b_secrets[2],
+                        ProtocolOptions{.precompute_contributions = true});  // B rank 3
+  server.register_transfer(1);
+  testing::NullContext ctx(13);
+  server.on_start(ctx);
+  const InstanceId precomputed{1, 1, 0};
+  ASSERT_EQ(server.contributor_instances(), 1u);
+  ASSERT_EQ(ctx.sent, 0);
+  const group::GroupParams& gp = server.config().params;
+  auto init = [&](ServerRank signer, const InstanceId& id) {
+    SignedMessage env = make_envelope(ts.b_secrets[signer - 1],
+                                      encode_body(MsgType::kInit, InitMsg{id}), 0, prng);
+    env.signer = id.coordinator;
+    return testing::framed(env);
+  };
+  auto ops_of = [&](const std::vector<std::uint8_t>& frame) {
+    const std::uint64_t before = gp.group_op_count();
+    server.on_message(ctx, ts.cfg.b.node_of(1), frame);
+    return gp.group_op_count() - before;
+  };
+
+  // Rank 2's signature on an init that names coordinator 1, for the
+  // precomputed instance: checked and rejected.
+  EXPECT_GT(ops_of(init(2, precomputed)), 0u);
+  EXPECT_EQ(ctx.sent, 0);
+  // The control: the coordinator's own init is checked and committed to.
+  const std::vector<std::uint8_t> first = init(1, precomputed);
+  EXPECT_GT(ops_of(first), 0u);
+  ASSERT_EQ(ctx.sent, 1);
+  const std::vector<std::uint8_t> commit = ctx.frames[0].second;
+  // Its byte-identical duplicate: the cached commit, no check.
+  EXPECT_EQ(ops_of(first), 0u);
+  ASSERT_EQ(ctx.sent, 2);
+  EXPECT_EQ(ctx.frames[1].second, commit);
+  // Another valid init for the committed instance: dropped unchecked.
+  const std::vector<std::uint8_t> second = init(1, precomputed);
+  ASSERT_NE(second, first);
+  EXPECT_EQ(ops_of(second), 0u);
+  EXPECT_EQ(ctx.sent, 2);
+  // A fresh instance: checked and committed to.
+  EXPECT_GT(ops_of(init(1, InstanceId{2, 1, 0})), 0u);
+  EXPECT_EQ(ctx.sent, 3);
+  EXPECT_EQ(server.contributor_instances(), 2u);
+}
+
 // A contributor looks a reveal's instance up before it checks a signature.
 // A reveal for an instance it never committed to, or another reveal for an
 // instance it already answered, costs it no group op; a byte-identical
@@ -527,18 +581,24 @@ TEST(Protocol, ContributeIsLookedUpBeforeItIsVerified) {
 
 // A backup coordinator's timer carries a key, never the transfer id: a
 // client names the id, and one at or above 2^56 would spill into the
-// timer's kind byte (4 << 56 turned kCoordinator into kResend).
+// timer's kind byte (4 << 56 turned kCoordinator into kResend). A repeated
+// request coordinates nothing more: one timer, one instance.
 TEST(Protocol, HostileTransferIdStillArmsACoordinatorTimer) {
   auto ts = testing::TestSystem::make(22);
   mpz::Prng prng(5);
-  ProtocolServer server(ts.cfg, ts.b_secrets[1], ProtocolOptions{});  // B rank 2, a backup
+  obs::MemoryTraceRecorder trace;
+  ProtocolServer server(ts.cfg, ts.b_secrets[1],
+                        ProtocolOptions{.trace = &trace});  // B rank 2, a backup
   testing::NullContext ctx(6);
   server.on_start(ctx);
   const TransferId hostile = (TransferId{4} << 56) | 1;
   const TransferRequestMsg request{
       hostile, ts.cfg.a.encryption_key.encrypt(ts.cfg.params.random_element(prng), prng)};
+  const std::vector<std::uint8_t> frame =
+      testing::framed(encode_body(MsgType::kTransferRequest, request));
   ctx.timers.clear();
-  server.on_message(ctx, 0, testing::framed(encode_body(MsgType::kTransferRequest, request)));
+  server.on_message(ctx, 0, frame);
+  server.on_message(ctx, 0, frame);
   std::vector<std::uint64_t> backups;
   for (std::uint64_t token : ctx.timers) {
     if ((token & timer::kKindMask) == timer::kCoordinator) backups.push_back(token);
@@ -552,6 +612,60 @@ TEST(Protocol, HostileTransferIdStillArmsACoordinatorTimer) {
   const std::vector<std::uint8_t> body = testing::body_of(ctx.frames[0].second);
   ASSERT_EQ(peek_type(body), MsgType::kInit);
   EXPECT_EQ(decode_as<InitMsg>(MsgType::kInit, body).id, (InstanceId{hostile, 2, 0}));
+  EXPECT_EQ(trace.count_of(obs::EventKind::kEpochStart), 1u);
+}
+
+// Blinding coordinates each transfer once per configuration: a second call
+// for the same transfer arms nothing, a transfer with a result is skipped,
+// and reset(), which install and restore run, lets the transfer start again.
+TEST(Protocol, CoordinatesEachTransferOncePerConfiguration) {
+  auto ts = testing::TestSystem::make(27);
+  mpz::Prng prng(14);
+  testing::NullContext ctx(15);
+  ResultMap results;
+  Recovery recovery(true);
+  Observer observer(nullptr, 0, results);
+  Signing signing(Behavior::kHonest, 600'000, true);
+  Blinding blinding(Behavior::kHonest, 400'000);
+  const Local l{ts.cfg, ts.b_secrets[1], 0, false, ctx, recovery, observer};  // B rank 2
+  auto backups = [&] {
+    return std::count_if(ctx.timers.begin(), ctx.timers.end(), [](std::uint64_t token) {
+      return (token & timer::kKindMask) == timer::kCoordinator;
+    });
+  };
+
+  blinding.coordinate(l, 1, results, signing);
+  blinding.coordinate(l, 1, results, signing);
+  EXPECT_EQ(backups(), 1);
+  results.emplace(2, ts.cfg.b.encryption_key.encrypt(ts.cfg.params.g(), prng));
+  blinding.coordinate(l, 2, results, signing);
+  EXPECT_EQ(backups(), 1);
+  blinding.reset();
+  blinding.coordinate(l, 1, results, signing);
+  EXPECT_EQ(backups(), 2);
+}
+
+// A server coordinates only transfers without a result: restarted from a
+// snapshot that holds a transfer's done message, neither the designated
+// coordinator nor the backup starts anything for it.
+TEST(Protocol, RestartedServerSkipsFinishedTransfers) {
+  System sys(base_options(31));
+  TransferId t = sys.add_transfer(sys.config().params.encode_message(Bigint(3131)));
+  expect_success(sys, t);
+  for (ServerRank r : {1u, 2u}) {
+    ProtocolServer& server = sys.b_server(r);
+    server.restore(server.snapshot());
+    ASSERT_TRUE(server.result(t).has_value()) << "B rank " << r;
+    testing::NullContext ctx(r);
+    server.on_start(ctx);
+    for (const auto& [to, frame] : ctx.frames) {
+      const std::vector<std::uint8_t> body = testing::body_of(frame);
+      EXPECT_TRUE(body.empty() || peek_type(body) != MsgType::kInit) << "B rank " << r;
+    }
+    for (std::uint64_t token : ctx.timers) {
+      EXPECT_NE(token & timer::kKindMask, timer::kCoordinator) << "B rank " << r;
+    }
+  }
 }
 
 // A signing member holds its nonce k_i (and a copy of x_i) only until it

@@ -1,15 +1,21 @@
 // Shared test fixture: builds a SystemConfig plus all server secrets outside
 // the simulator, so validity checks and message construction can be unit
-// tested without running a network.
+// tested without running a network. Also the trace reading the concurrency
+// tests share (max_open_instances).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/messages.hpp"
 #include "net/sim.hpp"
+#include "obs/trace.hpp"
 #include "threshold/keygen.hpp"
 #include "threshold/shamir.hpp"
 
@@ -51,6 +57,25 @@ inline std::vector<std::uint8_t> body_of(const std::vector<std::uint8_t>& frame)
   if (kind == WireKind::kServerSigned) return SignedMessage::decode(r).body;
   if (kind == WireKind::kClient) return r.bytes();
   return {};
+}
+
+// The most coordinator instances a trace shows open at one node at once: an
+// instance opens at its epoch_start and closes at that node's done_recorded
+// for its transfer.
+inline std::size_t max_open_instances(const obs::MemoryTraceRecorder& trace) {
+  using Instance = std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>;
+  std::map<std::uint64_t, std::set<Instance>> open;
+  std::size_t most = 0;
+  for (const obs::TraceEvent& e : trace.events()) {
+    std::set<Instance>& at = open[e.node];
+    if (e.kind == obs::EventKind::kEpochStart) {
+      at.insert({e.transfer, e.coordinator, e.epoch});
+      most = std::max(most, at.size());
+    } else if (e.kind == obs::EventKind::kDoneRecorded) {
+      std::erase_if(at, [&](const Instance& id) { return std::get<0>(id) == e.transfer; });
+    }
+  }
+  return most;
 }
 
 struct TestService {

@@ -27,6 +27,11 @@ struct Fixture {
     InstanceId iid{1, coordinator, 0};
     return make_envelope(b(coordinator), encode_body(MsgType::kInit, InitMsg{iid}), 0, prng);
   }
+  // An init's verdict: it decodes and passes check_init.
+  bool init_ok(const SignedMessage& env) {
+    auto msg = try_decode<InitMsg>(cfg(), MsgType::kInit, env.body);
+    return msg && check_init(cfg(), env, *msg);
+  }
 
   // A contributor's full honest state for one instance.
   struct Contrib {
@@ -106,7 +111,7 @@ struct Fixture {
 TEST(Validity, InitAcceptsCoordinatorSignature) {
   Fixture fx;
   auto env = fx.signed_init(1);
-  EXPECT_TRUE(check_init(fx.cfg(), env).has_value());
+  EXPECT_TRUE(fx.init_ok(env));
 }
 
 TEST(Validity, InitRejectsWrongSigner) {
@@ -114,21 +119,21 @@ TEST(Validity, InitRejectsWrongSigner) {
   Fixture fx;
   auto env = make_envelope(fx.b(2),
                            encode_body(MsgType::kInit, InitMsg{InstanceId{1, 1, 0}}), 0, fx.prng);
-  EXPECT_FALSE(check_init(fx.cfg(), env).has_value());
+  EXPECT_FALSE(fx.init_ok(env));
 }
 
 TEST(Validity, InitRejectsTamperedBody) {
   Fixture fx;
   auto env = fx.signed_init(1);
   env.body.back() ^= 1;
-  EXPECT_FALSE(check_init(fx.cfg(), env).has_value());
+  EXPECT_FALSE(fx.init_ok(env));
 }
 
 TEST(Validity, InitRejectsServiceASigner) {
   Fixture fx;
   auto env = make_envelope(fx.a(1),
                            encode_body(MsgType::kInit, InitMsg{InstanceId{1, 1, 0}}), 0, fx.prng);
-  EXPECT_FALSE(check_init(fx.cfg(), env).has_value());
+  EXPECT_FALSE(fx.init_ok(env));
 }
 
 TEST(Validity, CommitAcceptsAndBindsSigner) {

@@ -1,15 +1,15 @@
-// Concurrent multi-transfer equivalence panel (PR 8 acceptance criterion).
+// Concurrent multi-transfer equivalence panel.
 //
 // With per-instance keyed contribution streams and a fixed-delay network,
 // the bytes of every transfer's result are a pure function of (seed,
 // transfer id, contributor quorum): they must not depend on HOW MANY
 // transfers were in flight around it. The panel runs N open-loop transfers
-// through the concurrent engine (unlimited slots) and through a strictly
-// sequential baseline (max_inflight_transfers = 1), both verifying every
-// contribute inline on arrival, and demands byte-identical per-transfer
-// ciphertexts on every honest B server — across >= 4 seeds and with a
-// Byzantine contributor whose inconsistent contribution must be rejected
-// identically in both schedules.
+// arriving 3 ms apart, so several overlap at every coordinator, and the same
+// transfers arriving 1 s apart, so each finishes before the next arrives;
+// both verify every contribute inline on arrival. It demands byte-identical
+// per-transfer ciphertexts on every honest B server — across >= 4 seeds and
+// with a Byzantine contributor whose inconsistent contribution must be
+// rejected identically in both schedules.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,6 +18,7 @@
 
 #include "core/system.hpp"
 #include "obs/trace.hpp"
+#include "tests/core/test_util.hpp"
 
 namespace dblind::core {
 namespace {
@@ -32,10 +33,10 @@ struct RunOutcome {
   // Per transfer: the result ciphertext held by each honest B rank.
   std::map<TransferId, std::vector<elgamal::Ciphertext>> results;
   int attack_successes = 0;
-  std::uint64_t max_inflight_seen = 0;  // from engine_admit trace events
+  std::size_t max_open = 0;  // most instances open at one node at once
 };
 
-RunOutcome run_once(std::uint64_t seed, bool byzantine, std::size_t max_inflight) {
+RunOutcome run_once(std::uint64_t seed, bool byzantine, net::Time gap) {
   obs::MemoryTraceRecorder trace;
   SystemOptions o;
   o.seed = 47000 + seed;
@@ -45,7 +46,6 @@ RunOutcome run_once(std::uint64_t seed, bool byzantine, std::size_t max_inflight
   // quorum of each instance is interleaving-independent (FIFO simulator).
   o.delay_min = 2'000;
   o.delay_max = 2'000;
-  o.protocol.max_inflight_transfers = max_inflight;
   o.protocol.trace = &trace;
   if (byzantine) {
     o.b_behaviors.assign(4, Behavior::kHonest);
@@ -56,9 +56,7 @@ RunOutcome run_once(std::uint64_t seed, bool byzantine, std::size_t max_inflight
   std::vector<TransferId> transfers;
   for (std::size_t i = 0; i < kTransfers; ++i) {
     Bigint m = sys.config().params.encode_message(Bigint(1000 + 17 * seed + i));
-    // Arrivals 3ms apart with ~2ms per hop: every transfer overlaps several
-    // neighbours unless the engine serializes them.
-    transfers.push_back(sys.add_transfer_arriving(m, 1'000 + 3'000 * i));
+    transfers.push_back(sys.add_transfer_arriving(m, 1'000 + gap * i));
   }
 
   RunOutcome out;
@@ -82,10 +80,7 @@ RunOutcome run_once(std::uint64_t seed, bool byzantine, std::size_t max_inflight
     out.attack_successes += sys.a_server(r).attack_successes();
     out.attack_successes += sys.b_server(r).attack_successes();
   }
-  for (const obs::TraceEvent& e : trace.events()) {
-    if (e.kind == obs::EventKind::kEngineAdmit && e.count > out.max_inflight_seen)
-      out.max_inflight_seen = e.count;
-  }
+  out.max_open = testing::max_open_instances(trace);
   return out;
 }
 
@@ -94,20 +89,21 @@ class ConcurrentEquivalence : public ::testing::TestWithParam<std::tuple<int, bo
 TEST_P(ConcurrentEquivalence, InterleavedMatchesSequentialByteForByte) {
   const auto [seed, byzantine] = GetParam();
 
-  // Concurrent: unlimited admission.
-  RunOutcome conc = run_once(seed, byzantine, /*max_inflight=*/0);
-  // Sequential baseline: one transfer at a time.
-  RunOutcome seq = run_once(seed, byzantine, /*max_inflight=*/1);
+  // Concurrent: arrivals 3 ms apart with 2 ms per hop overlap several
+  // neighbours at every coordinator.
+  RunOutcome conc = run_once(seed, byzantine, /*gap=*/3'000);
+  // Sequential reference: arrivals 1 s apart, each done before the next.
+  RunOutcome seq = run_once(seed, byzantine, /*gap=*/1'000'000);
 
   ASSERT_TRUE(conc.completed) << "seed=" << seed;
   ASSERT_TRUE(seq.completed) << "seed=" << seed;
   EXPECT_EQ(conc.attack_successes, 0);
   EXPECT_EQ(seq.attack_successes, 0);
 
-  // The runs must have actually differed in schedule: several transfers in
-  // flight concurrently vs. never more than one.
-  EXPECT_GE(conc.max_inflight_seen, 2u) << "seed=" << seed;
-  EXPECT_LE(seq.max_inflight_seen, 1u) << "seed=" << seed;
+  // The runs must have actually differed in schedule: several instances
+  // open at one node vs. never more than one.
+  EXPECT_GE(conc.max_open, 2u) << "seed=" << seed;
+  EXPECT_LE(seq.max_open, 1u) << "seed=" << seed;
 
   // Byte-for-byte identical per-transfer results, transfer by transfer.
   ASSERT_EQ(conc.results.size(), seq.results.size());
@@ -126,17 +122,6 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(std::get<1>(info.param) ? "byzantine" : "honest") + "_seed" +
              std::to_string(std::get<0>(info.param));
     });
-
-// Intermediate concurrency levels agree too: a capped engine (2 slots) lands
-// on the same bytes as the sequential baseline.
-TEST(ConcurrentEquivalence, CappedEngineAgreesWithExtremes) {
-  RunOutcome capped = run_once(11, /*byzantine=*/false, /*max_inflight=*/2);
-  RunOutcome seq = run_once(11, /*byzantine=*/false, /*max_inflight=*/1);
-  ASSERT_TRUE(capped.completed);
-  ASSERT_TRUE(seq.completed);
-  EXPECT_EQ(capped.max_inflight_seen, 2u);
-  EXPECT_EQ(capped.results, seq.results);
-}
 
 }  // namespace
 }  // namespace dblind::core

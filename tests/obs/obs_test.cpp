@@ -235,22 +235,21 @@ TEST(Trace, SpanAndParentSerializeOnlyWhenNonzero) {
                          "\"span\":17,\"peer\":2,\"bytes\":96}");
 }
 
-// Watchdog events: kStall carries the one-shot state dump (engine queue
-// depth, outstanding resends) plus the stalled transfer's latest span as
-// `parent`; kStallResolved carries the stalled duration.
+// Watchdog events: kStall carries the one-shot state dump (outstanding
+// resends) plus the stalled transfer's latest span as `parent`;
+// kStallResolved carries the stalled duration.
 TEST(Trace, StallEventSerialization) {
   TraceEvent s;
   s.ts = 400000;
   s.node = 6;
   s.kind = EventKind::kStall;
   s.transfer = 3;
-  s.count = 2;    // engine queue depth
   s.attempt = 4;  // outstanding resend entries
   s.span = 91;
   s.parent = 88;  // the transfer's latest span
   EXPECT_EQ(to_jsonl(s), "{\"ts\":400000,\"node\":6,\"kind\":\"stall\","
                          "\"span\":91,\"parent\":88,\"transfer\":3,"
-                         "\"queue\":2,\"resends\":4}");
+                         "\"resends\":4}");
 
   TraceEvent r;
   r.ts = 650000;

@@ -33,8 +33,8 @@
 #                    job affords for the epoch-boundary paths; same failure
 #                    forensics as the chaos job
 #   load             open-loop load harness smoke: bench_load --smoke (toy
-#                    parameters, Poisson arrivals, concurrent vs sequential
-#                    equivalence + saturation check). Set
+#                    parameters, Poisson arrivals; every offered-load point
+#                    must complete each transfer with integrity). Set
 #                    DBLIND_SOAK_TRANSFERS=<n> to additionally run the same
 #                    harness with <n> transfers in the TSan build: one long
 #                    instrumented run of the whole protocol stack (the

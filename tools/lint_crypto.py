@@ -760,8 +760,7 @@ SELF_TEST_CASES = [
         None,
         "obs::TraceEvent out;\n"
         "out.kind = obs::EventKind::kStall;\n"
-        "out.count = engine_.queued();\n"
-        "out.peer = pending.size();\n"
+        "out.attempt = static_cast<std::uint32_t>(resends);\n"
         "opts_.trace->record(out);\n"
         "rho_reuse_after_region(rho);  // after record(): region closed",
     ),

@@ -58,12 +58,13 @@ Usage:
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
 
-from tracelib import (TRACE_VERSION, TraceError, TraceLimitError, instance_of,
-                      iter_trace, parse_line)
+from tracelib import (KNOWN_KINDS, TRACE_VERSION, TraceError, TraceLimitError,
+                      instance_of, iter_trace, parse_line)
 
 SUBJECT_CONTRIBUTE = 4  # MsgType::kContribute
 # I12: SignPurpose -> (MsgType of its request's evidence check, meta key of
@@ -424,10 +425,6 @@ SELF_TESTS = [
     ]), True, None),
     ("concurrent-clean-isolation", "\n".join([
         META,
-        '{"ts":0,"node":4,"kind":"engine_admit","transfer":1,"count":1}',
-        '{"ts":1,"node":4,"kind":"engine_admit","transfer":2,"count":2}',
-        '{"ts":2,"node":4,"kind":"engine_defer","transfer":3,"count":1}',
-        '{"ts":3,"node":4,"kind":"batch_drain","msgs":4,"equations":12}',
         _passes(2),
         '{"ts":20,"node":4,"kind":"contribute_cited","transfer":1,"coord":1,"epoch":0,"from":2,"cited_transfer":1}',
         '{"ts":21,"node":4,"kind":"contribute_cited","transfer":1,"coord":1,"epoch":0,"from":3,"cited_transfer":1}',
@@ -486,7 +483,7 @@ SELF_TESTS = [
     ("stall-events-known", "\n".join([
         META,
         '{"ts":0,"node":4,"kind":"epoch_start","span":1,"transfer":1,"coord":1,"epoch":0}',
-        '{"ts":400000,"node":5,"kind":"stall","span":2,"parent":1,"transfer":1,"queue":0,"verifies":1,"resends":2}',
+        '{"ts":400000,"node":5,"kind":"stall","span":2,"parent":1,"transfer":1,"resends":2}',
         '{"ts":500000,"node":5,"kind":"stall_resolved","span":3,"parent":1,"transfer":1,"stalled_us":100000}',
     ]), True, None),
     ("sign-done-after-member-check", "\n".join([
@@ -522,8 +519,26 @@ SELF_TESTS = [
 ]
 
 
+def _known_kinds_self_test():
+    """tracelib.KNOWN_KINDS must equal the names kind_name() emits."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src", "obs", "trace.cpp")
+    with open(src, encoding="utf-8") as fh:
+        emitted = set(re.findall(r'case EventKind::k\w+: return "(\w+)";', fh.read()))
+    problems = []
+    if not emitted:
+        problems.append(f"no kind_name() cases found in {src}")
+    if KNOWN_KINDS - emitted:
+        problems.append(f"not emitted: {sorted(KNOWN_KINDS - emitted)}")
+    if emitted - KNOWN_KINDS:
+        problems.append(f"unknown to tracelib: {sorted(emitted - KNOWN_KINDS)}")
+    status = "ok" if not problems else "FAIL (" + "; ".join(problems) + ")"
+    print(f"self-test {'known-kinds-mirror-emitter':28} {status}")
+    return not problems
+
+
 def run_self_test():
-    failures = 0
+    failures = int(not _known_kinds_self_test())
     for case in SELF_TESTS:
         name, text, should_pass, needle = case[:4]
         kwargs = case[4] if len(case) > 4 else {}

@@ -29,7 +29,8 @@ from typing import IO, Iterator, Optional, Tuple
 # carry neither and cannot be span-analyzed.
 TRACE_VERSION = 2
 
-# Mirrors obs::EventKind (kind_name() in src/obs/trace.cpp).
+# Mirrors obs::EventKind: exactly the names kind_name() in src/obs/trace.cpp
+# returns (trace_check.py --self-test asserts the equality).
 KNOWN_KINDS = {
     "msg_send", "msg_recv", "msg_drop", "msg_dup", "msg_corrupt",
     "crash", "restart",
@@ -37,8 +38,7 @@ KNOWN_KINDS = {
     "contribute_sent", "verify_pass", "verify_fail", "blind_sign_begin",
     "sign_done", "decrypt_begin", "decrypt_done", "done_sign_begin",
     "done_recorded", "retransmit",
-    "epoch_install", "epoch_abort",
-    "engine_admit", "engine_defer", "batch_drain", "contribute_cited",
+    "epoch_install", "epoch_abort", "contribute_cited",
     "stall", "stall_resolved",
 }
 
