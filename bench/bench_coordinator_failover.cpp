@@ -25,7 +25,7 @@ struct Row {
 Row run(net::Time backup_delay, bool crash_designated, bool slow_designated, std::uint64_t seed) {
   core::SystemOptions o;
   o.seed = seed;
-  o.protocol.coordinator_backup_delay = backup_delay;
+  o.protocol.backup_delay = backup_delay;
   if (slow_designated) {
     // DoS adversary: all traffic touching B's designated coordinator (node
     // index a.n + 0) is stretched 50x.
@@ -49,7 +49,7 @@ Row run(net::Time backup_delay, bool crash_designated, bool slow_designated, std
 
 int main() {
   std::puts("CLAIM-COORD — designated coordinator + delayed backups (n=4, f=1)");
-  std::puts("(backup_delay = 0 means all f+1 coordinators run eagerly)");
+  std::puts("(backup_delay = 0 means all f+1 coordinators and responders run eagerly)");
   std::puts("");
 
   bench::Table table({"scenario", "backup_delay_ms", "latency_ms", "messages", "integrity"});

@@ -95,11 +95,11 @@ inline constexpr net::Time kResultPullDelay = 800'000;
 // Tunable protocol behavior (liveness knobs only; safety never depends on
 // these).
 struct ProtocolOptions {
-  // Virtual-time delay before backup coordinator r starts (rank-1 scaled):
-  // §4.1's optimization. 0 = all f+1 coordinators start immediately.
-  net::Time coordinator_backup_delay = 400'000;
-  // Same idea on the A side for step 6.
-  net::Time responder_backup_delay = 400'000;
+  // §4.1's stagger, in virtual time: B's backup coordinator of rank j starts
+  // (j-1)·backup_delay after rank 1, and A's backup responder of rank j
+  // answers only a blind that arrives (j-1)·backup_delay after the first
+  // blind of its transfer. 0 = all f+1 of each act at once.
+  net::Time backup_delay = 400'000;
   // Retry timeout for threshold-signing sessions that stall (a quorum member
   // crashed or withheld its partial).
   net::Time signing_retry_delay = 600'000;

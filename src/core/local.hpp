@@ -50,7 +50,6 @@ enum class Behavior : std::uint8_t {
 namespace timer {
 inline constexpr std::uint64_t kKindMask = 0xffull << 56;
 inline constexpr std::uint64_t kCoordinator = 1ull << 56;      // | backup timer id
-inline constexpr std::uint64_t kResponder = 2ull << 56;        // | responder timer id
 inline constexpr std::uint64_t kSignRetry = 3ull << 56;        // | session id
 inline constexpr std::uint64_t kStoreSecret = 4ull << 56;      // | transfer
 inline constexpr std::uint64_t kResend = 5ull << 56;           // | retransmission key

@@ -13,9 +13,9 @@ ProtocolServer::ProtocolServer(SystemConfig cfg, ServerSecrets secrets, Protocol
     : cfg_(std::move(cfg)), secrets_(std::move(secrets)), opts_(std::move(opts)),
       behavior_(behavior), initial_cfg_(cfg_), initial_secrets_(secrets_),
       observer_(opts_.trace, opts_.watchdog_deadline, ledger_.results),
-      recovery_(opts_.retransmit), blinding_(behavior, opts_.coordinator_backup_delay),
+      recovery_(opts_.retransmit), blinding_(behavior, opts_.backup_delay),
       signing_(behavior, opts_.signing_retry_delay, opts_.retransmit),
-      responder_(opts_.responder_backup_delay) {
+      responder_(opts_.backup_delay) {
   pin_bases();
 }
 
@@ -123,15 +123,12 @@ void ProtocolServer::on_timer(net::Context& ctx, std::uint64_t token) {
       }
       break;
     case timer::kResend: recovery_.on_timer(l, arg, ledger_.results); break;
-    case timer::kResponder: responder_.on_timer(l, arg, ledger_); break;
     case timer::kSignRetry: signing_.on_retry_timer(l, arg, ledger_.results); break;
     case timer::kStoreSecret:
       if (auto it = ledger_.pending_store.find(arg); it != ledger_.pending_store.end()) {
         ledger_.stored[arg] = it->second.first;
         ledger_.pending_store.erase(it);
-        // Replay blind messages that arrived before the secret existed.
-        for (const ServiceSignedMsg& m : responder_.take_parked())
-          responder_.on_blind(l, m, ledger_);
+        responder_.replay_parked(l, ledger_);
       }
       break;
     case timer::kWatchdog:
@@ -170,7 +167,7 @@ void ProtocolServer::on_message(net::Context& ctx, net::NodeId from,
       r.expect_done();
       rx_type = peek_type(msg.body);
       const obs::ScopedCounterDelta mont = count_rx(rx_type, bytes.size());
-      if (rx_type == MsgType::kBlind) responder_.on_blind(local(ctx), msg, ledger_);
+      if (rx_type == MsgType::kBlind) responder_.on_blind(local(ctx), from, msg, ledger_);
       if (rx_type == MsgType::kDone) accept_done(ctx, msg, std::nullopt);
     } else if (kind == WireKind::kClient) {
       const std::vector<std::uint8_t> body = r.bytes();

@@ -1,8 +1,9 @@
 // ProtocolServer: one server of a distributed service, running the complete
 // re-encryption protocol of paper Figure 4. A B server contributes,
-// coordinates (ranks 1..f+1, rank j after (j-1)·coordinator_backup_delay:
-// §4.1's delayed coordinators), signs for B and consumes `done`; an A server
-// responds (step 6), provides decryption shares and signs for A.
+// coordinates (ranks 1..f+1, rank j after (j-1)·backup_delay: §4.1's delayed
+// coordinators), signs for B and consumes `done`; an A server responds
+// (step 6, staggered the same way), provides decryption shares and signs for
+// A.
 //
 // Each role is a module with its own state (DESIGN.md, "Module map"):
 // Blinding, Signing, Responder, Resharing and Recovery. This class owns the

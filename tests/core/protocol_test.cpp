@@ -3,6 +3,10 @@
 // Byzantine conditions.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <set>
+
 #include "core/system.hpp"
 #include "core/validity.hpp"
 #include "tests/core/test_util.hpp"
@@ -115,6 +119,35 @@ TEST(Protocol, SurvivesCrashedAServer) {
   TransferId t = sys.add_transfer(sys.config().params.encode_message(Bigint(13)));
   sys.sim().crash_at(sys.config().a.node_of(1), 0);
   expect_success(sys, t);
+}
+
+// A's designated responder receives everything and sends nothing. A rank 2
+// arms no timer: it answers a blind only when one arrives a backup delay
+// after the first blind of the transfer it received, which B's coordinator
+// supplies by re-sending its blind until B holds a result.
+TEST(Protocol, SilentResponderIsReplacedOnALateBlind) {
+  obs::MemoryTraceRecorder trace;
+  SystemOptions o = base_options(32);
+  o.protocol.trace = &trace;
+  o.a_behaviors = {Behavior::kSilent, Behavior::kHonest, Behavior::kHonest, Behavior::kHonest};
+  System sys(std::move(o));
+  TransferId t = sys.add_transfer(sys.config().params.encode_message(Bigint(3232)));
+  expect_success(sys, t);
+
+  const net::NodeId a2 = sys.config().a.node_of(2);
+  std::set<std::uint64_t> b_nodes;
+  for (ServerRank r = 1; r <= sys.b_cfg().n; ++r) b_nodes.insert(sys.b_node(r));
+  std::optional<std::uint64_t> first_blind, decrypt_begin;
+  for (const obs::TraceEvent& e : trace.events()) {
+    if (e.node != a2) continue;
+    // B sends A nothing but blind messages.
+    if (e.kind == obs::EventKind::kMsgRecv && b_nodes.contains(e.peer) && !first_blind)
+      first_blind = e.ts;
+    if (e.kind == obs::EventKind::kDecryptBegin && !decrypt_begin) decrypt_begin = e.ts;
+  }
+  ASSERT_TRUE(first_blind.has_value());
+  ASSERT_TRUE(decrypt_begin.has_value());
+  EXPECT_GE(*decrypt_begin - *first_blind, ProtocolOptions{}.backup_delay);
 }
 
 TEST(Protocol, SurvivesMidProtocolCoordinatorCrash) {
@@ -579,6 +612,89 @@ TEST(Protocol, ContributeIsLookedUpBeforeItIsVerified) {
   EXPECT_EQ(fails(), 1u);
 }
 
+// Stands in for a B server: sends `sends` at start and keeps every frame it
+// receives.
+class BStandIn final : public net::Node {
+ public:
+  explicit BStandIn(std::vector<std::pair<net::NodeId, Frame>> sends) : sends_(std::move(sends)) {}
+  void on_start(net::Context& ctx) override {
+    for (const auto& [to, frame] : sends_) ctx.send(to, frame);
+  }
+  void on_message(net::Context&, net::NodeId from, std::span<const std::uint8_t> bytes) override {
+    received.emplace_back(from, Frame(bytes.begin(), bytes.end()));
+  }
+  std::vector<std::pair<net::NodeId, Frame>> received;
+
+ private:
+  std::vector<std::pair<net::NodeId, Frame>> sends_;
+};
+
+// A responder sends its done to B's roster once and keeps the frame. A
+// byte-identical repeat of the blind it answered (B's coordinator repeats it
+// until it holds a result) gets those bytes, sent to the node that repeated
+// it, and costs no group op.
+TEST(Protocol, RepeatedBlindGetsTheCachedDone) {
+  auto ts = testing::TestSystem::make(28);
+  mpz::Prng prng(16);
+  const group::GroupParams& gp = ts.params;
+  const elgamal::Ciphertext stored = ts.cfg.a.encryption_key.encrypt(gp.g(), prng);
+  // A blinding pair signed with B's reconstructed signing key (standing in
+  // for the threshold-signing sub-protocol).
+  const group::Element rho = gp.random_element(prng);
+  const BlindPayload blind{InstanceId{1, 1, 0},
+                           {ts.cfg.a.encryption_key.encrypt(rho, prng),
+                            ts.cfg.b.encryption_key.encrypt(rho, prng)}};
+  const std::vector<threshold::Share> sks = {ts.b_secrets[0].sign_share,
+                                             ts.b_secrets[1].sign_share};
+  const zkp::SchnorrSigningKey b_sign =
+      zkp::SchnorrSigningKey::from_private(gp, threshold::shamir_reconstruct(sks, gp.q()));
+  ServiceSignedMsg blind_env{static_cast<std::uint8_t>(ServiceRole::kServiceB),
+                             encode_body(MsgType::kBlind, blind), {}};
+  blind_env.sig = b_sign.sign(blind_env.body, prng);
+  const Frame blind_frame = frame_service(blind_env);
+
+  net::Simulator sim(28, std::make_unique<net::UniformDelay>(2'000, 2'000));
+  std::vector<ProtocolServer*> a;
+  for (ServerRank r = 1; r <= 4; ++r) {
+    auto server = std::make_unique<ProtocolServer>(ts.cfg, ts.a_secrets[r - 1], ProtocolOptions{});
+    server->store_secret(1, stored);
+    a.push_back(server.get());
+    ASSERT_EQ(sim.add_node(std::move(server)), ts.cfg.a.node_of(r));
+  }
+  // B rank 1 sends its blind to the A ranks that act on one.
+  std::vector<BStandIn*> b;
+  for (ServerRank r = 1; r <= 4; ++r) {
+    std::vector<std::pair<net::NodeId, Frame>> sends;
+    if (r == 1) {
+      for (ServerRank to = 1; to <= 2; ++to) sends.emplace_back(ts.cfg.a.node_of(to), blind_frame);
+    }
+    auto node = std::make_unique<BStandIn>(std::move(sends));
+    b.push_back(node.get());
+    ASSERT_EQ(sim.add_node(std::move(node)), ts.cfg.b.node_of(r));
+  }
+  sim.run();
+
+  // Every B server got one frame, the same done, from A rank 1.
+  for (const BStandIn* node : b) {
+    ASSERT_EQ(node->received.size(), 1u);
+    EXPECT_EQ(node->received[0].first, ts.cfg.a.node_of(1));
+    EXPECT_EQ(node->received[0].second, b[0]->received[0].second);
+  }
+  const Frame& done = b[0]->received[0].second;
+  ASSERT_TRUE(check_done(ts.cfg, group::from_bytes<ServiceSignedMsg>(
+                                     static_cast<std::uint8_t>(WireKind::kServiceSigned), done,
+                                     &gp)));
+
+  // The repeat: the same done bytes to its sender, and no group op.
+  testing::NullContext ctx(17);
+  const std::uint64_t ops = gp.group_op_count();
+  a[0]->on_message(ctx, ts.cfg.b.node_of(3), blind_frame);
+  EXPECT_EQ(gp.group_op_count(), ops);
+  ASSERT_EQ(ctx.frames.size(), 1u);
+  EXPECT_EQ(ctx.frames[0].first, ts.cfg.b.node_of(3));
+  EXPECT_EQ(ctx.frames[0].second, done);
+}
+
 // A backup coordinator's timer carries a key, never the transfer id: a
 // client names the id, and one at or above 2^56 would spill into the
 // timer's kind byte (4 << 56 turned kCoordinator into kResend). A repeated
@@ -668,6 +784,23 @@ TEST(Protocol, RestartedServerSkipsFinishedTransfers) {
   }
 }
 
+// An honest, lossless run is over at completion: no backup responder wakes
+// up, no done is re-sent, and draining the simulator sends no message and
+// spends no group op.
+TEST(Protocol, HonestRunIsQuietAfterCompletion) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    System sys(base_options(seed));
+    TransferId t = sys.add_transfer(sys.config().params.encode_message(Bigint(4040 + seed)));
+    expect_success(sys, t);
+    const group::GroupParams& gp = sys.config().params;
+    const std::uint64_t sent = sys.sim().stats().messages_sent;
+    const std::uint64_t ops = gp.group_op_count();
+    sys.sim().run();
+    EXPECT_EQ(sys.sim().stats().messages_sent, sent) << "seed " << seed;
+    EXPECT_EQ(gp.group_op_count(), ops) << "seed " << seed;
+  }
+}
+
 // A signing member holds its nonce k_i (and a copy of x_i) only until it
 // sends s_i = k_i + e·x_i, or until its session's quorum leaves it out:
 // whoever read k_i afterwards would learn x_i. It holds a request's evidence
@@ -733,7 +866,7 @@ TEST(Protocol, BlindingRunsBeforeSecretExists) {
 
 TEST(Protocol, AllCoordinatorsEagerOptionWorks) {
   SystemOptions o = base_options(18);
-  o.protocol.coordinator_backup_delay = 0;  // all f+1 start immediately
+  o.protocol.backup_delay = 0;  // all f+1 coordinators and responders act at once
   System sys(std::move(o));
   TransferId t = sys.add_transfer(sys.config().params.encode_message(Bigint(61)));
   expect_success(sys, t);

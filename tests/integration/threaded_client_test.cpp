@@ -15,8 +15,7 @@ TEST(ThreadedClient, FullPipelineOnRealThreads) {
   mpz::Bigint m = ts.params.encode_message(mpz::Bigint(1618033988));
 
   ProtocolOptions opts;
-  opts.coordinator_backup_delay = 300'000;
-  opts.responder_backup_delay = 300'000;
+  opts.backup_delay = 300'000;
   opts.signing_retry_delay = 500'000;
 
   net::ThreadedBus bus(0x1234);
@@ -44,8 +43,7 @@ TEST(ThreadedClient, FullPipelineOnRealThreadsEc255) {
   mpz::Bigint m = ts.params.encode_message(mpz::Bigint(1414213562));
 
   ProtocolOptions opts;
-  opts.coordinator_backup_delay = 300'000;
-  opts.responder_backup_delay = 300'000;
+  opts.backup_delay = 300'000;
   opts.signing_retry_delay = 500'000;
 
   net::ThreadedBus bus(0x2552);
@@ -74,8 +72,7 @@ TEST(ThreadedClient, FullPipelineSurvivesLossyBus) {
   mpz::Bigint m = ts.params.encode_message(mpz::Bigint(2718281828));
 
   ProtocolOptions opts;
-  opts.coordinator_backup_delay = 300'000;
-  opts.responder_backup_delay = 300'000;
+  opts.backup_delay = 300'000;
   opts.signing_retry_delay = 500'000;
 
   net::ThreadedBus bus(0x5678);

@@ -90,8 +90,7 @@ TEST(ThreadedBus, FullProtocolRunsOnRealThreads) {
   core::ProtocolOptions opts;
   // Real-time timers: keep backup delays short so retries are fast if the
   // scheduler hiccups, but long enough not to trigger spurious backups.
-  opts.coordinator_backup_delay = 300'000;   // 300 ms
-  opts.responder_backup_delay = 300'000;
+  opts.backup_delay = 300'000;  // 300 ms
   opts.signing_retry_delay = 500'000;
 
   ThreadedBus bus(0xfeed);
