@@ -53,7 +53,7 @@ void Blinding::on_init(const Local& l, const SignedMessage& env) {
   // check_init demands signer == coordinator, and honest servers coordinate
   // only as ranks 1..f+1 (§4.1). A higher signer rank is Byzantine: drop it
   // before the signature check and before any bundle or contributor state.
-  if (env.signer > l.cfg.b.cfg.f + 1) return;
+  if (!l.cfg.b.is_lead(env.signer)) return;
   // Look the instance up before the signature check: an init for an
   // instance this server committed to costs it one decode.
   auto init = try_decode<InitMsg>(l.cfg, MsgType::kInit, env.body);
@@ -191,7 +191,7 @@ void Blinding::start(const Local& l, TransferId transfer, std::uint32_t epoch, S
 
 void Blinding::coordinate(const Local& l, TransferId transfer, const ResultMap& results,
                           Signing& signing) {
-  if (!l.is_b() || !l.active() || l.me.rank > l.cfg.b.cfg.f + 1) return;
+  if (!l.is_b() || !l.cfg.b.is_lead(l.me.rank)) return;
   if (results.contains(transfer) || !coordinated_.insert(transfer).second) return;
   const net::Time delay = (l.me.rank - 1) * backup_delay_;
   if (delay == 0) return start(l, transfer, next_epoch(transfer), signing);
@@ -322,8 +322,11 @@ void Blinding::on_signed(const Local& l, const ServiceSignature& sig) {
       behavior_ == Behavior::kAdaptiveCancelCoordinator) {
     ++attack_successes_;  // the service signed an adversarial payload
   }
-  // Retransmitted until this transfer's result lands.
-  l.resend.broadcast(l.ctx, l.cfg.a.nodes(), frame_service(sig.msg),
+  // To the A servers that act on a blind, retransmitted until this
+  // transfer's result lands.
+  std::vector<net::NodeId> responders;
+  for (ServerRank r = 1; l.cfg.a.is_lead(r); ++r) responders.push_back(l.cfg.a.node_of(r));
+  l.resend.broadcast(l.ctx, responders, frame_service(sig.msg),
                      {.transfer = sig.transfer, .cancel_on_result = true});
   auto bp = try_decode<BlindPayload>(l.cfg, MsgType::kBlind, sig.msg.body);
   if (!bp) return;

@@ -45,6 +45,9 @@ struct ServicePublic {
     if (!roster.empty()) return roster[rank - 1];
     return first_node + rank - 1;
   }
+  // Ranks 1..f+1 act on a transfer (§4.1): B's coordinators and A's step-6
+  // responders, rank 1 at once and the others as staggered backups.
+  [[nodiscard]] bool is_lead(ServerRank rank) const { return rank >= 1 && rank <= cfg.f + 1; }
   // Every roster node, in rank order.
   [[nodiscard]] std::vector<net::NodeId> nodes() const {
     std::vector<net::NodeId> out;

@@ -7,7 +7,8 @@ namespace dblind::core {
 
 void Responder::on_blind(const Local& l, net::NodeId from, const ServiceSignedMsg& msg,
                          const Ledger& ledger) {
-  if (l.is_b() || !l.active()) return;
+  // Ranks beyond f+1 only serve decryption shares (B sends them no blind).
+  if (l.is_b() || !l.cfg.a.is_lead(l.me.rank)) return;
   // Look the instance up before the signature check, in a group-less parse:
   // B's coordinator repeats its blind until it holds a result, and a repeat
   // costs this server no group op.
@@ -33,13 +34,12 @@ void Responder::on_blind(const Local& l, net::NodeId from, const ServiceSignedMs
 
   // Designated-responder policy mirroring §4.1 (the paper has every server
   // in A perform step 6 eagerly; f+1 responders with staggered backups give
-  // the same liveness with less redundant work): rank 1 answers at once,
-  // ranks beyond f+1 only serve decryption shares, and rank j in 2..f+1
-  // answers only a blind that arrives (j-1)·backup_delay after the first
-  // blind of its transfer. B's coordinator re-sends its blind, and B's
-  // backups open fresh instances, only while B holds no result: a backup
-  // waits on B's blind messages, never on a timer of its own.
-  if (l.me.rank > l.cfg.a.cfg.f + 1) return;
+  // the same liveness with less redundant work): rank 1 answers at once, and
+  // rank j in 2..f+1 answers only a blind that arrives (j-1)·backup_delay
+  // after the first blind of its transfer. B's coordinator re-sends its
+  // blind, and B's backups open fresh instances, only while B holds no
+  // result: a backup waits on B's blind messages, never on a timer of its
+  // own.
   const net::Time now = l.ctx.now();
   const net::Time first = first_blind_.try_emplace(blind->id.transfer, now).first->second;
   if (now - first < (l.me.rank - 1) * backup_delay_) return;

@@ -468,7 +468,7 @@ TEST(WireTable, SnapshotBytesPinned) {
   ASSERT_GT(sys.a_server(1).snapshot().size(), 100u);
   ASSERT_GT(sys.b_server(1).snapshot().size(), 100u);
   EXPECT_EQ(a, "87a2eefb63205ca54f36faa0822d74208645506bf42c910a5584f4628a84c850");
-  EXPECT_EQ(b, "de833097b860504cd5534d5d98de64c3b8fce889d092c38699f90a72523ac480");
+  EXPECT_EQ(b, "291896cfcd11665fb77b4ecfd1a81e01db5392af129a41daa33b9449292353c8");
 }
 
 // ---- allocation bound: a vector count cannot amplify one frame --------------
