@@ -48,7 +48,7 @@ Blinding::ContributorState& Blinding::contributor(const Local& l, const Instance
   return contributors_.emplace(id, std::move(st)).first->second;
 }
 
-void Blinding::on_init(const Local& l, const SignedMessage& env) {
+void Blinding::on_init(const Local& l, const SignedMessage& env, const ResultMap& results) {
   if (!l.is_b() || !l.active()) return;
   // check_init demands signer == coordinator, and honest servers coordinate
   // only as ranks 1..f+1 (§4.1). A higher signer rank is Byzantine: drop it
@@ -57,7 +57,7 @@ void Blinding::on_init(const Local& l, const SignedMessage& env) {
   // Look the instance up before the signature check: an init for an
   // instance this server committed to costs it one decode.
   auto init = try_decode<InitMsg>(l.cfg, MsgType::kInit, env.body);
-  if (!init) return;
+  if (!init || results.contains(init->id.transfer)) return;
   if (auto it = contributors_.find(init->id); it != contributors_.end() && it->second.committed) {
     // A duplicate of the init we checked (retransmission or network
     // duplication) gets the exact bytes we committed to the first time; any
@@ -99,8 +99,6 @@ void Blinding::on_reveal(const Local& l, const SignedMessage& env) {
     if (env == st.answered_reveal) l.resend.resend_frame(l.ctx, coordinator, st.contribute_frame);
     return;
   }
-  // The transfer is done and the bundle released: nothing left to answer with.
-  if (!st.bundle) return;
   if (behavior_ == Behavior::kWithholdContribution) return;
   // Only respond if this reveal contains our commitment (step 4).
   const bool mine = std::any_of(
@@ -147,10 +145,22 @@ std::size_t Blinding::bundles_held() const {
                     [](const auto& kv) { return kv.second.bundle.has_value(); }));
 }
 
-void Blinding::release_bundles(TransferId transfer) {
-  for (auto it = contributors_.lower_bound(InstanceId{transfer, 0, 0});
-       it != contributors_.end() && it->first.transfer == transfer; ++it)
-    it->second.bundle.reset();
+namespace {
+
+// Erases the entries of `instances` that belong to `transfer`.
+template <typename Map>
+void erase_transfer(Map& instances, TransferId transfer) {
+  const auto first = instances.lower_bound(InstanceId{transfer, 0, 0});
+  auto last = first;
+  while (last != instances.end() && last->first.transfer == transfer) ++last;
+  instances.erase(first, last);
+}
+
+}  // namespace
+
+void Blinding::on_done(TransferId transfer) {
+  erase_transfer(contributors_, transfer);
+  erase_transfer(coordinators_, transfer);
 }
 
 // --- coordinator -----------------------------------------------------------------
@@ -160,10 +170,8 @@ std::uint32_t Blinding::next_epoch(TransferId transfer) const {
   return it == next_epoch_.end() ? 0 : it->second;
 }
 
-void Blinding::unfinished(const ResultMap& results, std::vector<InstanceId>& out) const {
-  for (const auto& [id, st] : coordinators_) {
-    if (!results.contains(id.transfer)) out.push_back(id);
-  }
+void Blinding::unfinished(std::vector<InstanceId>& out) const {
+  for (const auto& [id, st] : coordinators_) out.push_back(id);
 }
 
 void Blinding::start(const Local& l, TransferId transfer, std::uint32_t epoch, Signing& signing) {
@@ -317,17 +325,19 @@ void Blinding::sign_blind(const Local& l, const InstanceId& id, Contribution bli
                 group::to_bytes(evidence), id.transfer);
 }
 
-void Blinding::on_signed(const Local& l, const ServiceSignature& sig) {
+void Blinding::on_signed(const Local& l, const ServiceSignature& sig, const ResultMap& results) {
   if (behavior_ == Behavior::kBogusBlindCoordinator ||
       behavior_ == Behavior::kAdaptiveCancelCoordinator) {
     ++attack_successes_;  // the service signed an adversarial payload
   }
   // To the A servers that act on a blind, retransmitted until this
-  // transfer's result lands.
-  std::vector<net::NodeId> responders;
-  for (ServerRank r = 1; l.cfg.a.is_lead(r); ++r) responders.push_back(l.cfg.a.node_of(r));
-  l.resend.broadcast(l.ctx, responders, frame_service(sig.msg),
-                     {.transfer = sig.transfer, .cancel_on_result = true});
+  // transfer's result lands; a transfer with a result needs none.
+  if (!results.contains(sig.transfer)) {
+    std::vector<net::NodeId> responders;
+    for (ServerRank r = 1; l.cfg.a.is_lead(r); ++r) responders.push_back(l.cfg.a.node_of(r));
+    l.resend.broadcast(l.ctx, responders, frame_service(sig.msg),
+                       {.transfer = sig.transfer, .cancel_on_result = true});
+  }
   auto bp = try_decode<BlindPayload>(l.cfg, MsgType::kBlind, sig.msg.body);
   if (!bp) return;
   l.trace(obs::EventKind::kSignDone, &bp->id,

@@ -31,8 +31,8 @@ class Blinding {
   // have committed to.
   void new_incarnation(net::Context& ctx);
 
-  // Contributor.
-  void on_init(const Local& l, const SignedMessage& env);
+  // Contributor. An init for a transfer with a result is dropped unchecked.
+  void on_init(const Local& l, const SignedMessage& env, const ResultMap& results);
   void on_reveal(const Local& l, const SignedMessage& env);
   // Step flexibility: builds the contribution bundle of `id` ahead of its init.
   void precompute(const Local& l, const InstanceId& id) { (void)contributor(l, id); }
@@ -41,10 +41,9 @@ class Blinding {
   [[nodiscard]] std::size_t spent_bundles_held() const;
   // Instances holding a bundle, answered or not.
   [[nodiscard]] std::size_t bundles_held() const;
-  // `transfer` is done: no reveal of its instances is answered any more, so
-  // each instance's bundle is released (its commit frame stays, for
-  // duplicate inits).
-  void release_bundles(TransferId transfer);
+  // `transfer` is done: its contributor and coordinator instances go, and
+  // none of its messages is answered any more.
+  void on_done(TransferId transfer);
 
   // Coordinator: ranks 1..f+1 of the installed B roster coordinate every
   // transfer (§4.1: f+1 suffice for progress), each once per configuration
@@ -58,8 +57,9 @@ class Blinding {
   // Verifies a contribute on arrival, once it is known to answer this
   // coordinator's reveal for an instance still short of its f+1 quorum.
   void on_contribute(const Local& l, const SignedMessage& env, Signing& signing);
-  // Step 5(d): B signed a blind payload; C_j → A.
-  void on_signed(const Local& l, const ServiceSignature& sig);
+  // Step 5(d): B signed a blind payload; C_j → A, unless the transfer has a
+  // result.
+  void on_signed(const Local& l, const ServiceSignature& sig, const ResultMap& results);
   // The next coordinator epoch per transfer. Durable: a restarted
   // coordinator must not reuse an epoch it may already have announced with
   // a different (lost) contribution set.
@@ -67,9 +67,9 @@ class Blinding {
   [[nodiscard]] const std::map<TransferId, std::uint32_t>& next_epochs() const {
     return next_epoch_;
   }
-  // Coordinator instances whose transfer has no result (an install aborts
+  // Coordinator instances, all of unfinished transfers (an install aborts
   // them).
-  void unfinished(const ResultMap& results, std::vector<InstanceId>& out) const;
+  void unfinished(std::vector<InstanceId>& out) const;
   // Service signatures this (Byzantine) coordinator obtained on fabricated
   // or spliced payloads.
   [[nodiscard]] int attack_successes() const { return attack_successes_; }
@@ -92,8 +92,7 @@ class Blinding {
     // consistent pair (ea, eb) the VDE proof is computed over. bundle->eb
     // equals contribution.eb for honest servers; kInconsistentContribution
     // advertises a different eb but must still attach a proof for the
-    // consistent shadow pair. Released once the answer is cached, or once
-    // the transfer is done.
+    // consistent shadow pair. Released once the answer is cached.
     std::optional<ContributionBundle> bundle;
     bool committed = false;
     bool contributed = false;  // responded to (at most) one reveal

@@ -104,7 +104,7 @@ struct ProtocolOptions {
   // blind of its transfer. 0 = all f+1 of each act at once.
   net::Time backup_delay = 400'000;
   // Retry timeout for threshold-signing sessions that stall (a quorum member
-  // crashed or withheld its partial).
+  // crashed or withheld its partial), doubled per retry up to 16×.
   net::Time signing_retry_delay = 600'000;
   // If true, B servers build their blinding contribution (ρ, both
   // encryptions, the VDE announcements) for the designated coordinator's

@@ -14,7 +14,7 @@ ProtocolServer::ProtocolServer(SystemConfig cfg, ServerSecrets secrets, Protocol
       behavior_(behavior), initial_cfg_(cfg_), initial_secrets_(secrets_),
       observer_(opts_.trace, opts_.watchdog_deadline, ledger_.results),
       recovery_(opts_.retransmit), blinding_(behavior, opts_.backup_delay),
-      signing_(behavior, opts_.signing_retry_delay, opts_.retransmit),
+      signing_(behavior, opts_.signing_retry_delay),
       responder_(opts_.backup_delay) {
   pin_bases();
 }
@@ -200,7 +200,7 @@ void ProtocolServer::on_signed(net::Context& ctx, net::NodeId from, MsgType type
     return;
   }
   switch (type) {
-    case MsgType::kInit: blinding_.on_init(l, env); break;
+    case MsgType::kInit: blinding_.on_init(l, env, ledger_.results); break;
     case MsgType::kCommit: blinding_.on_commit(l, env); break;
     case MsgType::kReveal: blinding_.on_reveal(l, env); break;
     case MsgType::kContribute: blinding_.on_contribute(l, env, signing_); break;
@@ -212,7 +212,7 @@ void ProtocolServer::on_signed(net::Context& ctx, net::NodeId from, MsgType type
     case MsgType::kSignPartialReply:
       if (auto sig = signing_.on_partial(l, env)) {
         if (sig->purpose == SignPurpose::kBlind) {
-          blinding_.on_signed(l, *sig);
+          blinding_.on_signed(l, *sig, ledger_.results);
         } else {
           responder_.on_signed(l, *sig);
         }
@@ -301,7 +301,7 @@ void ProtocolServer::record_done(net::Context* ctx, const DonePayload& done,
   if (!ledger_.results.try_emplace(done.id.transfer, done.eb_m).second) return;
   results_count_.fetch_add(1, std::memory_order_release);
   recovery_.cancel_transfer(done.id.transfer);
-  blinding_.release_bundles(done.id.transfer);
+  blinding_.on_done(done.id.transfer);
   if (ctx == nullptr) return;  // restore: no trace timestamp exists there
   local(*ctx).trace(obs::EventKind::kDoneRecorded, &done.id);
 }
@@ -368,7 +368,7 @@ void ProtocolServer::install(net::Context& ctx, Certificate cert) {
   // 1. The instances this install aborts (I6: a transfer completes inside
   //    its birth epoch or restarts cleanly under the new one).
   std::vector<InstanceId> aborted;
-  blinding_.unfinished(ledger_.results, aborted);
+  blinding_.unfinished(aborted);
   responder_.unfinished(aborted);
 
   // 2. Drop ALL round state: all of it is bound to the dying configuration.

@@ -31,12 +31,10 @@ void Signing::open(const Local& l, Session s) {
   SignRequestMsg req{id, static_cast<std::uint8_t>(s.purpose), s.payload, s.evidence};
   Session& ss = sessions_[id] = std::move(s);
   broadcast_round(l, ss, encode_body(MsgType::kSignRequest, req));
-  // With retransmission on, a stalled round usually means loss, not a bad
-  // member: back off exponentially so resends get a chance before the
-  // session is torn down and restarted.
-  net::Time retry = retry_delay_;
-  if (retransmit_) retry <<= std::min(ss.attempt, 4);
-  l.ctx.set_timer(retry, timer::kSignRetry | id);
+  // A stalled round usually means loss, not a bad member: back off
+  // exponentially so resends get a chance before the session is torn down
+  // and restarted.
+  l.ctx.set_timer(retry_delay_ << std::min(ss.attempt, 4), timer::kSignRetry | id);
 }
 
 void Signing::retry(const Local& l, Session s, std::set<ServerRank> excluded) {

@@ -40,8 +40,10 @@ struct ServiceSignature {
 
 class Signing {
  public:
-  Signing(Behavior behavior, net::Time retry_delay, bool retransmit)
-      : behavior_(behavior), retry_delay_(retry_delay), retransmit_(retransmit) {}
+  // A session that stalls is retried after `retry_delay`, doubled per retry
+  // up to 16×.
+  Signing(Behavior behavior, net::Time retry_delay)
+      : behavior_(behavior), retry_delay_(retry_delay) {}
 
   // Requester: asks this server's service to sign `payload`, justified by
   // `evidence`.
@@ -123,7 +125,6 @@ class Signing {
 
   Behavior behavior_;
   net::Time retry_delay_;
-  bool retransmit_;
   std::map<std::uint64_t, Session> sessions_;  // ours, by session id
   std::uint64_t next_session_ = 1;
   std::map<std::pair<net::NodeId, std::uint64_t>, MemberSession> members_;  // by requester

@@ -741,7 +741,7 @@ TEST(Protocol, CoordinatesEachTransferOncePerConfiguration) {
   ResultMap results;
   Recovery recovery(true);
   Observer observer(nullptr, 0, results);
-  Signing signing(Behavior::kHonest, 600'000, true);
+  Signing signing(Behavior::kHonest, 600'000);
   Blinding blinding(Behavior::kHonest, 400'000);
   const Local l{ts.cfg, ts.b_secrets[1], 0, false, ctx, recovery, observer};  // B rank 2
   auto backups = [&] {
@@ -821,21 +821,22 @@ TEST(Protocol, SigningNoncesReleasedAfterUse) {
 
 // A contributor's bundle (ρ, r₁, r₂ and the VDE announcement exponents) is
 // spent by its one answer: once the contribute frame is cached for
-// duplicates, nothing reads the bundle, and no server keeps it.
+// duplicates, nothing reads the bundle, and no server keeps it. Done ends
+// the transfer: no contributor instance of it is left.
 TEST(Protocol, ContributionBundlesReleasedAfterUse) {
   System sys(base_options(30));
   TransferId t = sys.add_transfer(sys.config().params.encode_message(Bigint(3030)));
   expect_success(sys, t);
   sys.sim().run();
   for (ServerRank r = 1; r <= 4; ++r) {
-    EXPECT_GT(sys.b_server(r).contributor_instances(), 0u) << "B rank " << r;
+    EXPECT_EQ(sys.b_server(r).contributor_instances(), 0u) << "B rank " << r;
     EXPECT_EQ(sys.b_server(r).spent_bundles_held(), 0u) << "B rank " << r;
   }
 }
 
 // A contributor whose commit missed the reveal never answers, so its bundle
-// is not spent by an answer: done releases it. After three transfers every
-// B server holds no bundle at all.
+// is not spent by an answer: done erases its instance. After three transfers
+// every B server holds no instance and no bundle at all.
 TEST(Protocol, UnansweredContributionBundlesReleasedAtDone) {
   System sys(base_options(30));
   std::vector<TransferId> transfers;
@@ -844,9 +845,44 @@ TEST(Protocol, UnansweredContributionBundlesReleasedAtDone) {
   for (TransferId t : transfers) expect_success(sys, t);
   sys.sim().run();
   for (ServerRank r = 1; r <= 4; ++r) {
-    EXPECT_GT(sys.b_server(r).contributor_instances(), 0u) << "B rank " << r;
+    EXPECT_EQ(sys.b_server(r).contributor_instances(), 0u) << "B rank " << r;
     EXPECT_EQ(sys.b_server(r).bundles_held(), 0u) << "B rank " << r;
   }
+}
+
+// Done ends a transfer at B: an init for a transfer with a result is dropped
+// before any check, so it builds no bundle and draws no commit.
+TEST(Protocol, InitAfterDoneBuildsNothing) {
+  auto ts = testing::TestSystem::make(29);
+  mpz::Prng prng(18);
+  ProtocolServer server(ts.cfg, ts.b_secrets[2], ProtocolOptions{});  // B rank 3
+  server.register_transfer(1);
+  testing::NullContext ctx(19);
+  server.on_start(ctx);
+  const group::GroupParams& gp = server.config().params;
+  // A done for transfer 1, signed with A's reconstructed signing key
+  // (standing in for the threshold-signing sub-protocol).
+  const std::vector<threshold::Share> sks = {ts.a_secrets[0].sign_share,
+                                             ts.a_secrets[1].sign_share};
+  const zkp::SchnorrSigningKey a_sign =
+      zkp::SchnorrSigningKey::from_private(gp, threshold::shamir_reconstruct(sks, gp.q()));
+  const DonePayload done{InstanceId{1, 1, 0}, ts.cfg.a.encryption_key.encrypt(gp.g(), prng),
+                         ts.cfg.b.encryption_key.encrypt(gp.g(), prng)};
+  ServiceSignedMsg done_env{static_cast<std::uint8_t>(ServiceRole::kServiceA),
+                            encode_body(MsgType::kDone, done), {}};
+  done_env.sig = a_sign.sign(done_env.body, prng);
+  server.on_message(ctx, ts.cfg.a.node_of(1), frame_service(done_env));
+  ASSERT_TRUE(server.result(1).has_value());
+
+  // B rank 2's backup instance of the finished transfer.
+  const std::vector<std::uint8_t> init = testing::framed(make_envelope(
+      ts.b_secrets[1], encode_body(MsgType::kInit, InitMsg{InstanceId{1, 2, 0}}), 0, prng));
+  ctx.frames.clear();
+  const std::uint64_t ops = gp.group_op_count();
+  server.on_message(ctx, ts.cfg.b.node_of(2), init);
+  EXPECT_EQ(gp.group_op_count(), ops);
+  EXPECT_TRUE(ctx.frames.empty());
+  EXPECT_EQ(server.contributor_instances(), 0u);
 }
 
 TEST(Protocol, BlindingRunsBeforeSecretExists) {
