@@ -11,7 +11,10 @@
 //                    first done_recorded) across an offered-load sweep. Each
 //                    coordinator starts every transfer on arrival and the
 //                    simulator charges handlers no time, so the latency stays
-//                    flat however dense the arrivals (ROADMAP item 2).
+//                    flat however dense the arrivals (ROADMAP item 2). Each
+//                    run then drains the simulator, as a service that keeps
+//                    running would, and counts the messages sent after its
+//                    last result (msgs_after_done; 0 for an honest run).
 //
 // All load runs use a fixed network delay so the contributor quorum of each
 // instance is schedule-independent (see
@@ -81,6 +84,7 @@ struct LoadResult {
   bool completed = false;
   bool integrity = true;
   std::vector<double> latency_us;  // per completed transfer, virtual
+  std::uint64_t msgs_after_done = 0;  // sent while draining after the last result
 };
 
 LoadResult run_load(const LoadConfig& lc) {
@@ -112,6 +116,9 @@ LoadResult run_load(const LoadConfig& lc) {
 
   LoadResult r;
   r.completed = sys.run_to_completion();
+  const std::uint64_t sent = sys.sim().stats().messages_sent;
+  sys.sim().run();
+  r.msgs_after_done = sys.sim().stats().messages_sent - sent;
 
   // Per-transfer latency: arrival -> FIRST done_recorded anywhere (the
   // earliest moment any B server could hand the result to a client).
@@ -193,7 +200,8 @@ int main(int argc, char** argv) {
 
   // --- latency under an offered-load sweep ----------------------------------
   std::puts("Latency vs offered load:");
-  dblind::bench::Table lt({"mean_gap_us", "completed", "p50_us", "p95_us", "p99_us"});
+  dblind::bench::Table lt(
+      {"mean_gap_us", "completed", "p50_us", "p95_us", "p99_us", "msgs_after_done"});
   bool ok = true;
   for (dblind::net::Time gap : {40'000, 10'000, 2'000}) {
     LoadConfig lc = base;
@@ -209,14 +217,15 @@ int main(int argc, char** argv) {
     ok = ok && integrity;
     lt.row({std::to_string(gap), std::to_string(res.latency_us.size()),
             dblind::bench::fmt(p50, 0), dblind::bench::fmt(p95, 0),
-            dblind::bench::fmt(p99, 0)});
+            dblind::bench::fmt(p99, 0), std::to_string(res.msgs_after_done)});
     std::printf(
         "BENCHJSON {\"section\": \"load_latency\", \"params\": \"%s\", \"transfers\": %d, "
         "\"clients\": %d, \"mean_interarrival_us\": %llu, \"completed\": %zu, "
-        "\"p50_us\": %.0f, \"p95_us\": %.0f, \"p99_us\": %.0f, \"integrity\": %d}\n",
+        "\"p50_us\": %.0f, \"p95_us\": %.0f, \"p99_us\": %.0f, \"integrity\": %d, "
+        "\"msgs_after_done\": %llu}\n",
         param_name.c_str(), lc.transfers, lc.clients,
         static_cast<unsigned long long>(gap), res.latency_us.size(), p50, p95, p99,
-        integrity ? 1 : 0);
+        integrity ? 1 : 0, static_cast<unsigned long long>(res.msgs_after_done));
   }
   lt.print();
   std::printf("integrity=%d\n", ok ? 1 : 0);

@@ -62,7 +62,9 @@ arm that no longer exists):
 
   11. load_latency: every offered-load point completes all transfers with
       integrity == 1 and p50 <= p95 <= p99 (the percentile extraction is
-      ordered and total).
+      ordered and total), and sends no message once drained after its last
+      result (msgs_after_done == 0: an honest, lossless run leaves no timer
+      that re-sends or redoes work).
 
 PR 9 gates (causal span tracing), written to BENCH_pr9.json together with
 a re-statement of the PR 4 obs-overhead result (the span upgrade must keep
@@ -361,6 +363,10 @@ def main():
         if r["integrity"] != 1:
             failures.append(
                 f"load_latency gap={r['mean_interarrival_us']}us: integrity lost")
+        if r.get("msgs_after_done") != 0:
+            failures.append(
+                f"load_latency gap={r['mean_interarrival_us']}us: "
+                f"{r.get('msgs_after_done')} messages sent after the last result")
 
     if not backend_compare:
         failures.append("no backend-compare row emitted")
