@@ -142,8 +142,10 @@ void Responder::on_share_reply(const Local& l, const SignedMessage& env, const L
 void Responder::on_signed(const Local& l, const ServiceSignature& sig) {
   auto done = try_decode<DonePayload>(l.cfg, MsgType::kDone, sig.msg.body);
   if (!done) return;
+  // Only a responder whose step 6 runs has a done to send, and it sends it
+  // once: the decryption state goes with it.
   auto it = responders_.find(done->id);
-  if (it == responders_.end() || !it->second.done_frame.empty()) return;
+  if (it == responders_.end() || !it->second.decrypt) return;
   ResponderState& st = it->second;
   // Sent once: a B server that misses it pulls it from its peers
   // (Recovery::pull_result), and B's coordinator, which repeats its blind
@@ -152,10 +154,9 @@ void Responder::on_signed(const Local& l, const ServiceSignature& sig) {
   for (net::NodeId to : l.cfg.b.nodes()) l.ctx.send(to, st.done_frame);
   l.trace(obs::EventKind::kSignDone, &done->id,
           {.subject = static_cast<std::uint32_t>(SignPurpose::kDone)});
-  if (st.decrypt && st.decrypt->t_done_sign != 0)
+  if (st.decrypt->t_done_sign != 0)
     l.observer.m.phase_done_sign_us.observe(l.ctx.now() - st.decrypt->t_done_sign);
-  // What a repeat needs is the blind and the done frame: the shares and
-  // E_A(mρ) go.
+  // A repeat needs only the blind and the done frame.
   st.decrypt.reset();
 }
 

@@ -58,9 +58,11 @@ class Responder {
   };
   // One per instance this server started to answer.
   struct ResponderState {
-    ServiceSignedMsg blind_env;          // the blind it answers
-    std::optional<Decryption> decrypt;   // none if E_A(mρ) was degenerate
-    Frame done_frame;                    // sent to B once; empty until then
+    ServiceSignedMsg blind_env;  // the blind it answers
+    // Set while step 6 runs: never if E_A(mρ) was degenerate, and no more
+    // once the done is out.
+    std::optional<Decryption> decrypt;
+    Frame done_frame;  // sent to B once; empty until then
   };
   void start(const Local& l, const ServiceSignedMsg& msg, const BlindPayload& blind,
              const Ledger& ledger);
