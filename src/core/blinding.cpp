@@ -133,34 +133,10 @@ void Blinding::on_reveal(const Local& l, const SignedMessage& env) {
   l.trace(obs::EventKind::kContributeSent, &reveal->id, {.peer = coordinator});
 }
 
-std::size_t Blinding::spent_bundles_held() const {
-  return static_cast<std::size_t>(
-      std::count_if(contributors_.begin(), contributors_.end(),
-                    [](const auto& kv) { return kv.second.contributed && kv.second.bundle; }));
-}
-
-std::size_t Blinding::bundles_held() const {
-  return static_cast<std::size_t>(
-      std::count_if(contributors_.begin(), contributors_.end(),
-                    [](const auto& kv) { return kv.second.bundle.has_value(); }));
-}
-
-namespace {
-
-// Erases the entries of `instances` that belong to `transfer`.
-template <typename Map>
-void erase_transfer(Map& instances, TransferId transfer) {
-  const auto first = instances.lower_bound(InstanceId{transfer, 0, 0});
-  auto last = first;
-  while (last != instances.end() && last->first.transfer == transfer) ++last;
-  instances.erase(first, last);
-}
-
-}  // namespace
-
 void Blinding::on_done(TransferId transfer) {
-  erase_transfer(contributors_, transfer);
-  erase_transfer(coordinators_, transfer);
+  const auto of_transfer = [&](const auto& kv) { return kv.first.transfer == transfer; };
+  std::erase_if(contributors_, of_transfer);
+  std::erase_if(coordinators_, of_transfer);
 }
 
 // --- coordinator -----------------------------------------------------------------

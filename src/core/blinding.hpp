@@ -37,10 +37,6 @@ class Blinding {
   // Step flexibility: builds the contribution bundle of `id` ahead of its init.
   void precompute(const Local& l, const InstanceId& id) { (void)contributor(l, id); }
   [[nodiscard]] std::size_t contributor_instances() const { return contributors_.size(); }
-  // Answered instances still holding the bundle their answer spent.
-  [[nodiscard]] std::size_t spent_bundles_held() const;
-  // Instances holding a bundle, answered or not.
-  [[nodiscard]] std::size_t bundles_held() const;
   // `transfer` is done: its contributor and coordinator instances go, and
   // none of its messages is answered any more.
   void on_done(TransferId transfer);

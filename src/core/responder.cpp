@@ -32,14 +32,9 @@ void Responder::on_blind(const Local& l, net::NodeId from, const ServiceSignedMs
     return;
   }
 
-  // Designated-responder policy mirroring §4.1 (the paper has every server
-  // in A perform step 6 eagerly; f+1 responders with staggered backups give
-  // the same liveness with less redundant work): rank 1 answers at once, and
-  // rank j in 2..f+1 answers only a blind that arrives (j-1)·backup_delay
-  // after the first blind of its transfer. B's coordinator re-sends its
-  // blind, and B's backups open fresh instances, only while B holds no
-  // result: a backup waits on B's blind messages, never on a timer of its
-  // own.
+  // §4.1's stagger (the paper has every A server run step 6 eagerly): B
+  // re-sends blinds, and opens backup instances, only while it holds no
+  // result, so a late blind is what a backup waits for.
   const net::Time now = l.ctx.now();
   const net::Time first = first_blind_.try_emplace(blind->id.transfer, now).first->second;
   if (now - first < (l.me.rank - 1) * backup_delay_) return;

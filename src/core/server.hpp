@@ -104,12 +104,6 @@ class ProtocolServer final : public net::Node {
   // Signing sessions still holding a request's evidence: those no quorum has
   // named or left out yet (the requester's own session holds none).
   [[nodiscard]] std::size_t signing_evidence_held() const { return signing_.evidence_held(); }
-  // Contributor instances that answered their reveal yet still hold the
-  // bundle the answer spent (ρ, r₁, r₂ and the VDE announcement exponents).
-  [[nodiscard]] std::size_t spent_bundles_held() const { return blinding_.spent_bundles_held(); }
-  // Contributor instances holding a bundle: unanswered ones until their
-  // transfer is done.
-  [[nodiscard]] std::size_t bundles_held() const { return blinding_.bundles_held(); }
 
   // --- net::Node --------------------------------------------------------------
   void on_start(net::Context& ctx) override;

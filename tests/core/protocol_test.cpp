@@ -820,23 +820,20 @@ TEST(Protocol, SigningNoncesReleasedAfterUse) {
 }
 
 // A contributor's bundle (ρ, r₁, r₂ and the VDE announcement exponents) is
-// spent by its one answer: once the contribute frame is cached for
-// duplicates, nothing reads the bundle, and no server keeps it. Done ends
-// the transfer: no contributor instance of it is left.
+// spent by its one answer, and done ends the transfer: no server keeps a
+// contributor instance of it, so no bundle either.
 TEST(Protocol, ContributionBundlesReleasedAfterUse) {
   System sys(base_options(30));
   TransferId t = sys.add_transfer(sys.config().params.encode_message(Bigint(3030)));
   expect_success(sys, t);
   sys.sim().run();
-  for (ServerRank r = 1; r <= 4; ++r) {
+  for (ServerRank r = 1; r <= 4; ++r)
     EXPECT_EQ(sys.b_server(r).contributor_instances(), 0u) << "B rank " << r;
-    EXPECT_EQ(sys.b_server(r).spent_bundles_held(), 0u) << "B rank " << r;
-  }
 }
 
 // A contributor whose commit missed the reveal never answers, so its bundle
 // is not spent by an answer: done erases its instance. After three transfers
-// every B server holds no instance and no bundle at all.
+// every B server holds no instance, so no bundle, at all.
 TEST(Protocol, UnansweredContributionBundlesReleasedAtDone) {
   System sys(base_options(30));
   std::vector<TransferId> transfers;
@@ -844,10 +841,8 @@ TEST(Protocol, UnansweredContributionBundlesReleasedAtDone) {
     transfers.push_back(sys.add_transfer(sys.config().params.encode_message(Bigint(3030 + i))));
   for (TransferId t : transfers) expect_success(sys, t);
   sys.sim().run();
-  for (ServerRank r = 1; r <= 4; ++r) {
+  for (ServerRank r = 1; r <= 4; ++r)
     EXPECT_EQ(sys.b_server(r).contributor_instances(), 0u) << "B rank " << r;
-    EXPECT_EQ(sys.b_server(r).bundles_held(), 0u) << "B rank " << r;
-  }
 }
 
 // Done ends a transfer at B: an init for a transfer with a result is dropped
