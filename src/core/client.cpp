@@ -40,8 +40,10 @@ void ClientNode::on_timer(net::Context& ctx, std::uint64_t) {
     send_all(ctx, cfg_.b, publish_body_);
     send_all(ctx, cfg_.b, encode_body(MsgType::kResultRequest, ResultRequestMsg{transfer_}));
   } else {
-    // Result chosen but shares still missing: re-request decryption shares
-    // (same ciphertext — B servers answer duplicates from their reply cache).
+    // Result chosen but shares still missing: hand B the chosen done (see
+    // step 3) and re-request decryption shares (same ciphertext — B servers
+    // answer duplicates from their reply cache).
+    send_all(ctx, cfg_.b, chosen_done_body_);
     send_all(ctx, cfg_.b, decrypt_request_body_);
   }
   ctx.set_timer(poll_interval_, 1);
@@ -62,6 +64,7 @@ void ClientNode::on_message(net::Context& ctx, net::NodeId from,
         auto done = check_done(cfg_, msg.done);  // K_B-verifiable
         if (!done || done->id.transfer != transfer_) return;
         chosen_ = done->eb_m;
+        chosen_done_body_ = std::move(body);
         ClientDecryptRequestMsg req;
         req.transfer = transfer_;
         req.ciphertext = *chosen_;

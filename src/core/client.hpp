@@ -11,7 +11,10 @@
 //      verify the service-signed `done` message with K_B alone;
 //   3. retrieve: ask B's servers for threshold-decryption shares of the
 //      chosen E_B(m), verify each share proof against B's public Feldman
-//      commitments, and combine f+1 of them into the plaintext.
+//      commitments, and combine f+1 of them into the plaintext. While
+//      shares are missing, the client also hands every B server the chosen
+//      `done`: a B server decrypts only what a done it holds names, and one
+//      that recorded another transfer result never pulls this one.
 //
 // Everything the client receives is self-verifying; nothing it learns lets
 // it impersonate servers. B servers only produce decryption shares for
@@ -67,6 +70,7 @@ class ClientNode final : public net::Node {
   // hold a ciphertext the others refuse to corroborate).
   std::vector<std::uint8_t> publish_body_;
   std::vector<std::uint8_t> decrypt_request_body_;
+  std::vector<std::uint8_t> chosen_done_body_;  // the result reply we chose
 };
 
 // Context string for client-driven threshold decryption at B.

@@ -82,6 +82,31 @@ TEST(Client, TwoClientsTwoTransfers) {
   EXPECT_EQ(*p2->plaintext(), m2);
 }
 
+// A's done goes to each B server once. Here, over a bus that drops 12% of
+// messages, A's done for B rank 1's instance reached only B rank 1, and the
+// done for B rank 2's backup instance reached the others: the client chose
+// B rank 1's. The other B servers hold a result and never pull that done,
+// and a B server decrypts only what a done it holds names, so the client
+// hands the done it chose to every B server.
+TEST(Client, HandsTheChosenDoneToEveryBServer) {
+  SystemOptions o = base(3841);
+  o.params = group::GroupParams::named(group::ParamId::kToy64);
+  o.protocol.backup_delay = 300'000;
+  o.protocol.signing_retry_delay = 500'000;
+  System sys(std::move(o));
+  net::FaultPlan plan;
+  plan.drop_percent = 12;
+  sys.sim().set_fault_plan(plan);
+  const Bigint m = sys.config().params.encode_message(Bigint(std::uint64_t{2718281828}));
+  auto node = std::make_unique<ClientNode>(sys.config(), 9001, m, /*poll_interval=*/20'000);
+  ClientNode* client = node.get();
+  sys.sim().add_node(std::move(node));
+  ASSERT_TRUE(sys.sim().run_until(
+      [&] { return client->plaintext().has_value() || sys.sim().now() > 60'000'000; }));
+  ASSERT_TRUE(client->plaintext().has_value());
+  EXPECT_EQ(*client->plaintext(), m);
+}
+
 TEST(Client, ServersRefuseUnauthorizedDecryption) {
   // A malicious "client" asks B to decrypt a ciphertext that is NOT a
   // re-encryption result: servers must stay silent.
