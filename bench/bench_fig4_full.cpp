@@ -7,6 +7,7 @@
 // bench_fig3 provide the ablation contrast: the commit/reveal round, VDE
 // proofs, threshold signatures and self-verifying evidence are the price of
 // Byzantine tolerance.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -417,69 +418,47 @@ int main(int argc, char** argv) {
   }
 
   std::puts("");
-  std::puts("Offline/online split — precompute_contributions off vs on (same seed):");
+  std::puts("Offline/online split — contributor mont-muls, one run:");
   std::puts("(online = mont-muls a contributor spends inside the init/reveal handlers,");
-  std::puts(" the latency-critical path; precomputation moves bundle construction — dual");
-  std::puts(" encryption + VDE announcements — into on_start. Results must be");
-  std::puts(" bit-identical across modes: the keyed per-instance stream means");
-  std::puts(" precomputation changes WHEN the work runs, never WHAT randomness it consumes.)");
+  std::puts(" the latency-critical path; offline = bundle construction — dual encryption");
+  std::puts(" + VDE announcements — which each B server runs when it learns of a transfer,");
+  std::puts(" ahead of the init. Without the split every mont-mul would be online.)");
   {
-    struct SplitRun {
-      std::uint64_t online = 0;
-      std::uint64_t offline = 0;
-      std::vector<std::optional<elgamal::Ciphertext>> results;
-    };
     constexpr int kSplitTransfers = 6;
-    auto run_split = [&](bool precompute) {
-      obs::MetricsRegistry reg;
-      core::SystemOptions o;
-      o.a = {4, 1};
-      o.b = {4, 1};
-      o.seed = 600;
-      o.protocol.precompute_contributions = precompute;
-      o.protocol.metrics = &reg;
-      core::System sys(std::move(o));
-      std::vector<core::TransferId> ts;
-      for (int i = 0; i < kSplitTransfers; ++i) {
-        ts.push_back(sys.add_transfer(sys.config().params.encode_message(Bigint(9000 + i))));
-      }
-      SplitRun r;
-      if (!sys.run_to_completion()) std::puts("BUG: precompute bench run did not complete");
-      for (core::TransferId t : ts) {
-        for (core::ServerRank rank = 1; rank <= 4; ++rank) r.results.push_back(sys.result(t, rank));
-      }
-      for (core::ServerRank rank = 1; rank <= 4; ++rank) {
-        const std::string node = std::to_string(sys.config().b.node_of(rank));
-        r.online += reg.counter("dblind_contrib_mont_muls_total",
-                                {{"node", node}, {"path", "online"}})
-                        .value();
-        r.offline += reg.counter("dblind_contrib_mont_muls_total",
-                                 {{"node", node}, {"path", "offline"}})
-                         .value();
-      }
-      return r;
-    };
-    SplitRun inline_run = run_split(false);
-    SplitRun pre = run_split(true);
-    const bool identical = inline_run.results == pre.results;
+    obs::MetricsRegistry reg;
+    core::SystemOptions o;
+    o.a = {4, 1};
+    o.b = {4, 1};
+    o.seed = 600;
+    o.protocol.metrics = &reg;
+    core::System sys(std::move(o));
+    for (int i = 0; i < kSplitTransfers; ++i)
+      sys.add_transfer(sys.config().params.encode_message(Bigint(9000 + i)));
+    if (!sys.run_to_completion()) std::puts("BUG: offline/online bench run did not complete");
+    std::uint64_t online = 0;
+    std::uint64_t offline = 0;
+    for (core::ServerRank rank = 1; rank <= 4; ++rank) {
+      const std::string node = std::to_string(sys.config().b.node_of(rank));
+      online += reg.counter("dblind_contrib_mont_muls_total", {{"node", node}, {"path", "online"}})
+                    .value();
+      offline +=
+          reg.counter("dblind_contrib_mont_muls_total", {{"node", node}, {"path", "offline"}})
+              .value();
+    }
 
-    bench::Table pt({"mode", "online_muls", "offline_muls", "online/transfer", "identical"});
-    auto per_transfer = [](std::uint64_t v) {
-      return bench::fmt(static_cast<double>(v) / kSplitTransfers, 1);
-    };
-    pt.row({"inline (precompute off)", bench::fmt_u(inline_run.online),
-            bench::fmt_u(inline_run.offline), per_transfer(inline_run.online), "-"});
-    pt.row({"precompute on", bench::fmt_u(pre.online), bench::fmt_u(pre.offline),
-            per_transfer(pre.online), identical ? "yes" : "NO"});
+    bench::Table pt({"online_muls", "offline_muls", "online/transfer", "(online+offline)/online"});
+    pt.row({bench::fmt_u(online), bench::fmt_u(offline),
+            bench::fmt(static_cast<double>(online) / kSplitTransfers, 1),
+            bench::fmt(static_cast<double>(online + offline) /
+                           static_cast<double>(std::max<std::uint64_t>(online, 1)),
+                       2) +
+                "x"});
     pt.print();
-    if (!identical) std::puts("BUG: precomputed run diverged from the inline run");
     std::printf(
         "BENCHJSON {\"section\": \"precompute\", \"transfers\": %d, "
-        "\"inline_online_mont_muls\": %llu, \"precompute_online_mont_muls\": %llu, "
-        "\"precompute_offline_mont_muls\": %llu, \"identical_results\": %d}\n",
-        kSplitTransfers, static_cast<unsigned long long>(inline_run.online),
-        static_cast<unsigned long long>(pre.online),
-        static_cast<unsigned long long>(pre.offline), identical ? 1 : 0);
+        "\"online_mont_muls\": %llu, \"offline_mont_muls\": %llu}\n",
+        kSplitTransfers, static_cast<unsigned long long>(online),
+        static_cast<unsigned long long>(offline));
   }
 
   std::puts("");

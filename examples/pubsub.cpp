@@ -22,7 +22,6 @@ int main() {
   core::SystemOptions opts;
   opts.params = group::GroupParams::named(group::ParamId::kTest256);
   opts.seed = 99;
-  opts.protocol.precompute_contributions = true;  // contributions before init
   core::System system(std::move(opts));
 
   // Three topics; their payloads are "published" (arrive at the broker) at

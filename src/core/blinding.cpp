@@ -21,7 +21,7 @@ Blinding::ContributorState& Blinding::contributor(const Local& l, const Instance
 
   // The instance's keyed stream depends only on the incarnation root and the
   // instance's public coordinates: a transfer's wire bytes do not depend on
-  // interleaving, and on_start can precompute the exact bundle.
+  // interleaving, and a bundle built ahead of its init is the exact one.
   hash::Sha256 h;
   h.update(std::span<const std::uint8_t>(instance_rng_root_.data(), instance_rng_root_.size()));
   std::array<std::uint8_t, 20> coords{};
@@ -48,6 +48,13 @@ Blinding::ContributorState& Blinding::contributor(const Local& l, const Instance
   return contributors_.emplace(id, std::move(st)).first->second;
 }
 
+void Blinding::precompute(const Local& l, TransferId transfer, const ResultMap& results) {
+  if (!l.is_b() || !l.active() || results.contains(transfer)) return;
+  obs::ScopedCounterDelta offline(l.cfg.params.group_op_cell(),
+                                  l.observer.m.contrib_mont_muls_offline);
+  (void)contributor(l, InstanceId{transfer, 1, 0});
+}
+
 void Blinding::on_init(const Local& l, const SignedMessage& env, const ResultMap& results) {
   if (!l.is_b() || !l.active()) return;
   // check_init demands signer == coordinator, and honest servers coordinate
@@ -68,7 +75,7 @@ void Blinding::on_init(const Local& l, const SignedMessage& env, const ResultMap
   }
   if (!check_init(l.cfg, env, *init)) return;
   // Mont-muls spent while serving the request are the "online" cost; with a
-  // precomputed bundle this stays near zero.
+  // bundle built ahead this stays near zero.
   obs::ScopedCounterDelta online(l.cfg.params.group_op_cell(),
                                  l.observer.m.contrib_mont_muls_online);
   const net::NodeId coordinator = l.cfg.b.node_of(init->id.coordinator);

@@ -34,8 +34,9 @@ class Blinding {
   // Contributor. An init for a transfer with a result is dropped unchecked.
   void on_init(const Local& l, const SignedMessage& env, const ResultMap& results);
   void on_reveal(const Local& l, const SignedMessage& env);
-  // Step flexibility: builds the contribution bundle of `id` ahead of its init.
-  void precompute(const Local& l, const InstanceId& id) { (void)contributor(l, id); }
+  // Step flexibility (§1): once an active B server learns of an unfinished
+  // `transfer`, it builds the bundle of instance {transfer, 1, 0} (offline).
+  void precompute(const Local& l, TransferId transfer, const ResultMap& results);
   [[nodiscard]] std::size_t contributor_instances() const { return contributors_.size(); }
   // `transfer` is done: its contributor and coordinator instances go, and
   // none of its messages is answered any more.

@@ -106,14 +106,6 @@ struct ProtocolOptions {
   // Retry timeout for threshold-signing sessions that stall (a quorum member
   // crashed or withheld its partial), doubled per retry up to 16×.
   net::Time signing_retry_delay = 600'000;
-  // If true, B servers build their blinding contribution (ρ, both
-  // encryptions, the VDE announcements) for the designated coordinator's
-  // instance of every registered transfer during on_start, before the init
-  // arrives (step-flexibility / pre-computation claim §1). Contribution
-  // randomness comes from a per-instance keyed stream, so the precomputed
-  // bundle is exactly the one the instance would derive on demand: results
-  // are byte-identical either way, only WHEN the work runs moves.
-  bool precompute_contributions = false;
 
   // --- chaos-layer retransmission (liveness only) ----------------------------
   // Re-send liveness-critical messages on the backoff above until progress

@@ -5,8 +5,8 @@
 // exponentiations of the three VDE subproofs — depends only on the service
 // keys, never on the transfer being served. A ContributionBundle captures
 // that offline work. ProtocolServer derives one bundle per instance from the
-// instance's keyed prng stream, either when the init arrives or ahead of it
-// (ProtocolOptions::precompute_contributions). The online remainder
+// instance's keyed prng stream, ahead of the init for instance {t, 1, 0}
+// (Blinding::precompute) and on demand for any other. The online remainder
 // (Fiat-Shamir challenge binding + response arithmetic,
 // zkp::vde_prove_online) costs zero group exponentiations.
 //

@@ -47,7 +47,7 @@ struct ServerMetrics {
   obs::Counter verify_fail;
   obs::Counter batch_fallbacks;        // batch checks that came back false
   // Contributor mont-muls: "online" in the init/reveal handlers (a
-  // coordinator's critical path), "offline" in the on_start precompute loop.
+  // coordinator's critical path), "offline" in Blinding::precompute.
   obs::Counter contrib_mont_muls_online;
   obs::Counter contrib_mont_muls_offline;
   // Epochal reconfiguration: installed epoch + lifecycle counts.

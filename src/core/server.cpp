@@ -63,6 +63,7 @@ std::optional<elgamal::Ciphertext> ProtocolServer::result(TransferId transfer) c
 // --- transport entry points ---------------------------------------------------
 
 void ProtocolServer::on_start(net::Context& ctx) {
+  auto t0 = std::chrono::steady_clock::now();
   observer_.resolve(ctx, opts_.metrics, cfg_.params, &recovery_.sent_cell());
   observer_.m.config_epoch.set(cfg_epoch_);
   for (const auto& [transfer, pair] : ledger_.pending_store) {
@@ -76,34 +77,29 @@ void ProtocolServer::on_start(net::Context& ctx) {
     restored_ = false;
     resharing_.pull_installs(local(ctx));
   }
-  if (!is_b()) return;
-  blinding_.new_incarnation(ctx);
-  const Local l = local(ctx);
-  // After a restart, completed transfers (restored from the durable done
-  // messages) are skipped, and the coordinator epoch continues past
-  // anything this server may have announced pre-crash.
-  for (TransferId t : ledger_.transfers) blinding_.coordinate(l, t, ledger_.results, signing_);
-  for (std::size_t i = 0; i < scheduled_arrivals_.size(); ++i) {
-    ctx.set_timer(scheduled_arrivals_[i].first, timer::kTransferArrival | i);
-  }
-  for (TransferId t : ledger_.transfers) recovery_.pull_result(ctx, cfg_, t, ledger_.results);
-  // Stall watchdog: track every unfinished transfer from this incarnation's
-  // start (a later arrival is tracked from its first transfer-scoped event).
-  if (observer_.watchdog().enabled()) {
-    for (TransferId t : ledger_.transfers) {
-      if (!ledger_.results.contains(t)) observer_.watchdog().arm(t, ctx.now());
+  if (is_b()) {
+    blinding_.new_incarnation(ctx);
+    const Local l = local(ctx);
+    // After a restart, completed transfers (restored from the durable done
+    // messages) are skipped, and the coordinator epoch continues past
+    // anything this server may have announced pre-crash.
+    for (TransferId t : ledger_.transfers) blinding_.coordinate(l, t, ledger_.results, signing_);
+    for (std::size_t i = 0; i < scheduled_arrivals_.size(); ++i) {
+      ctx.set_timer(scheduled_arrivals_[i].first, timer::kTransferArrival | i);
     }
-    observer_.arm_watchdog(ctx);
-  }
-  // Step flexibility: the designated coordinator's first instance gets its
-  // bundle before any init arrives — exactly the one it would derive.
-  if (active() && opts_.precompute_contributions) {
-    obs::ScopedCounterDelta offline(cfg_.params.group_op_cell(),
-                                    observer_.m.contrib_mont_muls_offline);
-    for (TransferId t : ledger_.transfers) {
-      if (!ledger_.results.contains(t)) blinding_.precompute(l, InstanceId{t, 1, 0});
+    for (TransferId t : ledger_.transfers) recovery_.pull_result(ctx, cfg_, t, ledger_.results);
+    // Stall watchdog: track every unfinished transfer from this incarnation's
+    // start (a later arrival is tracked from its first transfer-scoped event).
+    if (observer_.watchdog().enabled()) {
+      for (TransferId t : ledger_.transfers) {
+        if (!ledger_.results.contains(t)) observer_.watchdog().arm(t, ctx.now());
+      }
+      observer_.arm_watchdog(ctx);
     }
+    // Step flexibility, as on a later arrival in run_transfer.
+    for (TransferId t : ledger_.transfers) blinding_.precompute(l, t, ledger_.results);
   }
+  cpu_seconds_ += std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
 void ProtocolServer::on_timer(net::Context& ctx, std::uint64_t token) {
@@ -279,6 +275,7 @@ void ProtocolServer::run_transfer(net::Context& ctx, TransferId transfer) {
   if (!ledger_.transfers.insert(transfer).second) return;  // already registered
   blinding_.coordinate(local(ctx), transfer, ledger_.results, signing_);
   recovery_.pull_result(ctx, cfg_, transfer, ledger_.results);
+  blinding_.precompute(local(ctx), transfer, ledger_.results);
 }
 
 void ProtocolServer::resume_transfers(net::Context& ctx) {

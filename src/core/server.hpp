@@ -93,7 +93,7 @@ class ProtocolServer final : public net::Node {
   // This server's current view of the system configuration.
   [[nodiscard]] const SystemConfig& config() const { return cfg_; }
   // Open contributor instances: one per coordinator init this server
-  // committed to (or precomputed a contribution for).
+  // committed to, or whose bundle it built ahead.
   [[nodiscard]] std::size_t contributor_instances() const {
     return blinding_.contributor_instances();
   }
@@ -152,7 +152,7 @@ class ProtocolServer final : public net::Node {
                                      std::span<const std::uint8_t> body);
 
   // ---- service B transfers --------------------------------------------------------
-  // Registers a newly known transfer and runs it.
+  // Registers a newly known transfer, runs it and builds its bundle ahead.
   void run_transfer(net::Context& ctx, TransferId transfer);
   // Under the installed configuration: coordinates every transfer without a
   // result, then pulls each missing result.

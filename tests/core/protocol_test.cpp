@@ -278,7 +278,6 @@ TEST(Protocol, DkgSetupWorks) {
 
 TEST(Protocol, PrecomputedContributionsComplete) {
   SystemOptions o = base_options(16);
-  o.protocol.precompute_contributions = true;
   System sys(std::move(o));
   TransferId t = sys.add_transfer(sys.config().params.encode_message(Bigint(53)));
   expect_success(sys, t);
@@ -320,13 +319,12 @@ TEST(Protocol, InitAboveMaxCoordinatorsCostsNothing) {
 // An init for an instance it committed to costs it one decode: a
 // byte-identical duplicate of the init it checked gets the cached commit
 // bytes, and any other init for that instance is dropped. A fresh init, or
-// one for an instance whose bundle was precomputed but not yet committed to,
+// one for an instance whose bundle was built ahead but not yet committed to,
 // is still checked first.
 TEST(Protocol, InitIsLookedUpBeforeItIsVerified) {
   auto ts = testing::TestSystem::make(26);
   mpz::Prng prng(12);
-  ProtocolServer server(ts.cfg, ts.b_secrets[2],
-                        ProtocolOptions{.precompute_contributions = true});  // B rank 3
+  ProtocolServer server(ts.cfg, ts.b_secrets[2], ProtocolOptions{});  // B rank 3
   server.register_transfer(1);
   testing::NullContext ctx(13);
   server.on_start(ctx);

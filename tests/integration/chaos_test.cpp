@@ -55,7 +55,6 @@ struct Mix {
   bool crash_restart_b1 = false;    // crash the designated coordinator, restart later
   bool crash_a4 = false;            // permanently crash one A server (within f)
   bool byzantine_b1 = false;        // adaptive-cancel coordinator at B rank 1
-  bool precompute = false;          // contributions precomputed in on_start
   bool liveness_expected = true;    // mix stays within the f-bound
   // --- epochal churn (PR 7) -------------------------------------------------
   // kJoin: (4,1)->(5,1) adopting a standby. kLeave: (5,1)->(4,1) retiring
@@ -105,15 +104,14 @@ constexpr Mix kMixes[] = {
      .duplication_percent = 15,
      .partition_b_backup = true,
      .byzantine_b1 = true},
-    // Precomputed contributions under crash-recovery and loss: a restored
-    // server derives fresh bundles under a new incarnation root, and the
-    // Byzantine coordinator gains nothing from precomputation.
+    // Bundles built ahead under crash-recovery and loss: a restored server
+    // derives fresh bundles under a new incarnation root, and the Byzantine
+    // coordinator gains nothing from them.
     {.name = "precompute-chaos",
      .drop_percent = 10,
      .duplication_percent = 15,
      .crash_restart_b1 = true,
-     .byzantine_b1 = true,
-     .precompute = true},
+     .byzantine_b1 = true},
     // Membership churn under loss: a standby joins mid-run ((4,1)->(5,1)).
     // Transfers never mix contributions across config epochs (I6/T6) and the
     // joiner converges on results for work it never participated in.
@@ -363,7 +361,6 @@ bool run_chaos(const Mix& mix, std::uint64_t seed, bool retransmit = true) {
   // (100ms–500ms), so an isolated backup reliably trips a stall that then
   // resolves after the heal — and long enough that healthy runs stay quiet.
   o.protocol.watchdog_deadline = 300'000;
-  o.protocol.precompute_contributions = mix.precompute;
   if (mix.byzantine_b1) {
     o.b_behaviors.assign(4, Behavior::kHonest);
     o.b_behaviors[0] = Behavior::kAdaptiveCancelCoordinator;

@@ -78,10 +78,9 @@ TEST(Soak, TwoDifferentByzantineBehaviorsTogether) {
 
 TEST(Soak, StaggeredSecretsAndPrecompute) {
   // Transfers whose ciphertexts materialize at different times, with
-  // contribution precomputation on and duplication enabled.
+  // contributions built ahead and duplication enabled.
   SystemOptions o;
   o.seed = 8004;
-  o.protocol.precompute_contributions = true;
   System sys(std::move(o));
   sys.sim().set_duplication_percent(20);
   std::vector<TransferId> transfers;

@@ -29,14 +29,13 @@ BENCH_pr4.json next to BENCH_pr3.json.
 
 PR 5 gates (offline/online split), written to BENCH_pr5.json:
 
-  4. precompute: with precompute_contributions on, online contributor
-     mont-muls must be >= 3.0x lower than with it off, for the same seed
-     and transfer count — the offline phase genuinely moved the dual
-     encryption + VDE announcements off the latency-critical path;
-  5. precompute: identical_results == 1 — precompute-on and -off runs
-     produce bit-identical result ciphertexts (the keyed per-instance
-     stream means precomputation changes WHEN work runs, never WHAT
-     randomness it consumes);
+  4. precompute: a B server builds each bundle when it learns of the
+     transfer, ahead of the init, so in one run the contributors' total
+     mont-muls (online + offline) must be >= 3.0x their online mont-muls
+     — the dual encryption + VDE announcements really left the
+     latency-critical path. (Gate 5, on-vs-off result identity, went with
+     the off path; PrecomputeProtocol.BundleBuiltAheadMatchesOneBuiltOnDemand
+     holds that property.)
   6. fixed-base: an exponentiation of a pinned base over its shift table
      (built before the measurement) uses >= 2.0x fewer mont-muls than the
      same exponentiation of an unpinned base, which has no table (the rows
@@ -305,17 +304,13 @@ def main():
     if not precompute:
         failures.append("no precompute row emitted")
     for r in precompute:
-        ratio = r["inline_online_mont_muls"] / max(r["precompute_online_mont_muls"], 1)
+        total = r["online_mont_muls"] + r["offline_mont_muls"]
+        ratio = total / max(r["online_mont_muls"], 1)
         r["online_mul_ratio"] = round(ratio, 3)
         if ratio < 3.0:
             failures.append(
-                f"precompute: online mont-muls only {ratio:.2f}x lower than inline "
-                f"({r['inline_online_mont_muls']} -> {r['precompute_online_mont_muls']}), "
-                f"< 3.0x acceptance bar")
-        if r["identical_results"] != 1:
-            failures.append(
-                "precompute: precomputed run results diverged from the inline run — "
-                "precomputation must be byte-transparent")
+                f"precompute: online mont-muls only {ratio:.2f}x below the total "
+                f"({total} -> {r['online_mont_muls']}), < 3.0x acceptance bar")
     if not fixed_base:
         failures.append("no fixed-base row emitted")
     for r in fixed_base:
@@ -512,9 +507,8 @@ def main():
               f"{r['instrumented_mont_muls']} instrumented mont-muls, "
               f"{r['trace_events']} trace events")
     for r in precompute:
-        print(f"precompute: {r['inline_online_mont_muls']} inline -> "
-              f"{r['precompute_online_mont_muls']} precomputed online mont-muls "
-              f"({r['online_mul_ratio']}x), identical_results={r['identical_results']}")
+        print(f"precompute: {r['online_mont_muls'] + r['offline_mont_muls']} total -> "
+              f"{r['online_mont_muls']} online mont-muls ({r['online_mul_ratio']}x)")
     for r in fixed_base:
         print(f"fixed-base: {r['generic_mont_muls']} generic -> "
               f"{r['comb_mont_muls']} shift-table mont-muls ({r['mul_ratio']}x)")

@@ -59,8 +59,8 @@
 #                    label backend.ec and already run in tier-1 on any
 #                    backend.
 #   bench            bench regression gates: bench_check.py (batched vs
-#                    serial Fig. 5 evidence checks >= 2x, precompute on/off
-#                    online split >= 3x, obs overhead, pinned tables, reconfig,
+#                    serial Fig. 5 evidence checks >= 2x, offline/online
+#                    split >= 3x, obs overhead, pinned tables, reconfig,
 #                    load, critpath, backends) by deterministic counts, plus
 #                    the wall-clock microbenchmarks; writes BENCH_pr3.json ..
 #                    BENCH_pr10.json into build-relwithdebinfo/
