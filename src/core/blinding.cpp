@@ -305,7 +305,7 @@ void Blinding::try_finish(const Local& l, CoordinatorState& st, Signing& signing
 void Blinding::sign_blind(const Local& l, const InstanceId& id, Contribution blinded,
                           const BlindEvidence& evidence, Signing& signing) {
   signing.start(l, SignPurpose::kBlind, encode_body(MsgType::kBlind, BlindPayload{id, blinded}),
-                group::to_bytes(evidence), id.transfer);
+                group::to_bytes(evidence), id);
 }
 
 void Blinding::on_signed(const Local& l, const ServiceSignature& sig, const ResultMap& results) {
@@ -315,17 +315,15 @@ void Blinding::on_signed(const Local& l, const ServiceSignature& sig, const Resu
   }
   // To the A servers that act on a blind, retransmitted until this
   // transfer's result lands; a transfer with a result needs none.
-  if (!results.contains(sig.transfer)) {
+  if (!results.contains(sig.id.transfer)) {
     std::vector<net::NodeId> responders;
     for (ServerRank r = 1; l.cfg.a.is_lead(r); ++r) responders.push_back(l.cfg.a.node_of(r));
     l.resend.broadcast(l.ctx, responders, frame_service(sig.msg),
-                       {.transfer = sig.transfer, .cancel_on_result = true});
+                       {.transfer = sig.id.transfer, .cancel_on_result = true});
   }
-  auto bp = try_decode<BlindPayload>(l.cfg, MsgType::kBlind, sig.msg.body);
-  if (!bp) return;
-  l.trace(obs::EventKind::kSignDone, &bp->id,
+  l.trace(obs::EventKind::kSignDone, &sig.id,
           {.subject = static_cast<std::uint32_t>(SignPurpose::kBlind)});
-  auto it = coordinators_.find(bp->id);
+  auto it = coordinators_.find(sig.id);
   if (it != coordinators_.end() && it->second.t_sign != 0) {
     l.observer.m.phase_blind_sign_us.observe(l.ctx.now() - it->second.t_sign);
   }

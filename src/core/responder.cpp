@@ -131,15 +131,13 @@ void Responder::on_share_reply(const Local& l, const SignedMessage& env, const L
   signing.start(
       l, SignPurpose::kDone, encode_body(MsgType::kDone, payload),
       group::to_bytes(DoneEvidence{it->second.blind_env, std::move(m_rho), std::move(shares)}),
-      msg->id.transfer);
+      msg->id);
 }
 
 void Responder::on_signed(const Local& l, const ServiceSignature& sig) {
-  auto done = try_decode<DonePayload>(l.cfg, MsgType::kDone, sig.msg.body);
-  if (!done) return;
   // Only a responder whose step 6 runs has a done to send, and it sends it
   // once: the decryption state goes with it.
-  auto it = responders_.find(done->id);
+  auto it = responders_.find(sig.id);
   if (it == responders_.end() || !it->second.decrypt) return;
   ResponderState& st = it->second;
   // Sent once: a B server that misses it pulls it from its peers
@@ -147,7 +145,7 @@ void Responder::on_signed(const Local& l, const ServiceSignature& sig) {
   // until it holds a result, gets it back from on_blind.
   st.done_frame = frame_service(sig.msg);
   for (net::NodeId to : l.cfg.b.nodes()) l.ctx.send(to, st.done_frame);
-  l.trace(obs::EventKind::kSignDone, &done->id,
+  l.trace(obs::EventKind::kSignDone, &sig.id,
           {.subject = static_cast<std::uint32_t>(SignPurpose::kDone)});
   if (st.decrypt->t_done_sign != 0)
     l.observer.m.phase_done_sign_us.observe(l.ctx.now() - st.decrypt->t_done_sign);

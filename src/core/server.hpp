@@ -104,6 +104,10 @@ class ProtocolServer final : public net::Node {
   // Signing sessions still holding a request's evidence: those no quorum has
   // named or left out yet (the requester's own session holds none).
   [[nodiscard]] std::size_t signing_evidence_held() const { return signing_.evidence_held(); }
+  // Signing sessions this server requested and still runs: a session is
+  // erased when it returns its signature, and a stalled one when its retry
+  // timer finds it moot or out of attempts.
+  [[nodiscard]] std::size_t signing_sessions_held() const { return signing_.sessions_held(); }
 
   // --- net::Node --------------------------------------------------------------
   void on_start(net::Context& ctx) override;

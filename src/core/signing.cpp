@@ -10,10 +10,10 @@ namespace dblind::core {
 // --- requester -----------------------------------------------------------------
 
 void Signing::start(const Local& l, SignPurpose purpose, std::vector<std::uint8_t> payload,
-                    std::vector<std::uint8_t> evidence, TransferId transfer) {
+                    std::vector<std::uint8_t> evidence, const InstanceId& id) {
   Session s;
   s.purpose = purpose;
-  s.transfer = transfer;
+  s.id = id;
   s.payload = std::move(payload);
   s.evidence = std::move(evidence);
   open(l, std::move(s));
@@ -40,7 +40,7 @@ void Signing::open(const Local& l, Session s) {
 void Signing::retry(const Local& l, Session s, std::set<ServerRank> excluded) {
   Session next;
   next.purpose = s.purpose;
-  next.transfer = s.transfer;
+  next.id = s.id;
   next.payload = std::move(s.payload);
   next.evidence = std::move(s.evidence);
   next.excluded = std::move(excluded);
@@ -51,16 +51,16 @@ void Signing::retry(const Local& l, Session s, std::set<ServerRank> excluded) {
 void Signing::broadcast_round(const Local& l, Session& s, std::vector<std::uint8_t> body) {
   s.round_resend = l.resend.broadcast(
       l.ctx, l.service().nodes(), l.signed_frame(std::move(body)),
-      {.transfer = s.transfer, .cancel_on_result = s.cancel_on_result});
+      {.transfer = s.id.transfer, .cancel_on_result = s.cancel_on_result});
 }
 
 void Signing::on_retry_timer(const Local& l, std::uint64_t session, const ResultMap& results) {
   auto it = sessions_.find(session);
-  if (it == sessions_.end() || it->second.done) return;
+  if (it == sessions_.end()) return;
   Session ss = std::move(it->second);
   sessions_.erase(it);
   l.resend.cancel(ss.round_resend);
-  if (ss.cancel_on_result && results.contains(ss.transfer)) return;  // moot
+  if (ss.cancel_on_result && results.contains(ss.id.transfer)) return;  // moot
   // Exclude quorum members that stalled the session mid-way; they had their
   // chance. Cap total exclusions at f — beyond that we may be excluding
   // slow-but-honest members, so start over with a clean slate.
@@ -77,7 +77,7 @@ void Signing::on_commit_reply(const Local& l, const SignedMessage& env) {
   auto it = msg ? sessions_.find(msg->session) : sessions_.end();
   if (it == sessions_.end()) return;
   Session& ss = it->second;
-  if (ss.done || !ss.quorum.empty()) return;
+  if (!ss.quorum.empty()) return;
   if (msg->commit.index != env.signer) return;
   if (ss.excluded.contains(env.signer)) return;
   ss.commits.emplace(env.signer, msg->commit);
@@ -98,7 +98,7 @@ void Signing::on_reveal_reply(const Local& l, const SignedMessage& env) {
   auto it = msg ? sessions_.find(msg->session) : sessions_.end();
   if (it == sessions_.end()) return;
   Session& ss = it->second;
-  if (ss.done || ss.quorum.empty()) return;
+  if (ss.quorum.empty()) return;
   if (msg->reveal.index != env.signer) return;
   if (ss.reveals.contains(env.signer)) return;
   // The reveal must come from a quorum member and match its commitment.
@@ -121,7 +121,7 @@ std::optional<ServiceSignature> Signing::on_partial(const Local& l, const Signed
   auto it = msg ? sessions_.find(msg->session) : sessions_.end();
   if (it == sessions_.end()) return std::nullopt;
   Session& ss = it->second;
-  if (ss.done || ss.reveals.size() != ss.quorum.size() || ss.quorum.empty()) return std::nullopt;
+  if (ss.reveals.size() != ss.quorum.size() || ss.quorum.empty()) return std::nullopt;
   if (msg->partial.index != env.signer) return std::nullopt;
   auto rit = ss.reveals.find(env.signer);
   if (rit == ss.reveals.end()) return std::nullopt;
@@ -148,11 +148,13 @@ std::optional<ServiceSignature> Signing::on_partial(const Local& l, const Signed
   std::vector<threshold::PartialSignature> partials;
   for (const auto& [rank, partial] : ss.partials) partials.push_back(partial);
   zkp::SchnorrSignature sig = threshold::combine_signature(gp, reveals, partials);
-  ss.done = true;
-  l.resend.cancel(ss.round_resend);
-  return ServiceSignature{ss.purpose, ss.transfer,
-                          ServiceSignedMsg{static_cast<std::uint8_t>(l.me.role), ss.payload,
-                                           std::move(sig)}};
+  // Finished: a late or duplicate reply, and the retry timer, find no session.
+  Session done = std::move(it->second);
+  sessions_.erase(it);
+  l.resend.cancel(done.round_resend);
+  return ServiceSignature{done.purpose, done.id,
+                          ServiceSignedMsg{static_cast<std::uint8_t>(l.me.role),
+                                           std::move(done.payload), std::move(sig)}};
 }
 
 // --- member ----------------------------------------------------------------------

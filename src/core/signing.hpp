@@ -31,10 +31,10 @@
 
 namespace dblind::core {
 
-// A finished service signature over a role's payload.
+// A finished service signature over a role's payload for instance `id`.
 struct ServiceSignature {
   SignPurpose purpose{};
-  TransferId transfer = 0;
+  InstanceId id;
   ServiceSignedMsg msg;
 };
 
@@ -45,12 +45,13 @@ class Signing {
   Signing(Behavior behavior, net::Time retry_delay)
       : behavior_(behavior), retry_delay_(retry_delay) {}
 
-  // Requester: asks this server's service to sign `payload`, justified by
-  // `evidence`.
+  // Requester: asks this server's service to sign `payload`, the payload of
+  // instance `id`, justified by `evidence`.
   void start(const Local& l, SignPurpose purpose, std::vector<std::uint8_t> payload,
-             std::vector<std::uint8_t> evidence, TransferId transfer);
+             std::vector<std::uint8_t> evidence, const InstanceId& id);
   void on_commit_reply(const Local& l, const SignedMessage& env);
   void on_reveal_reply(const Local& l, const SignedMessage& env);
+  // The last partial of a session returns its signature and erases it.
   [[nodiscard]] std::optional<ServiceSignature> on_partial(const Local& l,
                                                            const SignedMessage& env);
   // timer::kSignRetry: the session stalled.
@@ -67,6 +68,8 @@ class Signing {
   // Sessions still holding a request's evidence: those no quorum has named
   // or left out yet.
   [[nodiscard]] std::size_t evidence_held() const;
+  // Requester sessions still running (see ProtocolServer::signing_sessions_held).
+  [[nodiscard]] std::size_t sessions_held() const { return sessions_.size(); }
 
   void reset() {
     sessions_.clear();
@@ -76,8 +79,8 @@ class Signing {
  private:
   struct Session {
     SignPurpose purpose{};
-    TransferId transfer = 0;
-    bool cancel_on_result = false;  // B: a result for `transfer` moots it
+    InstanceId id;
+    bool cancel_on_result = false;  // B: a result for `id.transfer` moots it
     std::vector<std::uint8_t> payload;
     std::vector<std::uint8_t> evidence;
     std::set<ServerRank> excluded;
@@ -86,7 +89,6 @@ class Signing {
     std::vector<threshold::NonceCommitment> quorum;
     std::map<ServerRank, threshold::NonceReveal> reveals;
     std::map<ServerRank, threshold::PartialSignature> partials;
-    bool done = false;
     std::uint64_t round_resend = 0;  // retransmits the current round's broadcast
   };
   // What a member checks once a quorum names it (Fig. 5).

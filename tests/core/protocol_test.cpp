@@ -817,6 +817,22 @@ TEST(Protocol, SigningNoncesReleasedAfterUse) {
   }
 }
 
+// A requester's signing session ends with its signature: late or duplicate
+// replies and the retry timer find no session. Once a lossless run of eight
+// transfers drains, no server holds one.
+TEST(Protocol, FinishedSigningSessionsAreErased) {
+  System sys(base_options(31));
+  std::vector<TransferId> transfers;
+  for (int i = 0; i < 8; ++i)
+    transfers.push_back(sys.add_transfer(sys.config().params.encode_message(Bigint(3131 + i))));
+  for (TransferId t : transfers) expect_success(sys, t);
+  sys.sim().run();
+  for (ServerRank r = 1; r <= 4; ++r) {
+    EXPECT_EQ(sys.a_server(r).signing_sessions_held(), 0u) << "A rank " << r;
+    EXPECT_EQ(sys.b_server(r).signing_sessions_held(), 0u) << "B rank " << r;
+  }
+}
+
 // A contributor's bundle (ρ, r₁, r₂ and the VDE announcement exponents) is
 // spent by its one answer, and done ends the transfer: no server keeps a
 // contributor instance of it, so no bundle either.
