@@ -51,7 +51,7 @@ namespace timer {
 inline constexpr std::uint64_t kKindMask = 0xffull << 56;
 inline constexpr std::uint64_t kCoordinator = 1ull << 56;      // | backup timer id
 inline constexpr std::uint64_t kSignRetry = 3ull << 56;        // | session id
-inline constexpr std::uint64_t kStoreSecret = 4ull << 56;      // | transfer
+inline constexpr std::uint64_t kStoreSecret = 4ull << 56;      // | store timer index
 inline constexpr std::uint64_t kResend = 5ull << 56;           // | retransmission key
 inline constexpr std::uint64_t kReconfig = 8ull << 56;         // | schedule index
 inline constexpr std::uint64_t kTransferArrival = 9ull << 56;  // | arrival index

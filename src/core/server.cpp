@@ -66,8 +66,10 @@ void ProtocolServer::on_start(net::Context& ctx) {
   auto t0 = std::chrono::steady_clock::now();
   observer_.resolve(ctx, opts_.metrics, cfg_.params, &recovery_.sent_cell());
   observer_.m.config_epoch.set(cfg_epoch_);
+  store_timers_.clear();
   for (const auto& [transfer, pair] : ledger_.pending_store) {
-    ctx.set_timer(pair.second, timer::kStoreSecret | transfer);
+    ctx.set_timer(pair.second, timer::kStoreSecret | store_timers_.size());
+    store_timers_.push_back(transfer);
   }
   // Kept across restore(): the round skips an epoch already installed.
   for (std::size_t i = 0; i < scheduled_reconfigs_.size(); ++i) {
@@ -121,8 +123,10 @@ void ProtocolServer::on_timer(net::Context& ctx, std::uint64_t token) {
     case timer::kResend: recovery_.on_timer(l, arg, ledger_.results); break;
     case timer::kSignRetry: signing_.on_retry_timer(l, arg, ledger_.results); break;
     case timer::kStoreSecret:
-      if (auto it = ledger_.pending_store.find(arg); it != ledger_.pending_store.end()) {
-        ledger_.stored[arg] = it->second.first;
+      if (arg >= store_timers_.size()) break;
+      if (auto it = ledger_.pending_store.find(store_timers_[arg]);
+          it != ledger_.pending_store.end()) {
+        ledger_.stored[it->first] = it->second.first;
         ledger_.pending_store.erase(it);
         responder_.replay_parked(l, ledger_);
       }

@@ -204,6 +204,10 @@ class ProtocolServer final : public net::Node {
   // and open-loop (virtual time, transfer) arrivals.
   std::vector<std::pair<net::Time, ReconfigSpec>> scheduled_reconfigs_;
   std::vector<std::pair<net::Time, TransferId>> scheduled_arrivals_;
+  // The transfer of each E_A(m) timer this incarnation armed, by index: a
+  // timer never carries a transfer id, whose top byte would spill into the
+  // timer's kind.
+  std::vector<TransferId> store_timers_;
 
   std::map<MsgType, std::uint64_t> rx_counts_;
   std::atomic<std::uint64_t> results_count_{0};

@@ -833,6 +833,33 @@ TEST(Protocol, FinishedSigningSessionsAreErased) {
   }
 }
 
+// A delayed E_A(m) timer carries an index, never the transfer id: an id with
+// bits in its top byte would spill into the timer's kind (0x05 is kResend's),
+// and A would never store the ciphertext. Each id completes at every B server.
+TEST(Protocol, DelayedSecretOfAHighTransferIdIsStored) {
+  for (const TransferId t : {TransferId{7}, TransferId{0x0100000000000007},
+                             TransferId{0x0500000000000001}}) {
+    SystemOptions o = base_options(32);
+    o.params = group::GroupParams::named(group::ParamId::kToy64);
+    System sys(std::move(o));
+    mpz::Prng prng(33);
+    const group::Element m = sys.config().params.encode_message(Bigint(3232));
+    const elgamal::Ciphertext ea_m = sys.config().a.encryption_key.encrypt(m, prng);
+    for (ServerRank r = 1; r <= 4; ++r) {
+      sys.a_server(r).store_secret_at(t, ea_m, 1'000);
+      sys.b_server(r).register_transfer(t);
+    }
+    const auto finished = [&] {
+      for (ServerRank r = 1; r <= 4; ++r)
+        if (!sys.result(t, r)) return false;
+      return true;
+    };
+    ASSERT_TRUE(sys.sim().run_until(finished)) << std::hex << "transfer 0x" << t;
+    const Bigint plain = m;
+    for (ServerRank r = 1; r <= 4; ++r) EXPECT_EQ(sys.oracle_decrypt_b(*sys.result(t, r)), plain);
+  }
+}
+
 // A contributor's bundle (ρ, r₁, r₂ and the VDE announcement exponents) is
 // spent by its one answer, and done ends the transfer: no server keeps a
 // contributor instance of it, so no bundle either.
