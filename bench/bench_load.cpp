@@ -5,7 +5,7 @@
 // delay is visible instead of being absorbed by a closed feedback loop) from
 // a configurable number of clients, and drives them through the full Fig. 4
 // pipeline under the deterministic simulator. One BENCHJSON section feeds
-// tools/bench_check.py's BENCH_pr8.json report:
+// the load_latency section of tools/bench_check.py's BENCH.json report:
 //
 //   load_latency     p50/p95/p99 per-transfer latency (virtual us, arrival ->
 //                    first done_recorded) across an offered-load sweep. Each

@@ -1,105 +1,97 @@
 #!/usr/bin/env python3
-"""Bench regression gate for the verification fast path (PR 3).
+"""Bench regression gates over the deterministic benchmarks.
 
-Runs the deterministic verification benchmarks (bench_fig4_full's
-"blind-verify" BENCHJSON rows, plus the multi-exp microbenchmarks from
-bench_primitives), records everything in BENCH_pr3.json, and FAILS (exit 1)
-when batched verification stops beating the serial Fig. 5 reference.
+Runs bench_fig4_full and bench_load, reads their BENCHJSON rows, gates them,
+and FAILS (exit 1) when any gate does. Everything lands in one report,
+BENCH.json, with one section per BENCHJSON row kind; each section names the
+gates it carries, its own pass flag, its failures and its rows. The report
+goes to the build directory (--build-dir) unless --output names another
+path. The one committed file, BENCH_pr10.json at the repo root, is gate 14's
+baseline and changes only when someone regenerates it on purpose.
 
-Reports go to the build directory (--build-dir) unless --output names
-another path for BENCH_pr3.json; the other reports are written next to it.
-The BENCH_pr*.json files committed at the repo root change only when someone
-regenerates them on purpose with --output.
+The primary gates are Montgomery-multiplication (group-op) counts, not
+wall-clock: they are identical across machines for a deterministic run, so
+the gates cannot flake on a loaded CI box. Gates enforced, by section:
 
-The primary gate is Montgomery-multiplication counts, not wall-clock:
-mont-muls are identical across machines for a deterministic run, so the gate
-cannot flake on a loaded CI box. Gates enforced:
+blind-verify (the verification fast path):
+  1. every row: batch_mont_muls < serial_mont_muls (batch must never be
+     slower on the verification-dominated column);
+  2. at least one row reaches >= 2.0x fewer mont-muls.
 
-  1. every blind-verify row: batch_mont_muls < serial_mont_muls
-     (batch must never be slower on the verification-dominated column);
-  2. at least one blind-verify row reaches >= 2.0x fewer mont-muls
-     (the PR 3 acceptance bar);
-  3. the obs-overhead row: an instrumented run (JSONL trace +
-     metrics registry) must report mont-mul and message counts identical
-     to the plain run — the observability layer is a pure observer.
+obs-overhead (observability is a pure observer; the per-phase latency
+breakdown of the instrumented run rides along as context):
+  3. an instrumented run (JSONL trace + metrics registry) reports mont-mul
+     and message counts identical to the plain run, and emits trace events.
 
-The PR 4 observability report (obs-overhead plus the per-phase latency
-breakdown from the instrumented run's registry) is additionally written to
-BENCH_pr4.json next to BENCH_pr3.json.
+precompute (the offline/online split):
+  4. a B server builds each bundle when it learns of the transfer, ahead of
+     the init, so in one run the contributors' total mont-muls (online +
+     offline) must be >= 3.0x their online mont-muls — the dual
+     encryption + VDE announcements really left the latency-critical path.
+     (Gate 5, on-vs-off result identity, went with the off path;
+     PrecomputeProtocol.BundleBuiltAheadMatchesOneBuiltOnDemand holds that
+     property.)
 
-PR 5 gates (offline/online split), written to BENCH_pr5.json:
+fixed-base:
+  6. an exponentiation of a pinned base over its shift table (built before
+     the measurement) uses >= 2.0x fewer mont-muls than the same
+     exponentiation of an unpinned base, which has no table (the rows keep
+     their comb_* JSON names).
 
-  4. precompute: a B server builds each bundle when it learns of the
-     transfer, ahead of the init, so in one run the contributors' total
-     mont-muls (online + offline) must be >= 3.0x their online mont-muls
-     — the dual encryption + VDE announcements really left the
-     latency-critical path. (Gate 5, on-vs-off result identity, went with
-     the off path; PrecomputeProtocol.BundleBuiltAheadMatchesOneBuiltOnDemand
-     holds that property.)
-  6. fixed-base: an exponentiation of a pinned base over its shift table
-     (built before the measurement) uses >= 2.0x fewer mont-muls than the
-     same exponentiation of an unpinned base, which has no table (the rows
-     keep their comb_* JSON names);
-  7. throughput: the pipelined run completes with integrity == 1
-     (transfers/sec is recorded for context, wall-clock, never gated).
+throughput:
+  7. the pipelined run completes with integrity == 1 (transfers/sec is
+     recorded for context, wall-clock, never gated).
 
-PR 7 gates (epochal reconfiguration), written to BENCH_pr7.json:
-
-  8.  reconfig: the rotation run installs epoch 1 (installed == 1) and every
-      transfer — including those aborted at the epoch boundary and re-run —
-      decrypts to its original plaintext (integrity == 1);
-  9.  reconfig: post-rotation steady-state mont-muls/transfer within 5% of
-      the no-rotation baseline for the same seed — the install drops every
-      contributor state and keeps the pinned tables (a reshare changes
-      no service key), and neither may leak per-transfer cost into the new
+reconfig (epochal reconfiguration):
+  8.  the rotation run installs epoch 1 (installed == 1) and every transfer
+      — including those aborted at the epoch boundary and re-run — decrypts
+      to its original plaintext (integrity == 1);
+  9.  post-rotation steady-state mont-muls/transfer within 5% of the
+      no-rotation baseline for the same seed — the install drops every
+      contributor state and keeps the pinned tables (a reshare changes no
+      service key), and neither may leak per-transfer cost into the new
       epoch. The rotation window itself (re-share round + discarded
       in-flight work) is recorded for context, never gated.
 
-PR 8 gate (concurrent transfers), written to BENCH_pr8.json from
-bench_load's open-loop workload (gates 10 and 12 compared an admission-capped
-arm that no longer exists):
+load_latency (bench_load's open-loop sweep; gates 10 and 12 compared an
+admission-capped arm that no longer exists):
+  11. every offered-load point completes all transfers with integrity == 1
+      and p50 <= p95 <= p99 (the percentile extraction is ordered and
+      total), and sends no message once drained after its last result
+      (msgs_after_done == 0: an honest, lossless run leaves no timer that
+      re-sends or redoes work).
 
-  11. load_latency: every offered-load point completes all transfers with
-      integrity == 1 and p50 <= p95 <= p99 (the percentile extraction is
-      ordered and total), and sends no message once drained after its last
-      result (msgs_after_done == 0: an honest, lossless run leaves no timer
-      that re-sends or redoes work).
-
-PR 9 gates (causal span tracing), written to BENCH_pr9.json together with
-a re-statement of the PR 4 obs-overhead result (the span upgrade must keep
-tracing-off runs byte-identical to plain runs):
-
-  13. critpath: bench_load --trace-out's span trace, fed through
+critpath (causal span tracing):
+  13. bench_load --trace-out's span trace, fed through
       tools/trace_critpath.py --budget 0.95, must attribute >= 95% of every
       completed transfer's virtual-time latency to named budget categories
       (network / verify / retransmit-backoff / crypto), with the mont-mul
       crypto join present in the report.
 
-PR 10 gates (elliptic-curve group backend), written to BENCH_pr10.json
-together with another re-statement of the PR 4 obs-overhead result (the
-backend carve must keep the default mod-p build byte-identical to PR 9):
-
-  14. backend-compare: the same honest Fig. 4 run (n=4, f=1, same seed) on
-      ristretto255 must cost >= 5.0x fewer normalized word-multiplications
-      than mod-p at matched ~128-bit security (kSec2048). Group-op counts
-      are deterministic per seed; each backend's ops are weighted by its
-      op_cost_weight (mod-p: 2k^2 64-bit word muls per Montgomery mul at
-      k limbs; ec255: 25 word muls per fe25519 mul), so the gate compares
+backend-compare (elliptic-curve group backend):
+  14. the same honest Fig. 4 run (n=4, f=1, same seed) on ristretto255 must
+      cost >= 5.0x fewer normalized word-multiplications than mod-p at
+      matched ~128-bit security (kSec2048). Group-op counts are
+      deterministic per seed; each backend's ops are weighted by its
+      op_cost_weight (mod-p: 2k^2 64-bit word muls per Montgomery mul at k
+      limbs; ec255: 25 word muls per fe25519 mul), so the gate compares
       machine-independent arithmetic cost, never wall-clock. Both runs must
       decrypt the original plaintext at every server (integrity == 1) and
-      EC element encodings must be <= 32 bytes. Neither arm's group-op count
-      (ec_group_ops, modp_group_ops) may exceed the one in the committed
-      BENCH_pr10.json at the repository root: the counts are deterministic
-      per seed, so any rise is a regression, and that baseline changes only
-      when it is regenerated on purpose;
-  15. backend-equivalence: the cross-backend panel (3 seeds x {honest,
-      Byzantine inconsistent-contribution} on mod-p and ec255) must report
+      EC element encodings must be <= 32 bytes. Neither arm's group-op
+      count (ec_group_ops, modp_group_ops) may exceed the one in the
+      committed BENCH_pr10.json at the repository root: the counts are
+      deterministic per seed, so any rise is a regression.
+
+backend-equivalence:
+  15. the cross-backend panel (3 seeds x {honest, Byzantine
+      inconsistent-contribution} on mod-p and ec255) must report
       identical_results == 1 — the observable protocol outcome is backend
       independent even though element values differ by construction.
 
-Wall-clock numbers from bench_primitives are recorded for context only.
+Wall-clock numbers from bench_primitives are recorded in the blind-verify
+section for context only.
 
-Usage: bench_check.py --build-dir <dir> [--output <path>/BENCH_pr3.json]
+Usage: bench_check.py --build-dir <dir> [--output <path>/BENCH.json]
        (registered as ctest label `bench`; see tools/CMakeLists.txt)
 """
 
@@ -246,8 +238,7 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--build-dir", required=True)
     ap.add_argument("--output", default=None,
-                    help="where to write BENCH_pr3.json; the other reports go next "
-                         "to it (default <build-dir>/BENCH_pr3.json)")
+                    help="where to write BENCH.json (default <build-dir>/BENCH.json)")
     ap.add_argument("--skip-primitives", action="store_true",
                     help="skip the wall-clock microbenchmarks (faster CI)")
     args = ap.parse_args()
@@ -255,18 +246,21 @@ def main():
     rows = run_fig4(args.build_dir)
     trace_path = os.path.join(args.build_dir, "load_trace.jsonl")
     rows += run_load(args.build_dir, trace_path)
-    blind = [r for r in rows if r.get("section") == "blind-verify"]
-    obs = [r for r in rows if r.get("section") == "obs-overhead"]
-    phases = [r for r in rows if r.get("section") == "phases"]
-    precompute = [r for r in rows if r.get("section") == "precompute"]
-    fixed_base = [r for r in rows if r.get("section") == "fixed-base"]
-    throughput = [r for r in rows if r.get("section") == "throughput"]
-    reconfig = [r for r in rows if r.get("section") == "reconfig"]
-    load_latency = [r for r in rows if r.get("section") == "load_latency"]
-    backend_compare = [r for r in rows if r.get("section") == "backend-compare"]
-    backend_equiv = [r for r in rows if r.get("section") == "backend-equivalence"]
 
-    failures = []
+    # One report section per BENCHJSON row kind: its gates, its rows and the
+    # failures its gates found.
+    sections = {}
+
+    def section(name, gates):
+        sections[name] = {
+            "gates": gates,
+            "pass": True,
+            "failures": [],
+            "rows": [r for r in rows if r.get("section") == name],
+        }
+        return sections[name]["rows"], sections[name]["failures"]
+
+    blind, failures = section("blind-verify", [1, 2])
     best_ratio = 0.0
     for r in blind:
         ratio = r["serial_mont_muls"] / r["batch_mont_muls"]
@@ -282,6 +276,7 @@ def main():
         failures.append(
             f"best blind-verify mont-mul ratio {best_ratio:.2f}x < 2.0x acceptance bar")
 
+    obs, failures = section("obs-overhead", [3])
     if not obs:
         failures.append("no obs-overhead row emitted")
     for r in obs:
@@ -298,9 +293,12 @@ def main():
                 f"{r['plain_messages']} plain")
         if r["trace_events"] == 0:
             failures.append("obs-overhead: instrumented run emitted no trace events")
+    phases = [r for r in rows if r.get("section") == "phases"]
+    sections["obs-overhead"]["phases"] = phases
     if not phases:
         failures.append("no per-phase latency rows emitted")
 
+    precompute, failures = section("precompute", [4])
     if not precompute:
         failures.append("no precompute row emitted")
     for r in precompute:
@@ -311,6 +309,8 @@ def main():
             failures.append(
                 f"precompute: online mont-muls only {ratio:.2f}x below the total "
                 f"({total} -> {r['online_mont_muls']}), < 3.0x acceptance bar")
+
+    fixed_base, failures = section("fixed-base", [6])
     if not fixed_base:
         failures.append("no fixed-base row emitted")
     for r in fixed_base:
@@ -321,12 +321,15 @@ def main():
                 f"fixed-base: shift table only {ratio:.2f}x fewer mont-muls than "
                 f"an unpinned pow ({r['generic_mont_muls']} -> {r['comb_mont_muls']}), "
                 f"< 2.0x acceptance bar")
+
+    throughput, failures = section("throughput", [7])
     if not throughput:
         failures.append("no throughput row emitted")
     for r in throughput:
         if r["integrity"] != 1:
             failures.append("throughput: pipelined run lost integrity")
 
+    reconfig, failures = section("reconfig", [8, 9])
     if not reconfig:
         failures.append("no reconfig row emitted")
     for r in reconfig:
@@ -344,6 +347,7 @@ def main():
                 f"{pre} baseline ({delta:.1%} drift, > 5% bar) — the install "
                 f"cascade is leaking per-transfer cost into the new epoch")
 
+    load_latency, failures = section("load_latency", [11])
     if not load_latency:
         failures.append("no load_latency rows emitted")
     for r in load_latency:
@@ -363,6 +367,11 @@ def main():
                 f"load_latency gap={r['mean_interarrival_us']}us: "
                 f"{r.get('msgs_after_done')} messages sent after the last result")
 
+    _, failures = section("critpath", [13])
+    critpath = run_critpath(trace_path, failures)
+    sections["critpath"]["rows"] = [critpath] if critpath else []
+
+    backend_compare, failures = section("backend-compare", [14])
     if not backend_compare:
         failures.append("no backend-compare row emitted")
     baseline = committed_backend_baseline()
@@ -389,6 +398,8 @@ def main():
             failures.append(
                 "backend-compare: a backend arm failed to decrypt the original "
                 "plaintext at every server")
+
+    backend_equiv, failures = section("backend-equivalence", [15])
     if not backend_equiv:
         failures.append("no backend-equivalence row emitted")
     for r in backend_equiv:
@@ -398,105 +409,22 @@ def main():
                 f"({r['cells']} cells) — the group abstraction is leaking into "
                 f"observable behavior")
 
-    critpath = run_critpath(trace_path, failures)
+    sections["blind-verify"]["primitives_wall_clock"] = (
+        None if args.skip_primitives else run_primitives(args.build_dir))
 
-    prims = None if args.skip_primitives else run_primitives(args.build_dir)
-
-    out_path = args.output or os.path.join(args.build_dir, "BENCH_pr3.json")
-    environment = read_environment(args.build_dir)
+    failures = []
+    for sec in sections.values():
+        sec["pass"] = not sec["failures"]
+        failures += sec["failures"]
+    out_path = args.output or os.path.join(args.build_dir, "BENCH.json")
     report = {
-        "gate": "verification-fast-path",
         "pass": not failures,
-        "environment": environment,
+        "environment": read_environment(args.build_dir),
         "failures": failures,
-        "blind_verify": blind,
-        "primitives_wall_clock": prims,
+        "sections": sections,
     }
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
-        fh.write("\n")
-
-    obs_path = os.path.join(os.path.dirname(out_path), "BENCH_pr4.json")
-    obs_report = {
-        "gate": "observability-overhead",
-        "pass": not any("obs-overhead" in f or "phase" in f for f in failures),
-        "environment": environment,
-        "obs_overhead": obs,
-        "phases": phases,
-    }
-    with open(obs_path, "w", encoding="utf-8") as fh:
-        json.dump(obs_report, fh, indent=2)
-        fh.write("\n")
-
-    split_path = os.path.join(os.path.dirname(out_path), "BENCH_pr5.json")
-    split_fail_keys = ("precompute", "fixed-base", "throughput", "no precompute",
-                       "no fixed-base", "no throughput")
-    split_report = {
-        "gate": "offline-online-split",
-        "pass": not any(f.startswith(split_fail_keys) for f in failures),
-        "environment": environment,
-        "precompute": precompute,
-        "fixed_base": fixed_base,
-        "throughput": throughput,
-    }
-    with open(split_path, "w", encoding="utf-8") as fh:
-        json.dump(split_report, fh, indent=2)
-        fh.write("\n")
-
-    reconfig_path = os.path.join(os.path.dirname(out_path), "BENCH_pr7.json")
-    reconfig_report = {
-        "gate": "epochal-reconfiguration",
-        "pass": not any(f.startswith("reconfig") or f.startswith("no reconfig")
-                        for f in failures),
-        "environment": environment,
-        "reconfig": reconfig,
-    }
-    with open(reconfig_path, "w", encoding="utf-8") as fh:
-        json.dump(reconfig_report, fh, indent=2)
-        fh.write("\n")
-
-    load_path = os.path.join(os.path.dirname(out_path), "BENCH_pr8.json")
-    load_report = {
-        "gate": "concurrent-transfers",
-        "pass": not any(f.startswith("load_") or f.startswith("no load_")
-                        for f in failures),
-        "environment": environment,
-        "load_latency": load_latency,
-    }
-    with open(load_path, "w", encoding="utf-8") as fh:
-        json.dump(load_report, fh, indent=2)
-        fh.write("\n")
-
-    # PR 9: the span-trace critpath gate, plus the PR 4 obs-overhead result
-    # re-stated — the span upgrade must keep the zero-overhead property.
-    critpath_path = os.path.join(os.path.dirname(out_path), "BENCH_pr9.json")
-    critpath_report = {
-        "gate": "causal-span-tracing",
-        "pass": not any(f.startswith("critpath") or "obs-overhead" in f
-                        for f in failures),
-        "environment": environment,
-        "obs_overhead": obs,
-        "critpath": critpath,
-    }
-    with open(critpath_path, "w", encoding="utf-8") as fh:
-        json.dump(critpath_report, fh, indent=2)
-        fh.write("\n")
-
-    # PR 10: the EC-backend cost gate, plus the PR 4 obs-overhead result
-    # re-stated — the backend carve must keep the default mod-p build
-    # byte-identical to PR 9.
-    backend_path = os.path.join(os.path.dirname(out_path), "BENCH_pr10.json")
-    backend_report = {
-        "gate": "ec-group-backend",
-        "pass": not any(f.startswith("backend-") or f.startswith("no backend-")
-                        or "obs-overhead" in f for f in failures),
-        "environment": environment,
-        "backend_compare": backend_compare,
-        "backend_equivalence": backend_equiv,
-        "obs_overhead": obs,
-    }
-    with open(backend_path, "w", encoding="utf-8") as fh:
-        json.dump(backend_report, fh, indent=2)
         fh.write("\n")
 
     for r in blind:
@@ -537,8 +465,7 @@ def main():
               f"{critpath['attributed_overall']:.1%} latency attributed "
               f"(worst {critpath['attributed_min']:.1%}), budget "
               f"{critpath['budget_us']}")
-    print(f"report: {out_path} + {obs_path} + {split_path} + {reconfig_path} + "
-          f"{load_path} + {critpath_path} + {backend_path}")
+    print(f"report: {out_path}")
     if failures:
         for f in failures:
             print(f"FAIL: {f}")

@@ -62,8 +62,8 @@
 #                    serial Fig. 5 evidence checks >= 2x, offline/online
 #                    split >= 3x, obs overhead, pinned tables, reconfig,
 #                    load, critpath, backends) by deterministic counts, plus
-#                    the wall-clock microbenchmarks; writes BENCH_pr3.json ..
-#                    BENCH_pr10.json into build-relwithdebinfo/
+#                    the wall-clock microbenchmarks; writes one report,
+#                    build-relwithdebinfo/BENCH.json, a section per gate
 #   trace_check      observability gate: trace_check.py --self-test, then a
 #                    fixed-seed lossy Byzantine CLI run whose JSONL trace is
 #                    replayed against the Fig. 4 invariants (done needs f+1

@@ -42,7 +42,7 @@ same span bench_load's load_latency section measures from the arrival
 schedule. `--budget F` turns the report into a gate: exit 1 unless every
 completed transfer attributes >= F of its latency to named (non-`other`)
 categories — wired into tools/bench_check.py, which records the result in
-BENCH_pr9.json.
+the critpath section of BENCH.json.
 
 Usage:
   trace_critpath.py trace.jsonl [--metrics snapshot.prom] [--budget 0.95]
