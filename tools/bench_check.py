@@ -28,9 +28,8 @@ precompute (the offline/online split):
      the init, so in one run the contributors' total mont-muls (online +
      offline) must be >= 3.0x their online mont-muls — the dual
      encryption + VDE announcements really left the latency-critical path.
-     (Gate 5, on-vs-off result identity, went with the off path;
-     PrecomputeProtocol.BundleBuiltAheadMatchesOneBuiltOnDemand holds that
-     property.)
+     (There is no gate 5: that a bundle built ahead equals one built on
+     demand is a test, PrecomputeProtocol.BundleBuiltAheadMatchesOneBuiltOnDemand.)
 
 fixed-base:
   6. an exponentiation of a pinned base over its shift table (built before
