@@ -6,9 +6,8 @@
 // built ahead is exactly the one the instance would derive when its init
 // arrives. The panel runs five Byzantine scenarios and an epochal rotation,
 // and checks that every accepted result is correct and that the bundle work
-// landed in the offline mont-mul counter. A contributor that
-// is never told of a transfer builds its bundle on demand and must contribute
-// the same bytes.
+// landed in the offline mont-mul counter. A contributor that is never told of
+// a transfer builds its bundle on demand and must contribute the same bytes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
